@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build test check bench bench-sweep experiments report serve-demo cover clean
+.PHONY: all build test check bench bench-sweep experiments report serve-demo cover loc clean
 
 all: build test
 
@@ -52,6 +52,11 @@ serve-demo:
 
 cover:
 	go test -cover ./...
+
+# Non-test, non-generated Go lines: the serving stack vs the simulator
+# it serves (ROADMAP's north star), and the v1 front-end subset.
+loc:
+	@scripts/loc.sh
 
 clean:
 	rm -f report.html BENCH_sweep.json BENCH_ffwd.json manifest.json results_full.txt coverage.out

@@ -53,14 +53,6 @@ func Analyze(ctx context.Context, o Options) (*Analysis, error) {
 	return &Analysis{ModelReport: rep, Metrics: dev.Metrics}, nil
 }
 
-// AnalyzeContext fits the Section 2 model to one run.
-//
-// Deprecated: context-first Analyze is the canonical name;
-// AnalyzeContext remains as a thin wrapper.
-func AnalyzeContext(ctx context.Context, o Options) (*Analysis, error) {
-	return Analyze(ctx, o)
-}
-
 // RenderAnalysis writes a fitted model report in the paper's notation,
 // followed by the analyzed run's metrics export.
 func RenderAnalysis(w io.Writer, a *Analysis) {

@@ -50,7 +50,7 @@ import (
 	"hbat/internal/ckpt"
 	"hbat/internal/emu"
 	"hbat/internal/emu/sblock"
-	"hbat/internal/harness"
+	"hbat/internal/engine"
 	"hbat/internal/obs"
 	"hbat/internal/prog"
 	"hbat/internal/tlb"
@@ -197,11 +197,11 @@ func benchFFwd(ctx context.Context, scaleName string) (*ffwdResult, error) {
 		}
 		res.FastForward[name] = em.InstCount * 9 / 10
 	}
-	specs := func(ffwd bool) []harness.RunSpec {
-		var out []harness.RunSpec
+	specs := func(ffwd bool) []engine.RunSpec {
+		var out []engine.RunSpec
 		for _, d := range res.Designs {
 			for _, w := range res.Workloads {
-				s := harness.RunSpec{
+				s := engine.RunSpec{
 					Workload: w, Design: d, Budget: prog.Budget32,
 					Scale: scale, PageSize: 4096, Seed: 1,
 				}
@@ -213,8 +213,8 @@ func benchFFwd(ctx context.Context, scaleName string) (*ffwdResult, error) {
 		}
 		return out
 	}
-	pass := func(ffwd bool) (time.Duration, *harness.Engine, error) {
-		e := harness.NewEngine()
+	pass := func(ffwd bool) (time.Duration, *engine.Engine, error) {
+		e := engine.New()
 		ss := specs(ffwd)
 		if err := e.PrewarmBuilds(ctx, ss); err != nil {
 			return 0, nil, err

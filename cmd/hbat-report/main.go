@@ -18,6 +18,7 @@ import (
 	"os/signal"
 	"time"
 
+	"hbat/internal/engine"
 	"hbat/internal/harness"
 	"hbat/internal/obs"
 	"hbat/internal/report"
@@ -38,7 +39,7 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
-	eng := harness.NewEngine()
+	eng := engine.New()
 	logger, srv, err := obsFlags.Setup(ctx, os.Stderr, eng)
 	if err != nil {
 		fail(err)
@@ -67,7 +68,7 @@ func main() {
 	start := time.Now()
 	opts := harness.Options{
 		Engine: eng, Scale: sc, Parallelism: *par, Seed: *seed,
-		Progress: func(p harness.Progress) {
+		Progress: func(p engine.Progress) {
 			if p.Done%20 == 0 || p.Done == p.Total {
 				logger.Info("sweep progress", "done", p.Done, "total", p.Total,
 					"elapsed_s", time.Since(start).Seconds(), "eta_s", p.ETA.Seconds())
@@ -91,7 +92,7 @@ func main() {
 		logger.Info("spans written", "journal", obsFlags.SpansOut+".jsonl", "timeline", spansPath)
 	}
 	if *manifest != "" {
-		m := harness.NewManifest("hbat-report", time.Now())
+		m := engine.NewManifest("hbat-report", time.Now())
 		m.RecordRuns(eng)
 		if err := m.AddArtifactFile("report.html", *out); err != nil {
 			fail(err)

@@ -25,11 +25,8 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
-	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"strings"
@@ -127,60 +124,32 @@ func main() {
 		fail(err)
 	}
 
-	// One listener, two routing tables, exactly like hbatd: /v1/... is
-	// the job API, everything else the shared observability surface.
-	// /ready tracks the coordinator's accepting state so a load
-	// balancer stops sending jobs the moment the drain starts.
-	mux := http.NewServeMux()
-	mux.Handle("/v1/", coord.Handler())
-	mux.Handle("/", obs.NewHandler(obs.Config{
-		Spans:  obsFlags.Tracer(),
-		Ready:  coord.Accepting,
-		Extra:  coord.MetricsFamilies,
-		Logger: logger,
-	}))
-
-	ln, err := net.Listen("tcp", *addr)
+	// /ready tracks the coordinator's accepting state so a load balancer
+	// stops sending jobs the moment the drain starts.
+	err = obsFlags.Serve(ctx, stop, logger, obs.Daemon{
+		Tool: "hbatc",
+		Addr: *addr,
+		V1:   coord.Handler(),
+		Obs: obs.Config{
+			Spans:  obsFlags.Tracer(),
+			Ready:  coord.Accepting,
+			Extra:  coord.MetricsFamilies,
+			Logger: logger,
+		},
+		Shutdown:     coord.Shutdown,
+		DrainTimeout: *drainTimeout,
+		Listening:    []any{"workers", len(workers), "data_dir", *dataDir},
+		Stopped: func() []any {
+			ss := st.Stats()
+			return []any{
+				"store_entries", ss.Entries, "store_puts", ss.Puts,
+				"store_mem_hits", ss.MemHits, "store_disk_hits", ss.DiskHits,
+			}
+		},
+	})
 	if err != nil {
 		fail(err)
 	}
-	httpSrv := &http.Server{Handler: mux}
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- httpSrv.Serve(ln) }()
-	logger.Info("hbatc listening", "addr", ln.Addr().String(),
-		"workers", len(workers), "data_dir", *dataDir)
-
-	select {
-	case err := <-serveErr:
-		fail(err)
-	case <-ctx.Done():
-	}
-	stop() // a second signal kills immediately
-
-	logger.Info("drain started", "timeout", drainTimeout.String())
-	dctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
-	defer cancel()
-	if err := coord.Shutdown(dctx); err != nil {
-		logger.Error("drain incomplete", "error", err.Error())
-	}
-	if err := httpSrv.Shutdown(dctx); err != nil {
-		logger.Error("http shutdown incomplete", "error", err.Error())
-	}
-	if path, err := obsFlags.FinishSpans(); err != nil {
-		fail(err)
-	} else if path != "" {
-		logger.Info("spans written", "timeline", path)
-	}
-	ss := st.Stats()
-	logger.Info("hbatc stopped",
-		"store_entries", ss.Entries, "store_puts", ss.Puts,
-		"store_mem_hits", ss.MemHits, "store_disk_hits", ss.DiskHits)
 }
 
-func fail(err error) {
-	fmt.Fprintln(os.Stderr, "hbatc:", err)
-	if errors.Is(err, context.Canceled) {
-		os.Exit(130)
-	}
-	os.Exit(1)
-}
+func fail(err error) { obs.Fatal("hbatc", err) }

@@ -23,11 +23,7 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
-	"fmt"
-	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"syscall"
@@ -108,64 +104,36 @@ func main() {
 		fail(err)
 	}
 
-	// One listener, two routing tables: /v1/... is the job API,
-	// everything else the shared observability surface. /ready tracks
-	// the engine's accepting state, which Shutdown flips — a load
-	// balancer stops sending work the moment the drain starts.
-	mux := http.NewServeMux()
-	mux.Handle("/v1/", svc.Handler())
-	mux.Handle("/", obs.NewHandler(obs.Config{
-		Engine: eng,
-		Spans:  obsFlags.Tracer(),
-		Logger: logger,
-		// The fabric's RED families (per-route/per-tenant request
-		// counters and duration histograms, queue depth, quota gauges)
-		// ride along on the same /metrics exposition.
-		Extra: svc.MetricsFamilies,
-	}))
-
-	ln, err := net.Listen("tcp", *addr)
+	// /ready tracks the engine's accepting state, which Shutdown flips —
+	// a load balancer stops sending work the moment the drain starts.
+	err = obsFlags.Serve(ctx, stop, logger, obs.Daemon{
+		Tool: "hbatd",
+		Addr: *addr,
+		V1:   svc.Handler(),
+		Obs: obs.Config{
+			Engine: eng,
+			Spans:  obsFlags.Tracer(),
+			Logger: logger,
+			// The fabric's RED families (per-route/per-tenant request
+			// counters and duration histograms, queue depth, quota gauges)
+			// ride along on the same /metrics exposition.
+			Extra: svc.MetricsFamilies,
+		},
+		Shutdown:     svc.Shutdown,
+		DrainTimeout: *drainTimeout,
+		Listening:    []any{"workers", *workers, "data_dir", *dataDir},
+		Stopped: func() []any {
+			ss := st.Stats()
+			return []any{
+				"runs_executed", eng.State().Executed,
+				"store_entries", ss.Entries,
+				"store_mem_hits", ss.MemHits, "store_disk_hits", ss.DiskHits,
+			}
+		},
+	})
 	if err != nil {
 		fail(err)
 	}
-	httpSrv := &http.Server{Handler: mux}
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- httpSrv.Serve(ln) }()
-	logger.Info("hbatd listening", "addr", ln.Addr().String(),
-		"workers", *workers, "data_dir", *dataDir)
-
-	select {
-	case err := <-serveErr:
-		fail(err)
-	case <-ctx.Done():
-	}
-	stop() // a second signal kills immediately
-
-	logger.Info("drain started", "timeout", drainTimeout.String())
-	dctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
-	defer cancel()
-	if err := svc.Shutdown(dctx); err != nil {
-		logger.Error("drain incomplete", "error", err.Error())
-	}
-	if err := httpSrv.Shutdown(dctx); err != nil {
-		logger.Error("http shutdown incomplete", "error", err.Error())
-	}
-	if path, err := obsFlags.FinishSpans(); err != nil {
-		fail(err)
-	} else if path != "" {
-		logger.Info("spans written", "timeline", path)
-	}
-	ss := st.Stats()
-	logger.Info("hbatd stopped",
-		"runs_executed", eng.State().Executed,
-		"store_entries", ss.Entries,
-		"store_mem_hits", ss.MemHits, "store_disk_hits", ss.DiskHits)
 }
 
-func fail(err error) {
-	fmt.Fprintln(os.Stderr, "hbatd:", err)
-	if errors.Is(err, context.Canceled) {
-		os.Exit(130)
-	}
-	os.Exit(1)
-}
+func fail(err error) { obs.Fatal("hbatd", err) }

@@ -159,14 +159,6 @@ func RunExperiment(ctx context.Context, name string, o ExperimentOptions, w io.W
 	return e.renderFigure(ctx, ho, w)
 }
 
-// RunExperimentContext regenerates one evaluation artifact.
-//
-// Deprecated: context-first RunExperiment is the canonical name;
-// RunExperimentContext remains as a thin wrapper.
-func RunExperimentContext(ctx context.Context, name string, o ExperimentOptions, w io.Writer) error {
-	return RunExperiment(ctx, name, o, w)
-}
-
 // ExperimentCSV runs one of the design-grid experiments (see
 // CSVExperimentNames) and writes machine-readable CSV for external
 // plotting, honoring ctx cancellation.
@@ -190,12 +182,4 @@ func ExperimentCSV(ctx context.Context, name string, o ExperimentOptions, w io.W
 	harness.FigureCSV(w, f)
 	sp.End()
 	return nil
-}
-
-// ExperimentCSVContext runs one design-grid experiment as CSV.
-//
-// Deprecated: context-first ExperimentCSV is the canonical name;
-// ExperimentCSVContext remains as a thin wrapper.
-func ExperimentCSVContext(ctx context.Context, name string, o ExperimentOptions, w io.Writer) error {
-	return ExperimentCSV(ctx, name, o, w)
 }

@@ -37,11 +37,11 @@ import (
 // from one process builds each program once and simulates each unique
 // spec once. Cached programs and results are immutable, which is what
 // makes process-wide sharing safe.
-var defaultEngine = harness.NewEngine()
+var defaultEngine = engine.New()
 
 // SweepCacheStats is a point-in-time read of the shared sweep engine's
 // cache counters (workload builds and RunSpec memoization).
-type SweepCacheStats = harness.CacheStats
+type SweepCacheStats = engine.CacheStats
 
 // SweepStats returns the shared sweep engine's cache counters.
 func SweepStats() SweepCacheStats { return defaultEngine.CacheStats() }
@@ -49,14 +49,14 @@ func SweepStats() SweepCacheStats { return defaultEngine.CacheStats() }
 // SweepEngine returns the package's shared sweep engine, so callers
 // can attach observability (structured logging, heartbeat, live
 // /metrics scrapes) to the same engine the facade drives.
-func SweepEngine() *harness.Engine { return defaultEngine }
+func SweepEngine() *engine.Engine { return defaultEngine }
 
 // ErrEngineStarted is returned by the result-affecting
 // engine-configuration functions (SetCheckpointDir, ResumeJournal)
 // once the shared engine has executed work: that configuration is
 // frozen at first use so a concurrent sweep never observes a
 // half-applied change.
-var ErrEngineStarted = harness.ErrStarted
+var ErrEngineStarted = engine.ErrStarted
 
 // SetCheckpointDir makes the shared sweep engine persist fast-forward
 // checkpoints under dir, so later processes skip the functional warm-up
@@ -95,12 +95,12 @@ func SetSpanTracer(t *SpanTracer) { defaultEngine.SetSpans(t) }
 func Spans() *SpanTracer { return defaultEngine.Spans() }
 
 // Manifest is the run-provenance record written alongside sweep
-// artifacts; see harness.Manifest.
-type Manifest = harness.Manifest
+// artifacts; see engine.Manifest.
+type Manifest = engine.Manifest
 
 // NewManifest returns a manifest stamped with the current build's
 // identity (go version, VCS revision when available) and time.
-func NewManifest(tool string) *Manifest { return harness.NewManifest(tool, time.Now()) }
+func NewManifest(tool string) *Manifest { return engine.NewManifest(tool, time.Now()) }
 
 // CommonOptions is the option set shared by every entry point — one
 // run (Options), a grid (ExperimentOptions), or a remote job
@@ -241,10 +241,10 @@ func (o Options) wire() api.SimOptions {
 	}
 }
 
-func (o Options) spec() (harness.RunSpec, error) {
+func (o Options) spec() (engine.RunSpec, error) {
 	spec, err := engine.SpecFromWire(o.wire())
 	if err != nil {
-		return harness.RunSpec{}, fmt.Errorf("hbat: %w", err)
+		return engine.RunSpec{}, fmt.Errorf("hbat: %w", err)
 	}
 	if o.Trace != nil {
 		spec.Trace = &ptrace.Config{Cap: o.Trace.Buffer, Start: o.Trace.Start, End: o.Trace.End}
@@ -275,14 +275,6 @@ func Simulate(ctx context.Context, o Options) (*Result, error) {
 		Trace:     r.Trace,
 		Intervals: r.Intervals,
 	}, nil
-}
-
-// SimulateContext runs one workload on one translation design.
-//
-// Deprecated: context-first Simulate is the canonical name;
-// SimulateContext remains as a thin wrapper.
-func SimulateContext(ctx context.Context, o Options) (*Result, error) {
-	return Simulate(ctx, o)
 }
 
 // Designs returns the Table 2 design mnemonics in figure order.
@@ -367,11 +359,11 @@ func (o ExperimentOptions) harness() (harness.Options, error) {
 		Engine:      defaultEngine,
 	}
 	if o.NoCache {
-		ho.Engine = harness.NewEngine(harness.WithoutBuildCache(), harness.WithoutMemo())
+		ho.Engine = engine.New(engine.WithoutBuildCache(), engine.WithoutMemo())
 	}
 	if o.Progress != nil {
 		p := o.Progress
-		ho.Progress = func(hp harness.Progress) {
+		ho.Progress = func(hp engine.Progress) {
 			rp := RunProgress{
 				Done: hp.Done, Total: hp.Total,
 				Elapsed: hp.Elapsed, ETA: hp.ETA,

@@ -53,7 +53,7 @@ func TestSimulateUnknownNamesListChoices(t *testing.T) {
 func TestSimulateContextCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := SimulateContext(ctx, Options{CommonOptions: CommonOptions{Scale: "test"}}); !errors.Is(err, context.Canceled) {
+	if _, err := Simulate(ctx, Options{CommonOptions: CommonOptions{Scale: "test"}}); !errors.Is(err, context.Canceled) {
 		t.Errorf("err = %v, want context.Canceled", err)
 	}
 }

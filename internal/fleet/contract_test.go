@@ -1,0 +1,269 @@
+package fleet_test
+
+// One request script, two front ends: an in-process hbatd
+// (transport.New) and an in-process hbatc over one fleettest worker
+// must answer every step with the same status code, the same api.Error
+// shape, and the same headers. Both are the one transport.Front now;
+// this test is what keeps them so.
+
+import (
+	"bufio"
+	"bytes"
+	"context"
+	"encoding/json"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"reflect"
+	"strings"
+	"testing"
+	"time"
+
+	"hbat/api"
+	"hbat/internal/engine"
+	"hbat/internal/fleet"
+	"hbat/internal/fleet/fleettest"
+	"hbat/internal/store"
+	"hbat/internal/transport"
+)
+
+// Both front ends run with these limits, so the script can reach them.
+const (
+	contractMaxSpecs   = 4
+	contractTenantJobs = 1
+)
+
+// outcome is what the contract compares across front ends: everything
+// in a response that does not name the daemon or the job.
+type outcome struct {
+	Step        string
+	Status      int
+	ContentType string
+	// ErrorOK is set when the body is a well-formed api.Error whose
+	// code repeats the status line.
+	ErrorOK bool
+	// ETag is the artifact's strong ETag; both daemons serve the same
+	// bytes for the same spec, so it compares by value.
+	ETag string
+	// Events are the SSE event types streamed, in order.
+	Events []string
+}
+
+// session is one front end under the script.
+type session struct {
+	t        *testing.T
+	base     string
+	shutdown func(context.Context) error
+	out      []outcome
+	acc      api.JobAccepted // the last accepted job
+	status   api.JobStatus   // its terminal status, once waited for
+}
+
+// do sends one request, records its outcome under step, and returns
+// the body.
+func (s *session) do(step string, want int, method, path string, body io.Reader, hdr map[string]string) []byte {
+	s.t.Helper()
+	req, err := http.NewRequest(method, s.base+path, body)
+	if err != nil {
+		s.t.Fatal(err)
+	}
+	req.Header.Set(api.TenantHeader, "contract")
+	for k, v := range hdr {
+		req.Header.Set(k, v)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		s.t.Fatalf("%s: %v", step, err)
+	}
+	defer resp.Body.Close()
+	o := outcome{
+		Step: step, Status: resp.StatusCode,
+		ContentType: resp.Header.Get("Content-Type"),
+		ETag:        resp.Header.Get("ETag"),
+	}
+	var data []byte
+	if o.ContentType == "text/event-stream" {
+		sc := bufio.NewScanner(resp.Body)
+		for sc.Scan() {
+			if typ, ok := strings.CutPrefix(sc.Text(), "event: "); ok {
+				o.Events = append(o.Events, typ)
+			}
+		}
+	} else if data, err = io.ReadAll(resp.Body); err != nil {
+		s.t.Fatalf("%s: read body: %v", step, err)
+	}
+	if resp.StatusCode >= 400 {
+		var e api.Error
+		o.ErrorOK = json.Unmarshal(data, &e) == nil &&
+			e.API == api.Version && e.Code == resp.StatusCode && e.Message != ""
+		if !o.ErrorOK {
+			s.t.Errorf("%s: %d body is not an api.Error: %q", step, resp.StatusCode, data)
+		}
+	}
+	if resp.StatusCode != want {
+		s.t.Errorf("%s: status %d, want %d (%s)", step, resp.StatusCode, want, bytes.TrimSpace(data))
+	}
+	s.out = append(s.out, o)
+	return data
+}
+
+func (s *session) get(step string, want int, path string) []byte {
+	s.t.Helper()
+	return s.do(step, want, http.MethodGet, path, nil, nil)
+}
+
+// submit posts a job body; on 202 it remembers the accepted job.
+func (s *session) submit(step string, want int, body any) {
+	s.t.Helper()
+	raw, ok := body.([]byte)
+	if !ok {
+		var err error
+		if raw, err = json.Marshal(body); err != nil {
+			s.t.Fatal(err)
+		}
+	}
+	data := s.do(step, want, http.MethodPost, api.PathJobs, bytes.NewReader(raw), nil)
+	if want == http.StatusAccepted && !s.t.Failed() {
+		if err := json.Unmarshal(data, &s.acc); err != nil {
+			s.t.Fatalf("%s: %v", step, err)
+		}
+	}
+}
+
+// wait polls the last accepted job to its terminal status.
+func (s *session) wait() {
+	s.t.Helper()
+	st := waitJob(s.t, api.NewClient(s.base), s.acc.ID)
+	if st.State != api.StateDone {
+		s.t.Fatalf("job %s ended %s: %+v", s.acc.ID, st.State, st.Specs)
+	}
+	s.status = st
+}
+
+func contractSpec(scale string, seed uint64) api.SimOptions {
+	return api.SimOptions{
+		CommonOptions: api.CommonOptions{Scale: scale, Seed: seed},
+		Workload:      "compress", Design: "T4",
+	}
+}
+
+// runContract drives the whole script against one front end.
+func runContract(s *session) {
+	t := s.t
+	s.get("ping", 200, api.PathPing)
+
+	// Method checks come before anything reads the request.
+	s.get("jobs GET", 405, api.PathJobs)
+	s.do("job POST", 405, http.MethodPost, api.PathJobs+"/j0", nil, nil)
+	s.do("result POST", 405, http.MethodPost, api.PathResults+strings.Repeat("a", 12), nil, nil)
+
+	// Intake rejections, in precedence order.
+	s.submit("bad JSON", 400, []byte("{"))
+	s.submit("empty job", 400, api.JobRequest{})
+	s.submit("explicit specs over limit", 413, api.JobRequest{Specs: []api.SimOptions{
+		contractSpec("test", 1), contractSpec("test", 2), contractSpec("test", 3),
+		contractSpec("test", 4), contractSpec("test", 5),
+	}})
+	s.submit("grid over limit", 413, api.JobRequest{Grid: &api.Grid{
+		Workloads: []string{"compress"}, Designs: []string{"T4", "T2", "T1", "M8", "M4"},
+		Template: contractSpec("test", 1),
+	}})
+	// A few hundred KiB of axes whose product is 2.5e9 specs: refused
+	// on the count, before anything that size is allocated.
+	axis := make([]string, 50_000)
+	for i := range axis {
+		axis[i] = "w"
+	}
+	s.submit("grid product bomb", 413, api.JobRequest{Grid: &api.Grid{Workloads: axis, Designs: axis}})
+	s.submit("oversize body", 413, bytes.Repeat([]byte(" "), 8<<20+1))
+	bad := contractSpec("test", 1)
+	bad.Workload = "nope"
+	s.submit("malformed spec", 400, api.JobRequest{Specs: []api.SimOptions{bad}})
+
+	// Job routing.
+	s.get("unknown job", 404, api.PathJobs+"/nosuchjob")
+	s.submit("accepted", 202, api.JobRequest{Specs: []api.SimOptions{contractSpec("test", 1)}})
+	s.wait()
+	s.get("status", 200, s.acc.StatusURL)
+	s.get("unknown sub-endpoint", 404, s.acc.StatusURL+"/bogus")
+	s.get("spans with tracing off", 404, s.acc.StatusURL+"/spans")
+	s.get("events for a finished job", 200, s.acc.EventsURL)
+	if ev := s.out[len(s.out)-1].Events; !reflect.DeepEqual(ev, []string{"done"}) {
+		t.Errorf("late subscriber saw events %v, want [done]", ev)
+	}
+
+	// Results.
+	s.get("malformed result key", 400, api.PathResults+"NOT-A-KEY")
+	s.get("missing result", 404, api.PathResults+strings.Repeat("0", len(s.acc.SpecKeys[0])))
+	spec := s.status.Specs[0]
+	s.get("result", 200, spec.ResultURL)
+	etag := s.out[len(s.out)-1].ETag
+	if etag != `"`+spec.SHA256+`"` {
+		t.Errorf("ETag %s, want the status sha %q", etag, spec.SHA256)
+	}
+	s.do("result revalidated", 304, http.MethodGet, spec.ResultURL, nil, map[string]string{"If-None-Match": etag})
+
+	// Tenant quota: one open job per tenant, refunded when it finishes.
+	s.submit("quota: first job", 202, api.JobRequest{Specs: []api.SimOptions{contractSpec("small", 7)}})
+	s.submit("quota: second job refused", 429, api.JobRequest{Specs: []api.SimOptions{contractSpec("test", 2)}})
+	s.wait()
+	s.submit("quota: re-admitted", 202, api.JobRequest{Specs: []api.SimOptions{contractSpec("test", 2)}})
+	s.wait()
+
+	// Drain: nothing new is admitted; what finished stays readable.
+	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
+	defer cancel()
+	if err := s.shutdown(ctx); err != nil {
+		t.Fatalf("shutdown: %v", err)
+	}
+	s.submit("draining", 503, api.JobRequest{Specs: []api.SimOptions{contractSpec("test", 3)}})
+	s.get("status while drained", 200, s.acc.StatusURL)
+}
+
+func TestV1ContractAcrossFrontEnds(t *testing.T) {
+	guardGoroutines(t)
+
+	// hbatd: the local executor behind the front end.
+	st, err := store.New(store.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc, err := transport.New(transport.Config{
+		Engine: engine.New(), Store: st, Workers: 2,
+		MaxSpecs: contractMaxSpecs, TenantJobs: contractTenantJobs,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(svc.Handler())
+	t.Cleanup(srv.Close)
+
+	// hbatc: the remote executor behind the same front end, over one
+	// real worker.
+	rig := fleettest.New(t, 1)
+	coord, cl, _ := newCoord(t, rig, func(c *fleet.Config) {
+		c.MaxSpecs, c.TenantJobs, c.Spans = contractMaxSpecs, contractTenantJobs, nil
+	})
+
+	sessions := []*session{
+		{base: srv.URL, shutdown: svc.Shutdown},
+		{base: cl.Base, shutdown: coord.Shutdown},
+	}
+	for i, name := range []string{"hbatd", "hbatc"} {
+		s := sessions[i]
+		t.Run(name, func(t *testing.T) {
+			s.t = t
+			runContract(s)
+		})
+	}
+	d, c := sessions[0].out, sessions[1].out
+	if len(d) != len(c) {
+		t.Fatalf("hbatd answered %d steps, hbatc %d", len(d), len(c))
+	}
+	for i := range d {
+		if !reflect.DeepEqual(d[i], c[i]) {
+			t.Errorf("front ends disagree:\n  hbatd %+v\n  hbatc %+v", d[i], c[i])
+		}
+	}
+	http.DefaultClient.CloseIdleConnections()
+}

@@ -41,7 +41,7 @@ import (
 
 // ErrNoWorkers is returned (as a 503 api.Error on the wire) when a
 // job's specs cannot be dispatched because no live worker remains.
-var ErrNoWorkers = errors.New("fleet: no live workers")
+var ErrNoWorkers error = transport.Unavailable("fleet: no live workers")
 
 // Config wires a Coordinator. Store is required; Workers may start
 // empty (workers can register over POST /v1/workers).
@@ -120,18 +120,16 @@ func (w *worker) snapshot() api.Worker {
 	}
 }
 
-// Coordinator is a running fleet front end. Create with New, mount
-// Handler, stop with Shutdown.
+// Coordinator is a running hbatc: the v1 Front (Handler, Accepting —
+// the /ready answer — and Shutdown are its) over the fleet executor.
+// Create with New, mount Handler, stop with Shutdown.
 type Coordinator struct {
+	*transport.Front
 	cfg    Config
-	red    transport.RED
 	filler *store.Filler
 
 	mu        sync.Mutex
 	workers   map[string]*worker
-	jobs      map[string]*job
-	byTenant  map[string]int
-	draining  bool
 	retries   uint64
 	noWorkers uint64
 
@@ -170,16 +168,18 @@ func New(cfg Config) (*Coordinator, error) {
 	if cfg.RetryBackoff <= 0 {
 		cfg.RetryBackoff = 50 * time.Millisecond
 	}
-	if cfg.MaxSpecs <= 0 {
-		cfg.MaxSpecs = 1024
+	if cfg.Logger == nil {
+		cfg.Logger = slog.New(slog.DiscardHandler)
 	}
-	c := &Coordinator{
-		cfg:      cfg,
-		workers:  make(map[string]*worker),
-		jobs:     make(map[string]*job),
-		byTenant: make(map[string]int),
-	}
-	c.red.Prefix = "hbat_fleet"
+	c := &Coordinator{cfg: cfg, workers: make(map[string]*worker)}
+	c.Front = transport.NewFront(
+		transport.Identity{Tool: "hbatc", IDPrefix: "f", RootSpan: "fleet_job", MetricPrefix: "hbat_fleet"},
+		transport.Config{
+			Store: cfg.Store, TenantJobs: cfg.TenantJobs, MaxSpecs: cfg.MaxSpecs,
+			Logger: cfg.Logger, Spans: cfg.Spans,
+		},
+		remote{c})
+	c.Front.Handle(api.PathWorkers, c.handleWorkers)
 	c.filler = &store.Filler{Store: cfg.Store, Fetch: c.fetchFromFleet}
 	for _, addr := range cfg.Workers {
 		c.addWorker(addr)
@@ -190,13 +190,6 @@ func New(cfg Config) (*Coordinator, error) {
 	c.probeDone = make(chan struct{})
 	go c.probeLoop(probeCtx)
 	return c, nil
-}
-
-func (c *Coordinator) log() *slog.Logger {
-	if c.cfg.Logger != nil {
-		return c.cfg.Logger
-	}
-	return slog.New(slog.DiscardHandler)
 }
 
 func (c *Coordinator) newClient(addr string) *api.Client {
@@ -248,15 +241,21 @@ func (c *Coordinator) probeLoop(ctx context.Context) {
 	}
 }
 
-func (c *Coordinator) probeAll(ctx context.Context) {
+// registry returns every registered worker, sorted by address.
+func (c *Coordinator) registry() []*worker {
 	c.mu.Lock()
 	ws := make([]*worker, 0, len(c.workers))
 	for _, w := range c.workers {
 		ws = append(ws, w)
 	}
 	c.mu.Unlock()
+	sort.Slice(ws, func(i, j int) bool { return ws[i].addr < ws[j].addr })
+	return ws
+}
+
+func (c *Coordinator) probeAll(ctx context.Context) {
 	var wg sync.WaitGroup
-	for _, w := range ws {
+	for _, w := range c.registry() {
 		wg.Add(1)
 		go func(w *worker) {
 			defer wg.Done()
@@ -305,16 +304,14 @@ func (c *Coordinator) probeWorker(ctx context.Context, w *worker) {
 		}
 	}
 	if state != prev {
-		c.log().Info("worker state", "worker", w.addr, "from", prev, "to", state)
+		c.cfg.Logger.Info("worker state", "worker", w.addr, "from", prev, "to", state)
 	}
 }
 
 // live returns the workers currently eligible for new dispatches.
 func (c *Coordinator) live() []*worker {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	var ws []*worker
-	for _, w := range c.workers {
+	for _, w := range c.registry() {
 		w.mu.Lock()
 		up := w.state == api.WorkerUp
 		w.mu.Unlock()
@@ -322,7 +319,6 @@ func (c *Coordinator) live() []*worker {
 			ws = append(ws, w)
 		}
 	}
-	sort.Slice(ws, func(i, j int) bool { return ws[i].addr < ws[j].addr })
 	return ws
 }
 
@@ -364,63 +360,15 @@ func rank(key string, ws []*worker) []*worker {
 	return ranked
 }
 
-// Accepting reports whether the coordinator admits new jobs — the
-// /ready answer.
-func (c *Coordinator) Accepting() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return !c.draining
-}
-
 // WorkersSnapshot returns the registry for GET /v1/workers, sorted by
 // address.
 func (c *Coordinator) WorkersSnapshot() []api.Worker {
-	c.mu.Lock()
-	ws := make([]*worker, 0, len(c.workers))
-	for _, w := range c.workers {
-		ws = append(ws, w)
-	}
-	c.mu.Unlock()
-	sort.Slice(ws, func(i, j int) bool { return ws[i].addr < ws[j].addr })
+	ws := c.registry()
 	out := make([]api.Worker, len(ws))
 	for i, w := range ws {
 		out[i] = w.snapshot()
 	}
 	return out
-}
-
-// Shutdown drains the coordinator: no new jobs are admitted, open jobs
-// run to completion or ctx expiry, and the prober stops.
-func (c *Coordinator) Shutdown(ctx context.Context) error {
-	c.mu.Lock()
-	if c.draining {
-		c.mu.Unlock()
-		<-c.probeDone
-		return nil
-	}
-	c.draining = true
-	open := make([]*job, 0, len(c.jobs))
-	for _, j := range c.jobs {
-		open = append(open, j)
-	}
-	c.mu.Unlock()
-	c.probeCancel()
-	for _, j := range open {
-		select {
-		case <-j.finished:
-		case <-ctx.Done():
-			return ctx.Err()
-		}
-	}
-	done := make(chan struct{})
-	go func() { c.jobWG.Wait(); close(done) }()
-	select {
-	case <-done:
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-	<-c.probeDone
-	return nil
 }
 
 // fetchFromFleet is the store Filler's remote source: it asks live

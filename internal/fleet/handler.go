@@ -1,266 +1,64 @@
 package fleet
 
-// The coordinator's HTTP surface: the exact v1 contract hbatd serves
-// (ping, jobs, events, spans, results, manifest) — clients cannot tell
-// a coordinator from a worker — plus the fleet-only /v1/workers
-// registry. Intake goes through the same transport helpers a worker
-// uses, so a spec submitted to either lands in the same key space.
+// The coordinator behind the shared v1 front end: the transport.Executor
+// it hands to transport.NewFront, and the one route hbatd does not
+// serve, the /v1/workers registry.
 
 import (
 	"context"
-	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"strings"
-	"time"
 
 	"hbat/api"
-	"hbat/internal/engine"
-	"hbat/internal/runspan"
-	"hbat/internal/store"
 	"hbat/internal/transport"
 )
 
-// Handler returns the coordinator's routing table wrapped in the
-// hbat_fleet RED middleware. Mount at "/" or compose with obs.
-func (c *Coordinator) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc(api.PathPing, c.handlePing)
-	mux.HandleFunc(api.PathJobs, c.handleJobs)
-	mux.HandleFunc(api.PathJobs+"/", c.handleJob)
-	mux.HandleFunc(api.PathResults, c.handleResult)
-	mux.HandleFunc(api.PathManifest, c.handleManifest)
-	mux.HandleFunc(api.PathWorkers, c.handleWorkers)
-	return c.red.Middleware(c.log(), mux)
+// maxRegistrationBody bounds a POST /v1/workers body: one URL.
+const maxRegistrationBody = 4 << 10
+
+// remote is the coordinator as a transport.Executor.
+type remote struct{ c *Coordinator }
+
+// Admit refuses a job while no live worker could take it.
+func (r remote) Admit() error {
+	if len(r.c.live()) == 0 {
+		r.c.mu.Lock()
+		r.c.noWorkers++
+		r.c.mu.Unlock()
+		return ErrNoWorkers
+	}
+	return nil
 }
 
-func (c *Coordinator) handlePing(w http.ResponseWriter, r *http.Request) {
-	transport.WriteJSON(w, http.StatusOK, map[string]string{"api": api.Version, "pong": "hbatc"})
+func (r remote) Start(j *transport.Job) {
+	r.c.jobWG.Add(1)
+	go r.c.runJob(j)
 }
 
-func (c *Coordinator) handleJobs(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		transport.WriteErr(w, http.StatusMethodNotAllowed, "POST %s", api.PathJobs)
-		return
-	}
-	var req api.JobRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		transport.WriteErr(w, http.StatusBadRequest, "bad job request: %v", err)
-		return
-	}
-	ten := transport.ResolveTenant(r, &req)
-	transport.Annotate(r.Context(), ten, "")
-	wire := transport.ExpandRequest(&req)
-	if len(wire) == 0 {
-		transport.WriteErr(w, http.StatusBadRequest, "job has no specs")
-		return
-	}
-	if len(wire) > c.cfg.MaxSpecs {
-		transport.WriteErr(w, http.StatusRequestEntityTooLarge, "%d specs exceeds the %d-spec job limit", len(wire), c.cfg.MaxSpecs)
-		return
-	}
-	runs, sts, err := transport.NormalizeSpecs(wire)
+// Result reads through the coordinator's store tier, filling a local
+// miss from the fleet.
+func (r remote) Result(ctx context.Context, key string) ([]byte, string, error) {
+	data, sha, err := r.c.filler.Get(ctx, key)
 	if err != nil {
-		transport.WriteErr(w, http.StatusBadRequest, "bad spec: %v", err)
-		return
+		return nil, "", fmt.Errorf("no result for spec %s: %w", key, err)
 	}
-	if len(c.live()) == 0 {
-		c.mu.Lock()
-		c.noWorkers++
-		c.mu.Unlock()
-		transport.WriteErr(w, http.StatusServiceUnavailable, "%s", ErrNoWorkers.Error())
-		return
-	}
-
-	traceID, parentSpan := transport.TraceIdentity(r, &req)
-	j := &job{
-		id:       newJobID(),
-		tenant:   ten,
-		traceID:  traceID,
-		spanID:   runspan.NewSpanID(),
-		wire:     wire,
-		runs:     runs,
-		specs:    sts,
-		tried:    make([]map[string]bool, len(runs)),
-		state:    api.StateQueued,
-		subs:     make(map[uint64]chan api.Event),
-		finished: make(chan struct{}),
-	}
-	transport.Annotate(r.Context(), "", traceID)
-
-	c.mu.Lock()
-	if c.draining {
-		c.mu.Unlock()
-		transport.WriteErr(w, http.StatusServiceUnavailable, "draining: not accepting new jobs")
-		return
-	}
-	if q := c.cfg.TenantJobs; q > 0 && c.byTenant[ten] >= q {
-		c.mu.Unlock()
-		transport.WriteErr(w, http.StatusTooManyRequests, "tenant %q has %d open jobs (limit %d)", ten, c.byTenant[ten], c.cfg.TenantJobs)
-		return
-	}
-	c.byTenant[ten]++
-	c.jobs[j.id] = j
-	c.jobWG.Add(1)
-	c.mu.Unlock()
-
-	if tr := c.cfg.Spans; tr.Enabled() {
-		j.trace = tr.NewTraceWith(j.traceID, j.spanID, parentSpan)
-		j.root = tr.Start(j.trace, nil, "fleet_job").
-			SetAttr("job", j.id).
-			SetAttr("tenant", ten).
-			SetAttr("specs", fmt.Sprintf("%d", len(j.specs)))
-	}
-	c.log().Info("fleet job accepted", "job", j.id, "tenant", ten,
-		"specs", len(j.specs), "trace_id", j.traceID)
-
-	acc := api.JobAccepted{
-		API: api.Version, ID: j.id, Tenant: ten, Total: len(j.specs),
-		StatusURL: api.PathJobs + "/" + j.id,
-		EventsURL: api.PathJobs + "/" + j.id + "/events",
-		TraceID:   j.traceID,
-	}
-	if c.cfg.Spans.Enabled() {
-		acc.SpansURL = api.PathJobs + "/" + j.id + "/spans"
-	}
-	for i := range j.specs {
-		acc.SpecKeys = append(acc.SpecKeys, j.specs[i].SpecKey)
-	}
-	go c.runJob(j)
-	transport.WriteJSON(w, http.StatusAccepted, acc)
+	return data, sha, nil
 }
 
-// handleJob serves GET /v1/jobs/{id}, /events, and /spans.
-func (c *Coordinator) handleJob(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		transport.WriteErr(w, http.StatusMethodNotAllowed, "GET only")
-		return
+// Close stops the prober and waits for every started job's retry loop
+// to return.
+func (r remote) Close(ctx context.Context) error {
+	r.c.probeCancel()
+	done := make(chan struct{})
+	go func() { r.c.jobWG.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-ctx.Done():
+		return ctx.Err()
 	}
-	rest := strings.TrimPrefix(r.URL.Path, api.PathJobs+"/")
-	id, sub, _ := strings.Cut(rest, "/")
-	c.mu.Lock()
-	j, ok := c.jobs[id]
-	c.mu.Unlock()
-	if !ok {
-		transport.WriteErr(w, http.StatusNotFound, "no job %q", id)
-		return
-	}
-	transport.Annotate(r.Context(), j.tenant, j.traceID)
-	switch sub {
-	case "":
-		transport.WriteJSON(w, http.StatusOK, j.status())
-	case "events":
-		c.serveEvents(w, r, j)
-	case "spans":
-		if !c.cfg.Spans.Enabled() {
-			transport.WriteErr(w, http.StatusNotFound, "span tracing is disabled on this server (start hbatc with -spans)")
-			return
-		}
-		w.Header().Set("Content-Type", "application/x-ndjson")
-		if err := c.cfg.Spans.WriteJournalTo(w, j.traceID); err != nil {
-			c.log().Warn("span journal write failed", "job", j.id, "error", err.Error())
-		}
-	default:
-		transport.WriteErr(w, http.StatusNotFound, "no such job endpoint %q", sub)
-	}
-}
-
-// serveEvents streams the coordinator job's merged progress as SSE:
-// its own spec completions and done event, plus every worker's span
-// events relabeled with the worker that produced them.
-func (c *Coordinator) serveEvents(w http.ResponseWriter, r *http.Request, j *job) {
-	fl, ok := w.(http.Flusher)
-	if !ok {
-		transport.WriteErr(w, http.StatusNotImplemented, "streaming unsupported")
-		return
-	}
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.WriteHeader(http.StatusOK)
-	fl.Flush()
-
-	events, cancel := j.subscribe(64)
-	defer cancel()
-	stop := context.AfterFunc(r.Context(), cancel)
-	defer stop()
-
-	emit := func(ev api.Event) bool {
-		b, err := json.Marshal(ev)
-		if err != nil {
-			return false
-		}
-		if _, err := fmt.Fprintf(w, "event: %s\ndata: %s\n\n", ev.Type, b); err != nil {
-			return false
-		}
-		fl.Flush()
-		return true
-	}
-	for {
-		select {
-		case <-r.Context().Done():
-			return
-		case ev, ok := <-events:
-			if !ok {
-				st := j.status()
-				emit(api.Event{Type: "done", Job: j.id, Done: st.Done, Total: st.Total})
-				return
-			}
-			if !emit(ev) {
-				return
-			}
-			if ev.Type == "done" {
-				return
-			}
-		}
-	}
-}
-
-// handleResult serves GET /v1/results/{speckey} through the
-// coordinator's store tier, filling a local miss from the fleet.
-func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet && r.Method != http.MethodHead {
-		transport.WriteErr(w, http.StatusMethodNotAllowed, "GET only")
-		return
-	}
-	key := strings.TrimPrefix(r.URL.Path, api.PathResults)
-	if !store.Key(key) {
-		transport.WriteErr(w, http.StatusBadRequest, "malformed spec key %q", key)
-		return
-	}
-	data, sha, err := c.filler.Get(r.Context(), key)
-	if err != nil {
-		code := http.StatusNotFound
-		if errors.Is(err, ErrNoWorkers) {
-			code = http.StatusServiceUnavailable
-		}
-		transport.WriteErr(w, code, "no result for spec %s: %v", key, err)
-		return
-	}
-	etag := `"` + sha + `"`
-	w.Header().Set("ETag", etag)
-	w.Header().Set("Content-Type", "application/json")
-	if match := r.Header.Get("If-None-Match"); match != "" && strings.Contains(match, etag) {
-		w.WriteHeader(http.StatusNotModified)
-		return
-	}
-	w.Write(data)
-}
-
-// handleManifest serves the coordinator's provenance manifest: it runs
-// no simulations of its own, so Runs stays empty and Artifacts lists
-// the store tier's holdings.
-func (c *Coordinator) handleManifest(w http.ResponseWriter, r *http.Request) {
-	man := engine.NewManifest("hbatc", time.Now())
-	for _, key := range c.cfg.Store.Keys() {
-		if data, _, ok := c.cfg.Store.Get(key); ok {
-			man.AddArtifactBytes(key+".json", api.PathResults+key, data)
-		}
-	}
-	w.Header().Set("Content-Type", "application/json")
-	if err := man.WriteJSON(w); err != nil {
-		c.log().Warn("manifest write failed", "error", err.Error())
-	}
+	<-r.c.probeDone
+	return nil
 }
 
 // handleWorkers serves the fleet registry: GET lists every registered
@@ -274,8 +72,7 @@ func (c *Coordinator) handleWorkers(w http.ResponseWriter, r *http.Request) {
 		})
 	case http.MethodPost:
 		var reg api.WorkerRegistration
-		if err := json.NewDecoder(r.Body).Decode(&reg); err != nil {
-			transport.WriteErr(w, http.StatusBadRequest, "bad registration: %v", err)
+		if !transport.ReadJSON(w, r, maxRegistrationBody, "registration", &reg) {
 			return
 		}
 		if !strings.HasPrefix(reg.Addr, "http://") && !strings.HasPrefix(reg.Addr, "https://") {
@@ -283,7 +80,7 @@ func (c *Coordinator) handleWorkers(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		ws := c.AddWorker(r.Context(), strings.TrimSuffix(reg.Addr, "/"))
-		c.log().Info("worker registered", "worker", ws.Addr, "state", ws.State)
+		c.cfg.Logger.Info("worker registered", "worker", ws.Addr, "state", ws.State)
 		transport.WriteJSON(w, http.StatusOK, ws)
 	default:
 		transport.WriteErr(w, http.StatusMethodNotAllowed, "GET or POST %s", api.PathWorkers)

@@ -15,130 +15,26 @@ package fleet
 
 import (
 	"context"
-	"crypto/rand"
-	"encoding/hex"
 	"strconv"
 	"sync"
 	"time"
 
 	"hbat/api"
 	"hbat/internal/engine"
-	"hbat/internal/runspan"
+	"hbat/internal/transport"
 )
 
-// job is one submitted coordinator job.
-type job struct {
-	id      string
-	tenant  string
-	traceID string // 32-hex cross-process trace id, always set
-	spanID  string // job root's wire span id; worker jobs parent under it
-	trace   runspan.TraceID
-	root    *runspan.Span
-
-	wire []api.SimOptions // normalized inputs, index-aligned with runs
-	runs []engine.RunSpec
-
-	mu    sync.Mutex
-	specs []api.SpecStatus
-	tried []map[string]bool // worker addrs attempted, per spec
-	done  int
-	state string
-	subs  map[uint64]chan api.Event
-	// finished closes once every spec is terminal.
-	finished chan struct{}
-}
-
-func newJobID() string {
-	var b [8]byte
-	rand.Read(b[:])
-	return "f" + hex.EncodeToString(b[:])
-}
-
-func (j *job) status() api.JobStatus {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	st := api.JobStatus{
-		API: api.Version, ID: j.id, Tenant: j.tenant,
-		State: j.state, Done: j.done, Total: len(j.specs),
-		Specs:   make([]api.SpecStatus, len(j.specs)),
-		TraceID: j.traceID,
-	}
-	copy(st.Specs, j.specs)
-	return st
-}
-
-// publish fans an event out to subscribers; sends never block.
-func (j *job) publish(ev api.Event) {
-	j.mu.Lock()
-	j.publishLocked(ev)
-	j.mu.Unlock()
-}
-
-func (j *job) publishLocked(ev api.Event) {
-	for _, ch := range j.subs {
-		select {
-		case ch <- ev:
-		default:
-		}
-	}
-}
-
-// subscribe registers an event feed; an already-done job gets an
-// immediate "done" and a closed channel. The cancel is idempotent.
-func (j *job) subscribe(buf int) (<-chan api.Event, func()) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	ch := make(chan api.Event, buf)
-	if j.done == len(j.specs) {
-		ch <- api.Event{Type: "done", Job: j.id, Done: j.done, Total: len(j.specs)}
-		close(ch)
-		return ch, func() {}
-	}
-	id := uint64(len(j.subs)) + 1
-	for {
-		if _, taken := j.subs[id]; !taken {
-			break
-		}
-		id++
-	}
-	j.subs[id] = ch
-	return ch, func() {
-		j.mu.Lock()
-		if _, ok := j.subs[id]; ok {
-			delete(j.subs, id)
-			close(ch)
-		}
-		j.mu.Unlock()
-	}
-}
-
-// specDone records one spec's terminal state and publishes it. Fields
-// the dispatcher already set (Worker, Attempts) survive.
-func (j *job) specDone(idx int, final api.SpecStatus) {
-	j.mu.Lock()
-	st := &j.specs[idx]
-	if st.State == api.StateDone || st.State == api.StateFailed {
-		j.mu.Unlock()
-		return // duplicate terminal report (reconcile after stream)
-	}
-	st.State, st.Cached, st.StoreHit = final.State, final.Cached, final.StoreHit
-	st.WallMs, st.Error = final.WallMs, final.Error
-	st.ResultURL, st.SHA256 = final.ResultURL, final.SHA256
-	j.done++
-	done, total := j.done, len(j.specs)
-	j.publishLocked(api.Event{Type: "spec", Job: j.id, Spec: cloneStatus(*st), Done: done, Total: total})
-	j.mu.Unlock()
-}
-
-func cloneStatus(st api.SpecStatus) *api.SpecStatus { return &st }
-
 // runJob drives a job to completion through retry waves.
-func (c *Coordinator) runJob(j *job) {
+func (c *Coordinator) runJob(j *transport.Job) {
 	defer c.jobWG.Done()
-	pending := make([]int, len(j.runs))
+	pending := make([]int, len(j.Runs))
 	for i := range pending {
 		pending[i] = i
 	}
+	// tried[i] is the worker addrs spec i was attempted on. A spec is in
+	// exactly one dispatch group per wave and waves do not overlap, so
+	// the elements need no lock.
+	tried := make([]map[string]bool, len(j.Runs))
 	for wave := 0; len(pending) > 0; wave++ {
 		if wave > 0 {
 			time.Sleep(c.backoff(wave))
@@ -148,7 +44,9 @@ func (c *Coordinator) runJob(j *job) {
 			c.mu.Lock()
 			c.noWorkers++
 			c.mu.Unlock()
-			c.failPending(j, pending, ErrNoWorkers.Error())
+			for _, i := range pending {
+				j.Finish(i, api.SpecStatus{State: api.StateFailed, Error: ErrNoWorkers.Error()})
+			}
 			break
 		}
 
@@ -157,10 +55,10 @@ func (c *Coordinator) runJob(j *job) {
 		// tried → highest-ranked anyway; the attempt cap bounds it).
 		groups := make(map[*worker][]int)
 		for _, i := range pending {
-			ranked := rank(affinityKey(j.runs[i]), ws)
+			ranked := rank(affinityKey(j.Runs[i]), ws)
 			w := ranked[0]
 			for _, cand := range ranked {
-				if !j.tried[i][cand.addr] {
+				if !tried[i][cand.addr] {
 					w = cand
 					break
 				}
@@ -175,7 +73,7 @@ func (c *Coordinator) runJob(j *job) {
 			wg.Add(1)
 			go func(w *worker, idxs []int) {
 				defer wg.Done()
-				f := c.dispatch(j, w, idxs)
+				f := c.dispatch(j, w, idxs, tried)
 				mu.Lock()
 				failed = append(failed, f...)
 				mu.Unlock()
@@ -187,35 +85,30 @@ func (c *Coordinator) runJob(j *job) {
 		// attempt cap, fail terminally.
 		pending = pending[:0]
 		for _, i := range failed {
-			j.mu.Lock()
-			attempts := j.specs[i].Attempts
-			lastWorker := j.specs[i].Worker
-			key := j.specs[i].SpecKey
-			lastErr := j.specs[i].Error
-			j.mu.Unlock()
+			st := j.Spec(i)
+			attempts, lastWorker, key := st.Attempts, st.Worker, j.Keys[i]
 			if attempts >= c.cfg.RetryMax {
-				msg := lastErr
+				msg := st.Error
 				if msg == "" {
 					msg = "all " + strconv.Itoa(attempts) + " attempts failed"
 				}
-				j.specDone(i, api.SpecStatus{State: api.StateFailed, Error: msg})
+				j.Finish(i, api.SpecStatus{State: api.StateFailed, Error: msg})
 				continue
 			}
 			c.mu.Lock()
 			c.retries++
 			c.mu.Unlock()
-			if sp := c.cfg.Spans.Start(j.trace, j.root, "retry"); sp != nil {
+			if sp := c.cfg.Spans.Start(j.Trace, j.Root, "retry"); sp != nil {
 				sp.SetAttr("spec_key", key).
 					SetAttr("attempt", strconv.Itoa(attempts+1)).
 					SetAttr("worker", lastWorker).
 					End()
 			}
-			c.log().Warn("spec retry", "job", j.id, "spec", key,
+			c.cfg.Logger.Warn("spec retry", "job", j.ID, "spec", key,
 				"attempt", attempts+1, "failed_worker", lastWorker)
 			pending = append(pending, i)
 		}
 	}
-	c.finalize(j)
 }
 
 // backoff returns the pre-wave delay: RetryBackoff doubling per wave,
@@ -227,51 +120,12 @@ func (c *Coordinator) backoff(wave int) time.Duration {
 	return c.cfg.RetryBackoff << (wave - 1)
 }
 
-// failPending terminally fails every still-pending spec with msg.
-func (c *Coordinator) failPending(j *job, pending []int, msg string) {
-	for _, i := range pending {
-		j.specDone(i, api.SpecStatus{State: api.StateFailed, Error: msg})
-	}
-}
-
-// finalize computes the job's terminal state, emits the done event,
-// and releases admission.
-func (c *Coordinator) finalize(j *job) {
-	j.mu.Lock()
-	j.state = api.StateDone
-	for i := range j.specs {
-		if j.specs[i].State == api.StateFailed {
-			j.state = api.StateFailed
-			break
-		}
-	}
-	done, total := j.done, len(j.specs)
-	j.publishLocked(api.Event{Type: "done", Job: j.id, Done: done, Total: total})
-	for id, ch := range j.subs {
-		delete(j.subs, id)
-		close(ch)
-	}
-	state := j.state
-	j.mu.Unlock()
-
-	j.root.End()
-	close(j.finished)
-	c.mu.Lock()
-	c.byTenant[j.tenant]--
-	if c.byTenant[j.tenant] <= 0 {
-		delete(c.byTenant, j.tenant)
-	}
-	c.mu.Unlock()
-	c.log().Info("job finished", "job", j.id, "tenant", j.tenant,
-		"state", state, "specs", total, "trace_id", j.traceID)
-}
-
 // dispatch sends one batch of specs to one worker as a worker-side job
 // and reconciles the outcome. It returns the indices that need another
 // attempt: every index on batch-level failure (submit error, stream +
 // status loss, timeout), or the subset that individually failed or
 // came back with corrupt artifact bytes.
-func (c *Coordinator) dispatch(j *job, w *worker, idxs []int) (failed []int) {
+func (c *Coordinator) dispatch(j *transport.Job, w *worker, idxs []int, tried []map[string]bool) (failed []int) {
 	ctx, cancel := context.WithTimeout(context.Background(), c.cfg.BatchTimeout)
 	defer cancel()
 
@@ -279,33 +133,26 @@ func (c *Coordinator) dispatch(j *job, w *worker, idxs []int) (failed []int) {
 	// still shows where the spec was.
 	byKey := make(map[string][]int, len(idxs))
 	req := api.JobRequest{
-		Tenant: j.tenant,
+		Tenant: j.Tenant,
 		// The coordinator job root is the remote parent: the worker's
 		// own job span tree hangs under it, and the engine stamps the
 		// shared trace id into its run records.
-		Traceparent: "00-" + j.traceID + "-" + j.spanID + "-01",
+		Traceparent: "00-" + j.TraceID + "-" + j.SpanID + "-01",
 	}
-	j.mu.Lock()
+	j.Running(w.addr, idxs...)
 	for _, i := range idxs {
-		j.specs[i].State = api.StateRunning
-		j.specs[i].Worker = w.addr
-		j.specs[i].Attempts++
-		if j.tried[i] == nil {
-			j.tried[i] = make(map[string]bool, 2)
+		if tried[i] == nil {
+			tried[i] = make(map[string]bool, 2)
 		}
-		j.tried[i][w.addr] = true
-		byKey[j.specs[i].SpecKey] = append(byKey[j.specs[i].SpecKey], i)
-		req.Specs = append(req.Specs, j.wire[i])
+		tried[i][w.addr] = true
+		byKey[j.Keys[i]] = append(byKey[j.Keys[i]], i)
+		req.Specs = append(req.Specs, j.Wire[i])
 	}
-	if j.state == api.StateQueued {
-		j.state = api.StateRunning
-	}
-	j.mu.Unlock()
 	w.mu.Lock()
 	w.dispatched += uint64(len(idxs))
 	w.mu.Unlock()
 
-	sp := c.cfg.Spans.Start(j.trace, j.root, "dispatch")
+	sp := c.cfg.Spans.Start(j.Trace, j.Root, "dispatch")
 	if sp != nil {
 		sp.SetAttr("worker", w.addr).SetAttr("specs", strconv.Itoa(len(idxs)))
 	}
@@ -317,7 +164,7 @@ func (c *Coordinator) dispatch(j *job, w *worker, idxs []int) (failed []int) {
 
 	acc, err := w.client.Submit(ctx, req)
 	if err != nil {
-		c.noteError(j, idxs, "submit to "+w.addr+": "+err.Error())
+		j.Note(idxs, "submit to "+w.addr+": "+err.Error())
 		return idxs
 	}
 
@@ -333,17 +180,12 @@ func (c *Coordinator) dispatch(j *job, w *worker, idxs []int) (failed []int) {
 		case "span":
 			if ev.Span != nil {
 				span := *ev.Span
-				if span.Attrs == nil {
-					span.Attrs = map[string]string{}
-				} else {
-					cp := make(map[string]string, len(span.Attrs)+1)
-					for k, v := range span.Attrs {
-						cp[k] = v
-					}
-					span.Attrs = cp
+				span.Attrs = make(map[string]string, len(ev.Span.Attrs)+1)
+				for k, v := range ev.Span.Attrs {
+					span.Attrs[k] = v
 				}
 				span.Attrs["worker"] = w.addr
-				j.publish(api.Event{Type: "span", Job: j.id, Span: &span})
+				j.Publish(api.Event{Type: "span", Job: j.ID, Span: &span})
 			}
 		case "spec":
 			if ev.Spec != nil && ev.Spec.State == api.StateDone {
@@ -365,7 +207,9 @@ func (c *Coordinator) dispatch(j *job, w *worker, idxs []int) (failed []int) {
 	// stream missed (or the whole batch, when the stream never ran).
 	st, err := w.client.Wait(ctx, acc.ID)
 	if err != nil {
-		return c.unfinished(j, idxs, "worker "+w.addr+" lost mid-batch: "+err.Error())
+		open := j.Open(idxs)
+		j.Note(open, "worker "+w.addr+" lost mid-batch: "+err.Error())
+		return open
 	}
 	final := make(map[string]api.SpecStatus, len(st.Specs))
 	for _, s := range st.Specs {
@@ -374,12 +218,12 @@ func (c *Coordinator) dispatch(j *job, w *worker, idxs []int) (failed []int) {
 	for key, is := range byKey {
 		s, ok := final[key]
 		if !ok || (s.State != api.StateDone && s.State != api.StateFailed) {
-			c.noteError(j, is, "worker "+w.addr+" never finished spec")
+			j.Note(is, "worker "+w.addr+" never finished spec")
 			failed = append(failed, is...)
 			continue
 		}
 		if s.State == api.StateFailed {
-			c.noteError(j, is, s.Error)
+			j.Note(is, s.Error)
 			failed = append(failed, is...)
 			continue
 		}
@@ -388,55 +232,20 @@ func (c *Coordinator) dispatch(j *job, w *worker, idxs []int) (failed []int) {
 	return failed
 }
 
-// noteError records msg on specs without terminalizing them (they stay
-// eligible for retry; the message survives into a terminal failure).
-func (c *Coordinator) noteError(j *job, idxs []int, msg string) {
-	j.mu.Lock()
-	for _, i := range idxs {
-		if j.specs[i].State == api.StateRunning {
-			j.specs[i].Error = msg
-		}
-	}
-	j.mu.Unlock()
-}
-
-// unfinished returns the batch indices that are not yet terminal,
-// noting err on them — the retry set after a batch-level loss.
-func (c *Coordinator) unfinished(j *job, idxs []int, msg string) []int {
-	j.mu.Lock()
-	var open []int
-	for _, i := range idxs {
-		if st := j.specs[i].State; st != api.StateDone && st != api.StateFailed {
-			j.specs[i].Error = msg
-			open = append(open, i)
-		}
-	}
-	j.mu.Unlock()
-	return open
-}
-
 // completeSpec finishes one done spec reported by a worker: fetch the
 // artifact once, verify it against the worker-reported content hash,
 // file it into the coordinator store, and mark every index sharing the
 // spec key done. A fetch or verification failure returns the indices
 // for retry — corrupt bytes from one worker re-run elsewhere.
-func (c *Coordinator) completeSpec(ctx context.Context, j *job, w *worker, idxs []int, s api.SpecStatus) (failed []int) {
+func (c *Coordinator) completeSpec(ctx context.Context, j *transport.Job, w *worker, idxs []int, s api.SpecStatus) (failed []int) {
 	// Idempotence across stream + reconcile: terminal specs are skipped
-	// inside specDone, but avoid double fetches up front too.
-	j.mu.Lock()
-	open := false
-	for _, i := range idxs {
-		if st := j.specs[i].State; st != api.StateDone && st != api.StateFailed {
-			open = true
-		}
-	}
-	j.mu.Unlock()
-	if !open {
+	// inside Finish, but avoid double fetches up front too.
+	if len(j.Open(idxs)) == 0 {
 		return nil
 	}
 	sha, err := c.fileArtifact(ctx, j, w, s.SpecKey, s.SHA256)
 	if err != nil {
-		c.noteError(j, idxs, err.Error())
+		j.Note(idxs, err.Error())
 		return idxs
 	}
 	final := api.SpecStatus{
@@ -444,7 +253,7 @@ func (c *Coordinator) completeSpec(ctx context.Context, j *job, w *worker, idxs 
 		WallMs: s.WallMs, ResultURL: api.PathResults + s.SpecKey, SHA256: sha,
 	}
 	for _, i := range idxs {
-		j.specDone(i, final)
+		j.Finish(i, final)
 	}
 	return nil
 }
@@ -453,11 +262,11 @@ func (c *Coordinator) completeSpec(ctx context.Context, j *job, w *worker, idxs 
 // already holds is never re-fetched; otherwise the computing worker is
 // asked for the bytes, which must hash to what the worker reported
 // before they are admitted.
-func (c *Coordinator) fileArtifact(ctx context.Context, j *job, w *worker, key, reported string) (string, error) {
+func (c *Coordinator) fileArtifact(ctx context.Context, j *transport.Job, w *worker, key, reported string) (string, error) {
 	if _, sha, ok := c.cfg.Store.Get(key); ok {
 		return sha, nil
 	}
-	sp := c.cfg.Spans.Start(j.trace, j.root, "fetch_result")
+	sp := c.cfg.Spans.Start(j.Trace, j.Root, "fetch_result")
 	if sp != nil {
 		defer sp.SetAttr("worker", w.addr).SetAttr("spec_key", key).End()
 	}
@@ -470,7 +279,7 @@ func (c *Coordinator) fileArtifact(ctx context.Context, j *job, w *worker, key, 
 		return "", &corruptError{worker: w.addr, key: key, got: got, want: reported}
 	}
 	c.filler.Expect(key, got)
-	sha, err := c.cfg.Store.Put(j.tenant, key, data)
+	sha, err := c.cfg.Store.Put(j.Tenant, key, data)
 	if err != nil {
 		// Quota/immutability trouble filing locally: the artifact is
 		// verified and servable through the fill tier; report the hash

@@ -1,42 +1,21 @@
 package fleet
 
-// hbat_fleet_* exposition families: the coordinator's RED request
-// metrics (same shapes as the worker's hbat_fabric_* families, renamed
-// through the shared accumulator's Prefix) plus fleet-state gauges and
-// counters — worker registry states, per-worker dispatched specs,
-// retries, no-worker rejections, open jobs, and store occupancy. hbatc
-// hands MetricsFamilies to obs.Config.Extra, so /metrics serves one
-// promcheck-valid exposition.
+// hbat_fleet_* exposition families: the shared front end's (RED request
+// metrics and open jobs, the same shapes as a worker's hbat_fabric_*
+// families) plus fleet-state gauges and counters — worker registry
+// states, per-worker dispatched specs, retries, no-worker rejections,
+// and store occupancy. hbatc hands MetricsFamilies to obs.Config.Extra,
+// so /metrics serves one promcheck-valid exposition.
 
-import (
-	"sort"
-
-	"hbat/internal/obs"
-)
+import "hbat/internal/obs"
 
 // MetricsFamilies exports the coordinator's metrics; hand it to
 // obs.Config.Extra. Series are emitted in sorted label order so
 // scrapes are stable.
 func (c *Coordinator) MetricsFamilies() []obs.Family {
-	families := c.red.Families()
-
 	c.mu.Lock()
-	ws := make([]*worker, 0, len(c.workers))
-	for _, w := range c.workers {
-		ws = append(ws, w)
-	}
 	retries, noWorkers := c.retries, c.noWorkers
-	tenants := make([]string, 0, len(c.byTenant))
-	for t := range c.byTenant {
-		tenants = append(tenants, t)
-	}
-	byTenant := make(map[string]int, len(c.byTenant))
-	for t, n := range c.byTenant {
-		byTenant[t] = n
-	}
 	c.mu.Unlock()
-	sort.Slice(ws, func(i, j int) bool { return ws[i].addr < ws[j].addr })
-	sort.Strings(tenants)
 
 	workers := obs.Family{
 		Name: "hbat_fleet_worker_state", Kind: "gauge",
@@ -46,7 +25,7 @@ func (c *Coordinator) MetricsFamilies() []obs.Family {
 		Name: "hbat_fleet_specs_dispatched", Kind: "counter",
 		Help: "Specs dispatched to each worker, including retries.",
 	}
-	for _, w := range ws {
+	for _, w := range c.registry() {
 		snap := w.snapshot()
 		w.mu.Lock()
 		n := w.dispatched
@@ -65,49 +44,14 @@ func (c *Coordinator) MetricsFamilies() []obs.Family {
 		dispatched.Series = []obs.Series{{Labels: []obs.Label{{Name: "worker", Value: "none"}}, Value: 0}}
 	}
 
-	retriesF := obs.Family{
-		Name: "hbat_fleet_spec_retries", Kind: "counter",
-		Help: "Spec attempts re-dispatched to a different worker after a failure or timeout.",
-		Series: []obs.Series{{
-			Value: float64(retries),
-		}},
-	}
-	noWorkersF := obs.Family{
-		Name: "hbat_fleet_no_worker_events", Kind: "counter",
-		Help: "Dispatch or submission attempts that found no live worker.",
-		Series: []obs.Series{{
-			Value: float64(noWorkers),
-		}},
-	}
-
-	open := obs.Family{
-		Name: "hbat_fleet_jobs_open", Kind: "gauge",
-		Help: "Open (admitted, not yet finished) coordinator jobs per tenant.",
-	}
-	for _, t := range tenants {
-		open.Series = append(open.Series, obs.Series{
-			Labels: []obs.Label{{Name: "tenant", Value: t}},
-			Value:  float64(byTenant[t]),
-		})
-	}
-	if len(open.Series) == 0 {
-		open.Series = []obs.Series{{Labels: []obs.Label{{Name: "tenant", Value: "default"}}, Value: 0}}
-	}
-
 	st := c.cfg.Store.Stats()
-	storeF := obs.Family{
-		Name: "hbat_fleet_store_entries", Kind: "gauge",
-		Help: "Artifacts resident in the coordinator's store tier.",
-		Series: []obs.Series{{
-			Value: float64(st.Entries),
-		}},
-	}
-	fills := obs.Family{
-		Name: "hbat_fleet_store_puts", Kind: "counter",
-		Help: "Artifacts filed into the coordinator store (fetched from workers once each).",
-		Series: []obs.Series{{
-			Value: float64(st.Puts),
-		}},
-	}
-	return append(families, workers, dispatched, retriesF, noWorkersF, open, storeF, fills)
+	return append(c.Front.MetricsFamilies(), workers, dispatched,
+		obs.Scalar("hbat_fleet_spec_retries", "counter",
+			"Spec attempts re-dispatched to a different worker after a failure or timeout.", float64(retries)),
+		obs.Scalar("hbat_fleet_no_worker_events", "counter",
+			"Dispatch or submission attempts that found no live worker.", float64(noWorkers)),
+		obs.Scalar("hbat_fleet_store_entries", "gauge",
+			"Artifacts resident in the coordinator's store tier.", float64(st.Entries)),
+		obs.Scalar("hbat_fleet_store_puts", "counter",
+			"Artifacts filed into the coordinator store (fetched from workers once each).", float64(st.Puts)))
 }

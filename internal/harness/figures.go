@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"hbat/internal/emu"
+	"hbat/internal/engine"
 	"hbat/internal/prog"
 	"hbat/internal/tlb"
 )
@@ -26,7 +27,7 @@ type FigureResult struct {
 	// weighted by the T4 run time in cycles).
 	T4Cycles map[string]int64
 	// Runs holds every underlying result for drill-down reports.
-	Runs map[string]map[string]*RunResult
+	Runs map[string]map[string]*engine.RunResult
 }
 
 // NormalizedAvg returns the run-time weighted average IPC of design,
@@ -76,10 +77,10 @@ func designFigure(ctx context.Context, name, caption string, opts Options, pageS
 	designs := opts.designs()
 	wls := opts.workloads()
 
-	var specs []RunSpec
+	var specs []engine.RunSpec
 	for _, d := range designs {
 		for _, w := range wls {
-			specs = append(specs, RunSpec{
+			specs = append(specs, engine.RunSpec{
 				Workload: w, Design: d, Budget: budget, Scale: opts.Scale,
 				PageSize: pageSize, InOrder: inOrder, Seed: opts.seed(),
 				FastForward: opts.FastForward, FFwdEngine: opts.FFwdEngine,
@@ -96,7 +97,7 @@ func designFigure(ctx context.Context, name, caption string, opts Options, pageS
 		Designs: designs, Workloads: wls,
 		IPC:      make(map[string]map[string]float64),
 		T4Cycles: make(map[string]int64),
-		Runs:     make(map[string]map[string]*RunResult),
+		Runs:     make(map[string]map[string]*engine.RunResult),
 	}
 	for i := range results {
 		r := &results[i]
@@ -106,7 +107,7 @@ func designFigure(ctx context.Context, name, caption string, opts Options, pageS
 		d, w := r.Spec.Design, r.Spec.Workload
 		if f.IPC[d] == nil {
 			f.IPC[d] = make(map[string]float64)
-			f.Runs[d] = make(map[string]*RunResult)
+			f.Runs[d] = make(map[string]*engine.RunResult)
 		}
 		f.IPC[d][w] = r.Stats.IPC()
 		f.Runs[d][w] = r
@@ -168,9 +169,9 @@ type Table3Row struct {
 // on the baseline 8-way out-of-order processor with a four-ported TLB.
 func Table3(ctx context.Context, opts Options) ([]Table3Row, error) {
 	wls := opts.workloads()
-	specs := make([]RunSpec, len(wls))
+	specs := make([]engine.RunSpec, len(wls))
 	for i, w := range wls {
-		specs[i] = RunSpec{
+		specs[i] = engine.RunSpec{
 			Workload: w, Design: "T4", Budget: prog.Budget32,
 			Scale: opts.Scale, PageSize: 4096, Seed: opts.seed(),
 			FastForward: opts.FastForward, FFwdEngine: opts.FFwdEngine,
@@ -250,9 +251,9 @@ func Figure6(ctx context.Context, opts Options, weights map[string]float64) (*Fi
 		err  error
 	}
 	jobs := make([]job, len(wls))
-	specs := make([]RunSpec, len(wls))
+	specs := make([]engine.RunSpec, len(wls))
 	for i, name := range wls {
-		specs[i] = RunSpec{Workload: name} // placeholder for progress accounting
+		specs[i] = engine.RunSpec{Workload: name} // placeholder for progress accounting
 		jobs[i].name = name
 	}
 	// Functional simulation is cheap; run serially per workload but the
@@ -262,7 +263,7 @@ func Figure6(ctx context.Context, opts Options, weights map[string]float64) (*Fi
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		p, err := eng.BuildProgram(RunSpec{Workload: name, Budget: prog.Budget32, Scale: opts.Scale})
+		p, err := eng.BuildProgram(engine.RunSpec{Workload: name, Budget: prog.Budget32, Scale: opts.Scale})
 		if err != nil {
 			return nil, err
 		}
@@ -291,9 +292,9 @@ func Figure6(ctx context.Context, opts Options, weights map[string]float64) (*Fi
 		jobs[i].mr = mr
 		jobs[i].wt = float64(m.InstCount)
 		if opts.Progress != nil {
-			opts.Progress(Progress{
+			opts.Progress(engine.Progress{
 				Done: i + 1, Total: len(wls),
-				Result:  &RunResult{Spec: specs[i]},
+				Result:  &engine.RunResult{Spec: specs[i]},
 				Elapsed: time.Since(start),
 			})
 		}

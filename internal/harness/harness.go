@@ -7,89 +7,14 @@
 //
 // The execution layer — caching, scheduling, checkpoints, journals,
 // manifests — lives in internal/engine; harness layers the paper's
-// figures and tables on top and re-exports the engine types under
-// their historical names.
+// figures and tables on top.
 package harness
 
 import (
-	"context"
-
 	"hbat/internal/engine"
 	"hbat/internal/tlb"
 	"hbat/internal/workload"
 )
-
-// Engine is the sweep engine (see internal/engine.Engine): two layers
-// of caching, singleflight deduplication, and a cancellable
-// longest-job-first scheduler.
-type Engine = engine.Engine
-
-// EngineOption configures an Engine at construction.
-type EngineOption = engine.Option
-
-// Engine construction options, re-exported from internal/engine.
-var (
-	WithCheckpointDir = engine.WithCheckpointDir
-	WithLogger        = engine.WithLogger
-	WithSpans         = engine.WithSpans
-	WithHeartbeat     = engine.WithHeartbeat
-	WithoutBuildCache = engine.WithoutBuildCache
-	WithoutMemo       = engine.WithoutMemo
-)
-
-// ErrStarted is returned by the engine's Set* methods once it has run.
-var ErrStarted = engine.ErrStarted
-
-// NewEngine returns an empty sweep engine configured by opts.
-func NewEngine(opts ...EngineOption) *Engine { return engine.New(opts...) }
-
-// RunSpec names one simulation: a workload on one machine
-// configuration with one translation design.
-type RunSpec = engine.RunSpec
-
-// RunResult is one simulation's outcome.
-type RunResult = engine.RunResult
-
-// Progress is one scheduler update, delivered after each completed run.
-type Progress = engine.Progress
-
-// CacheStats is a point-in-time read of an engine's cache counters.
-type CacheStats = engine.CacheStats
-
-// EngineState is a point-in-time read of an engine's live scheduler
-// state.
-type EngineState = engine.EngineState
-
-// RunRecord is one entry of an engine's provenance log.
-type RunRecord = engine.RunRecord
-
-// Manifest is the run-provenance record emitted alongside sweep
-// artifacts.
-type Manifest = engine.Manifest
-
-// ManifestArtifact is one rendered output with its SHA-256.
-type ManifestArtifact = engine.ManifestArtifact
-
-// NewManifest returns a manifest stamped with the build's identity.
-var NewManifest = engine.NewManifest
-
-// Run executes one simulation on a private engine. Callers that run
-// more than one spec should use an Engine (or RunAll) to share builds
-// and memoized results.
-func Run(spec RunSpec) RunResult { return engine.Run(spec) }
-
-// RunContext executes one simulation on a private engine, honoring ctx
-// cancellation at a cycle-granular check.
-func RunContext(ctx context.Context, spec RunSpec) RunResult {
-	return engine.RunContext(ctx, spec)
-}
-
-// RunAll executes specs on a private engine with bounded parallelism
-// (0 = GOMAXPROCS); see Engine.RunAll for the scheduling and
-// cancellation contract.
-func RunAll(ctx context.Context, specs []RunSpec, parallelism int, progress func(Progress)) ([]RunResult, error) {
-	return engine.RunAll(ctx, specs, parallelism, progress)
-}
 
 // Options configures an experiment run.
 type Options struct {
@@ -113,18 +38,18 @@ type Options struct {
 	// never rebuilds a program or re-simulates a spec. When nil, each
 	// experiment call uses a private engine (builds are still shared
 	// within the call).
-	Engine *Engine
+	Engine *engine.Engine
 	// Progress, when non-nil, receives per-run completions with wall
 	// time and an ETA.
-	Progress func(Progress)
+	Progress func(engine.Progress)
 }
 
 // engine returns the configured engine or a private one.
-func (o *Options) engine() *Engine {
+func (o *Options) engine() *engine.Engine {
 	if o.Engine != nil {
 		return o.Engine
 	}
-	return NewEngine()
+	return engine.New()
 }
 
 func (o *Options) workloads() []string {

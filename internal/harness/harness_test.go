@@ -5,12 +5,13 @@ import (
 	"strings"
 	"testing"
 
+	"hbat/internal/engine"
 	"hbat/internal/prog"
 	"hbat/internal/workload"
 )
 
 func TestRunSingle(t *testing.T) {
-	r := Run(RunSpec{
+	r := engine.Run(engine.RunSpec{
 		Workload: "espresso", Design: "T4", Budget: prog.Budget32,
 		Scale: workload.ScaleTest, PageSize: 4096, Seed: 1,
 	})
@@ -26,22 +27,22 @@ func TestRunSingle(t *testing.T) {
 }
 
 func TestRunUnknownNamesError(t *testing.T) {
-	if r := Run(RunSpec{Workload: "nope", Design: "T4", Budget: prog.Budget32, PageSize: 4096}); r.Err == nil {
+	if r := engine.Run(engine.RunSpec{Workload: "nope", Design: "T4", Budget: prog.Budget32, PageSize: 4096}); r.Err == nil {
 		t.Fatal("unknown workload accepted")
 	}
-	if r := Run(RunSpec{Workload: "perl", Design: "Z9", Budget: prog.Budget32, PageSize: 4096}); r.Err == nil {
+	if r := engine.Run(engine.RunSpec{Workload: "perl", Design: "Z9", Budget: prog.Budget32, PageSize: 4096}); r.Err == nil {
 		t.Fatal("unknown design accepted")
 	}
 }
 
 func TestRunAllPreservesOrderAndReportsProgress(t *testing.T) {
-	specs := []RunSpec{
+	specs := []engine.RunSpec{
 		{Workload: "perl", Design: "T4", Budget: prog.Budget32, Scale: workload.ScaleTest, PageSize: 4096},
 		{Workload: "perl", Design: "T1", Budget: prog.Budget32, Scale: workload.ScaleTest, PageSize: 4096},
 		{Workload: "doduc", Design: "M8", Budget: prog.Budget32, Scale: workload.ScaleTest, PageSize: 4096},
 	}
 	calls := 0
-	results, err := RunAll(context.Background(), specs, 2, func(p Progress) {
+	results, err := engine.RunAll(context.Background(), specs, 2, func(p engine.Progress) {
 		calls++
 		if p.Total != 3 {
 			t.Errorf("total = %d", p.Total)

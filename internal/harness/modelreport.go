@@ -6,6 +6,7 @@ import (
 	"io"
 
 	"hbat/internal/cpu"
+	"hbat/internal/engine"
 	"hbat/internal/model"
 	"hbat/internal/prog"
 )
@@ -33,10 +34,10 @@ func ModelStudy(ctx context.Context, opts Options) ([]ModelRow, error) {
 	designs := opts.designs()
 	wls := opts.workloads()
 
-	var specs []RunSpec
+	var specs []engine.RunSpec
 	for _, d := range designs {
 		for _, w := range wls {
-			specs = append(specs, RunSpec{
+			specs = append(specs, engine.RunSpec{
 				Workload: w, Design: d, Budget: prog.Budget32,
 				Scale: opts.Scale, PageSize: 4096, Seed: opts.seed(),
 			})
@@ -46,7 +47,7 @@ func ModelStudy(ctx context.Context, opts Options) ([]ModelRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	byKey := map[string]*RunResult{}
+	byKey := map[string]*engine.RunResult{}
 	for i := range results {
 		r := &results[i]
 		if r.Err != nil {

@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"hbat/internal/engine"
 	"hbat/internal/prog"
 	"hbat/internal/workload"
 )
@@ -38,7 +39,7 @@ type regressionCorpus struct {
 }
 
 // regressionOpts covers every workload at test scale on one engine.
-func regressionOpts(e *Engine) Options {
+func regressionOpts(e *engine.Engine) Options {
 	return Options{Scale: workload.ScaleTest, Seed: 1, Engine: e}
 }
 
@@ -46,7 +47,7 @@ func regressionOpts(e *Engine) Options {
 // simulator.
 func measureRegression(t *testing.T) *regressionCorpus {
 	t.Helper()
-	e := NewEngine()
+	e := engine.New()
 	opts := regressionOpts(e)
 
 	got := &regressionCorpus{
@@ -57,9 +58,9 @@ func measureRegression(t *testing.T) *regressionCorpus {
 		Figure6:       make(map[string]map[string]float64),
 	}
 
-	specs := make([]RunSpec, 0, len(workload.Names()))
+	specs := make([]engine.RunSpec, 0, len(workload.Names()))
 	for _, w := range workload.Names() {
-		specs = append(specs, RunSpec{
+		specs = append(specs, engine.RunSpec{
 			Workload: w, Design: "T4", Budget: prog.Budget32,
 			Scale: opts.Scale, PageSize: 4096, Seed: 1,
 		})

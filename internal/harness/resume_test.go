@@ -7,11 +7,12 @@ import (
 	"strings"
 	"testing"
 
+	"hbat/internal/engine"
 	"hbat/internal/workload"
 )
 
 // resumeOpts is the reduced grid the resume test sweeps.
-func resumeOpts(e *Engine) Options {
+func resumeOpts(e *engine.Engine) Options {
 	return Options{
 		Scale: workload.ScaleTest, Seed: 1, Engine: e,
 		Workloads: []string{"compress", "espresso"},
@@ -42,7 +43,7 @@ func TestResumeJournalByteIdentical(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "sweep.journal")
 
-	e1 := NewEngine()
+	e1 := engine.New()
 	if n, err := e1.SetJournal(path); err != nil || n != 0 {
 		t.Fatalf("fresh journal: resumed %d, err %v", n, err)
 	}
@@ -68,7 +69,7 @@ func TestResumeJournalByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	e2 := NewEngine()
+	e2 := engine.New()
 	n, err := e2.SetJournal(path)
 	if err != nil {
 		t.Fatal(err)
@@ -87,7 +88,7 @@ func TestResumeJournalByteIdentical(t *testing.T) {
 
 	// The resumed process must have re-journaled the remaining runs: a
 	// third resume serves everything without simulating.
-	e3 := NewEngine()
+	e3 := engine.New()
 	if n, err := e3.SetJournal(path); err != nil || n != total {
 		t.Fatalf("final journal: resumed %d, err %v, want %d", n, err, total)
 	}

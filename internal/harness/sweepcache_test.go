@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"hbat/internal/engine"
 	"hbat/internal/tlb"
 	"hbat/internal/workload"
 )
@@ -18,7 +19,7 @@ func TestSweepSimulatesEachUniqueSpecOnce(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full design grids")
 	}
-	eng := NewEngine()
+	eng := engine.New()
 	opts := Options{Scale: workload.ScaleTest, Seed: 1, Engine: eng}
 	ctx := context.Background()
 

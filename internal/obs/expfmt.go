@@ -68,6 +68,11 @@ type Family struct {
 	Hists  []HistSeries
 }
 
+// Scalar returns a family of one unlabelled series.
+func Scalar(name, kind, help string, v float64) Family {
+	return Family{Name: name, Kind: kind, Help: help, Series: []Series{{Value: v}}}
+}
+
 // SnapshotFamilies converts a stats snapshot into exposition families,
 // attaching the given labels to every series. Gauges additionally
 // export a companion `<name>_max` gauge (the high-water mark the

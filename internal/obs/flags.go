@@ -9,7 +9,7 @@ import (
 	"strings"
 	"time"
 
-	"hbat/internal/harness"
+	"hbat/internal/engine"
 	"hbat/internal/runspan"
 )
 
@@ -79,7 +79,7 @@ func (f *Flags) NewLogger(w io.Writer) (*slog.Logger, error) {
 // and no goroutine started; only the logger is returned. logw
 // receives log output (typically os.Stderr). Callers must Close the
 // returned server when non-nil.
-func (f *Flags) Setup(ctx context.Context, logw io.Writer, engine *harness.Engine) (*slog.Logger, *Server, error) {
+func (f *Flags) Setup(ctx context.Context, logw io.Writer, engine *engine.Engine) (*slog.Logger, *Server, error) {
 	logger, err := f.NewLogger(logw)
 	if err != nil {
 		return nil, nil, err

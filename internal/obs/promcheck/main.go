@@ -21,7 +21,7 @@ import (
 	"strings"
 	"time"
 
-	"hbat/internal/harness"
+	"hbat/internal/engine"
 	"hbat/internal/obs"
 	"hbat/internal/prog"
 	"hbat/internal/runspan"
@@ -64,11 +64,11 @@ func check(name string, f *os.File) {
 // from one simulation.
 func staticCheck() error {
 	wd := obs.NewWatchdog(time.Minute)
-	eng := harness.NewEngine(
-		harness.WithHeartbeat(wd.Touch),
-		harness.WithSpans(runspan.New(runspan.Config{})),
+	eng := engine.New(
+		engine.WithHeartbeat(wd.Touch),
+		engine.WithSpans(runspan.New(runspan.Config{})),
 	)
-	res := eng.Run(context.Background(), harness.RunSpec{
+	res := eng.Run(context.Background(), engine.RunSpec{
 		Workload: "espresso", Design: "T4", Budget: prog.Budget32,
 		Scale: workload.ScaleTest, PageSize: 4096, Seed: 1,
 	})

@@ -23,7 +23,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"hbat/internal/harness"
+	"hbat/internal/engine"
 	"hbat/internal/runspan"
 )
 
@@ -35,7 +35,7 @@ type Config struct {
 	// Engine, when non-nil, contributes sweep state: live run gauges,
 	// cache counters and hit ratios, ETA, the merged per-run metrics
 	// registry, and per-workload wall-time histograms.
-	Engine *harness.Engine
+	Engine *engine.Engine
 	// Spans, when non-nil, serves the live span view at /debug/spans:
 	// currently open spans with their ages plus the recent-span ring.
 	Spans *runspan.Tracer

@@ -10,16 +10,16 @@ import (
 	"testing"
 	"time"
 
-	"hbat/internal/harness"
+	"hbat/internal/engine"
 	"hbat/internal/prog"
 	"hbat/internal/workload"
 )
 
-func testSpecs() []harness.RunSpec {
-	var specs []harness.RunSpec
+func testSpecs() []engine.RunSpec {
+	var specs []engine.RunSpec
 	for _, w := range []string{"espresso", "perl"} {
 		for _, d := range []string{"T4", "T1", "M8"} {
-			specs = append(specs, harness.RunSpec{
+			specs = append(specs, engine.RunSpec{
 				Workload: w, Design: d, Budget: prog.Budget32,
 				Scale: workload.ScaleTest, PageSize: 4096, Seed: 1,
 			})
@@ -33,7 +33,7 @@ func testSpecs() []harness.RunSpec {
 // exposition) while the engine runs a parallel sweep. Run under
 // `go test -race` this proves scrapes never race the sweep's writers.
 func TestMetricsScrapeDuringSweep(t *testing.T) {
-	eng := harness.NewEngine()
+	eng := engine.New()
 	wd := NewWatchdog(time.Minute)
 	eng.SetHeartbeat(wd.Touch)
 	srv := &Server{cfg: Config{Engine: eng, Watchdog: wd}, start: time.Now()}
@@ -145,7 +145,7 @@ func TestHealthIgnoresIdleEngine(t *testing.T) {
 	wd := &Watchdog{timeout: time.Second, now: func() time.Time { return now }}
 	wd.Touch()
 	now = now.Add(time.Hour)
-	srv := &Server{cfg: Config{Engine: harness.NewEngine(), Watchdog: wd}, start: now}
+	srv := &Server{cfg: Config{Engine: engine.New(), Watchdog: wd}, start: now}
 	rec := httptest.NewRecorder()
 	srv.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/health", nil))
 	if rec.Code != http.StatusOK {
@@ -154,7 +154,7 @@ func TestHealthIgnoresIdleEngine(t *testing.T) {
 }
 
 func TestReadyTracksEngineAccepting(t *testing.T) {
-	eng := harness.NewEngine()
+	eng := engine.New()
 	srv := &Server{cfg: Config{Engine: eng}, start: time.Now()}
 	h := srv.Handler()
 

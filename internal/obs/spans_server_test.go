@@ -12,7 +12,7 @@ import (
 	"testing"
 	"time"
 
-	"hbat/internal/harness"
+	"hbat/internal/engine"
 	"hbat/internal/runspan"
 )
 
@@ -73,7 +73,7 @@ func TestDebugSpansEndpoint(t *testing.T) {
 // has long expired (a finished sweep is not a wedged one), with no
 // goroutine leaked by the drain.
 func TestHealthReadyDuringDrain(t *testing.T) {
-	eng := harness.NewEngine()
+	eng := engine.New()
 	wd := NewWatchdog(time.Minute)
 	eng.SetHeartbeat(wd.Touch)
 	srv := &Server{cfg: Config{Engine: eng, Watchdog: wd}, start: time.Now()}

@@ -12,6 +12,7 @@ import (
 	"io"
 	"time"
 
+	"hbat/internal/engine"
 	"hbat/internal/harness"
 )
 
@@ -116,7 +117,7 @@ func Generate(ctx context.Context, w io.Writer, opts harness.Options, figures []
 	if opts.Engine == nil {
 		// One engine for the whole report: fig5 reuses Table 3's T4
 		// runs and every figure shares workload builds.
-		opts.Engine = harness.NewEngine()
+		opts.Engine = engine.New()
 	}
 	data := Data{
 		Title:     "High-Bandwidth Address Translation — reproduction report",

@@ -1,0 +1,348 @@
+// Package transport is the HTTP layer of the sweep fabric: the one v1
+// front end (see the api package for the wire contract) that both
+// daemons mount, and the in-process executor hbatd runs behind it.
+//
+// The Front owns everything a client can see — the routing table, job
+// intake and admission, the job table and each Job's state machine,
+// SSE fan-out, results with ETags, the manifest, ping, the RED
+// middleware, and the drain — and hands every admitted job to an
+// Executor, the seam behind which the two daemons differ. Service (this
+// package, cmd/hbatd) executes on a local worker pool over a sweep
+// engine and a result store; fleet.Coordinator (cmd/hbatc) executes by
+// dispatching to remote workers. A client cannot tell which one it is
+// talking to.
+package transport
+
+import (
+	"context"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"log/slog"
+	"net/http"
+	"strings"
+	"sync"
+	"time"
+
+	"hbat/api"
+	"hbat/internal/engine"
+	"hbat/internal/store"
+)
+
+// finishedJobsKept is how many finished jobs stay addressable: seconds
+// of history even at store-hit rates (thousands of jobs a second), so a
+// client's last status poll and a post-job /spans fetch find theirs,
+// and a few tens of MiB at most however long the daemon runs. Older
+// finished jobs answer 404; open jobs are never dropped.
+const finishedJobsKept = 16384
+
+// Identity is what tells one daemon's wire surface from the other's.
+type Identity struct {
+	// Tool is the binary's name: the ping answer, the manifest's tool,
+	// and the hint in the spans-disabled 404.
+	Tool string
+	// IDPrefix starts every job id ("j" for hbatd, "f" for hbatc), so
+	// an id in a log says which tier minted it.
+	IDPrefix string
+	// RootSpan names the job root span ("job", "fleet_job").
+	RootSpan string
+	// MetricPrefix names the exported families ("hbat_fabric",
+	// "hbat_fleet").
+	MetricPrefix string
+}
+
+// Executor is the execution half of a daemon: what happens to a job
+// between admission and its last spec's terminal status.
+type Executor interface {
+	// Admit reports why no new job can start right now (nil when one
+	// can); the front end answers a non-nil error 503.
+	Admit() error
+	// Start begins executing an admitted job and returns at once. The
+	// executor reports progress into j — Running when a spec is picked
+	// up, Finish with each spec's terminal status, Publish for events
+	// it forwards — and the job ends with its last Finish.
+	Start(j *Job)
+	// Result reads one artifact and its content hash by spec key. An
+	// Unavailable error is answered 503, any other 404.
+	Result(ctx context.Context, key string) (data []byte, sha string, err error)
+	// Close ends a drain: started jobs run to completion or ctx expiry,
+	// then the executor's goroutines exit. No Start follows it.
+	Close(ctx context.Context) error
+}
+
+// Unavailable is an Executor error that means "cannot say right now"
+// rather than "no": the front end answers it 503, not 404.
+type Unavailable string
+
+func (e Unavailable) Error() string { return string(e) }
+
+// Front is a running v1 front end. Create with NewFront, mount Handler,
+// stop with Shutdown.
+type Front struct {
+	id   Identity
+	cfg  Config
+	exec Executor
+	red  red
+	mux  *http.ServeMux
+
+	mu       sync.Mutex
+	jobs     map[string]*Job
+	byTenant map[string]int
+	draining bool
+	// retired is a ring of the last finishedJobsKept finished job ids;
+	// the id a new one overwrites leaves the job table.
+	retired  []string
+	retiredN int
+	// starting covers the window between a job's admission and its
+	// Executor.Start returning, so Shutdown never closes the executor
+	// under a job it has yet to receive. Add happens under mu, before
+	// draining can flip.
+	starting sync.WaitGroup
+}
+
+// NewFront builds the front end a daemon identified by id serves
+// through exec. Of cfg it reads TenantJobs, MaxSpecs, Logger, Spans,
+// Store (the manifest's artifact list), and Engine (the manifest's run
+// log; nil on a daemon that never simulates).
+func NewFront(id Identity, cfg Config, exec Executor) *Front {
+	if cfg.MaxSpecs <= 0 {
+		cfg.MaxSpecs = 1024
+	}
+	if cfg.Logger == nil {
+		cfg.Logger = slog.New(slog.DiscardHandler)
+	}
+	f := &Front{
+		id:       id,
+		cfg:      cfg,
+		exec:     exec,
+		jobs:     make(map[string]*Job),
+		byTenant: make(map[string]int),
+		retired:  make([]string, finishedJobsKept),
+		mux:      http.NewServeMux(),
+	}
+	f.red.prefix = id.MetricPrefix
+	f.mux.HandleFunc(api.PathPing, f.handlePing)
+	f.mux.HandleFunc(api.PathJobs, f.handleJobs)
+	f.mux.HandleFunc(api.PathJobs+"/", f.handleJob)
+	f.mux.HandleFunc(api.PathResults, f.handleResult)
+	f.mux.HandleFunc(api.PathManifest, f.handleManifest)
+	return f
+}
+
+// Handle adds a daemon-specific route (hbatc's /v1/workers) to the
+// routing table, inside the same middleware.
+func (f *Front) Handle(path string, h http.HandlerFunc) { f.mux.HandleFunc(path, h) }
+
+// Handler returns the /v1 routing table, wrapped in the RED-metrics
+// and access-log middleware. Mount it at "/" (it matches only /v1/...
+// paths) or compose it with the obs handler.
+func (f *Front) Handler() http.Handler { return f.red.middleware(f.cfg.Logger, f.mux) }
+
+// Accepting reports whether the front end admits new jobs.
+func (f *Front) Accepting() bool {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return !f.draining
+}
+
+// Shutdown drains the daemon: no new jobs are admitted, and the
+// executor closes once every started job has run to completion (or ctx
+// expires). A second call returns at once.
+func (f *Front) Shutdown(ctx context.Context) error {
+	f.mu.Lock()
+	already := f.draining
+	f.draining = true
+	f.mu.Unlock()
+	if already {
+		return nil
+	}
+	f.starting.Wait()
+	return f.exec.Close(ctx)
+}
+
+// release returns a finished job's admission charge and retires it
+// into the bounded tail of the job table.
+func (f *Front) release(j *Job, state string) {
+	f.mu.Lock()
+	f.byTenant[j.Tenant]--
+	if f.byTenant[j.Tenant] <= 0 {
+		delete(f.byTenant, j.Tenant)
+	}
+	slot := f.retiredN % len(f.retired)
+	delete(f.jobs, f.retired[slot]) // "" until the ring has lapped once
+	f.retired[slot] = j.ID
+	f.retiredN++
+	f.mu.Unlock()
+	f.cfg.Logger.Info("job finished", "job", j.ID, "tenant", j.Tenant,
+		"state", state, "specs", len(j.Keys), "trace_id", j.TraceID)
+}
+
+func (f *Front) handlePing(w http.ResponseWriter, r *http.Request) {
+	WriteJSON(w, http.StatusOK, map[string]string{"api": api.Version, "pong": f.id.Tool})
+}
+
+// handleJob serves GET /v1/jobs/{id}, /events, and /spans.
+func (f *Front) handleJob(w http.ResponseWriter, r *http.Request) {
+	if r.Method != http.MethodGet {
+		WriteErr(w, http.StatusMethodNotAllowed, "GET only")
+		return
+	}
+	rest := strings.TrimPrefix(r.URL.Path, api.PathJobs+"/")
+	id, sub, _ := strings.Cut(rest, "/")
+	f.mu.Lock()
+	j, ok := f.jobs[id]
+	f.mu.Unlock()
+	if !ok {
+		WriteErr(w, http.StatusNotFound, "no job %q", id)
+		return
+	}
+	annotate(r.Context(), j.Tenant, j.TraceID)
+	switch sub {
+	case "":
+		WriteJSON(w, http.StatusOK, j.status())
+	case "events":
+		f.serveEvents(w, r, j)
+	case "spans":
+		if !f.cfg.Spans.Enabled() {
+			WriteErr(w, http.StatusNotFound, "span tracing is disabled on this server (start %s with -spans)", f.id.Tool)
+			return
+		}
+		w.Header().Set("Content-Type", "application/x-ndjson")
+		if err := f.cfg.Spans.WriteJournalTo(w, j.TraceID); err != nil {
+			f.cfg.Logger.Warn("span journal write failed", "job", j.ID, "error", err.Error())
+		}
+	default:
+		WriteErr(w, http.StatusNotFound, "no such job endpoint %q", sub)
+	}
+}
+
+// serveEvents streams the job's progress as SSE. Each event is one
+// api.Event JSON document: spec completions, whatever the executor
+// publishes (hbatc forwards its workers' span events), and, when this
+// process's tracer sees engine runs, their live run-root spans — the
+// runspan feed is the transport of record for phase-level progress.
+func (f *Front) serveEvents(w http.ResponseWriter, r *http.Request, j *Job) {
+	fl, ok := w.(http.Flusher)
+	if !ok {
+		WriteErr(w, http.StatusNotImplemented, "streaming unsupported")
+		return
+	}
+	w.Header().Set("Content-Type", "text/event-stream")
+	w.Header().Set("Cache-Control", "no-cache")
+	w.WriteHeader(http.StatusOK)
+	fl.Flush()
+
+	events, cancel := j.subscribe(64)
+	defer cancel()
+	spans, cancelSpans := f.cfg.Spans.Subscribe(64)
+	defer cancelSpans()
+	// Unsubscribe the moment the client goes away, not merely when this
+	// handler returns: a handler blocked mid-Write to a stalled peer
+	// would otherwise keep both subscriptions registered (and the span
+	// feed's channel open) for as long as the write takes to fail.
+	// Both cancels are idempotent, so the deferred calls stay correct.
+	stop := context.AfterFunc(r.Context(), func() {
+		cancel()
+		cancelSpans()
+	})
+	defer stop()
+
+	emit := func(ev api.Event) bool {
+		b, err := json.Marshal(ev)
+		if err != nil {
+			return false
+		}
+		if _, err := fmt.Fprintf(w, "event: %s\ndata: %s\n\n", ev.Type, b); err != nil {
+			return false
+		}
+		fl.Flush()
+		return true
+	}
+
+	for {
+		select {
+		case <-r.Context().Done():
+			return
+		case d, ok := <-spans:
+			if !ok {
+				spans = nil // tracer detached; keep serving job events
+				continue
+			}
+			if d.Parent != 0 || d.Name != "run" {
+				continue // roots only: one span event per simulation
+			}
+			ev := api.Event{Type: "span", Job: j.ID, Span: &api.Span{
+				Name: d.Name, DurUS: d.DurUS, Attrs: d.Attrs,
+			}}
+			if !emit(ev) {
+				return
+			}
+		case ev, ok := <-events:
+			if !ok {
+				// The feed closed before this subscriber drained the
+				// terminal event (lossy buffer): synthesize the done.
+				st := j.status()
+				emit(api.Event{Type: "done", Job: j.ID, Done: st.Done, Total: st.Total})
+				return
+			}
+			if !emit(ev) {
+				return
+			}
+			if ev.Type == "done" {
+				return
+			}
+		}
+	}
+}
+
+// handleResult serves GET /v1/results/{speckey}: the canonical
+// artifact with its content hash as a strong ETag.
+func (f *Front) handleResult(w http.ResponseWriter, r *http.Request) {
+	if r.Method != http.MethodGet && r.Method != http.MethodHead {
+		WriteErr(w, http.StatusMethodNotAllowed, "GET only")
+		return
+	}
+	key := strings.TrimPrefix(r.URL.Path, api.PathResults)
+	if !store.Key(key) {
+		WriteErr(w, http.StatusBadRequest, "malformed spec key %q", key)
+		return
+	}
+	data, sha, err := f.exec.Result(r.Context(), key)
+	if err != nil {
+		code := http.StatusNotFound
+		var u Unavailable
+		if errors.As(err, &u) {
+			code = http.StatusServiceUnavailable
+		}
+		WriteErr(w, code, "%v", err)
+		return
+	}
+	etag := `"` + sha + `"`
+	w.Header().Set("ETag", etag)
+	w.Header().Set("Content-Type", "application/json")
+	if match := r.Header.Get("If-None-Match"); match != "" && strings.Contains(match, etag) {
+		w.WriteHeader(http.StatusNotModified)
+		return
+	}
+	w.Write(data)
+}
+
+// handleManifest serves the daemon's provenance manifest: every run
+// this process performed (none on a daemon without an engine) plus the
+// store's current keys — enough for a client to audit what was
+// simulated versus served from cache.
+func (f *Front) handleManifest(w http.ResponseWriter, r *http.Request) {
+	man := engine.NewManifest(f.id.Tool, time.Now())
+	if f.cfg.Engine != nil {
+		man.RecordRuns(f.cfg.Engine)
+	}
+	for _, key := range f.cfg.Store.Keys() {
+		if data, _, ok := f.cfg.Store.Get(key); ok {
+			man.AddArtifactBytes(key+".json", api.PathResults+key, data)
+		}
+	}
+	w.Header().Set("Content-Type", "application/json")
+	if err := man.WriteJSON(w); err != nil {
+		f.cfg.Logger.Warn("manifest write failed", "error", err.Error())
+	}
+}

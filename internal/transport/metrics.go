@@ -1,8 +1,8 @@
-// RED instrumentation for the fabric's HTTP surface: a middleware
-// that records request rate, error class, and duration per route
-// template and per tenant, plus gauges over the service's live state
-// (open jobs, worker-queue depth, store quota utilization). The
-// families are exported through obs.Config.Extra, so hbatd's /metrics
+// RED instrumentation for the v1 HTTP surface: a middleware that
+// records request rate, error class, and duration per route template
+// and per tenant, plus gauges over live state (open jobs on either
+// daemon; worker-queue depth and store quota utilization on hbatd).
+// The families are exported through obs.Config.Extra, so /metrics
 // serves them next to the registry-backed simulation metrics in one
 // promcheck-valid exposition.
 //
@@ -46,11 +46,10 @@ type reqInfo struct {
 
 type reqInfoKey struct{}
 
-// Annotate publishes the request's resolved tenant and trace id to the
+// annotate publishes the request's resolved tenant and trace id to the
 // middleware's holder, if one is present. Empty arguments leave the
-// corresponding field untouched. Exported so the fleet coordinator's
-// handlers can feed the same middleware.
-func Annotate(ctx context.Context, tenant, trace string) {
+// corresponding field untouched.
+func annotate(ctx context.Context, tenant, trace string) {
 	ri, ok := ctx.Value(reqInfoKey{}).(*reqInfo)
 	if !ok {
 		return
@@ -135,28 +134,18 @@ type redEntry struct {
 	count   uint64
 }
 
-// RED is the middleware's request accumulator, shared by every
-// request. The zero value is ready to use; set Prefix before the first
-// scrape to rename the exported families (the fleet coordinator
-// publishes the same shapes as hbat_fleet_* instead of hbat_fabric_*).
-type RED struct {
-	// Prefix names the exported families; "hbat_fabric" when empty.
-	Prefix string
+// red is the middleware's request accumulator, shared by every
+// request. prefix names the exported families (Identity.MetricPrefix).
+type red struct {
+	prefix string
 
 	mu      sync.Mutex
 	entries map[redKey]*redEntry
 }
 
-func (m *RED) prefix() string {
-	if m.Prefix != "" {
-		return m.Prefix
-	}
-	return "hbat_fabric"
-}
-
-// Observe records one finished request under its route template,
+// observe records one finished request under its route template,
 // tenant, and status class ("2xx".."5xx").
-func (m *RED) Observe(route, tenant, class string, ms float64) {
+func (m *red) observe(route, tenant, class string, ms float64) {
 	m.mu.Lock()
 	if m.entries == nil {
 		m.entries = make(map[redKey]*redEntry)
@@ -184,17 +173,14 @@ func (m *RED) Observe(route, tenant, class string, ms float64) {
 	m.mu.Unlock()
 }
 
-// Middleware wraps next with RED instrumentation and an access log.
+// middleware wraps next with RED instrumentation and an access log.
 // Every response is counted under its route template, tenant, and
 // status class; the duration lands in the per-route histogram; and one
 // Info-level access-log record is emitted through logger — which the
 // binaries build from the shared -log-level/-log-format flags, so
 // `-log-level warn` silences the access log exactly like every other
 // binary's chatter.
-func (m *RED) Middleware(logger *slog.Logger, next http.Handler) http.Handler {
-	if logger == nil {
-		logger = slog.New(slog.DiscardHandler)
-	}
+func (m *red) middleware(logger *slog.Logger, next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		ri := &reqInfo{}
@@ -224,7 +210,7 @@ func (m *RED) Middleware(logger *slog.Logger, next http.Handler) http.Handler {
 		case 4:
 			class = "4xx"
 		}
-		m.Observe(route, ten, class, ms)
+		m.observe(route, ten, class, ms)
 		lg := logger.With(
 			"method", r.Method, "route", route, "tenant", ten,
 			"status", sw.code, "wall_ms", ms,
@@ -236,10 +222,10 @@ func (m *RED) Middleware(logger *slog.Logger, next http.Handler) http.Handler {
 	})
 }
 
-// Families exports the accumulator's request counters and duration
-// histograms as exposition families named from Prefix. Series are
+// families exports the accumulator's request counters and duration
+// histograms as exposition families named from prefix. Series are
 // emitted in sorted label order so scrapes are stable.
-func (m *RED) Families() []obs.Family {
+func (m *red) families() []obs.Family {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	keys := make([]redKey, 0, len(m.entries))
@@ -253,11 +239,11 @@ func (m *RED) Families() []obs.Family {
 		return keys[i].tenant < keys[j].tenant
 	})
 	req := obs.Family{
-		Name: m.prefix() + "_requests", Kind: "counter",
+		Name: m.prefix + "_requests", Kind: "counter",
 		Help: "Requests served by the v1 job API, by route template, tenant, and status class.",
 	}
 	dur := obs.Family{
-		Name: m.prefix() + "_request_duration_ms", Kind: "histogram",
+		Name: m.prefix + "_request_duration_ms", Kind: "histogram",
 		Help: "Request wall time in milliseconds, by route template and tenant.",
 	}
 	for _, k := range keys {
@@ -286,85 +272,58 @@ func (m *RED) Families() []obs.Family {
 	return []obs.Family{req, dur}
 }
 
-// Middleware wraps next with the fabric's RED instrumentation, logging
-// through the service's logger.
-func (s *Service) Middleware(next http.Handler) http.Handler {
-	return s.red.Middleware(s.log(), next)
-}
-
-// MetricsFamilies exports the fabric's RED counters and live-state
-// gauges as exposition families — hand it to obs.Config.Extra. Series
-// are emitted in sorted label order so scrapes are stable.
-func (s *Service) MetricsFamilies() []obs.Family {
-	families := s.red.Families()
-
-	open := obs.Family{
-		Name: "hbat_fabric_jobs_open", Kind: "gauge",
-		Help: "Open (admitted, not yet finished) jobs per tenant.",
-	}
-	s.mu.Lock()
-	tenants := make([]string, 0, len(s.byTenant))
-	for t := range s.byTenant {
+// perTenant builds a gauge with one series per tenant of m, in sorted
+// order so scrapes are stable. An empty m yields a zero "default"
+// series: a family with no series is not a valid exposition.
+func perTenant[N int | int64](name, help string, m map[string]N) obs.Family {
+	fam := obs.Family{Name: name, Kind: "gauge", Help: help}
+	tenants := make([]string, 0, len(m))
+	for t := range m {
 		tenants = append(tenants, t)
 	}
 	sort.Strings(tenants)
 	for _, t := range tenants {
-		open.Series = append(open.Series, obs.Series{
+		fam.Series = append(fam.Series, obs.Series{
 			Labels: []obs.Label{{Name: "tenant", Value: t}},
-			Value:  float64(s.byTenant[t]),
+			Value:  float64(m[t]),
 		})
 	}
-	s.mu.Unlock()
-	if len(open.Series) == 0 {
-		open.Series = []obs.Series{{Labels: []obs.Label{{Name: "tenant", Value: "default"}}, Value: 0}}
+	if len(fam.Series) == 0 {
+		fam.Series = []obs.Series{{Labels: []obs.Label{{Name: "tenant", Value: "default"}}}}
 	}
+	return fam
+}
 
+// MetricsFamilies exports the front end's RED counters and its open
+// jobs per tenant.
+func (f *Front) MetricsFamilies() []obs.Family {
+	f.mu.Lock()
+	open := perTenant(f.id.MetricPrefix+"_jobs_open",
+		"Open (admitted, not yet finished) jobs per tenant.", f.byTenant)
+	f.mu.Unlock()
+	return append(f.red.families(), open)
+}
+
+// MetricsFamilies exports the front end's families plus hbatd's
+// live-state gauges — hand it to obs.Config.Extra.
+func (s *Service) MetricsFamilies() []obs.Family {
 	depth := obs.Family{
 		Name: "hbat_fabric_queue_depth", Kind: "gauge",
 		Help: "Queued spec tasks per worker shard.",
 	}
-	for i, q := range s.queues {
+	for i, q := range s.pool.queues {
 		depth.Series = append(depth.Series, obs.Series{
 			Labels: []obs.Label{{Name: "shard", Value: strconv.Itoa(i)}},
 			Value:  float64(len(q)),
 		})
 	}
-
-	bytes := obs.Family{
-		Name: "hbat_fabric_store_tenant_bytes", Kind: "gauge",
-		Help: "Live result-store bytes attributed to each tenant.",
-	}
-	usage := s.cfg.Store.Tenants()
-	utenants := make([]string, 0, len(usage))
-	for t := range usage {
-		utenants = append(utenants, t)
-	}
-	sort.Strings(utenants)
-	for _, t := range utenants {
-		bytes.Series = append(bytes.Series, obs.Series{
-			Labels: []obs.Label{{Name: "tenant", Value: t}},
-			Value:  float64(usage[t]),
-		})
-	}
-	if len(bytes.Series) == 0 {
-		bytes.Series = []obs.Series{{Labels: []obs.Label{{Name: "tenant", Value: "default"}}, Value: 0}}
-	}
-
-	quota := obs.Family{
-		Name: "hbat_fabric_store_quota_bytes", Kind: "gauge",
-		Help: "Configured per-tenant result-store quota in bytes (0 = unlimited).",
-		Series: []obs.Series{{
-			Value: float64(s.cfg.Store.TenantQuota()),
-		}},
-	}
-
-	subs := obs.Family{
-		Name: "hbat_fabric_span_subscribers", Kind: "gauge",
-		Help: "Live span-feed subscriptions (one per open /events stream when tracing is on).",
-		Series: []obs.Series{{
-			Value: float64(s.cfg.Spans.Subscribers()),
-		}},
-	}
-
-	return append(families, open, depth, bytes, quota, subs)
+	return append(s.Front.MetricsFamilies(), depth,
+		perTenant("hbat_fabric_store_tenant_bytes",
+			"Live result-store bytes attributed to each tenant.", s.pool.store.Tenants()),
+		obs.Scalar("hbat_fabric_store_quota_bytes", "gauge",
+			"Configured per-tenant result-store quota in bytes (0 = unlimited).",
+			float64(s.pool.store.TenantQuota())),
+		obs.Scalar("hbat_fabric_span_subscribers", "gauge",
+			"Live span-feed subscriptions (one per open /events stream when tracing is on).",
+			float64(s.pool.spans.Subscribers())))
 }

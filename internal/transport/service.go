@@ -1,31 +1,19 @@
-// Package transport is the HTTP layer of the sweep fabric: it serves
-// the versioned v1 job API (see the api package) over a sweep engine
-// and a content-addressed result store. cmd/hbatd mounts it next to
-// the obs endpoints; the e2e tests drive it in-process.
-//
-// Request flow: POST /v1/jobs normalizes every submitted SimOptions
-// through engine.SpecFromWire (the same normalization the facade
-// applies, so wire specs and local specs share one key space), admits
-// the job against the per-tenant quota, and shards its specs across
-// the worker pool by spec key. Workers consult the store first (a
-// restart serves previous results without simulating), then the
-// engine (whose memo deduplicates concurrent and repeated specs
-// across tenants), render the canonical artifact, and file it back
-// into the store under the submitting tenant.
 package transport
+
+// hbatd's executor: a worker pool over a sweep engine and a result
+// store. An admitted job's specs shard across the pool by spec key.
+// Workers consult the store first (a restart serves previous results
+// without simulating), then the engine (whose memo deduplicates
+// concurrent and repeated specs across tenants), render the canonical
+// artifact, and file it back into the store under the submitting
+// tenant.
 
 import (
 	"context"
-	"crypto/rand"
-	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/fnv"
 	"log/slog"
-	"net/http"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -59,67 +47,11 @@ type Config struct {
 	Spans *runspan.Tracer
 }
 
-// specTask is one spec of one job, queued to a worker. enq is the
-// tracer mark taken at enqueue time, so the worker can record the
-// spec's queue wait as a retroactive span.
-type specTask struct {
-	job *job
-	idx int
-	enq time.Duration
-}
-
-// job is one submitted job's live state. mu guards specs/done/state
-// and the subscriber list.
-type job struct {
-	id     string
-	tenant string
-	// traceID is the job's 32-hex cross-process trace id — the one the
-	// submitter sent via traceparent, or server-minted. Always set,
-	// even with tracing off, so logs and statuses stay correlatable.
-	// spanID is the job root span's own wire identity; engine runs are
-	// parented under it.
-	traceID string
-	spanID  string
-	// trace/root are the job's span tree when the service traces spans
-	// (0/nil otherwise). The root span covers admission to completion.
-	trace runspan.TraceID
-	root  *runspan.Span
-
-	mu    sync.Mutex
-	specs []api.SpecStatus
-	runs  []engine.RunSpec
-	done  int
-	state string
-	// subs receive one api.Event per completed spec and a final
-	// "done"; sends never block (lossy, like the span feed), except
-	// the final done which each subscriber's buffer always has room
-	// for because the channel is closed right after.
-	subs map[uint64]chan api.Event
-	// finished closes when every spec is done, releasing Shutdown.
-	finished chan struct{}
-}
-
-// Service is a running sweep fabric. Create with New, mount Handler,
-// stop with Shutdown.
+// Service is a running hbatd: the v1 Front over a local worker pool.
+// Create with New, mount Handler, stop with Shutdown.
 type Service struct {
-	cfg Config
-
-	queues []chan specTask
-	wg     sync.WaitGroup
-	// enq tracks in-flight enqueue goroutines; Shutdown waits for it
-	// before closing the queues so an admitted job never sends on a
-	// closed channel. Add happens under mu, before draining can flip.
-	enq sync.WaitGroup
-
-	mu       sync.Mutex
-	jobs     map[string]*job
-	byTenant map[string]int
-	draining bool
-	subSeq   uint64
-
-	// red accumulates the Middleware's per-route/per-tenant request
-	// metrics (see metrics.go).
-	red RED
+	*Front
+	pool *pool
 }
 
 // New starts the worker pool and returns the service.
@@ -130,195 +62,92 @@ func New(cfg Config) (*Service, error) {
 	if cfg.Workers <= 0 {
 		cfg.Workers = 4
 	}
-	if cfg.MaxSpecs <= 0 {
-		cfg.MaxSpecs = 1024
+	p := &pool{
+		engine: cfg.Engine,
+		store:  cfg.Store,
+		spans:  cfg.Spans,
+		queues: make([]chan specTask, cfg.Workers),
 	}
-	s := &Service{
-		cfg:      cfg,
-		jobs:     make(map[string]*job),
-		byTenant: make(map[string]int),
-		queues:   make([]chan specTask, cfg.Workers),
+	for i := range p.queues {
+		// 64 deep: a figure grid's share of one shard queues without
+		// parking the enqueue goroutine.
+		p.queues[i] = make(chan specTask, 64)
+		p.wg.Add(1)
+		go p.worker(p.queues[i])
 	}
-	for i := range s.queues {
-		s.queues[i] = make(chan specTask, 64)
-		s.wg.Add(1)
-		go s.worker(s.queues[i])
-	}
-	return s, nil
+	id := Identity{Tool: "hbatd", IDPrefix: "j", RootSpan: "job", MetricPrefix: "hbat_fabric"}
+	return &Service{Front: NewFront(id, cfg, p), pool: p}, nil
 }
 
-// Shutdown drains the service: no new jobs are admitted (the engine's
-// Accepting state flips, so /ready reports 503), in-flight jobs run to
-// completion or ctx expiry, and the worker pool exits.
-func (s *Service) Shutdown(ctx context.Context) error {
-	s.mu.Lock()
-	if s.draining {
-		s.mu.Unlock()
-		return nil
+// specTask is one spec of one job, queued to a worker. enq is the
+// tracer mark taken at enqueue time, so the worker can record the
+// spec's queue wait as a retroactive span.
+type specTask struct {
+	job *Job
+	idx int
+	enq time.Duration
+}
+
+// pool is the local Executor.
+type pool struct {
+	engine *engine.Engine
+	store  *store.Store
+	spans  *runspan.Tracer
+
+	queues []chan specTask
+	wg     sync.WaitGroup
+	// enq tracks in-flight enqueue goroutines; Close waits for it
+	// before closing the queues so a started job never sends on a
+	// closed channel.
+	enq sync.WaitGroup
+}
+
+// Admit refuses work while the engine is draining (which is also what
+// /ready reports).
+func (p *pool) Admit() error {
+	if !p.engine.Accepting() {
+		return errors.New("draining: not accepting new jobs")
 	}
-	s.draining = true
-	open := make([]*job, 0, len(s.jobs))
-	for _, j := range s.jobs {
-		open = append(open, j)
+	return nil
+}
+
+// Start shards the job's specs across the pool by spec key: identical
+// specs always land on the same worker queue, so a duplicate only ever
+// waits on the engine's singleflight, never races it.
+func (p *pool) Start(j *Job) {
+	p.enq.Add(1)
+	go func() {
+		defer p.enq.Done()
+		for i, key := range j.Keys {
+			p.queues[shard(key, len(p.queues))] <- specTask{job: j, idx: i, enq: p.spans.Now()}
+		}
+	}()
+}
+
+func (p *pool) Result(ctx context.Context, key string) ([]byte, string, error) {
+	data, sha, ok := p.store.Get(key)
+	if !ok {
+		return nil, "", fmt.Errorf("no stored result for spec %s", key)
 	}
-	s.mu.Unlock()
-	s.cfg.Engine.SetAccepting(false)
-	s.enq.Wait()
-	for _, q := range s.queues {
+	return data, sha, nil
+}
+
+// Close flips the engine's Accepting state (so /ready reports 503),
+// lets every queued spec run, and waits for the workers to exit.
+func (p *pool) Close(ctx context.Context) error {
+	p.engine.SetAccepting(false)
+	p.enq.Wait()
+	for _, q := range p.queues {
 		close(q)
 	}
-	for _, j := range open {
-		select {
-		case <-j.finished:
-		case <-ctx.Done():
-			return ctx.Err()
-		}
-	}
 	done := make(chan struct{})
-	go func() { s.wg.Wait(); close(done) }()
+	go func() { p.wg.Wait(); close(done) }()
 	select {
 	case <-done:
 		return nil
 	case <-ctx.Done():
 		return ctx.Err()
 	}
-}
-
-// Handler returns the /v1 routing table, wrapped in the RED-metrics
-// and access-log middleware. Mount it at "/" (it matches only /v1/...
-// paths) or compose it with the obs handler.
-func (s *Service) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc(api.PathPing, s.handlePing)
-	mux.HandleFunc(api.PathJobs, s.handleJobs)
-	mux.HandleFunc(api.PathJobs+"/", s.handleJob)
-	mux.HandleFunc(api.PathResults, s.handleResult)
-	mux.HandleFunc(api.PathManifest, s.handleManifest)
-	return s.Middleware(mux)
-}
-
-func (s *Service) log() *slog.Logger {
-	if s.cfg.Logger != nil {
-		return s.cfg.Logger
-	}
-	return slog.New(slog.DiscardHandler)
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(v)
-}
-
-func writeErr(w http.ResponseWriter, code int, format string, args ...any) {
-	writeJSON(w, code, &api.Error{API: api.Version, Code: code, Message: fmt.Sprintf(format, args...)})
-}
-
-func (s *Service) handlePing(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]string{"api": api.Version, "pong": "hbatd"})
-}
-
-func newJobID() string {
-	var b [8]byte
-	rand.Read(b[:])
-	return "j" + hex.EncodeToString(b[:])
-}
-
-func (s *Service) handleJobs(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeErr(w, http.StatusMethodNotAllowed, "POST %s", api.PathJobs)
-		return
-	}
-	var req api.JobRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, "bad job request: %v", err)
-		return
-	}
-	ten := ResolveTenant(r, &req)
-	Annotate(r.Context(), ten, "")
-	wire := ExpandRequest(&req)
-	if len(wire) == 0 {
-		writeErr(w, http.StatusBadRequest, "job has no specs")
-		return
-	}
-	if len(wire) > s.cfg.MaxSpecs {
-		writeErr(w, http.StatusRequestEntityTooLarge, "%d specs exceeds the %d-spec job limit", len(wire), s.cfg.MaxSpecs)
-		return
-	}
-
-	traceID, parentSpan := TraceIdentity(r, &req)
-	j := &job{
-		id:       newJobID(),
-		tenant:   ten,
-		traceID:  traceID,
-		spanID:   runspan.NewSpanID(),
-		state:    api.StateQueued,
-		subs:     make(map[uint64]chan api.Event),
-		finished: make(chan struct{}),
-	}
-	Annotate(r.Context(), "", traceID)
-	runs, sts, err := NormalizeSpecs(wire)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, "bad spec: %v", err)
-		return
-	}
-	j.runs, j.specs = runs, sts
-
-	// Admission: drain state and per-tenant open-job quota, checked and
-	// charged under one lock so concurrent submissions cannot overshoot.
-	s.mu.Lock()
-	if s.draining || !s.cfg.Engine.Accepting() {
-		s.mu.Unlock()
-		writeErr(w, http.StatusServiceUnavailable, "draining: not accepting new jobs")
-		return
-	}
-	if q := s.cfg.TenantJobs; q > 0 && s.byTenant[ten] >= q {
-		s.mu.Unlock()
-		writeErr(w, http.StatusTooManyRequests, "tenant %q has %d open jobs (limit %d)", ten, s.byTenant[ten], s.cfg.TenantJobs)
-		return
-	}
-	s.byTenant[ten]++
-	s.jobs[j.id] = j
-	s.enq.Add(1)
-	s.mu.Unlock()
-
-	// The job root span: admission to completion, parented under the
-	// submitting client's span (when one was propagated) and carrying
-	// the job's own wire span id so the engine's run roots can parent
-	// under it in turn.
-	if tr := s.cfg.Spans; tr.Enabled() {
-		j.trace = tr.NewTraceWith(j.traceID, j.spanID, parentSpan)
-		j.root = tr.Start(j.trace, nil, "job").
-			SetAttr("job", j.id).
-			SetAttr("tenant", ten).
-			SetAttr("specs", strconv.Itoa(len(j.specs)))
-	}
-
-	s.log().Info("job accepted", "job", j.id, "tenant", ten, "specs", len(j.specs), "trace_id", j.traceID)
-
-	// Shard the job's specs across the pool by spec key: identical
-	// specs always land on the same worker queue, so a duplicate only
-	// ever waits on the engine's singleflight, never races it.
-	acc := api.JobAccepted{
-		API: api.Version, ID: j.id, Tenant: ten, Total: len(j.specs),
-		StatusURL: api.PathJobs + "/" + j.id,
-		EventsURL: api.PathJobs + "/" + j.id + "/events",
-		TraceID:   j.traceID,
-	}
-	if s.cfg.Spans.Enabled() {
-		acc.SpansURL = api.PathJobs + "/" + j.id + "/spans"
-	}
-	for i := range j.specs {
-		acc.SpecKeys = append(acc.SpecKeys, j.specs[i].SpecKey)
-	}
-	go func() {
-		defer s.enq.Done()
-		for i := range j.specs {
-			t := specTask{job: j, idx: i, enq: s.cfg.Spans.Now()}
-			s.queues[shard(j.specs[i].SpecKey, len(s.queues))] <- t
-		}
-	}()
-	writeJSON(w, http.StatusAccepted, acc)
 }
 
 // shard maps a spec key to a worker queue.
@@ -328,99 +157,50 @@ func shard(key string, n int) int {
 	return int(h.Sum32()) % n
 }
 
-// worker drains one queue until Shutdown closes it.
-func (s *Service) worker(queue <-chan specTask) {
-	defer s.wg.Done()
+// worker drains one queue until Close closes it.
+func (p *pool) worker(queue <-chan specTask) {
+	defer p.wg.Done()
 	for t := range queue {
-		s.runSpec(t)
+		p.runSpec(t)
 	}
 }
 
-// runSpec executes (or cache-serves) one spec and publishes its
-// completion.
-func (s *Service) runSpec(t specTask) {
-	j, idx := t.job, t.idx
-	j.mu.Lock()
-	st := &j.specs[idx]
-	st.State = api.StateRunning
-	if j.state == api.StateQueued {
-		j.state = api.StateRunning
-	}
-	key := st.SpecKey
-	spec := j.runs[idx]
-	j.mu.Unlock()
+// runSpec executes (or cache-serves) one spec and reports its terminal
+// status.
+func (p *pool) runSpec(t specTask) {
+	j, key := t.job, t.job.Keys[t.idx]
+	j.Running("", t.idx)
 
 	// The time between enqueue and this pickup is the spec's queue
 	// wait — recorded retroactively so zero-wait specs still show a
 	// (tiny) span and loaded shards show the backlog.
-	tr := s.cfg.Spans
-	if sp := tr.StartAt(j.trace, j.root, "queue_wait", t.enq); sp != nil {
+	if sp := p.spans.StartAt(j.Trace, j.Root, "queue_wait", t.enq); sp != nil {
 		sp.SetAttr("spec_key", key).End()
 	}
 
-	var final api.SpecStatus
-	if _, sha, ok := s.cfg.Store.Get(key); ok {
-		if sp := tr.Start(j.trace, j.root, "store_hit"); sp != nil {
+	if _, sha, ok := p.store.Get(key); ok {
+		if sp := p.spans.Start(j.Trace, j.Root, "store_hit"); sp != nil {
 			sp.SetAttr("spec_key", key).End()
 		}
-		final = api.SpecStatus{
+		j.Finish(t.idx, api.SpecStatus{
 			State: api.StateDone, StoreHit: true,
 			ResultURL: api.PathResults + key, SHA256: sha,
-		}
-	} else {
-		// Thread the job's trace identity into the engine: its run root
-		// parents under the job span, and the shared trace id lands in
-		// the engine's logs and manifest records.
-		ctx := runspan.ContextWithTrace(context.Background(),
-			runspan.TraceContext{TraceID: j.traceID, SpanID: j.spanID})
-		final = s.simulate(ctx, j.tenant, key, spec)
+		})
+		return
 	}
-
-	j.mu.Lock()
-	st = &j.specs[idx]
-	st.State, st.Cached, st.StoreHit = final.State, final.Cached, final.StoreHit
-	st.WallMs, st.Error = final.WallMs, final.Error
-	st.ResultURL, st.SHA256 = final.ResultURL, final.SHA256
-	j.done++
-	done, total := j.done, len(j.specs)
-	if done == total {
-		j.state = api.StateDone
-		for i := range j.specs {
-			if j.specs[i].State == api.StateFailed {
-				j.state = api.StateFailed
-				break
-			}
-		}
-	}
-	ev := api.Event{Type: "spec", Job: j.id, Spec: cloneStatus(*st), Done: done, Total: total}
-	j.publishLocked(ev)
-	if done == total {
-		j.publishLocked(api.Event{Type: "done", Job: j.id, Done: done, Total: total})
-		for id, ch := range j.subs {
-			delete(j.subs, id)
-			close(ch)
-		}
-	}
-	j.mu.Unlock()
-
-	if done == total {
-		j.root.End()
-		close(j.finished)
-		s.mu.Lock()
-		s.byTenant[j.tenant]--
-		if s.byTenant[j.tenant] <= 0 {
-			delete(s.byTenant, j.tenant)
-		}
-		s.mu.Unlock()
-		s.log().Info("job finished", "job", j.id, "tenant", j.tenant, "specs", total, "trace_id", j.traceID)
-	}
+	// Thread the job's trace identity into the engine: its run root
+	// parents under the job span, and the shared trace id lands in
+	// the engine's logs and manifest records.
+	ctx := runspan.ContextWithTrace(context.Background(),
+		runspan.TraceContext{TraceID: j.TraceID, SpanID: j.SpanID})
+	j.Finish(t.idx, p.simulate(ctx, j.Tenant, key, j.Runs[t.idx]))
 }
 
 // simulate runs one spec through the engine, renders the canonical
 // artifact, and files it into the store. ctx carries the job's trace
 // identity into the engine's span tracer and logs.
-func (s *Service) simulate(ctx context.Context, tenant, key string, spec engine.RunSpec) api.SpecStatus {
-	res := s.cfg.Engine.Run(ctx, spec)
+func (p *pool) simulate(ctx context.Context, tenant, key string, spec engine.RunSpec) api.SpecStatus {
+	res := p.engine.Run(ctx, spec)
 	if res.Err != nil {
 		return api.SpecStatus{State: api.StateFailed, Error: res.Err.Error()}
 	}
@@ -430,7 +210,7 @@ func (s *Service) simulate(ctx context.Context, tenant, key string, spec engine.
 		Cached: res.Cached,
 		WallMs: float64(res.Wall.Microseconds()) / 1e3,
 	}
-	sha, err := s.cfg.Store.Put(tenant, key, data)
+	sha, err := p.store.Put(tenant, key, data)
 	if err != nil {
 		// Quota or disk trouble: the simulation still succeeded, the
 		// artifact is just not servable from the store. The status
@@ -442,219 +222,4 @@ func (s *Service) simulate(ctx context.Context, tenant, key string, spec engine.
 	st.ResultURL = api.PathResults + key
 	st.SHA256 = sha
 	return st
-}
-
-func cloneStatus(st api.SpecStatus) *api.SpecStatus { return &st }
-
-// publishLocked fans an event out to the job's subscribers. Callers
-// hold j.mu. Sends never block: a subscriber that lags loses
-// intermediate spec events (the SSE handler synthesizes the terminal
-// done from job state if even that was dropped).
-func (j *job) publishLocked(ev api.Event) {
-	for _, ch := range j.subs {
-		select {
-		case ch <- ev:
-		default:
-		}
-	}
-}
-
-// subscribe registers an event feed for a job. The returned cancel is
-// idempotent. A job that is already done gets an immediate "done"
-// event and a closed channel.
-func (j *job) subscribe(buf int) (<-chan api.Event, func()) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	ch := make(chan api.Event, buf)
-	if j.done == len(j.specs) {
-		ch <- api.Event{Type: "done", Job: j.id, Done: j.done, Total: len(j.specs)}
-		close(ch)
-		return ch, func() {}
-	}
-	id := uint64(len(j.subs)) + 1
-	for {
-		if _, taken := j.subs[id]; !taken {
-			break
-		}
-		id++
-	}
-	j.subs[id] = ch
-	return ch, func() {
-		j.mu.Lock()
-		if _, ok := j.subs[id]; ok {
-			delete(j.subs, id)
-			close(ch)
-		}
-		j.mu.Unlock()
-	}
-}
-
-// handleJob serves GET /v1/jobs/{id} and GET /v1/jobs/{id}/events.
-func (s *Service) handleJob(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeErr(w, http.StatusMethodNotAllowed, "GET only")
-		return
-	}
-	rest := strings.TrimPrefix(r.URL.Path, api.PathJobs+"/")
-	id, sub, _ := strings.Cut(rest, "/")
-	s.mu.Lock()
-	j, ok := s.jobs[id]
-	s.mu.Unlock()
-	if !ok {
-		writeErr(w, http.StatusNotFound, "no job %q", id)
-		return
-	}
-	Annotate(r.Context(), j.tenant, j.traceID)
-	switch sub {
-	case "":
-		writeJSON(w, http.StatusOK, j.status())
-	case "events":
-		s.serveEvents(w, r, j)
-	case "spans":
-		if !s.cfg.Spans.Enabled() {
-			writeErr(w, http.StatusNotFound, "span tracing is disabled on this server (start hbatd with -spans)")
-			return
-		}
-		w.Header().Set("Content-Type", "application/x-ndjson")
-		if err := s.cfg.Spans.WriteJournalTo(w, j.traceID); err != nil {
-			s.log().Warn("span journal write failed", "job", j.id, "error", err.Error())
-		}
-	default:
-		writeErr(w, http.StatusNotFound, "no such job endpoint %q", sub)
-	}
-}
-
-func (j *job) status() api.JobStatus {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	st := api.JobStatus{
-		API: api.Version, ID: j.id, Tenant: j.tenant,
-		State: j.state, Done: j.done, Total: len(j.specs),
-		Specs:   make([]api.SpecStatus, len(j.specs)),
-		TraceID: j.traceID,
-	}
-	copy(st.Specs, j.specs)
-	return st
-}
-
-// serveEvents streams the job's progress as SSE. Each event is one
-// api.Event JSON document. When the service has a span tracer, live
-// run-root spans are interleaved as "span" events — the runspan feed
-// is the transport of record for phase-level progress.
-func (s *Service) serveEvents(w http.ResponseWriter, r *http.Request, j *job) {
-	fl, ok := w.(http.Flusher)
-	if !ok {
-		writeErr(w, http.StatusNotImplemented, "streaming unsupported")
-		return
-	}
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.WriteHeader(http.StatusOK)
-	fl.Flush()
-
-	events, cancel := j.subscribe(64)
-	defer cancel()
-	spans, cancelSpans := s.cfg.Spans.Subscribe(64)
-	defer cancelSpans()
-	// Unsubscribe the moment the client goes away, not merely when this
-	// handler returns: a handler blocked mid-Write to a stalled peer
-	// would otherwise keep both subscriptions registered (and the span
-	// feed's channel open) for as long as the write takes to fail.
-	// Both cancels are idempotent, so the deferred calls stay correct.
-	stop := context.AfterFunc(r.Context(), func() {
-		cancel()
-		cancelSpans()
-	})
-	defer stop()
-
-	emit := func(ev api.Event) bool {
-		b, err := json.Marshal(ev)
-		if err != nil {
-			return false
-		}
-		if _, err := fmt.Fprintf(w, "event: %s\ndata: %s\n\n", ev.Type, b); err != nil {
-			return false
-		}
-		fl.Flush()
-		return true
-	}
-
-	for {
-		select {
-		case <-r.Context().Done():
-			return
-		case d, ok := <-spans:
-			if !ok {
-				spans = nil // tracer detached; keep serving job events
-				continue
-			}
-			if d.Parent != 0 || d.Name != "run" {
-				continue // roots only: one span event per simulation
-			}
-			ev := api.Event{Type: "span", Job: j.id, Span: &api.Span{
-				Name: d.Name, DurUS: d.DurUS, Attrs: d.Attrs,
-			}}
-			if !emit(ev) {
-				return
-			}
-		case ev, ok := <-events:
-			if !ok {
-				// The feed closed before this subscriber drained the
-				// terminal event (lossy buffer): synthesize the done.
-				st := j.status()
-				emit(api.Event{Type: "done", Job: j.id, Done: st.Done, Total: st.Total})
-				return
-			}
-			if !emit(ev) {
-				return
-			}
-			if ev.Type == "done" {
-				return
-			}
-		}
-	}
-}
-
-// handleResult serves GET /v1/results/{speckey}: the canonical
-// artifact with its content hash as a strong ETag.
-func (s *Service) handleResult(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet && r.Method != http.MethodHead {
-		writeErr(w, http.StatusMethodNotAllowed, "GET only")
-		return
-	}
-	key := strings.TrimPrefix(r.URL.Path, api.PathResults)
-	if !store.Key(key) {
-		writeErr(w, http.StatusBadRequest, "malformed spec key %q", key)
-		return
-	}
-	data, sha, ok := s.cfg.Store.Get(key)
-	if !ok {
-		writeErr(w, http.StatusNotFound, "no stored result for spec %s", key)
-		return
-	}
-	etag := `"` + sha + `"`
-	w.Header().Set("ETag", etag)
-	w.Header().Set("Content-Type", "application/json")
-	if match := r.Header.Get("If-None-Match"); match != "" && strings.Contains(match, etag) {
-		w.WriteHeader(http.StatusNotModified)
-		return
-	}
-	w.Write(data)
-}
-
-// handleManifest serves the engine's provenance manifest: every run
-// this process performed plus the store's current keys — enough for a
-// client to audit what was simulated versus served from cache.
-func (s *Service) handleManifest(w http.ResponseWriter, r *http.Request) {
-	man := engine.NewManifest("hbatd", time.Now())
-	man.RecordRuns(s.cfg.Engine)
-	for _, key := range s.cfg.Store.Keys() {
-		if data, _, ok := s.cfg.Store.Get(key); ok {
-			man.AddArtifactBytes(key+".json", api.PathResults+key, data)
-		}
-	}
-	w.Header().Set("Content-Type", "application/json")
-	if err := man.WriteJSON(w); err != nil {
-		s.log().Warn("manifest write failed", "error", err.Error())
-	}
 }

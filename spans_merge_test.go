@@ -7,7 +7,7 @@ import (
 	"strings"
 	"testing"
 
-	"hbat/internal/harness"
+	"hbat/internal/engine"
 	"hbat/internal/prog"
 	"hbat/internal/ptrace"
 	"hbat/internal/workload"
@@ -22,9 +22,9 @@ import (
 // simulate span.
 func TestMergedSpanTimeline(t *testing.T) {
 	tr := NewSpanTracer()
-	eng := harness.NewEngine(harness.WithSpans(tr))
+	eng := engine.New(engine.WithSpans(tr))
 
-	specs := []harness.RunSpec{
+	specs := []engine.RunSpec{
 		{
 			Workload: "compress", Design: "I4", Budget: prog.Budget32,
 			Scale: workload.ScaleTest, PageSize: 4096, Seed: 1,
