@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build test check bench bench-sweep experiments report serve-demo cover loc clean
+.PHONY: all build test check bench bench-sweep profile-core experiments report serve-demo cover loc clean
 
 all: build test
 
@@ -31,6 +31,14 @@ bench:
 # two-phase fast-forward (BENCH_ffwd.json).
 bench-sweep:
 	go run ./cmd/hbat-bench-sweep -scale test -o BENCH_sweep.json -ffwd-o BENCH_ffwd.json
+
+# Where the cycle core's host time goes: a CPU profile of the Figure 5
+# grid (130 runs, test scale), top 25 functions. Leaves nothing behind.
+profile-core:
+	@d=$$(mktemp -d) && \
+	go test -run '^$$' -bench 'BenchmarkFigure5$$' -benchtime 5x -o $$d/hbat.test -cpuprofile $$d/cpu.prof . >/dev/null && \
+	go tool pprof -top -nodecount 25 $$d/hbat.test $$d/cpu.prof; \
+	rm -rf $$d
 
 # Regenerate every table and figure at small scale (minutes: use
 # SCALE=full for the EXPERIMENTS.md headline numbers). Writes

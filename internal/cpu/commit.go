@@ -108,7 +108,7 @@ func (m *Machine) commit() {
 		if e.missCharged() {
 			m.tlbMissOutstanding--
 		}
-		if e.inst.IsMem() {
+		if e.isLoad || e.isStore {
 			m.lsqCount--
 		}
 		m.lastCommitCycle = m.cycle

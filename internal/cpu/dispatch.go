@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"hbat/internal/isa"
+	"hbat/internal/prog"
 	"hbat/internal/ptrace"
 )
 
@@ -31,7 +32,11 @@ func (m *Machine) dispatch() {
 			}
 			return
 		}
-		isMem := fi.inst != nil && fi.inst.IsMem()
+		var d *isa.Decoded
+		if fi.inst != nil {
+			d = &m.dec[(fi.pc-prog.CodeBase)/isa.InstBytes]
+		}
+		isMem := d != nil && d.IsMem()
 		if isMem && m.lsqCount >= m.cfg.LSQSize {
 			if w == 0 {
 				m.stats.DispatchLSQFull++
@@ -54,62 +59,65 @@ func (m *Machine) dispatch() {
 			m.tracer.Emit(e.seq, m.cycle, ptrace.KDispatch, e.pc, e.inst, int64(m.rob.count))
 		}
 
-		if fi.inst == nil {
-			// Wrong-path fetch beyond the text segment: a placeholder
-			// that completes immediately and must be squashed before
-			// commit.
-			e.state = sDone
+		if d == nil || d.Class == isa.ClassNop || d.Class == isa.ClassHalt {
+			// Nothing to execute: the entry is born sDone. A nil
+			// instruction is a wrong-path fetch beyond the text segment,
+			// a placeholder that must be squashed before commit.
 			e.nextPC = fi.pc + isa.InstBytes
 			if m.tracer != nil {
 				m.tracer.Emit(e.seq, m.cycle, ptrace.KComplete, e.pc, e.inst, 0)
 			}
 			continue
 		}
-		in := fi.inst
-		switch in.Class() {
-		case isa.ClassNop, isa.ClassHalt:
-			e.state = sDone
-			e.nextPC = fi.pc + isa.InstBytes
-			if m.tracer != nil {
-				m.tracer.Emit(e.seq, m.cycle, ptrace.KComplete, e.pc, e.inst, 0)
-			}
-			continue
-		}
-		e.isCtrl = in.IsCtrl()
-		e.isLoad = in.IsLoad()
-		e.isStore = in.IsStore()
+		e.isCtrl = d.Class == isa.ClassBranch || d.Class == isa.ClassJump
+		e.isLoad = d.Class == isa.ClassLoad
+		e.isStore = d.Class == isa.ClassStore
 
-		var buf [4]isa.Reg
-		for _, r := range in.Sources(buf[:0]) {
-			op := operand{reg: r, producer: -1}
-			if r != isa.Zero {
-				if p := m.rename[r]; p >= 0 {
-					op.producer = p
-					op.slot = m.renameSlot[r]
-					op.seq = m.rob.at(int(p)).seq
-				} else {
-					op.val = m.regs[r]
-				}
+		// A source whose producer has executed (or committed) is read
+		// now; otherwise it is linked to the producer's destination,
+		// which delivers it when it executes (setDest).
+		e.nsrc = int(d.NSrc)
+		for k, r := range d.Srcs[:d.NSrc] {
+			op := &e.srcs[k]
+			op.producer = -1
+			if r == isa.Zero {
+				continue
 			}
-			e.srcs[e.nsrc] = op
-			e.nsrc++
+			p := m.rename[r]
+			if p < 0 {
+				op.val = m.regs[r]
+				continue
+			}
+			slot := m.renameSlot[r]
+			if pd := &m.rob.at(int(p)).dests[slot]; pd.readyAt != math.MaxInt64 {
+				e.deliver(k, pd.val, pd.readyAt)
+				continue
+			}
+			op.producer, op.slot = p, slot
+			m.rob.consumers(int(p), int(slot)).add(idx)
+			if !e.isData(k) {
+				e.pending++
+			}
 		}
-		for _, r := range in.Dests(buf[:0]) {
-			e.dests[e.ndest] = dest{reg: r, readyAt: math.MaxInt64}
+		e.ndest = int(d.NDest)
+		for s, r := range d.Dests[:d.NDest] {
+			e.dests[s] = dest{reg: r, readyAt: math.MaxInt64}
 			if r != isa.Zero {
 				m.rename[r] = int32(idx)
-				m.renameSlot[r] = int8(e.ndest)
+				m.renameSlot[r] = int8(s)
 			}
-			e.ndest++
 		}
 		if isMem {
 			m.lsqCount++
-			e.memWidth = in.MemBytes()
+			e.memWidth = d.MemBytes
 			if e.isStore {
-				m.nStoreNoAddr++
+				m.rob.sets[setStoreUnknown].add(idx)
 			}
 		}
-		e.state = sWaiting
-		m.nWaiting++
+		if e.pending > 0 {
+			m.rob.setState(idx, sWaiting)
+		} else {
+			m.rob.setState(idx, sReady)
+		}
 	}
 }

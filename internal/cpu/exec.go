@@ -2,6 +2,7 @@ package cpu
 
 import (
 	"fmt"
+	"math/bits"
 
 	"hbat/internal/isa"
 	"hbat/internal/ptrace"
@@ -9,61 +10,64 @@ import (
 	"hbat/internal/vm"
 )
 
-// operandReady reports whether source operand i of e is available this
-// cycle, reading its value into the operand record when it is.
-func (m *Machine) operandReady(e *robEntry, i int) bool {
-	op := &e.srcs[i]
-	if op.producer < 0 {
-		return true
+// setDest fixes destination slot of entry idx — its value, and the
+// cycle it is available from — and delivers both to the consumers
+// dispatch linked to it, moving those with no operand left to wait for
+// to sReady.
+func (m *Machine) setDest(idx int, e *robEntry, slot int, val uint64, readyAt int64) {
+	e.dests[slot].val, e.dests[slot].readyAt = val, readyAt
+	cons := m.rob.consumers(idx, slot)
+	for w, word := range cons {
+		for ; word != 0; word &= word - 1 {
+			c := w<<6 + bits.TrailingZeros64(word)
+			ce := m.rob.at(c)
+			for k := 0; k < ce.nsrc; k++ {
+				if op := &ce.srcs[k]; op.producer == int32(idx) && op.slot == int8(slot) {
+					op.producer = -1
+					ce.deliver(k, val, readyAt)
+					if ce.isData(k) {
+						continue
+					}
+					if ce.pending--; ce.pending == 0 {
+						m.rob.setState(c, sReady)
+					}
+				}
+			}
+		}
+		cons[w] = 0
 	}
-	p := m.rob.at(int(op.producer))
-	if !p.valid || p.seq != op.seq {
-		// The producer has committed (its slot may have been
-		// recycled); the architected register file holds its value.
-		// No younger writer can have overwritten it: writers
-		// younger than this instruction commit after it.
-		op.val = m.regs[op.reg]
-		op.producer = -1
-		return true
-	}
-	d := &p.dests[op.slot]
-	if d.readyAt > m.cycle {
-		return false
-	}
-	op.val = d.val
-	op.producer = -1
-	return true
 }
 
-// issueOperandsReady reports whether the operands needed to ISSUE e are
-// available. Stores issue on their address operands alone (Table 1:
-// store addresses become known to the load/store queue as soon as they
-// can be computed); the data value is captured later, before commit.
-func (m *Machine) issueOperandsReady(e *robEntry) bool {
-	first := 0
-	if e.isStore {
-		first = 1 // srcs[0] is the store value
+// isData reports whether source operand k is a store's data value.
+// Stores issue on their address operands alone (Table 1: store
+// addresses become known to the load/store queue as soon as they can be
+// computed); the data value is captured later, before commit.
+func (e *robEntry) isData(k int) bool { return k == 0 && e.isStore }
+
+// deliver records the value of source operand k, available from cycle
+// at.
+func (e *robEntry) deliver(k int, val uint64, at int64) {
+	e.srcs[k].val = val
+	if e.isData(k) {
+		e.dataAt = at
+	} else if at > e.readyAt {
+		e.readyAt = at
 	}
-	ready := true
-	for i := first; i < e.nsrc; i++ {
-		if !m.operandReady(e, i) {
-			ready = false
-		}
-	}
-	return ready
+}
+
+// storeDataReady reports whether a store's data value has arrived.
+func (m *Machine) storeDataReady(e *robEntry) bool {
+	return e.srcs[0].producer < 0 && e.dataAt <= m.cycle
 }
 
 // wawHazard implements the in-order model's "no renaming" stall: an
 // instruction may not issue while an older, incomplete instruction
 // writes one of its destination registers.
 func (m *Machine) wawHazard(idx int, e *robEntry) bool {
-	hazard := false
-	m.rob.forEach(func(j int, o *robEntry) bool {
-		if j == idx {
-			return false
-		}
+	for j := m.rob.head; j != idx; j = m.rob.inc(j) {
+		o := m.rob.at(j)
 		if o.state == sDone && m.cycle >= o.doneAt {
-			return true
+			continue
 		}
 		for a := 0; a < o.ndest; a++ {
 			if o.dests[a].readyAt <= m.cycle {
@@ -71,35 +75,19 @@ func (m *Machine) wawHazard(idx int, e *robEntry) bool {
 			}
 			for b := 0; b < e.ndest; b++ {
 				if o.dests[a].reg == e.dests[b].reg && o.dests[a].reg != isa.Zero {
-					hazard = true
-					return false
+					return true
 				}
 			}
 		}
-		return true
-	})
-	return hazard
+	}
+	return false
 }
 
 // olderStoreAddrsKnown implements the load/store queue's ordering rule
 // (Table 1): a load may execute only when every prior store address has
 // been computed.
 func (m *Machine) olderStoreAddrsKnown(idx int) bool {
-	if m.nStoreNoAddr == 0 {
-		return true
-	}
-	known := true
-	m.rob.forEach(func(j int, o *robEntry) bool {
-		if j == idx {
-			return false
-		}
-		if o.isStore && !o.addrReady {
-			known = false
-			return false
-		}
-		return true
-	})
-	return known
+	return !m.rob.anyOlder(setStoreUnknown, idx)
 }
 
 // acquireFU claims a functional unit for e's class this cycle,
@@ -154,24 +142,18 @@ func (m *Machine) acquireFU(e *robEntry) (lat int64, ok bool) {
 	return m.cfg.IntALULat, true
 }
 
-// issue selects up to IssueWidth ready instructions. The out-of-order
-// model scans the whole ROB oldest-first; the in-order model stops at
-// the first instruction that cannot issue (stall-on-hazard, Table 1).
+// issue selects up to IssueWidth instructions among those whose
+// operands have all been delivered, oldest first. The in-order model
+// stops at the first instruction that cannot issue (stall-on-hazard,
+// Table 1), which an older one still waiting for a producer is.
 func (m *Machine) issue() {
-	if m.nWaiting == 0 {
-		return
-	}
 	issued := 0
-	seenWaiting := 0
-	m.rob.forEach(func(idx int, e *robEntry) bool {
-		if issued >= m.cfg.IssueWidth || seenWaiting == m.nWaiting {
-			return false
+	for idx := m.rob.first(setReady); idx >= 0 && issued < m.cfg.IssueWidth; idx = m.rob.after(setReady, idx) {
+		if m.cfg.InOrder && m.rob.anyOlder(setWaiting, idx) {
+			return
 		}
-		if e.state != sWaiting {
-			return true
-		}
-		seenWaiting++
-		canIssue := m.issueOperandsReady(e)
+		e := m.rob.at(idx)
+		canIssue := e.readyAt <= m.cycle
 		if canIssue && m.cfg.InOrder && m.wawHazard(idx, e) {
 			canIssue = false
 		}
@@ -180,24 +162,21 @@ func (m *Machine) issue() {
 		}
 		var lat int64
 		if canIssue {
-			var ok bool
-			lat, ok = m.acquireFU(e)
-			canIssue = ok
+			lat, canIssue = m.acquireFU(e)
 		}
 		if !canIssue {
-			// In-order issue stalls the pipeline at the first hazard.
-			return !m.cfg.InOrder
+			if m.cfg.InOrder {
+				return
+			}
+			continue
 		}
 		issued++
-		seenWaiting-- // the entry leaves sWaiting
-		m.nWaiting--
 		m.stats.Issued++
 		if m.tracer != nil {
 			m.tracer.Emit(e.seq, m.cycle, ptrace.KIssue, e.pc, e.inst, lat)
 		}
 		m.execute(idx, e, lat)
-		return true
-	})
+	}
 }
 
 // execute computes an issued instruction's results (execution-driven:
@@ -216,8 +195,7 @@ func (m *Machine) execute(idx int, e *robEntry, lat int64) {
 			e.nextPC = in.Target
 		}
 		e.actualTaken(taken)
-		e.state = sExecuting
-		m.nExec++
+		m.rob.setState(idx, sExecuting)
 		e.doneAt = m.cycle + lat
 
 	case isa.ClassJump:
@@ -226,17 +204,14 @@ func (m *Machine) execute(idx int, e *robEntry, lat int64) {
 			e.nextPC = in.Target
 		case isa.Jal:
 			e.nextPC = in.Target
-			e.dests[0].val = e.pc + isa.InstBytes
-			e.dests[0].readyAt = m.cycle + lat
+			m.setDest(idx, e, 0, e.pc+isa.InstBytes, m.cycle+lat)
 		case isa.Jr:
 			e.nextPC = e.srcs[0].val
 		case isa.Jalr:
 			e.nextPC = e.srcs[0].val
-			e.dests[0].val = e.pc + isa.InstBytes
-			e.dests[0].readyAt = m.cycle + lat
+			m.setDest(idx, e, 0, e.pc+isa.InstBytes, m.cycle+lat)
 		}
-		e.state = sExecuting
-		m.nExec++
+		m.rob.setState(idx, sExecuting)
 		e.doneAt = m.cycle + lat
 
 	case isa.ClassLoad:
@@ -250,11 +225,9 @@ func (m *Machine) execute(idx int, e *robEntry, lat int64) {
 		e.addrReady = true
 		if upd {
 			// The base update is ready at address generation.
-			e.dests[1].val = newBase
-			e.dests[1].readyAt = m.cycle + 1
+			m.setDest(idx, e, 1, newBase, m.cycle+1)
 		}
-		e.state = sMemReq
-		m.nMem++
+		m.rob.setState(idx, sMemReq)
 		e.memReqAt = m.cycle + 1
 		m.stats.IssuedMem++
 
@@ -267,13 +240,12 @@ func (m *Machine) execute(idx int, e *robEntry, lat int64) {
 		addr, newBase, upd := isa.EffAddr(in, base, idxv)
 		e.effAddr = addr
 		e.addrReady = true
-		m.nStoreNoAddr--
+		m.rob.sets[setStoreUnknown].remove(idx)
+		m.rob.sets[setStoreKnown].add(idx)
 		if upd {
-			e.dests[0].val = newBase
-			e.dests[0].readyAt = m.cycle + 1
+			m.setDest(idx, e, 0, newBase, m.cycle+1)
 		}
-		e.state = sMemReq
-		m.nMem++
+		m.rob.setState(idx, sMemReq)
 		e.memReqAt = m.cycle + 1
 		m.stats.IssuedMem++
 
@@ -285,10 +257,8 @@ func (m *Machine) execute(idx int, e *robEntry, lat int64) {
 		if e.nsrc > 1 {
 			rt = e.srcs[1].val
 		}
-		e.dests[0].val = isa.ALUEval(in, rs, rt, e.pc)
-		e.dests[0].readyAt = m.cycle + lat
-		e.state = sExecuting
-		m.nExec++
+		m.setDest(idx, e, 0, isa.ALUEval(in, rs, rt, e.pc), m.cycle+lat)
+		m.rob.setState(idx, sExecuting)
 		e.doneAt = m.cycle + lat
 	}
 }
@@ -298,39 +268,31 @@ func (m *Machine) execute(idx int, e *robEntry, lat int64) {
 // the earliest issued instruction), page-table walks, store-forwarding,
 // and data-cache access.
 func (m *Machine) memExecute() {
-	if m.nMem == 0 {
-		return
-	}
-	m.rob.forEach(func(idx int, e *robEntry) bool {
+	for idx := m.rob.first(setMem); idx >= 0 && m.err == nil; idx = m.rob.after(setMem, idx) {
+		e := m.rob.at(idx)
 		switch e.state {
 		case sMemWalk:
-			m.advanceWalk(idx, e)
+			m.advanceWalk(e)
 		case sMemReq:
 			if m.cycle >= e.memReqAt {
 				m.memRequest(idx, e)
 			}
 		case sStoreData:
-			if m.operandReady(e, 0) {
-				e.storeVal = e.srcs[0].val
-				e.state = sDone
-				m.nMem--
+			if m.storeDataReady(e) {
 				if e.doneAt < m.cycle {
 					e.doneAt = m.cycle
 				}
-				if m.tracer != nil {
-					m.tracer.Emit(e.seq, m.cycle, ptrace.KComplete, e.pc, e.inst, 0)
-				}
+				m.completeStore(idx, e)
 			}
 		}
-		return m.err == nil
-	})
+	}
 }
 
 // advanceWalk handles an entry whose translation missed the TLB. Per
 // Section 4.1, the walk begins only when the instruction is no longer
 // speculative (it has reached the ROB head, i.e. all earlier-issued
 // instructions have completed) and takes a fixed TLBMissLatency.
-func (m *Machine) advanceWalk(idx int, e *robEntry) {
+func (m *Machine) advanceWalk(e *robEntry) {
 	if !e.walking {
 		if m.rob.headEntry() == e {
 			e.walking = true
@@ -358,13 +320,12 @@ func (m *Machine) advanceWalk(idx int, e *robEntry) {
 	e.memReqAt = m.cycle + 1
 	// Younger instructions that missed on the same page were waiting on
 	// this walk; send them back to the TLB rather than walking again.
-	m.rob.forEach(func(_ int, o *robEntry) bool {
-		if o.state == sMemWalk && !o.walking && o.effAddr>>m.pageBits == vpn {
+	for j := m.rob.first(setMem); j >= 0; j = m.rob.after(setMem, j) {
+		if o := m.rob.at(j); o.state == sMemWalk && !o.walking && o.effAddr>>m.pageBits == vpn {
 			o.state = sMemReq
 			o.memReqAt = m.cycle + 1
 		}
-		return true
-	})
+	}
 }
 
 func offHiOf(in *isa.Inst) uint8 {
@@ -375,47 +336,30 @@ func offHiOf(in *isa.Inst) uint8 {
 }
 
 // memRequest performs one attempt at translating and accessing memory
-// for a load or store whose address is generated.
+// for a load or store whose address is generated. With a virtual-
+// address cache the cache is probed by virtual address first, and the
+// translation device is involved only when the access misses the cache.
 func (m *Machine) memRequest(idx int, e *robEntry) {
-	if m.cfg.VirtualCache {
-		m.memRequestVC(idx, e)
-		return
-	}
-	req := tlb.Request{
-		VPN:   e.effAddr >> m.pageBits,
-		Write: e.isStore,
-		Base:  e.inst.Rs,
-		OffHi: offHiOf(e.inst),
-		Load:  e.isLoad,
-	}
-	res := m.DTLB.Lookup(req, m.cycle)
-	switch res.Outcome {
-	case tlb.NoPort:
-		m.stats.TLBRetries++
-		m.metrics.replayTLBNoPort.Inc()
-		m.metrics.noPortThisCycle++
-		if m.tracer != nil {
-			m.tracer.Emit(e.seq, m.cycle, ptrace.KTLBNoPort, e.pc, e.inst, 0)
+	vc := m.cfg.VirtualCache
+	var val uint64
+	var forwarded bool
+	if vc && e.isLoad {
+		// Store-forwarding is entirely virtual: a forwarded load needs
+		// no translation at all in this organization.
+		var wait bool
+		if val, forwarded, wait = m.forwardFromStore(idx, e); wait {
+			return
 		}
-		return
-	case tlb.Miss:
-		e.state = sMemWalk
-		e.walking = false
-		if m.tracer != nil {
-			m.tracer.Emit(e.seq, m.cycle, ptrace.KTLBMiss, e.pc, e.inst, 0)
+		if forwarded {
+			m.completeLoad(idx, e, val, m.cycle+1)
+			return
 		}
-		if !e.missCharged() {
-			e.setMissCharged()
-			m.tlbMissOutstanding++
-		}
-		return
-	}
-	m.metrics.transExtra.Observe(res.Extra)
-	if m.tracer != nil {
-		m.tracer.Emit(e.seq, m.cycle, ptrace.KTLBHit, e.pc, e.inst, res.Extra)
 	}
 
-	pte := res.PTE
+	pte, extra, ok := m.translate(e, vc)
+	if !ok {
+		return
+	}
 	need := vm.PermRead
 	if e.isStore {
 		need = vm.PermWrite
@@ -424,8 +368,7 @@ func (m *Machine) memRequest(idx int, e *robEntry) {
 		// Protection fault: fatal if this instruction commits;
 		// wrong-path faults are squashed harmlessly.
 		e.setFaulted()
-		e.state = sDone
-		m.nMem--
+		m.rob.setState(idx, sDone)
 		e.doneAt = m.cycle + 1
 		if m.tracer != nil {
 			m.tracer.Emit(e.seq, m.cycle, ptrace.KFault, e.pc, e.inst, 0)
@@ -439,37 +382,30 @@ func (m *Machine) memRequest(idx int, e *robEntry) {
 		// Translated: the address is in the store queue. The store
 		// completes once its data value arrives; the data-cache write
 		// happens at commit.
-		e.doneAt = m.cycle + 1 + res.Extra
-		if m.operandReady(e, 0) {
-			e.storeVal = e.srcs[0].val
-			e.state = sDone
-			m.nMem--
-			if m.tracer != nil {
-				m.tracer.Emit(e.seq, m.cycle, ptrace.KComplete, e.pc, e.inst, 0)
-			}
+		e.doneAt = m.cycle + 1 + extra
+		if m.storeDataReady(e) {
+			m.completeStore(idx, e)
 		} else {
-			e.state = sStoreData
+			e.state = sStoreData // same scheduler set as sMemReq
 		}
 		return
 	}
 
 	// Load: try store-forwarding from the youngest older overlapping
 	// store, else access the data cache.
-	fwdVal, fwdOK, mustWait := m.forwardFromStore(idx, e)
-	if mustWait {
-		// Partially overlapping older store: wait for it to commit.
-		// Re-requesting next cycle re-translates, which is what a
-		// replayed access does.
-		m.metrics.replayStoreWait.Inc()
-		if m.tracer != nil {
-			m.tracer.Emit(e.seq, m.cycle, ptrace.KStoreWait, e.pc, e.inst, 0)
+	cacheAddr := e.effAddr
+	if !vc {
+		cacheAddr = e.paddr
+		var wait bool
+		if val, forwarded, wait = m.forwardFromStore(idx, e); wait {
+			// Re-requesting next cycle re-translates, which is what a
+			// replayed access does.
+			return
 		}
-		return
 	}
 	var extraCache int64
-	if !fwdOK {
-		var ok bool
-		extraCache, ok = m.dcache.Access(e.paddr, false, m.cycle)
+	if !forwarded {
+		extraCache, ok = m.dcache.Access(cacheAddr, false, m.cycle)
 		if !ok {
 			m.metrics.replayCachePort.Inc()
 			if m.tracer != nil {
@@ -477,7 +413,7 @@ func (m *Machine) memRequest(idx int, e *robEntry) {
 			}
 			return // no data-cache port; retry next cycle
 		}
-		fwdVal = m.readMem(e.paddr, e.memWidth)
+		val = m.readMem(e.paddr, e.memWidth)
 		if m.tracer != nil {
 			k := ptrace.KDCacheHit
 			if extraCache > 0 {
@@ -486,121 +422,30 @@ func (m *Machine) memRequest(idx int, e *robEntry) {
 			m.tracer.Emit(e.seq, m.cycle, k, e.pc, e.inst, extraCache)
 		}
 	}
-	e.dests[0].val = isa.LoadExtend(e.inst.Op, fwdVal)
-	done := m.cycle + 1 + res.Extra + extraCache
-	e.dests[0].readyAt = done
-	e.state = sDone
-	m.nMem--
-	e.doneAt = done
-	if m.tracer != nil {
-		m.tracer.Emit(e.seq, m.cycle, ptrace.KComplete, e.pc, e.inst, done-m.cycle)
-	}
+	m.completeLoad(idx, e, val, m.cycle+1+extra+extraCache)
 }
 
-// memRequestVC is the virtual-address-cache variant of memRequest:
-// the cache is probed by virtual address first, and the translation
-// device is involved only when the access misses the cache (or the
-// line was warmed by a wrong-path access to a page with no mapping).
-func (m *Machine) memRequestVC(idx int, e *robEntry) {
+// translate obtains e's page-table entry and the translation's extra
+// latency. ok is false when the request must be retried (no TLB port)
+// or has become a page-table walk. A virtual-address cache hit needs
+// only the permission bits, read from the page table at no cost —
+// unless a wrong-path access warmed the line before its page was ever
+// mapped, when the translating path is taken so a correct-path access
+// takes the walk.
+func (m *Machine) translate(e *robEntry, vc bool) (pte *vm.PTE, extra int64, ok bool) {
 	vpn := e.effAddr >> m.pageBits
-
-	// Store-forwarding is entirely virtual: a forwarded load needs no
-	// translation at all in this organization.
-	if e.isLoad {
-		fwdVal, fwdOK, mustWait := m.forwardFromStore(idx, e)
-		if mustWait {
-			m.metrics.replayStoreWait.Inc()
-			if m.tracer != nil {
-				m.tracer.Emit(e.seq, m.cycle, ptrace.KStoreWait, e.pc, e.inst, 0)
-			}
-			return
-		}
-		if fwdOK {
-			e.dests[0].val = isa.LoadExtend(e.inst.Op, fwdVal)
-			done := m.cycle + 1
-			e.dests[0].readyAt = done
-			e.state = sDone
-			m.nMem--
-			e.doneAt = done
-			if m.tracer != nil {
-				m.tracer.Emit(e.seq, m.cycle, ptrace.KComplete, e.pc, e.inst, 1)
-			}
-			return
-		}
-	}
-
-	if m.dcache.Probe(e.effAddr) {
+	if vc && m.dcache.Probe(e.effAddr) {
 		if pte, ok := m.AS.Probe(vpn); ok {
-			need := vm.PermRead
-			if e.isStore {
-				need = vm.PermWrite
-			}
-			if pte.Perm&need != need {
-				e.setFaulted()
-				e.state = sDone
-				m.nMem--
-				e.doneAt = m.cycle + 1
-				if m.tracer != nil {
-					m.tracer.Emit(e.seq, m.cycle, ptrace.KFault, e.pc, e.inst, 0)
-					m.tracer.Emit(e.seq, m.cycle, ptrace.KComplete, e.pc, e.inst, 0)
-				}
-				return
-			}
-			e.paddr = pte.PFN<<m.pageBits | (e.effAddr & m.pageMask)
-			if e.isStore {
-				e.doneAt = m.cycle + 1
-				if m.operandReady(e, 0) {
-					e.storeVal = e.srcs[0].val
-					e.state = sDone
-					m.nMem--
-					if m.tracer != nil {
-						m.tracer.Emit(e.seq, m.cycle, ptrace.KComplete, e.pc, e.inst, 0)
-					}
-				} else {
-					e.state = sStoreData
-				}
-				return
-			}
-			extraC, ok := m.dcache.Access(e.effAddr, false, m.cycle)
-			if !ok {
-				m.metrics.replayCachePort.Inc()
-				if m.tracer != nil {
-					m.tracer.Emit(e.seq, m.cycle, ptrace.KDCachePort, e.pc, e.inst, 0)
-				}
-				return // no port; retry
-			}
-			done := m.cycle + 1 + extraC
-			e.dests[0].val = isa.LoadExtend(e.inst.Op, m.readMem(e.paddr, e.memWidth))
-			e.dests[0].readyAt = done
-			e.state = sDone
-			m.nMem--
-			e.doneAt = done
-			if m.tracer != nil {
-				k := ptrace.KDCacheHit
-				if extraC > 0 {
-					k = ptrace.KDCacheMiss
-				}
-				m.tracer.Emit(e.seq, m.cycle, k, e.pc, e.inst, extraC)
-				m.tracer.Emit(e.seq, m.cycle, ptrace.KComplete, e.pc, e.inst, done-m.cycle)
-			}
-			return
+			return pte, 0, true
 		}
-		// A wrong-path access warmed this line before its page was ever
-		// mapped; fall through to the translating path so a correct-path
-		// access takes the walk.
 	}
-
-	// Cache miss: physical storage must be addressed, so the
-	// translation device is consulted (with its usual port and walk
-	// behaviour) — the only time this organization pays for translation.
-	req := tlb.Request{
+	res := m.DTLB.Lookup(tlb.Request{
 		VPN:   vpn,
 		Write: e.isStore,
 		Base:  e.inst.Rs,
 		OffHi: offHiOf(e.inst),
 		Load:  e.isLoad,
-	}
-	res := m.DTLB.Lookup(req, m.cycle)
+	}, m.cycle)
 	switch res.Outcome {
 	case tlb.NoPort:
 		m.stats.TLBRetries++
@@ -609,9 +454,9 @@ func (m *Machine) memRequestVC(idx int, e *robEntry) {
 		if m.tracer != nil {
 			m.tracer.Emit(e.seq, m.cycle, ptrace.KTLBNoPort, e.pc, e.inst, 0)
 		}
-		return
+		return nil, 0, false
 	case tlb.Miss:
-		e.state = sMemWalk
+		e.state = sMemWalk // same scheduler set as sMemReq
 		e.walking = false
 		if m.tracer != nil {
 			m.tracer.Emit(e.seq, m.cycle, ptrace.KTLBMiss, e.pc, e.inst, 0)
@@ -620,121 +465,85 @@ func (m *Machine) memRequestVC(idx int, e *robEntry) {
 			e.setMissCharged()
 			m.tlbMissOutstanding++
 		}
-		return
+		return nil, 0, false
 	}
 	m.metrics.transExtra.Observe(res.Extra)
 	if m.tracer != nil {
 		m.tracer.Emit(e.seq, m.cycle, ptrace.KTLBHit, e.pc, e.inst, res.Extra)
 	}
-	pte := res.PTE
-	need := vm.PermRead
-	if e.isStore {
-		need = vm.PermWrite
-	}
-	if pte.Perm&need != need {
-		e.setFaulted()
-		e.state = sDone
-		m.nMem--
-		e.doneAt = m.cycle + 1
-		if m.tracer != nil {
-			m.tracer.Emit(e.seq, m.cycle, ptrace.KFault, e.pc, e.inst, 0)
-			m.tracer.Emit(e.seq, m.cycle, ptrace.KComplete, e.pc, e.inst, 0)
-		}
-		return
-	}
-	e.paddr = pte.PFN<<m.pageBits | (e.effAddr & m.pageMask)
-	if e.isStore {
-		e.doneAt = m.cycle + 1 + res.Extra
-		if m.operandReady(e, 0) {
-			e.storeVal = e.srcs[0].val
-			e.state = sDone
-			m.nMem--
-			if m.tracer != nil {
-				m.tracer.Emit(e.seq, m.cycle, ptrace.KComplete, e.pc, e.inst, 0)
-			}
-		} else {
-			e.state = sStoreData
-		}
-		return
-	}
-	extraC, ok := m.dcache.Access(e.effAddr, false, m.cycle)
-	if !ok {
-		m.metrics.replayCachePort.Inc()
-		if m.tracer != nil {
-			m.tracer.Emit(e.seq, m.cycle, ptrace.KDCachePort, e.pc, e.inst, 0)
-		}
-		return
-	}
-	done := m.cycle + 1 + res.Extra + extraC
-	e.dests[0].val = isa.LoadExtend(e.inst.Op, m.readMem(e.paddr, e.memWidth))
-	e.dests[0].readyAt = done
-	e.state = sDone
-	m.nMem--
+	return res.PTE, res.Extra, true
+}
+
+// completeLoad delivers a load's raw value, available at cycle done.
+func (m *Machine) completeLoad(idx int, e *robEntry, raw uint64, done int64) {
+	m.setDest(idx, e, 0, isa.LoadExtend(e.inst.Op, raw), done)
+	m.rob.setState(idx, sDone)
 	e.doneAt = done
 	if m.tracer != nil {
-		k := ptrace.KDCacheHit
-		if extraC > 0 {
-			k = ptrace.KDCacheMiss
-		}
-		m.tracer.Emit(e.seq, m.cycle, k, e.pc, e.inst, extraC)
 		m.tracer.Emit(e.seq, m.cycle, ptrace.KComplete, e.pc, e.inst, done-m.cycle)
+	}
+}
+
+// completeStore captures a translated store's data value; the store is
+// then eligible to commit (from doneAt on).
+func (m *Machine) completeStore(idx int, e *robEntry) {
+	e.storeVal = e.srcs[0].val
+	m.rob.setState(idx, sDone)
+	if m.tracer != nil {
+		m.tracer.Emit(e.seq, m.cycle, ptrace.KComplete, e.pc, e.inst, 0)
 	}
 }
 
 // forwardFromStore searches older in-flight stores for one covering
 // this load. Exact address+width matches forward the raw value;
-// partial overlaps force the load to wait (mustWait).
+// partial overlaps force the load to wait (mustWait, counted as a
+// replay) until the store commits.
 func (m *Machine) forwardFromStore(idx int, e *robEntry) (val uint64, ok, mustWait bool) {
 	lo, hi := e.effAddr, e.effAddr+uint64(e.memWidth)
-	m.rob.forEach(func(j int, o *robEntry) bool {
-		if j == idx {
-			return false
-		}
-		if !o.isStore || !o.addrReady {
-			return true
-		}
+	for j := m.rob.first(setStoreKnown); j >= 0 && m.rob.olderThan(j, idx); j = m.rob.after(setStoreKnown, j) {
+		o := m.rob.at(j)
 		slo, shi := o.effAddr, o.effAddr+uint64(o.memWidth)
 		if hi <= slo || shi <= lo {
-			return true
+			continue
 		}
+		// The youngest older match wins, so keep going.
 		if slo == lo && o.memWidth == e.memWidth && o.state == sDone {
 			val, ok, mustWait = o.storeVal, true, false
 		} else {
 			// Partial overlap, or the store's data isn't ready yet.
 			val, ok, mustWait = 0, false, true
 		}
-		return true // keep scanning: the youngest older match wins
-	})
+	}
+	if mustWait {
+		m.metrics.replayStoreWait.Inc()
+		if m.tracer != nil {
+			m.tracer.Emit(e.seq, m.cycle, ptrace.KStoreWait, e.pc, e.inst, 0)
+		}
+	}
 	return val, ok, mustWait
 }
 
 // complete finishes executing instructions whose latency has elapsed
 // and resolves control flow, triggering misprediction recovery.
 func (m *Machine) complete() {
-	if m.nExec == 0 {
-		return
-	}
-	recovered := false
-	m.rob.forEach(func(idx int, e *robEntry) bool {
-		if e.state == sExecuting && m.cycle >= e.doneAt {
-			e.state = sDone
-			m.nExec--
-			if m.tracer != nil {
-				m.tracer.Emit(e.seq, m.cycle, ptrace.KComplete, e.pc, e.inst, 0)
-			}
-			if e.isCtrl && !e.resolved {
-				e.resolved = true
-				m.resolveControl(idx, e)
-				if e.nextPC != e.predNextPC {
-					m.recover(idx, e)
-					recovered = true
-					return false
-				}
+	for idx := m.rob.first(setExecuting); idx >= 0; idx = m.rob.after(setExecuting, idx) {
+		e := m.rob.at(idx)
+		if m.cycle < e.doneAt {
+			continue
+		}
+		m.rob.setState(idx, sDone)
+		if m.tracer != nil {
+			m.tracer.Emit(e.seq, m.cycle, ptrace.KComplete, e.pc, e.inst, 0)
+		}
+		if e.isCtrl && !e.resolved {
+			e.resolved = true
+			m.resolveControl(idx, e)
+			if e.nextPC != e.predNextPC {
+				m.recover(idx, e)
+				return
 			}
 		}
-		return true
-	})
-	_ = recovered
+	}
 }
 
 // resolveControl trains the predictor with the actual outcome.
@@ -770,16 +579,11 @@ func (m *Machine) resolveControl(idx int, e *robEntry) {
 // penalty.
 func (m *Machine) recover(idx int, e *robEntry) {
 	if m.tracer != nil {
-		past := false
-		m.rob.forEach(func(j int, o *robEntry) bool {
-			if past {
-				m.tracer.Emit(o.seq, m.cycle, ptrace.KSquash, o.pc, o.inst, 0)
-			}
-			if j == idx {
-				past = true
-			}
-			return true
-		})
+		for n, j := m.rob.count-m.rob.pos(idx)-1, idx; n > 0; n-- {
+			j = m.rob.inc(j)
+			o := m.rob.at(j)
+			m.tracer.Emit(o.seq, m.cycle, ptrace.KSquash, o.pc, o.inst, 0)
+		}
 	}
 	n := m.rob.squashAfter(idx)
 	m.stats.Squashed += uint64(n)
@@ -791,33 +595,24 @@ func (m *Machine) recover(idx int, e *robEntry) {
 	}
 	m.lsqCount = 0
 	m.tlbMissOutstanding = 0
-	m.nWaiting, m.nExec, m.nMem, m.nStoreNoAddr = 0, 0, 0, 0
-	m.rob.forEach(func(i int, o *robEntry) bool {
-		if o.isStore && !o.addrReady {
-			m.nStoreNoAddr++
-		}
-		switch o.state {
-		case sWaiting:
-			m.nWaiting++
-		case sExecuting:
-			m.nExec++
-		case sMemReq, sMemWalk, sStoreData:
-			m.nMem++
-		}
+	for i := m.rob.head; ; i = m.rob.inc(i) {
+		o := m.rob.at(i)
 		for s := 0; s < o.ndest; s++ {
 			if o.dests[s].reg != isa.Zero {
 				m.rename[o.dests[s].reg] = int32(i)
 				m.renameSlot[o.dests[s].reg] = int8(s)
 			}
 		}
-		if o.inst != nil && o.inst.IsMem() {
+		if o.isLoad || o.isStore {
 			m.lsqCount++
 		}
 		if o.missCharged() {
 			m.tlbMissOutstanding++
 		}
-		return true
-	})
+		if i == idx {
+			break // the mispredicted instruction is now the youngest
+		}
+	}
 
 	m.flushFetchQ()
 	m.haltPending = false

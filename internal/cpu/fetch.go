@@ -92,7 +92,11 @@ func (m *Machine) fetch() {
 			break
 		}
 		in := m.prog.InstAt(pc)
-		fi := fetchedInst{pc: pc, inst: in, predNextPC: pc + isa.InstBytes, fetchCycle: m.cycle}
+		// Field by field: one pointer store, not a struct copy the GC
+		// has to be told about.
+		fi := m.fetchSlot()
+		fi.pc, fi.inst, fi.predNextPC, fi.fetchCycle = pc, in, pc+isa.InstBytes, m.cycle
+		fi.predTaken, fi.ghrSnap = false, 0
 
 		if in != nil {
 			switch in.Class() {
@@ -105,7 +109,7 @@ func (m *Machine) fetch() {
 				}
 				branches++
 				taken, snap := m.pred.PredictDir(pc)
-				fi.predTaken, fi.ghrSnap, fi.isCond = taken, snap, true
+				fi.predTaken, fi.ghrSnap = taken, snap
 				if taken {
 					fi.predNextPC = in.Target
 				}
@@ -129,7 +133,7 @@ func (m *Machine) fetch() {
 					}
 				}
 			case isa.ClassHalt:
-				m.pushFetched(fi)
+				m.fetchQCount++
 				m.stats.Fetched++
 				m.haltPending = true
 				m.fetchPC = pc + isa.InstBytes
@@ -137,41 +141,41 @@ func (m *Machine) fetch() {
 			}
 		}
 
-		m.pushFetched(fi)
+		m.fetchQCount++
 		m.stats.Fetched++
 		pc = fi.predNextPC
 	}
 	m.fetchPC = pc
 }
 
-func (m *Machine) fetchQLen() int { return len(m.fetchQ) - m.fetchQHead }
+// The fetch queue is a fixed ring of FetchQueue slots.
 
-func (m *Machine) pushFetched(fi fetchedInst) {
-	if m.fetchQHead > 0 && m.fetchQHead == len(m.fetchQ) {
-		m.fetchQ = m.fetchQ[:0]
-		m.fetchQHead = 0
+func (m *Machine) fetchQLen() int { return m.fetchQCount }
+
+// fetchSlot returns the slot the next fetched instruction goes in;
+// fetch fills it and then counts it in. The queue must not be full.
+func (m *Machine) fetchSlot() *fetchedInst {
+	tail := m.fetchQHead + m.fetchQCount
+	if tail >= len(m.fetchQ) {
+		tail -= len(m.fetchQ)
 	}
-	m.fetchQ = append(m.fetchQ, fi)
+	return &m.fetchQ[tail]
 }
 
 func (m *Machine) peekFetched() *fetchedInst {
-	if m.fetchQLen() == 0 {
+	if m.fetchQCount == 0 {
 		return nil
 	}
 	return &m.fetchQ[m.fetchQHead]
 }
 
-func (m *Machine) popFetched() fetchedInst {
-	fi := m.fetchQ[m.fetchQHead]
-	m.fetchQHead++
-	if m.fetchQHead == len(m.fetchQ) {
-		m.fetchQ = m.fetchQ[:0]
+// popFetched drops the oldest entry; a pointer peekFetched returned to
+// it stays readable until the next fetch.
+func (m *Machine) popFetched() {
+	if m.fetchQHead++; m.fetchQHead == len(m.fetchQ) {
 		m.fetchQHead = 0
 	}
-	return fi
+	m.fetchQCount--
 }
 
-func (m *Machine) flushFetchQ() {
-	m.fetchQ = m.fetchQ[:0]
-	m.fetchQHead = 0
-}
+func (m *Machine) flushFetchQ() { m.fetchQHead, m.fetchQCount = 0, 0 }

@@ -78,6 +78,7 @@ func (m *Machine) restoreCheckpoint(c *ckpt.Checkpoint) error {
 	// Architectural state.
 	m.regs = c.Regs
 	m.fetchPC = c.PC
+	m.fetchVPN = ^uint64(0) // the imported page table renumbers frames
 	m.AS.ImportPages(c.Pages, c.NextFrame)
 	m.Mem.ImportFrames(c.Frames)
 

@@ -42,7 +42,7 @@ func TestRandomProgramsDifferential(t *testing.T) {
 			}
 
 			check := func(name string, m *Machine) {
-				if err := m.Run(); err != nil {
+				if err := runChecked(m); err != nil {
 					t.Fatalf("%s: %v\n%s", name, err, m.DebugHead())
 				}
 				if m.Stats().Committed != ref.InstCount {
@@ -63,7 +63,8 @@ func TestRandomProgramsDifferential(t *testing.T) {
 			// Every machine also runs the lockstep checker, so a
 			// divergence is caught at the offending commit (with a
 			// decoded context window) instead of at the final-state
-			// comparison below.
+			// comparison below, and has its scheduler state checked
+			// against a full scan after every cycle.
 			design := designs[s%len(designs)]
 			cfg := DefaultConfig()
 			cfg.Lockstep = true

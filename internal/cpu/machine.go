@@ -26,7 +26,6 @@ type fetchedInst struct {
 	inst       *isa.Inst
 	predNextPC uint64
 	predTaken  bool
-	isCond     bool
 	ghrSnap    uint64
 	fetchCycle int64
 }
@@ -37,6 +36,7 @@ type fetchedInst struct {
 type Machine struct {
 	cfg  Config
 	prog *prog.Program
+	dec  []isa.Decoded // prog.Code predecoded, parallel to it
 
 	// Architected and memory state.
 	AS   *vm.AddressSpace
@@ -59,10 +59,13 @@ type Machine struct {
 	cycle      int64
 
 	fetchPC         uint64
+	fetchVPN        uint64 // last code page fetchPaddr translated (^0: none)
+	fetchPFN        uint64
 	fetchStallUntil int64
-	fetchStallCause uint8 // why fetchStallUntil was last raised (stall* constants)
-	fetchQ          []fetchedInst
+	fetchStallCause uint8         // why fetchStallUntil was last raised (stall* constants)
+	fetchQ          []fetchedInst // ring: fetchQCount entries from fetchQHead
 	fetchQHead      int
+	fetchQCount     int
 	haltPending     bool
 
 	// Per-cycle functional unit budgets and unit timelines.
@@ -74,13 +77,6 @@ type Machine struct {
 	tlbMissOutstanding int
 	lastCommitCycle    int64
 	nextFlushAt        uint64
-
-	// Scan accelerators: how many ROB entries are in each live state.
-	// They let the per-cycle stages skip or truncate full-ROB scans.
-	nWaiting     int // sWaiting
-	nExec        int // sExecuting
-	nMem         int // sMemReq, sMemWalk, sStoreData
-	nStoreNoAddr int // stores whose address is not yet generated
 
 	pageBits uint
 	pageMask uint64
@@ -151,7 +147,10 @@ func New(p *prog.Program, cfg Config, buildTLB func(*vm.AddressSpace) tlb.Device
 		dcache: cache.New(cfg.DCache),
 		pred:   bpred.New(cfg.Branch),
 		rob:    newROB(cfg.ROBSize),
-		fetchQ: make([]fetchedInst, 0, cfg.FetchQueue),
+		fetchQ: make([]fetchedInst, cfg.FetchQueue),
+	}
+	if m.dec = p.Decoded; len(m.dec) != len(p.Code) {
+		m.dec = isa.DecodeAll(p.Code)
 	}
 	m.metrics = newCoreMetrics()
 	if cfg.Lockstep {
@@ -182,6 +181,7 @@ func New(p *prog.Program, cfg Config, buildTLB func(*vm.AddressSpace) tlb.Device
 		m.rename[i] = -1
 	}
 	m.fetchPC = p.Entry
+	m.fetchVPN = ^uint64(0)
 	m.nextFlushAt = cfg.FlushTLBEvery
 	for _, seg := range p.Data {
 		if err := m.writeVirt(seg.Addr, seg.Bytes); err != nil {
@@ -225,7 +225,7 @@ func (m *Machine) writeVirt(vaddr uint64, b []byte) error {
 	return nil
 }
 
-func (m *Machine) readMem(paddr uint64, width int) uint64 {
+func (m *Machine) readMem(paddr uint64, width uint8) uint64 {
 	switch width {
 	case 1:
 		return uint64(m.Mem.ByteAt(paddr))
@@ -238,7 +238,7 @@ func (m *Machine) readMem(paddr uint64, width int) uint64 {
 	}
 }
 
-func (m *Machine) writeMem(paddr uint64, width int, v uint64) {
+func (m *Machine) writeMem(paddr uint64, width uint8, v uint64) {
 	switch width {
 	case 1:
 		m.Mem.SetByte(paddr, byte(v))
@@ -258,7 +258,13 @@ func (m *Machine) writeMem(paddr uint64, width int, v uint64) {
 // outside the text region index the cache by virtual address.
 func (m *Machine) fetchPaddr(vaddr uint64) uint64 {
 	vpn := vaddr >> m.pageBits
+	if vpn == m.fetchVPN {
+		return m.fetchPFN<<m.pageBits | (vaddr & m.pageMask)
+	}
 	if pte, ok := m.AS.Probe(vpn); ok {
+		// Fetch runs within one code page for long stretches, and a
+		// mapped page keeps its frame, so remember the last one.
+		m.fetchVPN, m.fetchPFN = vpn, pte.PFN
 		return pte.PFN<<m.pageBits | (vaddr & m.pageMask)
 	}
 	pte, err := m.AS.Walk(vpn)

@@ -1,12 +1,10 @@
 package cpu
 
 import (
-	"fmt"
 	"testing"
 	"testing/quick"
 
 	"hbat/internal/prog"
-	"hbat/internal/workload"
 )
 
 func TestROBRingBasics(t *testing.T) {
@@ -34,14 +32,13 @@ func TestROBRingBasics(t *testing.T) {
 	idx := r.push()
 	r.at(idx).seq = 4
 	seqs := []int64{}
-	r.forEach(func(_ int, e *robEntry) bool {
-		seqs = append(seqs, e.seq)
-		return true
-	})
+	for _, i := range ringOrder(r) {
+		seqs = append(seqs, r.at(i).seq)
+	}
 	want := []int64{1, 2, 3, 4}
 	for i := range want {
 		if seqs[i] != want[i] {
-			t.Fatalf("forEach order %v, want %v", seqs, want)
+			t.Fatalf("ring order %v, want %v", seqs, want)
 		}
 	}
 	if !r.olderThan(idxs[1], idx) {
@@ -64,24 +61,15 @@ func TestROBSquashAfter(t *testing.T) {
 	if r.count != 3 {
 		t.Fatalf("count %d, want 3", r.count)
 	}
-	last := int64(-1)
-	r.forEach(func(_ int, e *robEntry) bool {
-		last = e.seq
-		return true
-	})
-	if last != 2 {
+	order := ringOrder(r)
+	if last := r.at(order[len(order)-1]).seq; last != 2 {
 		t.Fatalf("youngest surviving seq %d, want 2", last)
-	}
-	for _, i := range idxs[3:] {
-		if r.at(i).valid {
-			t.Fatal("squashed entry still valid")
-		}
 	}
 }
 
 // Property: any push/pop/squash sequence keeps the ring consistent:
-// count matches the number of valid entries seen by forEach, in
-// strictly increasing seq order.
+// count matches the number of live slots, in strictly increasing seq
+// order.
 func TestROBConsistencyProperty(t *testing.T) {
 	check := func(ops []uint8) bool {
 		r := newROB(8)
@@ -109,14 +97,13 @@ func TestROBConsistencyProperty(t *testing.T) {
 			n := 0
 			last := int64(-1)
 			okOrder := true
-			r.forEach(func(_ int, e *robEntry) bool {
-				if !e.valid || e.seq <= last {
+			for _, i := range ringOrder(r) {
+				if r.at(i).seq <= last {
 					okOrder = false
 				}
-				last = e.seq
+				last = r.at(i).seq
 				n++
-				return true
-			})
+			}
 			if n != r.count || !okOrder {
 				return false
 			}
@@ -129,24 +116,37 @@ func TestROBConsistencyProperty(t *testing.T) {
 }
 
 func TestFetchQueueRing(t *testing.T) {
-	m := &Machine{fetchQ: make([]fetchedInst, 0, 4)}
-	m.cfg.FetchQueue = 4
+	m := &Machine{fetchQ: make([]fetchedInst, 4)}
+	push := func(pc uint64) {
+		m.fetchSlot().pc = pc
+		m.fetchQCount++
+	}
+	pop := func() uint64 {
+		pc := m.peekFetched().pc
+		m.popFetched()
+		return pc
+	}
 	for i := 0; i < 3; i++ {
-		m.pushFetched(fetchedInst{pc: uint64(i)})
+		push(uint64(i))
 	}
 	if m.fetchQLen() != 3 {
 		t.Fatalf("len %d", m.fetchQLen())
 	}
-	if m.peekFetched().pc != 0 {
-		t.Fatal("peek wrong")
-	}
-	if m.popFetched().pc != 0 || m.popFetched().pc != 1 {
+	if pop() != 0 || pop() != 1 {
 		t.Fatal("pop order wrong")
 	}
-	m.pushFetched(fetchedInst{pc: 9}) // triggers compaction path
-	if m.fetchQLen() != 2 || m.peekFetched().pc != 2 {
-		t.Fatal("state after compaction wrong")
+	for pc := uint64(9); pc < 12; pc++ { // wraps past the end of the ring
+		push(pc)
 	}
+	if m.fetchQLen() != 4 {
+		t.Fatalf("len %d after wrap", m.fetchQLen())
+	}
+	for _, want := range []uint64{2, 9, 10, 11} {
+		if got := pop(); got != want {
+			t.Fatalf("popped pc %d across the wrap, want %d", got, want)
+		}
+	}
+	push(5)
 	m.flushFetchQ()
 	if m.fetchQLen() != 0 || m.peekFetched() != nil {
 		t.Fatal("flush wrong")
@@ -175,56 +175,11 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
-// checkStateCounters verifies the scan-accelerator counters against a
-// full ROB scan.
-func (m *Machine) checkStateCounters() error {
-	w, x, mm, sna := 0, 0, 0, 0
-	m.rob.forEach(func(_ int, e *robEntry) bool {
-		switch e.state {
-		case sWaiting:
-			w++
-		case sExecuting:
-			x++
-		case sMemReq, sMemWalk, sStoreData:
-			mm++
-		}
-		if e.isStore && !e.addrReady {
-			sna++
-		}
-		return true
-	})
-	if w != m.nWaiting || x != m.nExec || mm != m.nMem || sna != m.nStoreNoAddr {
-		return fmt.Errorf("counters drifted: waiting %d/%d exec %d/%d mem %d/%d storeNoAddr %d/%d",
-			m.nWaiting, w, m.nExec, x, m.nMem, mm, m.nStoreNoAddr, sna)
+// ringOrder lists the live slots oldest first by walking the ring.
+func ringOrder(r *rob) []int {
+	order := make([]int, 0, r.count)
+	for i, idx := 0, r.head; i < r.count; i, idx = i+1, r.inc(idx) {
+		order = append(order, idx)
 	}
-	return nil
-}
-
-// TestStateCountersStayConsistent drives a branchy, memory-heavy
-// workload tick by tick and validates the scan-accelerator counters
-// against a full scan throughout.
-func TestStateCountersStayConsistent(t *testing.T) {
-	w, err := workload.ByName("gcc")
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := w.Build(prog.Budget32, workload.ScaleTest)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := NewWithDesign(p, DefaultConfig(), "M4")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for !m.halted && m.err == nil && m.cycle < 30000 {
-		m.tick()
-		if m.cycle%64 == 0 {
-			if err := m.checkStateCounters(); err != nil {
-				t.Fatalf("cycle %d: %v", m.cycle, err)
-			}
-		}
-	}
-	if m.err != nil {
-		t.Fatal(m.err)
-	}
+	return order
 }

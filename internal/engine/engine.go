@@ -107,6 +107,10 @@ type Engine struct {
 
 	mu   sync.Mutex
 	memo map[specKey]*memoEntry
+	// finished is a ring of the last memoKept finished memo entries;
+	// finishing one more retires the oldest from memo (see finish).
+	finished  []memoRef
+	finishedN uint64
 	// ckpts deduplicates in-flight checkpoint builds the same way memo
 	// deduplicates simulations: one functional warm-up per (workload,
 	// budget, scale, page size, N) serves all thirteen designs.
@@ -125,9 +129,11 @@ type Engine struct {
 	// machine registries are never read, only finished snapshots merged.
 	agg     *stats.Registry
 	wallReg *stats.Registry
-	// runLog records every request (executed or cache-served) for the
-	// provenance manifest.
-	runLog []RunRecord
+	// runLog records the last runLogKept requests (executed or
+	// cache-served) for the provenance manifest: a ring once full, the
+	// oldest record at runsDropped % runLogKept.
+	runLog      []RunRecord
+	runsDropped uint64
 	// sweep is the most recent RunAll's progress, for live ETA export.
 	sweep struct {
 		done, total int
@@ -151,12 +157,13 @@ type Engine struct {
 // New returns an empty sweep engine configured by opts.
 func New(opts ...Option) *Engine {
 	e := &Engine{
-		builds:  workload.NewBuildCache(),
-		memo:    make(map[specKey]*memoEntry),
-		ckpts:   make(map[ckptKey]*ckptEntry),
-		ewma:    make(map[costKey]float64),
-		agg:     stats.NewRegistry(),
-		wallReg: stats.NewRegistry(),
+		builds:   workload.NewBuildCache(),
+		memo:     make(map[specKey]*memoEntry),
+		finished: make([]memoRef, memoKept),
+		ckpts:    make(map[ckptKey]*ckptEntry),
+		ewma:     make(map[costKey]float64),
+		agg:      stats.NewRegistry(),
+		wallReg:  stats.NewRegistry(),
 	}
 	for _, o := range opts {
 		o(e)
@@ -189,6 +196,56 @@ func (e *Engine) heartbeat() {
 type memoEntry struct {
 	done chan struct{}
 	res  RunResult
+	// seq is 0 while the simulation is in flight and the entry's
+	// position in finishing order afterwards (guarded by Engine.mu).
+	seq uint64
+}
+
+// A long-lived engine holds a bounded history, constants not options
+// (each finished entry pins its run's ~8 KiB metrics snapshot):
+//
+//   - memoKept finished results stay in the memo cache, enough for the
+//     paper's four 130-spec design figures and their tables to
+//     regenerate from one engine as hits. Beyond that the oldest retire
+//     first; a retired spec is served by the resume journal if it is
+//     there and re-simulated otherwise. In-flight entries never retire.
+//   - runLogKept provenance records stay in the run log; the manifest
+//     says how many older ones were dropped.
+const (
+	memoKept   = 1024
+	runLogKept = 16384
+)
+
+// memoRef names one finished memo entry without keeping it alive.
+type memoRef struct {
+	key specKey
+	seq uint64
+}
+
+// finish marks ent, memoized under key, as finished and retires the
+// oldest finished entry once memoKept newer ones exist. Callers hold
+// e.mu.
+func (e *Engine) finish(key specKey, ent *memoEntry) {
+	e.finishedN++
+	ent.seq = e.finishedN
+	slot := &e.finished[e.finishedN%memoKept]
+	if old := e.memo[slot.key]; old != nil && old.seq == slot.seq {
+		delete(e.memo, slot.key)
+	}
+	*slot = memoRef{key: key, seq: ent.seq}
+}
+
+// Forget drops spec's finished result from the memo cache (an in-flight
+// simulation of it is left alone). A caller that has put the result
+// somewhere it will look first — hbatd's artifact store — has no use
+// for the engine's copy.
+func (e *Engine) Forget(spec RunSpec) {
+	key := spec.key()
+	e.mu.Lock()
+	if ent := e.memo[key]; ent != nil && ent.seq != 0 {
+		delete(e.memo, key)
+	}
+	e.mu.Unlock()
 }
 
 // specKey is the memoization key: every RunSpec field that affects the
@@ -418,12 +475,23 @@ type RunRecord struct {
 	TraceID string `json:"trace_id,omitempty"`
 }
 
-// RunLog returns a copy of the engine's provenance log: every request
-// in completion order, executed and cache-served alike.
+// RunLog returns a copy of the engine's provenance log: the most
+// recent runLogKept requests in completion order, executed and
+// cache-served alike.
 func (e *Engine) RunLog() []RunRecord {
+	recs, _ := e.runLogSnapshot()
+	return recs
+}
+
+// runLogSnapshot returns the run log, oldest record first, and how many
+// older records it has dropped.
+func (e *Engine) runLogSnapshot() ([]RunRecord, uint64) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return append([]RunRecord(nil), e.runLog...)
+	oldest := int(e.runsDropped % runLogKept)
+	recs := make([]RunRecord, 0, len(e.runLog))
+	recs = append(recs, e.runLog[oldest:]...)
+	return append(recs, e.runLog[:oldest]...), e.runsDropped
 }
 
 // record appends a provenance entry and folds an executed run's
@@ -447,7 +515,12 @@ func (e *Engine) record(id uint64, spec RunSpec, res *RunResult, cached bool, ph
 		rec.Error = res.Err.Error()
 	}
 	e.mu.Lock()
-	e.runLog = append(e.runLog, rec)
+	if len(e.runLog) < runLogKept {
+		e.runLog = append(e.runLog, rec)
+	} else {
+		e.runLog[e.runsDropped%runLogKept] = rec
+		e.runsDropped++
+	}
 	if !cached && res.Err == nil {
 		e.agg.Merge(res.Metrics)
 		e.wallReg.Histogram(spec.Workload, wallBuckets).Observe(res.Wall.Milliseconds())
@@ -544,6 +617,7 @@ func (e *Engine) Run(ctx context.Context, spec RunSpec) RunResult {
 				je := &memoEntry{done: make(chan struct{}), res: res}
 				close(je.done)
 				e.memo[key] = je
+				e.finish(key, je)
 				e.mu.Unlock()
 				continue
 			}
@@ -567,6 +641,9 @@ func (e *Engine) Run(ctx context.Context, spec RunSpec) RunResult {
 			e.journal.append(spec, &res)
 			jsp.End()
 			ent.res = res
+			e.mu.Lock()
+			e.finish(key, ent)
+			e.mu.Unlock()
 			close(ent.done)
 			return res
 		}

@@ -30,9 +30,12 @@ type Manifest struct {
 	VCSModified bool   `json:"vcs_modified,omitempty"`
 	CreatedAt   string `json:"created_at"`
 
-	// Runs is the full spec list with seeds and per-run wall times, in
-	// completion order (see Engine.RunLog).
-	Runs []RunRecord `json:"runs"`
+	// Runs is the spec list with seeds and per-run wall times, in
+	// completion order (see Engine.RunLog). A long-lived engine keeps
+	// the most recent records only; RunsDropped counts the older ones
+	// missing from the front of Runs.
+	Runs        []RunRecord `json:"runs"`
+	RunsDropped uint64      `json:"runs_dropped,omitempty"`
 	// Artifacts lists every rendered output with its SHA-256.
 	Artifacts []ManifestArtifact `json:"artifacts"`
 }
@@ -76,7 +79,7 @@ func NewManifest(tool string, now time.Time) *Manifest {
 
 // RecordRuns copies the engine's provenance log into the manifest.
 func (m *Manifest) RecordRuns(e *Engine) {
-	m.Runs = e.RunLog()
+	m.Runs, m.RunsDropped = e.runLogSnapshot()
 }
 
 // AddArtifactBytes records a rendered artifact already held in memory

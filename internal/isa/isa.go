@@ -370,6 +370,40 @@ func (i *Inst) Dests(dst []Reg) []Reg {
 	}
 }
 
+// Decoded is what a pipeline's dispatch stage derives from an
+// instruction — class, register lists, access width — worked out once
+// per static instruction (prog.Program carries the table) instead of
+// once per dynamic one.
+type Decoded struct {
+	Srcs     [3]Reg // Sources, in order
+	Dests    [2]Reg // Dests, in order
+	NSrc     uint8
+	NDest    uint8
+	Class    Class
+	MemBytes uint8
+}
+
+// IsMem reports whether the instruction accesses data memory.
+func (d *Decoded) IsMem() bool { return d.Class == ClassLoad || d.Class == ClassStore }
+
+// Decode predecodes one instruction.
+func Decode(in *Inst) Decoded {
+	d := Decoded{Class: in.Class(), MemBytes: uint8(in.MemBytes())}
+	var buf [3]Reg
+	d.NSrc = uint8(copy(d.Srcs[:], in.Sources(buf[:0])))
+	d.NDest = uint8(copy(d.Dests[:], in.Dests(buf[:0])))
+	return d
+}
+
+// DecodeAll predecodes a text segment.
+func DecodeAll(code []Inst) []Decoded {
+	out := make([]Decoded, len(code))
+	for i := range code {
+		out[i] = Decode(&code[i])
+	}
+	return out
+}
+
 var opNames = [numOps]string{
 	Nop: "nop",
 	Add: "add", Sub: "sub", And: "and", Or: "or", Xor: "xor", Nor: "nor",

@@ -2,6 +2,7 @@ package isa
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -237,5 +238,29 @@ func TestALUInverseProperties(t *testing.T) {
 		return ALUEval(&srl, ALUEval(&sll, masked, 0, 0), 0, 0) == masked
 	}, nil); err != nil {
 		t.Error("sll/srl inverse:", err)
+	}
+}
+
+// TestDecodeAgreesWithInst: the predecoded form carries exactly what
+// the per-instruction methods report, for every op in every addressing
+// mode.
+func TestDecodeAgreesWithInst(t *testing.T) {
+	var code []Inst
+	for op := Op(0); op < numOps; op++ {
+		for _, mode := range []AMode{AMImm, AMReg, AMPostInc, AMPostDec} {
+			code = append(code, Inst{Op: op, Mode: mode, Rd: 3, Rs: 4, Rt: 5, Imm: 8})
+		}
+	}
+	for i, d := range DecodeAll(code) {
+		in := &code[i]
+		if d.Class != in.Class() || int(d.MemBytes) != in.MemBytes() || d.IsMem() != in.IsMem() {
+			t.Errorf("%v: decoded class %d width %d mem %v", in, d.Class, d.MemBytes, d.IsMem())
+		}
+		if got, want := d.Srcs[:d.NSrc], in.Sources(nil); !slices.Equal(got, want) {
+			t.Errorf("%v: decoded sources %v, want %v", in, got, want)
+		}
+		if got, want := d.Dests[:d.NDest], in.Dests(nil); !slices.Equal(got, want) {
+			t.Errorf("%v: decoded dests %v, want %v", in, got, want)
+		}
 	}
 }

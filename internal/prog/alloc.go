@@ -345,9 +345,10 @@ func (b *Builder) Finalize(budget RegBudget) (*Program, error) {
 		dataSize = 4096
 	}
 	p := &Program{
-		Name:  b.name,
-		Code:  insts,
-		Entry: CodeBase,
+		Name:    b.name,
+		Code:    insts,
+		Decoded: isa.DecodeAll(insts),
+		Entry:   CodeBase,
 		Regions: []vm.Region{
 			{Name: "text", Base: CodeBase, Size: uint64(len(insts))*isa.InstBytes + 4096, Perm: vm.PermRead | vm.PermExec},
 			{Name: "data", Base: DataBase, Size: dataSize + 65536, Perm: vm.PermRW},

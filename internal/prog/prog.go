@@ -40,8 +40,13 @@ type DataSeg struct {
 // one built Program may be shared by any number of concurrently
 // running machines (the workload build cache depends on this).
 type Program struct {
-	Name     string
-	Code     []isa.Inst
+	Name string
+	Code []isa.Inst
+	// Decoded[i] is Code[i] predecoded (isa.Decode), so the cycle
+	// simulator derives nothing per dynamic instruction. Finalize fills
+	// it; a Program assembled by hand may leave it nil, and a machine
+	// then decodes its own copy.
+	Decoded  []isa.Decoded
 	Entry    uint64
 	Regions  []vm.Region
 	Data     []DataSeg

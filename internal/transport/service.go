@@ -219,6 +219,9 @@ func (p *pool) simulate(ctx context.Context, tenant, key string, spec engine.Run
 		st.SHA256 = engine.ArtifactSHA256(data)
 		return st
 	}
+	// The store answers the next request for this key before the
+	// engine is asked, so the engine's copy would only be retained.
+	p.engine.Forget(spec)
 	st.ResultURL = api.PathResults + key
 	st.SHA256 = sha
 	return st

@@ -428,3 +428,43 @@ func TestDialFabric(t *testing.T) {
 		t.Error("fallback artifact differs from local artifact")
 	}
 }
+
+// TestJobLeavesNoResultInTheEngine: once the store has accepted a
+// spec's artifact, hbatd drops the engine's memoized copy — the store
+// answers the next request for that key — so a long-running daemon does
+// not retain every result it ever computed. Asked directly, the engine
+// simulates the spec afresh.
+func TestJobLeavesNoResultInTheEngine(t *testing.T) {
+	svc, ts, eng := newService(t, transport.Config{Workers: 1})
+	defer ts.Close()
+	defer svc.Shutdown(context.Background())
+	ctx := context.Background()
+	c := api.NewClient(ts.URL)
+	wire := testSpec("compress", "T4")
+	acc, err := c.Submit(ctx, api.JobRequest{Specs: []api.SimOptions{wire}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Wait(ctx, acc.ID); err != nil {
+		t.Fatal(err)
+	}
+	spec, err := engine.SpecFromWire(wire)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := eng.Run(ctx, spec); r.Err != nil || r.Cached {
+		t.Errorf("engine asked for a spec the store holds: err=%v cached=%v, want a fresh simulation", r.Err, r.Cached)
+	}
+	// The same job again is a store hit, not a simulation.
+	acc, err = c.Submit(ctx, api.JobRequest{Specs: []api.SimOptions{wire}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := c.Wait(ctx, acc.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(st.Specs) != 1 || !st.Specs[0].StoreHit {
+		t.Errorf("repeat job: %+v, want one store hit", st.Specs)
+	}
+}
