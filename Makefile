@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build test check bench bench-sweep profile-core experiments report serve-demo cover loc clean
+.PHONY: all build test check bench profile-core experiments report serve-demo cover loc clean
 
 all: build test
 
@@ -22,15 +22,11 @@ check:
 	go test -race ./...
 	go run ./internal/obs/promcheck -static
 
-# One iteration of every benchmark (tables, figures, ablations).
+# One iteration of every Benchmark* function (tables, figures,
+# ablations): a smoke, not a measurement. How fast the simulator is, per
+# layer and end to end, is `go run ./bench` (bench/README.md).
 bench:
 	go test -bench=. -benchmem -benchtime=1x .
-
-# Time a test-scale full report with the sweep caches disabled vs
-# enabled (BENCH_sweep.json), then the full design grid from reset vs
-# two-phase fast-forward (BENCH_ffwd.json).
-bench-sweep:
-	go run ./cmd/hbat-bench-sweep -scale test -o BENCH_sweep.json -ffwd-o BENCH_ffwd.json
 
 # Where the cycle core's host time goes: a CPU profile of the Figure 5
 # grid (130 runs, test scale), top 25 functions. Leaves nothing behind.
@@ -47,15 +43,17 @@ SCALE ?= small
 experiments:
 	go run ./cmd/hbat-experiments -scale $(SCALE)
 
+# The same, plus the self-contained HTML report rendered from the runs
+# just simulated.
 report:
-	go run ./cmd/hbat-report -o report.html -scale $(SCALE)
+	go run ./cmd/hbat-experiments -scale $(SCALE) -html report.html
 
-# Live-telemetry demo: a test-scale full report with the observability
-# server on :8090 and JSON logs. While it runs (and after):
+# Live-telemetry demo: a test-scale evaluation with the observability
+# server on :8090 and JSON logs. While it runs:
 #   curl -s localhost:8090/metrics | go run ./internal/obs/promcheck
 #   curl -s localhost:8090/health
 serve-demo:
-	go run ./cmd/hbat-report -o report.html -scale test \
+	go run ./cmd/hbat-experiments -scale test -html report.html \
 		-obs 127.0.0.1:8090 -log-format json -log-level debug
 
 cover:
@@ -67,4 +65,4 @@ loc:
 	@scripts/loc.sh
 
 clean:
-	rm -f report.html BENCH_sweep.json BENCH_ffwd.json manifest.json results_full.txt coverage.out
+	rm -f report.html manifest.json results_full.txt coverage.out

@@ -47,7 +47,7 @@ const TraceparentHeader = "traceparent"
 // CommonOptions is the option set shared by every simulation entry
 // point — one run, a grid, or a remote job: the workload scale, the
 // seed for randomized structures, and the two-phase fast-forward
-// knobs. The hbat facade embeds it in both Options and
+// length. The hbat facade embeds it in both Options and
 // ExperimentOptions, and the service unmarshals it inside SimOptions,
 // so client and server marshal the same type.
 type CommonOptions struct {
@@ -58,9 +58,9 @@ type CommonOptions struct {
 	// FastForward, when positive, executes the first N instructions
 	// functionally and measures only the remainder cycle-accurately.
 	FastForward uint64 `json:"fast_forward,omitempty"`
-	// FFwdEngine selects the functional warm-up engine: "" or "sblock"
-	// for the superblock-translated engine, "interp" for the reference
-	// interpreter. Results are byte-identical either way.
+	// FFwdEngine is accepted and ignored; output was always
+	// byte-identical whichever functional warm-up engine it named. The
+	// field stays under this package's append-only rule.
 	FFwdEngine string `json:"ffwd_engine,omitempty"`
 }
 

@@ -1,5 +1,7 @@
 // Command hbat-experiments regenerates the tables and figures of the
-// paper's evaluation section (Table 2, Table 3, Figures 5-9).
+// paper's evaluation section (Table 2, Table 3, Figures 5-9) as text,
+// and with -html also as one self-contained HTML report (inline SVG
+// charts, no external assets) rendered from the runs just simulated.
 //
 // All artifacts of one invocation share the process-wide sweep engine:
 // each workload is built once and each unique simulation runs once,
@@ -12,7 +14,8 @@
 // Usage:
 //
 //	hbat-experiments                 # everything, small scale
-//	hbat-experiments -only fig5      # one artifact
+//	hbat-experiments -only fig6      # one artifact (Figure 6 standalone)
+//	hbat-experiments -html r.html    # everything, plus the HTML report
 //	hbat-experiments -scale full     # headline scale (minutes)
 //	hbat-experiments -obs :8090      # live /metrics, /health, /debug/pprof
 package main
@@ -27,6 +30,7 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"time"
 
 	"hbat"
 	"hbat/internal/obs"
@@ -43,6 +47,7 @@ func main() {
 		resume   = flag.String("resume", "", "resume journal path: completed runs are logged here and an interrupted sweep restarts from it")
 		quiet    = flag.Bool("q", false, "suppress progress output")
 		csvDir   = flag.String("csv", "", "also write fig5/7/8/9 results as CSV files into this directory")
+		htmlOut  = flag.String("html", "", "also write the whole evaluation as a self-contained HTML report to this file")
 		manifest = flag.String("manifest", "manifest.json", "write a run-provenance manifest (runs + artifact SHA-256s) to this file (\"\" = off)")
 	)
 	obsFlags := obs.AddFlags(flag.CommandLine)
@@ -83,11 +88,12 @@ func main() {
 	if *only != "" {
 		names = []string{*only}
 	}
+	base := hbat.ExperimentOptions{
+		CommonOptions: hbat.CommonOptions{Scale: *scale, Seed: *seed, FastForward: *ffwd},
+		Parallelism:   *par,
+	}
 	for _, name := range names {
-		opts := hbat.ExperimentOptions{
-			CommonOptions: hbat.CommonOptions{Scale: *scale, Seed: *seed, FastForward: *ffwd},
-			Parallelism:   *par,
-		}
+		opts := base
 		if !*quiet {
 			logger.Info("experiment start", "name", name, "scale", *scale)
 			opts.Progress = func(p hbat.RunProgress) {
@@ -108,23 +114,21 @@ func main() {
 		fmt.Println()
 		if *csvDir != "" && csvCapable[name] {
 			path := filepath.Join(*csvDir, name+".csv")
-			f, err := os.Create(path)
-			if err != nil {
-				fail(err)
-			}
-			csvOpts := opts
-			csvOpts.Progress = nil
 			// The grid was just simulated for the text report, so the
 			// CSV pass is served entirely from the sweep cache.
-			if err := hbat.ExperimentCSV(ctx, name, csvOpts, f); err != nil {
-				fail(err)
-			}
-			f.Close()
-			if err := man.AddArtifactFile(name+".csv", path); err != nil {
-				fail(err)
-			}
+			writeArtifact(man, name+".csv", path, func(w io.Writer) error {
+				return hbat.ExperimentCSV(ctx, name, base, w)
+			})
 			logger.Info("csv written", "path", path)
 		}
+	}
+	if *htmlOut != "" {
+		// Without -only every spec the report needs was simulated above,
+		// so rendering it is memo hits only.
+		writeArtifact(man, "report.html", *htmlOut, func(w io.Writer) error {
+			return hbat.WriteReport(ctx, base, w, time.Now())
+		})
+		logger.Info("report written", "path", *htmlOut)
 	}
 	spansPath, err := obsFlags.FinishSpans()
 	if err != nil {
@@ -152,6 +156,25 @@ func main() {
 			"build_hits", s.BuildHits, "build_misses", s.BuildMisses,
 			"spec_hits", s.SpecHits, "spec_misses", s.SpecMisses,
 			"ckpt_hits", s.CkptHits, "ckpt_misses", s.CkptMisses)
+	}
+}
+
+// writeArtifact creates path, fills it with render, and records the
+// file in the manifest under name.
+func writeArtifact(man *hbat.Manifest, name, path string, render func(io.Writer) error) {
+	f, err := os.Create(path)
+	if err != nil {
+		fail(err)
+	}
+	if err := render(f); err != nil {
+		f.Close()
+		fail(err)
+	}
+	if err := f.Close(); err != nil {
+		fail(err)
+	}
+	if err := man.AddArtifactFile(name, path); err != nil {
+		fail(err)
 	}
 }
 

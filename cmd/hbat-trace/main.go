@@ -25,6 +25,7 @@ import (
 	"strings"
 
 	"hbat/api"
+	"hbat/internal/engine"
 	"hbat/internal/obs"
 	"hbat/internal/prog"
 	"hbat/internal/runspan"
@@ -69,22 +70,9 @@ func cmdSpan(f *obs.Flags, name, subject string) func() {
 	}
 }
 
-func parseScale(s string) workload.Scale {
-	switch s {
-	case "test":
-		return workload.ScaleTest
-	case "", "small":
-		return workload.ScaleSmall
-	case "full":
-		return workload.ScaleFull
-	}
-	fatalf("unknown scale %q", s)
-	return 0
-}
-
 func main() {
 	if len(os.Args) < 2 {
-		fatalf("usage: hbat-trace capture|info|replay [flags]")
+		fatalf("usage: hbat-trace capture|info|replay|remote [flags]")
 	}
 	// Ctrl-C cancels the capture or replay loop promptly; fatalf exits
 	// non-zero.
@@ -193,7 +181,11 @@ func capture(ctx context.Context, args []string) {
 	if *fewRegs {
 		budget = prog.Budget8
 	}
-	p, err := w.Build(budget, parseScale(*scale))
+	sc, err := engine.ParseScale(*scale)
+	if err != nil {
+		fatalf("capture: %v", err)
+	}
+	p, err := w.Build(budget, sc)
 	if err != nil {
 		fatalf("%v", err)
 	}

@@ -5,7 +5,7 @@
 //
 //	hbat [-workload compress] [-design T4] [-pagesize 4096] [-inorder]
 //	     [-fewregs] [-scale small] [-seed 1] [-maxinsts N] [-lockstep]
-//	     [-ffwd N] [-ffwd-engine sblock|interp] [-ckpt-dir dir]
+//	     [-ffwd N] [-ckpt-dir dir]
 //	     [-metrics out.json] [-metrics-csv out.csv]
 //	     [-trace out.json] [-trace-format perfetto|konata]
 //	     [-trace-start N] [-trace-end N] [-trace-buffer N] [-trace-summary]
@@ -62,7 +62,6 @@ func run(ctx context.Context) error {
 		seed       = flag.Uint64("seed", 1, "seed for randomized structures")
 		maxInsts   = flag.Uint64("maxinsts", 0, "cap on committed instructions (0 = to completion)")
 		ffwd       = flag.Uint64("ffwd", 0, "fast-forward: functionally execute the first N instructions and measure only the remainder (0 = run from reset)")
-		ffwdEngine = flag.String("ffwd-engine", "", "fast-forward functional engine: sblock (superblock-translated, the default) or interp (reference interpreter); output is identical either way")
 		ckptDir    = flag.String("ckpt-dir", "", "persist fast-forward checkpoints in this directory (reused across invocations)")
 		lockstep   = flag.Bool("lockstep", false, "verify every commit against the golden emulator (differential check)")
 		metrics    = flag.String("metrics", "", "write the run's metrics registry as JSON to this file (\"-\" = stdout)")
@@ -154,7 +153,6 @@ func run(ctx context.Context) error {
 			Scale:       *scale,
 			Seed:        *seed,
 			FastForward: *ffwd,
-			FFwdEngine:  *ffwdEngine,
 		},
 		Workload:     *wl,
 		Design:       *design,

@@ -9,14 +9,13 @@
 // /debug/pprof) share the same address. SIGINT/SIGTERM starts a
 // graceful drain: /ready flips to 503, open jobs run to completion (or
 // -drain-timeout), then the process exits. With -data-dir the result
-// store persists across restarts, and with -resume completed runs are
-// journaled so a crashed daemon restarts without re-simulating.
+// store persists across restarts: a restarted daemon reindexes it and
+// serves every stored spec without re-simulating.
 //
 // Usage:
 //
 //	hbatd -addr :9090                         # in-memory store
-//	hbatd -addr :9090 -data-dir /var/hbat \
-//	      -resume /var/hbat/resume.jsonl      # crash-safe
+//	hbatd -addr :9090 -data-dir /var/hbat     # results survive restarts
 //	hbatd -addr :9090 -tenant-jobs 4 \
 //	      -tenant-quota-bytes 67108864        # multi-tenant limits
 package main
@@ -47,7 +46,6 @@ func main() {
 		tenantJobs   = flag.Int("tenant-jobs", 0, "concurrently open jobs allowed per tenant (0 = unlimited)")
 		maxSpecs     = flag.Int("max-specs", 0, "specs allowed per job (0 = 1024)")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "how long a SIGTERM drain waits for open jobs before giving up")
-		resume       = flag.String("resume", "", "resume journal path: completed runs are logged here and a restarted daemon serves them without re-simulating")
 	)
 	obsFlags := obs.AddFlags(flag.CommandLine)
 	flag.Parse()
@@ -72,13 +70,6 @@ func main() {
 		if err := eng.SetCheckpointDir(*ckptDir); err != nil {
 			fail(err)
 		}
-	}
-	if *resume != "" {
-		n, err := eng.SetJournal(*resume)
-		if err != nil {
-			fail(err)
-		}
-		logger.Info("resume journal attached", "path", *resume, "runs_resumed", n)
 	}
 
 	st, err := store.New(store.Config{

@@ -4,8 +4,10 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"time"
 
 	"hbat/internal/harness"
+	"hbat/internal/report"
 	"hbat/internal/runspan"
 )
 
@@ -182,4 +184,18 @@ func ExperimentCSV(ctx context.Context, name string, o ExperimentOptions, w io.W
 	harness.FigureCSV(w, f)
 	sp.End()
 	return nil
+}
+
+// WriteReport renders the whole evaluation — Table 3, Figures 5-9 and
+// the Section 2 model fit — as one self-contained HTML page (inline SVG
+// charts, no external assets) stamped with the generated time. It runs
+// on the package's sweep engine, so once RunExperiment has produced the
+// text artifacts under the same options every spec is a memo hit and
+// the page costs no further simulation.
+func WriteReport(ctx context.Context, o ExperimentOptions, w io.Writer, generated time.Time) error {
+	ho, err := o.harness()
+	if err != nil {
+		return err
+	}
+	return report.Generate(ctx, w, ho, nil, generated)
 }

@@ -105,12 +105,12 @@ func NewManifest(tool string) *Manifest { return engine.NewManifest(tool, time.N
 // CommonOptions is the option set shared by every entry point — one
 // run (Options), a grid (ExperimentOptions), or a remote job
 // (api.SimOptions): workload scale, seed, and the two-phase
-// fast-forward knobs. It is the wire type api.CommonOptions, so the
+// fast-forward length. It is the wire type api.CommonOptions, so the
 // CLI, the facade, and the hbatd service all marshal the same struct.
 type CommonOptions = api.CommonOptions
 
 // Options selects what Simulate runs. The embedded CommonOptions
-// carries Scale, Seed, FastForward, and FFwdEngine.
+// carries Scale, Seed, and FastForward.
 type Options struct {
 	CommonOptions
 
@@ -323,8 +323,8 @@ type RunProgress struct {
 }
 
 // ExperimentOptions configures a full-grid experiment. The embedded
-// CommonOptions carries Scale, Seed, FastForward, and FFwdEngine —
-// the same struct Options embeds, so single runs, grids, and remote
+// CommonOptions carries Scale, Seed, and FastForward — the same
+// struct Options embeds, so single runs, grids, and remote
 // jobs share one option vocabulary.
 type ExperimentOptions struct {
 	CommonOptions
@@ -334,11 +334,6 @@ type ExperimentOptions struct {
 	// Workloads/Designs restrict the grid (nil = everything).
 	Workloads []string
 	Designs   []string
-	// NoCache bypasses the process-wide sweep engine: every program is
-	// rebuilt and every spec re-simulated. Exists for benchmarking the
-	// caches (see cmd/hbat-bench-sweep); production callers want the
-	// default.
-	NoCache bool
 	// Progress, when non-nil, is called after each completed run.
 	Progress func(RunProgress)
 }
@@ -353,13 +348,9 @@ func (o ExperimentOptions) harness() (harness.Options, error) {
 		Parallelism: o.Parallelism,
 		Seed:        o.Seed,
 		FastForward: o.FastForward,
-		FFwdEngine:  o.FFwdEngine,
 		Workloads:   o.Workloads,
 		Designs:     o.Designs,
 		Engine:      defaultEngine,
-	}
-	if o.NoCache {
-		ho.Engine = engine.New(engine.WithoutBuildCache(), engine.WithoutMemo())
 	}
 	if o.Progress != nil {
 		p := o.Progress

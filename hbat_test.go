@@ -1,11 +1,18 @@
 package hbat
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"io"
 	"reflect"
 	"strings"
 	"testing"
+	"time"
+
+	"hbat/internal/harness"
+	"hbat/internal/report"
+	"hbat/internal/workload"
 )
 
 func TestSimulateDefaults(t *testing.T) {
@@ -175,6 +182,68 @@ func TestRunExperimentSmallGrid(t *testing.T) {
 	}
 	if !strings.Contains(sb.String(), "128") {
 		t.Error("fig6 output incomplete")
+	}
+}
+
+// TestFigure6ExperimentIsTheStandaloneStudy: "fig6" through the
+// registry (hbat-experiments -only fig6) prints exactly the harness's
+// Figure 6 rendering — the standalone miss-rate study needs no binary
+// of its own.
+func TestFigure6ExperimentIsTheStandaloneStudy(t *testing.T) {
+	ctx := context.Background()
+	var got bytes.Buffer
+	if err := RunExperiment(ctx, "fig6", ExperimentOptions{CommonOptions: CommonOptions{Scale: "test", Seed: 1}}, &got); err != nil {
+		t.Fatal(err)
+	}
+	f, err := harness.Figure6(ctx, harness.Options{Scale: workload.ScaleTest, Seed: 1}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	harness.RenderFigure6(&want, f)
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Errorf("fig6 experiment differs from harness.RenderFigure6:\n got: %q\nwant: %q", got.Bytes(), want.Bytes())
+	}
+}
+
+// TestWriteReportSimulatesNothingNew: after every experiment has been
+// rendered as text, the HTML report (hbat-experiments -html) is served
+// from the sweep engine's memo — no spec simulates again — and is byte
+// for byte what report.Generate writes for the same options and time.
+func TestWriteReportSimulatesNothingNew(t *testing.T) {
+	ctx := context.Background()
+	opts := ExperimentOptions{
+		CommonOptions: CommonOptions{Scale: "test", Seed: 1},
+		Workloads:     []string{"espresso", "xlisp", "compress"},
+		Designs:       []string{"T4", "T1", "M8", "PB2", "I4"},
+	}
+	for _, name := range ExperimentNames {
+		if err := RunExperiment(ctx, name, opts, io.Discard); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+	}
+	before := SweepStats().SpecMisses
+	if before == 0 {
+		t.Fatal("the text experiments simulated nothing")
+	}
+	now := time.Unix(0, 0)
+	var got bytes.Buffer
+	if err := WriteReport(ctx, opts, &got, now); err != nil {
+		t.Fatal(err)
+	}
+	if after := SweepStats().SpecMisses; after != before {
+		t.Errorf("the report simulated %d specs the text experiments had not", after-before)
+	}
+	var want bytes.Buffer
+	ho := harness.Options{
+		Scale: workload.ScaleTest, Seed: 1, Engine: defaultEngine,
+		Workloads: opts.Workloads, Designs: opts.Designs,
+	}
+	if err := report.Generate(ctx, &want, ho, nil, now); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Error("WriteReport differs from report.Generate with the same options and time")
 	}
 }
 

@@ -108,13 +108,6 @@ type Config struct {
 	// amortizes one warm-up across all thirteen TLB designs.
 	FastForward uint64
 	Checkpoint  *ckpt.Checkpoint
-	// FFwdEngine selects the functional engine for an inline warm-up
-	// (ckpt.BuildConfig.Engine): "" or ckpt.EngineTranslated for the
-	// superblock-translated engine, ckpt.EngineInterpreted for the
-	// reference interpreter. Both produce byte-identical checkpoints, so
-	// the choice affects wall time only; it is ignored when Checkpoint
-	// is supplied.
-	FFwdEngine string
 
 	// Run limits.
 	MaxInsts  uint64 // committed-instruction budget (0 = until Halt)

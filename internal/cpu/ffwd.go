@@ -52,7 +52,6 @@ func (m *Machine) maybeFastForward() error {
 			ICache:      m.cfg.ICache,
 			DCache:      m.cfg.DCache,
 			Branch:      m.cfg.Branch,
-			Engine:      m.cfg.FFwdEngine,
 		})
 		if err != nil {
 			return err

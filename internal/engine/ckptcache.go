@@ -20,10 +20,7 @@ import (
 // the design: checkpoints carry a design-independent warm-reference
 // list (see internal/ckpt), so the same functional warm-up serves all
 // thirteen TLB designs, the in-order variant, and the virtual-cache
-// variant of a grid. It also excludes the functional engine
-// (RunSpec.FFwdEngine): both engines produce byte-identical
-// checkpoints, so a checkpoint built by either — in memory or on disk
-// under CkptDir — is valid for both.
+// variant of a grid.
 type ckptKey struct {
 	workload string
 	budget   prog.RegBudget
@@ -143,22 +140,14 @@ func (e *Engine) loadOrBuildCheckpoint(ctx context.Context, key ckptKey, p *prog
 			return c, true, nil
 		}
 	}
-	engine := cfg.FFwdEngine
-	if engine == "" {
-		engine = ckpt.EngineTranslated
-	}
-	bsp := tr.Start(rt, sp, "ckpt_build")
-	if bsp != nil {
-		bsp.SetAttr("engine", engine)
-	}
-	sp.SetAttr("engine", engine)
+	bsp := tr.Start(rt, sp, "ckpt_build").SetAttr("engine", ckpt.EngineTranslated)
+	sp.SetAttr("engine", ckpt.EngineTranslated)
 	c, err = ckpt.Build(ctx, p, ckpt.BuildConfig{
 		PageSize:    key.pageSize,
 		FastForward: key.ffwd,
 		ICache:      cfg.ICache,
 		DCache:      cfg.DCache,
 		Branch:      cfg.Branch,
-		Engine:      cfg.FFwdEngine,
 	})
 	bsp.End()
 	if err != nil {

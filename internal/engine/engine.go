@@ -54,19 +54,13 @@ import (
 // safe for concurrent use and is meant to be long-lived: one engine per
 // process (or per experiment batch) maximizes reuse.
 //
-// Result-affecting configuration (caches, checkpoint directory, resume
+// Result-affecting configuration (checkpoint directory, resume
 // journal) is immutable once the engine has run: construct with
 // New(opts...) or use the Set* methods before the first Run/RunAll/
 // PrewarmBuilds call — afterwards they return ErrStarted instead of
 // silently racing the scheduler. Observability sinks (logger, span
 // tracer, heartbeat) may be attached at any time.
 type Engine struct {
-	// noBuildCache disables program-build reuse; noMemo disables
-	// RunSpec memoization. Both exist for A/B benchmarking the caches
-	// (cmd/hbat-bench-sweep); see WithoutBuildCache / WithoutMemo.
-	noBuildCache bool
-	noMemo       bool
-
 	// ckptDir, when non-empty, persists fast-forward checkpoints to
 	// disk (one file per (workload, budget, scale, page size, N),
 	// named by the key's fingerprint). A later process with the same
@@ -74,8 +68,8 @@ type Engine struct {
 	// mismatched files are rebuilt and overwritten, never trusted.
 	ckptDir string
 
-	// obsMu guards the observability sinks below. Unlike the cache and
-	// checkpoint configuration, sinks carry no result-affecting state,
+	// obsMu guards the observability sinks below. Unlike the checkpoint
+	// and journal configuration, sinks carry no result-affecting state,
 	// so they may be attached or replaced at any time — including
 	// mid-sweep; every read goes through Logger/Spans/beat.
 	obsMu sync.RWMutex
@@ -99,8 +93,8 @@ type Engine struct {
 	spans *runspan.Tracer
 
 	// started latches on the first Run/RunAll/PrewarmBuilds call and
-	// freezes the result-affecting configuration above — caches,
-	// checkpoint directory, resume journal (ErrStarted from then on).
+	// freezes the result-affecting configuration above — checkpoint
+	// directory, resume journal (ErrStarted from then on).
 	started atomic.Bool
 
 	builds *workload.BuildCache
@@ -251,9 +245,7 @@ func (e *Engine) Forget(spec RunSpec) {
 // specKey is the memoization key: every RunSpec field that affects the
 // simulation's outcome. Observation-only fields (Progress and its
 // period) are deliberately absent — a cached result is identical with
-// or without a heartbeat attached. FFwdEngine is likewise absent: both
-// functional engines produce byte-identical warm-up state, so a result
-// computed under either serves the other.
+// or without a heartbeat attached.
 type specKey struct {
 	workload     string
 	design       string
@@ -543,8 +535,7 @@ func (e *Engine) runLogger(id uint64, spec RunSpec) *slog.Logger {
 	)
 }
 
-// buildProgram resolves a spec's program, through the build cache
-// unless disabled.
+// buildProgram resolves a spec's program through the build cache.
 func (e *Engine) buildProgram(spec RunSpec) (*prog.Program, error) {
 	p, _, err := e.buildProgramObserved(spec)
 	return p, err
@@ -553,14 +544,6 @@ func (e *Engine) buildProgram(spec RunSpec) (*prog.Program, error) {
 // buildProgramObserved is buildProgram plus the cache disposition
 // (fresh build / ready hit / singleflight wait) for the span tracer.
 func (e *Engine) buildProgramObserved(spec RunSpec) (*prog.Program, workload.BuildOutcome, error) {
-	if e.noBuildCache {
-		w, err := workload.ByName(spec.Workload)
-		if err != nil {
-			return nil, workload.BuildOutcome{}, err
-		}
-		p, err := w.Build(spec.Budget, spec.Scale)
-		return p, workload.BuildOutcome{}, err
-	}
 	return e.builds.BuildObserved(spec.Workload, spec.Budget, spec.Scale)
 }
 
@@ -601,7 +584,7 @@ func (e *Engine) Run(ctx context.Context, spec RunSpec) RunResult {
 		return RunResult{Spec: spec, Err: err}
 	}
 	e.heartbeat()
-	if e.noMemo || !spec.cacheable() {
+	if !spec.cacheable() {
 		res, _ := e.execute(ctx, spec)
 		return res
 	}
@@ -794,7 +777,6 @@ func (e *Engine) execute(ctx context.Context, spec RunSpec) (RunResult, *runspan
 	cfg.VirtualCache = spec.VirtualCache
 	cfg.FlushTLBEvery = spec.ContextSwitchEvery
 	cfg.Lockstep = spec.Lockstep
-	cfg.FFwdEngine = spec.FFwdEngine
 	if spec.Seed != 0 {
 		cfg.Seed = spec.Seed
 	}

@@ -287,21 +287,3 @@ func TestRunAllProgressCarriesTimings(t *testing.T) {
 		}
 	}
 }
-
-// TestEngineDisableFlags pins the benchmarking switches: NoMemo forces
-// every spec to execute, NoBuildCache forces every build.
-func TestEngineDisableFlags(t *testing.T) {
-	eng := New(WithoutMemo(), WithoutBuildCache())
-	spec := sweepTestSpecs()[0]
-	for i := 0; i < 2; i++ {
-		if r := eng.Run(context.Background(), spec); r.Err != nil {
-			t.Fatal(r.Err)
-		} else if r.Cached {
-			t.Error("NoMemo engine served from cache")
-		}
-	}
-	cs := eng.CacheStats()
-	if cs.SpecHits != 0 || cs.BuildHits != 0 || cs.BuildMisses != 0 {
-		t.Errorf("disabled caches recorded activity: %+v", cs)
-	}
-}

@@ -93,37 +93,3 @@ func TestCheckpointDirPersistence(t *testing.T) {
 		t.Fatal("disk-restored and rebuilt checkpoints produced different stats")
 	}
 }
-
-// TestFFwdEngineSharesCaches: FFwdEngine must be invisible to both the
-// memoization key and the checkpoint cache — the engines produce
-// byte-identical checkpoints, so caching per engine would only halve
-// the hit rate.
-func TestFFwdEngineSharesCaches(t *testing.T) {
-	interp := ffwdSpec("T4")
-	interp.FFwdEngine = "interp"
-	sblock := ffwdSpec("T4")
-	sblock.FFwdEngine = "sblock"
-
-	if interp.key() != sblock.key() {
-		t.Fatalf("specKey differs by engine:\n%#v\n%#v", interp.key(), sblock.key())
-	}
-	if interp.Hash() != ffwdSpec("T4").Hash() {
-		t.Fatal("Hash differs between explicit and default engine")
-	}
-
-	// With memoization off, the same spec runs twice — once per engine —
-	// and the second run must reuse the first's checkpoint.
-	e := New(WithoutMemo())
-	r1 := e.Run(context.Background(), interp)
-	r2 := e.Run(context.Background(), sblock)
-	if r1.Err != nil || r2.Err != nil {
-		t.Fatalf("runs failed: %v / %v", r1.Err, r2.Err)
-	}
-	if r1.Stats != r2.Stats {
-		t.Fatal("interp- and sblock-warmed runs produced different stats")
-	}
-	if cs := e.CacheStats(); cs.CkptMisses != 1 || cs.CkptHits != 1 {
-		t.Fatalf("checkpoint cache: %d misses, %d hits; want the sblock run to reuse the interp build",
-			cs.CkptMisses, cs.CkptHits)
-	}
-}

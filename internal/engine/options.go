@@ -44,16 +44,6 @@ func WithHeartbeat(fn func()) Option {
 	return func(e *Engine) { e.heartbeatFn = fn }
 }
 
-// WithoutBuildCache disables program-build reuse (A/B benchmarking).
-func WithoutBuildCache() Option {
-	return func(e *Engine) { e.noBuildCache = true }
-}
-
-// WithoutMemo disables RunSpec memoization (A/B benchmarking).
-func WithoutMemo() Option {
-	return func(e *Engine) { e.noMemo = true }
-}
-
 // start latches the engine as started, freezing its configuration.
 func (e *Engine) start() { e.started.Store(true) }
 
@@ -74,8 +64,8 @@ func (e *Engine) SetCheckpointDir(dir string) error {
 
 // SetLogger replaces the engine's logger (nil disables logging).
 // Observability sinks carry no result-affecting state, so unlike the
-// cache and checkpoint configuration they may be attached at any time,
-// including mid-sweep.
+// checkpoint and journal configuration they may be attached at any
+// time, including mid-sweep.
 func (e *Engine) SetLogger(l *slog.Logger) {
 	e.obsMu.Lock()
 	e.logger = l
@@ -124,9 +114,8 @@ func (e *Engine) beat() func() {
 func (e *Engine) CheckpointDir() string { return e.ckptDir }
 
 // BuildProgram resolves a spec's program through the engine's build
-// cache (unless the cache is disabled) — the functional-only entry
-// point Figure 6 and tooling use when they need the program without a
-// timing run.
+// cache — the functional-only entry point Figure 6 and tooling use when
+// they need the program without a timing run.
 func (e *Engine) BuildProgram(spec RunSpec) (*prog.Program, error) {
 	e.start()
 	return e.buildProgram(spec)

@@ -34,16 +34,6 @@ type RunSpec struct {
 	// workload's functional instruction count.
 	FastForward uint64
 
-	// FFwdEngine selects the functional engine for the warm-up
-	// (ckpt.BuildConfig.Engine): "" or "sblock" for the superblock-
-	// translated engine, "interp" for the reference interpreter. The
-	// two engines produce byte-identical checkpoints (a differential
-	// battery in internal/ckpt enforces this), so FFwdEngine is
-	// deliberately EXCLUDED from both the RunSpec memoization key and
-	// the checkpoint cache key: results and checkpoints are shared
-	// across engine choices.
-	FFwdEngine string
-
 	// Extensions beyond the paper's grid.
 	VirtualCache       bool
 	ContextSwitchEvery uint64

@@ -47,7 +47,6 @@ func SpecFromWire(o api.SimOptions) (RunSpec, error) {
 		Seed:               o.Seed,
 		MaxInsts:           o.MaxInsts,
 		FastForward:        o.FastForward,
-		FFwdEngine:         o.FFwdEngine,
 		VirtualCache:       o.VirtualCache,
 		ContextSwitchEvery: o.ContextSwitchEvery,
 		Lockstep:           o.Lockstep,

@@ -83,7 +83,7 @@ func designFigure(ctx context.Context, name, caption string, opts Options, pageS
 			specs = append(specs, engine.RunSpec{
 				Workload: w, Design: d, Budget: budget, Scale: opts.Scale,
 				PageSize: pageSize, InOrder: inOrder, Seed: opts.seed(),
-				FastForward: opts.FastForward, FFwdEngine: opts.FFwdEngine,
+				FastForward: opts.FastForward,
 			})
 		}
 	}
@@ -174,7 +174,7 @@ func Table3(ctx context.Context, opts Options) ([]Table3Row, error) {
 		specs[i] = engine.RunSpec{
 			Workload: w, Design: "T4", Budget: prog.Budget32,
 			Scale: opts.Scale, PageSize: 4096, Seed: opts.seed(),
-			FastForward: opts.FastForward, FFwdEngine: opts.FFwdEngine,
+			FastForward: opts.FastForward,
 		}
 	}
 	results, err := opts.engine().RunAll(ctx, specs, opts.Parallelism, opts.Progress)

@@ -25,9 +25,6 @@ type Options struct {
 	// the experiment grids (Figure 6 is purely functional and ignores
 	// it). Zero keeps the paper's run-from-reset methodology.
 	FastForward uint64
-	// FFwdEngine selects the functional engine for the warm-ups
-	// (RunSpec.FFwdEngine; "" = the superblock-translated default).
-	FFwdEngine string
 	// Workloads restricts the benchmark set (nil = all ten).
 	Workloads []string
 	// Designs restricts the design set (nil = Table 2's thirteen).

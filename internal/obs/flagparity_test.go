@@ -11,7 +11,7 @@ import (
 // ("  -obs string", "  -spans", ...).
 var flagNameRE = regexp.MustCompile(`(?m)^  -([a-z0-9-]+)`)
 
-// TestFlagParityAcrossBinaries builds every cmd/hbat* binary and
+// TestFlagParityAcrossBinaries builds all five cmd/hbat* binaries and
 // asserts each one registers the shared observability flag set — the
 // contract that any binary can be pointed at the same dashboards,
 // log pipelines, and span tooling. A binary that drops obs.AddFlags
@@ -25,16 +25,13 @@ func TestFlagParityAcrossBinaries(t *testing.T) {
 		t.Fatal(err)
 	}
 	// hbat-trace registers the shared set per subcommand; capture
-	// stands in for all three.
+	// stands in for all four.
 	bins := []struct {
 		name string
 		args []string
 	}{
 		{"hbat", []string{"-h"}},
 		{"hbat-experiments", []string{"-h"}},
-		{"hbat-report", []string{"-h"}},
-		{"hbat-missrates", []string{"-h"}},
-		{"hbat-bench-sweep", []string{"-h"}},
 		{"hbat-trace", []string{"capture", "-h"}},
 		{"hbatd", []string{"-h"}},
 		{"hbatc", []string{"-h"}},

@@ -243,7 +243,7 @@ Bars are run-time weighted average IPC normalized to the four-ported TLB (T4).</
 <td>{{f4 .TTLBHit}}</td><td>{{f4 .MTLB}}</td><td>{{f4 .TAT}}</td><td>{{f3 .FTol}}</td><td>{{f4 .RelIPC}}</td></tr>
 {{end}}</table>
 
-<p class="note">Generated by cmd/hbat-report. Design families:
+<p class="note">Generated by hbat-experiments -html. Design families:
 <span style="color:#4878a8">multi-ported</span>,
 <span style="color:#58a066">multi-level</span>,
 <span style="color:#8868b0">pretranslation</span>,

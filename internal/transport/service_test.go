@@ -468,3 +468,60 @@ func TestJobLeavesNoResultInTheEngine(t *testing.T) {
 		t.Errorf("repeat job: %+v, want one store hit", st.Specs)
 	}
 }
+
+// TestRestartServesFromTheStore is the daemon's restart semantic: the
+// result store under -data-dir is the one durable tier. A second
+// daemon — fresh engine, fresh store — mounted on the directory the
+// first one filled reindexes it and answers the same spec as a store
+// hit with the same SHA-256 and ETag, simulating nothing.
+func TestRestartServesFromTheStore(t *testing.T) {
+	dir := t.TempDir()
+	ctx := context.Background()
+	req := api.JobRequest{Specs: []api.SimOptions{testSpec("compress", "T4")}}
+
+	// runJob mounts a daemon on dir, runs the job to completion, fetches
+	// its artifact and shuts the daemon down.
+	runJob := func() (api.SpecStatus, string, *engine.Engine) {
+		t.Helper()
+		st, err := store.New(store.Config{Dir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		svc, ts, eng := newService(t, transport.Config{Workers: 1, Store: st})
+		defer ts.Close()
+		defer svc.Shutdown(ctx)
+		c := api.NewClient(ts.URL)
+		acc, err := c.Submit(ctx, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		js, err := c.Wait(ctx, acc.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if js.State != api.StateDone || len(js.Specs) != 1 {
+			t.Fatalf("job: %+v", js)
+		}
+		_, etag, err := c.Result(ctx, acc.SpecKeys[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		return js.Specs[0], etag, eng
+	}
+
+	first, etag1, eng1 := runJob()
+	if first.StoreHit || eng1.State().Executed != 1 {
+		t.Fatalf("first daemon: store_hit=%v executed=%d, want one simulation", first.StoreHit, eng1.State().Executed)
+	}
+	second, etag2, eng2 := runJob()
+	if !second.StoreHit {
+		t.Errorf("restarted daemon did not serve from the store: %+v", second)
+	}
+	if exec := eng2.State().Executed; exec != 0 {
+		t.Errorf("restarted daemon executed %d specs, want 0", exec)
+	}
+	if second.SHA256 != first.SHA256 || etag2 != etag1 || etag2 != second.SHA256 {
+		t.Errorf("artifact changed across the restart: sha %s -> %s, etag %s -> %s",
+			first.SHA256, second.SHA256, etag1, etag2)
+	}
+}
