@@ -22,16 +22,20 @@ const (
 	PathJobs     = "/v1/jobs"
 	PathResults  = "/v1/results/"
 	PathManifest = "/v1/manifest"
-	// PathWorkers is the fleet-coordinator worker registry (cmd/hbatc):
-	// GET lists the fleet's workers and their probe-driven states, POST
-	// registers one at runtime (the static -worker list seeds it).
-	// Single-node hbatd services do not serve this path.
+	// PathWorkers is the worker registry of an hbatd coordinator (hbatd
+	// -worker URL,...): GET lists the fleet's workers and their
+	// probe-driven states, POST registers one at runtime (the static
+	// -worker list seeds it). An hbatd in the worker role does not serve
+	// this path.
 	PathWorkers = "/v1/workers"
 )
 
 // TenantHeader names the request header carrying the caller's tenant
 // identity. A "tenant" field in the JobRequest body takes precedence;
 // with neither, the server files the job under the "default" tenant.
+// A tenant is 1-64 characters of [A-Za-z0-9._-]; a job naming anything
+// else is refused 400. The first 64 distinct tenants a daemon sees keep
+// their own tenant label in its metrics, later ones share "other".
 const TenantHeader = "X-Hbat-Tenant"
 
 // TraceparentHeader names the W3C trace-context header a job

@@ -12,9 +12,9 @@ import (
 	"time"
 )
 
-// Client is a minimal v1 client for an hbatd sweep service (or an
-// hbatc coordinator — they speak the same API). The zero value is not
-// usable; construct with NewClient. All methods honour the passed
+// Client is a minimal v1 client for an hbatd sweep service, in either
+// role (a worker and a coordinator speak the same API). The zero value
+// is not usable; construct with NewClient. All methods honour the passed
 // context and return *Error for structured server errors.
 type Client struct {
 	// Base is the service root, e.g. "http://127.0.0.1:9090" (no
@@ -276,7 +276,7 @@ func (c *Client) Events(ctx context.Context, id string, fn func(Event) bool) err
 }
 
 // Ready probes the service's readiness endpoint (served next to the
-// job API on hbatd and hbatc). It returns (true, nil) for a ready
+// job API in either hbatd role). It returns (true, nil) for a ready
 // service, (false, nil) for one that answered 503 (draining), and a
 // non-nil error when the probe itself failed.
 func (c *Client) Ready(ctx context.Context) (bool, error) {

@@ -55,11 +55,11 @@ import (
 // process (or per experiment batch) maximizes reuse.
 //
 // Result-affecting configuration (checkpoint directory, resume
-// journal) is immutable once the engine has run: construct with
-// New(opts...) or use the Set* methods before the first Run/RunAll/
-// PrewarmBuilds call — afterwards they return ErrStarted instead of
-// silently racing the scheduler. Observability sinks (logger, span
-// tracer, heartbeat) may be attached at any time.
+// journal) is immutable once the engine has run: use the Set* methods
+// before the first Run/RunAll/PrewarmBuilds call — afterwards they
+// return ErrStarted instead of silently racing the scheduler.
+// Observability sinks (logger, span tracer, heartbeat) may be attached
+// at any time.
 type Engine struct {
 	// ckptDir, when non-empty, persists fast-forward checkpoints to
 	// disk (one file per (workload, budget, scale, page size, N),
@@ -148,9 +148,9 @@ type Engine struct {
 	draining atomic.Bool
 }
 
-// New returns an empty sweep engine configured by opts.
-func New(opts ...Option) *Engine {
-	e := &Engine{
+// New returns an empty sweep engine.
+func New() *Engine {
+	return &Engine{
 		builds:   workload.NewBuildCache(),
 		memo:     make(map[specKey]*memoEntry),
 		finished: make([]memoRef, memoKept),
@@ -159,10 +159,6 @@ func New(opts ...Option) *Engine {
 		agg:      stats.NewRegistry(),
 		wallReg:  stats.NewRegistry(),
 	}
-	for _, o := range opts {
-		o(e)
-	}
-	return e
 }
 
 // wallBuckets are the per-workload wall-time histogram bounds in

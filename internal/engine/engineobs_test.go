@@ -87,7 +87,8 @@ func TestEngineLiveStateSettles(t *testing.T) {
 // carrying the run-scoped attributes.
 func TestEngineRunLoggerEmitsRunScopedRecords(t *testing.T) {
 	var buf bytes.Buffer
-	eng := New(WithLogger(slog.New(slog.NewJSONHandler(&buf, &slog.HandlerOptions{Level: slog.LevelDebug}))))
+	eng := New()
+	eng.SetLogger(slog.New(slog.NewJSONHandler(&buf, &slog.HandlerOptions{Level: slog.LevelDebug})))
 
 	spec := sweepTestSpecs()[0]
 	ctx := context.Background()
@@ -120,7 +121,8 @@ func TestEngineRunLoggerEmitsRunScopedRecords(t *testing.T) {
 // ticks, and completion all touch the heartbeat.
 func TestEngineHeartbeatFires(t *testing.T) {
 	beats := 0
-	eng := New(WithHeartbeat(func() { beats++ })) // Run is called serially here
+	eng := New()
+	eng.SetHeartbeat(func() { beats++ }) // Run is called serially here
 	spec := sweepTestSpecs()[0]
 	spec.ProgressEvery = 1000
 	if r := eng.Run(context.Background(), spec); r.Err != nil {

@@ -41,6 +41,16 @@ func TestSweepSharesCheckpoint(t *testing.T) {
 	}
 }
 
+// newWithCkptDir returns a fresh engine persisting checkpoints in dir.
+func newWithCkptDir(t *testing.T, dir string) *Engine {
+	t.Helper()
+	e := New()
+	if err := e.SetCheckpointDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	return e
+}
+
 // TestCheckpointDirPersistence: a second engine pointed at the same
 // CkptDir must load the warmed checkpoint instead of rebuilding it, and
 // a corrupted file must be rebuilt, not trusted.
@@ -48,7 +58,7 @@ func TestCheckpointDirPersistence(t *testing.T) {
 	dir := t.TempDir()
 	spec := ffwdSpec("T4")
 
-	e1 := New(WithCheckpointDir(dir))
+	e1 := newWithCkptDir(t, dir)
 	if res := e1.Run(context.Background(), spec); res.Err != nil {
 		t.Fatal(res.Err)
 	}
@@ -60,7 +70,7 @@ func TestCheckpointDirPersistence(t *testing.T) {
 		t.Fatalf("checkpoint files on disk: %v (err %v), want exactly one", files, err)
 	}
 
-	e2 := New(WithCheckpointDir(dir))
+	e2 := newWithCkptDir(t, dir)
 	r2 := e2.Run(context.Background(), spec)
 	if r2.Err != nil {
 		t.Fatal(r2.Err)
@@ -79,7 +89,7 @@ func TestCheckpointDirPersistence(t *testing.T) {
 	if err := os.WriteFile(files[0], data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	e3 := New(WithCheckpointDir(dir))
+	e3 := newWithCkptDir(t, dir)
 	r3 := e3.Run(context.Background(), spec)
 	if r3.Err != nil {
 		t.Fatal(r3.Err)

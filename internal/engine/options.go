@@ -16,34 +16,6 @@ import (
 // at any time.
 var ErrStarted = errors.New("engine: configuration is frozen after first run")
 
-// Option configures an Engine at construction (New).
-type Option func(*Engine)
-
-// WithCheckpointDir persists fast-forward checkpoints under dir (one
-// file per warm-up key); a later engine with the same dir skips the
-// functional warm-up entirely. Empty keeps checkpoints in memory only.
-func WithCheckpointDir(dir string) Option {
-	return func(e *Engine) { e.ckptDir = dir }
-}
-
-// WithLogger attaches a structured logger receiving run-scoped events.
-func WithLogger(l *slog.Logger) Option {
-	return func(e *Engine) { e.logger = l }
-}
-
-// WithSpans attaches a span tracer receiving one trace per run and per
-// sweep. A nil tracer means disabled and costs nothing on the hot path.
-func WithSpans(tr *runspan.Tracer) Option {
-	return func(e *Engine) { e.spans = tr }
-}
-
-// WithHeartbeat attaches a liveness callback invoked on dispatch,
-// progress ticks, and run completion — the signal the obs watchdog
-// consumes.
-func WithHeartbeat(fn func()) Option {
-	return func(e *Engine) { e.heartbeatFn = fn }
-}
-
 // start latches the engine as started, freezing its configuration.
 func (e *Engine) start() { e.started.Store(true) }
 
@@ -108,10 +80,6 @@ func (e *Engine) beat() func() {
 	defer e.obsMu.RUnlock()
 	return e.heartbeatFn
 }
-
-// CheckpointDir returns the engine's checkpoint directory ("" when
-// disk persistence is off).
-func (e *Engine) CheckpointDir() string { return e.ckptDir }
 
 // BuildProgram resolves a spec's program through the engine's build
 // cache — the functional-only entry point Figure 6 and tooling use when

@@ -123,7 +123,7 @@ func TestCheckpointSpans(t *testing.T) {
 	}
 	ctx := context.Background()
 
-	eng := New(WithCheckpointDir(dir))
+	eng := newWithCkptDir(t, dir)
 	tr := runspan.New(runspan.Config{})
 	eng.SetSpans(tr)
 	if r := eng.Run(ctx, mk("T4")); r.Err != nil {
@@ -172,7 +172,7 @@ func TestCheckpointSpans(t *testing.T) {
 	}
 
 	// A fresh engine sharing the dir serves the checkpoint from disk.
-	eng2 := New(WithCheckpointDir(dir))
+	eng2 := newWithCkptDir(t, dir)
 	tr2 := runspan.New(runspan.Config{})
 	eng2.SetSpans(tr2)
 	if r := eng2.Run(ctx, mk("T4")); r.Err != nil {
@@ -317,10 +317,9 @@ func TestRunAllSweepSpans(t *testing.T) {
 // when span tracing is on.
 func TestRunLoggerCarriesSpanIDs(t *testing.T) {
 	var buf bytes.Buffer
-	eng := New(
-		WithLogger(slog.New(slog.NewJSONHandler(&buf, &slog.HandlerOptions{Level: slog.LevelDebug}))),
-		WithSpans(runspan.New(runspan.Config{})),
-	)
+	eng := New()
+	eng.SetLogger(slog.New(slog.NewJSONHandler(&buf, &slog.HandlerOptions{Level: slog.LevelDebug})))
+	eng.SetSpans(runspan.New(runspan.Config{}))
 	if r := eng.Run(context.Background(), sweepTestSpecs()[0]); r.Err != nil {
 		t.Fatal(r.Err)
 	}

@@ -106,7 +106,7 @@ func TestFleetAffinityColocatesDesignSweeps(t *testing.T) {
 // TestFleetAffinityStableAcrossCoordinators: placement is a pure
 // function of (affinity key, worker set), so a brand-new coordinator
 // over the same fleet assigns the same specs to the same workers —
-// restarting hbatc keeps every worker's caches relevant.
+// restarting the coordinator keeps every worker's caches relevant.
 func TestFleetAffinityStableAcrossCoordinators(t *testing.T) {
 	guardGoroutines(t)
 	rig := fleettest.New(t, 3)

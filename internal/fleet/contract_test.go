@@ -1,10 +1,11 @@
 package fleet_test
 
-// One request script, two front ends: an in-process hbatd
-// (transport.New) and an in-process hbatc over one fleettest worker
-// must answer every step with the same status code, the same api.Error
-// shape, and the same headers. Both are the one transport.Front now;
-// this test is what keeps them so.
+// One request script, hbatd's two roles: an in-process worker
+// (transport.New) and an in-process coordinator (fleet.New) over one
+// fleettest worker must answer every step with the same status code,
+// the same api.Error shape, and the same headers, under the same tool
+// name, job-id prefix and front-end metric families. Both are the one
+// transport.Front; this test is what keeps them so.
 
 import (
 	"bufio"
@@ -23,6 +24,7 @@ import (
 	"hbat/internal/engine"
 	"hbat/internal/fleet"
 	"hbat/internal/fleet/fleettest"
+	"hbat/internal/obs"
 	"hbat/internal/store"
 	"hbat/internal/transport"
 )
@@ -34,7 +36,7 @@ const (
 )
 
 // outcome is what the contract compares across front ends: everything
-// in a response that does not name the daemon or the job.
+// in a response that does not name the job.
 type outcome struct {
 	Step        string
 	Status      int
@@ -42,7 +44,7 @@ type outcome struct {
 	// ErrorOK is set when the body is a well-formed api.Error whose
 	// code repeats the status line.
 	ErrorOK bool
-	// ETag is the artifact's strong ETag; both daemons serve the same
+	// ETag is the artifact's strong ETag; both roles serve the same
 	// bytes for the same spec, so it compares by value.
 	ETag string
 	// Events are the SSE event types streamed, in order.
@@ -54,6 +56,7 @@ type session struct {
 	t        *testing.T
 	base     string
 	shutdown func(context.Context) error
+	families func() []obs.Family
 	out      []outcome
 	acc      api.JobAccepted // the last accepted job
 	status   api.JobStatus   // its terminal status, once waited for
@@ -150,7 +153,10 @@ func contractSpec(scale string, seed uint64) api.SimOptions {
 // runContract drives the whole script against one front end.
 func runContract(s *session) {
 	t := s.t
-	s.get("ping", 200, api.PathPing)
+	var pong struct{ Pong string }
+	if err := json.Unmarshal(s.get("ping", 200, api.PathPing), &pong); err != nil || pong.Pong != "hbatd" {
+		t.Errorf("ping names tool %q (err %v), want hbatd in either role", pong.Pong, err)
+	}
 
 	// Method checks come before anything reads the request.
 	s.get("jobs GET", 405, api.PathJobs)
@@ -179,10 +185,19 @@ func runContract(s *session) {
 	bad := contractSpec("test", 1)
 	bad.Workload = "nope"
 	s.submit("malformed spec", 400, api.JobRequest{Specs: []api.SimOptions{bad}})
+	// A tenant the store could not write into a file header: refused
+	// whether it arrives in the body or the header.
+	s.submit("bad body tenant", 400, api.JobRequest{Tenant: "team a", Specs: []api.SimOptions{contractSpec("test", 1)}})
+	okJob, _ := json.Marshal(api.JobRequest{Specs: []api.SimOptions{contractSpec("test", 1)}})
+	s.do("bad header tenant", 400, http.MethodPost, api.PathJobs, bytes.NewReader(okJob),
+		map[string]string{api.TenantHeader: strings.Repeat("x", 65)})
 
 	// Job routing.
 	s.get("unknown job", 404, api.PathJobs+"/nosuchjob")
 	s.submit("accepted", 202, api.JobRequest{Specs: []api.SimOptions{contractSpec("test", 1)}})
+	if !strings.HasPrefix(s.acc.ID, "j") {
+		t.Errorf("job id %q: want the j prefix in either role", s.acc.ID)
+	}
 	s.wait()
 	s.get("status", 200, s.acc.StatusURL)
 	s.get("unknown sub-endpoint", 404, s.acc.StatusURL+"/bogus")
@@ -218,12 +233,23 @@ func runContract(s *session) {
 	}
 	s.submit("draining", 503, api.JobRequest{Specs: []api.SimOptions{contractSpec("test", 3)}})
 	s.get("status while drained", 200, s.acc.StatusURL)
+
+	// The front end's families carry one name in either role.
+	have := map[string]bool{}
+	for _, f := range s.families() {
+		have[f.Name] = true
+	}
+	for _, name := range []string{"hbat_fabric_requests", "hbat_fabric_request_duration_ms", "hbat_fabric_jobs_open"} {
+		if !have[name] {
+			t.Errorf("exposition lacks front-end family %s", name)
+		}
+	}
 }
 
 func TestV1ContractAcrossFrontEnds(t *testing.T) {
 	guardGoroutines(t)
 
-	// hbatd: the local executor behind the front end.
+	// Worker role: the local executor behind the front end.
 	st, err := store.New(store.Config{})
 	if err != nil {
 		t.Fatal(err)
@@ -238,31 +264,31 @@ func TestV1ContractAcrossFrontEnds(t *testing.T) {
 	srv := httptest.NewServer(svc.Handler())
 	t.Cleanup(srv.Close)
 
-	// hbatc: the remote executor behind the same front end, over one
-	// real worker.
+	// Coordinator role: the remote executor behind the same front end,
+	// over one real worker.
 	rig := fleettest.New(t, 1)
 	coord, cl, _ := newCoord(t, rig, func(c *fleet.Config) {
 		c.MaxSpecs, c.TenantJobs, c.Spans = contractMaxSpecs, contractTenantJobs, nil
 	})
 
 	sessions := []*session{
-		{base: srv.URL, shutdown: svc.Shutdown},
-		{base: cl.Base, shutdown: coord.Shutdown},
+		{base: srv.URL, shutdown: svc.Shutdown, families: svc.MetricsFamilies},
+		{base: cl.Base, shutdown: coord.Shutdown, families: coord.MetricsFamilies},
 	}
-	for i, name := range []string{"hbatd", "hbatc"} {
+	for i, name := range []string{"worker", "coordinator"} {
 		s := sessions[i]
 		t.Run(name, func(t *testing.T) {
 			s.t = t
 			runContract(s)
 		})
 	}
-	d, c := sessions[0].out, sessions[1].out
-	if len(d) != len(c) {
-		t.Fatalf("hbatd answered %d steps, hbatc %d", len(d), len(c))
+	w, c := sessions[0].out, sessions[1].out
+	if len(w) != len(c) {
+		t.Fatalf("the worker answered %d steps, the coordinator %d", len(w), len(c))
 	}
-	for i := range d {
-		if !reflect.DeepEqual(d[i], c[i]) {
-			t.Errorf("front ends disagree:\n  hbatd %+v\n  hbatc %+v", d[i], c[i])
+	for i := range w {
+		if !reflect.DeepEqual(w[i], c[i]) {
+			t.Errorf("front ends disagree:\n  worker      %+v\n  coordinator %+v", w[i], c[i])
 		}
 	}
 	http.DefaultClient.CloseIdleConnections()

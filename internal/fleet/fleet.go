@@ -1,5 +1,6 @@
-// Package fleet is the sweep fabric's coordinator tier: one hbatc
-// process that fans v1 jobs out across many hbatd workers. It speaks
+// Package fleet is the sweep fabric's coordinator tier: hbatd started
+// with -worker URL,..., fanning v1 jobs out across many plain hbatd
+// workers. It speaks
 // the exact same wire contract as a single worker — hbat.Dial and curl
 // cannot tell the difference — but behind the API it keeps a live
 // worker registry (static -worker list plus registrations, health-
@@ -120,9 +121,9 @@ func (w *worker) snapshot() api.Worker {
 	}
 }
 
-// Coordinator is a running hbatc: the v1 Front (Handler, Accepting —
-// the /ready answer — and Shutdown are its) over the fleet executor.
-// Create with New, mount Handler, stop with Shutdown.
+// Coordinator is hbatd in its coordinator role: the v1 Front (Handler,
+// Accepting — the /ready answer — and Shutdown are its) over the fleet
+// executor. Create with New, mount Handler, stop with Shutdown.
 type Coordinator struct {
 	*transport.Front
 	cfg    Config
@@ -173,7 +174,6 @@ func New(cfg Config) (*Coordinator, error) {
 	}
 	c := &Coordinator{cfg: cfg, workers: make(map[string]*worker)}
 	c.Front = transport.NewFront(
-		transport.Identity{Tool: "hbatc", IDPrefix: "f", RootSpan: "fleet_job", MetricPrefix: "hbat_fleet"},
 		transport.Config{
 			Store: cfg.Store, TenantJobs: cfg.TenantJobs, MaxSpecs: cfg.MaxSpecs,
 			Logger: cfg.Logger, Spans: cfg.Spans,
@@ -391,10 +391,4 @@ func (c *Coordinator) fetchFromFleet(ctx context.Context, key string) ([]byte, e
 		}
 	}
 	return nil, fmt.Errorf("fleet: no worker holds %s: %w", key, lastErr)
-}
-
-// Results serves a stored (or fleet-fillable) artifact — the handler's
-// and tests' read path through the coordinator store tier.
-func (c *Coordinator) Results(ctx context.Context, key string) ([]byte, string, error) {
-	return c.filler.Get(ctx, key)
 }

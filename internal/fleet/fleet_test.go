@@ -395,7 +395,7 @@ func TestFleetCorruptArtifact(t *testing.T) {
 	rig := fleettest.New(t, 1)
 	w := rig.Workers[0]
 	w.SetFault(fleettest.FaultCorrupt, 0)
-	coord, cl, tracer := newCoord(t, rig, func(cfg *fleet.Config) {
+	_, cl, tracer := newCoord(t, rig, func(cfg *fleet.Config) {
 		cfg.RetryMax = 5
 		cfg.RetryBackoff = 50 * time.Millisecond
 	})
@@ -445,7 +445,7 @@ func TestFleetCorruptArtifact(t *testing.T) {
 	// The corrupt bytes must never have been admitted: every stored
 	// artifact still verifies through the coordinator's own read path.
 	for _, s := range st.Specs {
-		data, sha, err := coord.Results(context.Background(), s.SpecKey)
+		data, sha, err := cl.Result(context.Background(), s.SpecKey)
 		if err != nil {
 			t.Errorf("coordinator store read %s: %v", s.SpecKey, err)
 			continue

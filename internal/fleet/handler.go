@@ -1,8 +1,8 @@
 package fleet
 
 // The coordinator behind the shared v1 front end: the transport.Executor
-// it hands to transport.NewFront, and the one route hbatd does not
-// serve, the /v1/workers registry.
+// it hands to transport.NewFront, and the one route the worker role does
+// not serve, the /v1/workers registry.
 
 import (
 	"context"

@@ -1,11 +1,12 @@
 package fleet
 
-// hbat_fleet_* exposition families: the shared front end's (RED request
-// metrics and open jobs, the same shapes as a worker's hbat_fabric_*
-// families) plus fleet-state gauges and counters — worker registry
-// states, per-worker dispatched specs, retries, no-worker rejections,
-// and store occupancy. hbatc hands MetricsFamilies to obs.Config.Extra,
-// so /metrics serves one promcheck-valid exposition.
+// The coordinator role's exposition families: the shared front end's
+// (RED request metrics and open jobs — the same hbat_fabric_* names a
+// worker exports; dashboards tell the tiers apart by scrape target)
+// plus hbat_fleet_* state — worker registry states, per-worker
+// dispatched specs, retries, and no-worker rejections. hbatd hands
+// MetricsFamilies to obs.Config.Extra, so /metrics serves one
+// promcheck-valid exposition.
 
 import "hbat/internal/obs"
 
@@ -44,14 +45,9 @@ func (c *Coordinator) MetricsFamilies() []obs.Family {
 		dispatched.Series = []obs.Series{{Labels: []obs.Label{{Name: "worker", Value: "none"}}, Value: 0}}
 	}
 
-	st := c.cfg.Store.Stats()
 	return append(c.Front.MetricsFamilies(), workers, dispatched,
 		obs.Scalar("hbat_fleet_spec_retries", "counter",
 			"Spec attempts re-dispatched to a different worker after a failure or timeout.", float64(retries)),
 		obs.Scalar("hbat_fleet_no_worker_events", "counter",
-			"Dispatch or submission attempts that found no live worker.", float64(noWorkers)),
-		obs.Scalar("hbat_fleet_store_entries", "gauge",
-			"Artifacts resident in the coordinator's store tier.", float64(st.Entries)),
-		obs.Scalar("hbat_fleet_store_puts", "counter",
-			"Artifacts filed into the coordinator store (fetched from workers once each).", float64(st.Puts)))
+			"Dispatch or submission attempts that found no live worker.", float64(noWorkers)))
 }

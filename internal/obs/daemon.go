@@ -11,17 +11,17 @@ import (
 	"time"
 )
 
-// Slow-client bounds for the daemons' listener. There is no write
-// timeout: /v1/jobs/{id}/events streams for as long as a job runs.
+// Slow-client bounds for the daemon's listener and the -obs one. There
+// is no write timeout: /v1/jobs/{id}/events streams for as long as a
+// job runs, and /debug/pprof/profile for as long as it is asked to.
 const (
 	readHeaderTimeout = 10 * time.Second
 	idleTimeout       = 2 * time.Minute
 )
 
-// Daemon is what differs between the serving binaries' main loops.
+// Daemon is what hbatd's role (worker or coordinator) hands the one
+// serve loop.
 type Daemon struct {
-	// Tool names the binary in its log records ("hbatd listening").
-	Tool string
 	// Addr is the one listen address for the job API and the
 	// observability endpoints.
 	Addr string
@@ -31,20 +31,23 @@ type Daemon struct {
 	// Shutdown drains the daemon; DrainTimeout bounds it.
 	Shutdown     func(context.Context) error
 	DrainTimeout time.Duration
-	// Listening is extra attributes for the "listening" record; Stopped
-	// returns the attributes of the final "stopped" record.
+	// Listening is extra attributes for the "listening" record.
 	Listening []any
-	Stopped   func() []any
 }
 
 // Serve runs a daemon to completion: one listener, two routing tables
 // (/v1/... is the job API, everything else the shared observability
 // surface), until ctx ends. Then a graceful drain: d.Shutdown and the
 // HTTP server's own shutdown share DrainTimeout, the span session is
-// finished, and the "stopped" record is logged. stop releases ctx's
-// signal handler as the drain starts, so a second signal kills
-// immediately.
+// finished, and Serve returns for the caller to log its last record.
+// stop releases ctx's signal handler as the drain starts, so a second
+// signal kills immediately.
+//
+// With an engine behind it (d.Obs.Engine) the listener's /health is the
+// -obs-watchdog verdict, the same watchdog a -obs listener reports;
+// without one there is no heartbeat to miss and /health stays ok.
 func (f *Flags) Serve(ctx context.Context, stop context.CancelFunc, logger *slog.Logger, d Daemon) error {
+	d.Obs.Watchdog = f.watchdogFor(d.Obs.Engine)
 	mux := http.NewServeMux()
 	mux.Handle("/v1/", d.V1)
 	mux.Handle("/", NewHandler(d.Obs))
@@ -56,7 +59,7 @@ func (f *Flags) Serve(ctx context.Context, stop context.CancelFunc, logger *slog
 	srv := &http.Server{Handler: mux, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(ln) }()
-	logger.Info(d.Tool+" listening", append([]any{"addr", ln.Addr().String()}, d.Listening...)...)
+	logger.Info("hbatd listening", append([]any{"addr", ln.Addr().String()}, d.Listening...)...)
 
 	select {
 	case err := <-serveErr:
@@ -79,14 +82,13 @@ func (f *Flags) Serve(ctx context.Context, stop context.CancelFunc, logger *slog
 	} else if path != "" {
 		logger.Info("spans written", "timeline", path)
 	}
-	logger.Info(d.Tool+" stopped", d.Stopped()...)
 	return nil
 }
 
-// Fatal reports a daemon's fatal error and exits: 130 when the cause is
-// a cancelled context (the shell convention for SIGINT), 1 otherwise.
-func Fatal(tool string, err error) {
-	fmt.Fprintln(os.Stderr, tool+":", err)
+// Fatal reports the daemon's fatal error and exits: 130 when the cause
+// is a cancelled context (the shell convention for SIGINT), 1 otherwise.
+func Fatal(err error) {
+	fmt.Fprintln(os.Stderr, "hbatd:", err)
 	if errors.Is(err, context.Canceled) {
 		os.Exit(130)
 	}

@@ -11,7 +11,7 @@ import (
 // ("  -obs string", "  -spans", ...).
 var flagNameRE = regexp.MustCompile(`(?m)^  -([a-z0-9-]+)`)
 
-// TestFlagParityAcrossBinaries builds all five cmd/hbat* binaries and
+// TestFlagParityAcrossBinaries builds all four cmd/hbat* binaries and
 // asserts each one registers the shared observability flag set — the
 // contract that any binary can be pointed at the same dashboards,
 // log pipelines, and span tooling. A binary that drops obs.AddFlags
@@ -34,7 +34,6 @@ func TestFlagParityAcrossBinaries(t *testing.T) {
 		{"hbat-experiments", []string{"-h"}},
 		{"hbat-trace", []string{"capture", "-h"}},
 		{"hbatd", []string{"-h"}},
-		{"hbatc", []string{"-h"}},
 	}
 	dir := t.TempDir()
 	for _, b := range bins {

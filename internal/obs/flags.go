@@ -27,6 +27,9 @@ type Flags struct {
 	// tracer is the span tracer Setup created for -spans; FinishSpans
 	// exports and closes it.
 	tracer *runspan.Tracer
+	// watchdog is the one -obs-watchdog monitor, created by the first
+	// listener that serves /health for an engine.
+	watchdog *Watchdog
 }
 
 // AddFlags registers the observability flags on fs and returns the
@@ -100,17 +103,10 @@ func (f *Flags) Setup(ctx context.Context, logw io.Writer, engine *engine.Engine
 	if f.Addr == "" {
 		return logger, nil, nil
 	}
-	var wd *Watchdog
-	if f.Watchdog > 0 {
-		wd = NewWatchdog(f.Watchdog)
-		if engine != nil {
-			engine.SetHeartbeat(wd.Touch)
-		}
-	}
 	srv, err := Start(Config{
 		Addr:     f.Addr,
 		Engine:   engine,
-		Watchdog: wd,
+		Watchdog: f.watchdogFor(engine),
 		Spans:    f.tracer,
 		Logger:   logger,
 	})
@@ -125,6 +121,22 @@ func (f *Flags) Setup(ctx context.Context, logw io.Writer, engine *engine.Engine
 	}
 	logger.Info("observability server listening", "addr", srv.Addr())
 	return logger, srv, nil
+}
+
+// watchdogFor returns the -obs-watchdog monitor with eng's heartbeat
+// wired to it, creating it on first use. It is nil when the watchdog is
+// off (-obs-watchdog 0) or there is no engine to beat it: a process
+// that never simulates has no progress to lose, and a watchdog nobody
+// touches would report it wedged.
+func (f *Flags) watchdogFor(eng *engine.Engine) *Watchdog {
+	if eng == nil || f.Watchdog <= 0 {
+		return nil
+	}
+	if f.watchdog == nil {
+		f.watchdog = NewWatchdog(f.Watchdog)
+		eng.SetHeartbeat(f.watchdog.Touch)
+	}
+	return f.watchdog
 }
 
 // Tracer returns the span tracer Setup created for -spans (nil when

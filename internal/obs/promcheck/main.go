@@ -64,10 +64,9 @@ func check(name string, f *os.File) {
 // from one simulation.
 func staticCheck() error {
 	wd := obs.NewWatchdog(time.Minute)
-	eng := engine.New(
-		engine.WithHeartbeat(wd.Touch),
-		engine.WithSpans(runspan.New(runspan.Config{})),
-	)
+	eng := engine.New()
+	eng.SetHeartbeat(wd.Touch)
+	eng.SetSpans(runspan.New(runspan.Config{}))
 	res := eng.Run(context.Background(), engine.RunSpec{
 		Workload: "espresso", Design: "T4", Budget: prog.Budget32,
 		Scale: workload.ScaleTest, PageSize: 4096, Seed: 1,

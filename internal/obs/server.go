@@ -77,7 +77,7 @@ func Start(cfg Config) (*Server, error) {
 		return nil, fmt.Errorf("obs: %w", err)
 	}
 	s := &Server{cfg: cfg, ln: ln, start: time.Now()}
-	s.http = &http.Server{Handler: s.Handler()}
+	s.http = &http.Server{Handler: s.Handler(), ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 	go s.http.Serve(ln)
 	return s, nil
 }

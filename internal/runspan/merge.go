@@ -3,7 +3,6 @@ package runspan
 import (
 	"fmt"
 	"io"
-	"sort"
 	"time"
 
 	"hbat/internal/ptrace"
@@ -73,22 +72,10 @@ func WriteMergedPerfetto(w io.Writer, parts []JournalPart) (MergeStats, error) {
 		pw.ProcessName(i, fmt.Sprintf("%s (wall µs, epoch %+dµs)", p.Label, shift))
 		spans := make([]SpanData, len(p.Spans))
 		copy(spans, p.Spans)
-		sort.Slice(spans, func(a, b int) bool {
-			x, y := spans[a], spans[b]
-			if x.Trace != y.Trace {
-				return x.Trace < y.Trace
-			}
-			if x.StartUS != y.StartUS {
-				return x.StartUS < y.StartUS
-			}
-			return x.Span < y.Span
-		})
-		named := make(map[TraceID]bool)
-		for _, d := range spans {
-			if !named[d.Trace] {
-				named[d.Trace] = true
-				label := fmt.Sprintf("%s %s", p.Label, threadLabel(rootOf(spans, d.Trace)))
-				pw.ThreadName(i, int(d.Trace), label)
+		labels := layoutPart(spans)
+		for n, d := range spans {
+			if n == 0 || d.Trace != spans[n-1].Trace {
+				pw.ThreadName(i, int(d.Trace), p.Label+" "+labels[d.Trace])
 			}
 			pw.Slice(i, int(d.Trace), d.StartUS+shift, d.DurUS, d.Name, jargs(d))
 			st.Spans[i]++
@@ -100,15 +87,4 @@ func WriteMergedPerfetto(w io.Writer, parts []JournalPart) (MergeStats, error) {
 		}
 	}
 	return st, pw.Close()
-}
-
-// rootOf finds a trace's root span in a part's (sorted) span list,
-// falling back to a placeholder when the root is missing (torn tail).
-func rootOf(spans []SpanData, id TraceID) SpanData {
-	for _, d := range spans {
-		if d.Trace == id && d.Parent == 0 {
-			return d
-		}
-	}
-	return SpanData{Trace: id, Name: "trace"}
 }

@@ -78,6 +78,41 @@ func threadLabel(root SpanData) string {
 	return label
 }
 
+// layoutPart puts one process's spans (in place) into export order — by
+// trace, then start, then span id — and labels each trace's thread
+// after its root span, the parentless span with the lowest id; a trace
+// whose root is missing (a torn journal tail) is labelled "trace #N".
+// Both Perfetto exports lay a process out through here, so one part of
+// a merged timeline reads exactly like the single-process export.
+func layoutPart(spans []SpanData) (labels map[TraceID]string) {
+	sort.Slice(spans, func(i, j int) bool {
+		a, b := spans[i], spans[j]
+		if a.Trace != b.Trace {
+			return a.Trace < b.Trace
+		}
+		if a.StartUS != b.StartUS {
+			return a.StartUS < b.StartUS
+		}
+		return a.Span < b.Span
+	})
+	roots := make(map[TraceID]SpanData)
+	for _, d := range spans {
+		r, ok := roots[d.Trace]
+		if !ok {
+			r = SpanData{Trace: d.Trace, Name: "trace"}
+		}
+		if d.Parent == 0 && (r.Span == 0 || d.Span < r.Span) {
+			r = d
+		}
+		roots[d.Trace] = r
+	}
+	labels = make(map[TraceID]string, len(roots))
+	for id, r := range roots {
+		labels[id] = threadLabel(r)
+	}
+	return labels
+}
+
 // WritePerfetto exports every finished span — and every attached
 // micro recorder — as one Chrome/Perfetto trace-event JSON document.
 // Macro timestamps are wall-clock microseconds since the tracer's
@@ -94,39 +129,14 @@ func (t *Tracer) WritePerfetto(w io.Writer) error {
 	copy(micro, t.micro)
 	t.mu.Unlock()
 
-	// Stable order: by trace, then start, then span id.
-	sort.Slice(spans, func(i, j int) bool {
-		a, b := spans[i], spans[j]
-		if a.Trace != b.Trace {
-			return a.Trace < b.Trace
-		}
-		if a.StartUS != b.StartUS {
-			return a.StartUS < b.StartUS
-		}
-		return a.Span < b.Span
-	})
-
 	pw := ptrace.NewPerfettoWriter(w)
 	pw.ProcessName(pidMacro, "sweep (macro, wall µs)")
-	// One macro thread per trace, named after its root span.
-	var traces []TraceID
-	roots := make(map[TraceID]SpanData)
-	for _, d := range spans {
-		if _, ok := roots[d.Trace]; !ok {
-			traces = append(traces, d.Trace)
+	// One macro thread per trace, all named before the first slice.
+	labels := layoutPart(spans)
+	for i, d := range spans {
+		if i == 0 || d.Trace != spans[i-1].Trace {
+			pw.ThreadName(pidMacro, int(d.Trace), labels[d.Trace])
 		}
-		if d.Parent == 0 {
-			if r, ok := roots[d.Trace]; !ok || d.Span < r.Span {
-				roots[d.Trace] = d
-			}
-		}
-	}
-	for _, id := range traces {
-		root, ok := roots[id]
-		if !ok {
-			root = SpanData{Trace: id, Name: "trace"}
-		}
-		pw.ThreadName(pidMacro, int(id), threadLabel(root))
 	}
 	for _, d := range spans {
 		pw.Slice(pidMacro, int(d.Trace), d.StartUS, d.DurUS, d.Name, jargs(d))

@@ -97,8 +97,13 @@ func (f *Filler) Get(ctx context.Context, key string) (data []byte, sha string, 
 	return fl.data, fl.sha, fl.err
 }
 
-// fill performs one verified fetch-and-file.
+// fill performs one verified fetch-and-file. It looks in the store
+// again first: a caller can miss, then take its turn as flight leader
+// only after an earlier flight filed the key and left.
 func (f *Filler) fill(ctx context.Context, key, want string) ([]byte, string, error) {
+	if data, sha, ok := f.Store.Get(key); ok {
+		return data, sha, nil
+	}
 	data, err := f.Fetch(ctx, key)
 	if err != nil {
 		return nil, "", fmt.Errorf("store: fill %s: %w", key, err)

@@ -150,6 +150,23 @@ func Key(k string) bool {
 	return true
 }
 
+// Tenant reports whether t is a well-formed tenant name: 1-64 of
+// [A-Za-z0-9._-]. The tenant is the second space-separated field of an
+// artifact file's header line, so anything wider (a space, a newline)
+// would make the file unreadable at the next reindex.
+func Tenant(t string) bool {
+	if len(t) == 0 || len(t) > 64 {
+		return false
+	}
+	for i := 0; i < len(t); i++ {
+		c := t[i]
+		if (c < '0' || c > '9') && (c < 'a' || c > 'z') && (c < 'A' || c > 'Z') && c != '.' && c != '_' && c != '-' {
+			return false
+		}
+	}
+	return true
+}
+
 func (s *Store) path(key string) string {
 	return filepath.Join(s.cfg.Dir, key+".art")
 }
@@ -243,10 +260,14 @@ func (s *Store) Get(key string) (data []byte, sha string, ok bool) {
 // Put stores data under key, attributed to tenant, and returns the
 // content's SHA-256 hex. Re-putting identical bytes is a cheap no-op;
 // different bytes under an existing key return ErrMismatch; exceeding
-// the tenant's quota returns ErrQuota before anything is written.
+// the tenant's quota returns ErrQuota before anything is written. A
+// malformed key or tenant (see Key, Tenant) is refused outright.
 func (s *Store) Put(tenant, key string, data []byte) (string, error) {
 	if !Key(key) {
 		return "", fmt.Errorf("store: invalid key %q", key)
+	}
+	if !Tenant(tenant) {
+		return "", fmt.Errorf("store: invalid tenant %q", tenant)
 	}
 	sha := hash(data)
 	s.mu.Lock()

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -204,6 +205,47 @@ func TestReindexAcrossRestart(t *testing.T) {
 	}
 	if st := s2.Stats(); st.DiskHits != 1 {
 		t.Fatalf("restart Get not a disk hit: %+v", st)
+	}
+}
+
+// TestTenantGrammarAcrossRestart: the tenant is a field of the file
+// header's one line, so every tenant Put accepts must read back after a
+// reopen, and one the line could not hold (a space splits it, a newline
+// ends it early) must be refused before it costs the artifact.
+func TestTenantGrammarAcrossRestart(t *testing.T) {
+	dir := t.TempDir()
+	s1, err := New(Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := []byte("artifact\n")
+	good := []string{"default", "team-a", "A.b_c-9", strings.Repeat("x", 64)}
+	bad := []string{"", "team a", "a\nb", "tab\there", "\u00fcn\u00ef", strings.Repeat("x", 65)}
+	for i, ten := range good {
+		if _, err := s1.Put(ten, fmt.Sprintf("a%x", i), data); err != nil {
+			t.Fatalf("Put under tenant %q: %v", ten, err)
+		}
+	}
+	for i, ten := range bad {
+		if _, err := s1.Put(ten, fmt.Sprintf("b%x", i), data); err == nil {
+			t.Errorf("Put accepted tenant %q", ten)
+		}
+	}
+
+	s2, err := New(Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, ten := range good {
+		if _, _, ok := s2.Get(fmt.Sprintf("a%x", i)); !ok {
+			t.Errorf("restart lost the artifact stored under tenant %q", ten)
+		}
+		if u := s2.TenantUsage(ten); u != int64(len(data)) {
+			t.Errorf("tenant %q: %d bytes attributed after restart, want %d", ten, u, len(data))
+		}
+	}
+	if st := s2.Stats(); st.Entries != len(good) || st.Corrupt != 0 {
+		t.Errorf("after restart: %+v, want %d clean entries", st, len(good))
 	}
 }
 

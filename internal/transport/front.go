@@ -1,16 +1,17 @@
 // Package transport is the HTTP layer of the sweep fabric: the one v1
-// front end (see the api package for the wire contract) that both
-// daemons mount, and the in-process executor hbatd runs behind it.
+// front end (see the api package for the wire contract) hbatd mounts in
+// either role, and the in-process executor its worker role runs behind
+// it.
 //
 // The Front owns everything a client can see — the routing table, job
 // intake and admission, the job table and each Job's state machine,
 // SSE fan-out, results with ETags, the manifest, ping, the RED
 // middleware, and the drain — and hands every admitted job to an
-// Executor, the seam behind which the two daemons differ. Service (this
-// package, cmd/hbatd) executes on a local worker pool over a sweep
-// engine and a result store; fleet.Coordinator (cmd/hbatc) executes by
-// dispatching to remote workers. A client cannot tell which one it is
-// talking to.
+// Executor, the seam behind which hbatd's two roles differ. Service
+// (this package, plain hbatd) executes on a local worker pool over a
+// sweep engine and a result store; fleet.Coordinator (hbatd -worker
+// URL,...) executes by dispatching to remote workers. A client cannot
+// tell which one it is talking to.
 package transport
 
 import (
@@ -36,20 +37,10 @@ import (
 // finished jobs answer 404; open jobs are never dropped.
 const finishedJobsKept = 16384
 
-// Identity is what tells one daemon's wire surface from the other's.
-type Identity struct {
-	// Tool is the binary's name: the ping answer, the manifest's tool,
-	// and the hint in the spans-disabled 404.
-	Tool string
-	// IDPrefix starts every job id ("j" for hbatd, "f" for hbatc), so
-	// an id in a log says which tier minted it.
-	IDPrefix string
-	// RootSpan names the job root span ("job", "fleet_job").
-	RootSpan string
-	// MetricPrefix names the exported families ("hbat_fabric",
-	// "hbat_fleet").
-	MetricPrefix string
-}
+// tool is the one daemon's name: the ping answer, the manifest's tool,
+// and the hint in the spans-disabled 404, whichever executor is behind
+// the front end.
+const tool = "hbatd"
 
 // Executor is the execution half of a daemon: what happens to a job
 // between admission and its last spec's terminal status.
@@ -79,7 +70,6 @@ func (e Unavailable) Error() string { return string(e) }
 // Front is a running v1 front end. Create with NewFront, mount Handler,
 // stop with Shutdown.
 type Front struct {
-	id   Identity
 	cfg  Config
 	exec Executor
 	red  red
@@ -100,11 +90,11 @@ type Front struct {
 	starting sync.WaitGroup
 }
 
-// NewFront builds the front end a daemon identified by id serves
-// through exec. Of cfg it reads TenantJobs, MaxSpecs, Logger, Spans,
+// NewFront builds the front end a daemon serves through exec. Of cfg
+// it reads TenantJobs, MaxSpecs, Logger, Spans,
 // Store (the manifest's artifact list), and Engine (the manifest's run
 // log; nil on a daemon that never simulates).
-func NewFront(id Identity, cfg Config, exec Executor) *Front {
+func NewFront(cfg Config, exec Executor) *Front {
 	if cfg.MaxSpecs <= 0 {
 		cfg.MaxSpecs = 1024
 	}
@@ -112,7 +102,6 @@ func NewFront(id Identity, cfg Config, exec Executor) *Front {
 		cfg.Logger = slog.New(slog.DiscardHandler)
 	}
 	f := &Front{
-		id:       id,
 		cfg:      cfg,
 		exec:     exec,
 		jobs:     make(map[string]*Job),
@@ -120,7 +109,6 @@ func NewFront(id Identity, cfg Config, exec Executor) *Front {
 		retired:  make([]string, finishedJobsKept),
 		mux:      http.NewServeMux(),
 	}
-	f.red.prefix = id.MetricPrefix
 	f.mux.HandleFunc(api.PathPing, f.handlePing)
 	f.mux.HandleFunc(api.PathJobs, f.handleJobs)
 	f.mux.HandleFunc(api.PathJobs+"/", f.handleJob)
@@ -129,7 +117,7 @@ func NewFront(id Identity, cfg Config, exec Executor) *Front {
 	return f
 }
 
-// Handle adds a daemon-specific route (hbatc's /v1/workers) to the
+// Handle adds a role-specific route (the coordinator's /v1/workers) to the
 // routing table, inside the same middleware.
 func (f *Front) Handle(path string, h http.HandlerFunc) { f.mux.HandleFunc(path, h) }
 
@@ -178,7 +166,7 @@ func (f *Front) release(j *Job, state string) {
 }
 
 func (f *Front) handlePing(w http.ResponseWriter, r *http.Request) {
-	WriteJSON(w, http.StatusOK, map[string]string{"api": api.Version, "pong": f.id.Tool})
+	WriteJSON(w, http.StatusOK, map[string]string{"api": api.Version, "pong": tool})
 }
 
 // handleJob serves GET /v1/jobs/{id}, /events, and /spans.
@@ -204,7 +192,7 @@ func (f *Front) handleJob(w http.ResponseWriter, r *http.Request) {
 		f.serveEvents(w, r, j)
 	case "spans":
 		if !f.cfg.Spans.Enabled() {
-			WriteErr(w, http.StatusNotFound, "span tracing is disabled on this server (start %s with -spans)", f.id.Tool)
+			WriteErr(w, http.StatusNotFound, "span tracing is disabled on this server (start %s with -spans)", tool)
 			return
 		}
 		w.Header().Set("Content-Type", "application/x-ndjson")
@@ -218,7 +206,7 @@ func (f *Front) handleJob(w http.ResponseWriter, r *http.Request) {
 
 // serveEvents streams the job's progress as SSE. Each event is one
 // api.Event JSON document: spec completions, whatever the executor
-// publishes (hbatc forwards its workers' span events), and, when this
+// publishes (a coordinator forwards its workers' span events), and, when this
 // process's tracer sees engine runs, their live run-root spans — the
 // runspan feed is the transport of record for phase-level progress.
 func (f *Front) serveEvents(w http.ResponseWriter, r *http.Request, j *Job) {
@@ -332,7 +320,7 @@ func (f *Front) handleResult(w http.ResponseWriter, r *http.Request) {
 // store's current keys — enough for a client to audit what was
 // simulated versus served from cache.
 func (f *Front) handleManifest(w http.ResponseWriter, r *http.Request) {
-	man := engine.NewManifest(f.id.Tool, time.Now())
+	man := engine.NewManifest(tool, time.Now())
 	if f.cfg.Engine != nil {
 		man.RecordRuns(f.cfg.Engine)
 	}

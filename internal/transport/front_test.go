@@ -44,7 +44,7 @@ func (e *stubExec) Close(context.Context) error { return nil }
 func TestJobTableKeepsABoundedTailOfFinishedJobs(t *testing.T) {
 	const extra = 5
 	exec := &stubExec{}
-	h := NewFront(Identity{Tool: "test", IDPrefix: "t", RootSpan: "job", MetricPrefix: "hbat_test"}, Config{}, exec).Handler()
+	h := NewFront(Config{}, exec).Handler()
 
 	body, err := json.Marshal(api.JobRequest{Specs: []api.SimOptions{{
 		CommonOptions: api.CommonOptions{Scale: "test"}, Workload: "compress", Design: "T4",

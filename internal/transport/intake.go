@@ -2,10 +2,11 @@ package transport
 
 // Job intake: body bounds, tenant resolution, grid expansion, spec
 // normalization, trace-identity extraction, and admission. A spec
-// submitted to either daemon passes through here, so it lands in the
+// submitted in either role passes through here, so it lands in the
 // same key space and carries the same trace identity semantics.
 
 import (
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -15,6 +16,7 @@ import (
 	"hbat/api"
 	"hbat/internal/engine"
 	"hbat/internal/runspan"
+	"hbat/internal/store"
 	"hbat/internal/tlb"
 	"hbat/internal/workload"
 )
@@ -55,15 +57,16 @@ func ReadJSON(w http.ResponseWriter, r *http.Request, limit int64, what string, 
 }
 
 // resolveTenant resolves the caller's tenant: body field, then the
-// X-Hbat-Tenant header, then "default".
-func resolveTenant(r *http.Request, body *api.JobRequest) string {
-	if body.Tenant != "" {
-		return body.Tenant
+// X-Hbat-Tenant header, then "default". A name outside the tenant
+// grammar (store.Tenant) is an error: the store writes the tenant into
+// its file headers, and a space or newline there costs the artifact at
+// the next restart.
+func resolveTenant(r *http.Request, body *api.JobRequest) (string, error) {
+	ten := cmp.Or(body.Tenant, r.Header.Get(api.TenantHeader), "default")
+	if !store.Tenant(ten) {
+		return "", fmt.Errorf("bad tenant %q: want 1-64 of [A-Za-z0-9._-]", ten)
 	}
-	if t := r.Header.Get(api.TenantHeader); t != "" {
-		return t
-	}
-	return "default"
+	return ten, nil
 }
 
 // gridAxes returns a grid's workload and design axes; nil axes default
@@ -149,8 +152,8 @@ func traceIdentity(r *http.Request, req *api.JobRequest) (traceID, parentSpan st
 }
 
 // handleJobs serves POST /v1/jobs. Rejections come in a fixed order:
-// 405, 413/400 (body), 400 (empty), 413 (too many specs), 400 (bad
-// spec), 503 (executor or drain), 429 (tenant quota).
+// 405, 413/400 (body), 400 (bad tenant), 400 (empty), 413 (too many
+// specs), 400 (bad spec), 503 (executor or drain), 429 (tenant quota).
 func (f *Front) handleJobs(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		WriteErr(w, http.StatusMethodNotAllowed, "POST %s", api.PathJobs)
@@ -160,7 +163,11 @@ func (f *Front) handleJobs(w http.ResponseWriter, r *http.Request) {
 	if !ReadJSON(w, r, maxJobBody, "job request", &req) {
 		return
 	}
-	ten := resolveTenant(r, &req)
+	ten, err := resolveTenant(r, &req)
+	if err != nil {
+		WriteErr(w, http.StatusBadRequest, "%v", err)
+		return
+	}
 	annotate(r.Context(), ten, "")
 	n := requestSize(&req)
 	if n == 0 {
@@ -185,7 +192,7 @@ func (f *Front) handleJobs(w http.ResponseWriter, r *http.Request) {
 	traceID, parentSpan := traceIdentity(r, &req)
 	annotate(r.Context(), "", traceID)
 	j := &Job{
-		ID:      newJobID(f.id.IDPrefix),
+		ID:      newJobID(),
 		Tenant:  ten,
 		TraceID: traceID,
 		SpanID:  runspan.NewSpanID(),
@@ -225,7 +232,7 @@ func (f *Front) handleJobs(w http.ResponseWriter, r *http.Request) {
 	// parent under it in turn.
 	if tr := f.cfg.Spans; tr.Enabled() {
 		j.Trace = tr.NewTraceWith(j.TraceID, j.SpanID, parentSpan)
-		j.Root = tr.Start(j.Trace, nil, f.id.RootSpan).
+		j.Root = tr.Start(j.Trace, nil, "job").
 			SetAttr("job", j.ID).
 			SetAttr("tenant", ten).
 			SetAttr("specs", strconv.Itoa(len(sts)))

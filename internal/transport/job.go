@@ -49,10 +49,10 @@ type Job struct {
 	subSeq uint64
 }
 
-func newJobID(prefix string) string {
+func newJobID() string {
 	var b [8]byte
 	rand.Read(b[:])
-	return prefix + hex.EncodeToString(b[:])
+	return "j" + hex.EncodeToString(b[:])
 }
 
 func terminal(state string) bool {

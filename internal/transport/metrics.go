@@ -1,7 +1,7 @@
 // RED instrumentation for the v1 HTTP surface: a middleware that
 // records request rate, error class, and duration per route template
 // and per tenant, plus gauges over live state (open jobs on either
-// daemon; worker-queue depth and store quota utilization on hbatd).
+// role; worker-queue depth and store quota utilization on a worker).
 // The families are exported through obs.Config.Extra, so /metrics
 // serves them next to the registry-backed simulation metrics in one
 // promcheck-valid exposition.
@@ -13,12 +13,17 @@
 // published back to the middleware through a per-request holder in the
 // context; the same holder carries the job's trace id into the access
 // log, so one grep by trace_id crosses the client/server boundary.
+// Tenants are client-chosen, so the label is capped: the first
+// maxTenantLabels distinct tenants keep their names, later ones export
+// as tenant="other".
 package transport
 
 import (
 	"context"
 	"log/slog"
+	"maps"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -27,6 +32,15 @@ import (
 
 	"hbat/api"
 	"hbat/internal/obs"
+	"hbat/internal/store"
+)
+
+// maxTenantLabels is how many distinct tenants get their own label
+// value, per process; otherTenant is the value the rest share. With the
+// dozen route templates that bounds every tenant-labelled family.
+const (
+	maxTenantLabels = 64
+	otherTenant     = "other"
 )
 
 // redBounds are the request-duration histogram's upper bounds in
@@ -135,12 +149,29 @@ type redEntry struct {
 }
 
 // red is the middleware's request accumulator, shared by every
-// request. prefix names the exported families (Identity.MetricPrefix).
+// request.
 type red struct {
-	prefix string
-
 	mu      sync.Mutex
 	entries map[redKey]*redEntry
+	// tenants are the tenants exported under their own name.
+	tenants map[string]struct{}
+}
+
+// labelLocked returns the label value tenant exports under: its own
+// name while it is one of the first maxTenantLabels seen, otherTenant
+// after. The caller holds m.mu.
+func (m *red) labelLocked(tenant string) string {
+	if _, ok := m.tenants[tenant]; ok {
+		return tenant
+	}
+	if len(m.tenants) >= maxTenantLabels {
+		return otherTenant
+	}
+	if m.tenants == nil {
+		m.tenants = make(map[string]struct{})
+	}
+	m.tenants[tenant] = struct{}{}
+	return tenant
 }
 
 // observe records one finished request under its route template,
@@ -150,7 +181,7 @@ func (m *red) observe(route, tenant, class string, ms float64) {
 	if m.entries == nil {
 		m.entries = make(map[redKey]*redEntry)
 	}
-	k := redKey{route: route, tenant: tenant}
+	k := redKey{route: route, tenant: m.labelLocked(tenant)}
 	e := m.entries[k]
 	if e == nil {
 		e = &redEntry{
@@ -196,8 +227,9 @@ func (m *red) middleware(logger *slog.Logger, next http.Handler) http.Handler {
 		ri.mu.Unlock()
 		if ten == "" {
 			// Handlers that never resolve a tenant (ping, manifest,
-			// results) still get a bounded label from the header path.
-			if ten = r.Header.Get(api.TenantHeader); ten == "" {
+			// results, a job refused for its tenant) label by the
+			// header when it is a well-formed name.
+			if ten = r.Header.Get(api.TenantHeader); !store.Tenant(ten) {
 				ten = "default"
 			}
 		}
@@ -223,8 +255,8 @@ func (m *red) middleware(logger *slog.Logger, next http.Handler) http.Handler {
 }
 
 // families exports the accumulator's request counters and duration
-// histograms as exposition families named from prefix. Series are
-// emitted in sorted label order so scrapes are stable.
+// histograms as exposition families. Series are emitted in sorted label
+// order so scrapes are stable.
 func (m *red) families() []obs.Family {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -239,11 +271,11 @@ func (m *red) families() []obs.Family {
 		return keys[i].tenant < keys[j].tenant
 	})
 	req := obs.Family{
-		Name: m.prefix + "_requests", Kind: "counter",
+		Name: "hbat_fabric_requests", Kind: "counter",
 		Help: "Requests served by the v1 job API, by route template, tenant, and status class.",
 	}
 	dur := obs.Family{
-		Name: m.prefix + "_request_duration_ms", Kind: "histogram",
+		Name: "hbat_fabric_request_duration_ms", Kind: "histogram",
 		Help: "Request wall time in milliseconds, by route template and tenant.",
 	}
 	for _, k := range keys {
@@ -272,20 +304,22 @@ func (m *red) families() []obs.Family {
 	return []obs.Family{req, dur}
 }
 
-// perTenant builds a gauge with one series per tenant of m, in sorted
-// order so scrapes are stable. An empty m yields a zero "default"
-// series: a family with no series is not a valid exposition.
-func perTenant[N int | int64](name, help string, m map[string]N) obs.Family {
+// perTenant builds a gauge with one series per tenant label of vals, in
+// sorted order so scrapes are stable; tenants past m's label cap sum
+// into otherTenant. An empty vals yields a zero "default" series: a
+// family with no series is not a valid exposition.
+func perTenant[N int | int64](m *red, name, help string, vals map[string]N) obs.Family {
 	fam := obs.Family{Name: name, Kind: "gauge", Help: help}
-	tenants := make([]string, 0, len(m))
-	for t := range m {
-		tenants = append(tenants, t)
+	byLabel := make(map[string]float64, len(vals))
+	m.mu.Lock()
+	for _, t := range slices.Sorted(maps.Keys(vals)) {
+		byLabel[m.labelLocked(t)] += float64(vals[t])
 	}
-	sort.Strings(tenants)
-	for _, t := range tenants {
+	m.mu.Unlock()
+	for _, l := range slices.Sorted(maps.Keys(byLabel)) {
 		fam.Series = append(fam.Series, obs.Series{
-			Labels: []obs.Label{{Name: "tenant", Value: t}},
-			Value:  float64(m[t]),
+			Labels: []obs.Label{{Name: "tenant", Value: l}},
+			Value:  byLabel[l],
 		})
 	}
 	if len(fam.Series) == 0 {
@@ -298,14 +332,14 @@ func perTenant[N int | int64](name, help string, m map[string]N) obs.Family {
 // jobs per tenant.
 func (f *Front) MetricsFamilies() []obs.Family {
 	f.mu.Lock()
-	open := perTenant(f.id.MetricPrefix+"_jobs_open",
+	open := perTenant(&f.red, "hbat_fabric_jobs_open",
 		"Open (admitted, not yet finished) jobs per tenant.", f.byTenant)
 	f.mu.Unlock()
 	return append(f.red.families(), open)
 }
 
-// MetricsFamilies exports the front end's families plus hbatd's
-// live-state gauges — hand it to obs.Config.Extra.
+// MetricsFamilies exports the front end's families plus the worker
+// role's live-state gauges — hand it to obs.Config.Extra.
 func (s *Service) MetricsFamilies() []obs.Family {
 	depth := obs.Family{
 		Name: "hbat_fabric_queue_depth", Kind: "gauge",
@@ -318,7 +352,7 @@ func (s *Service) MetricsFamilies() []obs.Family {
 		})
 	}
 	return append(s.Front.MetricsFamilies(), depth,
-		perTenant("hbat_fabric_store_tenant_bytes",
+		perTenant(&s.red, "hbat_fabric_store_tenant_bytes",
 			"Live result-store bytes attributed to each tenant.", s.pool.store.Tenants()),
 		obs.Scalar("hbat_fabric_store_quota_bytes", "gauge",
 			"Configured per-tenant result-store quota in bytes (0 = unlimited).",

@@ -5,8 +5,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"log/slog"
 	"net/http"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -15,6 +18,7 @@ import (
 	"hbat/internal/engine"
 	"hbat/internal/obs"
 	"hbat/internal/runspan"
+	"hbat/internal/store"
 	"hbat/internal/transport"
 )
 
@@ -80,6 +84,69 @@ func TestREDMetrics(t *testing.T) {
 	// The finished job's artifact is attributed to the tenant.
 	if !strings.Contains(out, `hbat_fabric_store_tenant_bytes{tenant="acme"}`) {
 		t.Errorf("no store bytes gauge for tenant acme:\n%s", out)
+	}
+}
+
+// TestTenantLabelIsBounded: tenants are client-chosen, so the label
+// they become must not be. A thousand distinct tenants submit jobs (and
+// two hundred already own bytes in the store, as after a restart); every
+// tenant-labelled family exports at most the 64 first-seen names plus
+// "other", the overflow is still counted, and the exposition stays
+// promcheck-valid.
+func TestTenantLabelIsBounded(t *testing.T) {
+	st, err := store.New(store.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 200; i++ {
+		if _, err := st.Put(fmt.Sprintf("stored-%03d", i), fmt.Sprintf("%04x", i), []byte("x")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	svc, ts, _ := newService(t, transport.Config{Workers: 2, Store: st})
+	defer ts.Close()
+	defer svc.Shutdown(context.Background())
+	ctx := context.Background()
+
+	const tenants = 1000
+	var last api.JobAccepted
+	for i := 0; i < tenants; i++ {
+		c := api.NewClient(ts.URL)
+		c.Tenant = fmt.Sprintf("tenant-%04d", i)
+		if last, err = c.Submit(ctx, api.JobRequest{Specs: []api.SimOptions{testSpec("compress", "T4")}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := api.NewClient(ts.URL).Wait(ctx, last.ID); err != nil {
+		t.Fatal(err)
+	}
+
+	out := scrape(t, svc)
+	sample := regexp.MustCompile(`(?m)^(hbat_\w+)\{[^}]*tenant="([^"]*)"[^}]*\} (\S+)$`)
+	values := map[string]map[string]bool{}
+	var submitted float64
+	for _, m := range sample.FindAllStringSubmatch(out, -1) {
+		if values[m[1]] == nil {
+			values[m[1]] = map[string]bool{}
+		}
+		values[m[1]][m[2]] = true
+		if m[1] == "hbat_fabric_requests" && strings.Contains(m[0], `route="/v1/jobs",`) {
+			n, _ := strconv.ParseFloat(m[3], 64)
+			submitted += n
+		}
+	}
+	for _, fam := range []string{"hbat_fabric_requests", "hbat_fabric_request_duration_ms_count", "hbat_fabric_store_tenant_bytes"} {
+		if n := len(values[fam]); n < 2 || !values[fam]["other"] {
+			t.Errorf("%s: %d tenant values, other=%v; want the overflow folded into other", fam, n, values[fam]["other"])
+		}
+	}
+	for name, vs := range values {
+		if len(vs) > 65 {
+			t.Errorf("%s exports %d tenant values, want at most 64 + other", name, len(vs))
+		}
+	}
+	if submitted != tenants {
+		t.Errorf("submissions counted across tenant labels = %v, want %d", submitted, tenants)
 	}
 }
 

@@ -1,6 +1,6 @@
 package transport
 
-// hbatd's executor: a worker pool over a sweep engine and a result
+// The worker role's executor: a worker pool over a sweep engine and a result
 // store. An admitted job's specs shard across the pool by spec key.
 // Workers consult the store first (a restart serves previous results
 // without simulating), then the engine (whose memo deduplicates
@@ -47,7 +47,8 @@ type Config struct {
 	Spans *runspan.Tracer
 }
 
-// Service is a running hbatd: the v1 Front over a local worker pool.
+// Service is hbatd in its worker role: the v1 Front over a local worker
+// pool.
 // Create with New, mount Handler, stop with Shutdown.
 type Service struct {
 	*Front
@@ -75,8 +76,7 @@ func New(cfg Config) (*Service, error) {
 		p.wg.Add(1)
 		go p.worker(p.queues[i])
 	}
-	id := Identity{Tool: "hbatd", IDPrefix: "j", RootSpan: "job", MetricPrefix: "hbat_fabric"}
-	return &Service{Front: NewFront(id, cfg, p), pool: p}, nil
+	return &Service{Front: NewFront(cfg, p), pool: p}, nil
 }
 
 // specTask is one spec of one job, queued to a worker. enq is the

@@ -25,9 +25,9 @@ count() {
 	echo "$total"
 }
 
-serving="api internal/engine internal/store internal/transport internal/fleet internal/obs internal/runspan cmd/hbatd cmd/hbatc"
+serving="api internal/engine internal/store internal/transport internal/fleet internal/obs internal/runspan cmd/hbatd"
 simulator="internal/cpu internal/tlb internal/cache internal/bpred internal/vm internal/mem"
-frontend="internal/transport internal/fleet cmd/hbatd cmd/hbatc"
+frontend="internal/transport internal/fleet cmd/hbatd"
 
 printf '%-10s %6s  %s\n' group lines packages
 printf '%-10s %6d  %s\n' serving "$(count $serving)" "$serving"

@@ -22,7 +22,8 @@ import (
 // simulate span.
 func TestMergedSpanTimeline(t *testing.T) {
 	tr := NewSpanTracer()
-	eng := engine.New(engine.WithSpans(tr))
+	eng := engine.New()
+	eng.SetSpans(tr)
 
 	specs := []engine.RunSpec{
 		{
