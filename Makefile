@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build test check bench profile-core experiments report serve-demo cover loc clean
+.PHONY: all build test check bench profile-core profile-ffwd experiments report serve-demo cover loc clean
 
 all: build test
 
@@ -34,6 +34,19 @@ profile-core:
 	@d=$$(mktemp -d) && \
 	go test -run '^$$' -bench 'BenchmarkFigure5$$' -benchtime 5x -o $$d/hbat.test -cpuprofile $$d/cpu.prof . >/dev/null && \
 	go tool pprof -top -nodecount 25 $$d/hbat.test $$d/cpu.prof; \
+	rm -rf $$d
+
+# Where a checkpointed sweep's host time goes: a CPU profile of the
+# ffwd-99 plan (30 full-scale runs fast-forwarding 99 % through 10
+# shared checkpoints, fresh engine per iteration), top 25 functions by
+# cumulative time. The header's "Total samples = ... (N%)" is CPU time
+# over wall time: on two cores, 200 % means both worked throughout and
+# a figure near 100 % means one sat idle (waiting on the other's
+# checkpoint build, before ISSUE 18). Leaves nothing behind.
+profile-ffwd:
+	@d=$$(mktemp -d) && \
+	go test -run '^$$' -bench 'BenchmarkFFwd99$$' -benchtime 30x -o $$d/hbat.test -cpuprofile $$d/cpu.prof . >/dev/null && \
+	go tool pprof -top -cum -nodecount 25 $$d/hbat.test $$d/cpu.prof; \
 	rm -rf $$d
 
 # Regenerate every table and figure at small scale (minutes: use

@@ -55,17 +55,43 @@ type BuildConfig struct {
 // the machine, the tag arrays and predictor being warmed, and the
 // distinct-page reference stream.
 type buildState struct {
-	em      *emu.Machine
-	ic, dc  *cache.Cache
-	pred    *bpred.Predictor
-	n       uint64
-	warm    map[uint64]warmInfo
-	warmSeq uint64
+	em     *emu.Machine
+	ic, dc *cache.Cache
+	pred   *bpred.Predictor
+	n      uint64
+	// warm is the distinct-page stream, indexed by physical frame number
+	// rather than hashed by VPN: every reference reaches it holding its
+	// physical address, the address space hands frames out sequentially
+	// (so the table is dense up to AS.NextFrame()), and nothing unmaps
+	// during a build, so a frame stands for exactly one page.
+	warm     []warmInfo
+	warmSeq  uint64
+	pageBits uint
 }
 
+// warmInfo is one page's entry in the distinct-page stream: the
+// sequence number of its most recent reference and whether any
+// reference wrote it.
 type warmInfo struct {
 	seq   uint64
+	vpn   uint64
 	write bool
+	used  bool
+}
+
+// notePage records a reference to the page holding paddr/vaddr as the
+// page's most recent one, at sequence number seq.
+func (bs *buildState) notePage(paddr, vaddr uint64, write bool, seq uint64) {
+	pfn := paddr >> bs.pageBits
+	if pfn >= uint64(len(bs.warm)) {
+		n := 2 * uint64(len(bs.warm))
+		if nf := bs.em.AS.NextFrame(); n < nf {
+			n = nf
+		}
+		bs.warm = append(bs.warm, make([]warmInfo, n-uint64(len(bs.warm)))...)
+	}
+	w := &bs.warm[pfn]
+	*w = warmInfo{seq: seq, vpn: vaddr >> bs.pageBits, write: w.write || write, used: true}
 }
 
 // Warm-up recency stamps are negative — instruction i of n stamps at
@@ -80,7 +106,7 @@ func (bs *buildState) stamp(i uint64) int64 { return int64(i) - int64(bs.n) }
 // line collapses to a single warm access and a single distinct-page
 // update: WarmAccess keeps no statistics, so its tag-array result for
 // the run is the last stamp with the OR of the write bits, and the
-// warm map's entry for the page is likewise the run's last sequence
+// warm table's entry for the page is likewise the run's last sequence
 // number with OR'd writes — byte-identical to the per-reference loop.
 // References without a physical address (interpreter fallback, faulting
 // accesses) take the reference path unchanged.
@@ -104,9 +130,7 @@ func (bs *buildState) consumeRefs(refs []sblock.MemRef) {
 		last := &refs[j-1]
 		bs.em.AS.WalkCount += k
 		bs.dc.WarmAccess(last.PA, write, bs.stamp(last.InstIdx))
-		vpn := bs.em.AS.VPN(last.Vaddr)
-		w := bs.warm[vpn]
-		bs.warm[vpn] = warmInfo{seq: bs.warmSeq + k - 1, write: w.write || write}
+		bs.notePage(last.PA, last.Vaddr, write, bs.warmSeq+k-1)
 		bs.warmSeq += k
 		i = j
 	}
@@ -129,9 +153,7 @@ func (bs *buildState) noteRef(vaddr uint64, write bool, instIdx uint64) {
 		return // the emulator's own access will surface the fault
 	}
 	bs.dc.WarmAccess(paddr, write, bs.stamp(instIdx))
-	vpn := bs.em.AS.VPN(vaddr)
-	w := bs.warm[vpn]
-	bs.warm[vpn] = warmInfo{seq: bs.warmSeq, write: w.write || write}
+	bs.notePage(paddr, vaddr, write, bs.warmSeq)
 	bs.warmSeq++
 }
 
@@ -166,12 +188,12 @@ func Build(ctx context.Context, p *prog.Program, cfg BuildConfig) (*Checkpoint, 
 	em.AS.ClearStatus()
 
 	bs := &buildState{
-		em:   em,
-		ic:   cache.New(cfg.ICache),
-		dc:   cache.New(cfg.DCache),
-		pred: bpred.New(cfg.Branch),
-		n:    cfg.FastForward,
-		warm: make(map[uint64]warmInfo),
+		em:       em,
+		ic:       cache.New(cfg.ICache),
+		dc:       cache.New(cfg.DCache),
+		pred:     bpred.New(cfg.Branch),
+		n:        cfg.FastForward,
+		pageBits: em.AS.PageBits(),
 	}
 
 	if translated {
@@ -357,13 +379,11 @@ func (bs *buildState) snapshot(cfg BuildConfig) *Checkpoint {
 	if warmCap <= 0 {
 		warmCap = DefaultWarmCap
 	}
-	type kv struct {
-		vpn uint64
-		warmInfo
-	}
-	ordered := make([]kv, 0, len(bs.warm))
-	for vpn, w := range bs.warm {
-		ordered = append(ordered, kv{vpn, w})
+	ordered := make([]warmInfo, 0, len(bs.warm))
+	for _, w := range bs.warm {
+		if w.used {
+			ordered = append(ordered, w)
+		}
 	}
 	sort.Slice(ordered, func(i, j int) bool { return ordered[i].seq < ordered[j].seq })
 	if len(ordered) > warmCap {

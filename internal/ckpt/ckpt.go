@@ -66,6 +66,10 @@ type WarmRef struct {
 }
 
 // Checkpoint is the complete state handoff at the fast-forward point.
+// Once built or decoded it is immutable: restores read it in place
+// (physical memory aliases Frames copy-on-write, see
+// mem.Memory.ImportFrames), which is what lets any number of machines
+// restore from one checkpoint concurrently.
 type Checkpoint struct {
 	PageSize    uint64
 	FastForward uint64 // instructions executed by the functional phase

@@ -64,8 +64,10 @@ func (m *Machine) maybeFastForward() error {
 // restoreCheckpoint injects a warmed checkpoint into the machine. The
 // address space is mutated in place — the TLB device captured its
 // pointer at construction — while physical memory, which nothing
-// aliases, is replaced wholesale (the loader-written frames must not
-// survive: the checkpoint's zero-frame omission assumes a fresh store).
+// aliases, is replaced wholesale by a copy-on-write view of the
+// checkpoint's frames (the checkpoint's zero-frame omission assumes a
+// fresh store, and New loads no data segment into a machine that will
+// fast-forward).
 func (m *Machine) restoreCheckpoint(c *ckpt.Checkpoint) error {
 	if c.PageSize != m.cfg.PageSize {
 		return fmt.Errorf("cpu: checkpoint page size %d does not match config %d", c.PageSize, m.cfg.PageSize)

@@ -183,9 +183,15 @@ func New(p *prog.Program, cfg Config, buildTLB func(*vm.AddressSpace) tlb.Device
 	m.fetchPC = p.Entry
 	m.fetchVPN = ^uint64(0)
 	m.nextFlushAt = cfg.FlushTLBEvery
-	for _, seg := range p.Data {
-		if err := m.writeVirt(seg.Addr, seg.Bytes); err != nil {
-			return nil, fmt.Errorf("cpu: loading data segment at 0x%x: %w", seg.Addr, err)
+	// A fast-forwarding machine replaces its page table and physical
+	// memory with the checkpoint's before the first cycle
+	// (restoreCheckpoint), so data segments loaded here would be frames
+	// written to be thrown away.
+	if cfg.FastForward == 0 {
+		for _, seg := range p.Data {
+			if err := m.writeVirt(seg.Addr, seg.Bytes); err != nil {
+				return nil, fmt.Errorf("cpu: loading data segment at 0x%x: %w", seg.Addr, err)
+			}
 		}
 	}
 	// Loading the initial images is the loader's work, not the

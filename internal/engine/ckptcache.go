@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
+	"time"
 
 	"hbat/internal/ckpt"
 	"hbat/internal/cpu"
@@ -27,6 +28,16 @@ type ckptKey struct {
 	scale    workload.Scale
 	pageSize uint64
 	ffwd     uint64
+}
+
+func (s RunSpec) ckptKey() ckptKey {
+	return ckptKey{
+		workload: s.Workload,
+		budget:   s.Budget,
+		scale:    s.Scale,
+		pageSize: s.PageSize,
+		ffwd:     s.FastForward,
+	}
 }
 
 // ckptEntry is one cached (or in-flight) checkpoint build; done closes
@@ -49,17 +60,13 @@ func (k ckptKey) file(dir string) string {
 // most once per key (singleflight) and persisting it under CkptDir
 // when one is configured. sp, when non-nil, is the run's "checkpoint"
 // phase span: it gets a source attribute (memory / disk / build) and
-// child spans for singleflight waits, disk loads, and builds.
-func (e *Engine) checkpoint(ctx context.Context, spec RunSpec, p *prog.Program, cfg cpu.Config, sp *runspan.Span) (*ckpt.Checkpoint, error) {
+// child spans for singleflight waits, disk loads, and builds. waited is
+// the time spent blocked on another run's in-flight build of the same
+// checkpoint — not this run's work, so the cost model leaves it out.
+func (e *Engine) checkpoint(ctx context.Context, spec RunSpec, p *prog.Program, cfg cpu.Config, sp *runspan.Span) (c *ckpt.Checkpoint, waited time.Duration, err error) {
 	tr := e.Spans()
 	rt := sp.Trace()
-	key := ckptKey{
-		workload: spec.Workload,
-		budget:   spec.Budget,
-		scale:    spec.Scale,
-		pageSize: spec.PageSize,
-		ffwd:     spec.FastForward,
-	}
+	key := spec.ckptKey()
 	for {
 		e.mu.Lock()
 		ent := e.ckpts[key]
@@ -76,7 +83,7 @@ func (e *Engine) checkpoint(ctx context.Context, spec RunSpec, p *prog.Program, 
 				e.mu.Unlock()
 				ent.err = err
 				close(ent.done)
-				return nil, err
+				return nil, waited, err
 			}
 			if fromDisk {
 				e.ckptHits.Add(1)
@@ -87,7 +94,7 @@ func (e *Engine) checkpoint(ctx context.Context, spec RunSpec, p *prog.Program, 
 			}
 			ent.c, ent.err = c, err
 			close(ent.done)
-			return c, err
+			return c, waited, err
 		}
 		e.mu.Unlock()
 		// A wait on another run's in-flight warm-up is its own span —
@@ -102,19 +109,21 @@ func (e *Engine) checkpoint(ctx context.Context, spec RunSpec, p *prog.Program, 
 				wsp = tr.Start(rt, sp, "singleflight_wait")
 			}
 		}
+		blocked := time.Now()
 		select {
 		case <-ctx.Done():
 			wsp.End()
-			return nil, ctx.Err()
+			return nil, waited, ctx.Err()
 		case <-ent.done:
 		}
+		waited += time.Since(blocked)
 		wsp.End()
 		if isCancelErr(ent.err) {
 			continue // the producer was cancelled, not us: retry
 		}
 		e.ckptHits.Add(1)
 		sp.SetAttr("source", "memory")
-		return ent.c, ent.err
+		return ent.c, waited, ent.err
 	}
 }
 

@@ -47,8 +47,11 @@ import (
 //     in-flight machines at a cycle-granular check (cpu.SetCancel).
 //   - Scheduling: RunAll dispatches grid specs longest-job-first using
 //     per-(workload, scale) wall-time estimates learned from completed
-//     runs, which cuts the tail latency of a mixed grid, and reports
-//     per-run wall time and a remaining-work ETA through Progress.
+//     runs, which cuts the tail latency of a mixed grid, with one run
+//     per fast-forward checkpoint ahead of the rest so that workers
+//     build different checkpoints instead of waiting on one
+//     (dispatchOrder), and reports per-run wall time and a
+//     remaining-work ETA through Progress.
 //
 // The zero value is not usable; create one with New. An Engine is
 // safe for concurrent use and is meant to be long-lived: one engine per
@@ -290,17 +293,23 @@ func (s RunSpec) Hash() string {
 }
 
 // costKey groups specs whose wall times are comparable for scheduling
-// estimates.
+// estimates. The fast-forward depth is part of it: a 1 % measurement
+// window behind a checkpoint and the same workload from reset differ by
+// orders of magnitude.
 type costKey struct {
-	workload string
-	scale    workload.Scale
-	budget   prog.RegBudget
-	inOrder  bool
-	lockstep bool
+	workload    string
+	scale       workload.Scale
+	budget      prog.RegBudget
+	inOrder     bool
+	lockstep    bool
+	fastForward uint64
 }
 
 func (s RunSpec) costKey() costKey {
-	return costKey{workload: s.Workload, scale: s.Scale, budget: s.Budget, inOrder: s.InOrder, lockstep: s.Lockstep}
+	return costKey{
+		workload: s.Workload, scale: s.Scale, budget: s.Budget,
+		inOrder: s.InOrder, lockstep: s.Lockstep, fastForward: s.FastForward,
+	}
 }
 
 // estimate returns the expected wall time of a spec in seconds: the
@@ -329,9 +338,10 @@ func (e *Engine) estimate(s RunSpec) float64 {
 	return base
 }
 
-// observe folds a completed run's wall time into the estimates.
-func (e *Engine) observe(s RunSpec, wall time.Duration) {
-	sec := wall.Seconds()
+// observe folds a completed run's own work — its wall time less any
+// wait on another run's checkpoint build — into the estimates.
+func (e *Engine) observe(s RunSpec, work time.Duration) {
+	sec := work.Seconds()
 	k := s.costKey()
 	e.mu.Lock()
 	if old, ok := e.ewma[k]; ok {
@@ -766,6 +776,7 @@ func (e *Engine) execute(ctx context.Context, spec RunSpec) (RunResult, *runspan
 		res.Err = err
 		return res, root
 	}
+	var ckptWait time.Duration
 	cfg := cpu.DefaultConfig()
 	cfg.PageSize = spec.PageSize
 	cfg.InOrder = spec.InOrder
@@ -781,7 +792,8 @@ func (e *Engine) execute(ctx context.Context, spec RunSpec) (RunResult, *runspan
 		// size, N) serves every design in the grid; the machine then
 		// restores it instead of re-running the functional phase.
 		csp := tr.Start(rt, root, "checkpoint")
-		c, cerr := e.checkpoint(ctx, spec, p, cfg, csp)
+		c, waited, cerr := e.checkpoint(ctx, spec, p, cfg, csp)
+		ckptWait = waited
 		endPhase(csp, "checkpoint")
 		if cerr != nil {
 			if isCancelErr(cerr) {
@@ -846,7 +858,7 @@ func (e *Engine) execute(ctx context.Context, spec RunSpec) (RunResult, *runspan
 	case err != nil:
 		res.Err = fmt.Errorf("%s: %w", spec, err)
 	default:
-		e.observe(spec, res.Wall)
+		e.observe(spec, res.Wall-ckptWait)
 	}
 	if ssp != nil {
 		endPhase(ssp, "simulate")
@@ -873,8 +885,39 @@ type Progress struct {
 	Elapsed, ETA time.Duration
 }
 
+// dispatchOrder returns the order in which RunAll hands specs to its
+// workers, as indices into specs: longest-estimated-job-first (stable,
+// so equal-cost specs keep grid order), with the first fast-forwarding
+// spec of every distinct checkpoint moved ahead of everything else.
+// Those leaders are the runs that build the checkpoints. A grid lists
+// one workload's designs side by side, so without the second rule
+// concurrent workers pick up specs that share a checkpoint and all but
+// one of them sleep on the singleflight while the others' checkpoints
+// wait unbuilt; with it, workers build different checkpoints at once
+// and every follower finds its checkpoint in memory.
+func dispatchOrder(specs []RunSpec, cost []float64) []int {
+	ljf := make([]int, len(specs))
+	for i := range ljf {
+		ljf[i] = i
+	}
+	sort.SliceStable(ljf, func(a, b int) bool { return cost[ljf[a]] > cost[ljf[b]] })
+	order := make([]int, 0, len(specs))
+	var followers []int
+	seen := make(map[ckptKey]bool)
+	for _, i := range ljf {
+		if k := specs[i].ckptKey(); k.ffwd > 0 && !seen[k] {
+			seen[k] = true
+			order = append(order, i)
+		} else {
+			followers = append(followers, i)
+		}
+	}
+	return append(order, followers...)
+}
+
 // RunAll executes specs with bounded parallelism (0 = GOMAXPROCS),
-// dispatching longest-estimated-job-first to minimize tail latency.
+// dispatching in dispatchOrder — longest-estimated-job-first, checkpoint
+// builders ahead — to minimize tail latency.
 // Results are returned in spec order regardless of dispatch order.
 // When ctx is cancelled, queued specs are not dispatched, in-flight
 // machines are interrupted, every unfinished result carries ctx.Err(),
@@ -889,19 +932,13 @@ func (e *Engine) RunAll(ctx context.Context, specs []RunSpec, parallelism int, p
 	}
 	results := make([]RunResult, len(specs))
 
-	// Longest-job-first: sort a dispatch order by estimated cost,
-	// descending. Stable so equal-cost specs keep grid order.
 	cost := make([]float64, len(specs))
 	var totalCost float64
 	for i, s := range specs {
 		cost[i] = e.estimate(s)
 		totalCost += cost[i]
 	}
-	order := make([]int, len(specs))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool { return cost[order[a]] > cost[order[b]] })
+	order := dispatchOrder(specs, cost)
 
 	start := time.Now()
 	e.queued.Add(int64(len(specs)))

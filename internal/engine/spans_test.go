@@ -203,19 +203,15 @@ func TestSingleflightWaitSpan(t *testing.T) {
 		Workload: "espresso", Design: "T4", Budget: prog.Budget32,
 		Scale: workload.ScaleTest, PageSize: 4096, Seed: 1, FastForward: 100,
 	}
-	key := ckptKey{
-		workload: spec.Workload, budget: spec.Budget, scale: spec.Scale,
-		pageSize: spec.PageSize, ffwd: spec.FastForward,
-	}
 	ent := &ckptEntry{done: make(chan struct{})}
-	eng.ckpts[key] = ent
+	eng.ckpts[spec.ckptKey()] = ent
 
 	rt := tr.NewTrace()
 	root := tr.Start(rt, nil, "run")
 	csp := tr.Start(rt, root, "checkpoint")
 	got := make(chan error, 1)
 	go func() {
-		_, err := eng.checkpoint(context.Background(), spec, nil, cpu.DefaultConfig(), csp)
+		_, _, err := eng.checkpoint(context.Background(), spec, nil, cpu.DefaultConfig(), csp)
 		got <- err
 	}()
 
@@ -254,7 +250,7 @@ func TestSingleflightWaitSpan(t *testing.T) {
 	// Second caller finds the entry ready: a plain memory hit, no wait
 	// span.
 	csp3 := tr.Start(rt, nil, "checkpoint")
-	if _, err := eng.checkpoint(context.Background(), spec, nil, cpu.DefaultConfig(), csp3); err != nil {
+	if _, _, err := eng.checkpoint(context.Background(), spec, nil, cpu.DefaultConfig(), csp3); err != nil {
 		t.Fatal(err)
 	}
 	csp3.End()

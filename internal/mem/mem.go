@@ -24,6 +24,10 @@ type frame [FrameSize]byte
 // mutation; the simulator is single-goroutine per machine.
 type Memory struct {
 	frames map[uint64]*frame
+	// shared names the frames that still alias an imported image's
+	// storage (ImportFrames): readable in place, copied by frameFor
+	// before the first write. Empty for a memory that never imported.
+	shared map[uint64]struct{}
 }
 
 // New returns an empty physical memory.
@@ -40,6 +44,13 @@ func (m *Memory) frameFor(addr uint64) *frame {
 	if f == nil {
 		f = new(frame)
 		m.frames[fn] = f
+	} else if len(m.shared) != 0 {
+		if _, ok := m.shared[fn]; ok {
+			own := *f
+			f = &own
+			m.frames[fn] = f
+			delete(m.shared, fn)
+		}
 	}
 	return f
 }
@@ -78,21 +89,29 @@ func (m *Memory) ExportFrames() []FrameImage {
 	return out
 }
 
-// ImportFrames replaces the memory's contents with the given frames.
+// ImportFrames replaces the memory's contents with the given frames,
+// copy-on-write: the memory reads frames[i].Data in place and copies a
+// frame the first time it is written (or handed out by Frame), so an
+// import costs one map entry per frame whatever the frames hold. The
+// caller must not modify frames afterwards; the memory never does, so
+// any number of memories may import the same slice, concurrently.
 func (m *Memory) ImportFrames(frames []FrameImage) {
 	m.frames = make(map[uint64]*frame, len(frames))
+	m.shared = make(map[uint64]struct{}, len(frames))
 	for i := range frames {
-		f := frame(frames[i].Data)
-		m.frames[frames[i].Index] = &f
+		m.frames[frames[i].Index] = (*frame)(&frames[i].Data)
+		m.shared[frames[i].Index] = struct{}{}
 	}
 }
 
 // Frame returns a pointer to the backing frame containing addr,
-// allocating it on first touch. The pointer stays valid until
-// ImportFrames replaces the store. The translated functional engine
-// caches it to skip the frame-map lookup on its memory fast path;
-// allocating on a read here is invisible because an all-zero frame
-// reads identically to an untouched one and ExportFrames omits it.
+// allocating it on first touch and taking a private copy of a frame
+// still shared with an imported image, since the caller may write
+// through it. The pointer stays valid until ImportFrames replaces the
+// store. The translated functional engine caches it to skip the
+// frame-map lookup on its memory fast path; allocating on a read here
+// is invisible because an all-zero frame reads identically to an
+// untouched one and ExportFrames omits it.
 func (m *Memory) Frame(addr uint64) *[FrameSize]byte {
 	return (*[FrameSize]byte)(m.frameFor(addr))
 }

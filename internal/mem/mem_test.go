@@ -2,6 +2,8 @@ package mem
 
 import (
 	"bytes"
+	"encoding/binary"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -116,5 +118,148 @@ func TestEndiannessProperty(t *testing.T) {
 		return true
 	}, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// testImage is a small imported image: frames 1..4 filled with a
+// per-frame pattern, plus an all-zero frame 9.
+func testImage() []FrameImage {
+	fs := make([]FrameImage, 5)
+	for i := range fs[:4] {
+		fs[i].Index = uint64(i + 1)
+		for j := range fs[i].Data {
+			fs[i].Data[j] = byte(i*31 + j*7 + 1)
+		}
+	}
+	fs[4].Index = 9
+	return fs
+}
+
+// eagerImport is the reference ImportFrames is checked against: every
+// frame copied into storage the memory owns.
+func eagerImport(fs []FrameImage) *Memory {
+	m := New()
+	for i := range fs {
+		m.Write(fs[i].Index<<FrameBits, fs[i].Data[:])
+	}
+	return m
+}
+
+// TestImportFramesIsCopyOnWrite: an import shares the image's storage,
+// so whatever the memory is then asked to do — scalar and bulk writes,
+// Frame() pointers written through, inside and outside the imported
+// frames, straddling their boundaries — the image must stay byte for
+// byte what it was, while the memory behaves exactly like one that
+// copied every frame up front.
+func TestImportFramesIsCopyOnWrite(t *testing.T) {
+	fs := testImage()
+	pristine := append([]FrameImage(nil), fs...)
+
+	m, other := New(), New()
+	m.ImportFrames(fs)
+	other.ImportFrames(fs)
+	ref := eagerImport(pristine)
+	if got := m.FramesTouched(); got != len(fs) {
+		t.Fatalf("import touched %d frames, want %d", got, len(fs))
+	}
+
+	if err := quick.Check(func(addr uint64, v uint64, op uint8) bool {
+		addr %= 12 << FrameBits // frames 0..11: imported, zero, and untouched
+		switch op % 6 {
+		case 0:
+			m.SetByte(addr, byte(v))
+			ref.SetByte(addr, byte(v))
+		case 1:
+			m.Write16(addr, uint16(v))
+			ref.Write16(addr, uint16(v))
+		case 2:
+			m.Write32(addr, uint32(v))
+			ref.Write32(addr, uint32(v))
+		case 3:
+			m.Write64(addr, v)
+			ref.Write64(addr, v)
+		case 4:
+			buf := bytes.Repeat([]byte{byte(v), byte(v >> 8), byte(v >> 16)}, 1+int(v%3000))
+			m.Write(addr, buf)
+			ref.Write(addr, buf)
+		default:
+			// What the translated engine does: cache the frame pointer,
+			// then store through it.
+			m.Frame(addr)[addr&(FrameSize-1)] = byte(v)
+			ref.Frame(addr)[addr&(FrameSize-1)] = byte(v)
+		}
+		return m.Read64(addr) == ref.Read64(addr) && m.ByteAt(addr) == ref.ByteAt(addr)
+	}, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Error(err)
+	}
+
+	if !reflect.DeepEqual(fs, pristine) {
+		t.Fatal("writes to an importing memory reached the imported image")
+	}
+	if got, want := m.ExportFrames(), ref.ExportFrames(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("export after copy-on-write traffic differs from the eager-copy reference (%d vs %d frames)", len(got), len(want))
+	}
+	// The second importer saw none of it.
+	if got := other.ExportFrames(); !reflect.DeepEqual(got, pristine[:4]) {
+		t.Fatal("one importer's writes are visible through another's")
+	}
+}
+
+// TestImportersDivergeIndependently: two memories over one image each
+// see their own writes and the image's bytes everywhere else; a shared
+// all-zero frame nobody writes stays out of ExportFrames.
+func TestImportersDivergeIndependently(t *testing.T) {
+	fs := testImage()
+	a, b := New(), New()
+	a.ImportFrames(fs)
+	b.ImportFrames(fs)
+
+	addr := uint64(2<<FrameBits + 40)
+	was := a.Read64(addr)
+	a.Write64(addr, 0xA)
+	b.Write64(addr+8, 0xB)
+	if a.Read64(addr) != 0xA || b.Read64(addr) != was {
+		t.Error("a's write: not read back by a, or visible through b")
+	}
+	if b.Read64(addr+8) != 0xB || a.Read64(addr+8) == 0xB {
+		t.Error("b's write: not read back by b, or visible through a")
+	}
+	if binary.LittleEndian.Uint64(fs[1].Data[40:]) != was {
+		t.Error("a write reached the imported image")
+	}
+	for _, m := range []*Memory{a, b} {
+		out := m.ExportFrames()
+		if len(out) != 4 {
+			t.Fatalf("exported %d frames, want the 4 non-zero ones", len(out))
+		}
+		for _, f := range out {
+			if f.Index == 9 {
+				t.Error("an unwritten all-zero shared frame was exported")
+			}
+		}
+	}
+	// Writing the zero frame makes it a's own, and exported by a alone.
+	a.SetByte(9<<FrameBits, 1)
+	if len(a.ExportFrames()) != 5 || len(b.ExportFrames()) != 4 || fs[4].Data[0] != 0 {
+		t.Error("a write to the shared zero frame leaked, or was lost")
+	}
+}
+
+// TestImportFramesAllocatesNoFrame: an import is two maps, not a copy
+// of every frame — what makes restoring a checkpoint cost the same
+// whether the window behind it writes four pages or four thousand.
+func TestImportFramesAllocatesNoFrame(t *testing.T) {
+	fs := make([]FrameImage, 256)
+	for i := range fs {
+		fs[i].Index = uint64(i)
+		fs[i].Data[0] = 1
+	}
+	m := New()
+	if allocs := testing.AllocsPerRun(10, func() { m.ImportFrames(fs) }); allocs >= float64(len(fs))/4 {
+		t.Errorf("importing %d frames made %.0f allocations: frames are being copied", len(fs), allocs)
+	}
+	m.SetByte(3<<FrameBits, 2) // the one frame written is the one frame copied
+	if allocs := testing.AllocsPerRun(10, func() { m.SetByte(3<<FrameBits+1, 2) }); allocs != 0 {
+		t.Errorf("a second write to an owned frame made %.0f allocations", allocs)
 	}
 }
