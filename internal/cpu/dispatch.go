@@ -69,6 +69,7 @@ func (m *Machine) dispatch() {
 			}
 			continue
 		}
+		e.class = d.Class
 		e.isCtrl = d.Class == isa.ClassBranch || d.Class == isa.ClassJump
 		e.isLoad = d.Class == isa.ClassLoad
 		e.isStore = d.Class == isa.ClassStore
@@ -79,7 +80,7 @@ func (m *Machine) dispatch() {
 		e.nsrc = int(d.NSrc)
 		for k, r := range d.Srcs[:d.NSrc] {
 			op := &e.srcs[k]
-			op.producer = -1
+			*op = operand{producer: -1}
 			if r == isa.Zero {
 				continue
 			}
@@ -114,10 +115,13 @@ func (m *Machine) dispatch() {
 				m.rob.sets[setStoreUnknown].add(idx)
 			}
 		}
+		// An operand still to be produced is an event to wait for:
+		// nothing visits the entry until setDest delivers the last one.
+		m.rob.sets[setUnissued].add(idx)
 		if e.pending > 0 {
-			m.rob.setState(idx, sWaiting)
+			e.state = sWaiting
 		} else {
-			m.rob.setState(idx, sReady)
+			m.ready(idx, e)
 		}
 	}
 }

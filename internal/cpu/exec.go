@@ -12,8 +12,10 @@ import (
 
 // setDest fixes destination slot of entry idx — its value, and the
 // cycle it is available from — and delivers both to the consumers
-// dispatch linked to it, moving those with no operand left to wait for
-// to sReady.
+// dispatch linked to it. Delivery is the event two kinds of consumer
+// wait for: one with no operand left to wait for becomes sReady, and a
+// translated store waiting for this value as its data is parked until
+// the value is available.
 func (m *Machine) setDest(idx int, e *robEntry, slot int, val uint64, readyAt int64) {
 	e.dests[slot].val, e.dests[slot].readyAt = val, readyAt
 	cons := m.rob.consumers(idx, slot)
@@ -26,15 +28,30 @@ func (m *Machine) setDest(idx int, e *robEntry, slot int, val uint64, readyAt in
 					op.producer = -1
 					ce.deliver(k, val, readyAt)
 					if ce.isData(k) {
+						if ce.state == sStoreData {
+							m.rob.park(wheelMem, c, max(readyAt, m.cycle+1), m.cycle)
+						}
 						continue
 					}
 					if ce.pending--; ce.pending == 0 {
-						m.rob.setState(c, sReady)
+						m.ready(c, ce)
 					}
 				}
 			}
 		}
 		cons[w] = 0
+	}
+}
+
+// ready makes entry idx, whose last issue operand has just been
+// delivered (or was never outstanding), sReady: visited by issue if the
+// operands are available already, parked until they are otherwise.
+func (m *Machine) ready(idx int, e *robEntry) {
+	e.state = sReady
+	if e.readyAt <= m.cycle {
+		m.rob.sets[setReady].add(idx)
+	} else {
+		m.rob.park(wheelReady, idx, e.readyAt, m.cycle)
 	}
 }
 
@@ -95,7 +112,7 @@ func (m *Machine) olderStoreAddrsKnown(idx int) bool {
 // adders, and single integer and FP multiply/divide units whose divides
 // are unpipelined (issue interval = latency).
 func (m *Machine) acquireFU(e *robEntry) (lat int64, ok bool) {
-	switch e.inst.Class() {
+	switch e.class {
 	case isa.ClassIntALU, isa.ClassBranch, isa.ClassJump:
 		if m.intALUUsed >= m.cfg.IntALUs {
 			return 0, false
@@ -143,20 +160,19 @@ func (m *Machine) acquireFU(e *robEntry) (lat int64, ok bool) {
 }
 
 // issue selects up to IssueWidth instructions among those whose
-// operands have all been delivered, oldest first. The in-order model
-// stops at the first instruction that cannot issue (stall-on-hazard,
-// Table 1), which an older one still waiting for a producer is.
+// operands are all available, oldest first. The in-order model stops at
+// the first instruction that cannot issue (stall-on-hazard, Table 1),
+// which an older one whose operands are yet to be produced or yet to
+// become available is.
 func (m *Machine) issue() {
+	r := m.rob
 	issued := 0
-	for idx := m.rob.first(setReady); idx >= 0 && issued < m.cfg.IssueWidth; idx = m.rob.after(setReady, idx) {
-		if m.cfg.InOrder && m.rob.anyOlder(setWaiting, idx) {
+	for idx := r.first(setReady); idx >= 0 && issued < m.cfg.IssueWidth; idx = r.after(setReady, idx) {
+		if m.cfg.InOrder && r.first(setUnissued) != idx {
 			return
 		}
-		e := m.rob.at(idx)
-		canIssue := e.readyAt <= m.cycle
-		if canIssue && m.cfg.InOrder && m.wawHazard(idx, e) {
-			canIssue = false
-		}
+		e := r.at(idx)
+		canIssue := !(m.cfg.InOrder && m.wawHazard(idx, e))
 		if canIssue && e.isLoad && !m.olderStoreAddrsKnown(idx) {
 			canIssue = false
 		}
@@ -175,15 +191,39 @@ func (m *Machine) issue() {
 		if m.tracer != nil {
 			m.tracer.Emit(e.seq, m.cycle, ptrace.KIssue, e.pc, e.inst, lat)
 		}
+		r.sets[setReady].remove(idx)
+		r.sets[setUnissued].remove(idx)
 		m.execute(idx, e, lat)
 	}
+}
+
+// executing puts an issued entry on its functional unit until doneAt.
+// When a computation's latency elapses nothing happens but that commit
+// may now retire it, and commit reads doneAt itself: only control
+// instructions, which resolve then, and any instruction while a tracer
+// wants the completion event on its cycle, are parked for complete.
+func (m *Machine) executing(idx int, e *robEntry, doneAt int64) {
+	e.doneAt = doneAt
+	if !e.isCtrl && m.tracer == nil {
+		e.state = sDone
+		return
+	}
+	e.state = sExecuting
+	m.rob.park(wheelDone, idx, max(doneAt, m.cycle+1), m.cycle)
+}
+
+// requesting sends a memory operation whose address is generated to
+// the memory stage, which sees it from next cycle on.
+func (m *Machine) requesting(idx int, e *robEntry) {
+	e.state, e.memReqAt = sMemReq, m.cycle+1
+	m.rob.park(wheelMem, idx, e.memReqAt, m.cycle)
 }
 
 // execute computes an issued instruction's results (execution-driven:
 // actual values, even on wrong paths) and schedules its completion.
 func (m *Machine) execute(idx int, e *robEntry, lat int64) {
 	in := e.inst
-	switch in.Class() {
+	switch e.class {
 	case isa.ClassBranch:
 		rs, rt := e.srcs[0].val, uint64(0)
 		if e.nsrc > 1 {
@@ -195,8 +235,7 @@ func (m *Machine) execute(idx int, e *robEntry, lat int64) {
 			e.nextPC = in.Target
 		}
 		e.actualTaken(taken)
-		m.rob.setState(idx, sExecuting)
-		e.doneAt = m.cycle + lat
+		m.executing(idx, e, m.cycle+lat)
 
 	case isa.ClassJump:
 		switch in.Op {
@@ -211,8 +250,7 @@ func (m *Machine) execute(idx int, e *robEntry, lat int64) {
 			e.nextPC = e.srcs[0].val
 			m.setDest(idx, e, 0, e.pc+isa.InstBytes, m.cycle+lat)
 		}
-		m.rob.setState(idx, sExecuting)
-		e.doneAt = m.cycle + lat
+		m.executing(idx, e, m.cycle+lat)
 
 	case isa.ClassLoad:
 		base := e.srcs[0].val
@@ -227,8 +265,7 @@ func (m *Machine) execute(idx int, e *robEntry, lat int64) {
 			// The base update is ready at address generation.
 			m.setDest(idx, e, 1, newBase, m.cycle+1)
 		}
-		m.rob.setState(idx, sMemReq)
-		e.memReqAt = m.cycle + 1
+		m.requesting(idx, e)
 		m.stats.IssuedMem++
 
 	case isa.ClassStore:
@@ -245,8 +282,7 @@ func (m *Machine) execute(idx int, e *robEntry, lat int64) {
 		if upd {
 			m.setDest(idx, e, 0, newBase, m.cycle+1)
 		}
-		m.rob.setState(idx, sMemReq)
-		e.memReqAt = m.cycle + 1
+		m.requesting(idx, e)
 		m.stats.IssuedMem++
 
 	default: // integer and FP computation
@@ -258,48 +294,63 @@ func (m *Machine) execute(idx int, e *robEntry, lat int64) {
 			rt = e.srcs[1].val
 		}
 		m.setDest(idx, e, 0, isa.ALUEval(in, rs, rt, e.pc), m.cycle+lat)
-		m.rob.setState(idx, sExecuting)
-		e.doneAt = m.cycle + lat
+		m.executing(idx, e, m.cycle+lat)
 	}
 }
 
 // memExecute advances memory operations past address generation: the
-// TLB request (in instruction age order, so port arbitration favors
-// the earliest issued instruction), page-table walks, store-forwarding,
-// and data-cache access.
+// page-table walk of a missed access that has become the oldest
+// instruction, then, in instruction age order (so port arbitration
+// favors the earliest issued instruction), the TLB request,
+// store-forwarding and data-cache access of the operations that may
+// request this cycle, and the data capture of translated stores whose
+// value has arrived.
 func (m *Machine) memExecute() {
-	for idx := m.rob.first(setMem); idx >= 0 && m.err == nil; idx = m.rob.after(setMem, idx) {
-		e := m.rob.at(idx)
-		switch e.state {
-		case sMemWalk:
-			m.advanceWalk(e)
-		case sMemReq:
-			if m.cycle >= e.memReqAt {
-				m.memRequest(idx, e)
+	r := m.rob
+	if h := r.headEntry(); h != nil && h.state == sMemWalk {
+		m.advanceWalk(r.head, h)
+	}
+	// A device whose every request takes a real port answers NoPort,
+	// and does nothing else, from the request that finds none left to
+	// the end of the cycle: those requests are counted, not made. A
+	// tracer wants each one's event, so it gets the walk.
+	countRejects := m.ported != nil && m.tracer == nil
+	var rejected uint64
+	for idx := r.first(setMem); idx >= 0 && m.err == nil; idx = r.after(setMem, idx) {
+		e := r.at(idx)
+		switch {
+		case e.state == sStoreData:
+			if e.doneAt < m.cycle {
+				e.doneAt = m.cycle
 			}
-		case sStoreData:
-			if m.storeDataReady(e) {
-				if e.doneAt < m.cycle {
-					e.doneAt = m.cycle
-				}
-				m.completeStore(idx, e)
-			}
+			m.completeStore(idx, e)
+		case countRejects && m.ported.PortsLeft() == 0:
+			rejected++
+		default:
+			m.memRequest(idx, e)
 		}
+	}
+	if rejected > 0 {
+		m.ported.Reject(rejected)
+		m.stats.TLBRetries += rejected
+		m.metrics.replayTLBNoPort.Add(rejected)
+		m.metrics.noPortThisCycle += int64(rejected)
 	}
 }
 
-// advanceWalk handles an entry whose translation missed the TLB. Per
-// Section 4.1, the walk begins only when the instruction is no longer
-// speculative (it has reached the ROB head, i.e. all earlier-issued
-// instructions have completed) and takes a fixed TLBMissLatency.
-func (m *Machine) advanceWalk(e *robEntry) {
+// advanceWalk handles the oldest instruction, e in slot idx, when its
+// translation has missed the TLB. Per Section 4.1, the walk begins only
+// when the instruction is no longer speculative (it has reached the ROB
+// head, i.e. all earlier-issued instructions have completed) and takes
+// a fixed TLBMissLatency; until then a missed access is in no
+// scheduler set, and becoming the head is the event that brings it
+// here.
+func (m *Machine) advanceWalk(idx int, e *robEntry) {
 	if !e.walking {
-		if m.rob.headEntry() == e {
-			e.walking = true
-			e.walkDone = m.cycle + m.cfg.TLBMissLatency
-			if m.tracer != nil {
-				m.tracer.Emit(e.seq, m.cycle, ptrace.KWalkStart, e.pc, e.inst, m.cfg.TLBMissLatency)
-			}
+		e.walking = true
+		e.walkDone = m.cycle + m.cfg.TLBMissLatency
+		if m.tracer != nil {
+			m.tracer.Emit(e.seq, m.cycle, ptrace.KWalkStart, e.pc, e.inst, m.cfg.TLBMissLatency)
 		}
 		return
 	}
@@ -316,14 +367,13 @@ func (m *Machine) advanceWalk(e *robEntry) {
 		m.tracer.Emit(e.seq, m.cycle, ptrace.KWalkEnd, e.pc, e.inst, m.cfg.TLBMissLatency)
 	}
 	e.walking = false
-	e.state = sMemReq
-	e.memReqAt = m.cycle + 1
 	// Younger instructions that missed on the same page were waiting on
-	// this walk; send them back to the TLB rather than walking again.
-	for j := m.rob.first(setMem); j >= 0; j = m.rob.after(setMem, j) {
-		if o := m.rob.at(j); o.state == sMemWalk && !o.walking && o.effAddr>>m.pageBits == vpn {
-			o.state = sMemReq
-			o.memReqAt = m.cycle + 1
+	// this walk; send them back to the TLB with it, next cycle, rather
+	// than walking again.
+	r := m.rob
+	for n, j := r.count, idx; n > 0; n, j = n-1, r.inc(j) {
+		if o := r.at(j); o.state == sMemWalk && o.effAddr>>m.pageBits == vpn {
+			m.requesting(j, o)
 		}
 	}
 }
@@ -356,7 +406,7 @@ func (m *Machine) memRequest(idx int, e *robEntry) {
 		}
 	}
 
-	pte, extra, ok := m.translate(e, vc)
+	pte, extra, ok := m.translate(idx, e, vc)
 	if !ok {
 		return
 	}
@@ -368,7 +418,7 @@ func (m *Machine) memRequest(idx int, e *robEntry) {
 		// Protection fault: fatal if this instruction commits;
 		// wrong-path faults are squashed harmlessly.
 		e.setFaulted()
-		m.rob.setState(idx, sDone)
+		m.finishMem(idx, e)
 		e.doneAt = m.cycle + 1
 		if m.tracer != nil {
 			m.tracer.Emit(e.seq, m.cycle, ptrace.KFault, e.pc, e.inst, 0)
@@ -385,8 +435,15 @@ func (m *Machine) memRequest(idx int, e *robEntry) {
 		e.doneAt = m.cycle + 1 + extra
 		if m.storeDataReady(e) {
 			m.completeStore(idx, e)
-		} else {
-			e.state = sStoreData // same scheduler set as sMemReq
+			return
+		}
+		// Delivered but not yet available, the value has a cycle to be
+		// parked until; not yet produced, its delivery is the event
+		// that parks the store (setDest).
+		e.state = sStoreData
+		m.rob.sets[setMem].remove(idx)
+		if e.srcs[0].producer < 0 {
+			m.rob.park(wheelMem, idx, e.dataAt, m.cycle)
 		}
 		return
 	}
@@ -432,7 +489,7 @@ func (m *Machine) memRequest(idx int, e *robEntry) {
 // unless a wrong-path access warmed the line before its page was ever
 // mapped, when the translating path is taken so a correct-path access
 // takes the walk.
-func (m *Machine) translate(e *robEntry, vc bool) (pte *vm.PTE, extra int64, ok bool) {
+func (m *Machine) translate(idx int, e *robEntry, vc bool) (pte *vm.PTE, extra int64, ok bool) {
 	vpn := e.effAddr >> m.pageBits
 	if vc && m.dcache.Probe(e.effAddr) {
 		if pte, ok := m.AS.Probe(vpn); ok {
@@ -456,8 +513,12 @@ func (m *Machine) translate(e *robEntry, vc bool) (pte *vm.PTE, extra int64, ok 
 		}
 		return nil, 0, false
 	case tlb.Miss:
-		e.state = sMemWalk // same scheduler set as sMemReq
+		// Nothing visits a missed access until it is the oldest
+		// instruction (memExecute) or a walk of its page completes
+		// (advanceWalk).
+		e.state = sMemWalk
 		e.walking = false
+		m.rob.sets[setMem].remove(idx)
 		if m.tracer != nil {
 			m.tracer.Emit(e.seq, m.cycle, ptrace.KTLBMiss, e.pc, e.inst, 0)
 		}
@@ -474,10 +535,17 @@ func (m *Machine) translate(e *robEntry, vc bool) (pte *vm.PTE, extra int64, ok 
 	return res.PTE, res.Extra, true
 }
 
+// finishMem takes entry idx, which the memory stage is visiting, out of
+// that stage's set: the operation is sDone.
+func (m *Machine) finishMem(idx int, e *robEntry) {
+	e.state = sDone
+	m.rob.sets[setMem].remove(idx)
+}
+
 // completeLoad delivers a load's raw value, available at cycle done.
 func (m *Machine) completeLoad(idx int, e *robEntry, raw uint64, done int64) {
 	m.setDest(idx, e, 0, isa.LoadExtend(e.inst.Op, raw), done)
-	m.rob.setState(idx, sDone)
+	m.finishMem(idx, e)
 	e.doneAt = done
 	if m.tracer != nil {
 		m.tracer.Emit(e.seq, m.cycle, ptrace.KComplete, e.pc, e.inst, done-m.cycle)
@@ -488,7 +556,7 @@ func (m *Machine) completeLoad(idx int, e *robEntry, raw uint64, done int64) {
 // then eligible to commit (from doneAt on).
 func (m *Machine) completeStore(idx int, e *robEntry) {
 	e.storeVal = e.srcs[0].val
-	m.rob.setState(idx, sDone)
+	m.finishMem(idx, e)
 	if m.tracer != nil {
 		m.tracer.Emit(e.seq, m.cycle, ptrace.KComplete, e.pc, e.inst, 0)
 	}
@@ -526,12 +594,11 @@ func (m *Machine) forwardFromStore(idx int, e *robEntry) (val uint64, ok, mustWa
 // complete finishes executing instructions whose latency has elapsed
 // and resolves control flow, triggering misprediction recovery.
 func (m *Machine) complete() {
-	for idx := m.rob.first(setExecuting); idx >= 0; idx = m.rob.after(setExecuting, idx) {
-		e := m.rob.at(idx)
-		if m.cycle < e.doneAt {
-			continue
-		}
-		m.rob.setState(idx, sDone)
+	r := m.rob
+	for idx := r.first(setDue); idx >= 0; idx = r.after(setDue, idx) {
+		e := r.at(idx)
+		e.state = sDone
+		r.sets[setDue].remove(idx)
 		if m.tracer != nil {
 			m.tracer.Emit(e.seq, m.cycle, ptrace.KComplete, e.pc, e.inst, 0)
 		}

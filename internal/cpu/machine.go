@@ -50,6 +50,13 @@ type Machine struct {
 	dcache  *cache.Cache
 	pred    *bpred.Predictor
 
+	// ported is DTLB when every request to it takes a real port (a
+	// multi-ported TLB with no piggyback ports, reached by every memory
+	// request: no virtual-address cache in front); memExecute then
+	// counts the requests a cycle's last port leaves behind without
+	// making them.
+	ported *tlb.Multiported
+
 	// Pipeline state.
 	rob        *rob
 	rename     [isa.NumRegs]int32
@@ -167,6 +174,9 @@ func New(p *prog.Program, cfg Config, buildTLB func(*vm.AddressSpace) tlb.Device
 	}
 	m.DTLB = buildTLB(m.AS)
 	m.tracker, _ = m.DTLB.(tlb.RegisterTracker)
+	if mp, ok := m.DTLB.(*tlb.Multiported); ok && mp.PiggybackPorts() == 0 && !cfg.VirtualCache {
+		m.ported = mp
+	}
 	if cfg.ModelITLB {
 		n := cfg.ITLBEntries
 		if n <= 0 {
@@ -289,6 +299,7 @@ func (m *Machine) tick() {
 	m.dcache.BeginCycle(m.cycle)
 	m.icache.BeginCycle(m.cycle)
 	m.intALUUsed, m.ldstUsed, m.fpAddUsed = 0, 0, 0
+	m.rob.wake(m.cycle)
 
 	m.complete()
 	m.commit()

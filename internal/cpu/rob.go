@@ -6,16 +6,17 @@ import (
 	"hbat/internal/isa"
 )
 
-// entry states.
+// entry states. Each says what the entry waits for: a cycle, when it is
+// parked in a wake wheel until then, or an event, when nothing visits it
+// until the event's handler moves it.
 const (
-	sWaiting   uint8 = iota // in ROB, a source's producer has yet to execute
-	sReady                  // every issue operand delivered; issues from readyAt
-	sExecuting              // on a functional unit; result at doneAt
-	sMemReq                 // memory op: address generated, needs TLB+cache
-	sMemWalk                // memory op: TLB miss detected, awaiting walk
-	sStoreData              // store: translated, waiting for its data value
+	sWaiting   uint8 = iota // a source's producer has yet to execute: waits for setDest's delivery
+	sReady                  // every issue operand delivered: parked until readyAt, then visited by issue
+	sExecuting              // on a functional unit, with something to do when the result is due: parked until doneAt, then completed
+	sMemReq                 // memory op, address generated, needs TLB+cache: visited by the memory stage from memReqAt
+	sMemWalk                // memory op, TLB miss detected: waits to be the oldest instruction, then walks
+	sStoreData              // store, translated: waits for its data value's delivery, then parked until dataAt
 	sDone                   // complete; eligible to commit
-	numStates
 )
 
 // dest is one destination register write carried by a ROB entry.
@@ -43,12 +44,19 @@ type robEntry struct {
 	robBody
 }
 
-// robBody is everything in a robEntry but the instruction pointer.
-// push clears one per dynamic instruction, so it holds no pointer (the
-// clear then needs no GC write barrier) and is kept small, and what the
-// per-cycle stages test on every visit — the times, the state, the
-// flags — comes first, inside the entry's first cache line.
+// robBody is everything in a robEntry but the instruction pointer, in
+// two parts: push clears robSched, once per dynamic instruction, and
+// leaves robData, every field of which is written before it is read.
 type robBody struct {
+	robSched
+	robData
+}
+
+// robSched is what a fresh entry needs zero. It holds no pointer (the
+// clear then needs no GC write barrier) and is kept small, and what the
+// stages test on every visit — the times, the state, the flags — is all
+// in it, inside the entry's first cache lines.
+type robSched struct {
 	seq    int64
 	pc     uint64
 	doneAt int64
@@ -64,6 +72,7 @@ type robBody struct {
 	pending   uint8
 	flags     uint8
 	memWidth  uint8 // access width in bytes
+	class     isa.Class
 	isCtrl    bool
 	predTaken bool
 	resolved  bool
@@ -72,17 +81,23 @@ type robBody struct {
 	addrReady bool
 	walking   bool
 
+	nsrc  int
+	ndest int
+}
+
+// robData is written as the instruction moves on: srcs[:nsrc] and
+// dests[:ndest] and the prediction at dispatch, the addresses and the
+// actual next PC at execute, the rest by the memory stage.
+type robData struct {
+	srcs  [3]operand
+	dests [2]dest
+
 	// Memory.
 	memReqAt int64 // first cycle the TLB/cache request may be made
 	effAddr  uint64
 	paddr    uint64
 	storeVal uint64
 	walkDone int64 // cycle the page-table walk completes (sMemWalk)
-
-	nsrc  int
-	ndest int
-	srcs  [3]operand
-	dests [2]dest
 
 	// Control.
 	predNextPC uint64
@@ -132,39 +147,58 @@ func (s slotSet) nextIn(lo, hi int) int {
 	return -1
 }
 
-// The scheduler sets: which slots are in which scheduler state. The
-// three memory states share one set (the memory stage visits them
-// together); stores are additionally in exactly one of the two
-// store-address sets from dispatch until they leave the ROB.
+// The scheduler sets hold what a pipeline stage visits this cycle, and
+// nothing that cannot act yet: an entry whose next action lies at a
+// known future cycle is parked in a wake wheel until then, and one
+// waiting for an event is in no set at all until the event moves it
+// (see the wheels below, and ARCHITECTURE.md "Scheduler").
 const (
-	setWaiting      = iota // sWaiting
-	setReady               // sReady
-	setExecuting           // sExecuting
-	setMem                 // sMemReq, sMemWalk, sStoreData
+	setUnissued     = iota // sWaiting and sReady: dispatched, not yet issued (in-order issue's oldest-first rule)
+	setReady               // sReady with every operand available: issue visits these
+	setDue                 // sExecuting with the latency elapsed: complete visits these, and empties it
+	setMem                 // sMemReq that may request this cycle, sStoreData whose data has arrived
 	setStoreUnknown        // stores whose address is not yet generated
-	setStoreKnown          // stores whose address is generated
+	setStoreKnown          // stores whose address is generated, until they leave the ROB
 	numSets
-	setNone = numSets // sDone: nothing scans for it
 )
 
-var stateSet = [numStates]int{
-	sWaiting: setWaiting, sReady: setReady, sExecuting: setExecuting,
-	sMemReq: setMem, sMemWalk: setMem, sStoreData: setMem,
-	sDone: setNone,
-}
+// The wake wheels: one per stage, wheelSpan buckets each, bucket
+// due%wheelSpan holding the entries to move into the stage's set when
+// cycle due starts.
+const (
+	wheelReady = iota // sReady, due at readyAt
+	wheelDone         // sExecuting, due at doneAt
+	wheelMem          // sStoreData with its data delivered, due at dataAt; sMemReq sent back to the TLB, due at memReqAt
+	numWheels
+)
+
+// wheelSet is the set each wheel wakes its entries into.
+var wheelSet = [numWheels]int{wheelReady: setReady, wheelDone: setDue, wheelMem: setMem}
+
+// wheelSpan is how many cycles ahead a wheel reaches: a power of two,
+// just past the longest Table 1 latency (the 12-cycle divides), since
+// every recovery masks every bucket. The one rule for an entry due
+// wheelSpan or more cycles ahead: it is parked in its due cycle's
+// bucket all the same and marked far, and wake leaves a far entry in
+// the bucket each time the wheel comes round until the cycle is its
+// own.
+const wheelSpan = 16
 
 // rob is a ring buffer of in-flight instructions in program order,
-// plus the scheduler sets that let each pipeline stage visit only the
-// entries that can act.
+// plus the scheduler sets and wake wheels that let each pipeline stage
+// visit only the entries that can act.
 type rob struct {
 	entries []robEntry
 	head    int // oldest
 	count   int
+	words   int // per slotSet
 
-	// sets[numSets] is a write-only sink, so setState needs no branch
-	// for sDone; kept is squashAfter's scratch mask.
-	sets [numSets + 1]slotSet
-	kept slotSet
+	// bits backs every slotSet below, so squashAfter masks one array.
+	bits  []uint64
+	sets  [numSets]slotSet
+	far   slotSet  // parked entries due beyond the wheel's reach
+	wheel []uint64 // wheelSpan x numWheels buckets, one slotSet each
+	kept  slotSet  // squashAfter's scratch mask
 
 	// cons holds one slotSet per destination of every slot: the
 	// consumers linked to it (see consumers).
@@ -172,13 +206,20 @@ type rob struct {
 }
 
 func newROB(size int) *rob {
-	r := &rob{entries: make([]robEntry, size)}
 	words := (size + 63) / 64
-	backing := make([]uint64, (len(r.sets)+1+2*size)*words)
-	for i := range r.sets {
-		r.sets[i], backing = backing[:words:words], backing[words:]
+	r := &rob{entries: make([]robEntry, size), words: words}
+	r.bits = make([]uint64, (numSets+1+numWheels*wheelSpan+2*size)*words)
+	rest := r.bits
+	take := func(n int) []uint64 {
+		s := rest[: n*words : n*words]
+		rest = rest[n*words:]
+		return s
 	}
-	r.kept, r.cons = backing[:words:words], backing[words:]
+	for i := range r.sets {
+		r.sets[i] = take(1)
+	}
+	r.far, r.wheel, r.cons = take(1), take(numWheels*wheelSpan), take(2*size)
+	r.kept = make(slotSet, words)
 	return r
 }
 
@@ -186,9 +227,75 @@ func newROB(size int) *rob {
 // destination slot of entry idx. It empties when that destination's
 // value is delivered, so a retiring entry's sets are empty.
 func (r *rob) consumers(idx, slot int) slotSet {
-	words := len(r.kept)
-	i := (idx*2 + slot) * words
-	return r.cons[i : i+words]
+	i := (idx*2 + slot) * r.words
+	return r.cons[i : i+r.words]
+}
+
+// bucket returns wheel's bucket for cycle due. The wheels' buckets for
+// one cycle lie side by side, and the next cycle's after them: a cycle
+// wakes from, and mostly parks into, a cache line or two.
+func (r *rob) bucket(wheel int, due int64) slotSet {
+	i := (int(due&(wheelSpan-1))*numWheels + wheel) * r.words
+	return r.wheel[i : i+r.words]
+}
+
+// park puts slot idx, which is in no stage set, to sleep until cycle
+// due, when wake moves it into wheel's stage set; now is the current
+// cycle, and due > now.
+func (r *rob) park(wheel, idx int, due, now int64) {
+	if due-now >= wheelSpan {
+		r.far.add(idx)
+	}
+	r.bucket(wheel, due).add(idx)
+}
+
+// wake moves the entries due on cycle now from each wheel's bucket into
+// the wheel's stage set. The tick calls it before its first stage:
+// nothing parks for the cycle under way, so every stage finds its set
+// as if it had woken it itself.
+func (r *rob) wake(now int64) {
+	for wheel, set := range wheelSet {
+		b, set := r.bucket(wheel, now), r.sets[set]
+		for w, word := range b {
+			if word == 0 {
+				continue
+			}
+			if far := word & r.far[w]; far != 0 {
+				word &^= r.notYet(wheel, w, far, now)
+			}
+			set[w] |= word
+			b[w] &^= word
+		}
+	}
+}
+
+// notYet sorts the far members of a bucket whose turn has come (word w
+// of it) into those due now, which stop being far, and those due a
+// whole turn of the wheel or more from now, which it returns.
+func (r *rob) notYet(wheel, w int, far uint64, now int64) (later uint64) {
+	for f := far; f != 0; f &= f - 1 {
+		idx := w<<6 + bits.TrailingZeros64(f)
+		if r.due(wheel, idx) > now {
+			later |= f & -f
+		} else {
+			r.far.remove(idx)
+		}
+	}
+	return later
+}
+
+// due returns the cycle slot idx, parked in wheel, is to wake on.
+func (r *rob) due(wheel, idx int) int64 {
+	e := &r.entries[idx]
+	switch {
+	case wheel == wheelReady:
+		return e.readyAt
+	case wheel == wheelDone:
+		return e.doneAt
+	case e.state == sStoreData:
+		return e.dataAt
+	}
+	return e.memReqAt
 }
 
 func (r *rob) full() bool  { return r.count == len(r.entries) }
@@ -210,9 +317,9 @@ func (r *rob) pos(idx int) int {
 	return idx - r.head
 }
 
-// push allocates the next entry, cleared but for inst and in no
+// push allocates the next entry, cleared but for inst, sDone and in no
 // scheduler set, and returns its slot index; the caller sets inst and
-// gives the entry a state with setState.
+// places the entry.
 func (r *rob) push() int {
 	idx := r.head + r.count
 	if idx >= len(r.entries) {
@@ -220,12 +327,12 @@ func (r *rob) push() int {
 	}
 	r.count++
 	e := &r.entries[idx]
-	e.robBody = robBody{}
+	e.robSched = robSched{}
 	e.state = sDone
 	return idx
 }
 
-// pop retires the head entry, which is sDone and so in no state set.
+// pop retires the head entry, which is sDone and so in no stage set.
 func (r *rob) pop() {
 	r.sets[setStoreKnown].remove(r.head)
 	r.head = r.inc(r.head)
@@ -243,21 +350,26 @@ func (r *rob) headEntry() *robEntry {
 	return &r.entries[r.head]
 }
 
-// setState moves slot idx to state s and between the state sets.
-func (r *rob) setState(idx int, s uint8) {
-	e := &r.entries[idx]
-	r.sets[stateSet[e.state]].remove(idx)
-	r.sets[stateSet[s]].add(idx)
-	e.state = s
-}
-
 // first returns the oldest member of set, or -1. Members are always
 // live slots, so the ring's two segments are searched whole.
 func (r *rob) first(set int) int {
-	if i := r.sets[set].nextIn(r.head, len(r.entries)); i >= 0 {
+	s := r.sets[set]
+	if len(s) == 1 {
+		// The ring is one word: its older segment is the bits from
+		// head up, its younger one the bits below.
+		word := s[0]
+		if old := word >> (r.head & 63) << (r.head & 63); old != 0 {
+			return bits.TrailingZeros64(old)
+		}
+		if word != 0 {
+			return bits.TrailingZeros64(word)
+		}
+		return -1
+	}
+	if i := s.nextIn(r.head, len(r.entries)); i >= 0 {
 		return i
 	}
-	return r.sets[set].nextIn(0, r.head)
+	return s.nextIn(0, r.head)
 }
 
 // after returns the oldest member of set younger than slot idx, or -1.
@@ -266,6 +378,22 @@ func (r *rob) first(set int) int {
 // re-reading each entry's state would.
 func (r *rob) after(set, idx int) int {
 	s := r.sets[set]
+	if len(s) == 1 {
+		word := s[0]
+		above := word &^ (2<<(idx&63) - 1)
+		below := word & (1<<(r.head&63) - 1)
+		if idx < r.head {
+			above &= below
+			below = 0
+		}
+		if above != 0 {
+			return bits.TrailingZeros64(above)
+		}
+		if below != 0 {
+			return bits.TrailingZeros64(below)
+		}
+		return -1
+	}
 	if idx < r.head {
 		return s.nextIn(idx+1, r.head)
 	}
@@ -282,7 +410,8 @@ func (r *rob) anyOlder(set, idx int) bool {
 }
 
 // squashAfter drops every entry younger than slot keepIdx from the
-// ring and from every set, and returns how many were squashed.
+// ring, from every set and wheel bucket, and returns how many were
+// squashed.
 func (r *rob) squashAfter(keepIdx int) int {
 	pos := r.pos(keepIdx)
 	squashed := r.count - pos - 1
@@ -291,14 +420,9 @@ func (r *rob) squashAfter(keepIdx int) int {
 	for i, idx := 0, r.head; i < r.count; i, idx = i+1, r.inc(idx) {
 		r.kept.add(idx)
 	}
-	for _, s := range r.sets[:numSets] {
-		for w := range s {
-			s[w] &= r.kept[w]
-		}
-	}
-	for i := 0; i < len(r.cons); i += len(r.kept) {
+	for i := 0; i < len(r.bits); i += r.words {
 		for w, k := range r.kept {
-			r.cons[i+w] &= k
+			r.bits[i+w] &= k
 		}
 	}
 	return squashed

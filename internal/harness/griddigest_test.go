@@ -40,11 +40,18 @@ func gridDigest(t *testing.T, seed uint64) string {
 //
 //	go test ./internal/harness/ -run TestGridDigest -update
 func TestGridDigest(t *testing.T) {
-	path := filepath.Join("testdata", "grid_digest.json")
 	got := make(map[string]string)
 	for _, seed := range []uint64{1, 2} {
 		got[fmt.Sprintf("seed_%d", seed)] = gridDigest(t, seed)
 	}
+	checkDigests(t, "grid_digest.json", got)
+}
+
+// checkDigests compares got, digests by name, with the JSON object in
+// testdata/file, or rewrites the file from got under -update.
+func checkDigests(t *testing.T, file string, got map[string]string) {
+	t.Helper()
+	path := filepath.Join("testdata", file)
 	if *update {
 		data, err := json.MarshalIndent(got, "", "  ")
 		if err != nil {
@@ -61,14 +68,14 @@ func TestGridDigest(t *testing.T) {
 	}
 	var want map[string]string
 	if err := json.Unmarshal(data, &want); err != nil {
-		t.Fatalf("corrupt grid digest: %v", err)
+		t.Fatalf("corrupt %s: %v", file, err)
 	}
 	for k, w := range want {
 		if got[k] != w {
-			t.Errorf("figure 5 grid %s: digest %s, want %s — a simulated outcome changed (run with -update if intentional)", k, got[k], w)
+			t.Errorf("%s %s: digest %s, want %s — a simulated outcome changed (run with -update if intentional)", file, k, got[k], w)
 		}
 	}
 	if len(got) != len(want) {
-		t.Errorf("grid_digest.json has %d seeds, the test measures %d (run with -update)", len(want), len(got))
+		t.Errorf("%s has %d digests, the test measures %d (run with -update)", file, len(want), len(got))
 	}
 }

@@ -6,7 +6,7 @@ package mem
 
 import (
 	"encoding/binary"
-	"sort"
+	"fmt"
 )
 
 // FrameBits is the log2 of the physical frame size used for backing
@@ -22,49 +22,71 @@ type frame [FrameSize]byte
 // Memory is a sparse byte-addressable physical memory. The zero value
 // is an empty memory ready for use. Memory is not safe for concurrent
 // mutation; the simulator is single-goroutine per machine.
+//
+// Frames live in a table indexed by frame number, grown by doubling:
+// vm.AddressSpace hands physical frames out sequentially from zero, so
+// the table is dense and a lookup is one bounds check and one load.
 type Memory struct {
-	frames map[uint64]*frame
-	// shared names the frames that still alias an imported image's
-	// storage (ImportFrames): readable in place, copied by frameFor
-	// before the first write. Empty for a memory that never imported.
-	shared map[uint64]struct{}
+	frames  []*frame // nil: untouched
+	touched int      // non-nil entries of frames
+	// shared, parallel to frames, marks the frames that still alias an
+	// imported image's storage (ImportFrames): readable in place, copied
+	// by frameFor before the first write. nshared counts them, so a
+	// memory that never imported, or has written every imported frame,
+	// skips the test.
+	shared  []bool
+	nshared int
 }
+
+// maxFrames bounds the frame table (16 GiB of simulated physical
+// memory, a 32 MiB table). Frame numbers come from page-table entries,
+// which count up from zero; one beyond this is a simulator bug.
+const maxFrames = 1 << 22
 
 // New returns an empty physical memory.
-func New() *Memory {
-	return &Memory{frames: make(map[uint64]*frame)}
-}
+func New() *Memory { return &Memory{} }
 
 func (m *Memory) frameFor(addr uint64) *frame {
-	if m.frames == nil {
-		m.frames = make(map[uint64]*frame)
-	}
 	fn := addr >> FrameBits
+	if fn >= uint64(len(m.frames)) {
+		m.grow(fn)
+	}
 	f := m.frames[fn]
-	if f == nil {
+	switch {
+	case f == nil:
 		f = new(frame)
 		m.frames[fn] = f
-	} else if len(m.shared) != 0 {
-		if _, ok := m.shared[fn]; ok {
-			own := *f
-			f = &own
-			m.frames[fn] = f
-			delete(m.shared, fn)
-		}
+		m.touched++
+	case m.nshared != 0 && m.shared[fn]:
+		own := *f
+		f = &own
+		m.frames[fn] = f
+		m.shared[fn] = false
+		m.nshared--
 	}
 	return f
 }
 
+// grow extends the frame table to hold frame fn, at least doubling it.
+func (m *Memory) grow(fn uint64) {
+	if fn >= maxFrames {
+		panic(fmt.Sprintf("mem: physical address 0x%x is beyond the %d-frame table", fn<<FrameBits, maxFrames))
+	}
+	n := max(2*len(m.frames), int(fn)+1, 64)
+	m.frames = append(m.frames, make([]*frame, n-len(m.frames))...)
+	m.shared = append(m.shared, make([]bool, n-len(m.shared))...)
+}
+
 // peekFrame returns the frame containing addr, or nil if untouched.
 func (m *Memory) peekFrame(addr uint64) *frame {
-	if m.frames == nil {
-		return nil
+	if fn := addr >> FrameBits; fn < uint64(len(m.frames)) {
+		return m.frames[fn]
 	}
-	return m.frames[addr>>FrameBits]
+	return nil
 }
 
 // FramesTouched reports how many backing frames have been allocated.
-func (m *Memory) FramesTouched() int { return len(m.frames) }
+func (m *Memory) FramesTouched() int { return m.touched }
 
 // FrameImage is one backing frame's contents keyed by its frame index
 // (physical address >> FrameBits).
@@ -78,29 +100,39 @@ type FrameImage struct {
 // and an allocated-but-zero frame read identically, so the omission is
 // invisible to any Read and keeps checkpoints compact and deterministic.
 func (m *Memory) ExportFrames() []FrameImage {
-	out := make([]FrameImage, 0, len(m.frames))
+	out := make([]FrameImage, 0, m.touched)
 	for idx, f := range m.frames {
-		if *f == (frame{}) {
+		if f == nil || *f == (frame{}) {
 			continue
 		}
-		out = append(out, FrameImage{Index: idx, Data: *f})
+		out = append(out, FrameImage{Index: uint64(idx), Data: *f})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Index < out[j].Index })
 	return out
 }
 
 // ImportFrames replaces the memory's contents with the given frames,
 // copy-on-write: the memory reads frames[i].Data in place and copies a
 // frame the first time it is written (or handed out by Frame), so an
-// import costs one map entry per frame whatever the frames hold. The
+// import costs one table entry per frame whatever the frames hold. The
 // caller must not modify frames afterwards; the memory never does, so
 // any number of memories may import the same slice, concurrently.
 func (m *Memory) ImportFrames(frames []FrameImage) {
-	m.frames = make(map[uint64]*frame, len(frames))
-	m.shared = make(map[uint64]struct{}, len(frames))
+	*m = Memory{}
+	var top uint64
 	for i := range frames {
-		m.frames[frames[i].Index] = (*frame)(&frames[i].Data)
-		m.shared[frames[i].Index] = struct{}{}
+		top = max(top, frames[i].Index+1)
+	}
+	if top == 0 {
+		return
+	}
+	m.grow(top - 1)
+	for i := range frames {
+		fn := frames[i].Index
+		if m.frames[fn] == nil {
+			m.touched++
+			m.nshared++
+		}
+		m.frames[fn], m.shared[fn] = (*frame)(&frames[i].Data), true
 	}
 }
 

@@ -55,6 +55,11 @@ type Bank struct {
 	ways    int // entries per set (== len(entries) for fully associative)
 	nsets   int
 
+	// last is the entry the previous Lookup hit, or nil: consecutive
+	// references mostly fall on one page, and then find it here without
+	// hashing. Anything that moves or removes an entry forgets it.
+	last *bankEntry
+
 	// Hits and Misses count Lookup outcomes.
 	Hits   uint64
 	Misses uint64
@@ -111,10 +116,17 @@ func (b *Bank) rand() uint64 {
 
 // Lookup finds vpn, updating recency on a hit.
 func (b *Bank) Lookup(vpn uint64, now int64) (*vm.PTE, bool) {
-	if i, ok := b.index[vpn]; ok {
-		b.entries[i].lastUse = now
+	if e := b.last; e != nil && e.vpn == vpn {
+		e.lastUse = now
 		b.Hits++
-		return b.entries[i].pte, true
+		return e.pte, true
+	}
+	if i, ok := b.index[vpn]; ok {
+		e := &b.entries[i]
+		b.last = e
+		e.lastUse = now
+		b.Hits++
+		return e.pte, true
 	}
 	b.Misses++
 	return nil, false
@@ -141,6 +153,7 @@ func (b *Bank) Touch(vpn uint64, now int64) {
 // of a valid entry occurred (multi-level designs use this to enforce
 // inclusion; pretranslation uses it to trigger coherence flushes).
 func (b *Bank) Insert(vpn uint64, pte *vm.PTE, now int64) (evictedVPN uint64, evicted bool) {
+	b.last = nil
 	if i, ok := b.index[vpn]; ok {
 		// Refresh in place (can happen when a fill races a prior fill
 		// of the same page).
@@ -191,6 +204,7 @@ func (b *Bank) Invalidate(vpn uint64) bool {
 	if !ok {
 		return false
 	}
+	b.last = nil
 	b.entries[i] = bankEntry{}
 	delete(b.index, vpn)
 	return true
@@ -198,6 +212,7 @@ func (b *Bank) Invalidate(vpn uint64) bool {
 
 // Flush empties the bank.
 func (b *Bank) Flush() {
+	b.last = nil
 	for i := range b.entries {
 		b.entries[i] = bankEntry{}
 	}

@@ -146,6 +146,44 @@ func TestBankProperties(t *testing.T) {
 	}
 }
 
+// Property: the entry a Lookup remembers for the next one never answers
+// for a page the bank has since dropped, moved or refilled — across
+// random Lookups, Inserts, Invalidates and Flushes, Lookup finds exactly
+// what Probe (which reads the index alone) finds, and counts it.
+func TestBankLookupAgreesWithProbe(t *testing.T) {
+	check := func(ops []uint16, replRaw uint8) bool {
+		b := NewBank(4, Replacement(replRaw%3), 7)
+		var hits, misses uint64
+		for i, op := range ops {
+			vpn := uint64(op % 8)
+			switch op >> 8 % 8 {
+			case 0, 1:
+				b.Insert(vpn, &vm.PTE{VPN: vpn, PFN: uint64(i + 1)}, int64(i))
+			case 2:
+				b.Invalidate(vpn)
+			case 3:
+				if op>>11%8 == 0 {
+					b.Flush()
+				}
+			}
+			want, wantOK := b.Probe(vpn)
+			got, ok := b.Lookup(vpn, int64(i))
+			if ok != wantOK || got != want {
+				return false
+			}
+			if ok {
+				hits++
+			} else {
+				misses++
+			}
+		}
+		return b.Hits == hits && b.Misses == misses
+	}
+	if err := quick.Check(check, &quick.Config{MaxCount: 500}); err != nil {
+		t.Error(err)
+	}
+}
+
 // Property: an LRU bank of size n fed a cyclic reference pattern of
 // n distinct pages never misses after warmup, while a cycle of n+1
 // pages always misses (the classic LRU pathologies).

@@ -243,14 +243,18 @@ func (m *red) middleware(logger *slog.Logger, next http.Handler) http.Handler {
 			class = "4xx"
 		}
 		m.observe(route, ten, class, ms)
-		lg := logger.With(
-			"method", r.Method, "route", route, "tenant", ten,
-			"status", sw.code, "wall_ms", ms,
-		)
-		if trace != "" {
-			lg = lg.With("trace_id", trace)
+		if ctx := r.Context(); logger.Enabled(ctx, slog.LevelInfo) {
+			attrs := [...]slog.Attr{
+				slog.String("method", r.Method), slog.String("route", route), slog.String("tenant", ten),
+				slog.Int("status", sw.code), slog.Float64("wall_ms", ms),
+				slog.String("trace_id", trace),
+			}
+			n := len(attrs)
+			if trace == "" {
+				n--
+			}
+			logger.LogAttrs(ctx, slog.LevelInfo, "http request", attrs[:n]...)
 		}
-		lg.Info("http request")
 	})
 }
 

@@ -9,6 +9,7 @@ import (
 	"log/slog"
 	"net/http"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -181,6 +182,20 @@ func TestAccessLogHonorsLevelAndFormat(t *testing.T) {
 		}
 		if rec["msg"] == "http request" {
 			access = append(access, rec)
+			// One record, its keys in one order, whichever way the
+			// middleware builds it.
+			keys := regexp.MustCompile(`"(\w+)":`).FindAllStringSubmatch(sc.Text(), -1)
+			var order []string
+			for _, k := range keys {
+				order = append(order, k[1])
+			}
+			want := []string{"time", "level", "msg", "method", "route", "tenant", "status", "wall_ms", "trace_id"}
+			if _, traced := rec["trace_id"]; !traced {
+				want = want[:len(want)-1]
+			}
+			if !slices.Equal(order, want) {
+				t.Errorf("access log keys %v, want %v", order, want)
+			}
 		}
 	}
 	if len(access) == 0 {
