@@ -30,6 +30,40 @@ const (
 	PathWorkers = "/v1/workers"
 )
 
+// WaitParam names the query parameter that turns GET /v1/jobs/{id}
+// from a poll into a blocking status: GET /v1/jobs/{id}?wait=30s. (An
+// append-only addition to v1: a request without it is served exactly as
+// before, and a server that predates it ignores it and answers at once.)
+//
+// Grammar: a non-negative Go duration — a decimal number with a unit
+// suffix, "500ms", "2.5s", "1m"; "0" asks for no hold. Anything else
+// ("abc", "-1s", "30") is refused 400 at once, whatever the job's state.
+// The server caps the hold at 30 s; a larger value is clamped, not
+// refused.
+//
+// A job that is already done or failed is answered at once. Otherwise
+// the request parks and ends in one of three ways: the job's last spec
+// finishes, and the answer is the terminal status, sent at that instant;
+// the hold (or the cap) elapses, and the answer is 200 with the current,
+// still non-terminal status; or the client goes away, and nothing is
+// sent. A server may therefore answer early with a non-terminal status,
+// and a client that wants the final one must loop until State is "done"
+// or "failed" — Client.Wait does, with a floor between requests so a
+// server that ignores the parameter is not spun on.
+//
+// A job id stops resolving (404 "no job") when the daemon restarts, and
+// when enough later jobs have finished to push a finished job out of the
+// server's bounded tail (the last few hundred, and however many there
+// are, every job that finished under 100 ms ago: a status request that
+// follows its submission directly finds the job at any job rate). A
+// client parked on the job when it finishes always gets the terminal
+// status; one that asks later and finds the id gone should resubmit the
+// same specs once — the
+// result store outlives both the job table and a restart, so the
+// resubmission is answered from it — which is what hbat.Fabric.Simulate
+// does.
+const WaitParam = "wait"
+
 // TenantHeader names the request header carrying the caller's tenant
 // identity. A "tenant" field in the JobRequest body takes precedence;
 // with neither, the server files the job under the "default" tenant.

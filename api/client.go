@@ -27,8 +27,9 @@ type Client struct {
 	Tenant string
 	// Timeout, when positive, bounds each individual HTTP request
 	// (tightening, never loosening, the caller's context deadline).
-	// Wait applies it per poll, so a hung server fails one request at
-	// a time instead of stalling Wait forever. Events is exempt: an
+	// Wait applies it per status request (and asks the server to hold
+	// each for at most half of it), so a hung server fails one request
+	// at a time instead of stalling Wait forever. Events is exempt: an
 	// event stream legitimately outlives any single-request budget, so
 	// its lifetime is bounded only by the caller's context.
 	Timeout time.Duration
@@ -53,20 +54,22 @@ func (c *Client) reqCtx(ctx context.Context) (context.Context, context.CancelFun
 	return ctx, func() {}
 }
 
-func (c *Client) do(ctx context.Context, method, path string, body, out any) error {
+// send makes one request under the client's Timeout and returns the
+// response's header and body. A non-2xx answer comes back as *Error.
+func (c *Client) send(ctx context.Context, method, path string, body any) (http.Header, []byte, error) {
 	ctx, cancel := c.reqCtx(ctx)
 	defer cancel()
 	var rd io.Reader
 	if body != nil {
 		b, err := json.Marshal(body)
 		if err != nil {
-			return err
+			return nil, nil, err
 		}
 		rd = bytes.NewReader(b)
 	}
 	req, err := http.NewRequestWithContext(ctx, method, c.Base+path, rd)
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
 	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
@@ -79,28 +82,42 @@ func (c *Client) do(ctx context.Context, method, path string, body, out any) err
 	}
 	resp, err := c.httpClient().Do(req)
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
 	defer resp.Body.Close()
 	data, err := io.ReadAll(resp.Body)
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
 	if resp.StatusCode/100 != 2 {
-		var apiErr Error
-		if json.Unmarshal(data, &apiErr) == nil && apiErr.Message != "" {
-			if apiErr.Code == 0 {
-				apiErr.Code = resp.StatusCode
-			}
-			return &apiErr
-		}
-		return &Error{API: Version, Code: resp.StatusCode,
-			Message: fmt.Sprintf("%s %s: %s", method, path, resp.Status)}
+		return nil, nil, errorFrom(resp, data)
 	}
-	if out != nil {
-		return json.Unmarshal(data, out)
+	return resp.Header, data, nil
+}
+
+// errorFrom is the one decoding of a non-2xx answer: the server's
+// api.Error body when there is one, a synthesized one naming the
+// request otherwise — and in either case Code is the HTTP status when
+// the body left it out, so callers can switch on it (404: the job id is
+// gone) whichever method they called.
+func errorFrom(resp *http.Response, data []byte) *Error {
+	var e Error
+	if json.Unmarshal(data, &e) != nil || e.Message == "" {
+		e = Error{API: Version, Message: fmt.Sprintf("%s %s: %s",
+			resp.Request.Method, resp.Request.URL.Path, resp.Status)}
 	}
-	return nil
+	if e.Code == 0 {
+		e.Code = resp.StatusCode
+	}
+	return &e
+}
+
+func (c *Client) do(ctx context.Context, method, path string, body, out any) error {
+	_, data, err := c.send(ctx, method, path, body)
+	if err != nil || out == nil {
+		return err
+	}
+	return json.Unmarshal(data, out)
 }
 
 // Ping probes the service and verifies it speaks this wire version.
@@ -132,32 +149,8 @@ func (c *Client) Submit(ctx context.Context, req JobRequest) (JobAccepted, error
 // one finished span per line — the same format a local -spans journal
 // file uses).
 func (c *Client) Spans(ctx context.Context, id string) ([]byte, error) {
-	ctx, cancel := c.reqCtx(ctx)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.Base+PathJobs+"/"+id+"/spans", nil)
-	if err != nil {
-		return nil, err
-	}
-	if c.Tenant != "" {
-		req.Header.Set(TenantHeader, c.Tenant)
-	}
-	resp, err := c.httpClient().Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		var apiErr Error
-		if json.Unmarshal(data, &apiErr) == nil && apiErr.Message != "" {
-			return nil, &apiErr
-		}
-		return nil, &Error{API: Version, Code: resp.StatusCode, Message: resp.Status}
-	}
-	return data, nil
+	_, data, err := c.send(ctx, http.MethodGet, PathJobs+"/"+id+"/spans", nil)
+	return data, err
 }
 
 // Job fetches the current status of a job.
@@ -167,14 +160,36 @@ func (c *Client) Job(ctx context.Context, id string) (JobStatus, error) {
 	return st, err
 }
 
-// Wait polls a job until it leaves the queued/running states (or the
-// context ends) and returns its final status.
+// Wait's two periods. waitHold is the longest one status request asks
+// the server to park (half the client's Timeout when that is smaller,
+// so a parked request is answered before its own deadline). waitFloor
+// is the least time between two status requests: a server that honours
+// the hold makes it moot, one that ignores the parameter is polled at
+// this period instead of in a hot loop.
+const (
+	waitHold  = 10 * time.Second
+	waitFloor = 50 * time.Millisecond
+)
+
+// Wait blocks until a job leaves the queued/running states (or the
+// context ends) and returns its final status. Each status request asks
+// the server to hold it until the job finishes (see WaitParam), so a
+// finished job is reported the moment it finishes and a job costs one
+// request per hold, not one per tick. A job id the server no longer
+// knows — the daemon restarted, or the job finished long enough ago to
+// leave the server's tail — is the server's *Error with Code 404,
+// returned as is: Wait never resubmits.
 func (c *Client) Wait(ctx context.Context, id string) (JobStatus, error) {
-	tick := time.NewTicker(50 * time.Millisecond)
-	defer tick.Stop()
+	hold := waitHold
+	if c.Timeout > 0 && c.Timeout/2 < hold {
+		hold = c.Timeout / 2
+	}
+	path := PathJobs + "/" + id + "?" + WaitParam + "=" + hold.String()
+	floor := time.NewTicker(waitFloor)
+	defer floor.Stop()
 	for {
-		st, err := c.Job(ctx, id)
-		if err != nil {
+		var st JobStatus
+		if err := c.do(ctx, http.MethodGet, path, nil, &st); err != nil {
 			return st, err
 		}
 		if st.State == StateDone || st.State == StateFailed {
@@ -183,7 +198,7 @@ func (c *Client) Wait(ctx context.Context, id string) (JobStatus, error) {
 		select {
 		case <-ctx.Done():
 			return st, ctx.Err()
-		case <-tick.C:
+		case <-floor.C:
 		}
 	}
 }
@@ -191,32 +206,11 @@ func (c *Client) Wait(ctx context.Context, id string) (JobStatus, error) {
 // Result fetches a rendered artifact by spec key, returning the exact
 // served bytes and their content-hash ETag (unquoted).
 func (c *Client) Result(ctx context.Context, specKey string) ([]byte, string, error) {
-	ctx, cancel := c.reqCtx(ctx)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.Base+PathResults+specKey, nil)
+	hdr, data, err := c.send(ctx, http.MethodGet, PathResults+specKey, nil)
 	if err != nil {
 		return nil, "", err
 	}
-	if c.Tenant != "" {
-		req.Header.Set(TenantHeader, c.Tenant)
-	}
-	resp, err := c.httpClient().Do(req)
-	if err != nil {
-		return nil, "", err
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, "", err
-	}
-	if resp.StatusCode != http.StatusOK {
-		var apiErr Error
-		if json.Unmarshal(data, &apiErr) == nil && apiErr.Message != "" {
-			return nil, "", &apiErr
-		}
-		return nil, "", &Error{API: Version, Code: resp.StatusCode, Message: resp.Status}
-	}
-	etag := resp.Header.Get("ETag")
+	etag := hdr.Get("ETag")
 	if n := len(etag); n >= 2 && etag[0] == '"' && etag[n-1] == '"' {
 		etag = etag[1 : n-1]
 	}
@@ -245,11 +239,7 @@ func (c *Client) Events(ctx context.Context, id string, fn func(Event) bool) err
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		data, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
-		var apiErr Error
-		if json.Unmarshal(data, &apiErr) == nil && apiErr.Message != "" {
-			return &apiErr
-		}
-		return &Error{API: Version, Code: resp.StatusCode, Message: resp.Status}
+		return errorFrom(resp, data)
 	}
 	sc := bufio.NewScanner(resp.Body)
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)

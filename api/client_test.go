@@ -7,6 +7,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -137,5 +139,166 @@ func TestClientEventsStream(t *testing.T) {
 	}
 	if len(got) != 2 || got[0] != "spec" || got[1] != "done" {
 		t.Fatalf("events = %v, want [spec done]", got)
+	}
+}
+
+// waitServer is a one-job status endpoint: the job turns done when
+// finish is closed. With honour set it parks a request carrying wait as
+// hbatd does; without, it answers every request at once. It records when
+// each status request arrived and the hold it asked for.
+type waitServer struct {
+	honour bool
+	finish chan struct{}
+
+	mu    sync.Mutex
+	at    []time.Time
+	holds []time.Duration
+}
+
+func (s *waitServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	hold, err := time.ParseDuration(r.URL.Query().Get(WaitParam))
+	if err != nil {
+		http.Error(w, "no parseable wait on a Wait request: "+err.Error(), http.StatusBadRequest)
+		return
+	}
+	s.mu.Lock()
+	s.at = append(s.at, time.Now())
+	s.holds = append(s.holds, hold)
+	s.mu.Unlock()
+	if s.honour {
+		select {
+		case <-s.finish:
+		case <-time.After(hold):
+		case <-r.Context().Done():
+			return
+		}
+	}
+	state := StateRunning
+	select {
+	case <-s.finish:
+		state = StateDone
+	default:
+	}
+	fmt.Fprintf(w, `{"api":"v1","id":"j1","state":%q,"total":1}`, state)
+}
+
+// finishAfter closes s.finish after d and returns where the closing
+// time will be stored.
+func (s *waitServer) finishAfter(d time.Duration) *atomic.Int64 {
+	s.finish = make(chan struct{})
+	var at atomic.Int64
+	time.AfterFunc(d, func() {
+		at.Store(time.Now().UnixNano())
+		close(s.finish)
+	})
+	return &at
+}
+
+// TestWaitIsOneBlockingRequest: against a server that honours wait, a
+// job finishing after 120 ms costs exactly one status request (it was
+// four on the 50 ms tick) and Wait returns as the job finishes, not at
+// the next tick.
+func TestWaitIsOneBlockingRequest(t *testing.T) {
+	// The lag is the best of three: a tick would miss 20 ms every time
+	// (polls at 100 and 150 ms), a loaded host misses it now and then.
+	for attempt := 1; ; attempt++ {
+		s := &waitServer{honour: true}
+		finished := s.finishAfter(120 * time.Millisecond)
+		ts := httptest.NewServer(s)
+		st, err := NewClient(ts.URL).Wait(context.Background(), "j1")
+		lag := time.Since(time.Unix(0, finished.Load()))
+		ts.Close()
+		if err != nil || st.State != StateDone {
+			t.Fatalf("Wait = %+v, %v; want a done job", st, err)
+		}
+		if len(s.at) != 1 {
+			t.Errorf("Wait made %d status requests, want 1", len(s.at))
+		}
+		if s.holds[0] != waitHold {
+			t.Errorf("hold sent = %v, want %v", s.holds[0], waitHold)
+		}
+		if lag <= 20*time.Millisecond {
+			return
+		}
+		if attempt == 3 {
+			t.Fatalf("Wait returned %v after the job finished, want under 20ms", lag)
+		}
+	}
+}
+
+// TestWaitDoesNotSpinOnAServerThatIgnoresWait: a server that answers
+// every status at once is polled on the 50 ms floor, as it was before
+// the parameter existed — never in a hot loop.
+func TestWaitDoesNotSpinOnAServerThatIgnoresWait(t *testing.T) {
+	s := &waitServer{}
+	s.finishAfter(230 * time.Millisecond)
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+
+	start := time.Now()
+	if st, err := NewClient(ts.URL).Wait(context.Background(), "j1"); err != nil || st.State != StateDone {
+		t.Fatalf("Wait = %+v, %v; want a done job", st, err)
+	}
+	// One request up front, then one per floor tick.
+	if most := int(time.Since(start)/waitFloor) + 1; len(s.at) > most || len(s.at) < 2 {
+		t.Errorf("%d status requests in %v, want 2..%d (one per %v)", len(s.at), time.Since(start), most, waitFloor)
+	}
+}
+
+// TestWaitHoldFitsInsideTimeout: the hold a client asks for is at most
+// half its per-request Timeout, so a parked request is answered before
+// the client gives up on it.
+func TestWaitHoldFitsInsideTimeout(t *testing.T) {
+	s := &waitServer{honour: true}
+	s.finishAfter(150 * time.Millisecond)
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+
+	c := NewClient(ts.URL)
+	c.Timeout = 200 * time.Millisecond
+	if st, err := c.Wait(context.Background(), "j1"); err != nil || st.State != StateDone {
+		t.Fatalf("Wait = %+v, %v; want a done job (no request may time out)", st, err)
+	}
+	for _, h := range s.holds {
+		if h > 100*time.Millisecond {
+			t.Errorf("hold sent = %v with Timeout 200ms, want at most 100ms", h)
+		}
+	}
+	if len(s.holds) != 2 {
+		t.Errorf("Wait made %d status requests, want 2 (one per 100ms hold)", len(s.holds))
+	}
+}
+
+// TestGoneJobIsATyped404Everywhere: a job id the server does not know
+// comes back as *Error with Code 404 from every job call — also when the
+// body leaves the code out — and Wait does not retry it.
+func TestGoneJobIsATyped404Everywhere(t *testing.T) {
+	var requests atomic.Int64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		requests.Add(1)
+		w.WriteHeader(http.StatusNotFound)
+		fmt.Fprint(w, `{"api":"v1","message":"no job \"j0\""}`)
+	}))
+	defer ts.Close()
+	c := NewClient(ts.URL)
+	ctx := context.Background()
+	for _, tc := range []struct {
+		name string
+		call func() error
+	}{
+		{"Wait", func() error { _, err := c.Wait(ctx, "j0"); return err }},
+		{"Job", func() error { _, err := c.Job(ctx, "j0"); return err }},
+		{"Spans", func() error { _, err := c.Spans(ctx, "j0"); return err }},
+		{"Events", func() error { return c.Events(ctx, "j0", func(Event) bool { return true }) }},
+		{"Result", func() error { _, _, err := c.Result(ctx, "abc123"); return err }},
+	} {
+		requests.Store(0)
+		var apiErr *Error
+		if err := tc.call(); !errors.As(err, &apiErr) || apiErr.Code != http.StatusNotFound || apiErr.Message != `no job "j0"` {
+			t.Errorf("%s = %v, want the server's *Error with Code 404", tc.name, err)
+		}
+		if n := requests.Load(); n != 1 {
+			t.Errorf("%s made %d requests for a gone job, want 1", tc.name, n)
+		}
 	}
 }

@@ -3,7 +3,9 @@ package hbat
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"net/http"
 
 	"hbat/api"
 	"hbat/internal/runspan"
@@ -65,6 +67,11 @@ func (f *Fabric) SetTenant(tenant string) {
 // Progress) do not cross the wire; requests carrying them are rejected
 // in remote mode rather than silently dropped.
 //
+// A job id the server no longer knows when Simulate comes to wait on it
+// (HTTP 404: a restarted daemon, or a finished job aged out of the
+// server's tail) is resubmitted exactly once — the fabric_simulate span
+// then carries resubmitted=1 — and a second failure is returned as is.
+//
 // Every remote Simulate mints a fresh W3C-style trace context and
 // sends it with the job, so the server's job > run > simulate span
 // tree parents under this call's fabric_simulate span: one trace
@@ -107,22 +114,35 @@ func (f *Fabric) Simulate(ctx context.Context, o Options) (*Result, error) {
 		return nil, err
 	}
 
-	sub := tr.Start(ft, root, "submit")
-	acc, err := f.client.Submit(ctx, api.JobRequest{
-		Specs:       []api.SimOptions{o.wire()},
-		Traceparent: tc.Traceparent(),
-	})
-	if err != nil {
-		sub.End()
-		return fail(err)
-	}
-	sub.SetAttr("job", acc.ID).End()
+	// Submit and wait; once more if the wait finds the job id gone.
+	var (
+		acc api.JobAccepted
+		st  api.JobStatus
+	)
+	for attempt := 0; ; attempt++ {
+		sub := tr.Start(ft, root, "submit")
+		var err error
+		acc, err = f.client.Submit(ctx, api.JobRequest{
+			Specs:       []api.SimOptions{o.wire()},
+			Traceparent: tc.Traceparent(),
+		})
+		if err != nil {
+			sub.End()
+			return fail(err)
+		}
+		sub.SetAttr("job", acc.ID).End()
 
-	wait := tr.Start(ft, root, "poll_wait")
-	st, err := f.client.Wait(ctx, acc.ID)
-	wait.End()
-	if err != nil {
-		return fail(err)
+		wait := tr.Start(ft, root, "poll_wait")
+		st, err = f.client.Wait(ctx, acc.ID)
+		wait.End()
+		if err == nil {
+			break
+		}
+		var gone *api.Error
+		if attempt > 0 || !errors.As(err, &gone) || gone.Code != http.StatusNotFound {
+			return fail(err)
+		}
+		root.SetAttr("resubmitted", "1")
 	}
 	if len(st.Specs) != 1 {
 		return fail(fmt.Errorf("hbat: fabric returned %d specs for a one-spec job", len(st.Specs)))

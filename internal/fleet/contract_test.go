@@ -221,6 +221,20 @@ func runContract(s *session) {
 	// Tenant quota: one open job per tenant, refunded when it finishes.
 	s.submit("quota: first job", 202, api.JobRequest{Specs: []api.SimOptions{contractSpec("small", 7)}})
 	s.submit("quota: second job refused", 429, api.JobRequest{Specs: []api.SimOptions{contractSpec("test", 2)}})
+
+	// Blocking status: one request on the open job is held and answered
+	// by its finish, with the terminal status; a malformed hold is refused
+	// and a finished job answers at once, whatever the hold.
+	s.get("malformed wait", 400, s.acc.StatusURL+"?wait=soon")
+	var held api.JobStatus
+	if err := json.Unmarshal(s.get("blocking status", 200, s.acc.StatusURL+"?wait=30s"), &held); err != nil || held.State != api.StateDone {
+		t.Errorf("one status request with wait=30s returned %+v (err %v), want the done job", held, err)
+	}
+	start := time.Now()
+	s.get("blocking status of a finished job", 200, s.acc.StatusURL+"?wait=30s")
+	if d := time.Since(start); d > 5*time.Second {
+		t.Errorf("a finished job held a wait=30s status for %v", d)
+	}
 	s.wait()
 	s.submit("quota: re-admitted", 202, api.JobRequest{Specs: []api.SimOptions{contractSpec("test", 2)}})
 	s.wait()

@@ -30,12 +30,30 @@ import (
 	"hbat/internal/store"
 )
 
-// finishedJobsKept is how many finished jobs stay addressable: seconds
-// of history even at store-hit rates (thousands of jobs a second), so a
-// client's last status poll and a post-job /spans fetch find theirs,
-// and a few tens of MiB at most however long the daemon runs. Older
-// finished jobs answer 404; open jobs are never dropped.
-const finishedJobsKept = 16384
+// finishedJobsKept and finishedJobGrace bound the tail of finished jobs
+// that stay addressable: the last 256, and beyond that any that finished
+// under a tenth of a second ago. A client in Wait is parked on its job and
+// handed the terminal status by the last Finish, so the tail serves only
+// what comes after that: a post-job /spans or /events fetch, clients
+// that poll without wait, and the status request that arrives after its
+// job has finished. 256 is seconds of history at cold-job rates and
+// about half a MiB (under 4 KiB a retained one-spec job, pinned by a
+// test). The age floor is for store-hit rates, where 256 jobs finish in
+// 25 ms: a client the host scheduler holds back while the others run
+// (up to 63 jobs finish between a job and its own first status request
+// in an ordinary ten-second run) would find its finished job gone, so
+// how long a job stays must not shrink as the job rate grows. A poller
+// later than both count and age gets the ordinary 404 the API documents
+// (api.WaitParam). Open jobs are never dropped.
+const (
+	finishedJobsKept = 256
+	finishedJobGrace = 100 * time.Millisecond
+)
+
+// maxStatusHold caps how long one GET /v1/jobs/{id}?wait= request parks:
+// long enough that a waiting client costs a request every half minute,
+// short enough that intermediaries with idle timeouts leave it alone.
+const maxStatusHold = 30 * time.Second
 
 // tool is the one daemon's name: the ping answer, the manifest's tool,
 // and the hint in the spans-disabled 404, whichever executor is behind
@@ -67,6 +85,12 @@ type Unavailable string
 
 func (e Unavailable) Error() string { return string(e) }
 
+// retiredJob is one entry of the finished-job tail.
+type retiredJob struct {
+	id string
+	at time.Time
+}
+
 // Front is a running v1 front end. Create with NewFront, mount Handler,
 // stop with Shutdown.
 type Front struct {
@@ -79,10 +103,11 @@ type Front struct {
 	jobs     map[string]*Job
 	byTenant map[string]int
 	draining bool
-	// retired is a ring of the last finishedJobsKept finished job ids;
-	// the id a new one overwrites leaves the job table.
-	retired  []string
-	retiredN int
+	// retired lists the finished jobs still in the table, oldest first.
+	retired []retiredJob
+	// maxHold and grace are maxStatusHold and finishedJobGrace, except
+	// in tests that shrink them.
+	maxHold, grace time.Duration
 	// starting covers the window between a job's admission and its
 	// Executor.Start returning, so Shutdown never closes the executor
 	// under a job it has yet to receive. Add happens under mu, before
@@ -106,7 +131,8 @@ func NewFront(cfg Config, exec Executor) *Front {
 		exec:     exec,
 		jobs:     make(map[string]*Job),
 		byTenant: make(map[string]int),
-		retired:  make([]string, finishedJobsKept),
+		maxHold:  maxStatusHold,
+		grace:    finishedJobGrace,
 		mux:      http.NewServeMux(),
 	}
 	f.mux.HandleFunc(api.PathPing, f.handlePing)
@@ -156,10 +182,12 @@ func (f *Front) release(j *Job, state string) {
 	if f.byTenant[j.Tenant] <= 0 {
 		delete(f.byTenant, j.Tenant)
 	}
-	slot := f.retiredN % len(f.retired)
-	delete(f.jobs, f.retired[slot]) // "" until the ring has lapped once
-	f.retired[slot] = j.ID
-	f.retiredN++
+	now := time.Now()
+	f.retired = append(f.retired, retiredJob{j.ID, now})
+	for len(f.retired) > finishedJobsKept && now.Sub(f.retired[0].at) >= f.grace {
+		delete(f.jobs, f.retired[0].id)
+		f.retired = f.retired[1:]
+	}
 	f.mu.Unlock()
 	f.cfg.Logger.Info("job finished", "job", j.ID, "tenant", j.Tenant,
 		"state", state, "specs", len(j.Keys), "trace_id", j.TraceID)
@@ -187,7 +215,7 @@ func (f *Front) handleJob(w http.ResponseWriter, r *http.Request) {
 	annotate(r.Context(), j.Tenant, j.TraceID)
 	switch sub {
 	case "":
-		WriteJSON(w, http.StatusOK, j.status())
+		f.serveStatus(w, r, j)
 	case "events":
 		f.serveEvents(w, r, j)
 	case "spans":
@@ -202,6 +230,32 @@ func (f *Front) handleJob(w http.ResponseWriter, r *http.Request) {
 	default:
 		WriteErr(w, http.StatusNotFound, "no such job endpoint %q", sub)
 	}
+}
+
+// serveStatus answers GET /v1/jobs/{id}[?wait=<duration>] (the contract
+// is api.WaitParam's). Without wait, or for a job already terminal, the
+// status is written at once: no timer, no select. Otherwise the request
+// parks until the job's last Finish, the hold (capped at f.maxHold)
+// elapsing, or the client going away, whichever is first.
+func (f *Front) serveStatus(w http.ResponseWriter, r *http.Request, j *Job) {
+	var hold time.Duration
+	if r.URL.RawQuery != "" {
+		if raw := r.URL.Query().Get(api.WaitParam); raw != "" {
+			var err error
+			if hold, err = time.ParseDuration(raw); err != nil || hold < 0 {
+				WriteErr(w, http.StatusBadRequest, "bad %s %q: want a non-negative duration like 30s", api.WaitParam, raw)
+				return
+			}
+		}
+	}
+	st := j.status()
+	if hold > 0 && !terminal(st.State) {
+		if !j.await(r.Context(), min(hold, f.maxHold)) {
+			return // the client went away; there is no one to answer
+		}
+		st = j.status()
+	}
+	WriteJSON(w, http.StatusOK, st)
 }
 
 // serveEvents streams the job's progress as SSE. Each event is one

@@ -7,7 +7,9 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"testing"
+	"time"
 
 	"hbat/api"
 )
@@ -38,37 +40,21 @@ func (e *stubExec) Result(context.Context, string) ([]byte, string, error) {
 func (e *stubExec) Close(context.Context) error { return nil }
 
 // TestJobTableKeepsABoundedTailOfFinishedJobs pins the job table's
-// bound: finished jobs leave FIFO once more than finishedJobsKept have
-// finished after them, an evicted id answers the ordinary 404, and an
-// open job is never evicted however many jobs finish around it.
+// bound: finished jobs past their grace leave FIFO once more than
+// finishedJobsKept have finished after them, an evicted id answers the
+// ordinary 404, and an open job is never evicted however many jobs
+// finish around it.
 func TestJobTableKeepsABoundedTailOfFinishedJobs(t *testing.T) {
 	const extra = 5
 	exec := &stubExec{}
-	h := NewFront(Config{}, exec).Handler()
+	f := NewFront(Config{}, exec)
+	f.grace = 0 // every finished job is old enough to leave
+	h := f.Handler()
 
-	body, err := json.Marshal(api.JobRequest{Specs: []api.SimOptions{{
-		CommonOptions: api.CommonOptions{Scale: "test"}, Workload: "compress", Design: "T4",
-	}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	submit := func() string {
-		t.Helper()
-		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, api.PathJobs, bytes.NewReader(body)))
-		if rec.Code != http.StatusAccepted {
-			t.Fatalf("submit: %d %s", rec.Code, rec.Body)
-		}
-		var acc api.JobAccepted
-		if err := json.Unmarshal(rec.Body.Bytes(), &acc); err != nil {
-			t.Fatal(err)
-		}
-		return acc.ID
-	}
+	submit := func() string { return submitTo(t, h).ID }
 	status := func(id string) int {
-		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, api.PathJobs+"/"+id, nil))
-		return rec.Code
+		code, _, _ := statusOf(t, h, api.PathJobs+"/"+id)
+		return code
 	}
 
 	exec.park = true
@@ -97,5 +83,257 @@ func TestJobTableKeepsABoundedTailOfFinishedJobs(t *testing.T) {
 	}
 	if got := status(ids[extra]); got != http.StatusNotFound {
 		t.Fatalf("oldest kept job survived one more finish: status %d", got)
+	}
+}
+
+// TestJobTableKeepsAFinishedJobThroughItsGrace: how long a finished job
+// stays addressable does not shrink with the job rate — within its grace
+// it survives any number of later finishes, so a status request that the
+// host delayed behind hundreds of other clients' jobs still finds it —
+// and the first finish after the grace trims the table back to the
+// count bound.
+func TestJobTableKeepsAFinishedJobThroughItsGrace(t *testing.T) {
+	f := NewFront(Config{}, &stubExec{})
+	f.grace = time.Hour
+	h := f.Handler()
+	status := func(id string) int {
+		code, _, _ := statusOf(t, h, api.PathJobs+"/"+id)
+		return code
+	}
+
+	first := submitTo(t, h).ID
+	for i := 0; i < 2*finishedJobsKept; i++ {
+		submitTo(t, h)
+	}
+	if got := status(first); got != http.StatusOK {
+		t.Fatalf("a job finished within its grace, %d finishes ago: status %d, want 200", 2*finishedJobsKept, got)
+	}
+	f.grace = 0
+	last := submitTo(t, h).ID
+	if got := status(first); got != http.StatusNotFound {
+		t.Fatalf("a job past its grace and %d finishes old: status %d, want 404", 2*finishedJobsKept+1, got)
+	}
+	if got := status(last); got != http.StatusOK {
+		t.Fatalf("the newest finished job: status %d, want 200", got)
+	}
+	if n := len(f.jobs); n != finishedJobsKept {
+		t.Fatalf("the table holds %d jobs after the grace, want %d", n, finishedJobsKept)
+	}
+}
+
+// submitTo posts a one-spec test-scale job straight into h and returns
+// its acceptance.
+func submitTo(t *testing.T, h http.Handler) api.JobAccepted {
+	t.Helper()
+	body, err := json.Marshal(api.JobRequest{Specs: []api.SimOptions{{
+		CommonOptions: api.CommonOptions{Scale: "test"}, Workload: "compress", Design: "T4",
+	}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, api.PathJobs, bytes.NewReader(body)))
+	if rec.Code != http.StatusAccepted {
+		t.Fatalf("submit: %d %s", rec.Code, rec.Body)
+	}
+	var acc api.JobAccepted
+	if err := json.Unmarshal(rec.Body.Bytes(), &acc); err != nil {
+		t.Fatal(err)
+	}
+	return acc
+}
+
+// statusOf serves one GET of path from h and decodes the answer: a
+// JobStatus on 200, an api.Error otherwise.
+func statusOf(t *testing.T, h http.Handler, path string) (int, api.JobStatus, api.Error) {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+	var (
+		st   api.JobStatus
+		fail api.Error
+		err  error
+	)
+	if rec.Code == http.StatusOK {
+		err = json.Unmarshal(rec.Body.Bytes(), &st)
+	} else {
+		err = json.Unmarshal(rec.Body.Bytes(), &fail)
+	}
+	if err != nil {
+		t.Fatalf("GET %s: %d with undecodable body %q: %v", path, rec.Code, rec.Body, err)
+	}
+	return rec.Code, st, fail
+}
+
+// TestBlockingStatusIsAnsweredAtTheLastFinish: a status request with
+// wait on an open job parks, and the job's last Finish answers it — with
+// the terminal status, within 50 ms — instead of a timer.
+func TestBlockingStatusIsAnsweredAtTheLastFinish(t *testing.T) {
+	exec := &stubExec{park: true}
+	h := NewFront(Config{TenantJobs: 1}, exec).Handler()
+	acc := submitTo(t, h)
+
+	type answer struct {
+		code int
+		st   api.JobStatus
+		at   time.Time
+	}
+	answered := make(chan answer, 1)
+	go func() {
+		code, st, _ := statusOf(t, h, acc.StatusURL+"?wait=20s")
+		answered <- answer{code, st, time.Now()}
+	}()
+	select {
+	case a := <-answered:
+		t.Fatalf("status of an open job with wait=20s answered before the job finished: %d %+v", a.code, a.st)
+	case <-time.After(100 * time.Millisecond):
+	}
+	finished := time.Now()
+	exec.parked[0].Finish(0, api.SpecStatus{State: api.StateDone, SHA256: "abc"})
+	select {
+	case a := <-answered:
+		if a.code != http.StatusOK || a.st.State != api.StateDone || a.st.Done != 1 || a.st.Specs[0].SHA256 != "abc" {
+			t.Errorf("parked status = %d %+v, want 200 with the terminal status", a.code, a.st)
+		}
+		if lag := a.at.Sub(finished); lag > 50*time.Millisecond {
+			t.Errorf("parked status answered %v after the last Finish, want under 50ms", lag)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("parked status was not answered by the last Finish")
+	}
+	// The answer comes after the quota refund: a closed-loop client's
+	// next job is admitted under a one-open-job quota.
+	submitTo(t, h)
+}
+
+// TestBlockingStatusHoldElapsesAndIsCapped: a hold that runs out answers
+// 200 with the job's current, non-terminal status, and a hold above the
+// server's cap is clamped to it, not refused.
+func TestBlockingStatusHoldElapsesAndIsCapped(t *testing.T) {
+	f := NewFront(Config{}, &stubExec{park: true})
+	f.maxHold = 300 * time.Millisecond // stands in for the 30 s maxStatusHold
+	h := f.Handler()
+	acc := submitTo(t, h)
+
+	for _, tc := range []struct {
+		wait     string
+		min, max time.Duration
+	}{
+		{"25ms", 25 * time.Millisecond, 250 * time.Millisecond},
+		{"1h", 300 * time.Millisecond, 2 * time.Second},
+		{"0", 0, 250 * time.Millisecond},
+	} {
+		start := time.Now()
+		code, st, _ := statusOf(t, h, acc.StatusURL+"?wait="+tc.wait)
+		held := time.Since(start)
+		if code != http.StatusOK || st.State != api.StateQueued || st.Total != 1 {
+			t.Errorf("wait=%s on an open job = %d %+v, want 200 with the queued status", tc.wait, code, st)
+		}
+		if held < tc.min || held > tc.max {
+			t.Errorf("wait=%s held the request %v, want %v..%v", tc.wait, held, tc.min, tc.max)
+		}
+	}
+}
+
+// TestBlockingStatusRefusesAMalformedWait: wait must be a non-negative
+// duration; anything else is a typed 400 at once, whether the job is
+// open or finished.
+func TestBlockingStatusRefusesAMalformedWait(t *testing.T) {
+	exec := &stubExec{park: true}
+	h := NewFront(Config{}, exec).Handler()
+	open := submitTo(t, h)
+	exec.park = false
+	finished := submitTo(t, h)
+
+	for _, acc := range []api.JobAccepted{open, finished} {
+		for _, wait := range []string{"abc", "-1s", "30", "1s1"} {
+			start := time.Now()
+			code, _, fail := statusOf(t, h, acc.StatusURL+"?wait="+wait)
+			if code != http.StatusBadRequest || fail.API != api.Version || fail.Code != http.StatusBadRequest || fail.Message == "" {
+				t.Errorf("wait=%s = %d %+v, want a typed 400", wait, code, fail)
+			}
+			if d := time.Since(start); d > time.Second {
+				t.Errorf("wait=%s was refused after %v, want at once", wait, d)
+			}
+		}
+	}
+	// An empty wait, and parameters the API does not define, are no wait.
+	if code, st, _ := statusOf(t, h, open.StatusURL+"?wait=&x=1"); code != http.StatusOK || st.State != api.StateQueued {
+		t.Errorf("wait= (empty) = %d %+v, want the plain status", code, st)
+	}
+}
+
+// TestBlockingStatusClientGoneLeavesNoGoroutine: a client that
+// disconnects while parked ends the handler; nothing waits out the hold
+// on its behalf.
+func TestBlockingStatusClientGoneLeavesNoGoroutine(t *testing.T) {
+	h := NewFront(Config{}, &stubExec{park: true}).Handler()
+	acc := submitTo(t, h)
+	ts := httptest.NewServer(h)
+	defer ts.Close()
+	client := &http.Client{Transport: &http.Transport{DisableKeepAlives: true}}
+
+	before := runtime.NumGoroutine()
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() {
+		req, err := http.NewRequestWithContext(ctx, http.MethodGet, ts.URL+acc.StatusURL+"?wait=30s", nil)
+		if err != nil {
+			done <- err
+			return
+		}
+		resp, err := client.Do(req)
+		if err == nil {
+			resp.Body.Close()
+			err = errors.New("the parked status was answered")
+		}
+		done <- err
+	}()
+	// Parked: the server's connection and handler goroutines exist.
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() < before+3 && time.Now().Before(deadline); {
+		time.Sleep(5 * time.Millisecond)
+	}
+	time.Sleep(20 * time.Millisecond)
+	cancel()
+	if err := <-done; !errors.Is(err, context.Canceled) {
+		t.Fatalf("parked request ended with %v, want the client's cancellation", err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before && time.Now().Before(deadline); {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Errorf("goroutines leaked by a client that left while parked: %d before, %d after", before, n)
+	}
+}
+
+// TestFinishedJobTailRetainsUnderFourKiBAJob pins what the tail costs:
+// with finishedJobsKept finished one-spec jobs retained, the heap holds
+// at most 4 KiB for each. At 16384 jobs of ~2 KiB, three front ends
+// deep, this was 140 MiB of fleet-hit's resident set; a new Job field
+// must not bring that back unnoticed.
+func TestFinishedJobTailRetainsUnderFourKiBAJob(t *testing.T) {
+	heap := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	f := NewFront(Config{}, &stubExec{})
+	h := f.Handler()
+	submitTo(t, h) // the front end's own one-time allocations
+	before := heap()
+	for i := 0; i < finishedJobsKept; i++ {
+		submitTo(t, h)
+	}
+	after := heap()
+	runtime.KeepAlive(f)
+	if after < before {
+		after = before
+	}
+	if per := (after - before) / finishedJobsKept; per > 4<<10 {
+		t.Errorf("a retained finished job holds %d bytes of heap, want at most 4096", per)
+	} else {
+		t.Logf("a retained finished job holds %d bytes of heap", per)
 	}
 }

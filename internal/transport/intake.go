@@ -203,6 +203,8 @@ func (f *Front) handleJobs(w http.ResponseWriter, r *http.Request) {
 		specs:   sts,
 		state:   api.StateQueued,
 		subs:    make(map[uint64]chan api.Event),
+
+		finished: make(chan struct{}),
 	}
 	for i := range sts {
 		j.Keys[i] = sts[i].SpecKey

@@ -1,9 +1,11 @@
 package transport
 
 import (
+	"context"
 	"crypto/rand"
 	"encoding/hex"
 	"sync"
+	"time"
 
 	"hbat/api"
 	"hbat/internal/engine"
@@ -47,6 +49,11 @@ type Job struct {
 	// for because the channel is closed right after.
 	subs   map[uint64]chan api.Event
 	subSeq uint64
+	// finished is what a blocking status request parks on. The last
+	// Finish closes it as its final act — state terminal, root span
+	// ended, admission charge returned — so a client woken by it can
+	// fetch /spans, or submit its next job against the refunded quota.
+	finished chan struct{}
 }
 
 func newJobID() string {
@@ -115,8 +122,8 @@ func (j *Job) Note(idxs []int, msg string) {
 // Running already set (Worker, Attempts) survives. A second report for
 // the same spec is ignored. The report that makes the last spec
 // terminal rolls the job up to done or failed, emits the "done" event,
-// closes every subscriber, ends the root span, and releases the job's
-// admission charge.
+// closes every subscriber, ends the root span, releases the job's
+// admission charge, and answers every parked status request.
 func (j *Job) Finish(idx int, final api.SpecStatus) {
 	j.mu.Lock()
 	st := &j.specs[idx]
@@ -150,6 +157,7 @@ func (j *Job) Finish(idx int, final api.SpecStatus) {
 	if done == total {
 		j.Root.End()
 		j.front.release(j, state)
+		close(j.finished)
 	}
 }
 
@@ -197,6 +205,20 @@ func (j *Job) subscribe(buf int) (<-chan api.Event, func()) {
 		}
 		j.mu.Unlock()
 	}
+}
+
+// await parks the caller until the job's last Finish, hold elapsing, or
+// ctx ending, and reports whether ctx outlived the wait.
+func (j *Job) await(ctx context.Context, hold time.Duration) bool {
+	t := time.NewTimer(hold)
+	defer t.Stop()
+	select {
+	case <-j.finished:
+	case <-t.C:
+	case <-ctx.Done():
+		return false
+	}
+	return true
 }
 
 func (j *Job) status() api.JobStatus {

@@ -525,3 +525,45 @@ func TestRestartServesFromTheStore(t *testing.T) {
 			first.SHA256, second.SHA256, etag1, etag2)
 	}
 }
+
+// TestShutdownWithAStatusRequestParked: a drain neither waits on a
+// parked status request nor cuts it off — Shutdown returns once the job
+// has run, and the request is answered with the terminal status by the
+// same Finish.
+func TestShutdownWithAStatusRequestParked(t *testing.T) {
+	svc, ts, _ := newService(t, transport.Config{Workers: 1})
+	defer ts.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	c := api.NewClient(ts.URL)
+
+	// A small-scale run takes long enough for both calls below to find
+	// the job open.
+	spec := testSpec("compress", "T4")
+	spec.Scale = "small"
+	acc, err := c.Submit(ctx, api.JobRequest{Specs: []api.SimOptions{spec}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	type answer struct {
+		st  api.JobStatus
+		err error
+	}
+	answered := make(chan answer, 1)
+	go func() {
+		var a answer
+		a.st, a.err = c.Wait(ctx, acc.ID)
+		answered <- a
+	}()
+	if err := svc.Shutdown(ctx); err != nil {
+		t.Fatalf("Shutdown with a status request parked: %v", err)
+	}
+	select {
+	case a := <-answered:
+		if a.err != nil || a.st.State != api.StateDone {
+			t.Fatalf("parked status across the drain = %+v, %v; want the done job", a.st, a.err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Shutdown returned, the job is done, and the parked status request is still unanswered")
+	}
+}
