@@ -18,8 +18,16 @@ const Version = "v1"
 // Paths of the v1 job API. {id} and {speckey} are path suffixes, not
 // templates: clients append the identifier directly.
 const (
-	PathPing     = "/v1/ping"
-	PathJobs     = "/v1/jobs"
+	PathPing = "/v1/ping"
+	PathJobs = "/v1/jobs"
+	// PathResults serves GET /v1/results/{speckey} from the answering
+	// daemon's own result store, with one contract in both roles: the
+	// artifact with its SHA-256 as a strong ETag when the store holds
+	// it, else 404. A spec whose SpecStatus has no ResultURL (its store
+	// refused the bytes; Error says why) was never filed and is a 404;
+	// so is any key after a restart without a persistent store or once
+	// the store has evicted it. Nothing is fetched on a miss in either
+	// role: a client that finds a result gone resubmits the spec.
 	PathResults  = "/v1/results/"
 	PathManifest = "/v1/manifest"
 	// PathWorkers is the worker registry of an hbatd coordinator (hbatd
@@ -203,8 +211,9 @@ type SpecStatus struct {
 	StoreHit bool    `json:"store_hit,omitempty"`
 	WallMs   float64 `json:"wall_ms,omitempty"`
 	Error    string  `json:"error,omitempty"`
-	// ResultURL serves the rendered artifact once State is "done";
-	// SHA256 is its content hash (the ETag, unquoted).
+	// ResultURL serves the rendered artifact once State is "done" and
+	// the daemon's store has filed it (empty, with Error set, when the
+	// store refused it); SHA256 is its content hash (the ETag, unquoted).
 	ResultURL string `json:"result_url,omitempty"`
 	SHA256    string `json:"sha256,omitempty"`
 	// Worker is the fleet worker that produced (or cached) the result,

@@ -12,6 +12,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -303,6 +304,115 @@ func TestV1ContractAcrossFrontEnds(t *testing.T) {
 	for i := range w {
 		if !reflect.DeepEqual(w[i], c[i]) {
 			t.Errorf("front ends disagree:\n  worker      %+v\n  coordinator %+v", w[i], c[i])
+		}
+	}
+	http.DefaultClient.CloseIdleConnections()
+}
+
+// quotaAnswer is what TestStoreQuotaParityAcrossRoles compares across
+// roles for one job: the parts of the spec status that say where its
+// result went, and what GET of that result answered.
+type quotaAnswer struct {
+	State, Error, SHA256, ResultURL string
+	ResultCode                      int
+	ResultMessage                   string
+}
+
+// TestStoreQuotaParityAcrossRoles: a front-end store whose tenant quota
+// refuses an artifact leaves the same trace in both roles. Three
+// one-spec jobs as tenant q against a 1200-byte quota: the first
+// artifact is filed, the next two do not fit, and each of those is
+// done with the store's error and the artifact's hash but no result
+// URL, its result is a 404, and nothing is charged to any other tenant.
+// The quota sits on the front-end store only — the coordinator's
+// worker keeps an unlimited one, so the refusal is the coordinator's.
+func TestStoreQuotaParityAcrossRoles(t *testing.T) {
+	guardGoroutines(t)
+	const quota = 1200
+	quotaStore := func() *store.Store {
+		st, err := store.New(store.Config{TenantQuotaBytes: quota})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+
+	// run submits the three jobs to base and returns their answers and
+	// the size of the first artifact.
+	run := func(t *testing.T, base string) ([]quotaAnswer, int64) {
+		ctx := context.Background()
+		cl := api.NewClient(base)
+		cl.Tenant = "q"
+		var (
+			out   []quotaAnswer
+			first int64
+		)
+		for seed := uint64(1); seed <= 3; seed++ {
+			acc, err := cl.Submit(ctx, api.JobRequest{Specs: []api.SimOptions{contractSpec("test", seed)}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			s := waitJob(t, cl, acc.ID).Specs[0]
+			a := quotaAnswer{State: s.State, Error: s.Error, SHA256: s.SHA256, ResultURL: s.ResultURL, ResultCode: http.StatusOK}
+			data, _, err := cl.Result(ctx, s.SpecKey)
+			var e *api.Error
+			switch {
+			case errors.As(err, &e):
+				a.ResultCode, a.ResultMessage = e.Code, e.Message
+			case err != nil:
+				t.Fatal(err)
+			case seed == 1:
+				first = int64(len(data))
+			}
+			out = append(out, a)
+		}
+		return out, first
+	}
+
+	wst := quotaStore()
+	svc, err := transport.New(transport.Config{Engine: engine.New(), Store: wst, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(svc.Handler())
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
+		defer cancel()
+		svc.Shutdown(ctx)
+		srv.Close()
+	})
+	cst := quotaStore()
+	_, ccl, _ := newCoord(t, fleettest.New(t, 1), func(c *fleet.Config) { c.Store = cst })
+
+	roles := []struct {
+		name string
+		base string
+		st   *store.Store
+	}{{"worker", srv.URL, wst}, {"coordinator", ccl.Base, cst}}
+	answers := make([][]quotaAnswer, len(roles))
+	for i, r := range roles {
+		t.Run(r.name, func(t *testing.T) {
+			got, first := run(t, r.base)
+			answers[i] = got
+			if first == 0 || first > quota || 2*first <= quota {
+				t.Fatalf("the first artifact is %d bytes: the scenario needs one, and only one, to fit %d", first, quota)
+			}
+			if a := got[0]; a.State != api.StateDone || a.Error != "" || a.ResultURL == "" || a.ResultCode != http.StatusOK {
+				t.Errorf("job 1 (fits the quota) = %+v, want done, filed and served", a)
+			}
+			for j, a := range got[1:] {
+				if a.State != api.StateDone || a.Error == "" || a.SHA256 == "" || a.ResultURL != "" || a.ResultCode != http.StatusNotFound {
+					t.Errorf("job %d (over the quota) = %+v, want done with the store's error, a hash, no result URL, and a 404", j+2, a)
+				}
+			}
+			if tenants := r.st.Tenants(); !reflect.DeepEqual(tenants, map[string]int64{"q": first}) {
+				t.Errorf("front-end store charges %v, want only q's %d bytes", tenants, first)
+			}
+		})
+	}
+	for j := range answers[0] {
+		if len(answers[1]) == len(answers[0]) && !reflect.DeepEqual(answers[0][j], answers[1][j]) {
+			t.Errorf("job %d: the roles disagree:\n  worker      %+v\n  coordinator %+v", j+1, answers[0][j], answers[1][j])
 		}
 	}
 	http.DefaultClient.CloseIdleConnections()

@@ -7,9 +7,9 @@
 // probed into an up/draining/down state machine), shards expanded
 // specs across live workers by rendezvous hashing on a checkpoint-
 // affinity key, retries failed or timed-out specs on a different
-// worker with capped exponential backoff, and serves results through
-// its own content-addressed store tier filled exactly once from
-// whichever worker computed each artifact.
+// worker with capped exponential backoff, and files each artifact once,
+// hash-verified, into its own store — the one its front end serves
+// results from, as a worker's does; a result it did not file is a 404.
 //
 // Sharding uses rendezvous (highest-random-weight) hashing on the
 // spec's affinity key — workload, budget, scale, page size, fast-
@@ -42,7 +42,11 @@ import (
 
 // ErrNoWorkers is returned (as a 503 api.Error on the wire) when a
 // job's specs cannot be dispatched because no live worker remains.
-var ErrNoWorkers error = transport.Unavailable("fleet: no live workers")
+var ErrNoWorkers = errors.New("fleet: no live workers")
+
+// maxWorkers bounds the registry, static -worker addresses included:
+// every entry is probed each ProbeEvery.
+const maxWorkers = 256
 
 // Config wires a Coordinator. Store is required; Workers may start
 // empty (workers can register over POST /v1/workers).
@@ -50,8 +54,9 @@ type Config struct {
 	// Workers are the static worker base URLs ("http://host:port")
 	// probed from startup.
 	Workers []string
-	// Store is the coordinator's own artifact tier; results fetched
-	// from workers are filed here once and served locally after.
+	// Store is the coordinator's own artifact tier: each result is
+	// fetched from its worker once, filed here under the job's tenant,
+	// and served from here alone.
 	Store *store.Store
 	// Client, when non-nil, builds the api.Client for a worker address
 	// — the test seam. The default is api.NewClient with
@@ -79,7 +84,7 @@ type Config struct {
 	// plus two retries).
 	RetryMax int
 	// RetryBackoff is the base backoff between retry waves (default
-	// 50ms), doubling per wave and capped at 32x.
+	// 50ms), doubling per wave and capped at 16x.
 	RetryBackoff time.Duration
 
 	// TenantJobs, when > 0, bounds concurrently open jobs per tenant.
@@ -126,8 +131,7 @@ func (w *worker) snapshot() api.Worker {
 // executor. Create with New, mount Handler, stop with Shutdown.
 type Coordinator struct {
 	*transport.Front
-	cfg    Config
-	filler *store.Filler
+	cfg Config
 
 	mu        sync.Mutex
 	workers   map[string]*worker
@@ -180,9 +184,10 @@ func New(cfg Config) (*Coordinator, error) {
 		},
 		remote{c})
 	c.Front.Handle(api.PathWorkers, c.handleWorkers)
-	c.filler = &store.Filler{Store: cfg.Store, Fetch: c.fetchFromFleet}
 	for _, addr := range cfg.Workers {
-		c.addWorker(addr)
+		if _, err := c.addWorker(addr); err != nil {
+			return nil, err
+		}
 	}
 	c.probeAll(context.Background())
 	probeCtx, cancel := context.WithCancel(context.Background())
@@ -205,25 +210,20 @@ func (c *Coordinator) newClient(addr string) *api.Client {
 	return cl
 }
 
-// addWorker registers addr (idempotent) and returns its entry.
-func (c *Coordinator) addWorker(addr string) *worker {
+// addWorker registers addr (idempotent) and returns its entry. A new
+// address is refused once the registry holds maxWorkers.
+func (c *Coordinator) addWorker(addr string) (*worker, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if w, ok := c.workers[addr]; ok {
-		return w
+		return w, nil
+	}
+	if len(c.workers) >= maxWorkers {
+		return nil, fmt.Errorf("fleet: worker registry is full (%d workers)", maxWorkers)
 	}
 	w := &worker{addr: addr, client: c.newClient(addr), state: api.WorkerDown}
 	c.workers[addr] = w
-	return w
-}
-
-// AddWorker registers a worker address at runtime and probes it
-// immediately, so a registration is dispatchable as soon as the call
-// returns (when the worker is healthy).
-func (c *Coordinator) AddWorker(ctx context.Context, addr string) api.Worker {
-	w := c.addWorker(addr)
-	c.probeWorker(ctx, w)
-	return w.snapshot()
+	return w, nil
 }
 
 // probeLoop drives the health state machine until Shutdown.
@@ -369,26 +369,4 @@ func (c *Coordinator) WorkersSnapshot() []api.Worker {
 		out[i] = w.snapshot()
 	}
 	return out
-}
-
-// fetchFromFleet is the store Filler's remote source: it asks live
-// workers for the artifact in rendezvous order for the key, so the
-// worker most likely to hold it is asked first.
-func (c *Coordinator) fetchFromFleet(ctx context.Context, key string) ([]byte, error) {
-	ws := c.live()
-	if len(ws) == 0 {
-		return nil, ErrNoWorkers
-	}
-	var lastErr error
-	for _, w := range rank(key, ws) {
-		data, _, err := w.client.Result(ctx, key)
-		if err == nil {
-			return data, nil
-		}
-		lastErr = err
-		if ctx.Err() != nil {
-			return nil, ctx.Err()
-		}
-	}
-	return nil, fmt.Errorf("fleet: no worker holds %s: %w", key, lastErr)
 }

@@ -6,7 +6,6 @@ package fleet
 
 import (
 	"context"
-	"fmt"
 	"net/http"
 	"strings"
 
@@ -36,16 +35,6 @@ func (r remote) Start(j *transport.Job) {
 	go r.c.runJob(j)
 }
 
-// Result reads through the coordinator's store tier, filling a local
-// miss from the fleet.
-func (r remote) Result(ctx context.Context, key string) ([]byte, string, error) {
-	data, sha, err := r.c.filler.Get(ctx, key)
-	if err != nil {
-		return nil, "", fmt.Errorf("no result for spec %s: %w", key, err)
-	}
-	return data, sha, nil
-}
-
 // Close stops the prober and waits for every started job's retry loop
 // to return.
 func (r remote) Close(ctx context.Context) error {
@@ -62,8 +51,10 @@ func (r remote) Close(ctx context.Context) error {
 }
 
 // handleWorkers serves the fleet registry: GET lists every registered
-// worker with its probed state; POST registers a new worker address
-// and probes it synchronously.
+// worker with its probed state; POST registers a worker address and
+// probes it synchronously, so a healthy worker is dispatchable when the
+// answer arrives — or answers 409 for a new address once the registry
+// is full.
 func (c *Coordinator) handleWorkers(w http.ResponseWriter, r *http.Request) {
 	switch r.Method {
 	case http.MethodGet:
@@ -79,7 +70,13 @@ func (c *Coordinator) handleWorkers(w http.ResponseWriter, r *http.Request) {
 			transport.WriteErr(w, http.StatusBadRequest, "worker addr must be a base URL, got %q", reg.Addr)
 			return
 		}
-		ws := c.AddWorker(r.Context(), strings.TrimSuffix(reg.Addr, "/"))
+		wk, err := c.addWorker(strings.TrimSuffix(reg.Addr, "/"))
+		if err != nil {
+			transport.WriteErr(w, http.StatusConflict, "%v", err)
+			return
+		}
+		c.probeWorker(r.Context(), wk)
+		ws := wk.snapshot()
 		c.cfg.Logger.Info("worker registered", "worker", ws.Addr, "state", ws.State)
 		transport.WriteJSON(w, http.StatusOK, ws)
 	default:

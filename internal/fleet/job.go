@@ -5,7 +5,8 @@ package fleet
 // job), worker SSE streams fan back in as merged coordinator events,
 // and each completed spec's artifact is fetched exactly once, verified
 // against the worker-reported content hash, and filed into the
-// coordinator store. A batch that errors, times out, or reports failed
+// coordinator store — the only place the coordinator serves results
+// from. A batch that errors, times out, or reports failed
 // specs sends those specs into the next retry wave, which re-ranks
 // them onto workers not yet tried — with capped exponential backoff
 // between waves and a hard per-spec attempt cap. Workers that died
@@ -112,7 +113,7 @@ func (c *Coordinator) runJob(j *transport.Job) {
 }
 
 // backoff returns the pre-wave delay: RetryBackoff doubling per wave,
-// capped at 32x.
+// capped at 16x (wave 5 onward).
 func (c *Coordinator) backoff(wave int) time.Duration {
 	if wave > 5 {
 		wave = 5
@@ -232,9 +233,8 @@ func (c *Coordinator) dispatch(j *transport.Job, w *worker, idxs []int, tried []
 	return failed
 }
 
-// completeSpec finishes one done spec reported by a worker: fetch the
-// artifact once, verify it against the worker-reported content hash,
-// file it into the coordinator store, and mark every index sharing the
+// completeSpec finishes one done spec reported by a worker: file its
+// artifact into the coordinator store and mark every index sharing the
 // spec key done. A fetch or verification failure returns the indices
 // for retry — corrupt bytes from one worker re-run elsewhere.
 func (c *Coordinator) completeSpec(ctx context.Context, j *transport.Job, w *worker, idxs []int, s api.SpecStatus) (failed []int) {
@@ -243,28 +243,30 @@ func (c *Coordinator) completeSpec(ctx context.Context, j *transport.Job, w *wor
 	if len(j.Open(idxs)) == 0 {
 		return nil
 	}
-	sha, err := c.fileArtifact(ctx, j, w, s.SpecKey, s.SHA256)
+	final, err := c.fileArtifact(ctx, j, w, s.SpecKey, s.SHA256)
 	if err != nil {
 		j.Note(idxs, err.Error())
 		return idxs
 	}
-	final := api.SpecStatus{
-		State: api.StateDone, Cached: s.Cached, StoreHit: s.StoreHit,
-		WallMs: s.WallMs, ResultURL: api.PathResults + s.SpecKey, SHA256: sha,
-	}
+	final.Cached, final.StoreHit, final.WallMs = s.Cached, s.StoreHit, s.WallMs
 	for _, i := range idxs {
 		j.Finish(i, final)
 	}
 	return nil
 }
 
-// fileArtifact implements fetch-once: a key the coordinator store
-// already holds is never re-fetched; otherwise the computing worker is
-// asked for the bytes, which must hash to what the worker reported
-// before they are admitted.
-func (c *Coordinator) fileArtifact(ctx context.Context, j *transport.Job, w *worker, key, reported string) (string, error) {
+// fileArtifact is the one fetch of a result and returns the done status
+// it leaves the spec in. A key the coordinator store already holds is
+// never re-fetched; otherwise the computing worker is asked for the
+// bytes, which must hash to what the worker reported before they are
+// filed under the job's tenant. A store that refuses verified bytes
+// (quota, disk) is not a retry: the spec is done exactly as a worker
+// reports it, with the store's error, the hash, and no result URL.
+func (c *Coordinator) fileArtifact(ctx context.Context, j *transport.Job, w *worker, key, reported string) (api.SpecStatus, error) {
+	done := api.SpecStatus{State: api.StateDone, ResultURL: api.PathResults + key}
 	if _, sha, ok := c.cfg.Store.Get(key); ok {
-		return sha, nil
+		done.SHA256 = sha
+		return done, nil
 	}
 	sp := c.cfg.Spans.Start(j.Trace, j.Root, "fetch_result")
 	if sp != nil {
@@ -272,21 +274,16 @@ func (c *Coordinator) fileArtifact(ctx context.Context, j *transport.Job, w *wor
 	}
 	data, _, err := w.client.Result(ctx, key)
 	if err != nil {
-		return "", err
+		return done, err
 	}
-	got := engine.ArtifactSHA256(data)
-	if reported != "" && got != reported {
-		return "", &corruptError{worker: w.addr, key: key, got: got, want: reported}
+	done.SHA256 = engine.ArtifactSHA256(data)
+	if reported != "" && done.SHA256 != reported {
+		return done, &corruptError{worker: w.addr, key: key, got: done.SHA256, want: reported}
 	}
-	c.filler.Expect(key, got)
-	sha, err := c.cfg.Store.Put(j.Tenant, key, data)
-	if err != nil {
-		// Quota/immutability trouble filing locally: the artifact is
-		// verified and servable through the fill tier; report the hash
-		// we verified.
-		return got, nil
+	if _, err := c.cfg.Store.Put(j.Tenant, key, data); err != nil {
+		done.Error, done.ResultURL = err.Error(), ""
 	}
-	return sha, nil
+	return done, nil
 }
 
 // corruptError reports a worker serving artifact bytes that do not

@@ -5,19 +5,19 @@
 //
 // The Front owns everything a client can see — the routing table, job
 // intake and admission, the job table and each Job's state machine,
-// SSE fan-out, results with ETags, the manifest, ping, the RED
-// middleware, and the drain — and hands every admitted job to an
-// Executor, the seam behind which hbatd's two roles differ. Service
-// (this package, plain hbatd) executes on a local worker pool over a
-// sweep engine and a result store; fleet.Coordinator (hbatd -worker
-// URL,...) executes by dispatching to remote workers. A client cannot
-// tell which one it is talking to.
+// SSE fan-out, results with ETags from the role's own store, the
+// manifest, ping, the RED middleware, and the drain — and hands every
+// admitted job to an Executor, the seam behind which hbatd's two roles
+// differ. Service (this package, plain hbatd) executes on a local
+// worker pool over a sweep engine; fleet.Coordinator (hbatd -worker
+// URL,...) executes by dispatching to remote workers. Either executor
+// files each finished artifact into the store the Front serves from. A
+// client cannot tell which one it is talking to.
 package transport
 
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"log/slog"
 	"net/http"
@@ -71,19 +71,10 @@ type Executor interface {
 	// up, Finish with each spec's terminal status, Publish for events
 	// it forwards — and the job ends with its last Finish.
 	Start(j *Job)
-	// Result reads one artifact and its content hash by spec key. An
-	// Unavailable error is answered 503, any other 404.
-	Result(ctx context.Context, key string) (data []byte, sha string, err error)
 	// Close ends a drain: started jobs run to completion or ctx expiry,
 	// then the executor's goroutines exit. No Start follows it.
 	Close(ctx context.Context) error
 }
-
-// Unavailable is an Executor error that means "cannot say right now"
-// rather than "no": the front end answers it 503, not 404.
-type Unavailable string
-
-func (e Unavailable) Error() string { return string(e) }
 
 // retiredJob is one entry of the finished-job tail.
 type retiredJob struct {
@@ -117,8 +108,8 @@ type Front struct {
 
 // NewFront builds the front end a daemon serves through exec. Of cfg
 // it reads TenantJobs, MaxSpecs, Logger, Spans,
-// Store (the manifest's artifact list), and Engine (the manifest's run
-// log; nil on a daemon that never simulates).
+// Store (the results and the manifest's artifact list), and Engine (the
+// manifest's run log; nil on a daemon that never simulates).
 func NewFront(cfg Config, exec Executor) *Front {
 	if cfg.MaxSpecs <= 0 {
 		cfg.MaxSpecs = 1024
@@ -337,8 +328,9 @@ func (f *Front) serveEvents(w http.ResponseWriter, r *http.Request, j *Job) {
 	}
 }
 
-// handleResult serves GET /v1/results/{speckey}: the canonical
-// artifact with its content hash as a strong ETag.
+// handleResult serves GET /v1/results/{speckey} from this process's
+// store in either role: the canonical artifact with its content hash as
+// a strong ETag, or a 404 for a key the store does not hold.
 func (f *Front) handleResult(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet && r.Method != http.MethodHead {
 		WriteErr(w, http.StatusMethodNotAllowed, "GET only")
@@ -349,14 +341,9 @@ func (f *Front) handleResult(w http.ResponseWriter, r *http.Request) {
 		WriteErr(w, http.StatusBadRequest, "malformed spec key %q", key)
 		return
 	}
-	data, sha, err := f.exec.Result(r.Context(), key)
-	if err != nil {
-		code := http.StatusNotFound
-		var u Unavailable
-		if errors.As(err, &u) {
-			code = http.StatusServiceUnavailable
-		}
-		WriteErr(w, code, "%v", err)
+	data, sha, ok := f.cfg.Store.Get(key)
+	if !ok {
+		WriteErr(w, http.StatusNotFound, "no stored result for spec %s", key)
 		return
 	}
 	etag := `"` + sha + `"`

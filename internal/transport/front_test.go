@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"hash/fnv"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -33,11 +34,27 @@ func (e *stubExec) Start(j *Job) {
 	}
 }
 
-func (e *stubExec) Result(context.Context, string) ([]byte, string, error) {
-	return nil, "", errors.New("stub holds no results")
-}
-
 func (e *stubExec) Close(context.Context) error { return nil }
+
+// TestShardInRange: a key whose hash has its top bit set still maps to
+// a queue in [0, n). Converting the hash to int before the modulus made
+// these keys negative on a 32-bit platform (on 386, "b", "c" and "d"
+// went to shards -3, -2 and -1 of 4), an index that panics the pool;
+// CI runs this test with GOARCH=386.
+func TestShardInRange(t *testing.T) {
+	for _, key := range []string{"b", "c", "d"} {
+		h := fnv.New32a()
+		h.Write([]byte(key))
+		if h.Sum32()>>31 == 0 {
+			t.Fatalf("key %q hashes to %#x: the test needs the top bit set", key, h.Sum32())
+		}
+		for _, n := range []int{1, 3, 4, 7} {
+			if s := shard(key, n); s < 0 || s >= n {
+				t.Errorf("shard(%q, %d) = %d, want [0, %d)", key, n, s, n)
+			}
+		}
+	}
+}
 
 // TestJobTableKeepsABoundedTailOfFinishedJobs pins the job table's
 // bound: finished jobs past their grace leave FIFO once more than

@@ -11,7 +11,6 @@ package transport
 import (
 	"context"
 	"errors"
-	"fmt"
 	"hash/fnv"
 	"log/slog"
 	"sync"
@@ -124,14 +123,6 @@ func (p *pool) Start(j *Job) {
 	}()
 }
 
-func (p *pool) Result(ctx context.Context, key string) ([]byte, string, error) {
-	data, sha, ok := p.store.Get(key)
-	if !ok {
-		return nil, "", fmt.Errorf("no stored result for spec %s", key)
-	}
-	return data, sha, nil
-}
-
 // Close flips the engine's Accepting state (so /ready reports 503),
 // lets every queued spec run, and waits for the workers to exit.
 func (p *pool) Close(ctx context.Context) error {
@@ -150,11 +141,13 @@ func (p *pool) Close(ctx context.Context) error {
 	}
 }
 
-// shard maps a spec key to a worker queue.
+// shard maps a spec key to a worker queue. The modulus is taken on the
+// unsigned hash: converted first, a hash with its top bit set is a
+// negative int on a 32-bit platform.
 func shard(key string, n int) int {
 	h := fnv.New32a()
 	h.Write([]byte(key))
-	return int(h.Sum32()) % n
+	return int(h.Sum32() % uint32(n))
 }
 
 // worker drains one queue until Close closes it.
