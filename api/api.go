@@ -204,7 +204,7 @@ type SpecStatus struct {
 	Spec  string `json:"spec"`
 	State string `json:"state"`
 	// Cached reports the result was served from an engine's RunSpec
-	// memo (or resume journal) instead of being simulated.
+	// memo instead of being simulated.
 	Cached bool `json:"cached,omitempty"`
 	// StoreHit reports the result was served straight from the
 	// content-addressed result store, without touching an engine.
@@ -270,8 +270,8 @@ type Span struct {
 // Result is the canonical rendered artifact of one simulated spec: the
 // deterministic outcome fields only (no wall times, no cache
 // dispositions), so the same spec renders byte-identical artifacts
-// whether simulated locally through the facade, by any hbatd worker,
-// or replayed from a resume journal. Served by GET
+// whether simulated locally through the facade or by any hbatd
+// worker. Served by GET
 // /v1/results/{speckey} with its SHA-256 as the ETag.
 type Result struct {
 	API     string `json:"api"`

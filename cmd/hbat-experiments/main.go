@@ -44,7 +44,6 @@ func main() {
 		seed     = flag.Uint64("seed", 1, "seed for randomized structures")
 		ffwd     = flag.Uint64("ffwd", 0, "fast-forward: functionally execute the first N instructions per run and measure only the remainder (0 = run from reset)")
 		ckptDir  = flag.String("ckpt-dir", "", "persist fast-forward checkpoints in this directory (reused across invocations)")
-		resume   = flag.String("resume", "", "resume journal path: completed runs are logged here and an interrupted sweep restarts from it")
 		quiet    = flag.Bool("q", false, "suppress progress output")
 		csvDir   = flag.String("csv", "", "also write fig5/7/8/9 results as CSV files into this directory")
 		htmlOut  = flag.String("html", "", "also write the whole evaluation as a self-contained HTML report to this file")
@@ -68,13 +67,6 @@ func main() {
 		if err := hbat.SetCheckpointDir(*ckptDir); err != nil {
 			fail(err)
 		}
-	}
-	if *resume != "" {
-		n, err := hbat.ResumeJournal(*resume)
-		if err != nil {
-			fail(err)
-		}
-		logger.Info("resume journal attached", "path", *resume, "runs_resumed", n)
 	}
 
 	csvCapable := make(map[string]bool)

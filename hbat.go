@@ -51,11 +51,10 @@ func SweepStats() SweepCacheStats { return defaultEngine.CacheStats() }
 // /metrics scrapes) to the same engine the facade drives.
 func SweepEngine() *engine.Engine { return defaultEngine }
 
-// ErrEngineStarted is returned by the result-affecting
-// engine-configuration functions (SetCheckpointDir, ResumeJournal)
-// once the shared engine has executed work: that configuration is
-// frozen at first use so a concurrent sweep never observes a
-// half-applied change.
+// ErrEngineStarted is returned by SetCheckpointDir once the shared
+// engine has executed work: the checkpoint directory is frozen at
+// first use so a concurrent sweep never observes a half-applied
+// change.
 var ErrEngineStarted = engine.ErrStarted
 
 // SetCheckpointDir makes the shared sweep engine persist fast-forward
@@ -64,16 +63,8 @@ var ErrEngineStarted = engine.ErrStarted
 // simulation; afterwards it returns ErrEngineStarted.
 func SetCheckpointDir(dir string) error { return defaultEngine.SetCheckpointDir(dir) }
 
-// ResumeJournal attaches a crash-safe resume journal to the shared
-// sweep engine: completed runs are appended as they finish, and runs
-// already journaled by an interrupted sweep are served without
-// re-simulating, reproducing the same artifacts byte-for-byte. Returns
-// the number of runs resumed. Must be called before the first
-// simulation; afterwards it returns ErrEngineStarted.
-func ResumeJournal(path string) (int, error) { return defaultEngine.SetJournal(path) }
-
 // SpanTracer records per-run phase spans (program build, checkpoint,
-// fast-forward, simulate, render, journal append) with cache and
+// fast-forward, simulate, render) with cache and
 // singleflight visibility; see internal/runspan. A nil tracer is the
 // disabled tracer.
 type SpanTracer = runspan.Tracer

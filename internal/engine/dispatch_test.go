@@ -141,8 +141,12 @@ func ffwd99Grid(t *testing.T, workloads, designs []string) []RunSpec {
 // TestRunAllWorkersBuildDifferentCheckpoints is the behaviour
 // dispatchOrder exists for: on a fresh engine a checkpointed grid must
 // keep its workers building, not parked on each other's builds. The
-// share of worker time inside singleflight_wait spans (checkpoint and
-// program-build waits alike) was ~40 % with grid-order dispatch.
+// bound is a count, not a share of wall time: every checkpoint leader is
+// dispatched before any follower, so only the last build in flight can
+// be waited on, and only by the one worker left free — at most
+// parallelism-1 singleflight_wait spans (checkpoint and program-build
+// waits alike). Grid-order dispatch parks a worker behind nearly every
+// build.
 func TestRunAllWorkersBuildDifferentCheckpoints(t *testing.T) {
 	specs := ffwd99Grid(t, []string{"compress", "gcc", "mpeg_play", "tomcatv"}, []string{"T4", "M8", "PB2"})
 
@@ -163,17 +167,11 @@ func TestRunAllWorkersBuildDifferentCheckpoints(t *testing.T) {
 		t.Errorf("checkpoint cache: %d misses, %d hits; want 4 builds serving 8 more runs", cs.CkptMisses, cs.CkptHits)
 	}
 	by := spansByName(tr)
-	if len(by["sweep"]) != 1 {
-		t.Fatalf("got %d sweep spans, want 1", len(by["sweep"]))
+	if n := len(by["ckpt_build"]); n != 4 {
+		t.Errorf("got %d ckpt_build spans, want 4", n)
 	}
-	var waitUS int64
-	for _, d := range by["singleflight_wait"] {
-		waitUS += d.DurUS
-	}
-	workerUS := parallelism * by["sweep"][0].DurUS
-	t.Logf("workers spent %d µs of %d µs waiting on each other's builds", waitUS, workerUS)
-	if waitUS*10 >= workerUS {
-		t.Errorf("singleflight waits are %.0f %% of worker time, want < 10 %%", 100*float64(waitUS)/float64(workerUS))
+	if n := len(by["singleflight_wait"]); n > parallelism-1 {
+		t.Errorf("got %d singleflight_wait spans, want at most %d: workers queued on each other's builds", n, parallelism-1)
 	}
 }
 

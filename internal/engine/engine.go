@@ -1,9 +1,9 @@
 // Package engine is the sweep engine layer: it executes RunSpecs with
 // workload-build and RunSpec-memoization caches, singleflight
-// deduplication, fast-forward checkpoint orchestration, a crash-safe
-// resume journal, longest-job-first scheduling, and provenance
-// manifests. The harness package layers the paper's figures and tables
-// on top of it; internal/transport serves it over HTTP (cmd/hbatd).
+// deduplication, fast-forward checkpoint orchestration,
+// longest-job-first scheduling, and provenance manifests. The harness
+// package layers the paper's figures and tables on top of it;
+// internal/transport serves it over HTTP (cmd/hbatd).
 package engine
 
 import (
@@ -57,10 +57,10 @@ import (
 // safe for concurrent use and is meant to be long-lived: one engine per
 // process (or per experiment batch) maximizes reuse.
 //
-// Result-affecting configuration (checkpoint directory, resume
-// journal) is immutable once the engine has run: use the Set* methods
-// before the first Run/RunAll/PrewarmBuilds call — afterwards they
-// return ErrStarted instead of silently racing the scheduler.
+// Result-affecting configuration (the checkpoint directory) is
+// immutable once the engine has run: call SetCheckpointDir before the
+// first Run/RunAll/PrewarmBuilds call — afterwards it returns
+// ErrStarted instead of silently racing the scheduler.
 // Observability sinks (logger, span tracer, heartbeat) may be attached
 // at any time.
 type Engine struct {
@@ -72,7 +72,7 @@ type Engine struct {
 	ckptDir string
 
 	// obsMu guards the observability sinks below. Unlike the checkpoint
-	// and journal configuration, sinks carry no result-affecting state,
+	// directory, sinks carry no result-affecting state,
 	// so they may be attached or replaced at any time — including
 	// mid-sweep; every read goes through Logger/Spans/beat.
 	obsMu sync.RWMutex
@@ -90,14 +90,13 @@ type Engine struct {
 
 	// spans, when non-nil, receives one trace per run (and one per
 	// RunAll sweep) with a span per phase: program build, checkpoint
-	// load/build, fast-forward, simulate, journal append — cache hits
+	// load/build, fast-forward, simulate — cache hits
 	// and singleflight waits as distinct spans with hit/miss
 	// attributes. nil means disabled and costs nothing on the hot path.
 	spans *runspan.Tracer
 
 	// started latches on the first Run/RunAll/PrewarmBuilds call and
-	// freezes the result-affecting configuration above — checkpoint
-	// directory, resume journal (ErrStarted from then on).
+	// freezes the checkpoint directory above (ErrStarted from then on).
 	started atomic.Bool
 
 	builds *workload.BuildCache
@@ -112,10 +111,6 @@ type Engine struct {
 	// deduplicates simulations: one functional warm-up per (workload,
 	// budget, scale, page size, N) serves all thirteen designs.
 	ckpts map[ckptKey]*ckptEntry
-	// journal, when non-nil, is the crash-safe resume log (SetJournal):
-	// completed results keyed by spec fingerprint, consulted before
-	// executing and appended to after.
-	journal *journal
 	// ewma holds learned wall-time estimates in seconds, keyed by the
 	// spec features that dominate run length.
 	ewma map[costKey]float64
@@ -200,8 +195,8 @@ type memoEntry struct {
 //   - memoKept finished results stay in the memo cache, enough for the
 //     paper's four 130-spec design figures and their tables to
 //     regenerate from one engine as hits. Beyond that the oldest retire
-//     first; a retired spec is served by the resume journal if it is
-//     there and re-simulated otherwise. In-flight entries never retire.
+//     first; a retired spec is simply re-simulated. In-flight entries
+//     never retire.
 //   - runLogKept provenance records stay in the run log; the manifest
 //     says how many older ones were dropped.
 const (
@@ -591,29 +586,17 @@ func (e *Engine) Run(ctx context.Context, spec RunSpec) RunResult {
 	}
 	e.heartbeat()
 	if !spec.cacheable() {
-		res, _ := e.execute(ctx, spec)
-		return res
+		return e.execute(ctx, spec)
 	}
 	key := spec.key()
 	for {
 		e.mu.Lock()
 		ent := e.memo[key]
 		if ent == nil {
-			// A resume journal from an interrupted sweep satisfies the
-			// spec without re-simulating: install the journaled result
-			// as a pre-completed memo entry and serve it as a hit.
-			if res, ok := e.journal.lookup(spec); ok {
-				je := &memoEntry{done: make(chan struct{}), res: res}
-				close(je.done)
-				e.memo[key] = je
-				e.finish(key, je)
-				e.mu.Unlock()
-				continue
-			}
 			ent = &memoEntry{done: make(chan struct{})}
 			e.memo[key] = ent
 			e.mu.Unlock()
-			res, root := e.execute(ctx, spec)
+			res := e.execute(ctx, spec)
 			if isCancelErr(res.Err) {
 				// Never memoize a cancelled run: drop the entry so a
 				// later caller re-executes, and wake any waiters (they
@@ -626,9 +609,6 @@ func (e *Engine) Run(ctx context.Context, spec RunSpec) RunResult {
 				return res
 			}
 			e.specMisses.Add(1)
-			jsp := e.Spans().Start(root.Trace(), root, "journal_append")
-			e.journal.append(spec, &res)
-			jsp.End()
 			ent.res = res
 			e.mu.Lock()
 			e.finish(key, ent)
@@ -686,11 +666,8 @@ func isCancelErr(err error) bool {
 }
 
 // execute performs the simulation (no memoization), recording wall time
-// and updating scheduling estimates. When span tracing is on it also
-// returns the run's (already ended) root span so the caller can hang
-// post-run phases — the resume-journal append — off the same trace;
-// with tracing off the returned span is nil.
-func (e *Engine) execute(ctx context.Context, spec RunSpec) (RunResult, *runspan.Span) {
+// and updating scheduling estimates.
+func (e *Engine) execute(ctx context.Context, spec RunSpec) RunResult {
 	start := time.Now()
 	id := e.runSeq.Add(1)
 	lg := e.runLogger(id, spec)
@@ -774,7 +751,7 @@ func (e *Engine) execute(ctx context.Context, spec RunSpec) (RunResult, *runspan
 	}
 	if err != nil {
 		res.Err = err
-		return res, root
+		return res
 	}
 	var ckptWait time.Duration
 	cfg := cpu.DefaultConfig()
@@ -801,7 +778,7 @@ func (e *Engine) execute(ctx context.Context, spec RunSpec) (RunResult, *runspan
 			} else {
 				res.Err = fmt.Errorf("%s: checkpoint: %w", spec, cerr)
 			}
-			return res, root
+			return res
 		}
 		cfg.FastForward = spec.FastForward
 		cfg.Checkpoint = c
@@ -809,7 +786,7 @@ func (e *Engine) execute(ctx context.Context, spec RunSpec) (RunResult, *runspan
 	m, err := cpu.NewWithDesign(p, cfg, spec.Design)
 	if err != nil {
 		res.Err = err
-		return res, root
+		return res
 	}
 	m.SetCancel(ctx)
 	if spec.Trace != nil {
@@ -868,7 +845,7 @@ func (e *Engine) execute(ctx context.Context, spec RunSpec) (RunResult, *runspan
 			tr.AttachMicro(ssp, spec.String(), res.Trace)
 		}
 	}
-	return res, root
+	return res
 }
 
 // Progress is one scheduler update, delivered after each completed (or

@@ -8,9 +8,9 @@ import (
 	"hbat/internal/runspan"
 )
 
-// ErrStarted is returned by the result-affecting Set* methods
-// (SetCheckpointDir, SetJournal) once the engine has executed work:
-// that configuration is frozen at first use so a concurrent scheduler
+// ErrStarted is returned by SetCheckpointDir, the one
+// result-affecting Set* method, once the engine has executed work:
+// the checkpoint directory is frozen at first use so a concurrent scheduler
 // never observes a half-applied change. Observability sinks
 // (SetLogger, SetSpans, SetHeartbeat) are exempt and may be attached
 // at any time.
@@ -36,8 +36,8 @@ func (e *Engine) SetCheckpointDir(dir string) error {
 
 // SetLogger replaces the engine's logger (nil disables logging).
 // Observability sinks carry no result-affecting state, so unlike the
-// checkpoint and journal configuration they may be attached at any
-// time, including mid-sweep.
+// checkpoint directory they may be attached at any time, including
+// mid-sweep.
 func (e *Engine) SetLogger(l *slog.Logger) {
 	e.obsMu.Lock()
 	e.logger = l

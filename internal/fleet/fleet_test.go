@@ -529,6 +529,51 @@ func pollWorkers(t *testing.T, cl *api.Client, d time.Duration, cond func([]api.
 	}
 }
 
+// TestShutdownInterruptsRetryBackoff: a spec waiting out its retry
+// backoff does not hold up Shutdown; the wait ends at once and the spec
+// fails naming the shutdown.
+func TestShutdownInterruptsRetryBackoff(t *testing.T) {
+	guardGoroutines(t)
+	rig := fleettest.New(t, 1)
+	w := rig.Workers[0]
+	coord, cl, tracer := newCoord(t, rig, func(cfg *fleet.Config) {
+		cfg.RequestTimeout = 300 * time.Millisecond
+		cfg.RetryBackoff = time.Minute
+	})
+	// Hang, then crash: the first wave's batch fails, so the spec enters
+	// wave 1 behind a minute of backoff.
+	w.SetFault(fleettest.FaultHang, 0)
+	acc, err := cl.Submit(context.Background(), api.JobRequest{Specs: seedSpecs(1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.Crash()
+	deadline := time.Now().Add(10 * time.Second)
+	for len(retrySpans(tracer, acc.TraceID)) == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("spec never entered a retry wave")
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	start := time.Now()
+	if err := coord.Shutdown(ctx); err != nil {
+		t.Fatalf("shutdown during retry backoff: %v", err)
+	}
+	if wall := time.Since(start); wall > time.Second {
+		t.Fatalf("shutdown took %v, want under 1s", wall)
+	}
+	st, err := cl.Job(context.Background(), acc.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.State != api.StateFailed || len(st.Specs) != 1 || !strings.Contains(st.Specs[0].Error, "shut down") {
+		t.Fatalf("job after shutdown = %s %+v, want failed naming the shutdown", st.State, st.Specs)
+	}
+}
+
 // TestFleetAllWorkersDown: with every worker dead, submission is a
 // fast typed 503 — and a job in flight when the fleet dies fails its
 // remaining specs with the same typed reason instead of hanging.

@@ -35,8 +35,8 @@ func (r remote) Start(j *transport.Job) {
 	go r.c.runJob(j)
 }
 
-// Close stops the prober and waits for every started job's retry loop
-// to return.
+// Close stops the prober, which also cuts short every retry backoff,
+// and waits for every started job's retry loop to return.
 func (r remote) Close(ctx context.Context) error {
 	r.c.probeCancel()
 	done := make(chan struct{})

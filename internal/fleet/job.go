@@ -37,8 +37,11 @@ func (c *Coordinator) runJob(j *transport.Job) {
 	// the elements need no lock.
 	tried := make([]map[string]bool, len(j.Runs))
 	for wave := 0; len(pending) > 0; wave++ {
-		if wave > 0 {
-			time.Sleep(c.backoff(wave))
+		if wave > 0 && !c.backoffWait(wave) {
+			for _, i := range pending {
+				j.Finish(i, api.SpecStatus{State: api.StateFailed, Error: "fleet: coordinator shut down during retry backoff"})
+			}
+			return
 		}
 		ws := c.live()
 		if len(ws) == 0 {
@@ -119,6 +122,19 @@ func (c *Coordinator) backoff(wave int) time.Duration {
 		wave = 5
 	}
 	return c.cfg.RetryBackoff << (wave - 1)
+}
+
+// backoffWait sleeps out the pre-wave delay, reporting false if
+// Shutdown (which stops the prober) interrupts it.
+func (c *Coordinator) backoffWait(wave int) bool {
+	t := time.NewTimer(c.backoff(wave))
+	defer t.Stop()
+	select {
+	case <-t.C:
+		return true
+	case <-c.probeDone:
+		return false
+	}
 }
 
 // dispatch sends one batch of specs to one worker as a worker-side job

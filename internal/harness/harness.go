@@ -5,9 +5,9 @@
 // Figure 6's TLB miss rates, Figure 7's in-order issue study, Figure
 // 8's 8 KB-page study, and Figure 9's reduced-register study).
 //
-// The execution layer — caching, scheduling, checkpoints, journals,
-// manifests — lives in internal/engine; harness layers the paper's
-// figures and tables on top.
+// The execution layer — caching, scheduling, checkpoints, manifests —
+// lives in internal/engine; harness layers the paper's figures and
+// tables on top.
 package harness
 
 import (

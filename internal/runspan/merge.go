@@ -69,16 +69,10 @@ func WriteMergedPerfetto(w io.Writer, parts []JournalPart) (MergeStats, error) {
 	pw := ptrace.NewPerfettoWriter(w)
 	for i, p := range parts {
 		shift := epochs[i].Sub(min).Microseconds()
-		pw.ProcessName(i, fmt.Sprintf("%s (wall µs, epoch %+dµs)", p.Label, shift))
-		spans := make([]SpanData, len(p.Spans))
-		copy(spans, p.Spans)
-		labels := layoutPart(spans)
-		for n, d := range spans {
-			if n == 0 || d.Trace != spans[n-1].Trace {
-				pw.ThreadName(i, int(d.Trace), p.Label+" "+labels[d.Trace])
-			}
-			pw.Slice(i, int(d.Trace), d.StartUS+shift, d.DurUS, d.Name, jargs(d))
-			st.Spans[i]++
+		spans := append([]SpanData(nil), p.Spans...)
+		writePart(pw, i, fmt.Sprintf("%s (wall µs, epoch %+dµs)", p.Label, shift), p.Label+" ", shift, spans, false)
+		st.Spans[i] = len(spans)
+		for _, d := range spans {
 			if d.Parent == 0 && d.RemoteParent != "" {
 				if owner, ok := spanOwner[d.RemoteParent]; ok && owner != i {
 					st.Linked++

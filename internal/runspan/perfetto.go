@@ -78,13 +78,16 @@ func threadLabel(root SpanData) string {
 	return label
 }
 
-// layoutPart puts one process's spans (in place) into export order — by
-// trace, then start, then span id — and labels each trace's thread
-// after its root span, the parentless span with the lowest id; a trace
-// whose root is missing (a torn journal tail) is labelled "trace #N".
-// Both Perfetto exports lay a process out through here, so one part of
-// a merged timeline reads exactly like the single-process export.
-func layoutPart(spans []SpanData) (labels map[TraceID]string) {
+// writePart writes one process's spans as Perfetto process pid: one
+// thread per trace, named prefix plus its root span's label (the
+// parentless span with the lowest id; "trace #N" when the root is
+// missing, as after a torn journal tail), and one slice per span,
+// shifted by shift µs. Spans are sorted in place — by trace, then
+// start, then span id. Both Perfetto exports lay a process out through
+// here, so one part of a merged timeline reads exactly like the
+// single-process export; namesFirst names every thread before the
+// first slice, otherwise each thread is named just before its slices.
+func writePart(pw *ptrace.PerfettoWriter, pid int, process, prefix string, shift int64, spans []SpanData, namesFirst bool) {
 	sort.Slice(spans, func(i, j int) bool {
 		a, b := spans[i], spans[j]
 		if a.Trace != b.Trace {
@@ -106,11 +109,23 @@ func layoutPart(spans []SpanData) (labels map[TraceID]string) {
 		}
 		roots[d.Trace] = r
 	}
-	labels = make(map[TraceID]string, len(roots))
-	for id, r := range roots {
-		labels[id] = threadLabel(r)
+	pw.ProcessName(pid, process)
+	name := func(n int) {
+		if d := spans[n]; n == 0 || d.Trace != spans[n-1].Trace {
+			pw.ThreadName(pid, int(d.Trace), prefix+threadLabel(roots[d.Trace]))
+		}
 	}
-	return labels
+	if namesFirst {
+		for n := range spans {
+			name(n)
+		}
+	}
+	for n, d := range spans {
+		if !namesFirst {
+			name(n)
+		}
+		pw.Slice(pid, int(d.Trace), d.StartUS+shift, d.DurUS, d.Name, jargs(d))
+	}
 }
 
 // WritePerfetto exports every finished span — and every attached
@@ -130,17 +145,7 @@ func (t *Tracer) WritePerfetto(w io.Writer) error {
 	t.mu.Unlock()
 
 	pw := ptrace.NewPerfettoWriter(w)
-	pw.ProcessName(pidMacro, "sweep (macro, wall µs)")
-	// One macro thread per trace, all named before the first slice.
-	labels := layoutPart(spans)
-	for i, d := range spans {
-		if i == 0 || d.Trace != spans[i-1].Trace {
-			pw.ThreadName(pidMacro, int(d.Trace), labels[d.Trace])
-		}
-	}
-	for _, d := range spans {
-		pw.Slice(pidMacro, int(d.Trace), d.StartUS, d.DurUS, d.Name, jargs(d))
-	}
+	writePart(pw, pidMacro, "sweep (macro, wall µs)", "", 0, spans, true)
 
 	// Micro timelines: a process pair per attachment, time-shifted to
 	// the anchor span's start.

@@ -50,16 +50,17 @@ func validHexID(s string, n int) bool {
 	}
 	zero := true
 	for i := 0; i < len(s); i++ {
-		c := s[i]
-		if !(c >= '0' && c <= '9' || c >= 'a' && c <= 'f') {
+		if !isLowerHex(s[i]) {
 			return false
 		}
-		if c != '0' {
+		if s[i] != '0' {
 			zero = false
 		}
 	}
 	return !zero
 }
+
+func isLowerHex(c byte) bool { return c >= '0' && c <= '9' || c >= 'a' && c <= 'f' }
 
 // Traceparent renders the context as a W3C traceparent header value
 // (version 00, sampled flag set).
@@ -68,8 +69,8 @@ func (tc TraceContext) Traceparent() string {
 }
 
 // ParseTraceparent decodes a W3C traceparent header value. Only the
-// version-00 shape is understood; trace flags are accepted and
-// ignored.
+// version-00 shape is understood; trace flags must be two lowercase
+// hex digits and are otherwise ignored.
 func ParseTraceparent(s string) (TraceContext, error) {
 	parts := strings.Split(strings.TrimSpace(s), "-")
 	if len(parts) != 4 {
@@ -81,6 +82,9 @@ func ParseTraceparent(s string) (TraceContext, error) {
 	tc := TraceContext{TraceID: parts[1], SpanID: parts[2]}
 	if !tc.Valid() {
 		return TraceContext{}, fmt.Errorf("runspan: traceparent %q: malformed trace or span id", s)
+	}
+	if f := parts[3]; len(f) != 2 || !isLowerHex(f[0]) || !isLowerHex(f[1]) {
+		return TraceContext{}, fmt.Errorf("runspan: traceparent %q: malformed trace flags", s)
 	}
 	return tc, nil
 }

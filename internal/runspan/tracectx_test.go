@@ -55,11 +55,45 @@ func TestParseTraceparentRejects(t *testing.T) {
 		"00-" + strings.ToUpper(good.TraceID) + "-" + good.SpanID + "-01", // uppercase
 		"00-" + good.TraceID[:30] + "-" + good.SpanID + "-01",             // short trace
 		"00-" + good.TraceID + "-" + good.SpanID,                          // missing flags
+		"00-" + good.TraceID + "-" + good.SpanID + "-",                    // empty flags
+		"00-" + good.TraceID + "-" + good.SpanID + "-zz",                  // non-hex flags
+		"00-" + good.TraceID + "-" + good.SpanID + "-0123",                // long flags
+		"00-" + good.TraceID + "-" + good.SpanID + "-1",                   // short flags
+		"00-" + good.TraceID + "-" + good.SpanID + "-0A",                  // uppercase flags
 	} {
 		if _, err := ParseTraceparent(bad); err == nil {
 			t.Errorf("ParseTraceparent(%q) accepted, want error", bad)
 		}
 	}
+}
+
+// FuzzTraceparent: parsing never panics, and every accepted header
+// re-renders (Traceparent) to one that parses back to the same context.
+func FuzzTraceparent(f *testing.F) {
+	tc := TraceContext{TraceID: strings.Repeat("ab", 16), SpanID: strings.Repeat("cd", 8)}
+	for _, seed := range []string{
+		tc.Traceparent(),
+		"00-" + tc.TraceID + "-" + tc.SpanID + "-00",
+		"00-" + tc.TraceID + "-" + tc.SpanID + "-zz",
+		"00-" + tc.TraceID + "-" + tc.SpanID,
+		" " + tc.Traceparent() + "\n",
+		"",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		got, err := ParseTraceparent(s)
+		if err != nil {
+			return
+		}
+		again, err := ParseTraceparent(got.Traceparent())
+		if err != nil {
+			t.Fatalf("ParseTraceparent(%q) = %+v, whose Traceparent() does not parse: %v", s, got, err)
+		}
+		if again != got {
+			t.Fatalf("ParseTraceparent(%q) = %+v, re-parsed as %+v", s, got, again)
+		}
+	})
 }
 
 func TestContextThreading(t *testing.T) {
