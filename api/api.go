@@ -241,17 +241,17 @@ type JobStatus struct {
 }
 
 // Event is one SSE message on GET /v1/jobs/{id}/events. Type "spec"
-// carries a completed spec's status (with its phase-span breakdown
-// when the service traces spans), "span" streams a live run-root span
-// end from the runspan tracer, and "done" closes the stream with the
-// job's final counts.
+// carries a completed spec's status, "span" streams the end of a live
+// run-root span of one of the job's own runs (when the daemon traces
+// spans; another job's runs never appear, whichever tenant submitted
+// it), and "done" closes the stream with the job's final counts.
 type Event struct {
 	Type string `json:"type"`
 	Job  string `json:"job"`
 	// Spec is set for "spec" events.
 	Spec *SpecStatus `json:"spec,omitempty"`
-	// Spans is the spec's per-phase wall-time breakdown (program_build,
-	// checkpoint, fast_forward, simulate), when span tracing is on.
+	// Spans is never populated; the field stays under this package's
+	// append-only rule.
 	Spans []Span `json:"spans,omitempty"`
 	// Span is set for "span" events.
 	Span *Span `json:"span,omitempty"`

@@ -1,9 +1,9 @@
 // Package engine is the sweep engine layer: it executes RunSpecs with
-// workload-build and RunSpec-memoization caches, singleflight
-// deduplication, fast-forward checkpoint orchestration,
-// longest-job-first scheduling, and provenance manifests. The harness
-// package layers the paper's figures and tables on top of it;
-// internal/transport serves it over HTTP (cmd/hbatd).
+// singleflight caches of programs, checkpoints and results, persisted
+// fast-forward checkpoints, longest-job-first scheduling, and
+// provenance manifests. The harness package layers the paper's figures
+// and tables on top of it; internal/transport serves it over HTTP
+// (cmd/hbatd).
 package engine
 
 import (
@@ -20,6 +20,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"hbat/internal/ckpt"
 	"hbat/internal/cpu"
 	"hbat/internal/prog"
 	"hbat/internal/ptrace"
@@ -28,20 +29,15 @@ import (
 	"hbat/internal/workload"
 )
 
-// Engine is the sweep engine: it executes RunSpecs with two layers of
-// caching and a cancellable, load-ordered scheduler.
+// Engine is the sweep engine: it executes RunSpecs with three caches
+// and a cancellable, load-ordered scheduler.
 //
-//   - A workload build cache (workload.BuildCache) keyed by (workload,
-//     register budget, scale): a 13-design grid builds each program
-//     once, not thirteen times. Cached programs are immutable and
-//     shared between machines.
-//   - A RunSpec memoization cache: simulations are deterministic, so a
-//     spec that has already run (same workload, design, machine
-//     variant, and seed) is served from memory. Regenerating table3 +
-//     fig5 + fig7 + fig8 + fig9 from one process therefore simulates
-//     each unique spec exactly once (table3's T4 column is a subset of
-//     fig5's grid, for example). Concurrent requests for the same spec
-//     deduplicate onto one in-flight run.
+//   - Three caches with one policy (flight): programs, so a 13-design
+//     grid builds each once (they are immutable and shared between
+//     machines); fast-forward checkpoints; and results, so a spec that
+//     has already run is served from memory (simulations are
+//     deterministic) and table3 + fig5 + fig7 + fig8 + fig9 simulate
+//     each unique spec once. Concurrent requests for a key share a build.
 //   - Cancellation: every entry point takes a context.Context;
 //     cancelling it stops dispatching queued specs and interrupts
 //     in-flight machines at a cycle-granular check (cpu.SetCancel).
@@ -99,18 +95,11 @@ type Engine struct {
 	// freezes the checkpoint directory above (ErrStarted from then on).
 	started atomic.Bool
 
-	builds *workload.BuildCache
+	progs *flight[progKey, *prog.Program]
+	ckpts *flight[ckptKey, *ckpt.Checkpoint]
+	memo  *flight[specKey, RunResult]
 
-	mu   sync.Mutex
-	memo map[specKey]*memoEntry
-	// finished is a ring of the last memoKept finished memo entries;
-	// finishing one more retires the oldest from memo (see finish).
-	finished  []memoRef
-	finishedN uint64
-	// ckpts deduplicates in-flight checkpoint builds the same way memo
-	// deduplicates simulations: one functional warm-up per (workload,
-	// budget, scale, page size, N) serves all thirteen designs.
-	ckpts map[ckptKey]*ckptEntry
+	mu sync.Mutex
 	// ewma holds learned wall-time estimates in seconds, keyed by the
 	// spec features that dominate run length.
 	ewma map[costKey]float64
@@ -133,12 +122,14 @@ type Engine struct {
 		eta         time.Duration
 	}
 
-	specHits   atomic.Uint64
-	specMisses atomic.Uint64
-	ckptHits   atomic.Uint64
-	ckptMisses atomic.Uint64
-	executed   atomic.Uint64
-	runSeq     atomic.Uint64
+	buildHits   atomic.Uint64
+	buildMisses atomic.Uint64
+	specHits    atomic.Uint64
+	specMisses  atomic.Uint64
+	ckptHits    atomic.Uint64
+	ckptMisses  atomic.Uint64
+	executed    atomic.Uint64
+	runSeq      atomic.Uint64
 
 	queued   atomic.Int64
 	active   atomic.Int64
@@ -149,13 +140,12 @@ type Engine struct {
 // New returns an empty sweep engine.
 func New() *Engine {
 	return &Engine{
-		builds:   workload.NewBuildCache(),
-		memo:     make(map[specKey]*memoEntry),
-		finished: make([]memoRef, memoKept),
-		ckpts:    make(map[ckptKey]*ckptEntry),
-		ewma:     make(map[costKey]float64),
-		agg:      stats.NewRegistry(),
-		wallReg:  stats.NewRegistry(),
+		progs:   newFlight[progKey, *prog.Program](progKept),
+		ckpts:   newFlight[ckptKey, *ckpt.Checkpoint](ckptKept),
+		memo:    newFlight[specKey, RunResult](memoKept),
+		ewma:    make(map[costKey]float64),
+		agg:     stats.NewRegistry(),
+		wallReg: stats.NewRegistry(),
 	}
 }
 
@@ -178,63 +168,30 @@ func (e *Engine) heartbeat() {
 	}
 }
 
-// memoEntry is one memoized (or in-flight) simulation. done closes when
-// res is valid; a producer that was cancelled removes its entry so a
-// later caller retries.
-type memoEntry struct {
-	done chan struct{}
-	res  RunResult
-	// seq is 0 while the simulation is in flight and the entry's
-	// position in finishing order afterwards (guarded by Engine.mu).
-	seq uint64
-}
-
-// A long-lived engine holds a bounded history, constants not options
-// (each finished entry pins its run's ~8 KiB metrics snapshot):
+// A long-lived engine holds a bounded history, constants not options:
+// each cache keeps its last finished entries (flight), and the run log
+// its last runLogKept records (the manifest counts the dropped ones).
 //
-//   - memoKept finished results stay in the memo cache, enough for the
-//     paper's four 130-spec design figures and their tables to
-//     regenerate from one engine as hits. Beyond that the oldest retire
-//     first; a retired spec is simply re-simulated. In-flight entries
-//     never retire.
-//   - runLogKept provenance records stay in the run log; the manifest
-//     says how many older ones were dropped.
+//   - progKept: at least the 60 valid program keys (10 workloads × 2
+//     budgets × 3 scales), so no program is ever built twice.
+//   - ckptKept: at least the 30 checkpoint keys the full report uses at
+//     one -ffwd depth (Figures 5 and 7 and Table 3 share 10; Figure 8's
+//     pages and Figure 9's registers add 10 each). A full-scale
+//     checkpoint is megabytes.
+//   - memoKept results, each pinning a ~8 KiB metrics snapshot: the four
+//     130-spec design figures and their tables regenerate as hits.
 const (
+	progKept   = 64
+	ckptKept   = 32
 	memoKept   = 1024
 	runLogKept = 16384
 )
-
-// memoRef names one finished memo entry without keeping it alive.
-type memoRef struct {
-	key specKey
-	seq uint64
-}
-
-// finish marks ent, memoized under key, as finished and retires the
-// oldest finished entry once memoKept newer ones exist. Callers hold
-// e.mu.
-func (e *Engine) finish(key specKey, ent *memoEntry) {
-	e.finishedN++
-	ent.seq = e.finishedN
-	slot := &e.finished[e.finishedN%memoKept]
-	if old := e.memo[slot.key]; old != nil && old.seq == slot.seq {
-		delete(e.memo, slot.key)
-	}
-	*slot = memoRef{key: key, seq: ent.seq}
-}
 
 // Forget drops spec's finished result from the memo cache (an in-flight
 // simulation of it is left alone). A caller that has put the result
 // somewhere it will look first — hbatd's artifact store — has no use
 // for the engine's copy.
-func (e *Engine) Forget(spec RunSpec) {
-	key := spec.key()
-	e.mu.Lock()
-	if ent := e.memo[key]; ent != nil && ent.seq != 0 {
-		delete(e.memo, key)
-	}
-	e.mu.Unlock()
-}
+func (e *Engine) Forget(spec RunSpec) { e.memo.forget(spec.key()) }
 
 // specKey is the memoization key: every RunSpec field that affects the
 // simulation's outcome. Observation-only fields (Progress and its
@@ -334,7 +291,8 @@ func (e *Engine) estimate(s RunSpec) float64 {
 }
 
 // observe folds a completed run's own work — its wall time less any
-// wait on another run's checkpoint build — into the estimates.
+// wait on another run's program or checkpoint build — into the
+// estimates.
 func (e *Engine) observe(s RunSpec, work time.Duration) {
 	sec := work.Seconds()
 	k := s.costKey()
@@ -363,9 +321,8 @@ type CacheStats struct {
 
 // CacheStats returns the engine's cache counters.
 func (e *Engine) CacheStats() CacheStats {
-	bh, bm := e.builds.Stats()
 	return CacheStats{
-		BuildHits: bh, BuildMisses: bm,
+		BuildHits: e.buildHits.Load(), BuildMisses: e.buildMisses.Load(),
 		SpecHits: e.specHits.Load(), SpecMisses: e.specMisses.Load(),
 		CkptHits: e.ckptHits.Load(), CkptMisses: e.ckptMisses.Load(),
 	}
@@ -536,16 +493,51 @@ func (e *Engine) runLogger(id uint64, spec RunSpec) *slog.Logger {
 	)
 }
 
+// progKey identifies one built program: the three inputs that change
+// generated code.
+type progKey struct {
+	workload string
+	budget   prog.RegBudget
+	scale    workload.Scale
+}
+
+// program resolves spec's program through the build cache; an unknown
+// workload fails before it reaches the cache. wait is the flight wait
+// hook, and hit reports that another call built the program.
+func (e *Engine) program(ctx context.Context, spec RunSpec, wait func() func()) (p *prog.Program, hit bool, err error) {
+	w, err := workload.ByName(spec.Workload)
+	if err != nil {
+		return nil, false, err
+	}
+	p, err, hit = e.progs.do(ctx, progKey{spec.Workload, spec.Budget, spec.Scale}, func() (*prog.Program, error) {
+		e.buildMisses.Add(1)
+		return w.Build(spec.Budget, spec.Scale)
+	}, wait)
+	if hit {
+		e.buildHits.Add(1)
+	}
+	return p, hit, err
+}
+
 // buildProgram resolves a spec's program through the build cache.
 func (e *Engine) buildProgram(spec RunSpec) (*prog.Program, error) {
-	p, _, err := e.buildProgramObserved(spec)
+	p, _, err := e.program(context.Background(), spec, nil)
 	return p, err
 }
 
-// buildProgramObserved is buildProgram plus the cache disposition
-// (fresh build / ready hit / singleflight wait) for the span tracer.
-func (e *Engine) buildProgramObserved(spec RunSpec) (*prog.Program, workload.BuildOutcome, error) {
-	return e.builds.BuildObserved(spec.Workload, spec.Budget, spec.Scale)
+// waitHook is the flight wait hook of a run's phase span sp: each block
+// on another run's build is a singleflight_wait span under sp, open
+// while the run waits (so /debug/spans shows a stuck build as a
+// growing age), and its duration is added to *waited.
+func (e *Engine) waitHook(sp *runspan.Span, waited *time.Duration) func() func() {
+	return func() func() {
+		wsp := e.Spans().Start(sp.Trace(), sp, "singleflight_wait")
+		blocked := time.Now()
+		return func() {
+			*waited += time.Since(blocked)
+			wsp.End()
+		}
+	}
 }
 
 // PrewarmBuilds builds every unique program named by specs into the
@@ -553,18 +545,7 @@ func (e *Engine) buildProgramObserved(spec RunSpec) (*prog.Program, workload.Bui
 // simulation alone rather than program generation.
 func (e *Engine) PrewarmBuilds(ctx context.Context, specs []RunSpec) error {
 	e.start()
-	type buildKey struct {
-		workload string
-		budget   prog.RegBudget
-		scale    workload.Scale
-	}
-	seen := make(map[buildKey]bool)
 	for _, s := range specs {
-		k := buildKey{s.Workload, s.Budget, s.Scale}
-		if seen[k] {
-			continue
-		}
-		seen[k] = true
 		if err := ctx.Err(); err != nil {
 			return err
 		}
@@ -588,77 +569,49 @@ func (e *Engine) Run(ctx context.Context, spec RunSpec) RunResult {
 	if !spec.cacheable() {
 		return e.execute(ctx, spec)
 	}
-	key := spec.key()
-	for {
-		e.mu.Lock()
-		ent := e.memo[key]
-		if ent == nil {
-			ent = &memoEntry{done: make(chan struct{})}
-			e.memo[key] = ent
-			e.mu.Unlock()
-			res := e.execute(ctx, spec)
-			if isCancelErr(res.Err) {
-				// Never memoize a cancelled run: drop the entry so a
-				// later caller re-executes, and wake any waiters (they
-				// will retry and observe the cancellation themselves).
-				e.mu.Lock()
-				delete(e.memo, key)
-				e.mu.Unlock()
-				ent.res = res
-				close(ent.done)
-				return res
-			}
+	waitMark := e.Spans().Now()
+	res, err, hit := e.memo.do(ctx, spec.key(), func() (RunResult, error) {
+		res := e.execute(ctx, spec)
+		if !isCancelErr(res.Err) {
 			e.specMisses.Add(1)
-			ent.res = res
-			e.mu.Lock()
-			e.finish(key, ent)
-			e.mu.Unlock()
-			close(ent.done)
-			return res
 		}
-		e.mu.Unlock()
-		waitMark := e.Spans().Now()
-		select {
-		case <-ctx.Done():
-			return RunResult{Spec: spec, Err: ctx.Err()}
-		case <-ent.done:
-		}
-		if isCancelErr(ent.res.Err) {
-			continue // the producer was cancelled, not us: retry
-		}
-		e.specHits.Add(1)
-		res := ent.res
-		res.Spec = spec
-		res.Cached = true
-		res.Wall = 0
-		id := e.runSeq.Add(1)
-		tc, hasTC := runspan.TraceFromContext(ctx)
-		if tr := e.Spans(); tr.Enabled() {
-			// Memo hits get a minimal trace of their own: a root span
-			// covering the (usually zero) wait on the producer, so hit
-			// traffic is visible on the timeline next to real runs.
-			rt := tr.NewTrace()
-			if hasTC {
-				rt = tr.NewTraceWith(tc.TraceID, runspan.NewSpanID(), tc.SpanID)
-			}
-			hroot := tr.StartAt(rt, nil, "run", waitMark).
-				SetAttr("workload", spec.Workload).
-				SetAttr("design", spec.Design).
-				SetAttr("spec_hash", spec.Hash()).
-				SetAttr("run_id", strconv.FormatUint(id, 10)).
-				SetAttr("cache", "hit")
-			tr.StartAt(rt, hroot, "memo_wait", waitMark).End()
-			hroot.End()
-		}
-		e.record(id, spec, &res, true, nil, tc.TraceID)
-		if lg := e.runLogger(id, spec); lg != nil {
-			if hasTC {
-				lg = lg.With("trace_id", tc.TraceID)
-			}
-			lg.Info("run finished", "wall_ms", 0.0, "cache", "hit")
-		}
+		return res, res.Err
+	}, nil)
+	if !hit {
+		res.Spec, res.Err = spec, err // a waiter whose ctx ended has only err
 		return res
 	}
+	e.specHits.Add(1)
+	res.Spec = spec
+	res.Cached = true
+	res.Wall = 0
+	id := e.runSeq.Add(1)
+	tc, hasTC := runspan.TraceFromContext(ctx)
+	if tr := e.Spans(); tr.Enabled() {
+		// Memo hits get a minimal trace of their own: a root span
+		// covering the (usually zero) wait on the producer, so hit
+		// traffic is visible on the timeline next to real runs.
+		rt := tr.NewTrace()
+		if hasTC {
+			rt = tr.NewTraceWith(tc.TraceID, runspan.NewSpanID(), tc.SpanID)
+		}
+		hroot := tr.StartAt(rt, nil, "run", waitMark).
+			SetAttr("workload", spec.Workload).
+			SetAttr("design", spec.Design).
+			SetAttr("spec_hash", spec.Hash()).
+			SetAttr("run_id", strconv.FormatUint(id, 10)).
+			SetAttr("cache", "hit")
+		tr.StartAt(rt, hroot, "memo_wait", waitMark).End()
+		hroot.End()
+	}
+	e.record(id, spec, &res, true, nil, tc.TraceID)
+	if lg := e.runLogger(id, spec); lg != nil {
+		if hasTC {
+			lg = lg.With("trace_id", tc.TraceID)
+		}
+		lg.Info("run finished", "wall_ms", 0.0, "cache", "hit")
+	}
+	return res
 }
 
 func isCancelErr(err error) bool {
@@ -733,27 +686,21 @@ func (e *Engine) execute(ctx context.Context, spec RunSpec) RunResult {
 			}
 		}
 	}()
+	// waited is time blocked on other runs' program and checkpoint
+	// builds: not this run's work, so the cost model leaves it out.
+	var waited time.Duration
 	bsp := tr.Start(rt, root, "program_build")
-	bmark := tr.Now()
-	p, bout, err := e.buildProgramObserved(spec)
-	if bsp != nil {
-		if bout.Hit {
-			bsp.SetAttr("cache", "hit")
-		} else {
-			bsp.SetAttr("cache", "miss")
-		}
-		if bout.Waited {
-			// The hit blocked on another goroutine's in-flight build:
-			// surface the wait as its own span.
-			tr.StartAt(rt, bsp, "singleflight_wait", bmark).End()
-		}
-		endPhase(bsp, "program_build")
+	p, hit, err := e.program(ctx, spec, e.waitHook(bsp, &waited))
+	if hit {
+		bsp.SetAttr("cache", "hit")
+	} else {
+		bsp.SetAttr("cache", "miss")
 	}
+	endPhase(bsp, "program_build")
 	if err != nil {
 		res.Err = err
 		return res
 	}
-	var ckptWait time.Duration
 	cfg := cpu.DefaultConfig()
 	cfg.PageSize = spec.PageSize
 	cfg.InOrder = spec.InOrder
@@ -769,8 +716,7 @@ func (e *Engine) execute(ctx context.Context, spec RunSpec) RunResult {
 		// size, N) serves every design in the grid; the machine then
 		// restores it instead of re-running the functional phase.
 		csp := tr.Start(rt, root, "checkpoint")
-		c, waited, cerr := e.checkpoint(ctx, spec, p, cfg, csp)
-		ckptWait = waited
+		c, cerr := e.checkpoint(ctx, spec, p, cfg, csp, &waited)
 		endPhase(csp, "checkpoint")
 		if cerr != nil {
 			if isCancelErr(cerr) {
@@ -835,7 +781,7 @@ func (e *Engine) execute(ctx context.Context, spec RunSpec) RunResult {
 	case err != nil:
 		res.Err = fmt.Errorf("%s: %w", spec, err)
 	default:
-		e.observe(spec, res.Wall-ckptWait)
+		e.observe(spec, res.Wall-waited)
 	}
 	if ssp != nil {
 		endPhase(ssp, "simulate")

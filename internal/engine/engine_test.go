@@ -5,6 +5,7 @@ import (
 	"errors"
 	"reflect"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -35,7 +36,7 @@ func TestRunAllDeterministicAcrossParallelism(t *testing.T) {
 	// Reference: each spec on its own private engine, serially.
 	ref := make([]RunResult, len(specs))
 	for i, s := range specs {
-		ref[i] = Run(s)
+		ref[i] = New().Run(context.Background(), s)
 		if ref[i].Err != nil {
 			t.Fatal(ref[i].Err)
 		}
@@ -170,6 +171,85 @@ func TestBuildCacheSharesImmutablePrograms(t *testing.T) {
 	}
 	if t4.Stats.Cycles == t1.Stats.Cycles {
 		t.Error("T4 and T1 took identical cycles; designs not actually differing")
+	}
+}
+
+// TestProgramCacheReusesPrograms: one build per (workload, budget,
+// scale); the budget is part of the key.
+func TestProgramCacheReusesPrograms(t *testing.T) {
+	eng := New()
+	spec := RunSpec{Workload: "compress", Budget: prog.Budget32, Scale: workload.ScaleTest}
+	p1, err := eng.buildProgram(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p2, err := eng.buildProgram(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p1 != p2 {
+		t.Error("same key built twice")
+	}
+	if cs := eng.CacheStats(); cs.BuildHits != 1 || cs.BuildMisses != 1 {
+		t.Errorf("stats = %d hits / %d misses, want 1/1", cs.BuildHits, cs.BuildMisses)
+	}
+	spec.Budget = prog.Budget8
+	p3, err := eng.buildProgram(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p3 == p1 {
+		t.Error("different budget shared a program")
+	}
+	if cs := eng.CacheStats(); cs.BuildHits != 1 || cs.BuildMisses != 2 {
+		t.Errorf("stats = %d/%d after second key, want 1/2", cs.BuildHits, cs.BuildMisses)
+	}
+}
+
+// TestProgramCacheUnknownNameBypassesCache: an unknown workload fails
+// before it reaches the cache, in a lookup and in a run.
+func TestProgramCacheUnknownNameBypassesCache(t *testing.T) {
+	eng := New()
+	spec := RunSpec{Workload: "nope", Design: "T4", Budget: prog.Budget32, Scale: workload.ScaleTest, PageSize: 4096}
+	if _, err := eng.buildProgram(spec); err == nil {
+		t.Fatal("unknown workload accepted")
+	}
+	if r := eng.Run(context.Background(), spec); r.Err == nil {
+		t.Fatal("unknown workload ran")
+	}
+	if cs := eng.CacheStats(); cs.BuildHits != 0 || cs.BuildMisses != 0 || eng.progs.resident() != 0 {
+		t.Errorf("unknown name touched the cache: %+v, %d resident", cs, eng.progs.resident())
+	}
+}
+
+// TestProgramCacheDeduplicatesConcurrentBuilds hammers one key from
+// many goroutines: exactly one build runs and everyone gets the same
+// shared program (run with -race to check the synchronization).
+func TestProgramCacheDeduplicatesConcurrentBuilds(t *testing.T) {
+	eng := New()
+	spec := RunSpec{Workload: "espresso", Budget: prog.Budget32, Scale: workload.ScaleTest}
+	const n = 16
+	progs := make([]*prog.Program, n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			p, err := eng.buildProgram(spec)
+			if err != nil {
+				t.Error(err)
+			}
+			progs[i] = p
+		}(i)
+	}
+	wg.Wait()
+	for i := 1; i < n; i++ {
+		if progs[i] != progs[0] {
+			t.Fatalf("goroutine %d got a different program", i)
+		}
+	}
+	if cs := eng.CacheStats(); cs.BuildMisses != 1 || cs.BuildHits != n-1 {
+		t.Errorf("stats = %d hits / %d misses, want %d/1", cs.BuildHits, cs.BuildMisses, n-1)
 	}
 }
 

@@ -8,6 +8,8 @@ import (
 	"testing"
 	"time"
 
+	"hbat/internal/ckpt"
+	"hbat/internal/cpu"
 	"hbat/internal/prog"
 	"hbat/internal/workload"
 )
@@ -54,9 +56,9 @@ func TestMemoKeepsABoundedTailOfFinishedRuns(t *testing.T) {
 			t.Fatalf("spec %d: err=%v cached=%v on its first run", i, r.Err, r.Cached)
 		}
 	}
-	e.mu.Lock()
-	n := len(e.memo)
-	e.mu.Unlock()
+	e.memo.mu.Lock()
+	n := len(e.memo.entries)
+	e.memo.mu.Unlock()
 	if n != memoKept+1 {
 		t.Errorf("memo holds %d entries, want the %d newest finished + 1 in flight", n, memoKept)
 	}
@@ -85,6 +87,75 @@ func TestMemoKeepsABoundedTailOfFinishedRuns(t *testing.T) {
 		if r := e.Run(ctx, tinySpec(i)); r.Err != nil || r.Cached {
 			t.Errorf("spec %d, among the oldest: err=%v cached=%v, want a fresh simulation", i, r.Err, r.Cached)
 		}
+	}
+}
+
+// TestCheckpointCacheKeepsABoundedTail: given ckptKept+k distinct
+// fast-forward depths, ckptKept checkpoints stay resident, the oldest
+// are rebuilt and the newest are memory hits, and a checkpoint in
+// flight while the ring laps is never retired — the run waiting on it
+// still gets the one build.
+func TestCheckpointCacheKeepsABoundedTail(t *testing.T) {
+	const k = 3
+	e := New()
+	ctx := context.Background()
+	at := func(i int, design string) RunSpec {
+		s := tinySpec(0)
+		s.Design, s.FastForward = design, uint64(100+i)
+		return s
+	}
+	run := func(s RunSpec) {
+		t.Helper()
+		if r := e.Run(ctx, s); r.Err != nil || r.Cached {
+			t.Fatalf("%s at depth %d: err=%v cached=%v", s, s.FastForward, r.Err, r.Cached)
+		}
+	}
+
+	// Park one checkpoint build in flight, with a run waiting on it.
+	parked := at(ckptKept+k, "T4")
+	building, release := make(chan struct{}), make(chan struct{})
+	go e.ckpts.do(ctx, parked.ckptKey(), func() (*ckpt.Checkpoint, error) {
+		close(building)
+		<-release
+		p, err := e.buildProgram(parked)
+		if err != nil {
+			return nil, err
+		}
+		return e.loadOrBuildCheckpoint(ctx, parked.ckptKey(), p, cpu.DefaultConfig(), nil)
+	}, nil)
+	<-building
+	waiter := make(chan RunResult, 1)
+	go func() { waiter <- e.Run(ctx, parked) }()
+
+	for i := 0; i < ckptKept+k; i++ {
+		run(at(i, "T4"))
+	}
+	if n := e.ckpts.resident(); n != ckptKept+1 {
+		t.Errorf("%d checkpoints resident, want the %d newest finished + 1 in flight", n, ckptKept)
+	}
+	close(release)
+	if r := <-waiter; r.Err != nil || r.Stats.FastForwarded != parked.FastForward {
+		t.Fatalf("run waiting on the parked checkpoint: err=%v fast-forwarded %d", r.Err, r.Stats.FastForwarded)
+	}
+	if cs := e.CacheStats(); cs.CkptMisses != ckptKept+k+1 || cs.CkptHits != 1 {
+		t.Fatalf("after the lap: %d misses, %d hits; want %d builds and the waiter's one hit", cs.CkptMisses, cs.CkptHits, ckptKept+k+1)
+	}
+
+	// The parked build's finish retired depth k; the newer ones are
+	// memory hits (another design, so no memo hit), the oldest rebuilt.
+	before := e.CacheStats()
+	for i := k + 1; i < ckptKept+k; i++ {
+		run(at(i, "M8"))
+	}
+	if cs := e.CacheStats(); cs.CkptMisses != before.CkptMisses || cs.CkptHits != before.CkptHits+ckptKept-1 {
+		t.Errorf("newest: %d misses, %d hits; want %d memory hits and no build", cs.CkptMisses-before.CkptMisses, cs.CkptHits-before.CkptHits, ckptKept-1)
+	}
+	before = e.CacheStats()
+	for i := 0; i < k; i++ {
+		run(at(i, "M8"))
+	}
+	if cs := e.CacheStats(); cs.CkptMisses != before.CkptMisses+k {
+		t.Errorf("oldest: %d rebuilt, want %d", cs.CkptMisses-before.CkptMisses, k)
 	}
 }
 

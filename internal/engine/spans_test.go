@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"hbat/internal/ckpt"
 	"hbat/internal/cpu"
 	"hbat/internal/prog"
 	"hbat/internal/runspan"
@@ -187,10 +188,10 @@ func TestCheckpointSpans(t *testing.T) {
 }
 
 // TestSingleflightWaitSpan forces the dedup-wait path deterministically:
-// a pre-installed in-flight checkpoint entry makes the next caller a
-// waiter, whose blocked time must surface as a singleflight_wait span —
-// visible in Open() while blocked, finished once the producer closes
-// the entry. A ready entry (the common memory hit) must NOT get one.
+// a checkpoint build parked in flight makes the next caller a waiter,
+// whose blocked time must surface as a singleflight_wait span — visible
+// in Open() while blocked, finished once the producer finishes. A ready
+// entry (the common memory hit) must NOT get one.
 func TestSingleflightWaitSpan(t *testing.T) {
 	eng := New()
 	tr := runspan.New(runspan.Config{})
@@ -199,15 +200,21 @@ func TestSingleflightWaitSpan(t *testing.T) {
 		Workload: "espresso", Design: "T4", Budget: prog.Budget32,
 		Scale: workload.ScaleTest, PageSize: 4096, Seed: 1, FastForward: 100,
 	}
-	ent := &ckptEntry{done: make(chan struct{})}
-	eng.ckpts[spec.ckptKey()] = ent
+	building, release := make(chan struct{}), make(chan struct{})
+	go eng.ckpts.do(context.Background(), spec.ckptKey(), func() (*ckpt.Checkpoint, error) {
+		close(building)
+		<-release
+		return nil, nil // a nil checkpoint is fine here
+	}, nil)
+	<-building
 
 	rt := tr.NewTrace()
 	root := tr.Start(rt, nil, "run")
 	csp := tr.Start(rt, root, "checkpoint")
 	got := make(chan error, 1)
+	var waited time.Duration
 	go func() {
-		_, _, err := eng.checkpoint(context.Background(), spec, nil, cpu.DefaultConfig(), csp)
+		_, err := eng.checkpoint(context.Background(), spec, nil, cpu.DefaultConfig(), csp, &waited)
 		got <- err
 	}()
 
@@ -228,9 +235,12 @@ func TestSingleflightWaitSpan(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	close(ent.done) // producer "finishes" (nil checkpoint is fine here)
+	close(release) // the producer finishes
 	if err := <-got; err != nil {
 		t.Fatal(err)
+	}
+	if waited <= 0 {
+		t.Errorf("waited = %v, want the blocked time", waited)
 	}
 	csp.End()
 	root.End()
@@ -246,7 +256,7 @@ func TestSingleflightWaitSpan(t *testing.T) {
 	// Second caller finds the entry ready: a plain memory hit, no wait
 	// span.
 	csp3 := tr.Start(rt, nil, "checkpoint")
-	if _, _, err := eng.checkpoint(context.Background(), spec, nil, cpu.DefaultConfig(), csp3); err != nil {
+	if _, err := eng.checkpoint(context.Background(), spec, nil, cpu.DefaultConfig(), csp3, &waited); err != nil {
 		t.Fatal(err)
 	}
 	csp3.End()

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"context"
 	"fmt"
 	"time"
 
@@ -83,24 +82,4 @@ type RunResult struct {
 	// Intervals holds the sampled time series when Spec.IntervalEvery
 	// was positive.
 	Intervals *stats.IntervalSeries
-}
-
-// Run executes one simulation on a private engine. Callers that run
-// more than one spec should use an Engine (or RunAll) to share builds
-// and memoized results.
-func Run(spec RunSpec) RunResult {
-	return RunContext(context.Background(), spec)
-}
-
-// RunContext executes one simulation on a private engine, honoring ctx
-// cancellation at a cycle-granular check.
-func RunContext(ctx context.Context, spec RunSpec) RunResult {
-	return New().Run(ctx, spec)
-}
-
-// RunAll executes specs on a private engine with bounded parallelism
-// (0 = GOMAXPROCS); see Engine.RunAll for the scheduling and
-// cancellation contract.
-func RunAll(ctx context.Context, specs []RunSpec, parallelism int, progress func(Progress)) ([]RunResult, error) {
-	return New().RunAll(ctx, specs, parallelism, progress)
 }

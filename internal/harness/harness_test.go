@@ -11,7 +11,7 @@ import (
 )
 
 func TestRunSingle(t *testing.T) {
-	r := engine.Run(engine.RunSpec{
+	r := engine.New().Run(context.Background(), engine.RunSpec{
 		Workload: "espresso", Design: "T4", Budget: prog.Budget32,
 		Scale: workload.ScaleTest, PageSize: 4096, Seed: 1,
 	})
@@ -27,10 +27,11 @@ func TestRunSingle(t *testing.T) {
 }
 
 func TestRunUnknownNamesError(t *testing.T) {
-	if r := engine.Run(engine.RunSpec{Workload: "nope", Design: "T4", Budget: prog.Budget32, PageSize: 4096}); r.Err == nil {
+	eng, ctx := engine.New(), context.Background()
+	if r := eng.Run(ctx, engine.RunSpec{Workload: "nope", Design: "T4", Budget: prog.Budget32, PageSize: 4096}); r.Err == nil {
 		t.Fatal("unknown workload accepted")
 	}
-	if r := engine.Run(engine.RunSpec{Workload: "perl", Design: "Z9", Budget: prog.Budget32, PageSize: 4096}); r.Err == nil {
+	if r := eng.Run(ctx, engine.RunSpec{Workload: "perl", Design: "Z9", Budget: prog.Budget32, PageSize: 4096}); r.Err == nil {
 		t.Fatal("unknown design accepted")
 	}
 }
@@ -42,7 +43,7 @@ func TestRunAllPreservesOrderAndReportsProgress(t *testing.T) {
 		{Workload: "doduc", Design: "M8", Budget: prog.Budget32, Scale: workload.ScaleTest, PageSize: 4096},
 	}
 	calls := 0
-	results, err := engine.RunAll(context.Background(), specs, 2, func(p engine.Progress) {
+	results, err := engine.New().RunAll(context.Background(), specs, 2, func(p engine.Progress) {
 		calls++
 		if p.Total != 3 {
 			t.Errorf("total = %d", p.Total)

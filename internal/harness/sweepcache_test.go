@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"hbat/internal/engine"
+	"hbat/internal/prog"
 	"hbat/internal/tlb"
 	"hbat/internal/workload"
 )
@@ -67,5 +68,63 @@ func TestSweepSimulatesEachUniqueSpecOnce(t *testing.T) {
 	}
 	if byName["sweep.runs_executed"] != cs.SpecMisses {
 		t.Errorf("runs_executed = %d, want %d", byName["sweep.runs_executed"], cs.SpecMisses)
+	}
+}
+
+// TestReportCheckpointsStayResident counts the distinct checkpoint keys
+// the full report's timing runs use at one fast-forward depth (Table 3
+// and Figures 5, 7, 8 and 9; Figure 6 and the model study do not
+// fast-forward), and checks that one engine keeps every one of them: a
+// second pass under another seed, where every spec is a memo miss and
+// every checkpoint (seed- and design-independent) is requested again,
+// builds none. The engine retires the oldest checkpoint first, so that
+// holds exactly when the count is within its retention bound. Keys do
+// not depend on the design, so two designs stand in for thirteen.
+func TestReportCheckpointsStayResident(t *testing.T) {
+	if testing.Short() {
+		t.Skip("two passes over the report's grids")
+	}
+	type ckptKey struct {
+		workload    string
+		budget      prog.RegBudget
+		scale       workload.Scale
+		pageSize    uint64
+		fastForward uint64
+	}
+	keys := make(map[ckptKey]bool)
+	eng := engine.New()
+	opts := Options{
+		Scale: workload.ScaleTest, FastForward: 1000, Designs: []string{"T4", "M8"}, Engine: eng,
+		Progress: func(p engine.Progress) {
+			s := p.Result.Spec
+			keys[ckptKey{s.Workload, s.Budget, s.Scale, s.PageSize, s.FastForward}] = true
+		},
+	}
+	ctx := context.Background()
+	pass := func(seed uint64) engine.CacheStats {
+		t.Helper()
+		opts.Seed = seed
+		if _, err := Table3(ctx, opts); err != nil {
+			t.Fatal(err)
+		}
+		for _, fig := range []func(context.Context, Options) (*FigureResult, error){
+			Figure5, Figure7, Figure8, Figure9,
+		} {
+			if _, err := fig(ctx, opts); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return eng.CacheStats()
+	}
+
+	first := pass(1)
+	t.Logf("the report uses %d checkpoint keys at one depth", len(keys))
+	if first.CkptMisses != uint64(len(keys)) {
+		t.Fatalf("first pass built %d checkpoints for %d keys", first.CkptMisses, len(keys))
+	}
+	second := pass(2)
+	if second.CkptMisses != first.CkptMisses || second.CkptHits <= first.CkptHits {
+		t.Errorf("second pass built %d checkpoints (%d memory hits): the report's %d keys do not all stay resident",
+			second.CkptMisses-first.CkptMisses, second.CkptHits-first.CkptHits, len(keys))
 	}
 }

@@ -128,7 +128,7 @@ func writePart(pw *ptrace.PerfettoWriter, pid int, process, prefix string, shift
 	}
 }
 
-// WritePerfetto exports every finished span — and every attached
+// WritePerfetto exports every kept finished span — and every attached
 // micro recorder — as one Chrome/Perfetto trace-event JSON document.
 // Macro timestamps are wall-clock microseconds since the tracer's
 // epoch; micro (ptrace) events keep their 1-cycle-=-1-µs scale,
@@ -137,9 +137,8 @@ func (t *Tracer) WritePerfetto(w io.Writer) error {
 	if t == nil {
 		return nil
 	}
+	spans := t.Spans()
 	t.mu.Lock()
-	spans := make([]SpanData, len(t.done))
-	copy(spans, t.done)
 	micro := make([]microTrack, len(t.micro))
 	copy(micro, t.micro)
 	t.mu.Unlock()

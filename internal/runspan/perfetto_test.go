@@ -20,7 +20,7 @@ var update = flag.Bool("update", false, "rewrite the golden files under testdata
 // that needs escaping, and a trace whose root never finished.
 func goldenPerfettoTracer() *Tracer {
 	clk := &testClock{}
-	tr := clk.tracer(0)
+	tr := clk.tracer()
 
 	rt := tr.NewTrace()
 	root := tr.Start(rt, nil, "run").SetAttr("workload", "compress").SetAttr("design", "T4")

@@ -1,7 +1,7 @@
 // Package runspan is a lightweight span tracer for the sweep harness:
 // one trace per RunSpec (plus one for the sweep itself), parent/child
 // spans for each phase (program build, checkpoint, fast-forward,
-// simulate, render, journal append), string attributes, and monotonic
+// simulate, render), string attributes, and monotonic
 // timestamps measured from a single per-tracer epoch.
 //
 // Like ptrace.Recorder, a nil *Tracer is the disabled tracer: every
@@ -12,10 +12,13 @@
 // is skipped when tracing is off.
 //
 // Finished spans are exported three ways: a crash-safe JSON-lines
-// journal written as spans end (see journal.go), a Chrome/Perfetto
-// trace JSON of the whole sweep with attached ptrace micro timelines
-// nested under their run's macro span (see perfetto.go), and a live
-// view (Open/Recent) served by the obs server at /debug/spans.
+// journal written as spans end, every span of them (see journal.go); a
+// Chrome/Perfetto trace JSON of the sweep with attached ptrace micro
+// timelines nested under their run's macro span (see perfetto.go); and
+// a live view (Open/Recent) served by the obs server at /debug/spans.
+// In memory a Tracer keeps only a bounded tail of finished spans
+// (spanKept), so a long-lived daemon tracing with -spans stays flat:
+// the journal is the complete record, the memory a window onto it.
 package runspan
 
 import (
@@ -81,11 +84,18 @@ type Span struct {
 	data SpanData
 }
 
+// A Tracer keeps a bounded history, constants not options: the last
+// spanKept finished spans, for Spans, SpansForTrace and the Perfetto
+// export (a whole test-scale hbat-experiments report ends 2,514 spans,
+// or 3,714 with -ffwd 1000), of which Recent serves the last
+// recentKept. The journal, when one is attached, receives every span.
+const (
+	spanKept   = 1 << 14
+	recentKept = 256
+)
+
 // Config tunes a Tracer. The zero value is usable.
 type Config struct {
-	// RecentCap bounds the finished-span ring served by Recent
-	// (default 256).
-	RecentCap int
 	// Now overrides the monotonic clock: elapsed time since the
 	// tracer's epoch. Tests use it for deterministic timestamps.
 	Now func() time.Duration
@@ -115,13 +125,13 @@ type Tracer struct {
 	trcSeq  uint64
 	// bind maps internally-allocated trace ids to their cross-process
 	// identity (NewTraceWith); unbound traces stay local-only.
-	bind    map[TraceID]traceBinding
-	open    map[uint64]*Span
-	done    []SpanData // every finished span, for export
-	recent  []SpanData // ring of the last RecentCap finished spans
-	recentN int        // next ring slot
-	recCap  int
-	micro   []microTrack
+	bind map[TraceID]traceBinding
+	open map[uint64]*Span
+	// done is a ring of the last spanKept finished spans; doneN counts
+	// every span finished, so the oldest kept is at doneN % len(done).
+	done  []SpanData
+	doneN int
+	micro []microTrack
 
 	// subs are live feeds of finished spans (Subscribe); sends never
 	// block — a subscriber that falls behind loses spans, not the
@@ -135,10 +145,9 @@ type Tracer struct {
 // New creates an enabled Tracer.
 func New(cfg Config) *Tracer {
 	t := &Tracer{
-		epoch:  cfg.Epoch,
-		now:    cfg.Now,
-		open:   make(map[uint64]*Span),
-		recCap: cfg.RecentCap,
+		epoch: cfg.Epoch,
+		now:   cfg.Now,
+		open:  make(map[uint64]*Span),
 	}
 	if t.epoch.IsZero() {
 		t.epoch = time.Now()
@@ -146,9 +155,6 @@ func New(cfg Config) *Tracer {
 	if t.now == nil {
 		epoch := time.Now()
 		t.now = func() time.Duration { return time.Since(epoch) }
-	}
-	if t.recCap <= 0 {
-		t.recCap = 256
 	}
 	return t
 }
@@ -315,13 +321,12 @@ func (s *Span) End() time.Duration {
 
 // finishLocked records a finished span and journals it. Callers hold t.mu.
 func (t *Tracer) finishLocked(d SpanData) {
-	t.done = append(t.done, d)
-	if len(t.recent) < t.recCap {
-		t.recent = append(t.recent, d)
+	if len(t.done) < spanKept {
+		t.done = append(t.done, d)
 	} else {
-		t.recent[t.recentN%t.recCap] = d
+		t.done[t.doneN%spanKept] = d
 	}
-	t.recentN++
+	t.doneN++
 	for _, ch := range t.subs {
 		select {
 		case ch <- d:
@@ -414,40 +419,31 @@ func (t *Tracer) Open() []OpenSpan {
 	return out
 }
 
-// Recent returns the most recently finished spans (up to RecentCap),
-// oldest first.
-func (t *Tracer) Recent() []SpanData {
+// Recent returns the last recentKept finished spans, oldest first.
+func (t *Tracer) Recent() []SpanData { return t.last(recentKept) }
+
+// Spans returns the last spanKept finished spans in completion order.
+func (t *Tracer) Spans() []SpanData { return t.last(spanKept) }
+
+// last returns a copy of the last n finished spans (all of them while
+// fewer have finished), oldest first.
+func (t *Tracer) last(n int) []SpanData {
 	if t == nil {
 		return nil
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.recentN <= len(t.recent) {
-		out := make([]SpanData, len(t.recent))
-		copy(out, t.recent)
-		return out
+	n = min(n, len(t.done))
+	out := make([]SpanData, n)
+	for i := range out {
+		// Before the ring wraps len(done) == doneN; after, the oldest
+		// kept span is at doneN % len(done).
+		out[i] = t.done[(t.doneN-n+i)%len(t.done)]
 	}
-	// Ring has wrapped: oldest entry is at the next write slot.
-	at := t.recentN % t.recCap
-	out := make([]SpanData, 0, len(t.recent))
-	out = append(out, t.recent[at:]...)
-	out = append(out, t.recent[:at]...)
 	return out
 }
 
-// Spans returns every finished span in completion order.
-func (t *Tracer) Spans() []SpanData {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	out := make([]SpanData, len(t.done))
-	copy(out, t.done)
-	t.mu.Unlock()
-	return out
-}
-
-// SpansForTrace returns every finished span carrying the given
+// SpansForTrace returns the kept finished spans carrying the given
 // cross-process trace id, in completion order — the server side of
 // GET /v1/jobs/{id}/spans.
 func (t *Tracer) SpansForTrace(w3cTraceID string) []SpanData {
@@ -455,13 +451,13 @@ func (t *Tracer) SpansForTrace(w3cTraceID string) []SpanData {
 		return nil
 	}
 	t.mu.Lock()
+	defer t.mu.Unlock()
 	var out []SpanData
-	for _, d := range t.done {
-		if d.TraceW3C == w3cTraceID {
+	for i := range t.done {
+		if d := t.done[(t.doneN+i)%len(t.done)]; d.TraceW3C == w3cTraceID {
 			out = append(out, d)
 		}
 	}
-	t.mu.Unlock()
 	return out
 }
 

@@ -18,17 +18,16 @@ type testClock struct{ at time.Duration }
 func (c *testClock) now() time.Duration      { return c.at }
 func (c *testClock) advance(d time.Duration) { c.at += d }
 func (c *testClock) set(d time.Duration)     { c.at = d }
-func (c *testClock) tracer(recCap int) *Tracer {
+func (c *testClock) tracer() *Tracer {
 	return New(Config{
-		RecentCap: recCap,
-		Now:       c.now,
-		Epoch:     time.Date(2026, 1, 2, 3, 4, 5, 0, time.UTC),
+		Now:   c.now,
+		Epoch: time.Date(2026, 1, 2, 3, 4, 5, 0, time.UTC),
 	})
 }
 
 func TestSpanLifecycle(t *testing.T) {
 	clk := &testClock{}
-	tr := clk.tracer(0)
+	tr := clk.tracer()
 	if !tr.Enabled() {
 		t.Fatal("New tracer not enabled")
 	}
@@ -64,7 +63,7 @@ func TestSpanLifecycle(t *testing.T) {
 
 func TestEndIdempotent(t *testing.T) {
 	clk := &testClock{}
-	tr := clk.tracer(0)
+	tr := clk.tracer()
 	sp := tr.Start(tr.NewTrace(), nil, "x")
 	clk.advance(time.Millisecond)
 	if d := sp.End(); d != time.Millisecond {
@@ -81,7 +80,7 @@ func TestEndIdempotent(t *testing.T) {
 
 func TestStartAtRetroactive(t *testing.T) {
 	clk := &testClock{}
-	tr := clk.tracer(0)
+	tr := clk.tracer()
 	rt := tr.NewTrace()
 	mark := tr.Now()
 	clk.set(700 * time.Microsecond)
@@ -96,7 +95,7 @@ func TestStartAtRetroactive(t *testing.T) {
 
 func TestOpenSnapshot(t *testing.T) {
 	clk := &testClock{}
-	tr := clk.tracer(0)
+	tr := clk.tracer()
 	rt := tr.NewTrace()
 	root := tr.Start(rt, nil, "run").SetAttr("workload", "gcc")
 	clk.set(400 * time.Microsecond)
@@ -120,27 +119,44 @@ func TestOpenSnapshot(t *testing.T) {
 	}
 }
 
+// TestRecentRing: past spanKept finished spans the tracer keeps the
+// last spanKept (Spans, in completion order), Recent serves the last
+// recentKept of those, and the journal still receives every span.
 func TestRecentRing(t *testing.T) {
+	const k = 3
 	clk := &testClock{}
-	tr := clk.tracer(4)
+	tr := clk.tracer()
+	var journal bytes.Buffer
+	if err := tr.SetJournal(&journal); err != nil {
+		t.Fatal(err)
+	}
 	rt := tr.NewTrace()
-	for i := 0; i < 10; i++ {
-		tr.Start(rt, nil, string(rune('a'+i))).End()
+	for i := 0; i < spanKept+k; i++ {
+		tr.Start(rt, nil, "s").End()
 	}
-	recent := tr.Recent()
-	if len(recent) != 4 {
-		t.Fatalf("ring holds %d, want 4", len(recent))
+	if err := tr.CloseJournal(); err != nil {
+		t.Fatal(err)
 	}
-	var names []string
-	for _, d := range recent {
-		names = append(names, d.Name)
+	// Span ids count from 1 in start order, so the i-th oldest kept
+	// span of the last n is id total-n+1+i.
+	check := func(what string, got []SpanData, n int) {
+		t.Helper()
+		if len(got) != n {
+			t.Fatalf("%s holds %d spans, want %d", what, len(got), n)
+		}
+		for i, d := range got {
+			if want := uint64(spanKept + k - n + 1 + i); d.Span != want {
+				t.Fatalf("%s[%d] is span %d, want %d (the last %d, oldest first)", what, i, d.Span, want, n)
+			}
+		}
 	}
-	if got := strings.Join(names, ""); got != "ghij" {
-		t.Fatalf("recent (oldest first) = %q, want \"ghij\"", got)
+	check("Spans()", tr.Spans(), spanKept)
+	check("Recent()", tr.Recent(), recentKept)
+	_, journaled, err := ReadJournal(&journal)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if n := len(tr.Spans()); n != 10 {
-		t.Fatalf("done keeps %d, want all 10", n)
-	}
+	check("the journal", journaled, spanKept+k)
 }
 
 // golden is the exact journal the clock/epoch above must produce: the
@@ -154,7 +170,7 @@ const goldenJournal = `{"v":1,"epoch":"2026-01-02T03:04:05Z"}
 func writeGoldenSpans(t *testing.T, w *bytes.Buffer) *Tracer {
 	t.Helper()
 	clk := &testClock{}
-	tr := clk.tracer(0)
+	tr := clk.tracer()
 	if err := tr.SetJournal(w); err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +262,7 @@ func TestJournalBadInput(t *testing.T) {
 func TestOpenJournalFile(t *testing.T) {
 	path := t.TempDir() + "/spans.jsonl"
 	clk := &testClock{}
-	tr := clk.tracer(0)
+	tr := clk.tracer()
 	if err := tr.OpenJournal(path); err != nil {
 		t.Fatal(err)
 	}
@@ -295,7 +311,7 @@ func TestDisabledNoAllocs(t *testing.T) {
 
 func TestWritePerfettoMerged(t *testing.T) {
 	clk := &testClock{}
-	tr := clk.tracer(0)
+	tr := clk.tracer()
 	rt := tr.NewTrace()
 	root := tr.Start(rt, nil, "run").SetAttr("workload", "compress").SetAttr("design", "T4")
 	clk.set(2000 * time.Microsecond)

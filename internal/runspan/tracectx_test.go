@@ -117,7 +117,7 @@ func TestContextThreading(t *testing.T) {
 // shared trace id, only roots carry the wire span id and remote parent.
 func TestBoundTraceStamping(t *testing.T) {
 	clk := &testClock{}
-	tr := clk.tracer(0)
+	tr := clk.tracer()
 	traceID := strings.Repeat("ab", 16)
 	rt := tr.NewTraceWith(traceID, strings.Repeat("cd", 8), strings.Repeat("ef", 8))
 	root := tr.Start(rt, nil, "run")
@@ -157,7 +157,7 @@ func TestBoundTraceStamping(t *testing.T) {
 
 func TestWriteJournalToFiltersByTrace(t *testing.T) {
 	clk := &testClock{}
-	tr := clk.tracer(0)
+	tr := clk.tracer()
 	traceID := strings.Repeat("12", 16)
 	bt := tr.NewTraceWith(traceID, strings.Repeat("34", 8), "")
 	tr.Start(bt, nil, "job").End()

@@ -251,9 +251,9 @@ func (f *Front) serveStatus(w http.ResponseWriter, r *http.Request, j *Job) {
 
 // serveEvents streams the job's progress as SSE. Each event is one
 // api.Event JSON document: spec completions, whatever the executor
-// publishes (a coordinator forwards its workers' span events), and, when this
-// process's tracer sees engine runs, their live run-root spans — the
-// runspan feed is the transport of record for phase-level progress.
+// publishes (a coordinator forwards its workers' span events), and the
+// live run-root spans of the job's own runs: the tracer's feed carries
+// every tenant's runs, the job's are those under its trace id.
 func (f *Front) serveEvents(w http.ResponseWriter, r *http.Request, j *Job) {
 	fl, ok := w.(http.Flusher)
 	if !ok {
@@ -301,8 +301,8 @@ func (f *Front) serveEvents(w http.ResponseWriter, r *http.Request, j *Job) {
 				spans = nil // tracer detached; keep serving job events
 				continue
 			}
-			if d.Parent != 0 || d.Name != "run" {
-				continue // roots only: one span event per simulation
+			if d.Parent != 0 || d.Name != "run" || d.TraceW3C != j.TraceID {
+				continue // this job's run roots only: one event per simulation
 			}
 			ev := api.Event{Type: "span", Job: j.ID, Span: &api.Span{
 				Name: d.Name, DurUS: d.DurUS, Attrs: d.Attrs,

@@ -353,6 +353,74 @@ func TestTraceMintedWithoutClientContext(t *testing.T) {
 	}
 }
 
+// TestEventsStreamCarriesOnlyTheJobsOwnRuns: two tenants' /events
+// streams are open at once over one traced engine, and each carries span
+// events for its own job's runs only. One worker runs alice's long job
+// (13 runs) ahead of bob's one spec, so bob's stream opens while alice's
+// runs are still ending.
+func TestEventsStreamCarriesOnlyTheJobsOwnRuns(t *testing.T) {
+	tr := runspan.New(runspan.Config{})
+	eng := engine.New()
+	eng.SetSpans(tr)
+	svc, ts, _ := newService(t, transport.Config{Engine: eng, Workers: 1, Spans: tr})
+	defer ts.Close()
+	defer svc.Shutdown(context.Background())
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+
+	long := testSpec("compress", "")
+	long.Scale = "small"
+	type stream struct {
+		own   []string
+		spans chan []string // the spec_hash of each span event, at the stream's end
+	}
+	open := func(tenant string, subscribers int, req api.JobRequest) (*api.Client, api.JobAccepted, stream) {
+		c := api.NewClient(ts.URL)
+		c.Tenant = tenant
+		acc, err := c.Submit(ctx, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := stream{own: acc.SpecKeys, spans: make(chan []string, 1)}
+		go func() {
+			var hashes []string
+			err := c.Events(ctx, acc.ID, func(ev api.Event) bool {
+				if ev.Type == "span" {
+					hashes = append(hashes, ev.Span.Attrs["spec_hash"])
+				}
+				return true
+			})
+			if err != nil {
+				t.Errorf("%s's stream: %v", tenant, err)
+			}
+			s.spans <- hashes
+		}()
+		for tr.Subscribers() < subscribers {
+			if ctx.Err() != nil {
+				t.Fatalf("%s's stream never subscribed to the span feed", tenant)
+			}
+			time.Sleep(time.Millisecond)
+		}
+		return c, acc, s
+	}
+	ac, alice, as := open("alice", 1, api.JobRequest{Grid: &api.Grid{Workloads: []string{"compress"}, Template: long}})
+	_, _, bs := open("bob", 2, api.JobRequest{Specs: []api.SimOptions{testSpec("espresso", "T4")}})
+	if st, err := ac.Job(ctx, alice.ID); err != nil || st.State == api.StateDone {
+		t.Fatalf("alice's job %+v (%v) finished before bob's stream opened: nothing could leak", st, err)
+	}
+
+	for _, s := range []struct {
+		tenant string
+		stream
+	}{{"alice", as}, {"bob", bs}} {
+		for _, h := range <-s.spans {
+			if !slices.Contains(s.own, h) {
+				t.Errorf("%s's stream carried a span for spec %s, which is not one of its job's %v", s.tenant, h, s.own)
+			}
+		}
+	}
+}
+
 // TestEventsSubscriberCleanup is the leak regression test: a client
 // that abandons its /events stream mid-job must not leave its span
 // subscription (or the handler goroutine) behind.

@@ -41,8 +41,8 @@ type Config struct {
 	MaxSpecs int
 	// Logger, when non-nil, receives one record per job transition.
 	Logger *slog.Logger
-	// Spans, when non-nil, feeds the SSE event stream with live
-	// run-root spans and per-spec phase breakdowns.
+	// Spans, when non-nil, feeds each job's SSE event stream with the
+	// live run-root spans of its own runs.
 	Spans *runspan.Tracer
 }
 
