@@ -42,7 +42,10 @@ profile-core:
 # cumulative time. The header's "Total samples = ... (N%)" is CPU time
 # over wall time: on two cores, 200 % means both worked throughout and
 # a figure near 100 % means one sat idle (waiting on the other's
-# checkpoint build, before ISSUE 18). Leaves nothing behind.
+# checkpoint build, before ISSUE 18). ckpt.Build warms while it
+# executes, so its time shows under sblock.(*Engine).Warm: execBlock
+# itself plus the ckpt.(*buildState) sink methods Ref and Block it
+# calls (~68 % of CPU, 73 % before ISSUE 29). Leaves nothing behind.
 profile-ffwd:
 	@d=$$(mktemp -d) && \
 	go test -run '^$$' -bench 'BenchmarkFFwd99$$' -benchtime 30x -o $$d/hbat.test -cpuprofile $$d/cpu.prof . >/dev/null && \

@@ -1,9 +1,11 @@
 package ckpt
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"hbat/internal/bpred"
@@ -26,8 +28,9 @@ const DefaultWarmCap = 1024
 // Functional-engine selectors for BuildConfig.Engine.
 const (
 	// EngineTranslated is the superblock-translated engine (the
-	// default): pre-decoded blocks, batched warming, no per-instruction
-	// decode. Observationally identical to the interpreter.
+	// default): pre-decoded blocks warmed while they execute, no
+	// per-instruction decode. Observationally identical to the
+	// interpreter.
 	EngineTranslated = "sblock"
 	// EngineInterpreted is the reference per-instruction interpreter.
 	EngineInterpreted = "interp"
@@ -53,7 +56,10 @@ type BuildConfig struct {
 
 // buildState is the warming state shared by both functional engines:
 // the machine, the tag arrays and predictor being warmed, and the
-// distinct-page reference stream.
+// distinct-page reference stream. On the translated engine it is also
+// the sblock.Warmer, and holds the two pieces of work that path defers:
+// the open run of same-line data references, and the I-cache hits of
+// whole block executions that cannot miss.
 type buildState struct {
 	em     *emu.Machine
 	ic, dc *cache.Cache
@@ -67,7 +73,42 @@ type buildState struct {
 	warm     []warmInfo
 	warmSeq  uint64
 	pageBits uint
+
+	ref       refRun
+	dLineMask uint64 // ^(D-cache block bytes - 1)
+
+	// icEpoch counts I-cache misses on the translated path (from 1, so
+	// a zero blockFetch.epoch is never current).
+	icEpoch uint64
+	blocks  []blockFetch // by sblock.BlockExec.ID
+	pending []int        // IDs whose deferred stamp is not yet applied
+	runs    []fetchRun   // scratch for a partial execution's line-runs
+
+	// Whole block executions by fetch path; tests read them.
+	fetchDeferred, fetchEager uint64
 }
+
+// refRun is the open run of consecutive data references to one D-cache
+// line (n > 0): the line, the last reference's addresses and index, and
+// the OR of the run's write bits.
+type refRun struct {
+	line, pa, vaddr, idx, n uint64
+	write                   bool
+}
+
+// blockFetch is one translated block's fetch state: the line-runs of a
+// whole execution, the I-cache epoch at which all of them were last
+// seen resident, and the start index of its latest deferred execution.
+type blockFetch struct {
+	runs    []fetchRun
+	epoch   uint64
+	start   uint64
+	pending bool
+}
+
+// fetchRun is one run of consecutive fetches from one I-cache line: the
+// physical address and block offset of the run's last instruction.
+type fetchRun struct{ pa, off uint64 }
 
 // warmInfo is one page's entry in the distinct-page stream: the
 // sequence number of its most recent reference and whether any
@@ -99,50 +140,46 @@ func (bs *buildState) notePage(paddr, vaddr uint64, write bool, seq uint64) {
 // anything the measurement window (cycles starting at 1) touches.
 func (bs *buildState) stamp(i uint64) int64 { return int64(i) - int64(bs.n) }
 
-// consumeRefs replays a batch's data references against the warm
-// structures. A reference carrying its physical address (the engine's
-// own access translated it) needs no second walk — only the walk
-// accounting — and a consecutive run of such references to one cache
-// line collapses to a single warm access and a single distinct-page
-// update: WarmAccess keeps no statistics, so its tag-array result for
-// the run is the last stamp with the OR of the write bits, and the
-// warm table's entry for the page is likewise the run's last sequence
-// number with OR'd writes — byte-identical to the per-reference loop.
-// References without a physical address (interpreter fallback, faulting
-// accesses) take the reference path unchanged.
-func (bs *buildState) consumeRefs(refs []sblock.MemRef) {
-	lineMask := ^uint64(uint64(bs.dc.BlockBytes()) - 1)
-	for i := 0; i < len(refs); {
-		r := &refs[i]
-		if !r.PAOK {
-			bs.noteRef(r.Vaddr, r.Write, r.InstIdx)
-			i++
-			continue
-		}
-		line := r.PA & lineMask
-		write := r.Write
-		j := i + 1
-		for j < len(refs) && refs[j].PAOK && refs[j].PA&lineMask == line {
-			write = write || refs[j].Write
-			j++
-		}
-		k := uint64(j - i)
-		last := &refs[j-1]
-		bs.em.AS.WalkCount += k
-		bs.dc.WarmAccess(last.PA, write, bs.stamp(last.InstIdx))
-		bs.notePage(last.PA, last.Vaddr, write, bs.warmSeq+k-1)
-		bs.warmSeq += k
-		i = j
+// Ref is the translated path's data-reference sink. The engine's own
+// access already translated the reference, so it needs only the
+// interpreter's second walk counted, not repeated. A run of consecutive
+// references to one cache line — across block boundaries too —
+// collapses to one warm access and one distinct-page update when the
+// run ends: WarmAccess keeps no statistics, so its tag-array result for
+// the run is the last stamp with the OR of the write bits, and the warm
+// table's entry for the page is likewise the run's last sequence number
+// with OR'd writes. Nothing else touches the D-cache or the warm table
+// between two references, so this is byte-identical to the interpreted
+// per-reference loop.
+func (bs *buildState) Ref(vaddr, pa uint64, write bool, instIdx uint64) {
+	r := &bs.ref
+	if r.n == 0 || pa&bs.dLineMask != r.line {
+		bs.closeRef()
+		r.line, r.write = pa&bs.dLineMask, false
 	}
+	r.n++
+	r.pa, r.vaddr, r.idx = pa, vaddr, instIdx
+	r.write = r.write || write
+}
+
+// closeRef applies the open reference run, if any.
+func (bs *buildState) closeRef() {
+	r := &bs.ref
+	if r.n == 0 {
+		return
+	}
+	bs.em.AS.WalkCount += r.n
+	bs.dc.WarmAccess(r.pa, r.write, bs.stamp(r.idx))
+	bs.notePage(r.pa, r.vaddr, r.write, bs.warmSeq+r.n-1)
+	bs.warmSeq += r.n
+	r.n = 0
 }
 
 // noteRef warms the data cache and the distinct-page stream for one
-// data reference. Translating here interleaves demand allocation
-// identically with the emulator's own access (which finds the PTE
-// already mapped — or, on the translated engine's batched path, the
-// access came first and this translate is the one that finds it
-// mapped), so the checkpointed page table is exactly what the
-// functional phase alone would have produced.
+// data reference on the interpreted engine. Translating here
+// interleaves demand allocation identically with the emulator's own
+// access, which finds the PTE already mapped, so the checkpointed page
+// table is exactly what the functional phase alone would have produced.
 func (bs *buildState) noteRef(vaddr uint64, write bool, instIdx uint64) {
 	perm := vm.PermRead
 	if write {
@@ -161,13 +198,22 @@ func (bs *buildState) noteRef(vaddr uint64, write bool, instIdx uint64) {
 // cfg.FastForward instructions of p while functionally warming the
 // cache tag arrays, the branch predictor, and the distinct-page
 // reference stream, then snapshots everything into a Checkpoint. The
-// default engine executes superblock-translated code with batched
-// warming; cfg.Engine selects the per-instruction interpreter instead.
+// default engine executes superblock-translated code and warms while it
+// executes; cfg.Engine selects the per-instruction interpreter instead.
 // Both engines produce byte-identical checkpoints. The context is
 // polled at cancelpoll granularity (per block for the translated
 // engine). Build fails with ErrShortProgram if the program halts at or
 // before the fast-forward point, leaving no measurement window.
 func Build(ctx context.Context, p *prog.Program, cfg BuildConfig) (*Checkpoint, error) {
+	bs, err := build(ctx, p, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return bs.snapshot(cfg), nil
+}
+
+// build runs Build's functional phase and returns the warmed state.
+func build(ctx context.Context, p *prog.Program, cfg BuildConfig) (*buildState, error) {
 	if cfg.FastForward == 0 {
 		return nil, fmt.Errorf("ckpt: FastForward must be positive")
 	}
@@ -194,7 +240,9 @@ func Build(ctx context.Context, p *prog.Program, cfg BuildConfig) (*Checkpoint, 
 		pred:     bpred.New(cfg.Branch),
 		n:        cfg.FastForward,
 		pageBits: em.AS.PageBits(),
+		icEpoch:  1,
 	}
+	bs.dLineMask = ^uint64(bs.dc.BlockBytes() - 1)
 
 	if translated {
 		err = bs.runTranslated(ctx)
@@ -204,7 +252,7 @@ func Build(ctx context.Context, p *prog.Program, cfg BuildConfig) (*Checkpoint, 
 	if err != nil {
 		return nil, err
 	}
-	return bs.snapshot(cfg), nil
+	return bs, nil
 }
 
 // runInterpreted is the reference warm loop: one emu.Step per
@@ -243,6 +291,9 @@ func (bs *buildState) runInterpreted(ctx context.Context) error {
 			bs.ic.WarmAccess(paddr, false, bs.stamp(em.InstCount))
 		}
 
+		// The outcome, not the next PC: a taken branch may target the
+		// next instruction.
+		taken := in.Class() == isa.ClassBranch && isa.BranchTaken(in, em.Regs[in.Rs], em.Regs[in.Rt])
 		if serr := em.Step(); serr != nil {
 			return fmt.Errorf("ckpt: functional phase: %w", serr)
 		}
@@ -250,7 +301,6 @@ func (bs *buildState) runInterpreted(ctx context.Context) error {
 		// Train the branch predictor on the resolved control flow.
 		switch in.Class() {
 		case isa.ClassBranch:
-			taken := em.PC != pcBefore+isa.InstBytes
 			bs.pred.WarmCond(pcBefore, taken)
 			if taken {
 				bs.pred.UpdateTarget(pcBefore, em.PC)
@@ -266,90 +316,158 @@ func (bs *buildState) runInterpreted(ctx context.Context) error {
 	return nil
 }
 
-// runTranslated is the batched warm loop: the superblock engine
-// executes whole blocks and reports each one's fetch stream, data
-// references, and control outcome in a Batch, which consumeBatch then
-// replays against the warm structures. The observable result — warmed
-// tag arrays, predictor state, warm stream, page table, walk counts —
-// is identical to runInterpreted's; the differential battery in this
-// package pins that, byte for byte, through ckpt.Encode.
+// runTranslated is the fused warm loop: the superblock engine chains
+// blocks and reports each execution and data reference to bs (the
+// sblock.Warmer) as it goes. The observable result — warmed tag arrays,
+// predictor state, warm stream, page table, walk counts — is identical
+// to runInterpreted's; the differential battery in this package pins
+// that, byte for byte, through ckpt.Encode.
 func (bs *buildState) runTranslated(ctx context.Context) error {
 	em, n := bs.em, bs.n
 	eng := sblock.New(em)
 	eng.SetCancel(ctx)
-	var batch sblock.Batch
-	for em.InstCount < n {
-		if em.Halted {
+	if err := eng.Warm(n, bs); err != nil {
+		if cerr := ctx.Err(); cerr != nil && errors.Is(err, cerr) {
+			return fmt.Errorf("ckpt: build interrupted: %w", cerr)
+		}
+		var outside sblock.OutsideTextError
+		if errors.As(err, &outside) {
+			return fmt.Errorf("ckpt: PC 0x%x outside text segment", uint64(outside))
+		}
+		return fmt.Errorf("ckpt: functional phase: %w", err)
+	}
+	if em.Halted {
+		if em.InstCount < n {
 			return fmt.Errorf("%w: halted after %d of %d instructions",
 				ErrShortProgram, em.InstCount, n)
 		}
-		if rerr := eng.RunBlock(n, &batch); rerr != nil {
-			if cerr := ctx.Err(); cerr != nil && errors.Is(rerr, cerr) {
-				return fmt.Errorf("ckpt: build interrupted: %w", cerr)
-			}
-			var outside sblock.OutsideTextError
-			if errors.As(rerr, &outside) {
-				return fmt.Errorf("ckpt: PC 0x%x outside text segment", uint64(outside))
-			}
-			return fmt.Errorf("ckpt: functional phase: %w", rerr)
-		}
-		bs.consumeBatch(&batch)
-	}
-	if em.Halted {
 		return fmt.Errorf("%w: halted exactly at the fast-forward point (%d instructions)",
 			ErrShortProgram, n)
 	}
+	bs.applyDeferred()
+	bs.closeRef()
 	return nil
 }
 
-// consumeBatch replays one block execution's side-band records against
-// the warm structures, reproducing the interpreted loop's observable
-// effects:
-//
-//   - the fetch stream walks once per instruction (the engine's block
-//     pre-walk already counted one, and placed the text page's demand
-//     allocation exactly where the interpreter's first fetch walk
-//     would) and warms the icache per fetched line — consecutive
-//     fetches to one line collapse to a single WarmAccess at the run's
-//     last address and stamp, which is exact because WarmAccess keeps
-//     no statistics and nothing else touches the set mid-run;
-//   - each data reference gets the interpreter's second translate (the
-//     engine's access already did the first) and its dcache/warm-stream
-//     update, in program order with the interpreter's stamps;
-//   - the terminating control transfer trains the predictor.
-func (bs *buildState) consumeBatch(batch *sblock.Batch) {
-	if batch.Count == 0 {
+// Block is the translated path's block sink. It reproduces the
+// interpreted loop's per-instruction fetch — one walk and one I-cache
+// warm access each — and trains the predictor on the closing control
+// transfer. The engine's entry walk counted one fetch walk; the rest
+// are counted in bulk. Consecutive fetches from one line collapse to a
+// single warm access at the run's last address and stamp (WarmAccess
+// keeps no statistics and nothing else touches the set mid-run).
+func (bs *buildState) Block(x *sblock.BlockExec) {
+	if x.FetchOK {
+		bs.em.AS.WalkCount += x.Count - 1
+		bs.fetch(x)
+	}
+	if x.Ctrl != sblock.CtrlNone {
+		ctrlPC := x.PC0 + isa.InstBytes*(x.Count-1)
+		if x.Ctrl == sblock.CtrlBranch {
+			bs.pred.WarmCond(ctrlPC, x.Taken)
+		}
+		if x.Taken {
+			bs.pred.UpdateTarget(ctrlPC, x.NextPC)
+		}
+	}
+}
+
+// fetch warms the I-cache for one block execution. A whole execution of
+// a block whose lines were all resident at the current epoch — no miss
+// since — cannot miss, so it only records its start index; the stamps
+// are applied later, oldest first, before any access that could miss
+// and at the end of the run. That is exact: a fetch hit only rewrites
+// its line's LRU stamp, and only a miss reads stamps (to choose its
+// victim), so every miss sees the stamps the eager path would have
+// left. Partial executions, and whole ones with a line not resident,
+// take the eager path.
+func (bs *buildState) fetch(x *sblock.BlockExec) {
+	if !x.Whole {
+		bs.runs = bs.lineRuns(bs.runs[:0], x.FetchPA, x.Count)
+		bs.warmFetch(bs.runs, x.InstIdx0)
 		return
 	}
-	em := bs.em
-	if batch.FetchOK {
-		em.AS.WalkCount += batch.Count - 1
-		line := uint64(bs.ic.BlockBytes())
-		for j := uint64(0); j < batch.Count; {
-			end := j + (line-(batch.FetchPA+isa.InstBytes*j)%line)/isa.InstBytes
-			if end == j {
-				end = j + 1
-			}
-			if end > batch.Count {
-				end = batch.Count
-			}
-			bs.ic.WarmAccess(batch.FetchPA+isa.InstBytes*(end-1), false, bs.stamp(batch.InstIdx0+end-1))
-			j = end
+	if x.ID >= len(bs.blocks) {
+		bs.blocks = append(bs.blocks, make([]blockFetch, x.ID+1-len(bs.blocks))...)
+	}
+	bf := &bs.blocks[x.ID]
+	if bf.runs == nil {
+		bf.runs = bs.lineRuns(nil, x.FetchPA, x.Count)
+	}
+	if bf.epoch != bs.icEpoch && bs.resident(bf.runs) {
+		bf.epoch = bs.icEpoch
+	}
+	if bf.epoch != bs.icEpoch {
+		bs.fetchEager++
+		bs.warmFetch(bf.runs, x.InstIdx0)
+		return
+	}
+	bs.fetchDeferred++
+	if !bf.pending {
+		bf.pending = true
+		bs.pending = append(bs.pending, x.ID)
+	}
+	bf.start = x.InstIdx0
+}
+
+// lineRuns appends the line-runs of count instructions fetched from pa
+// onward.
+func (bs *buildState) lineRuns(dst []fetchRun, pa, count uint64) []fetchRun {
+	line := uint64(bs.ic.BlockBytes())
+	for j := uint64(0); j < count; {
+		end := j + (line-(pa+isa.InstBytes*j)%line)/isa.InstBytes
+		if end == j {
+			end = j + 1
+		}
+		if end > count {
+			end = count
+		}
+		dst = append(dst, fetchRun{pa: pa + isa.InstBytes*(end-1), off: end - 1})
+		j = end
+	}
+	return dst
+}
+
+// resident reports whether every run's line is in the I-cache.
+func (bs *buildState) resident(runs []fetchRun) bool {
+	for _, r := range runs {
+		if !bs.ic.Probe(r.pa) {
+			return false
 		}
 	}
-	bs.consumeRefs(batch.Refs)
-	if batch.Ctrl != sblock.CtrlNone {
-		ctrlPC := batch.PC0 + isa.InstBytes*(batch.Count-1)
-		switch batch.Ctrl {
-		case sblock.CtrlBranch:
-			bs.pred.WarmCond(ctrlPC, batch.Taken)
-			if batch.Taken {
-				bs.pred.UpdateTarget(ctrlPC, batch.NextPC)
-			}
-		case sblock.CtrlJump:
-			bs.pred.UpdateTarget(ctrlPC, batch.NextPC)
+	return true
+}
+
+// warmFetch is the eager path: it applies the deferred stamps, then
+// warms each run of an execution starting at instruction index i0,
+// opening a new epoch on every miss.
+func (bs *buildState) warmFetch(runs []fetchRun, i0 uint64) {
+	bs.applyDeferred()
+	for _, r := range runs {
+		if !bs.ic.Probe(r.pa) {
+			bs.icEpoch++
 		}
+		bs.ic.WarmAccess(r.pa, false, bs.stamp(i0+r.off))
 	}
+}
+
+// applyDeferred applies every deferred block's latest stamps, oldest
+// first. Each block needs only its latest execution: stamps grow with
+// the instruction index, so a line's final stamp is its last hit's,
+// and executions never overlap, so ordering blocks by latest start
+// orders every shared line's hits.
+func (bs *buildState) applyDeferred() {
+	slices.SortFunc(bs.pending, func(a, b int) int {
+		return cmp.Compare(bs.blocks[a].start, bs.blocks[b].start)
+	})
+	for _, id := range bs.pending {
+		bf := &bs.blocks[id]
+		for _, r := range bf.runs {
+			bs.ic.WarmAccess(r.pa, false, bs.stamp(bf.start+r.off))
+		}
+		bf.pending = false
+	}
+	bs.pending = bs.pending[:0]
 }
 
 // snapshot assembles the checkpoint from the warmed state.

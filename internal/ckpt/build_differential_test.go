@@ -6,7 +6,12 @@ import (
 	"fmt"
 	"testing"
 
+	"hbat/internal/cache"
+	"hbat/internal/emu"
+	"hbat/internal/isa"
 	"hbat/internal/prog"
+	"hbat/internal/progen"
+	"hbat/internal/vm"
 	"hbat/internal/workload"
 )
 
@@ -58,12 +63,143 @@ func TestBuildEnginesByteIdentical(t *testing.T) {
 			}
 		})
 	}
+
+	// The translated path's two exact cuts — deferred I-cache hits and
+	// same-line data runs across blocks — under conflict misses every
+	// few blocks: the eager path and its epoch bumps must run, and
+	// still agree byte for byte. Direct-mapped sets keep only the last
+	// line; two ways also pin where each miss places its line, which
+	// depends on the stamps every earlier hit left.
+	for _, ways := range []int{1, 2} {
+		ways := ways
+		t.Run(fmt.Sprintf("tiny-caches/%d-way", ways), func(t *testing.T) {
+			t.Parallel()
+			var deferred, eager uint64
+			for _, w := range workload.All() {
+				p, err := w.Build(prog.Budget32, workload.ScaleTest)
+				if err != nil {
+					t.Fatalf("build workload: %v", err)
+				}
+				for _, ff := range []uint64{500, depth99(t, p)} {
+					bs := buildBoth(t, p, tinyCaches(testBuildConfig(ff), ways))
+					deferred += bs.fetchDeferred
+					eager += bs.fetchEager
+				}
+			}
+			if eager == 0 || deferred == 0 {
+				t.Errorf("%d whole-block fetches deferred, %d eager; want both paths taken", deferred, eager)
+			}
+		})
+	}
+
+	// At full scale, 99 % deep (the depth the ffwd-99 plan builds), and
+	// on the default geometry nearly every whole-block fetch must take
+	// the deferred path: that is the speed the translated path exists
+	// for.
+	for _, name := range []string{"compress", "xlisp"} {
+		name := name
+		t.Run("full99/"+name, func(t *testing.T) {
+			if testing.Short() {
+				t.Skip("full-scale builds")
+			}
+			t.Parallel()
+			w, err := workload.ByName(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p, err := w.Build(prog.Budget32, workload.ScaleFull)
+			if err != nil {
+				t.Fatalf("build workload: %v", err)
+			}
+			bs := buildBoth(t, p, testBuildConfig(depth99(t, p)))
+			if total := bs.fetchDeferred + bs.fetchEager; bs.fetchDeferred*100 < total*99 {
+				t.Errorf("%d of %d whole-block fetches deferred, want >= 99 %%", bs.fetchDeferred, total)
+			}
+		})
+	}
+
+	// Stores into the text segment: every one invalidates the page's
+	// blocks, and the next instruction — a load, then a branch — runs
+	// on the interpreter fallback, whose fetch, data reference and
+	// control outcome reach the warm sink through the same calls.
+	t.Run("store-to-code", func(t *testing.T) {
+		t.Parallel()
+		p := storeToCodeProgram()
+		for ff := uint64(1); ff <= 24; ff++ {
+			buildBoth(t, p, testBuildConfig(ff))
+			buildBoth(t, p, tinyCaches(testBuildConfig(ff), 1))
+		}
+		buildBoth(t, p, testBuildConfig(1_000))
+		buildBoth(t, p, tinyCaches(testBuildConfig(1_000), 1))
+	})
+}
+
+// tinyCaches gives cfg a conflict-forcing geometry: I- and D-caches of
+// a few hundred bytes with the given associativity, so I-cache misses
+// come every few blocks and data runs keep changing lines.
+func tinyCaches(cfg BuildConfig, ways int) BuildConfig {
+	cfg.ICache = cache.Config{Name: "il1", SizeBytes: 256, Assoc: ways, BlockBytes: 16, MissLatency: 6, Ports: 1}
+	cfg.DCache = cache.Config{Name: "dl1", SizeBytes: 512, Assoc: ways, BlockBytes: 64, MissLatency: 6, Ports: 4, WriteBack: true}
+	return cfg
+}
+
+// depth99 is 99 % of p's functional instruction count.
+func depth99(t *testing.T, p *prog.Program) uint64 {
+	t.Helper()
+	return mustRun(t, p).InstCount * 99 / 100
+}
+
+// buildBoth builds p under cfg on both engines, requires the same error
+// or byte-identical checkpoints, and returns the translated engine's
+// warmed state (nil when both failed).
+func buildBoth(t testing.TB, p *prog.Program, cfg BuildConfig) *buildState {
+	t.Helper()
+	cfg.Engine = EngineInterpreted
+	want, ierr := build(context.Background(), p, cfg)
+	cfg.Engine = EngineTranslated
+	got, terr := build(context.Background(), p, cfg)
+	if (ierr == nil) != (terr == nil) || (ierr != nil && ierr.Error() != terr.Error()) {
+		t.Fatalf("ff %d: interpreted err %v, translated err %v", cfg.FastForward, ierr, terr)
+	}
+	if ierr != nil {
+		return nil
+	}
+	compareCheckpoints(t, cfg.FastForward, want.snapshot(cfg), got.snapshot(cfg))
+	return got
+}
+
+// storeToCodeProgram is an endless loop over a read-write-execute text
+// segment (r8 = CodeBase, r10 = DataBase) that stores into its own code
+// twice per iteration; the instruction after each store is a load or
+// the loop's branch.
+func storeToCodeProgram() *prog.Program {
+	const r8, r9, r10, r11 = isa.Reg(8), isa.Reg(9), isa.Reg(10), isa.Reg(11)
+	code := []isa.Inst{
+		{Op: isa.Addi, Rd: r9, Rs: r9, Imm: 1},
+		{Op: isa.Sw, Mode: isa.AMImm, Rd: r9, Rs: r8, Imm: 28},
+		{Op: isa.Ld, Mode: isa.AMImm, Rd: r11, Rs: r10, Imm: 0},
+		{Op: isa.Sd, Mode: isa.AMImm, Rd: r9, Rs: r10, Imm: 8},
+		{Op: isa.Addi, Rd: r11, Rs: r11, Imm: 3},
+		{Op: isa.Sw, Mode: isa.AMImm, Rd: r11, Rs: r8, Imm: 24},
+		{Op: isa.Bgtz, Rs: r9, Target: prog.CodeBase},
+		{Op: isa.Halt},
+	}
+	return &prog.Program{
+		Name:  "store-to-code",
+		Code:  code,
+		Entry: prog.CodeBase,
+		Regions: []vm.Region{
+			{Name: "text", Base: prog.CodeBase, Size: prog.CodeSize, Perm: vm.PermRead | vm.PermWrite | vm.PermExec},
+			{Name: "data", Base: prog.DataBase, Size: prog.DataSize, Perm: vm.PermRW},
+		},
+		InitRegs: map[isa.Reg]uint64{8: prog.CodeBase, 10: prog.DataBase},
+	}
 }
 
 // compareCheckpoints reports field-level detail before failing on the
 // byte comparison, so a divergence names the state that moved instead
 // of just "bytes differ".
-func compareCheckpoints(t *testing.T, ff uint64, want, got *Checkpoint) {
+func compareCheckpoints(t testing.TB, ff uint64, want, got *Checkpoint) {
 	t.Helper()
 	if want.PC != got.PC || want.Regs != got.Regs {
 		t.Errorf("ff %d: architectural state differs: PC %#x/%#x", ff, want.PC, got.PC)
@@ -147,4 +283,44 @@ func TestBuildEngineErrors(t *testing.T) {
 			t.Errorf("%s: cancelled build error = %v, want %q", eng, cerr, want)
 		}
 	}
+}
+
+// FuzzBuildEngines builds generated programs on both functional engines
+// and requires byte-identical checkpoints (or the same error). The
+// program comes from FuzzSuperblockExec's generator inputs — seed,
+// length, flavor, and flags (1 = Budget8, 2 = 8K pages) — the depth is
+// taken modulo one more than the program's functional length (so the
+// exact-halt and past-halt errors are reached too), and geom picks the
+// baseline caches or a tiny direct-mapped or two-way geometry
+// (geom%3 = 0, 1, 2). The seed corpus under testdata/fuzz covers each
+// flavor, flag and geometry; seed_epoch_2way is an input that fails if
+// an I-cache miss does not end every block's deferral.
+func FuzzBuildEngines(f *testing.F) {
+	f.Fuzz(func(t *testing.T, seed uint64, n uint16, flavor, flags uint8, depth uint32, geom uint8) {
+		budget := prog.Budget32
+		if flags&1 != 0 {
+			budget = prog.Budget8
+		}
+		pageSize := uint64(4096)
+		if flags&2 != 0 {
+			pageSize = 8192
+		}
+		p, err := progen.Generate(seed, 20+int(n)%400, budget, flavor%progen.NumFlavors)
+		if err != nil {
+			t.Fatalf("gen: %v", err)
+		}
+		em, err := emu.New(p, pageSize)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := em.Run(0); err != nil {
+			t.Fatalf("reference run: %v", err)
+		}
+		cfg := testBuildConfig(1 + uint64(depth)%(em.InstCount+1))
+		cfg.PageSize = pageSize
+		if ways := int(geom % 3); ways > 0 {
+			cfg = tinyCaches(cfg, ways)
+		}
+		buildBoth(t, p, cfg)
+	})
 }

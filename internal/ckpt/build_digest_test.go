@@ -20,7 +20,7 @@ var update = flag.Bool("update", false, "rewrite testdata/build_digest.json")
 // TestBuildDigest pins the bytes of built checkpoints across commits
 // (testdata/build_digest.json). The interpreter-vs-translated battery
 // cannot see a warm-stream bug the two engines share — both go through
-// noteRef/consumeRefs and snapshot — so a change to how the
+// notePage and snapshot — so a change to how the
 // distinct-page stream is kept must leave these digests untouched. No
 // test-scale workload touches more than DefaultWarmCap pages, so one
 // case forces WarmCap 8 to exercise the cap. Regenerate only for a

@@ -9,6 +9,14 @@
 // so one checkpoint per (workload, budget, scale) serves all thirteen
 // Table 2 designs of a sweep and survives process crashes on disk.
 //
+// Build warms while it executes: the superblock engine (internal/emu/
+// sblock) reports each block execution and data reference to the
+// builder's warm sink as it runs. The sink takes two exact cuts — a run
+// of same-line data references is one warm access, and a whole block
+// whose I-cache lines are all resident records only its start index
+// until something could miss — so its checkpoints are byte-identical
+// to the per-instruction interpreter's, which stays as the reference.
+//
 // The encoding is byte-stable: Encode(Decode(b)) == b for any valid b,
 // and the same state always encodes to the same bytes. Corrupt input is
 // rejected with a typed error, never a panic.

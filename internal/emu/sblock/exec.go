@@ -16,52 +16,49 @@ import (
 // indices are already in range, so the mask never changes a value.
 const regMask = isa.NumRegs - 1
 
-// CtrlKind classifies the control-flow instruction that closed a batch
-// record, for the consumer's branch-predictor training.
+// CtrlKind classifies the control-flow instruction that closed a block
+// execution, for the warm sink's branch-predictor training.
 type CtrlKind uint8
 
-// Batch control kinds.
+// Control kinds of a BlockExec.
 const (
 	CtrlNone   CtrlKind = iota // no control instruction executed
 	CtrlBranch                 // conditional branch
 	CtrlJump                   // unconditional jump (J, Jal, Jr, Jalr)
 )
 
-// MemRef is one data reference in program order: the virtual address,
-// the write flag, and the index of the referencing instruction (the
-// machine's InstCount before it retired — the warm-up stamp basis).
-// When the engine's own access translated successfully it also carries
-// the physical address, letting the warming consumer account the
-// reference's page-table walk without repeating it: the engine's
-// translate already demand-allocated the page and set its sticky
-// Ref/Dirty bits with the same permission, so a second walk could only
-// return the same frame. A ref without PAOK (a faulting access, or the
-// per-instruction interpreter fallback) leaves the consumer to
-// translate — and surface page state — exactly as before.
-type MemRef struct {
-	Vaddr   uint64
-	PA      uint64
-	InstIdx uint64
-	Write   bool
-	PAOK    bool
+// BlockExec describes one block execution of a warm run: the fetch
+// stream is implied by (PC0, FetchPA, InstIdx0, Count), and the closing
+// control transfer is summarized for predictor training.
+type BlockExec struct {
+	PC0      uint64 // address of the first executed instruction
+	FetchPA  uint64 // physical address of PC0 (valid when FetchOK)
+	InstIdx0 uint64 // machine InstCount on entry
+	Count    uint64 // instructions executed (> 0)
+	NextPC   uint64 // PC after the execution (the control target)
+	// ID names the block, dense from 0 in translation order. A block
+	// keeps its ID for its lifetime, so every whole execution under one
+	// ID covers the same instructions at the same fetch addresses; a
+	// re-translated block gets a new ID.
+	ID      int
+	FetchOK bool
+	Whole   bool // the block ran from its entry through its terminator
+	Ctrl    CtrlKind
+	Taken   bool
 }
 
-// Batch is one block execution's side-band record for batched warming.
-// The checkpoint builder drains it after each RunBlock call instead of
-// receiving per-instruction callbacks: the fetch stream is implied by
-// (PC0, FetchPA, Count), the data references arrive as a vector, and
-// the terminating control transfer is summarized for predictor
-// training. Refs keeps its capacity across calls.
-type Batch struct {
-	PC0      uint64 // address of the first executed instruction
-	InstIdx0 uint64 // machine InstCount on entry
-	Count    uint64 // instructions executed (may stop short of the block)
-	FetchPA  uint64 // physical address of PC0 (valid when FetchOK)
-	FetchOK  bool
-	Ctrl     CtrlKind
-	Taken    bool
-	NextPC   uint64 // PC after the batch (branch outcome for training)
-	Refs     []MemRef
+// Warmer receives a warm run's side-band stream in program order. Its
+// methods see the machine mid-run: the retirement counters and
+// AS.WalkCount are brought up to date only when Warm returns.
+type Warmer interface {
+	// Block reports one block execution after its last instruction
+	// retired. The pointee is reused by the next call.
+	Block(x *BlockExec)
+	// Ref reports one data reference after the engine's own access
+	// translated it to pa: the page is mapped and its sticky Ref/Dirty
+	// bits are set for the access. instIdx is the referencing
+	// instruction's index (the machine's InstCount before it retired).
+	Ref(vaddr, pa uint64, write bool, instIdx uint64)
 }
 
 // Run executes until Halt or maxInsts instructions (0 = unlimited),
@@ -70,23 +67,42 @@ type Batch struct {
 // If a cancellation context is armed (SetCancel), it is polled at
 // every block boundary and Run returns the context's error.
 func (e *Engine) Run(maxInsts uint64) error {
+	if err := e.drive(maxInsts, nil); err != nil || e.m.Halted {
+		return err
+	}
+	return fmt.Errorf("emu: instruction budget %d exhausted at pc 0x%x", maxInsts, e.m.PC)
+}
+
+// Warm executes until InstCount reaches limit (0 = unbounded) or the
+// machine halts, with Run's chaining, cancellation and error contract,
+// and reports every block execution and data reference to w. Before
+// each block's first instruction it walks the block's text page, so
+// the page's demand allocation lands where a per-instruction fetch
+// walk would put it; the walk counts once per block, and w accounts
+// the block's remaining fetch walks. A block cut short by a fault is
+// not reported: the run fails. A machine already halted yields
+// emu.ErrHalted. Steady-state Warm allocates nothing.
+func (e *Engine) Warm(limit uint64, w Warmer) error {
+	if e.m.Halted {
+		return emu.ErrHalted
+	}
+	return e.drive(limit, w)
+}
+
+// drive is Run's and Warm's loop: it returns nil once the machine halts
+// or InstCount reaches limit.
+func (e *Engine) drive(limit uint64, w Warmer) error {
 	m := e.m
-	for !m.Halted {
-		if maxInsts > 0 && m.InstCount >= maxInsts {
-			return fmt.Errorf("emu: instruction budget %d exhausted at pc 0x%x", maxInsts, m.PC)
-		}
+	for !m.Halted && (limit == 0 || m.InstCount < limit) {
 		// Exact (select-based) poll: block chaining makes this loop's
-		// iterations rare, and a cancel arriving before Run must stop
-		// it before any instruction executes. The hot per-block check
-		// is the atomic Tripped inside execBlock's chain step.
+		// iterations rare, and a cancel arriving before the run must
+		// stop it before any instruction executes. The hot per-block
+		// check is the atomic Tripped inside execBlock's chain step.
 		if err := e.poll.Err(); err != nil {
 			return err
 		}
 		if e.pendingInterp > 0 {
-			e.pendingInterp--
-			e.stats.InterpSteps++
-			e.hint = nil
-			if err := m.Step(); err != nil {
+			if err := e.interpStep(w); err != nil {
 				return err
 			}
 			continue
@@ -98,7 +114,7 @@ func (e *Engine) Run(maxInsts uint64) error {
 				return OutsideTextError(m.PC)
 			}
 		}
-		nb, err := e.execBlock(b, maxInsts, nil, m.OnMemRef)
+		nb, err := e.execBlock(b, limit, w, m.OnMemRef)
 		if err != nil {
 			return err
 		}
@@ -107,123 +123,65 @@ func (e *Engine) Run(maxInsts uint64) error {
 	return nil
 }
 
-// RunBlock executes at most one superblock (bounded so InstCount never
-// exceeds limit; limit 0 = unbounded) and fills batch with the records
-// the checkpoint builder needs. It allocates nothing in steady state.
-// A limit already reached yields Count == 0 and a nil error; a machine
-// already halted yields emu.ErrHalted.
-func (e *Engine) RunBlock(limit uint64, batch *Batch) error {
-	m := e.m
-	batch.Refs = batch.Refs[:0]
-	batch.Count = 0
-	batch.Ctrl = CtrlNone
-	batch.Taken = false
-	batch.FetchOK = false
-	batch.PC0 = m.PC
-	batch.InstIdx0 = m.InstCount
-	if m.Halted {
-		return emu.ErrHalted
-	}
-	if limit > 0 && m.InstCount >= limit {
-		return nil
-	}
-	if err := e.poll.Err(); err != nil {
-		return err
-	}
-	if e.pendingInterp > 0 {
-		err := e.interpStepBatch(batch)
-		batch.Count = m.InstCount - batch.InstIdx0
-		batch.NextPC = m.PC
-		return err
-	}
-	b := e.hint
-	if b == nil || b.pc0 != m.PC {
-		b = e.lookupBuild(m.PC)
-		if b == nil {
-			return OutsideTextError(m.PC)
-		}
-	}
-	// Pre-walk the block's text page so its demand allocation lands
-	// before any of the block's data-page allocations, exactly where
-	// the interpreted warm loop's first-instruction fetch walk would
-	// put it. Blocks never span a page, so one walk covers the whole
-	// batch; the consumer accounts the remaining Count-1 walks. The
-	// one-entry cache skips the page-table lookup when consecutive
-	// blocks share a page (a repeat walk only increments WalkCount).
-	if vpn := m.PC >> e.pageBits; e.textVPNP1 == vpn+1 {
-		m.AS.WalkCount++
-		batch.FetchPA = e.textBase | (m.PC & e.pageMask)
-		batch.FetchOK = true
-	} else if pte, werr := m.AS.Walk(vpn); werr == nil {
-		e.textVPNP1, e.textBase = vpn+1, pte.PFN<<e.pageBits
-		batch.FetchPA = e.textBase | (m.PC & e.pageMask)
-		batch.FetchOK = true
-	}
-	nb, err := e.execBlock(b, limit, batch, nil)
-	batch.Count = m.InstCount - batch.InstIdx0
-	batch.NextPC = m.PC
-	if err != nil {
-		return err
-	}
-	e.hint = nb
-	return nil
-}
-
-// interpStepBatch delegates one instruction to emu.Step after a block
-// invalidation, reproducing the batched bookkeeping (fetch walk, ref
-// capture, control summary) for that instruction.
-func (e *Engine) interpStepBatch(batch *Batch) error {
+// interpStep delegates one instruction to emu.Step after a block
+// invalidation. In a warm run it reports the instruction as a one-
+// instruction block execution, with its fetch walk and its data
+// reference, exactly as execBlock would.
+func (e *Engine) interpStep(w Warmer) error {
 	m := e.m
 	e.pendingInterp--
 	e.stats.InterpSteps++
 	e.hint = nil
-	pc := m.PC
+	if w == nil {
+		return m.Step()
+	}
+	pc, idx := m.PC, m.InstCount
 	in := m.Prog.InstAt(pc)
 	if in == nil {
 		return OutsideTextError(pc)
 	}
+	x := &e.exec
+	*x = BlockExec{PC0: pc, InstIdx0: idx, Count: 1, ID: -1}
 	if pte, werr := m.AS.Walk(pc >> e.pageBits); werr == nil {
-		batch.FetchPA = pte.PFN<<e.pageBits | (pc & e.pageMask)
-		batch.FetchOK = true
+		x.FetchPA, x.FetchOK = pte.PFN<<e.pageBits|(pc&e.pageMask), true
 	}
-	saved := m.OnMemRef
-	m.OnMemRef = func(vaddr uint64, write bool) {
-		batch.Refs = append(batch.Refs, MemRef{Vaddr: vaddr, InstIdx: m.InstCount, Write: write})
-	}
-	err := m.Step()
-	m.OnMemRef = saved
-	if err != nil {
-		return err
-	}
+	// Operands are read before Step overwrites them.
+	addr, _, _ := isa.EffAddr(in, m.Regs[in.Rs], m.Regs[in.Rt])
 	switch in.Class() {
 	case isa.ClassBranch:
-		batch.Ctrl = CtrlBranch
-		batch.Taken = m.PC != pc+isa.InstBytes
+		x.Ctrl, x.Taken = CtrlBranch, isa.BranchTaken(in, m.Regs[in.Rs], m.Regs[in.Rt])
 	case isa.ClassJump:
-		batch.Ctrl = CtrlJump
-		batch.Taken = true
+		x.Ctrl, x.Taken = CtrlJump, true
 	}
+	if err := m.Step(); err != nil {
+		return err
+	}
+	if in.IsMem() {
+		// The access succeeded, so its page is mapped.
+		pte, _ := m.AS.Lookup(addr >> e.pageBits)
+		w.Ref(addr, pte.PFN<<e.pageBits|(addr&e.pageMask), in.Class() == isa.ClassStore, idx)
+	}
+	x.NextPC = m.PC
+	w.Block(x)
 	return nil
 }
 
 // execBlock dispatches pre-decoded uops against the machine state,
-// bounded by limit. In batch mode (batch non-nil) exactly one block
-// executes, data references are appended to batch.Refs, and the
-// terminator outcome is summarized; with batch nil the engine chains
-// through memoized successors without returning to the caller,
-// re-checking the budget and the cancellation flag at every block
-// boundary. In hook mode the machine's OnMemRef fires per reference,
-// interpreter-identically. It returns the memoized successor block of
-// the last block executed, when its terminator resolved one.
+// bounded by limit, and chains through memoized successors without
+// returning to the caller, re-checking the budget and the cancellation
+// flag at every block boundary. In hook mode the machine's OnMemRef
+// fires per reference, interpreter-identically; with a Warmer, each
+// block's text page is walked on entry and every data reference and
+// block execution is reported to it. It returns the memoized successor
+// block of the last block executed, when its terminator resolved one.
 //
 // The machine's retirement counters and the address space's walk count
 // are held in locals for the duration and flushed on every exit, so
 // the dispatch loop performs no per-instruction stores outside the
 // register file.
-func (e *Engine) execBlock(b *block, limit uint64, batch *Batch, hook func(uint64, bool)) (*block, error) {
+func (e *Engine) execBlock(b *block, limit uint64, w Warmer, hook func(uint64, bool)) (*block, error) {
 	m := e.m
 	regs := &m.Regs
-	chain := batch == nil
 	pageBits, pageMask := e.pageBits, e.pageMask
 	tlb := &e.tlb
 
@@ -233,10 +191,23 @@ func (e *Engine) execBlock(b *block, limit uint64, batch *Batch, hook func(uint6
 	var wcd, fh, be uint64
 	var next *block
 	var reterr error
+	var ic0 uint64 // InstCount at the current block's entry
+	cut := false   // a store to code ended the current block early
 
 blockLoop:
 	for {
 		be++
+		if w != nil {
+			ic0 = ic
+			// Blocks never span a page and nothing unmaps during a
+			// run, so one successful walk fixes the block's fetch
+			// address for good; a repeat walk only counts.
+			if b.fetchOK {
+				wcd++
+			} else if pte, werr := m.AS.Walk(b.pc0 >> pageBits); werr == nil {
+				b.fetchPA, b.fetchOK = pte.PFN<<pageBits|(b.pc0&pageMask), true
+			}
+		}
 		bodyRun := uint64(len(b.body))
 		runTerm := b.hasTerm
 		if limit > 0 {
@@ -348,9 +319,7 @@ blockLoop:
 				regs[u.rd&regMask] = b2u(math.Float64frombits(regs[u.rs&regMask]) == math.Float64frombits(regs[u.rt&regMask]))
 			case isa.Lb, isa.Lbu, isa.Lh, isa.Lhu, isa.Lw, isa.Ld, isa.LdF:
 				addr, newBase, upd := effAddr(u, regs)
-				if batch != nil {
-					batch.Refs = append(batch.Refs, MemRef{Vaddr: addr, InstIdx: icb + uint64(j), Write: false})
-				} else if hook != nil {
+				if hook != nil {
 					// The hook observes the machine (the differential
 					// battery stamps refs with InstCount), so flush the
 					// hoisted counters first.
@@ -392,9 +361,8 @@ blockLoop:
 						break blockLoop
 					}
 				}
-				if batch != nil {
-					r := &batch.Refs[len(batch.Refs)-1]
-					r.PA, r.PAOK = pa, true
+				if w != nil {
+					w.Ref(addr, pa, false, icb+uint64(j))
 				}
 				if u.rd != 0 {
 					regs[u.rd&regMask] = isa.LoadExtend(u.op, raw)
@@ -405,9 +373,7 @@ blockLoop:
 				lc++
 			case isa.Sb, isa.Sh, isa.Sw, isa.Sd, isa.StF:
 				addr, newBase, upd := effAddr(u, regs)
-				if batch != nil {
-					batch.Refs = append(batch.Refs, MemRef{Vaddr: addr, InstIdx: icb + uint64(j), Write: true})
-				} else if hook != nil {
+				if hook != nil {
 					ic = icb + uint64(j)
 					m.InstCount = ic
 					m.LoadCount, m.StoreCount = lc, sc
@@ -444,9 +410,8 @@ blockLoop:
 						break blockLoop
 					}
 				}
-				if batch != nil {
-					r := &batch.Refs[len(batch.Refs)-1]
-					r.PA, r.PAOK = pa, true
+				if w != nil {
+					w.Ref(addr, pa, true, icb+uint64(j))
 				}
 				if upd && u.rs != 0 {
 					regs[u.rs&regMask] = newBase
@@ -457,6 +422,7 @@ blockLoop:
 					m.PC = b.pc0 + isa.InstBytes*(uint64(j)+1)
 					e.invalidate(addr, u.width)
 					next = nil
+					cut = true
 					break blockLoop
 				}
 			default:
@@ -470,6 +436,7 @@ blockLoop:
 		ic = icb + bodyRun
 
 		next = nil
+		ctrl, taken := CtrlNone, false
 		if !runTerm {
 			m.PC = b.pc0 + isa.InstBytes*bodyRun
 			if !b.hasTerm && bodyRun == uint64(len(b.body)) {
@@ -491,7 +458,7 @@ blockLoop:
 				m.PC = termPC
 			case isa.Beq, isa.Bne, isa.Blez, isa.Bgtz, isa.Bltz, isa.Bgez:
 				bc++
-				var taken bool
+				ctrl = CtrlBranch
 				switch t.op {
 				case isa.Beq:
 					taken = regs[t.rs&regMask] == regs[t.rt&regMask]
@@ -520,10 +487,6 @@ blockLoop:
 					}
 					next = b.fall
 				}
-				if batch != nil {
-					batch.Ctrl = CtrlBranch
-					batch.Taken = taken
-				}
 				ic++
 			case isa.J, isa.Jal:
 				bc++
@@ -536,10 +499,7 @@ blockLoop:
 					b.taken = e.lookupBuild(b.target)
 				}
 				next = b.taken
-				if batch != nil {
-					batch.Ctrl = CtrlJump
-					batch.Taken = true
-				}
+				ctrl, taken = CtrlJump, true
 				ic++
 			case isa.Jr, isa.Jalr:
 				bc++
@@ -558,18 +518,19 @@ blockLoop:
 					next = e.lookupBuild(tgt)
 					b.jrPC, b.jrBlk = tgt, next
 				}
-				if batch != nil {
-					batch.Ctrl = CtrlJump
-					batch.Taken = true
-				}
+				ctrl, taken = CtrlJump, true
 				ic++
 			}
 		}
 
-		// Chain to the memoized successor (plain-Run mode only), with
-		// the same budget and cancellation checks the Run loop would
-		// perform between blocks.
-		if !chain || next == nil || m.Halted {
+		if w != nil {
+			e.report(w, b, ic0, ic, runTerm == b.hasTerm && bodyRun == uint64(len(b.body)), ctrl, taken)
+		}
+
+		// Chain to the memoized successor, with the same budget and
+		// cancellation checks the drive loop would perform between
+		// blocks.
+		if next == nil || m.Halted {
 			break
 		}
 		if limit > 0 && ic >= limit {
@@ -580,6 +541,9 @@ blockLoop:
 		}
 		b = next
 	}
+	if cut && w != nil {
+		e.report(w, b, ic0, ic, false, CtrlNone, false)
+	}
 
 	m.InstCount = ic
 	m.LoadCount, m.StoreCount = lc, sc
@@ -588,6 +552,18 @@ blockLoop:
 	e.stats.FastHits += fh
 	e.stats.BlockExecs += be
 	return next, reterr
+}
+
+// report hands w the execution of b that retired instructions
+// [ic0, ic).
+func (e *Engine) report(w Warmer, b *block, ic0, ic uint64, whole bool, ctrl CtrlKind, taken bool) {
+	// Field by field, not a composite literal: the literal is built on
+	// the stack and copied in 16-byte moves, which stall store
+	// forwarding on the sink's first reads.
+	x := &e.exec
+	x.PC0, x.FetchPA, x.InstIdx0, x.Count, x.NextPC = b.pc0, b.fetchPA, ic0, ic-ic0, e.m.PC
+	x.ID, x.FetchOK, x.Whole, x.Ctrl, x.Taken = b.id, b.fetchOK, whole, ctrl, taken
+	w.Block(x)
 }
 
 // effAddr mirrors isa.EffAddr on a pre-decoded uop.

@@ -12,9 +12,9 @@ import (
 
 // steadyLoopProgram builds an endless loop with live memory traffic:
 // every iteration loads and stores through a small buffer and takes a
-// backward branch, so repeated RunBlock calls exercise the block
-// dispatcher, the software translation cache, and the batch ref vector
-// — the whole fast path.
+// backward branch, so repeated runs exercise the block dispatcher, the
+// software translation cache, and (in a warm run) the sink calls — the
+// whole fast path.
 func steadyLoopProgram(t testing.TB) *prog.Program {
 	t.Helper()
 	b := prog.NewBuilder("steady")
@@ -39,32 +39,40 @@ func steadyLoopProgram(t testing.TB) *prog.Program {
 	return p
 }
 
-// TestRunBlockSteadyStateAllocs pins the fast-forward cost model: once
-// the block cache and translation cache are warm, dispatching blocks
-// through RunBlock allocates nothing — the batched warm path's
-// per-instruction cost is pure compute. (Excluded under -race: the
-// race runtime adds its own allocations to instrumented code.)
-func TestRunBlockSteadyStateAllocs(t *testing.T) {
+// nopSink is a Warmer that ignores what it is handed.
+type nopSink struct{}
+
+func (nopSink) Block(*sblock.BlockExec)          {}
+func (nopSink) Ref(uint64, uint64, bool, uint64) {}
+
+// TestWarmSteadyStateAllocs pins the fast-forward cost model: once the
+// block cache and translation cache are warm, a warm run allocates
+// nothing — the fused warm path's per-instruction cost is pure compute.
+// (Excluded under -race: the race runtime adds its own allocations to
+// instrumented code.)
+func TestWarmSteadyStateAllocs(t *testing.T) {
 	m, err := emu.New(steadyLoopProgram(t), 4096)
 	if err != nil {
 		t.Fatal(err)
 	}
 	e := sblock.New(m)
-	var batch sblock.Batch
-	// Warm-up: translate the loop's blocks, fill the translation
-	// cache, and grow batch.Refs to its steady capacity.
-	for i := 0; i < 64; i++ {
-		if err := e.RunBlock(0, &batch); err != nil {
-			t.Fatalf("warm-up RunBlock: %v", err)
-		}
+	// Warm-up: translate the loop's blocks and fill the translation
+	// cache.
+	next := uint64(10_000)
+	if err := e.Warm(next, nopSink{}); err != nil {
+		t.Fatalf("warm-up Warm: %v", err)
 	}
 	avg := testing.AllocsPerRun(200, func() {
-		if err := e.RunBlock(0, &batch); err != nil {
-			t.Fatalf("RunBlock: %v", err)
+		next += 500
+		if err := e.Warm(next, nopSink{}); err != nil {
+			t.Fatalf("Warm: %v", err)
 		}
 	})
+	if m.InstCount != next {
+		t.Fatalf("Warm stopped at %d, want exactly %d", m.InstCount, next)
+	}
 	if avg != 0 {
-		t.Errorf("steady-state RunBlock allocates %.2f times per dispatch, want 0", avg)
+		t.Errorf("steady-state Warm allocates %.2f times per slice, want 0", avg)
 	}
 }
 

@@ -24,14 +24,14 @@ func isCtrl(op isa.Op) bool {
 
 // TestBlockInvariants runs branchy generated programs to steady state
 // and then audits every cached superblock against the structural
-// invariants the batched checkpoint consumer depends on:
+// invariants the checkpoint builder's warm sink depends on:
 //
 //   - no block interior is a static branch target (blocks end AT
 //     targets, so warm-up sees the same block boundaries the
 //     interpreter's control flow would);
-//   - no block spans a page boundary (one pre-walk covers the whole
-//     fetch stream of a batch, and text pages demand-allocate in the
-//     interpreter's order);
+//   - no block spans a page boundary (one entry walk covers the whole
+//     fetch stream of a block execution, and text pages demand-allocate
+//     in the interpreter's order);
 //   - block bodies contain no control flow — only the terminator may
 //     transfer;
 //   - block length is bounded by the page's instruction capacity and
@@ -221,9 +221,15 @@ func spinProgram(t *testing.T) *prog.Program {
 	return p
 }
 
+// countSink is a Warmer that counts what it is handed.
+type countSink struct{ blocks, insts, refs uint64 }
+
+func (s *countSink) Block(x *BlockExec)               { s.blocks++; s.insts += x.Count }
+func (s *countSink) Ref(uint64, uint64, bool, uint64) { s.refs++ }
+
 // TestCancelObservedAtBlockBoundary pins cancellation latency: an
-// already-cancelled context stops Run before any instruction executes,
-// and RunBlock reports the cancellation with an empty batch.
+// already-cancelled context stops Run and Warm before any instruction
+// executes or anything is reported.
 func TestCancelObservedAtBlockBoundary(t *testing.T) {
 	m, err := emu.New(spinProgram(t), 4096)
 	if err != nil {
@@ -239,12 +245,12 @@ func TestCancelObservedAtBlockBoundary(t *testing.T) {
 	if m.InstCount != 0 {
 		t.Errorf("InstCount = %d after pre-cancelled Run, want 0", m.InstCount)
 	}
-	var batch Batch
-	if err := e.RunBlock(0, &batch); err != context.Canceled {
-		t.Fatalf("RunBlock = %v, want context.Canceled", err)
+	var s countSink
+	if err := e.Warm(0, &s); err != context.Canceled {
+		t.Fatalf("Warm = %v, want context.Canceled", err)
 	}
-	if batch.Count != 0 || len(batch.Refs) != 0 {
-		t.Errorf("cancelled RunBlock produced work: count %d, %d refs", batch.Count, len(batch.Refs))
+	if m.InstCount != 0 || s.blocks != 0 || s.refs != 0 {
+		t.Errorf("cancelled Warm did work: %d insts, %d blocks, %d refs", m.InstCount, s.blocks, s.refs)
 	}
 }
 
@@ -303,8 +309,9 @@ func TestFlushRetranslates(t *testing.T) {
 	}
 }
 
-// TestRunBlockHalted pins RunBlock's terminal contract.
-func TestRunBlockHalted(t *testing.T) {
+// TestWarmHalted pins Warm's terminal contract: the halt retires and is
+// reported, and a halted machine yields emu.ErrHalted.
+func TestWarmHalted(t *testing.T) {
 	b := prog.NewBuilder("halt")
 	b.Halt()
 	p, err := b.Finalize(prog.Budget32)
@@ -316,17 +323,17 @@ func TestRunBlockHalted(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := New(m)
-	var batch Batch
-	if err := e.RunBlock(0, &batch); err != nil {
-		t.Fatalf("first RunBlock: %v", err)
+	var s countSink
+	if err := e.Warm(0, &s); err != nil {
+		t.Fatalf("first Warm: %v", err)
 	}
-	if !m.Halted || batch.Count != 1 {
-		t.Fatalf("halt block: halted=%v count=%d", m.Halted, batch.Count)
+	if !m.Halted || s.blocks != 1 || s.insts != 1 {
+		t.Fatalf("halt block: halted=%v, %d blocks of %d insts", m.Halted, s.blocks, s.insts)
 	}
-	if err := e.RunBlock(0, &batch); err != emu.ErrHalted {
-		t.Fatalf("RunBlock on halted machine = %v, want emu.ErrHalted", err)
+	if err := e.Warm(0, &s); err != emu.ErrHalted {
+		t.Fatalf("Warm on halted machine = %v, want emu.ErrHalted", err)
 	}
-	if err := e.RunBlock(0, &batch); err != emu.ErrHalted {
-		t.Fatalf("repeat RunBlock = %v, want emu.ErrHalted", err)
+	if err := e.Warm(0, &s); err != emu.ErrHalted {
+		t.Fatalf("repeat Warm = %v, want emu.ErrHalted", err)
 	}
 }

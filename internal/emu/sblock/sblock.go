@@ -17,6 +17,13 @@
 // differential battery in this package and internal/ckpt enforces
 // this). The only permitted difference is wall time.
 //
+// Run is the plain entry point. Warm is the checkpoint builder's: the
+// same chained execution, reporting every block execution (fetch
+// address, instruction window, control outcome, a stable block ID) and
+// every data reference (with the physical address the engine's own
+// access translated) to a Warmer as it goes, so warming needs no second
+// pass over a recorded stream.
+//
 // The design follows the pre-decoded translation approach of "Fast TLB
 // Simulation for RISC-V Systems" (arXiv:1905.06825): fold translation
 // into fast-path lookups and keep exactness by construction, so the
@@ -99,6 +106,10 @@ type block struct {
 	jrPC        uint64
 	jrBlk       *block
 	dead        bool
+
+	id      int    // BlockExec.ID
+	fetchPA uint64 // physical address of pc0, once a warm run walked it
+	fetchOK bool
 }
 
 // Stats counts engine activity; tests use it to assert the fast paths
@@ -152,14 +163,7 @@ type Engine struct {
 	poll          cancelpoll.Poller
 	pendingInterp int
 
-	// One-entry fetch-walk cache for RunBlock's per-block text-page
-	// pre-walk: a successful Walk of a mapped page has no effect beyond
-	// incrementing WalkCount (the PFN is immutable and nothing unmaps
-	// during a run), so repeat walks of the same page are accounted
-	// without the page-table lookup.
-	textVPNP1 uint64 // cached text VPN + 1 (0 = empty)
-	textBase  uint64 // PFN << pageBits for the cached page
-
+	exec  BlockExec // the record Warm hands its sink
 	tlb   [tlbSize]tlbEnt
 	stats Stats
 }
@@ -221,7 +225,7 @@ func (e *Engine) lookupBuild(pc uint64) *block {
 }
 
 func (e *Engine) build(pc0 uint64) *block {
-	b := &block{pc0: pc0}
+	b := &block{pc0: pc0, id: int(e.stats.BlocksBuilt)}
 	page := pc0 >> e.pageBits
 	pc := pc0
 	for {

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"fmt"
 	"sync"
 )
 
@@ -17,6 +18,9 @@ import (
 //   - A build that ends in a cancellation error is never kept: its
 //     entry is dropped and its waiters retry. Any other outcome, errors
 //     included, is kept (every build is deterministic).
+//   - A build that panics is not kept either, but its waiters wake with
+//     an error instead of retrying it, and the panic continues in the
+//     caller that ran it.
 //   - Past kept finished entries the oldest retire first, and a retired
 //     key is simply built again. An entry still in flight never
 //     retires.
@@ -62,21 +66,7 @@ func (f *flight[K, V]) do(ctx context.Context, key K, build func() (V, error), w
 			ent = &flightEntry[V]{done: make(chan struct{})}
 			f.entries[key] = ent
 			f.mu.Unlock()
-			ent.val, ent.err = build()
-			f.mu.Lock()
-			if isCancelErr(ent.err) {
-				delete(f.entries, key)
-			} else {
-				f.n++
-				ent.seq = f.n
-				slot := &f.finished[f.n%uint64(len(f.finished))]
-				if old := f.entries[slot.key]; old != nil && slot.seq != 0 && old.seq == slot.seq {
-					delete(f.entries, slot.key)
-				}
-				*slot = flightRef[K]{key: key, seq: ent.seq}
-			}
-			f.mu.Unlock()
-			close(ent.done)
+			f.build(key, ent, build)
 			return ent.val, ent.err, false
 		}
 		f.mu.Unlock()
@@ -100,6 +90,43 @@ func (f *flight[K, V]) do(ctx context.Context, key K, build func() (V, error), w
 		}
 		// The build was cancelled, not this caller: retry.
 	}
+}
+
+// build runs fn as key's build and files its outcome in ent.
+func (f *flight[K, V]) build(key K, ent *flightEntry[V], fn func() (V, error)) {
+	finished := false
+	defer func() {
+		if finished {
+			return
+		}
+		// fn panicked (or its goroutine exited): without this, ent.done
+		// never closes and every later caller for key waits forever.
+		r := recover()
+		f.mu.Lock()
+		delete(f.entries, key)
+		f.mu.Unlock()
+		ent.err = fmt.Errorf("engine: build panicked: %v", r)
+		close(ent.done)
+		if r != nil {
+			panic(r)
+		}
+	}()
+	ent.val, ent.err = fn()
+	finished = true
+	f.mu.Lock()
+	if isCancelErr(ent.err) {
+		delete(f.entries, key)
+	} else {
+		f.n++
+		ent.seq = f.n
+		slot := &f.finished[f.n%uint64(len(f.finished))]
+		if old := f.entries[slot.key]; old != nil && slot.seq != 0 && old.seq == slot.seq {
+			delete(f.entries, slot.key)
+		}
+		*slot = flightRef[K]{key: key, seq: ent.seq}
+	}
+	f.mu.Unlock()
+	close(ent.done)
 }
 
 // forget drops key's finished entry; one in flight is left alone.

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // resident counts the entries a flight holds, finished and in flight.
@@ -190,5 +191,52 @@ func TestFlightRetiresTheOldestFinished(t *testing.T) {
 	f.forget(kept + k - 1)
 	if _, _, hit := f.do(ctx, kept+k-1, build(kept+k-1), nil); hit {
 		t.Error("a forgotten entry was served")
+	}
+}
+
+// TestFlightPanickingBuildDoesNotWedgeKey: a build that panics leaves no
+// entry behind. The panic reaches the caller that ran the build, a
+// waiter parked on it wakes with an error, and the next caller builds.
+func TestFlightPanickingBuildDoesNotWedgeKey(t *testing.T) {
+	f := newFlight[string, int](4)
+	started, release, parked := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	leader := make(chan any, 1)
+	go func() {
+		defer func() { leader <- recover() }()
+		f.do(context.Background(), "k", func() (int, error) {
+			close(started)
+			<-release
+			panic("boom")
+		}, nil)
+	}()
+	<-started
+	waiter := make(chan error, 1)
+	go func() {
+		_, err, _ := f.do(context.Background(), "k", func() (int, error) { return 0, nil }, func() func() {
+			close(parked)
+			return func() {}
+		})
+		waiter <- err
+	}()
+	<-parked
+	close(release)
+	if r := <-leader; r != "boom" {
+		t.Fatalf("the building caller recovered %v, want the build's panic", r)
+	}
+	select {
+	case err := <-waiter:
+		if err == nil {
+			t.Error("waiter on a panicked build got no error")
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("waiter still parked on the panicked build")
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if v, err, hit := f.do(ctx, "k", func() (int, error) { return 7, nil }, nil); v != 7 || err != nil || hit {
+		t.Errorf("next caller: %d, %v, hit=%v; want its own build's 7", v, err, hit)
+	}
+	if n := f.resident(); n != 1 {
+		t.Errorf("%d resident, want 1", n)
 	}
 }
