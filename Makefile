@@ -45,7 +45,10 @@ profile-core:
 # checkpoint build, before ISSUE 18). ckpt.Build warms while it
 # executes, so its time shows under sblock.(*Engine).Warm: execBlock
 # itself plus the ckpt.(*buildState) sink methods Ref and Block it
-# calls (~68 % of CPU, 73 % before ISSUE 29). Leaves nothing behind.
+# calls (~67 % of CPU); the cycle core's cpu.(*Machine).Run is ~27 %.
+# The snapshot takes the build machine's frames instead of copying
+# them, so it no longer shows (~1.7 % when it copied). Leaves nothing
+# behind.
 profile-ffwd:
 	@d=$$(mktemp -d) && \
 	go test -run '^$$' -bench 'BenchmarkFFwd99$$' -benchtime 30x -o $$d/hbat.test -cpuprofile $$d/cpu.prof . >/dev/null && \

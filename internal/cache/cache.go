@@ -50,19 +50,27 @@ func (s *Stats) MissRate() float64 {
 	return float64(s.Misses) / float64(s.Accesses)
 }
 
+// line is one way of a set, 16 bytes. tag is the full block address
+// with the line's valid and dirty bits packed into its top two bits,
+// which no block address reaches: blocks are at least 4 bytes, so a
+// block address has at most 62 bits. used is the LRU stamp.
 type line struct {
-	tag   uint64
-	valid bool
-	dirty bool
-	used  int64 // LRU
+	tag  uint64
+	used int64
 }
+
+const (
+	validBit = 1 << 63
+	dirtyBit = 1 << 62
+	flagBits = validBit | dirtyBit
+)
 
 // Cache is a set-associative, LRU-replaced cache indexed by physical
 // address. It models timing only; data values live in the simulator's
 // physical memory.
 type Cache struct {
 	cfg       Config
-	sets      [][]line
+	lines     []line // set-major: set s is lines[s*Assoc : (s+1)*Assoc]
 	setMask   uint64
 	blockBits uint
 	stats     Stats
@@ -73,8 +81,8 @@ type Cache struct {
 
 // New builds a cache from cfg.
 func New(cfg Config) *Cache {
-	if cfg.BlockBytes <= 0 || cfg.BlockBytes&(cfg.BlockBytes-1) != 0 {
-		panic(fmt.Sprintf("cache %s: block size %d not a power of two", cfg.Name, cfg.BlockBytes))
+	if cfg.BlockBytes < 4 || cfg.BlockBytes&(cfg.BlockBytes-1) != 0 {
+		panic(fmt.Sprintf("cache %s: block size %d not a power of two of at least 4", cfg.Name, cfg.BlockBytes))
 	}
 	if cfg.Assoc <= 0 {
 		panic(fmt.Sprintf("cache %s: invalid associativity %d", cfg.Name, cfg.Assoc))
@@ -87,17 +95,18 @@ func New(cfg Config) *Cache {
 	for b := cfg.BlockBytes; b > 1; b >>= 1 {
 		blockBits++
 	}
-	sets := make([][]line, nSets)
-	backing := make([]line, nSets*cfg.Assoc)
-	for i := range sets {
-		sets[i], backing = backing[:cfg.Assoc:cfg.Assoc], backing[cfg.Assoc:]
-	}
 	return &Cache{
 		cfg:       cfg,
-		sets:      sets,
+		lines:     make([]line, nSets*cfg.Assoc),
 		setMask:   uint64(nSets - 1),
 		blockBits: blockBits,
 	}
+}
+
+// set returns the ways of the set block maps to.
+func (c *Cache) set(block uint64) []line {
+	i := int(block&c.setMask) * c.cfg.Assoc
+	return c.lines[i : i+c.cfg.Assoc]
 }
 
 // BlockBytes returns the cache's block size.
@@ -158,14 +167,14 @@ func (c *Cache) lookupAlloc(paddr uint64, write bool, now int64, count bool) int
 		c.stats.Accesses++
 	}
 	block := paddr >> c.blockBits
-	set := c.sets[block&c.setMask]
-	tag := block >> 0 // full block address as tag: simple and exact
+	set := c.set(block)
+	want := block | validBit // the full block address is the tag: simple and exact
 
 	for i := range set {
-		if set[i].valid && set[i].tag == tag {
+		if set[i].tag&^dirtyBit == want {
 			set[i].used = now
 			if write {
-				set[i].dirty = true
+				set[i].tag |= dirtyBit
 			}
 			if count {
 				c.stats.Hits++
@@ -180,7 +189,7 @@ func (c *Cache) lookupAlloc(paddr uint64, write bool, now int64, count bool) int
 	// Allocate (write-allocate on stores, standard allocate on loads).
 	victim := 0
 	for i := range set {
-		if !set[i].valid {
+		if set[i].tag&validBit == 0 {
 			victim = i
 			break
 		}
@@ -188,21 +197,24 @@ func (c *Cache) lookupAlloc(paddr uint64, write bool, now int64, count bool) int
 			victim = i
 		}
 	}
-	if set[victim].valid && set[victim].dirty && c.cfg.WriteBack {
+	if set[victim].tag&flagBits == flagBits && c.cfg.WriteBack {
 		if count {
 			c.stats.Writebacks++
 		}
 	}
-	set[victim] = line{tag: tag, valid: true, dirty: write && c.cfg.WriteBack, used: now}
+	if write && c.cfg.WriteBack {
+		want |= dirtyBit
+	}
+	set[victim] = line{tag: want, used: now}
 	return c.cfg.MissLatency
 }
 
 // Probe reports whether paddr currently hits, without side effects.
 func (c *Cache) Probe(paddr uint64) bool {
 	block := paddr >> c.blockBits
-	set := c.sets[block&c.setMask]
-	for i := range set {
-		if set[i].valid && set[i].tag == block {
+	want := block | validBit
+	for _, l := range c.set(block) {
+		if l.tag&^dirtyBit == want {
 			return true
 		}
 	}
@@ -211,13 +223,11 @@ func (c *Cache) Probe(paddr uint64) bool {
 
 // Flush invalidates every line (counting writebacks of dirty lines).
 func (c *Cache) Flush() {
-	for s := range c.sets {
-		for i := range c.sets[s] {
-			if c.sets[s][i].valid && c.sets[s][i].dirty && c.cfg.WriteBack {
-				c.stats.Writebacks++
-			}
-			c.sets[s][i] = line{}
+	for i := range c.lines {
+		if c.lines[i].tag&flagBits == flagBits && c.cfg.WriteBack {
+			c.stats.Writebacks++
 		}
+		c.lines[i] = line{}
 	}
 }
 
@@ -245,35 +255,46 @@ type State struct {
 
 // ExportState captures the cache's tag array.
 func (c *Cache) ExportState() State {
-	st := State{Sets: len(c.sets), Assoc: c.cfg.Assoc}
-	st.Lines = make([]LineState, 0, len(c.sets)*c.cfg.Assoc)
-	for s := range c.sets {
-		for i := range c.sets[s] {
-			l := c.sets[s][i]
-			st.Lines = append(st.Lines, LineState{Tag: l.tag, Valid: l.valid, Dirty: l.dirty, Used: l.used})
+	st := State{Sets: int(c.setMask) + 1, Assoc: c.cfg.Assoc, Lines: make([]LineState, len(c.lines))}
+	for i, l := range c.lines {
+		st.Lines[i] = LineState{
+			Tag:   l.tag &^ flagBits,
+			Valid: l.tag&validBit != 0,
+			Dirty: l.tag&dirtyBit != 0,
+			Used:  l.used,
 		}
 	}
 	return st
 }
 
 // ImportState restores a tag array captured by ExportState. It fails if
-// the geometry does not match this cache's configuration.
+// the geometry does not match this cache's configuration, or if a tag
+// reaches the bits a line keeps its flags in (no block address does, so
+// such a state was not exported by a cache; it can arrive from a
+// decoded checkpoint file).
 func (c *Cache) ImportState(st State) error {
-	if st.Sets != len(c.sets) || st.Assoc != c.cfg.Assoc {
+	if sets := int(c.setMask) + 1; st.Sets != sets || st.Assoc != c.cfg.Assoc {
 		return fmt.Errorf("cache %s: state geometry %dx%d does not match %dx%d",
-			c.cfg.Name, st.Sets, st.Assoc, len(c.sets), c.cfg.Assoc)
+			c.cfg.Name, st.Sets, st.Assoc, sets, c.cfg.Assoc)
 	}
-	if len(st.Lines) != st.Sets*st.Assoc {
+	if len(st.Lines) != len(c.lines) {
 		return fmt.Errorf("cache %s: state has %d lines, want %d",
-			c.cfg.Name, len(st.Lines), st.Sets*st.Assoc)
+			c.cfg.Name, len(st.Lines), len(c.lines))
 	}
-	k := 0
-	for s := range c.sets {
-		for i := range c.sets[s] {
-			l := st.Lines[k]
-			c.sets[s][i] = line{tag: l.Tag, valid: l.Valid, dirty: l.Dirty, used: l.Used}
-			k++
+	for i, l := range st.Lines {
+		if l.Tag&flagBits != 0 {
+			return fmt.Errorf("cache %s: line %d tag %#x is not a block address", c.cfg.Name, i, l.Tag)
 		}
+	}
+	for i, l := range st.Lines {
+		tag := l.Tag
+		if l.Valid {
+			tag |= validBit
+		}
+		if l.Dirty {
+			tag |= dirtyBit
+		}
+		c.lines[i] = line{tag: tag, used: l.Used}
 	}
 	return nil
 }

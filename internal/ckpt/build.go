@@ -470,7 +470,10 @@ func (bs *buildState) applyDeferred() {
 	bs.pending = bs.pending[:0]
 }
 
-// snapshot assembles the checkpoint from the warmed state.
+// snapshot assembles the checkpoint from the warmed state. The
+// checkpoint takes the functional machine's frames over, leaving its
+// memory empty: the machine is done, and nothing writes those frames
+// again.
 func (bs *buildState) snapshot(cfg BuildConfig) *Checkpoint {
 	em := bs.em
 	c := &Checkpoint{

@@ -77,7 +77,9 @@ type WarmRef struct {
 // Once built or decoded it is immutable: restores read it in place
 // (physical memory aliases Frames copy-on-write, see
 // mem.Memory.ImportFrames), which is what lets any number of machines
-// restore from one checkpoint concurrently.
+// restore from one checkpoint concurrently. Build's Frames are the
+// frames its functional machine wrote, taken over rather than copied;
+// Decode's share one allocation.
 type Checkpoint struct {
 	PageSize    uint64
 	FastForward uint64 // instructions executed by the functional phase
@@ -214,9 +216,11 @@ func Decode(data []byte) (*Checkpoint, error) {
 	}
 	nFrames := d.count(8 + mem.FrameSize)
 	c.Frames = make([]mem.FrameImage, nFrames)
+	backing := make([][mem.FrameSize]byte, nFrames)
 	for i := range c.Frames {
 		c.Frames[i].Index = d.u64()
-		copy(c.Frames[i].Data[:], d.bytes(mem.FrameSize))
+		copy(backing[i][:], d.bytes(mem.FrameSize))
+		c.Frames[i].Data = &backing[i]
 	}
 
 	c.ICache = d.cacheState()

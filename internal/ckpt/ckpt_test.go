@@ -8,10 +8,12 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"hbat/internal/bpred"
 	"hbat/internal/cache"
+	"hbat/internal/mem"
 	"hbat/internal/prog"
 	"hbat/internal/workload"
 )
@@ -163,6 +165,49 @@ func TestRestoreEmuContinues(t *testing.T) {
 	if restored.PC != ref.PC || restored.Halted != ref.Halted {
 		t.Fatalf("restored end state pc=0x%x halted=%v, reference pc=0x%x halted=%v",
 			restored.PC, restored.Halted, ref.PC, ref.Halted)
+	}
+}
+
+// TestSnapshotTakesTheBuildsFrames: the snapshot hands the build
+// machine's frames to the checkpoint instead of copying them, so the
+// machine's memory is empty afterwards and the snapshot of a full-scale
+// checkpoint 99 % deep — ghostscript's, 2 MB of frames, the largest of
+// the ten — allocates only the frame list, the page table, the tag
+// arrays, the predictor and the warm stream.
+func TestSnapshotTakesTheBuildsFrames(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full-scale build")
+	}
+	w, err := workload.ByName("ghostscript")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := w.Build(prog.Budget32, workload.ScaleFull)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := testBuildConfig(depth99(t, p))
+	bs, err := build(context.Background(), p, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	c := bs.snapshot(cfg)
+	runtime.ReadMemStats(&after)
+
+	if n := bs.em.Mem.FramesTouched(); n != 0 {
+		t.Errorf("the build machine still holds %d frames after the snapshot", n)
+	}
+	const bound = 256 << 10
+	frameBytes := len(c.Frames) * mem.FrameSize
+	if n := after.TotalAlloc - before.TotalAlloc; n > bound {
+		t.Errorf("snapshot of %d frames (%d bytes) allocated %d bytes, want at most %d", len(c.Frames), frameBytes, n, bound)
+	} else {
+		t.Logf("snapshot of %d frames (%d bytes) allocated %d bytes", len(c.Frames), frameBytes, n)
+	}
+	if frameBytes < 4*bound {
+		t.Errorf("the checkpoint holds only %d bytes of frames: too small to tell a copy from a handover", frameBytes)
 	}
 }
 

@@ -1,9 +1,11 @@
 package cpu
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"math"
+	"sync"
 	"testing"
 	"time"
 
@@ -154,6 +156,71 @@ func TestFastForwardDifferential(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestCheckpointOutlivesItsRestores: a checkpoint's frames are shared by
+// every restore and owned by none. Machines restored from one
+// checkpoint at once, and functional machines restored from it, each
+// run their window to halt, writing memory as they go; the checkpoint
+// must still encode to the bytes it had before any of them ran.
+func TestCheckpointOutlivesItsRestores(t *testing.T) {
+	p, err := workload.All()[0].Build(prog.Budget32, workload.ScaleTest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := emu.New(p, 4096)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ref.Run(0); err != nil {
+		t.Fatal(err)
+	}
+	n := ref.InstCount / 2
+	c, err := ckpt.Build(context.Background(), p, ckpt.BuildConfig{
+		PageSize:    4096,
+		FastForward: n,
+		ICache:      DefaultConfig().ICache,
+		DCache:      DefaultConfig().DCache,
+		Branch:      DefaultConfig().Branch,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.StoreCount == ref.StoreCount {
+		t.Fatal("the window makes no store: the test needs one that writes memory")
+	}
+	before := c.Encode()
+
+	var wg sync.WaitGroup
+	for _, design := range ffwdDesigns {
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			cfg := DefaultConfig()
+			cfg.FastForward = n
+			cfg.Checkpoint = c
+			cfg.Lockstep = true // restores a functional golden model too
+			m, err := NewWithDesign(p, cfg, design)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if err := m.Run(); err != nil || !m.Halted() {
+				t.Errorf("%s: restored run: halted=%v err=%v", design, m.Halted(), err)
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			em := c.RestoreEmu(p)
+			if err := em.Run(0); err != nil || em.StoreCount != ref.StoreCount {
+				t.Errorf("functional restore: %d stores, want %d; err=%v", em.StoreCount, ref.StoreCount, err)
+			}
+		}()
+	}
+	wg.Wait()
+	if !bytes.Equal(c.Encode(), before) {
+		t.Fatal("restored machines' writes reached the checkpoint they restored from")
 	}
 }
 

@@ -204,7 +204,7 @@ func (e *Engine) Stats() Stats { return e.stats }
 
 // Flush discards every cached block and translation entry. Required
 // after external mutation of the machine's page table or memory
-// backing store (Unmap, ImportPages, ImportFrames).
+// backing store (Unmap, ImportPages, ImportFrames, ExportFrames).
 func (e *Engine) Flush() {
 	e.blocks = make(map[uint64]*block)
 	e.byPage = make(map[uint64][]*block)

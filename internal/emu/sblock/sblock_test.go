@@ -74,7 +74,7 @@ func compareState(t *testing.T, ref, got *emu.Machine) {
 		if rf[i].Index != gf[i].Index {
 			t.Fatalf("frame %d index: interpreted %d, translated %d", i, rf[i].Index, gf[i].Index)
 		}
-		if rf[i].Data != gf[i].Data {
+		if *rf[i].Data != *gf[i].Data {
 			t.Errorf("frame %d (index %d) contents differ", i, rf[i].Index)
 		}
 	}

@@ -614,6 +614,9 @@ func (e *Engine) Run(ctx context.Context, spec RunSpec) RunResult {
 	return res
 }
 
+// errPanicked is a run's error while it has not returned; see execute.
+var errPanicked = errors.New("engine: run panicked")
+
 func isCancelErr(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
@@ -668,7 +671,10 @@ func (e *Engine) execute(ctx context.Context, spec RunSpec) RunResult {
 	}
 	e.active.Add(1)
 	defer e.active.Add(-1)
-	res := RunResult{Spec: spec}
+	// Err stays errPanicked only if the run panics (every return sets
+	// it), so a panicking run is recorded, spanned and logged as failed
+	// on its way to the caller that recovers it.
+	res := RunResult{Spec: spec, Err: errPanicked}
 	defer func() {
 		if root != nil {
 			if res.Err != nil {
@@ -775,6 +781,7 @@ func (e *Engine) execute(ctx context.Context, spec RunSpec) RunResult {
 	res.Intervals = m.Intervals()
 	res.Wall = time.Since(start)
 	e.executed.Add(1)
+	res.Err = nil
 	switch {
 	case isCancelErr(err):
 		res.Err = err // the bare ctx error, per the sweep contract

@@ -88,34 +88,38 @@ func (m *Memory) peekFrame(addr uint64) *frame {
 // FramesTouched reports how many backing frames have been allocated.
 func (m *Memory) FramesTouched() int { return m.touched }
 
-// FrameImage is one backing frame's contents keyed by its frame index
-// (physical address >> FrameBits).
+// FrameImage is one backing frame keyed by its frame index (physical
+// address >> FrameBits). Data is the frame itself, not a copy of it.
 type FrameImage struct {
 	Index uint64
-	Data  [FrameSize]byte
+	Data  *[FrameSize]byte
 }
 
-// ExportFrames returns the contents of every non-zero backing frame,
-// sorted by frame index. All-zero frames are omitted: an untouched frame
-// and an allocated-but-zero frame read identically, so the omission is
-// invisible to any Read and keeps checkpoints compact and deterministic.
+// ExportFrames hands the memory's non-zero frames over, sorted by frame
+// index, and leaves the memory empty: the frames become the image's, so
+// the export copies no frame contents. All-zero frames are omitted: an
+// untouched frame and an allocated-but-zero frame read identically, so
+// the omission is invisible to any Read and keeps checkpoints compact
+// and deterministic.
 func (m *Memory) ExportFrames() []FrameImage {
 	out := make([]FrameImage, 0, m.touched)
 	for idx, f := range m.frames {
 		if f == nil || *f == (frame{}) {
 			continue
 		}
-		out = append(out, FrameImage{Index: uint64(idx), Data: *f})
+		out = append(out, FrameImage{Index: uint64(idx), Data: (*[FrameSize]byte)(f)})
 	}
+	*m = Memory{}
 	return out
 }
 
 // ImportFrames replaces the memory's contents with the given frames,
-// copy-on-write: the memory reads frames[i].Data in place and copies a
-// frame the first time it is written (or handed out by Frame), so an
-// import costs one table entry per frame whatever the frames hold. The
-// caller must not modify frames afterwards; the memory never does, so
-// any number of memories may import the same slice, concurrently.
+// copy-on-write: the memory reads each frames[i].Data in place and
+// copies a frame the first time it is written (or handed out by Frame),
+// so an import costs one table entry per frame whatever the frames
+// hold. The caller must not modify the frames afterwards; the memory
+// never does, so any number of memories may import the same slice,
+// concurrently.
 func (m *Memory) ImportFrames(frames []FrameImage) {
 	*m = Memory{}
 	var top uint64
@@ -132,7 +136,7 @@ func (m *Memory) ImportFrames(frames []FrameImage) {
 			m.touched++
 			m.nshared++
 		}
-		m.frames[fn], m.shared[fn] = (*frame)(&frames[i].Data), true
+		m.frames[fn], m.shared[fn] = (*frame)(frames[i].Data), true
 	}
 }
 
@@ -140,10 +144,10 @@ func (m *Memory) ImportFrames(frames []FrameImage) {
 // allocating it on first touch and taking a private copy of a frame
 // still shared with an imported image, since the caller may write
 // through it. The pointer stays valid until ImportFrames replaces the
-// store. The translated functional engine caches it to skip the
-// frame-map lookup on its memory fast path; allocating on a read here
-// is invisible because an all-zero frame reads identically to an
-// untouched one and ExportFrames omits it.
+// store or ExportFrames hands it over. The translated functional engine
+// caches it to skip the frame-map lookup on its memory fast path;
+// allocating on a read here is invisible because an all-zero frame reads
+// identically to an untouched one and ExportFrames omits it.
 func (m *Memory) Frame(addr uint64) *[FrameSize]byte {
 	return (*[FrameSize]byte)(m.frameFor(addr))
 }

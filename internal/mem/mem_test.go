@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -125,6 +126,9 @@ func TestEndiannessProperty(t *testing.T) {
 // per-frame pattern, plus an all-zero frame 9.
 func testImage() []FrameImage {
 	fs := make([]FrameImage, 5)
+	for i := range fs {
+		fs[i].Data = new([FrameSize]byte)
+	}
 	for i := range fs[:4] {
 		fs[i].Index = uint64(i + 1)
 		for j := range fs[i].Data {
@@ -133,6 +137,16 @@ func testImage() []FrameImage {
 	}
 	fs[4].Index = 9
 	return fs
+}
+
+// cloneImage copies an image's frames, not just their pointers.
+func cloneImage(fs []FrameImage) []FrameImage {
+	out := make([]FrameImage, len(fs))
+	for i, f := range fs {
+		data := *f.Data
+		out[i] = FrameImage{Index: f.Index, Data: &data}
+	}
+	return out
 }
 
 // eagerImport is the reference ImportFrames is checked against: every
@@ -153,7 +167,7 @@ func eagerImport(fs []FrameImage) *Memory {
 // copied every frame up front.
 func TestImportFramesIsCopyOnWrite(t *testing.T) {
 	fs := testImage()
-	pristine := append([]FrameImage(nil), fs...)
+	pristine := cloneImage(fs)
 
 	m, other := New(), New()
 	m.ImportFrames(fs)
@@ -207,7 +221,7 @@ func TestImportFramesIsCopyOnWrite(t *testing.T) {
 
 // TestImportersDivergeIndependently: two memories over one image each
 // see their own writes and the image's bytes everywhere else; a shared
-// all-zero frame nobody writes stays out of ExportFrames.
+// all-zero frame stays out of ExportFrames until its importer writes it.
 func TestImportersDivergeIndependently(t *testing.T) {
 	fs := testImage()
 	a, b := New(), New()
@@ -227,21 +241,51 @@ func TestImportersDivergeIndependently(t *testing.T) {
 	if binary.LittleEndian.Uint64(fs[1].Data[40:]) != was {
 		t.Error("a write reached the imported image")
 	}
-	for _, m := range []*Memory{a, b} {
-		out := m.ExportFrames()
-		if len(out) != 4 {
-			t.Fatalf("exported %d frames, want the 4 non-zero ones", len(out))
-		}
-		for _, f := range out {
-			if f.Index == 9 {
-				t.Error("an unwritten all-zero shared frame was exported")
-			}
-		}
-	}
 	// Writing the zero frame makes it a's own, and exported by a alone.
 	a.SetByte(9<<FrameBits, 1)
-	if len(a.ExportFrames()) != 5 || len(b.ExportFrames()) != 4 || fs[4].Data[0] != 0 {
+	if len(a.ExportFrames()) != 5 || fs[4].Data[0] != 0 {
 		t.Error("a write to the shared zero frame leaked, or was lost")
+	}
+	out := b.ExportFrames()
+	if len(out) != 4 {
+		t.Fatalf("exported %d frames, want the 4 non-zero ones", len(out))
+	}
+	for _, f := range out {
+		if f.Index == 9 {
+			t.Error("an unwritten all-zero shared frame was exported")
+		}
+	}
+}
+
+// TestExportFramesHandsOver: an export moves the memory's frames into
+// the image — the same storage the memory wrote, no copy — and leaves
+// the memory empty, so nothing it does afterwards reaches the image.
+func TestExportFramesHandsOver(t *testing.T) {
+	m := New()
+	const frames = 64
+	for i := uint64(0); i < frames; i++ {
+		m.Write64(i<<FrameBits, i+1)
+	}
+	m.SetByte(frames<<FrameBits, 0) // allocated but all zero: omitted
+	first := m.Frame(0)
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	out := m.ExportFrames()
+	runtime.ReadMemStats(&after)
+	if len(out) != frames || out[0].Data != first {
+		t.Fatalf("exported %d frames (frame 0 at %p, memory's at %p), want %d handed over in place",
+			len(out), out[0].Data, first, frames)
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n >= frames*FrameSize/8 {
+		t.Errorf("exporting %d frames allocated %d bytes: frames are being copied", frames, n)
+	}
+	if m.FramesTouched() != 0 || m.Read64(0) != 0 {
+		t.Fatal("the memory still holds frames after handing them over")
+	}
+	m.Write64(0, 99)
+	if got := binary.LittleEndian.Uint64(out[0].Data[:]); got != 1 {
+		t.Fatalf("a write after the export reached the image: frame 0 reads %d, want 1", got)
 	}
 }
 
@@ -252,7 +296,7 @@ func TestImportFramesAllocatesNoFrame(t *testing.T) {
 	fs := make([]FrameImage, 256)
 	for i := range fs {
 		fs[i].Index = uint64(i)
-		fs[i].Data[0] = 1
+		fs[i].Data = &[FrameSize]byte{1}
 	}
 	m := New()
 	if allocs := testing.AllocsPerRun(10, func() { m.ImportFrames(fs) }); allocs >= float64(len(fs))/4 {

@@ -178,17 +178,19 @@ func header(sha, tenant string) []byte {
 	return []byte(sha + " " + tenant + "\n")
 }
 
-// parseFile splits an artifact file into header fields and content.
+// parseFile splits an artifact file into header fields and content. The
+// header must be one header wrote: a lowercase hex SHA-256, one space,
+// and a well-formed tenant.
 func parseFile(raw []byte) (sha, tenant string, data []byte, err error) {
 	nl := bytes.IndexByte(raw, '\n')
 	if nl < 0 {
 		return "", "", nil, errors.New("no header line")
 	}
-	fields := strings.Fields(string(raw[:nl]))
-	if len(fields) != 2 || len(fields[0]) != 64 {
+	sha, tenant, ok := strings.Cut(string(raw[:nl]), " ")
+	if !ok || len(sha) != 2*sha256.Size || !Key(sha) || !Tenant(tenant) {
 		return "", "", nil, errors.New("malformed header")
 	}
-	return fields[0], fields[1], raw[nl+1:], nil
+	return sha, tenant, raw[nl+1:], nil
 }
 
 // reindex scans the disk layer and rebuilds the index without loading

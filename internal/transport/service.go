@@ -11,8 +11,10 @@ package transport
 import (
 	"context"
 	"errors"
+	"fmt"
 	"hash/fnv"
 	"log/slog"
+	"runtime/debug"
 	"sync"
 	"time"
 
@@ -39,7 +41,8 @@ type Config struct {
 	// MaxSpecs, when > 0, bounds specs per job (413 beyond). Default
 	// 1024.
 	MaxSpecs int
-	// Logger, when non-nil, receives one record per job transition.
+	// Logger, when non-nil, receives one record per job transition, and
+	// an error-level record with the stack for every spec that panics.
 	Logger *slog.Logger
 	// Spans, when non-nil, feeds each job's SSE event stream with the
 	// live run-root spans of its own runs.
@@ -64,9 +67,14 @@ func New(cfg Config) (*Service, error) {
 	}
 	p := &pool{
 		engine: cfg.Engine,
+		run:    cfg.Engine.Run,
 		store:  cfg.Store,
 		spans:  cfg.Spans,
+		log:    cfg.Logger,
 		queues: make([]chan specTask, cfg.Workers),
+	}
+	if p.log == nil {
+		p.log = slog.New(slog.DiscardHandler)
 	}
 	for i := range p.queues {
 		// 64 deep: a figure grid's share of one shard queues without
@@ -90,8 +98,11 @@ type specTask struct {
 // pool is the local Executor.
 type pool struct {
 	engine *engine.Engine
-	store  *store.Store
-	spans  *runspan.Tracer
+	// run is engine.Run; tests substitute one that panics.
+	run   func(context.Context, engine.RunSpec) engine.RunResult
+	store *store.Store
+	spans *runspan.Tracer
+	log   *slog.Logger
 
 	queues []chan specTask
 	wg     sync.WaitGroup
@@ -159,9 +170,21 @@ func (p *pool) worker(queue <-chan specTask) {
 }
 
 // runSpec executes (or cache-serves) one spec and reports its terminal
-// status.
+// status. A spec that panics fails with an error naming the panic; the
+// worker goes on to the next spec.
 func (p *pool) runSpec(t specTask) {
 	j, key := t.job, t.job.Keys[t.idx]
+	defer func() {
+		if r := recover(); r != nil {
+			msg := fmt.Sprintf("spec panicked: %v", r)
+			p.log.Error("spec panicked", "job", j.ID, "tenant", j.Tenant, "spec_key", key,
+				"trace_id", j.TraceID, "panic", fmt.Sprint(r), "stack", string(debug.Stack()))
+			if sp := p.spans.Start(j.Trace, j.Root, "panic"); sp != nil {
+				sp.SetAttr("spec_key", key).SetAttr("error", msg).End()
+			}
+			j.Finish(t.idx, api.SpecStatus{State: api.StateFailed, Error: msg})
+		}
+	}()
 	j.Running("", t.idx)
 
 	// The time between enqueue and this pickup is the spec's queue
@@ -193,7 +216,7 @@ func (p *pool) runSpec(t specTask) {
 // artifact, and files it into the store. ctx carries the job's trace
 // identity into the engine's span tracer and logs.
 func (p *pool) simulate(ctx context.Context, tenant, key string, spec engine.RunSpec) api.SpecStatus {
-	res := p.engine.Run(ctx, spec)
+	res := p.run(ctx, spec)
 	if res.Err != nil {
 		return api.SpecStatus{State: api.StateFailed, Error: res.Err.Error()}
 	}

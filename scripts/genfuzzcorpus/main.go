@@ -29,9 +29,8 @@ func main() {
 		InstCount:   7,
 		Pages:       []vm.PTE{{VPN: 1, PFN: 1, Perm: vm.PermRW, Ref: true}},
 		NextFrame:   2,
-		Frames:      []mem.FrameImage{{Index: 1}},
+		Frames:      []mem.FrameImage{{Index: 1, Data: &[mem.FrameSize]byte{0xAB}}},
 	}
-	c.Frames[0].Data[0] = 0xAB
 	c.Regs[3] = 42
 	valid := c.Encode()
 	write(dir, "seed_minimal_valid", valid)
