@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build test check bench profile-core profile-ffwd experiments report serve-demo cover loc clean
+.PHONY: all build test check bench profile-core profile-ffwd profile-fleet experiments report serve-demo cover loc clean
 
 all: build test
 
@@ -53,6 +53,29 @@ profile-ffwd:
 	@d=$$(mktemp -d) && \
 	go test -run '^$$' -bench 'BenchmarkFFwd99$$' -benchtime 30x -o $$d/hbat.test -cpuprofile $$d/cpu.prof . >/dev/null && \
 	go tool pprof -top -cum -nodecount 25 $$d/hbat.test $$d/cpu.prof; \
+	rm -rf $$d
+
+# Where a coordinator's store-hit job spends its bytes and host time:
+# BenchmarkFleetHitJob (submit, wait, result through a coordinator over
+# two workers, all in one process). One run records every allocation
+# and prints the -benchmem line and the top 25 sites by alloc_space; a
+# second, unperturbed run prints the CPU top 25. A job allocates ~87 KiB
+# here (2-core Xeon): ~54 KiB is net/http's own cost for six HTTP
+# exchanges, both ends (net/http 23, textproto 12, bufio 6 — 4 of it the
+# dispatch stream's line buffer — context 5, io 4, url 3); 14 KiB is the
+# rig's span tracing, 8 of it the worker's span feed (64 SpanData slots
+# per /events stream); encoding/json 6; transport 3.4; api, engine and
+# fleet ~1 each. The job event feeds cost 512 B a subscriber. Leaves
+# nothing behind.
+profile-fleet:
+	@d=$$(mktemp -d) && \
+	go test -c -o $$d/fleet.test ./internal/fleet/ && \
+	$$d/fleet.test -test.run '^$$' -test.bench 'BenchmarkFleetHitJob$$' -test.benchtime 2000x \
+		-test.benchmem -test.memprofilerate 1 -test.memprofile $$d/mem.prof | grep '^Benchmark' && \
+	$$d/fleet.test -test.run '^$$' -test.bench 'BenchmarkFleetHitJob$$' -test.benchtime 5000x \
+		-test.cpuprofile $$d/cpu.prof >/dev/null && \
+	go tool pprof -top -sample_index alloc_space -nodecount 25 $$d/fleet.test $$d/mem.prof && \
+	go tool pprof -top -nodecount 25 $$d/fleet.test $$d/cpu.prof; \
 	rm -rf $$d
 
 # Regenerate every table and figure at small scale (minutes: use

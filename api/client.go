@@ -8,9 +8,14 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strings"
 	"time"
 )
+
+// maxEventLine caps one SSE line Events will read; dataPrefix marks the
+// lines it decodes.
+const maxEventLine = 1 << 20
+
+var dataPrefix = []byte("data: ")
 
 // Client is a minimal v1 client for an hbatd sweep service, in either
 // role (a worker and a coordinator speak the same API). The zero value
@@ -224,6 +229,12 @@ func (c *Client) Result(ctx context.Context, specKey string) ([]byte, string, er
 // design — a consumer that needs every spec's final state should
 // reconcile with Job after Events returns. The client's Timeout does
 // NOT apply here; bound the stream's lifetime through ctx.
+//
+// A stream costs what it carries: the line buffer starts at
+// bufio.Scanner's 4 KiB and doubles only for a longer line, up to
+// maxEventLine (a longer one ends the stream with bufio.ErrTooLong),
+// and each event decodes straight out of that buffer. Every
+// coordinator dispatch opens one of these to read two ~300-byte lines.
 func (c *Client) Events(ctx context.Context, id string, fn func(Event) bool) error {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.Base+PathJobs+"/"+id+"/events", nil)
 	if err != nil {
@@ -242,14 +253,14 @@ func (c *Client) Events(ctx context.Context, id string, fn func(Event) bool) err
 		return errorFrom(resp, data)
 	}
 	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
+	sc.Buffer(nil, maxEventLine)
 	for sc.Scan() {
-		line := sc.Text()
-		if !strings.HasPrefix(line, "data: ") {
+		data, ok := bytes.CutPrefix(sc.Bytes(), dataPrefix)
+		if !ok {
 			continue
 		}
 		var ev Event
-		if err := json.Unmarshal([]byte(strings.TrimPrefix(line, "data: ")), &ev); err != nil {
+		if err := json.Unmarshal(data, &ev); err != nil {
 			continue // tolerate foreign frames on the stream
 		}
 		if !fn(ev) {

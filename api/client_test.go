@@ -1,12 +1,14 @@
 package api
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -139,6 +141,50 @@ func TestClientEventsStream(t *testing.T) {
 	}
 	if len(got) != 2 || got[0] != "spec" || got[1] != "done" {
 		t.Fatalf("events = %v, want [spec done]", got)
+	}
+}
+
+// TestClientEventsLineLengths: the stream's line buffer starts small
+// and grows to the 1 MiB cap, so a data line past the first 4 KiB and
+// one just under the cap both decode, and one over the cap ends the
+// stream with bufio.ErrTooLong.
+func TestClientEventsLineLengths(t *testing.T) {
+	const head, tail = `{"type":"span","job":"j1","span":{"name":"`, `","dur_us":1}}`
+	for _, tc := range []struct {
+		name string
+		line int // bytes of the data line, "data: " included, '\n' not
+		fits bool
+	}{
+		{"past 4 KiB", 5 << 10, true},
+		{"just under 1 MiB", maxEventLine - 1, true},
+		{"over 1 MiB", maxEventLine + 1, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			name := strings.Repeat("x", tc.line-len(dataPrefix)-len(head)-len(tail))
+			ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				w.Header().Set("Content-Type", "text/event-stream")
+				fmt.Fprintf(w, "event: span\ndata: %s%s%s\n\n", head, name, tail)
+				fmt.Fprint(w, "event: done\ndata: {\"type\":\"done\",\"job\":\"j1\"}\n\n")
+			}))
+			defer ts.Close()
+			var got []Event
+			err := NewClient(ts.URL).Events(context.Background(), "j1", func(ev Event) bool {
+				got = append(got, ev)
+				return true
+			})
+			if !tc.fits {
+				if !errors.Is(err, bufio.ErrTooLong) || len(got) != 0 {
+					t.Fatalf("a %d-byte line: err %v after %d events, want bufio.ErrTooLong before any", tc.line, err, len(got))
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != 2 || got[0].Span == nil || got[0].Span.Name != name || got[1].Type != "done" {
+				t.Fatalf("a %d-byte line: got %d events, want the span (name of %d bytes) and done", tc.line, len(got), len(name))
+			}
+		})
 	}
 }
 

@@ -310,11 +310,11 @@ func (m *Machine) memExecute() {
 	if h := r.headEntry(); h != nil && h.state == sMemWalk {
 		m.advanceWalk(r.head, h)
 	}
-	// A device whose every request takes a real port answers NoPort,
-	// and does nothing else, from the request that finds none left to
-	// the end of the cycle: those requests are counted, not made. A
-	// tracer wants each one's event, so it gets the walk.
-	countRejects := m.ported != nil && m.tracer == nil
+	// A device whose every request takes a real port or bank answers
+	// NoPort, and does nothing else, to a request that finds its port or
+	// bank taken: those requests are counted, not made. A tracer wants
+	// each one's event, so it gets the walk.
+	countRejects := m.counted != nil && m.tracer == nil
 	var rejected uint64
 	for idx := r.first(setMem); idx >= 0 && m.err == nil; idx = r.after(setMem, idx) {
 		e := r.at(idx)
@@ -324,14 +324,14 @@ func (m *Machine) memExecute() {
 				e.doneAt = m.cycle
 			}
 			m.completeStore(idx, e)
-		case countRejects && m.ported.PortsLeft() == 0:
+		case countRejects && m.counted.Busy(e.effAddr>>m.pageBits):
 			rejected++
 		default:
 			m.memRequest(idx, e)
 		}
 	}
 	if rejected > 0 {
-		m.ported.Reject(rejected)
+		m.counted.Reject(rejected)
 		m.stats.TLBRetries += rejected
 		m.metrics.replayTLBNoPort.Add(rejected)
 		m.metrics.noPortThisCycle += int64(rejected)

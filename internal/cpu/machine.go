@@ -50,12 +50,12 @@ type Machine struct {
 	dcache  *cache.Cache
 	pred    *bpred.Predictor
 
-	// ported is DTLB when every request to it takes a real port (a
-	// multi-ported TLB with no piggyback ports, reached by every memory
-	// request: no virtual-address cache in front); memExecute then
-	// counts the requests a cycle's last port leaves behind without
-	// making them.
-	ported *tlb.Multiported
+	// counted is DTLB when every request to it takes a real port or
+	// bank (a multi-ported or interleaved TLB with no piggyback ports,
+	// reached by every memory request: no virtual-address cache in
+	// front); memExecute then counts the requests that find theirs taken
+	// without making them.
+	counted rejecter
 
 	// Pipeline state.
 	rob        *rob
@@ -128,6 +128,16 @@ type Machine struct {
 	cancelPoll cancelpoll.Poller
 }
 
+// rejecter is a translation device that knows, without side effects,
+// when a request would be answered NoPort (its port or bank is taken
+// this cycle), and can charge such requests in one sum — exactly so
+// only without piggyback ports, which serve requests Busy turns away.
+type rejecter interface {
+	PiggybackPorts() int
+	Busy(vpn uint64) bool
+	Reject(n uint64)
+}
+
 // intervalBase snapshots the counters an interval sample differences
 // against.
 type intervalBase struct {
@@ -174,8 +184,8 @@ func New(p *prog.Program, cfg Config, buildTLB func(*vm.AddressSpace) tlb.Device
 	}
 	m.DTLB = buildTLB(m.AS)
 	m.tracker, _ = m.DTLB.(tlb.RegisterTracker)
-	if mp, ok := m.DTLB.(*tlb.Multiported); ok && mp.PiggybackPorts() == 0 && !cfg.VirtualCache {
-		m.ported = mp
+	if d, ok := m.DTLB.(rejecter); ok && d.PiggybackPorts() == 0 && !cfg.VirtualCache {
+		m.counted = d
 	}
 	if cfg.ModelITLB {
 		n := cfg.ITLBEntries

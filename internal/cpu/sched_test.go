@@ -227,16 +227,16 @@ func TestSchedulerStateConsistent(t *testing.T) {
 	}
 }
 
-// TestCountedRejectsMatchTheWalk: on the multi-ported designs without
-// piggyback ports the memory stage stops presenting requests once the
-// cycle's last port is claimed and charges the rest in one sum; with a
-// tracer attached it presents every one. Both must count the same: the
-// core's retries, the device's rejections, the replay counter and the
-// per-cycle queue-depth histogram.
+// TestCountedRejectsMatchTheWalk: on the multi-ported and interleaved
+// designs without piggyback ports the memory stage does not present a
+// request whose port or bank is already claimed this cycle, and charges
+// those in one sum; with a tracer attached it presents every one. Both
+// must count the same: the core's retries, the device's rejections, the
+// replay counter and the per-cycle queue-depth histogram.
 func TestCountedRejectsMatchTheWalk(t *testing.T) {
-	for _, design := range []string{"T1", "T2", "T4"} {
+	for _, design := range []string{"T1", "T2", "T4", "I8", "I4", "X4"} {
 		counted := traceTestMachine(t, design)
-		if counted.ported == nil {
+		if counted.counted == nil {
 			t.Fatalf("%s: requests are not counted", design)
 		}
 		walked := traceTestMachine(t, design)
@@ -259,8 +259,11 @@ func TestCountedRejectsMatchTheWalk(t *testing.T) {
 			t.Errorf("%s: metrics differ:\ncounted %+v\nwalked  %+v", design, c, w)
 		}
 	}
-	if m := traceTestMachine(t, "PB1"); m.ported != nil {
+	if m := traceTestMachine(t, "PB1"); m.counted != nil {
 		t.Error("PB1: a piggyback port can serve a request when no real port is left")
+	}
+	if m := traceTestMachine(t, "I4/PB"); m.counted != nil {
+		t.Error("I4/PB: a piggyback port can serve a request at a busy bank")
 	}
 }
 

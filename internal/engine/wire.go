@@ -9,6 +9,7 @@ import (
 	"hbat/api"
 	"hbat/internal/prog"
 	"hbat/internal/tlb"
+	"hbat/internal/vm"
 	"hbat/internal/workload"
 )
 
@@ -25,17 +26,28 @@ func ParseScale(s string) (workload.Scale, error) {
 	return 0, fmt.Errorf("unknown scale %q (test, small, full)", s)
 }
 
+// SpecError is SpecFromWire's refusal of a spec: the wire field at
+// fault and why. Its message is the reason alone.
+type SpecError struct {
+	Field string
+	Err   error
+}
+
+func (e *SpecError) Error() string { return e.Err.Error() }
+func (e *SpecError) Unwrap() error { return e.Err }
+
 // SpecFromWire normalizes an api.SimOptions into a RunSpec, applying
 // the same defaults the hbat facade applies (workload "compress",
 // design "T4", page size 4096, seed 1, 8-register budget under
 // FewRegisters). It is the single normalization point shared by the
 // facade and the sweep service, which is what makes a spec submitted
 // over the wire hit the memo entry a local run produced — and vice
-// versa.
+// versa. A spec it accepts runs (FuzzSpecRuns); one it refuses comes
+// back as a *SpecError.
 func SpecFromWire(o api.SimOptions) (RunSpec, error) {
 	scale, err := ParseScale(o.Scale)
 	if err != nil {
-		return RunSpec{}, err
+		return RunSpec{}, &SpecError{"scale", err}
 	}
 	spec := RunSpec{
 		Workload:           o.Workload,
@@ -67,10 +79,16 @@ func SpecFromWire(o api.SimOptions) (RunSpec, error) {
 		spec.Budget = prog.Budget8
 	}
 	if _, err := workload.ByName(spec.Workload); err != nil {
-		return RunSpec{}, err
+		return RunSpec{}, &SpecError{"workload", err}
 	}
 	if _, err := tlb.LookupSpec(spec.Design); err != nil {
-		return RunSpec{}, err
+		return RunSpec{}, &SpecError{"design", err}
+	}
+	if err := vm.CheckPageSize(spec.PageSize); err != nil {
+		return RunSpec{}, &SpecError{"page_size", err}
+	}
+	if spec.PageSize > prog.MaxPageSize {
+		return RunSpec{}, &SpecError{"page_size", fmt.Errorf("page size %d exceeds the program layout's %d", spec.PageSize, prog.MaxPageSize)}
 	}
 	return spec, nil
 }

@@ -56,7 +56,7 @@ func guardGoroutines(t *testing.T) {
 // newCoord builds a coordinator over the rig's workers with test-speed
 // probing and retries, serves it over loopback, and returns an API
 // client against it plus the coordinator's span tracer.
-func newCoord(t *testing.T, rig *fleettest.Rig, mod func(*fleet.Config)) (*fleet.Coordinator, *api.Client, *runspan.Tracer) {
+func newCoord(t testing.TB, rig *fleettest.Rig, mod func(*fleet.Config)) (*fleet.Coordinator, *api.Client, *runspan.Tracer) {
 	t.Helper()
 	st, err := store.New(store.Config{})
 	if err != nil {

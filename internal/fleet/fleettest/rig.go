@@ -87,13 +87,13 @@ type Worker struct {
 // Rig is a loopback fleet of real workers.
 type Rig struct {
 	Workers []*Worker
-	t       *testing.T
+	t       testing.TB
 }
 
 // New builds n workers and registers their teardown with t.Cleanup
 // (drain with a bounded context, then close). Every worker traces
 // spans into an in-memory journal.
-func New(t *testing.T, n int) *Rig {
+func New(t testing.TB, n int) *Rig {
 	t.Helper()
 	r := &Rig{t: t}
 	for i := 0; i < n; i++ {
@@ -111,7 +111,7 @@ func (r *Rig) Addrs() []string {
 	return addrs
 }
 
-func newWorker(t *testing.T) *Worker {
+func newWorker(t testing.TB) *Worker {
 	t.Helper()
 	eng := engine.New()
 	st, err := store.New(store.Config{})

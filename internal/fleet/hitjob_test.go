@@ -1,0 +1,90 @@
+package fleet_test
+
+// One-spec store-hit jobs in a closed loop, each making the three calls
+// the benchmark's serve-hit and fleet-hit workloads make: Submit, Wait,
+// Result. The per-job allocation budget (norace_test.go) and
+// BenchmarkFleetHitJob (`make profile-fleet`) drive the same loop.
+
+import (
+	"context"
+	"net/http"
+	"testing"
+	"time"
+
+	"hbat/api"
+	"hbat/internal/fleet"
+	"hbat/internal/fleet/fleettest"
+)
+
+// hitRig is a client in front of a fabric that already stores its one
+// spec's artifact.
+type hitRig struct {
+	cl  *api.Client
+	req api.JobRequest
+}
+
+// newHitRig mounts the path a job takes — straight to one rig worker,
+// or through a coordinator over two — and runs the spec once cold, so
+// every later job is a store hit. The client holds one keep-alive
+// connection, as the benchmark's does.
+func newHitRig(tb testing.TB, coordinated bool) *hitRig {
+	tb.Helper()
+	base := ""
+	if coordinated {
+		_, cl, _ := newCoord(tb, fleettest.New(tb, 2), func(c *fleet.Config) {
+			// The benchmark's probe period: probes stay out of the
+			// per-job figure.
+			c.ProbeEvery = time.Second
+		})
+		base = cl.Base
+	} else {
+		base = fleettest.New(tb, 1).Workers[0].Addr
+	}
+	tr := &http.Transport{MaxConnsPerHost: 1, MaxIdleConnsPerHost: 1}
+	tb.Cleanup(tr.CloseIdleConnections)
+	cl := api.NewClient(base)
+	cl.HTTP = &http.Client{Transport: tr}
+	h := &hitRig{cl: cl, req: api.JobRequest{Specs: seedSpecs(1)}}
+	h.job(tb)
+	return h
+}
+
+// job runs one job: submit it, wait for it to finish, fetch its
+// artifact.
+func (h *hitRig) job(tb testing.TB) {
+	ctx := context.Background()
+	acc, err := h.cl.Submit(ctx, h.req)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	st, err := h.cl.Wait(ctx, acc.ID)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if st.State != api.StateDone {
+		tb.Fatalf("job %s: %s: %+v", acc.ID, st.State, st.Specs)
+	}
+	if _, _, err := h.cl.Result(ctx, st.Specs[0].SpecKey); err != nil {
+		tb.Fatal(err)
+	}
+}
+
+// warm runs enough jobs to open every connection and fill every pool
+// the loop reuses.
+func (h *hitRig) warm(tb testing.TB) {
+	for range 50 {
+		h.job(tb)
+	}
+}
+
+// BenchmarkFleetHitJob is one store-hit job through a coordinator over
+// two workers, everything in this process: run it with -benchmem, or
+// profile it with `make profile-fleet`.
+func BenchmarkFleetHitJob(b *testing.B) {
+	h := newHitRig(b, true)
+	h.warm(b)
+	b.ReportAllocs()
+	for b.Loop() {
+		h.job(b)
+	}
+}

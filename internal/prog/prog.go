@@ -24,6 +24,11 @@ const (
 	StackSize = 0x0100_0000 // 16 MB of stack
 )
 
+// MaxPageSize is the largest page this layout runs under. A page is
+// mapped when its first byte lies in a segment, and a page larger than
+// DataBase's alignment would start below the data segment, at 0.
+const MaxPageSize = DataBase
+
 // RegZero aliases the hardwired zero register so workload generators
 // can reference it without importing internal/isa.
 const RegZero = isa.Zero

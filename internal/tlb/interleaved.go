@@ -83,6 +83,19 @@ func (t *Interleaved) Name() string { return t.name }
 // Banks returns the bank count.
 func (t *Interleaved) Banks() int { return len(t.banks) }
 
+// PiggybackPorts returns the piggyback port count per bank.
+func (t *Interleaved) PiggybackPorts() int { return t.piggy }
+
+// Busy reports, without side effects, whether vpn's bank has taken a
+// request this cycle. Then a TLB without piggyback ports answers a
+// Lookup of vpn NoPort and changes nothing but Stats.NoPorts, so a
+// caller may count such requests and Reject them in one call instead.
+func (t *Interleaved) Busy(vpn uint64) bool { return t.busy[t.sel(vpn)] }
+
+// Reject records n requests turned away by a busy bank, exactly as n
+// Lookups answered NoPort would.
+func (t *Interleaved) Reject(n uint64) { t.stats.NoPorts += n }
+
 // BeginCycle implements Device.
 func (t *Interleaved) BeginCycle(now int64) {
 	for i := range t.busy {

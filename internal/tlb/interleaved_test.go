@@ -65,6 +65,47 @@ func TestInterleavedBankConflict(t *testing.T) {
 	}
 }
 
+// TestInterleavedBusyPredictsNoPort: Busy names exactly the requests a
+// Lookup would turn away, changes nothing, and Reject charges what the
+// turned-away Lookups would have.
+func TestInterleavedBusyPredictsNoPort(t *testing.T) {
+	as := testAS(t, 4096)
+	d := NewInterleaved("I4", as, 128, 4, BitSelect(4), 0, Random, 1)
+	fill(t, d, 0)
+	d.BeginCycle(1)
+	if d.Busy(0) || d.Busy(4) {
+		t.Fatal("a bank is busy before any request this cycle")
+	}
+	before := *d.Stats()
+	d.Busy(0)
+	if *d.Stats() != before {
+		t.Fatal("Busy changed the statistics")
+	}
+	d.Lookup(Request{VPN: 0}, 1) // bank 0
+	for vpn := uint64(0); vpn < 8; vpn++ {
+		before := *d.Stats()
+		busy := d.Busy(vpn)
+		if busy != (vpn%4 == 0) {
+			t.Fatalf("Busy(%d) = %v after a request to bank 0", vpn, busy)
+		}
+		if busy {
+			if r := d.Lookup(Request{VPN: vpn}, 1); r.Outcome != NoPort {
+				t.Fatalf("Busy(%d) but Lookup answered %v", vpn, r.Outcome)
+			}
+			walked := *d.Stats()
+			*d.Stats() = before
+			d.Reject(1)
+			if *d.Stats() != walked {
+				t.Fatalf("Reject(1) = %+v, a NoPort Lookup = %+v", *d.Stats(), walked)
+			}
+		}
+	}
+	d.BeginCycle(2)
+	if d.Busy(0) {
+		t.Fatal("bank 0 still busy in the next cycle")
+	}
+}
+
 func TestInterleavedFillGoesToSelectedBank(t *testing.T) {
 	as := testAS(t, 4096)
 	d := NewInterleaved("I8", as, 128, 8, BitSelect(8), 0, Random, 1)

@@ -59,11 +59,12 @@ func (t *Multiported) Ports() int { return t.ports }
 // PiggybackPorts returns the piggyback port count.
 func (t *Multiported) PiggybackPorts() int { return t.piggy }
 
-// PortsLeft returns how many real ports no request has claimed yet this
-// cycle. At zero, a TLB without piggyback ports answers every further
-// Lookup of the cycle NoPort and changes nothing but Stats.NoPorts, so
-// a caller may count such requests and Reject them in one call instead.
-func (t *Multiported) PortsLeft() int { return t.ports - t.portsUsed }
+// Busy reports, without side effects, whether every real port is
+// claimed this cycle, whatever vpn. Then a TLB without piggyback ports
+// answers every further Lookup of the cycle NoPort and changes nothing
+// but Stats.NoPorts, so a caller may count such requests and Reject
+// them in one call instead.
+func (t *Multiported) Busy(vpn uint64) bool { return t.portsUsed >= t.ports }
 
 // Reject records n requests turned away for want of a port, exactly as
 // n Lookups answered NoPort would.

@@ -280,7 +280,7 @@ func (f *Front) serveEvents(w http.ResponseWriter, r *http.Request, j *Job) {
 	})
 	defer stop()
 
-	emit := func(ev api.Event) bool {
+	emit := func(ev *api.Event) bool {
 		b, err := json.Marshal(ev)
 		if err != nil {
 			return false
@@ -307,7 +307,7 @@ func (f *Front) serveEvents(w http.ResponseWriter, r *http.Request, j *Job) {
 			ev := api.Event{Type: "span", Job: j.ID, Span: &api.Span{
 				Name: d.Name, DurUS: d.DurUS, Attrs: d.Attrs,
 			}}
-			if !emit(ev) {
+			if !emit(&ev) {
 				return
 			}
 		case ev, ok := <-events:
@@ -315,7 +315,7 @@ func (f *Front) serveEvents(w http.ResponseWriter, r *http.Request, j *Job) {
 				// The feed closed before this subscriber drained the
 				// terminal event (lossy buffer): synthesize the done.
 				st := j.status()
-				emit(api.Event{Type: "done", Job: j.ID, Done: st.Done, Total: st.Total})
+				emit(&api.Event{Type: "done", Job: j.ID, Done: st.Done, Total: st.Total})
 				return
 			}
 			if !emit(ev) {

@@ -202,7 +202,7 @@ func (f *Front) handleJobs(w http.ResponseWriter, r *http.Request) {
 		front:   f,
 		specs:   sts,
 		state:   api.StateQueued,
-		subs:    make(map[uint64]chan api.Event),
+		subs:    make(map[uint64]chan *api.Event),
 
 		finished: make(chan struct{}),
 	}

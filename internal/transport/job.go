@@ -43,11 +43,14 @@ type Job struct {
 	specs []api.SpecStatus
 	done  int
 	state string
-	// subs receive one api.Event per completed spec and a final
-	// "done"; sends never block (lossy, like the span feed), except
-	// the final done which each subscriber's buffer always has room
-	// for because the channel is closed right after.
-	subs   map[uint64]chan api.Event
+	// subs receive one event per completed spec and a final "done";
+	// sends never block (lossy, like the span feed), and a subscriber
+	// that lost the done gets one synthesized by the SSE handler. The
+	// feed carries pointers: an event is allocated once per publish,
+	// only while the job has a subscriber, shared by every subscriber,
+	// and never mutated after it is sent — so a subscriber's buffer
+	// costs 8 bytes a slot.
+	subs   map[uint64]chan *api.Event
 	subSeq uint64
 	// finished is what a blocking status request parks on. The last
 	// Finish closes it as its final act — state terminal, root span
@@ -136,7 +139,9 @@ func (j *Job) Finish(idx int, final api.SpecStatus) {
 	st.ResultURL, st.SHA256 = final.ResultURL, final.SHA256
 	j.done++
 	done, total := j.done, len(j.specs)
-	j.publishLocked(api.Event{Type: "spec", Job: j.ID, Spec: cloneStatus(*st), Done: done, Total: total})
+	if len(j.subs) > 0 {
+		j.publishLocked(&api.Event{Type: "spec", Job: j.ID, Spec: cloneStatus(*st), Done: done, Total: total})
+	}
 	if done == total {
 		j.state = api.StateDone
 		for i := range j.specs {
@@ -145,7 +150,9 @@ func (j *Job) Finish(idx int, final api.SpecStatus) {
 				break
 			}
 		}
-		j.publishLocked(api.Event{Type: "done", Job: j.ID, Done: done, Total: total})
+		if len(j.subs) > 0 {
+			j.publishLocked(&api.Event{Type: "done", Job: j.ID, Done: done, Total: total})
+		}
 		for id, ch := range j.subs {
 			delete(j.subs, id)
 			close(ch)
@@ -162,10 +169,13 @@ func (j *Job) Finish(idx int, final api.SpecStatus) {
 }
 
 // Publish fans an executor-forwarded event (a remote worker's span) out
-// to the job's subscribers.
+// to the job's subscribers; with none, it costs no allocation.
 func (j *Job) Publish(ev api.Event) {
 	j.mu.Lock()
-	j.publishLocked(ev)
+	if len(j.subs) > 0 {
+		shared := ev // a heap copy only here: &ev would move ev to the heap on every call
+		j.publishLocked(&shared)
+	}
 	j.mu.Unlock()
 }
 
@@ -173,7 +183,7 @@ func (j *Job) Publish(ev api.Event) {
 // hold j.mu. Sends never block: a subscriber that lags loses
 // intermediate spec events (the SSE handler synthesizes the terminal
 // done from job state if even that was dropped).
-func (j *Job) publishLocked(ev api.Event) {
+func (j *Job) publishLocked(ev *api.Event) {
 	for _, ch := range j.subs {
 		select {
 		case ch <- ev:
@@ -185,12 +195,12 @@ func (j *Job) publishLocked(ev api.Event) {
 // subscribe registers an event feed for a job. The returned cancel is
 // idempotent. A job that is already done gets an immediate "done"
 // event and a closed channel.
-func (j *Job) subscribe(buf int) (<-chan api.Event, func()) {
+func (j *Job) subscribe(buf int) (<-chan *api.Event, func()) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	ch := make(chan api.Event, buf)
+	ch := make(chan *api.Event, buf)
 	if j.done == len(j.specs) {
-		ch <- api.Event{Type: "done", Job: j.ID, Done: j.done, Total: len(j.specs)}
+		ch <- &api.Event{Type: "done", Job: j.ID, Done: j.done, Total: len(j.specs)}
 		close(ch)
 		return ch, func() {}
 	}

@@ -89,12 +89,21 @@ type AddressSpace struct {
 	WalkCount uint64
 }
 
+// CheckPageSize reports whether NewAddressSpace accepts pageSize: a
+// power of two of at least 1 KiB.
+func CheckPageSize(pageSize uint64) error {
+	if pageSize < 1024 || pageSize&(pageSize-1) != 0 {
+		return fmt.Errorf("vm: invalid page size %d (a power of two, at least 1024)", pageSize)
+	}
+	return nil
+}
+
 // NewAddressSpace creates an address space with the given page size,
 // which must be a power of two of at least 1 KB (the paper evaluates
 // 4 KB and 8 KB pages).
 func NewAddressSpace(pageSize uint64) *AddressSpace {
-	if pageSize < 1024 || pageSize&(pageSize-1) != 0 {
-		panic(fmt.Sprintf("vm: invalid page size %d", pageSize))
+	if err := CheckPageSize(pageSize); err != nil {
+		panic(err)
 	}
 	bits := uint(0)
 	for s := pageSize; s > 1; s >>= 1 {
