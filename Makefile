@@ -28,10 +28,19 @@ check:
 bench:
 	go test -bench=. -benchmem -benchtime=1x .
 
-# Where the cycle core's host time goes: a CPU profile of the Figure 5
-# grid (130 runs, test scale), top 25 functions. Leaves nothing behind.
+# Where the cycle core's host time and bytes go: the Figure 5 grid (130
+# from-reset runs, test scale). Prints the pass's B/op, the top 25
+# allocation sites by bytes, then the top 25 functions by CPU. Leaves
+# nothing behind. A run allocated 218 KiB while each built its machine
+# new: memory frames 112, cache tag arrays 33, ROB 18, predictor 17,
+# TLB banks 11, metrics registry and snapshot 18. Since machines are
+# recycled (cpu.Machine.Release) it allocates 40 KiB: TLB banks 11,
+# metrics registry 8 and snapshot 7, page table 3, memory frames 2.
 profile-core:
 	@d=$$(mktemp -d) && \
+	go test -run '^$$' -bench 'BenchmarkFigure5$$' -benchtime 2x -benchmem -memprofilerate 1 \
+		-o $$d/hbat.test -memprofile $$d/mem.prof . | grep -o '[0-9]* B/op.*allocs/op' && \
+	go tool pprof -top -sample_index alloc_space -nodecount 25 $$d/hbat.test $$d/mem.prof && \
 	go test -run '^$$' -bench 'BenchmarkFigure5$$' -benchtime 5x -o $$d/hbat.test -cpuprofile $$d/cpu.prof . >/dev/null && \
 	go tool pprof -top -nodecount 25 $$d/hbat.test $$d/cpu.prof; \
 	rm -rf $$d

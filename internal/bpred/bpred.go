@@ -67,12 +67,25 @@ func New(cfg Config) *Predictor {
 		btb:     make([]btbEntry, cfg.BTBEntries),
 		btbMask: uint64(cfg.BTBEntries - 1),
 	}
+	p.Reset()
+	return p
+}
+
+// Config returns the configuration the predictor was built from.
+func (p *Predictor) Config() Config { return p.cfg }
+
+// Reset returns the predictor to the state New leaves it in, keeping
+// its tables, so a machine that is built again with the same
+// configuration allocates none.
+func (p *Predictor) Reset() {
 	// Weakly taken: loops predict well immediately, matching the
 	// common initialization of the era's simulators.
 	for i := range p.pht {
 		p.pht[i] = 2
 	}
-	return p
+	clear(p.btb)
+	p.ghr = 0
+	p.stats = Stats{}
 }
 
 // index combines per-address bits with the global history: the "p"

@@ -1,6 +1,9 @@
 package bpred
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+)
 
 func TestAlwaysTakenLoopLearns(t *testing.T) {
 	p := New(DefaultConfig())
@@ -83,5 +86,24 @@ func TestRestoreHistory(t *testing.T) {
 	p.RestoreHistory(0xAB)
 	if p.History() != 0xAB {
 		t.Fatalf("history = %#x", p.History())
+	}
+}
+
+// Reset leaves the predictor as New does, keeping its tables.
+func TestResetMatchesNew(t *testing.T) {
+	p := New(DefaultConfig())
+	for pc := uint64(0); pc < 4096; pc += 4 {
+		taken, snap := p.PredictDir(pc)
+		p.Resolve(pc, taken, pc%12 == 0, snap)
+		p.UpdateTarget(pc, pc+64)
+		p.PredictTarget(pc)
+	}
+	pht := &p.pht[0]
+	p.Reset()
+	if &p.pht[0] != pht {
+		t.Error("Reset reallocated the pattern history table")
+	}
+	if !reflect.DeepEqual(p, New(DefaultConfig())) {
+		t.Errorf("reset predictor differs from a new one (stats %+v, ghr %#x)", *p.Stats(), p.History())
 	}
 }

@@ -103,6 +103,18 @@ func New(cfg Config) *Cache {
 	}
 }
 
+// Config returns the configuration the cache was built from.
+func (c *Cache) Config() Config { return c.cfg }
+
+// Reset returns the cache to the state New leaves it in: every line
+// invalid, every counter zero. It keeps the tag array, so a machine that
+// is built again with the same configuration allocates none.
+func (c *Cache) Reset() {
+	clear(c.lines)
+	c.stats = Stats{}
+	c.cycle, c.portsUsed = 0, 0
+}
+
 // set returns the ways of the set block maps to.
 func (c *Cache) set(block uint64) []line {
 	i := int(block&c.setMask) * c.cfg.Assoc
@@ -173,7 +185,7 @@ func (c *Cache) lookupAlloc(paddr uint64, write bool, now int64, count bool) int
 	for i := range set {
 		if set[i].tag&^dirtyBit == want {
 			set[i].used = now
-			if write {
+			if write && c.cfg.WriteBack {
 				set[i].tag |= dirtyBit
 			}
 			if count {

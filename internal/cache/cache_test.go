@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -121,5 +122,53 @@ func TestCacheResidencyProperty(t *testing.T) {
 		return true
 	}, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// A write-through cache never holds a dirty line: neither a write miss
+// nor a write hit, timed or warm, marks one, so nothing is ever written
+// back.
+func TestWriteThroughNeverDirty(t *testing.T) {
+	cfg := small()
+	cfg.WriteBack = false
+	if err := quick.Check(func(ops []uint16) bool {
+		c := New(cfg)
+		for i, op := range ops {
+			now := int64(i + 1)
+			paddr, write := uint64(op>>2)*8, op&1 != 0
+			if op&2 != 0 {
+				c.WarmAccess(paddr, write, now)
+			} else {
+				c.AccessUnported(paddr, write, now)
+			}
+		}
+		for _, l := range c.ExportState().Lines {
+			if l.Dirty {
+				return false
+			}
+		}
+		c.Flush()
+		return c.Stats().Writebacks == 0
+	}, &quick.Config{MaxCount: 200}); err != nil {
+		t.Error(err)
+	}
+}
+
+// Reset leaves the cache as New does: every line invalid, every counter
+// zero, the tag array kept.
+func TestResetMatchesNew(t *testing.T) {
+	c := New(small())
+	for i := int64(1); i <= 100; i++ {
+		c.BeginCycle(i)
+		c.Access(uint64(i*i)*24, i%3 == 0, i)
+	}
+	lines := &c.lines[0]
+	c.Reset()
+	if &c.lines[0] != lines {
+		t.Error("Reset reallocated the tag array")
+	}
+	fresh := New(small())
+	if !reflect.DeepEqual(c, fresh) {
+		t.Errorf("reset cache %+v differs from a new one", c.Stats())
 	}
 }

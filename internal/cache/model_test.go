@@ -50,7 +50,7 @@ func (r *refCache) access(paddr uint64, write bool, now int64, count bool) {
 	for i := range set {
 		if set[i].Valid && set[i].Tag == block {
 			set[i].Used = now
-			set[i].Dirty = set[i].Dirty || write
+			set[i].Dirty = set[i].Dirty || write && r.writeBack
 			if count {
 				r.hits++
 			}

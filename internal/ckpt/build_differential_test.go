@@ -70,9 +70,19 @@ func TestBuildEnginesByteIdentical(t *testing.T) {
 	// still agree byte for byte. Direct-mapped sets keep only the last
 	// line; two ways also pin where each miss places its line, which
 	// depends on the stamps every earlier hit left.
-	for _, ways := range []int{1, 2} {
-		ways := ways
-		t.Run(fmt.Sprintf("tiny-caches/%d-way", ways), func(t *testing.T) {
+	// A write-through D-cache never holds a dirty line, so a run's OR of
+	// write bits must not reach the tag array either: a read miss and a
+	// write hit to one line collapse to one clean write miss.
+	for _, c := range []struct {
+		name string
+		geom func(BuildConfig) BuildConfig
+	}{
+		{"1-way", func(cfg BuildConfig) BuildConfig { return tinyCaches(cfg, 1) }},
+		{"2-way", func(cfg BuildConfig) BuildConfig { return tinyCaches(cfg, 2) }},
+		{"write-through", func(cfg BuildConfig) BuildConfig { return writeThrough(tinyCaches(cfg, 2)) }},
+	} {
+		c := c
+		t.Run("tiny-caches/"+c.name, func(t *testing.T) {
 			t.Parallel()
 			var deferred, eager uint64
 			for _, w := range workload.All() {
@@ -81,7 +91,7 @@ func TestBuildEnginesByteIdentical(t *testing.T) {
 					t.Fatalf("build workload: %v", err)
 				}
 				for _, ff := range []uint64{500, depth99(t, p)} {
-					bs := buildBoth(t, p, tinyCaches(testBuildConfig(ff), ways))
+					bs := buildBoth(t, p, c.geom(testBuildConfig(ff)))
 					deferred += bs.fetchDeferred
 					eager += bs.fetchEager
 				}
@@ -140,6 +150,12 @@ func TestBuildEnginesByteIdentical(t *testing.T) {
 func tinyCaches(cfg BuildConfig, ways int) BuildConfig {
 	cfg.ICache = cache.Config{Name: "il1", SizeBytes: 256, Assoc: ways, BlockBytes: 16, MissLatency: 6, Ports: 1}
 	cfg.DCache = cache.Config{Name: "dl1", SizeBytes: 512, Assoc: ways, BlockBytes: 64, MissLatency: 6, Ports: 4, WriteBack: true}
+	return cfg
+}
+
+// writeThrough makes cfg's D-cache write-through.
+func writeThrough(cfg BuildConfig) BuildConfig {
+	cfg.DCache.WriteBack = false
 	return cfg
 }
 
@@ -292,9 +308,10 @@ func TestBuildEngineErrors(t *testing.T) {
 // taken modulo one more than the program's functional length (so the
 // exact-halt and past-halt errors are reached too), and geom picks the
 // baseline caches or a tiny direct-mapped or two-way geometry
-// (geom%3 = 0, 1, 2). The seed corpus under testdata/fuzz covers each
-// flavor, flag and geometry; seed_epoch_2way is an input that fails if
-// an I-cache miss does not end every block's deferral.
+// (geom%3 = 0, 1, 2), except that geom%6 = 3 is the two-way geometry
+// with a write-through D-cache. The seed corpus under testdata/fuzz
+// covers each flavor, flag and geometry; seed_epoch_2way is an input
+// that fails if an I-cache miss does not end every block's deferral.
 func FuzzBuildEngines(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed uint64, n uint16, flavor, flags uint8, depth uint32, geom uint8) {
 		budget := prog.Budget32
@@ -318,8 +335,11 @@ func FuzzBuildEngines(f *testing.F) {
 		}
 		cfg := testBuildConfig(1 + uint64(depth)%(em.InstCount+1))
 		cfg.PageSize = pageSize
-		if ways := int(geom % 3); ways > 0 {
-			cfg = tinyCaches(cfg, ways)
+		switch {
+		case geom%6 == 3:
+			cfg = writeThrough(tinyCaches(cfg, 2))
+		case geom%3 > 0:
+			cfg = tinyCaches(cfg, int(geom%3))
 		}
 		buildBoth(t, p, cfg)
 	})

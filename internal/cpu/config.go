@@ -6,6 +6,14 @@
 // register hazards, out-of-order completion). Data-memory address
 // translation goes through a pluggable tlb.Device, which is how each of
 // the paper's thirteen designs is evaluated.
+//
+// A machine's life is New, Run, then Release once the results are
+// copied out. New starts from a released machine when one is pooled and
+// re-initialises it in place, keeping the frames its memory owned and
+// the tag arrays, predictor tables, ROB and fetch ring whose
+// configuration matches, so a sweep of from-reset runs allocates those
+// once rather than once a run. A recycled machine runs exactly as a new
+// one (TestRecycledEqualsFresh).
 package cpu
 
 import (

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 
 	"hbat/internal/bpred"
 	"hbat/internal/cache"
@@ -155,21 +156,32 @@ func New(p *prog.Program, cfg Config, buildTLB func(*vm.AddressSpace) tlb.Device
 	if cfg.PageSize == 0 {
 		return nil, fmt.Errorf("cpu: zero page size")
 	}
-	m := &Machine{
-		cfg:    cfg,
-		prog:   p,
-		AS:     vm.NewAddressSpace(cfg.PageSize),
-		Mem:    mem.New(),
-		icache: cache.New(cfg.ICache),
-		dcache: cache.New(cfg.DCache),
-		pred:   bpred.New(cfg.Branch),
-		rob:    newROB(cfg.ROBSize),
-		fetchQ: make([]fetchedInst, cfg.FetchQueue),
+	// Start from a released machine when there is one: its memory, tag
+	// arrays, predictor tables, ROB and fetch ring are reset and kept
+	// where the configuration matches, and everything else is built
+	// here as for a new machine.
+	m, _ := released.Get().(*Machine)
+	if m == nil {
+		m = &Machine{Mem: mem.New()}
+	}
+	*m = Machine{
+		cfg:     cfg,
+		prog:    p,
+		AS:      vm.NewAddressSpace(cfg.PageSize),
+		Mem:     m.Mem,
+		icache:  resetCache(m.icache, cfg.ICache),
+		dcache:  resetCache(m.dcache, cfg.DCache),
+		pred:    resetPredictor(m.pred, cfg.Branch),
+		rob:     resetROB(m.rob, cfg.ROBSize),
+		fetchQ:  m.fetchQ,
+		metrics: newCoreMetrics(cfg.ROBSize, m.metrics.cycleN),
+	}
+	if len(m.fetchQ) != cfg.FetchQueue {
+		m.fetchQ = make([]fetchedInst, cfg.FetchQueue)
 	}
 	if m.dec = p.Decoded; len(m.dec) != len(p.Code) {
 		m.dec = isa.DecodeAll(p.Code)
 	}
-	m.metrics = newCoreMetrics()
 	if cfg.Lockstep {
 		ls, err := newLockstep(p, cfg.PageSize)
 		if err != nil {
@@ -220,6 +232,70 @@ func New(p *prog.Program, cfg Config, buildTLB func(*vm.AddressSpace) tlb.Device
 	// status write-through traffic).
 	m.AS.ClearStatus()
 	return m, nil
+}
+
+// released holds machines handed back by Release for New to start
+// from. The pool is emptied by the garbage collector, so what idle
+// machines keep is bounded by the machines in use between two
+// collections, not by how many have ever run.
+var released sync.Pool
+
+// Release hands the machine back for a later New to reuse. Call it once
+// the run's results are copied out: Stats, DTLB.Stats() and
+// Metrics().Snapshot() by value, and Tracer() and Intervals(), which
+// the machine lets go of. The machine must not be used afterwards.
+//
+// A released machine keeps only what has the same shape from run to
+// run: up to mem.KeepFrames of the frames its memory owned privately
+// (never one still shared with a checkpoint), and the cache tag
+// arrays, predictor tables, ROB, fetch ring and per-cycle counts,
+// which New reuses when the next configuration matches. It drops the
+// program, address space, translation device, checkpoint, lockstep
+// reference, metrics registry, tracer, interval series, progress
+// callback and context, so a pooled machine pins nothing of the run.
+func (m *Machine) Release() {
+	m.Mem.Reset()
+	m.rob.reset()
+	clear(m.fetchQ)
+	*m = Machine{
+		Mem:     m.Mem,
+		icache:  m.icache,
+		dcache:  m.dcache,
+		pred:    m.pred,
+		rob:     m.rob,
+		fetchQ:  m.fetchQ,
+		metrics: coreMetrics{cycleN: m.metrics.cycleN},
+	}
+	released.Put(m)
+}
+
+// resetCache returns c reset when it was built from cfg, and a new
+// cache otherwise.
+func resetCache(c *cache.Cache, cfg cache.Config) *cache.Cache {
+	if c == nil || c.Config() != cfg {
+		return cache.New(cfg)
+	}
+	c.Reset()
+	return c
+}
+
+// resetPredictor returns p reset when it was built from cfg, and a new
+// predictor otherwise.
+func resetPredictor(p *bpred.Predictor, cfg bpred.Config) *bpred.Predictor {
+	if p == nil || p.Config() != cfg {
+		return bpred.New(cfg)
+	}
+	p.Reset()
+	return p
+}
+
+// resetROB returns r (which Release emptied) when it has size entries,
+// and a new ROB otherwise.
+func resetROB(r *rob, size int) *rob {
+	if r == nil || len(r.entries) != size {
+		return newROB(size)
+	}
+	return r
 }
 
 // NewWithDesign builds a machine using a Table 2 design mnemonic.

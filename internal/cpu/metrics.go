@@ -37,6 +37,15 @@ type coreMetrics struct {
 
 	// Scratch: data-side NoPort rejections seen this cycle.
 	noPortThisCycle int64
+
+	// occupancyN[v] and depthN[v] count the cycles with ROB occupancy
+	// v and with v NoPort rejections: a per-cycle increment where
+	// Observe would search the buckets. foldCycleCounts moves them into
+	// robOccup and queueDepth. Both span [0, ROBSize]: the memory stage
+	// visits each ROB entry at most once a cycle, and each visit is
+	// rejected at most once.
+	occupancyN, depthN []uint64
+	cycleN             []uint64 // backs both
 }
 
 // fetch-stall causes (machine.fetchStallCause).
@@ -47,10 +56,21 @@ const (
 	stallITLBMiss
 )
 
-func newCoreMetrics() coreMetrics {
+// newCoreMetrics registers the pipeline's metrics in a new registry.
+// counts backs occupancyN and depthN, robSize+1 each; it is reused when
+// it has that length and allocated otherwise.
+func newCoreMetrics(robSize int, counts []uint64) coreMetrics {
+	if len(counts) == 2*(robSize+1) {
+		clear(counts)
+	} else {
+		counts = make([]uint64, 2*(robSize+1))
+	}
 	reg := stats.NewRegistry()
 	return coreMetrics{
-		reg: reg,
+		reg:        reg,
+		occupancyN: counts[:robSize+1],
+		depthN:     counts[robSize+1:],
+		cycleN:     counts,
 
 		transExtra: reg.Histogram("tlb.translate_extra_cycles", []int64{0, 1, 2, 3, 4, 7, 15, 31}),
 		queueDepth: reg.Histogram("tlb.port_queue_depth", []int64{0, 1, 2, 3, 4, 7, 15}),
@@ -72,7 +92,8 @@ func newCoreMetrics() coreMetrics {
 }
 
 // Metrics returns the machine's metrics registry (populated during Run;
-// aggregate mirrors are synced when Run returns).
+// aggregate mirrors and the per-cycle distributions are synced when Run
+// returns).
 func (m *Machine) Metrics() *stats.Registry { return m.metrics.reg }
 
 // observeCycle records the per-cycle gauges. Called once per tick after
@@ -80,8 +101,8 @@ func (m *Machine) Metrics() *stats.Registry { return m.metrics.reg }
 // completed port arbitration. The interval sampler and progress
 // heartbeat piggyback here (both nil/off by default).
 func (m *Machine) observeCycle() {
-	m.metrics.robOccup.Observe(int64(m.rob.count))
-	m.metrics.queueDepth.Observe(m.metrics.noPortThisCycle)
+	m.metrics.occupancyN[m.rob.count]++
+	m.metrics.depthN[m.metrics.noPortThisCycle]++
 	if m.interval != nil {
 		m.intervalNoPort += m.metrics.noPortThisCycle
 		if m.cycle-m.intervalPrev.cycle >= m.interval.Every() {
@@ -110,6 +131,7 @@ func (m *Machine) countFetchStall() {
 // the translation device's tlb.Stats, and both caches) into the
 // registry so one snapshot is a self-contained export.
 func (m *Machine) syncAggregateMetrics() {
+	m.metrics.foldCycleCounts()
 	reg := m.metrics.reg
 	reg.Counter("commit.insts").Set(m.stats.Committed)
 	reg.Counter("commit.loads").Set(m.stats.CommittedLoads)
@@ -149,4 +171,18 @@ func (m *Machine) syncAggregateMetrics() {
 		reg.Counter(name + ".port_stalls").Set(cs.portStalls)
 		reg.Counter(name + ".writebacks").Set(cs.writebacks)
 	}
+}
+
+// foldCycleCounts moves the per-value cycle counts into their
+// histograms and zeroes them, so a second fold adds only what came
+// since the first.
+func (c *coreMetrics) foldCycleCounts() {
+	for v, n := range c.occupancyN {
+		c.robOccup.ObserveN(int64(v), n)
+	}
+	for v, n := range c.depthN {
+		c.queueDepth.ObserveN(int64(v), n)
+	}
+	clear(c.occupancyN)
+	clear(c.depthN)
 }

@@ -223,6 +223,14 @@ func newROB(size int) *rob {
 	return r
 }
 
+// reset empties the ring, as newROB leaves it, and drops the
+// instruction pointers of the entries it held.
+func (r *rob) reset() {
+	clear(r.entries)
+	clear(r.bits)
+	r.head, r.count = 0, 0
+}
+
 // consumers returns the set of slots with an operand linked to
 // destination slot of entry idx. It empties when that destination's
 // value is delivered, so a retiring entry's sets are empty.

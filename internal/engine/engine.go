@@ -779,6 +779,9 @@ func (e *Engine) execute(ctx context.Context, spec RunSpec) RunResult {
 	res.Metrics = m.Metrics().Snapshot()
 	res.Trace = m.Tracer()
 	res.Intervals = m.Intervals()
+	// res holds copies of everything it reads from m, so the next New
+	// may start from this machine.
+	m.Release()
 	res.Wall = time.Since(start)
 	e.executed.Add(1)
 	res.Err = nil

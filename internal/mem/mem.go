@@ -36,7 +36,19 @@ type Memory struct {
 	// skips the test.
 	shared  []bool
 	nshared int
+	// free holds frames the memory owned privately before a Reset, at
+	// most KeepFrames, for take to hand out again on a first touch or
+	// as the target of a copy-on-write copy.
+	free []*frame
 }
+
+// KeepFrames bounds the frames Reset keeps for reuse (256 KiB): a
+// test-scale run touches a few dozen, and a memory that ran a larger
+// workload pins no more than this.
+const KeepFrames = 64
+
+// keepTable bounds the frame table Reset keeps (8 KiB of pointers).
+const keepTable = 1024
 
 // maxFrames bounds the frame table (16 GiB of simulated physical
 // memory, a 32 MiB table). Frame numbers come from page-table entries,
@@ -54,17 +66,54 @@ func (m *Memory) frameFor(addr uint64) *frame {
 	f := m.frames[fn]
 	switch {
 	case f == nil:
-		f = new(frame)
+		f = m.take()
 		m.frames[fn] = f
 		m.touched++
 	case m.nshared != 0 && m.shared[fn]:
-		own := *f
-		f = &own
+		own := m.take()
+		*own = *f
+		f = own
 		m.frames[fn] = f
 		m.shared[fn] = false
 		m.nshared--
 	}
 	return f
+}
+
+// take returns a zeroed frame: a kept one if there is one.
+func (m *Memory) take() *frame {
+	n := len(m.free)
+	if n == 0 {
+		return new(frame)
+	}
+	f := m.free[n-1]
+	m.free[n-1] = nil
+	m.free = m.free[:n-1]
+	*f = frame{}
+	return f
+}
+
+// Reset empties the memory, as New leaves it, but keeps up to
+// KeepFrames of the frames it owns privately, and a small frame table,
+// for the next contents to use. A frame still shared with an imported
+// image is never kept: it belongs to the image, which other memories
+// may be reading.
+func (m *Memory) Reset() {
+	for fn, f := range m.frames {
+		if f == nil {
+			continue
+		}
+		if len(m.free) < KeepFrames && (m.nshared == 0 || !m.shared[fn]) {
+			m.free = append(m.free, f)
+		}
+	}
+	frames, shared, free := m.frames, m.shared, m.free
+	if len(frames) > keepTable {
+		frames, shared = nil, nil
+	}
+	clear(frames)
+	clear(shared)
+	*m = Memory{frames: frames, shared: shared, free: free}
 }
 
 // grow extends the frame table to hold frame fn, at least doubling it.
@@ -121,7 +170,7 @@ func (m *Memory) ExportFrames() []FrameImage {
 // never does, so any number of memories may import the same slice,
 // concurrently.
 func (m *Memory) ImportFrames(frames []FrameImage) {
-	*m = Memory{}
+	m.Reset()
 	var top uint64
 	for i := range frames {
 		top = max(top, frames[i].Index+1)
@@ -129,7 +178,9 @@ func (m *Memory) ImportFrames(frames []FrameImage) {
 	if top == 0 {
 		return
 	}
-	m.grow(top - 1)
+	if top > uint64(len(m.frames)) {
+		m.grow(top - 1)
+	}
 	for i := range frames {
 		fn := frames[i].Index
 		if m.frames[fn] == nil {
@@ -143,8 +194,8 @@ func (m *Memory) ImportFrames(frames []FrameImage) {
 // Frame returns a pointer to the backing frame containing addr,
 // allocating it on first touch and taking a private copy of a frame
 // still shared with an imported image, since the caller may write
-// through it. The pointer stays valid until ImportFrames replaces the
-// store or ExportFrames hands it over. The translated functional engine
+// through it. The pointer stays valid until Reset (or ImportFrames,
+// which resets) recycles the store or ExportFrames hands it over. The translated functional engine
 // caches it to skip the frame-map lookup on its memory fast path;
 // allocating on a read here is invisible because an all-zero frame reads
 // identically to an untouched one and ExportFrames omits it.

@@ -307,3 +307,69 @@ func TestImportFramesAllocatesNoFrame(t *testing.T) {
 		t.Errorf("a second write to an owned frame made %.0f allocations", allocs)
 	}
 }
+
+// TestResetKeepsOnlyItsOwnFrames: Reset empties the memory and keeps
+// the frames it owned — written copies of imported frames and frames
+// it allocated — but never a frame still shared with the image. The
+// next contents then reuse the kept frames, reading zero wherever they
+// were not written, and allocate none, while the image stays intact.
+func TestResetKeepsOnlyItsOwnFrames(t *testing.T) {
+	fs := testImage()
+	pristine := cloneImage(fs)
+	m := New()
+	m.ImportFrames(fs)
+	m.SetByte(2<<FrameBits, 0xEE) // frame 2: copied, now its own
+	for fn := uint64(20); fn < 30; fn++ {
+		m.Write64(fn<<FrameBits+8, ^fn) // ten frames of its own
+	}
+	_ = m.Read64(3 << FrameBits) // frame 3: read, still shared
+	m.Reset()
+	if m.FramesTouched() != 0 || len(m.free) != 11 {
+		t.Fatalf("after Reset: %d frames touched, %d kept; want 0 and the 11 it owned", m.FramesTouched(), len(m.free))
+	}
+	for _, f := range m.free {
+		for i := range fs {
+			if f == (*frame)(fs[i].Data) {
+				t.Fatalf("Reset kept frame %d of the image", fs[i].Index)
+			}
+		}
+	}
+
+	// Reuse every kept frame, again and again: first touch reads zero
+	// around the one word written, and the image never sees a write.
+	allocs := testing.AllocsPerRun(10, func() {
+		m.Reset()
+		for fn := uint64(0); fn < 11; fn++ {
+			m.Write64(fn<<FrameBits+16, 0xAB)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("Reset and writing 11 frames made %.0f allocations, want 0 (the kept frames)", allocs)
+	}
+	for fn := uint64(0); fn < 40; fn++ {
+		if got := m.Read64(fn<<FrameBits + 8); got != 0 {
+			t.Fatalf("frame %d reads %#x at offset 8 after Reset, want 0", fn, got)
+		}
+	}
+	m.ImportFrames(fs) // resets: the 11 frames are kept again
+	for fn := uint64(0); fn < 12; fn++ {
+		m.Write64(fn<<FrameBits, fn)
+	}
+	if !reflect.DeepEqual(fs, pristine) {
+		t.Fatal("a write through a recycled frame reached the imported image")
+	}
+}
+
+// TestResetKeepsAtMostKeepFrames: a memory that touched more frames
+// than KeepFrames keeps KeepFrames, and a large frame table is dropped.
+func TestResetKeepsAtMostKeepFrames(t *testing.T) {
+	m := New()
+	for fn := uint64(0); fn < 2*KeepFrames; fn++ {
+		m.SetByte(fn<<FrameBits, 1)
+	}
+	m.SetByte(2*keepTable<<FrameBits, 1)
+	m.Reset()
+	if len(m.free) != KeepFrames || m.frames != nil {
+		t.Errorf("Reset kept %d frames and a %d-entry table, want %d and none", len(m.free), len(m.frames), KeepFrames)
+	}
+}

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -44,6 +45,28 @@ func TestHistogramBucketing(t *testing.T) {
 	}
 	if h.Mean() != 15 {
 		t.Fatalf("mean %f", h.Mean())
+	}
+}
+
+// ObserveN(v, n) leaves a histogram exactly as n Observe(v) calls do,
+// and ObserveN(v, 0) leaves it untouched.
+func TestHistogramObserveN(t *testing.T) {
+	r := NewRegistry()
+	one := r.Histogram("one", []int64{0, 1, 3, 7})
+	bulk := r.Histogram("bulk", []int64{0, 1, 3, 7})
+	for v, n := range []uint64{3, 0, 5, 1, 0, 0, 2, 0, 0, 0, 4} {
+		for range n {
+			one.Observe(int64(v))
+		}
+		bulk.ObserveN(int64(v), n)
+	}
+	bulk.ObserveN(99, 0)
+	snap := r.Snapshot()
+	a, _ := snap.Get("one")
+	b, _ := snap.Get("bulk")
+	a.Name, b.Name = "", ""
+	if !reflect.DeepEqual(a, b) {
+		t.Fatalf("ObserveN: %+v, Observe: %+v", b, a)
 	}
 }
 
