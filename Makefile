@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build test check bench profile-core profile-ffwd profile-fleet experiments report serve-demo cover loc clean
+.PHONY: all build test check ci bench profile-core profile-ffwd profile-fleet experiments report serve-demo cover loc clean
 
 all: build test
 
@@ -10,23 +10,36 @@ build:
 test:
 	go test ./...
 
-# The CI gate: vet, the race-enabled test suite (which includes the
-# lockstep differential, cross-design equivalence, golden-file, and
-# concurrent-/metrics-scrape tests), a gofmt check, and the promcheck
-# self-test (one real run rendered through the exposition pipeline and
-# re-parsed, no server needed). Golden fixtures are regenerated with
+# Vet, a gofmt check and the race-enabled test suite (which includes
+# the lockstep differential, cross-design equivalence, golden-file and
+# concurrent-/metrics-scrape tests, and the tests that drive the built
+# binaries as processes). Golden fixtures are regenerated with
 # `go test ./internal/harness/ ./internal/report/ -run TestGolden -update`.
 check:
 	go vet ./...
 	test -z "$$(gofmt -l .)" || { gofmt -l .; echo 'gofmt: files need formatting'; exit 1; }
 	go test -race ./...
-	go run ./internal/obs/promcheck -static
+
+# The whole gate, what CI runs: check, the worker pool's shard index on
+# a 32-bit platform, one iteration of every benchmark, the internal/ckpt
+# coverage floor (85 %), every fuzz target for 10 s (found by
+# `go test -list`), and the benchmark's machine-independent floors.
+ci: check
+	GOARCH=386 go test ./internal/transport/ -run TestShardInRange
+	@$(MAKE) --no-print-directory bench
+	go test -race -coverprofile=coverage.out -coverpkg=./internal/ckpt/... ./internal/ckpt/
+	go tool cover -func=coverage.out | awk '/^total:/ { print "internal/ckpt coverage " $$3; if ($$3 + 0 < 85) { print "below the 85% floor"; exit 1 } }'
+	go test -list '^Fuzz' ./... | awk '/^Fuzz/ { f = f " " $$1 } /^ok / { if (f != "") print $$2 f; f = "" }' | \
+	while read pkg targets; do \
+		for f in $$targets; do go test $$pkg -run '^$$' -fuzz "^$$f$$" -fuzztime 10s || exit 1; done; \
+	done
+	go run ./scripts/floors
 
 # One iteration of every Benchmark* function (tables, figures,
 # ablations): a smoke, not a measurement. How fast the simulator is, per
 # layer and end to end, is `go run ./bench` (bench/README.md).
 bench:
-	go test -bench=. -benchmem -benchtime=1x .
+	go test -run '^$$' -bench=. -benchmem -benchtime=1x .
 
 # Where the cycle core's host time and bytes go: the Figure 5 grid (130
 # from-reset runs, test scale). Prints the pass's B/op, the top 25

@@ -264,6 +264,32 @@ func TestFleetCrashMidSpec(t *testing.T) {
 	assertArtifacts(t, cl, st)
 }
 
+// TestFleetPanickingSpecIsNotRetried: a spec whose run panics on every
+// worker fails once, with the worker's error, and is never walked across
+// the fleet. A worker that answered "failed" ran the spec; only a spec
+// the coordinator lost retries.
+func TestFleetPanickingSpecIsNotRetried(t *testing.T) {
+	guardGoroutines(t)
+	rig := fleettest.New(t, 3)
+	for _, w := range rig.Workers {
+		w.SetFault(fleettest.FaultPanic, 0)
+	}
+	_, cl, tracer := newCoord(t, rig, nil)
+	acc, err := cl.Submit(context.Background(), api.JobRequest{Specs: seedSpecs(1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := waitJob(t, cl, acc.ID)
+	s := st.Specs[0]
+	if st.State != api.StateFailed || s.Attempts != 1 || !strings.Contains(s.Error, "spec panicked") {
+		t.Fatalf("job %s, spec %+v; want it failed after one attempt naming the panic", st.State, s)
+	}
+	if n := rig.TotalSubmissions()[s.SpecKey]; n != 1 {
+		t.Errorf("the panicking spec went to %d workers, want 1", n)
+	}
+	assertRetrySpans(t, tracer, acc.TraceID, false)
+}
+
 // TestFleetHungWorker parks every request on the only worker: the
 // coordinator's per-request timeout must fail the batch (not hang the
 // job), and the retry after the fault clears must complete it. The

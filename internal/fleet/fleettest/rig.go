@@ -14,6 +14,8 @@
 //     worker (or path) that silently damages result bytes.
 //   - Drain: the worker's own graceful shutdown mid-job, so /ready
 //     reports 503 while in-flight work completes.
+//   - Panic: every spec the worker simulates panics inside the engine
+//     — what a spec that crashes the simulator looks like from outside.
 //
 // The middleware also records every spec key each worker was asked to
 // run, which is what lets the battery assert the no-duplicate-run
@@ -55,6 +57,8 @@ const (
 	FaultSlow
 	// FaultCorrupt flips a byte in every /v1/results response body.
 	FaultCorrupt
+	// FaultPanic panics every run the worker's engine starts.
+	FaultPanic
 )
 
 // Worker is one live hbatd stack under test.
@@ -140,6 +144,16 @@ func newWorker(t testing.TB) *Worker {
 		hangers:   make(chan struct{}),
 		submitted: make(map[string]int),
 	}
+	// The engine beats its heartbeat as each run starts, on the
+	// goroutine that runs the spec.
+	eng.SetHeartbeat(func() {
+		w.mu.Lock()
+		fault := w.fault
+		w.mu.Unlock()
+		if fault == FaultPanic {
+			panic("fleettest: injected panic")
+		}
+	})
 
 	// The exact two-table mount cmd/hbatd performs: /v1 job API next to
 	// the obs endpoints, /ready tracking the engine's accepting state.

@@ -6,8 +6,8 @@ package fleet
 // and each completed spec's artifact is fetched exactly once, verified
 // against the worker-reported content hash, and filed into the
 // coordinator store — the only place the coordinator serves results
-// from. A batch that errors, times out, or reports failed
-// specs sends those specs into the next retry wave, which re-ranks
+// from. A batch that errors, times out, or returns corrupt bytes
+// sends its unfinished specs into the next retry wave, which re-ranks
 // them onto workers not yet tried — with capped exponential backoff
 // between waves and a hard per-spec attempt cap. Workers that died
 // mid-batch are (independently) demoted by the prober, so the next
@@ -140,8 +140,10 @@ func (c *Coordinator) backoffWait(wave int) bool {
 // dispatch sends one batch of specs to one worker as a worker-side job
 // and reconciles the outcome. It returns the indices that need another
 // attempt: every index on batch-level failure (submit error, stream +
-// status loss, timeout), or the subset that individually failed or
-// came back with corrupt artifact bytes.
+// status loss, timeout), or the subset that came back unfinished or
+// with corrupt artifact bytes. A spec the worker ran and reported
+// failed is final: runs are deterministic, so it would fail the same
+// way on every worker.
 func (c *Coordinator) dispatch(j *transport.Job, w *worker, idxs []int, tried []map[string]bool) (failed []int) {
 	ctx, cancel := context.WithTimeout(context.Background(), c.cfg.BatchTimeout)
 	defer cancel()
@@ -240,8 +242,9 @@ func (c *Coordinator) dispatch(j *transport.Job, w *worker, idxs []int, tried []
 			continue
 		}
 		if s.State == api.StateFailed {
-			j.Note(is, s.Error)
-			failed = append(failed, is...)
+			for _, i := range is {
+				j.Finish(i, api.SpecStatus{State: api.StateFailed, Error: s.Error})
+			}
 			continue
 		}
 		failed = append(failed, c.completeSpec(ctx, j, w, is, s)...)

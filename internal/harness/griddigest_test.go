@@ -14,16 +14,30 @@ import (
 	"hbat/internal/workload"
 )
 
-// gridDigest is the SHA-256 over the canonical artifacts of the full
-// Figure 5 grid (13 designs × 10 workloads, test scale) in figure
-// order. It is the same digest `go run ./bench --workload grid-cold
-// --seed N` prints as sim_digest, so the two cross-check each other.
+// grids memoises the full Figure 5 grid (13 designs × 10 workloads,
+// test scale, fresh engine) per seed: TestGridDigest and
+// TestFigure5Orderings read the same runs.
+var grids = map[uint64]*FigureResult{}
+
+func grid(t *testing.T, seed uint64) *FigureResult {
+	t.Helper()
+	if grids[seed] == nil {
+		f, err := Figure5(context.Background(), Options{Scale: workload.ScaleTest, Seed: seed, Engine: engine.New()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		grids[seed] = f
+	}
+	return grids[seed]
+}
+
+// gridDigest is the SHA-256 over the canonical artifacts of the grid
+// in figure order. It is the same digest `go run ./bench --workload
+// grid-cold --seed N` prints as sim_digest, so the two cross-check each
+// other.
 func gridDigest(t *testing.T, seed uint64) string {
 	t.Helper()
-	f, err := Figure5(context.Background(), Options{Scale: workload.ScaleTest, Seed: seed, Engine: engine.New()})
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := grid(t, seed)
 	h := sha256.New()
 	for _, d := range f.Designs {
 		for _, w := range f.Workloads {

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"bufio"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -14,9 +13,6 @@ import (
 // flagNameRE matches the flag names in a FlagSet's -h usage output
 // ("  -obs string", "  -spans", ...).
 var flagNameRE = regexp.MustCompile(`(?m)^  -([a-z0-9-]+)`)
-
-// binNames are the cmd/hbat* binaries built once per test process.
-var binNames = []string{"hbat", "hbat-experiments", "hbat-trace", "hbatd"}
 
 var built struct {
 	once sync.Once
@@ -33,8 +29,8 @@ func TestMain(m *testing.M) {
 	os.Exit(code)
 }
 
-// buildBinaries builds every cmd/hbat* binary into one directory shared
-// by the tests of this package and returns it.
+// buildBinaries builds every cmd/hbat* binary and the benchmark into
+// one directory shared by the tests of this package and returns it.
 func buildBinaries(t *testing.T) string {
 	t.Helper()
 	if testing.Short() {
@@ -49,13 +45,9 @@ func buildBinaries(t *testing.T) string {
 		if built.dir, built.err = os.MkdirTemp("", "hbat-bins-"); built.err != nil {
 			return
 		}
-		for _, b := range binNames {
-			cmd := exec.Command("go", "build", "-o", filepath.Join(built.dir, b), "./cmd/"+b)
-			cmd.Dir = root
-			if built.out, built.err = cmd.CombinedOutput(); built.err != nil {
-				return
-			}
-		}
+		cmd := exec.Command("go", "build", "-o", built.dir+string(filepath.Separator), "./cmd/...", "./bench")
+		cmd.Dir = root
+		built.out, built.err = cmd.CombinedOutput()
 	})
 	if built.err != nil {
 		t.Fatalf("build: %v\n%s", built.err, built.out)
@@ -105,14 +97,28 @@ func TestFlagParityAcrossBinaries(t *testing.T) {
 	}
 }
 
-// docFlagRE matches a -flag token on a command line.
-var docFlagRE = regexp.MustCompile(`^-([a-z][a-z0-9-]*)`)
+// docFlagRE matches a -flag or --flag token on a command line.
+var docFlagRE = regexp.MustCompile(`^--?([a-z][a-z0-9-]*)`)
 
-// TestDocsNameOnlyLiveFlags: every `go run ./cmd/<bin> ...` command in
-// the user-facing docs (fenced lines with backslash continuations joined
-// and # comments dropped, and inline code spans) names only flags that
-// binary, or that hbat-trace subcommand, lists in its -h output, so a
-// removed flag cannot live on in an example.
+// docs are the user-facing docs whose commands must stay runnable.
+var docs = []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", "docs/ARCHITECTURE.md", "docs/WORKLOADS.md"}
+
+// readDoc returns the text of a doc named relative to the repo root.
+func readDoc(t *testing.T, doc string) string {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join("../..", doc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(data)
+}
+
+// TestDocsNameOnlyLiveFlags: every command the docs show — `go run
+// ./cmd/<bin>`, `go run ./bench` or a bare `hbat…` line, in a fenced
+// block (backslash continuations joined, # comments dropped) or an
+// inline code span — names only flags that binary, or that hbat-trace
+// subcommand, lists in its -h output, so a removed flag cannot live on
+// in an example.
 func TestDocsNameOnlyLiveFlags(t *testing.T) {
 	dir := buildBinaries(t)
 	usage := map[string]map[string]bool{}
@@ -127,13 +133,14 @@ func TestDocsNameOnlyLiveFlags(t *testing.T) {
 		}
 		return usage[k]
 	}
-	lines := 0
-	for _, doc := range []string{"README.md", "DESIGN.md", "docs/ARCHITECTURE.md", "EXPERIMENTS.md"} {
-		for _, cmd := range docGoRuns(t, filepath.Join("../..", doc)) {
-			lines++
-			fields := strings.Fields(cmd)
-			bin := strings.TrimPrefix(fields[0], "./cmd/")
-			args := fields[1:]
+	seen := map[string]int{}
+	for _, doc := range docs {
+		for _, cmd := range docCommands(readDoc(t, doc)) {
+			bin, args := invocation(cmd)
+			if _, err := os.Stat(filepath.Join(dir, bin)); bin == "" || err != nil {
+				continue
+			}
+			seen[bin]++
 			sub := ""
 			if bin == "hbat-trace" && len(args) > 0 {
 				sub, args = args[0], args[1:]
@@ -144,41 +151,63 @@ func TestDocsNameOnlyLiveFlags(t *testing.T) {
 					break // the rest belongs to the shell
 				}
 				if m := docFlagRE.FindStringSubmatch(a); m != nil && !have[m[1]] {
-					t.Errorf("%s: `go run %s` names -%s, which %s %s -h does not list", doc, cmd, m[1], bin, sub)
+					t.Errorf("%s: `%s` names -%s, which %s %s -h does not list", doc, cmd, m[1], bin, sub)
 				}
 			}
 		}
 	}
-	if lines == 0 {
-		t.Fatal("found no go run commands in the docs")
+	if seen["hbat"] == 0 || seen["bench"] == 0 {
+		t.Fatalf("commands found per binary: %v; want hbat and bench among them", seen)
 	}
 }
 
-// inlineGoRunRE matches a `go run ./cmd/...` inline code span.
-var inlineGoRunRE = regexp.MustCompile("`go run (\\./cmd/[^`]*)`")
-
-// docGoRuns returns what follows "go run " in every command of the
-// markdown file at path: each command line inside a ``` fence,
-// continuations joined and comments dropped, and each inline code span.
-func docGoRuns(t *testing.T, path string) []string {
-	t.Helper()
-	f, err := os.Open(path)
-	if err != nil {
-		t.Fatal(err)
+// invocation splits a doc command into the binary it runs and its
+// arguments: `go run ./cmd/<bin> ...`, `go run ./bench ...`, or a
+// command line that starts with the binary's name.
+func invocation(cmd string) (string, []string) {
+	if i := strings.Index(cmd, "go run ./"); i >= 0 {
+		cmd = strings.TrimPrefix(cmd[i+len("go run ./"):], "cmd/")
+	} else if cmd = strings.TrimPrefix(cmd, "./"); !strings.HasPrefix(cmd, "hbat") {
+		return "", nil
 	}
-	defer f.Close()
+	f := strings.Fields(cmd)
+	if len(f) == 0 {
+		return "", nil
+	}
+	return f[0], f[1:]
+}
+
+// retired names binaries and flags that are gone; only the migration
+// notes for hbatc (the paragraphs giving `s/hbatc/hbatd/`) may name one.
+var retiredRE = regexp.MustCompile(`(^|[^a-z-])(hbatc|hbat-bench-sweep|hbat-missrates|hbat-report|promcheck -static)($|[^a-z-])`)
+
+func TestDocsNameNoRetiredBinaryOrFlag(t *testing.T) {
+	for _, doc := range docs {
+		for _, para := range strings.Split(readDoc(t, doc), "\n\n") {
+			if m := retiredRE.FindStringSubmatch(para); m != nil && !strings.Contains(para, "s/hbatc/hbatd/") {
+				t.Errorf("%s names %q, which no longer exists:\n%s", doc, m[2], para)
+			}
+		}
+	}
+}
+
+// inlineCodeRE matches an inline code span.
+var inlineCodeRE = regexp.MustCompile("`([^`]+)`")
+
+// docCommands returns every command line inside a ``` fence of a
+// markdown text, continuations joined and comments dropped, and every
+// inline code span outside the fences.
+func docCommands(text string) []string {
 	var cmds []string
 	var fenced bool
 	var cur string
-	sc := bufio.NewScanner(f)
-	for sc.Scan() {
-		line := sc.Text()
+	for _, line := range strings.Split(text, "\n") {
 		if strings.HasPrefix(strings.TrimSpace(line), "```") {
 			fenced, cur = !fenced, ""
 			continue
 		}
 		if !fenced {
-			for _, m := range inlineGoRunRE.FindAllStringSubmatch(line, -1) {
+			for _, m := range inlineCodeRE.FindAllStringSubmatch(line, -1) {
 				cmds = append(cmds, m[1])
 			}
 			continue
@@ -187,18 +216,11 @@ func docGoRuns(t *testing.T, path string) []string {
 			line = line[:i]
 		}
 		line = strings.TrimSpace(line)
-		cont := strings.HasSuffix(line, `\`)
 		cur += " " + strings.TrimSuffix(line, `\`)
-		if cont {
-			continue
+		if !strings.HasSuffix(line, `\`) {
+			cmds = append(cmds, strings.TrimSpace(cur))
+			cur = ""
 		}
-		if i := strings.Index(cur, "go run ./cmd/"); i >= 0 {
-			cmds = append(cmds, strings.TrimSpace(cur[i+len("go run "):]))
-		}
-		cur = ""
-	}
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
 	}
 	return cmds
 }

@@ -14,7 +14,6 @@ package obs
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 	"log/slog"
 	"net"
 	"net/http"
@@ -220,15 +219,6 @@ func (s *Server) families() []Family {
 		fams = append(fams, s.cfg.Extra()...)
 	}
 	return fams
-}
-
-// WriteSnapshot writes one scrape's worth of exposition for cfg
-// without starting a server — what /metrics would serve right now.
-// Used by promcheck -static to validate the full metrics pipeline
-// (engine aggregates through text exposition) in-process.
-func WriteSnapshot(w io.Writer, cfg Config) error {
-	s := &Server{cfg: cfg, start: time.Now()}
-	return WriteExposition(w, s.families())
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
