@@ -114,7 +114,7 @@ report:
 
 # Live-telemetry demo: a test-scale evaluation with the observability
 # server on :8090 and JSON logs. While it runs:
-#   curl -s localhost:8090/metrics | go run ./internal/obs/promcheck
+#   curl -s localhost:8090/metrics | grep hbat_sweep_
 #   curl -s localhost:8090/health
 serve-demo:
 	go run ./cmd/hbat-experiments -scale test -html report.html \

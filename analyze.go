@@ -65,8 +65,6 @@ func RenderAnalysis(w io.Writer, a *Analysis) {
 		switch m.Kind {
 		case "counter":
 			fmt.Fprintf(w, "  %-34s %12d\n", m.Name, m.Value)
-		case "gauge":
-			fmt.Fprintf(w, "  %-34s %12d  (max %d)\n", m.Name, m.Level, m.Max)
 		default:
 			fmt.Fprintf(w, "  %-34s n=%d mean=%.2f max=%d\n", m.Name, m.Count, m.Mean, m.Max)
 		}

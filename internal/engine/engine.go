@@ -103,24 +103,15 @@ type Engine struct {
 	// ewma holds learned wall-time estimates in seconds, keyed by the
 	// spec features that dominate run length.
 	ewma map[costKey]float64
-	// agg accumulates every executed run's metrics registry; wallReg
-	// holds one wall-time histogram per workload (metric name = the
-	// workload). Both are only touched under mu, which is what makes a
-	// concurrent /metrics scrape race-free while machines run: live
-	// machine registries are never read, only finished snapshots merged.
-	agg     *stats.Registry
+	// wallReg holds one wall-time histogram per workload (metric name =
+	// the workload), touched only under mu, which is what makes a
+	// concurrent /metrics scrape race-free while machines run.
 	wallReg *stats.Registry
 	// runLog records the last runLogKept requests (executed or
 	// cache-served) for the provenance manifest: a ring once full, the
 	// oldest record at runsDropped % runLogKept.
 	runLog      []RunRecord
 	runsDropped uint64
-	// sweep is the most recent RunAll's progress, for live ETA export.
-	sweep struct {
-		done, total int
-		elapsed     time.Duration
-		eta         time.Duration
-	}
 
 	buildHits   atomic.Uint64
 	buildMisses atomic.Uint64
@@ -144,7 +135,6 @@ func New() *Engine {
 		ckpts:   newFlight[ckptKey, *ckpt.Checkpoint](ckptKept),
 		memo:    newFlight[specKey, RunResult](memoKept),
 		ewma:    make(map[costKey]float64),
-		agg:     stats.NewRegistry(),
 		wallReg: stats.NewRegistry(),
 	}
 }
@@ -328,23 +318,8 @@ func (e *Engine) CacheStats() CacheStats {
 	}
 }
 
-// MetricsSnapshot exports the engine's counters through the metrics
-// registry, in the same Snapshot form per-run metrics use.
-func (e *Engine) MetricsSnapshot() stats.Snapshot {
-	cs := e.CacheStats()
-	reg := stats.NewRegistry()
-	reg.Counter("sweep.build_cache_hits").Set(cs.BuildHits)
-	reg.Counter("sweep.build_cache_misses").Set(cs.BuildMisses)
-	reg.Counter("sweep.spec_cache_hits").Set(cs.SpecHits)
-	reg.Counter("sweep.spec_cache_misses").Set(cs.SpecMisses)
-	reg.Counter("sweep.ckpt_cache_hits").Set(cs.CkptHits)
-	reg.Counter("sweep.ckpt_cache_misses").Set(cs.CkptMisses)
-	reg.Counter("sweep.runs_executed").Set(e.executed.Load())
-	return reg.Snapshot()
-}
-
 // EngineState is a point-in-time read of the engine's live scheduler
-// state, exported by the obs server as gauges.
+// state, exported by the obs server as hbat_sweep_* families.
 type EngineState struct {
 	// Queued/Active/Done count runs: dispatched-but-waiting, currently
 	// simulating, and completed (including cache hits and cancellations).
@@ -354,42 +329,17 @@ type EngineState struct {
 	// Accepting is false once SetAccepting(false) marked the engine
 	// draining.
 	Accepting bool
-	// Cache is the build/memo counters.
-	Cache CacheStats
-	// SweepDone/SweepTotal and ElapsedSeconds/ETASeconds mirror the most
-	// recent RunAll's progress (EWMA-cost-weighted ETA; zero when no
-	// sweep has reported yet).
-	SweepDone, SweepTotal int
-	ElapsedSeconds        float64
-	ETASeconds            float64
 }
 
 // State returns the engine's live scheduler state.
 func (e *Engine) State() EngineState {
-	st := EngineState{
+	return EngineState{
 		Queued:    e.queued.Load(),
 		Active:    e.active.Load(),
 		Done:      e.done.Load(),
 		Executed:  e.executed.Load(),
 		Accepting: e.Accepting(),
-		Cache:     e.CacheStats(),
 	}
-	e.mu.Lock()
-	st.SweepDone, st.SweepTotal = e.sweep.done, e.sweep.total
-	st.ElapsedSeconds = e.sweep.elapsed.Seconds()
-	st.ETASeconds = e.sweep.eta.Seconds()
-	e.mu.Unlock()
-	return st
-}
-
-// LiveMetrics snapshots the aggregate of every completed run's metrics
-// registry. Safe to call while a sweep is in flight: live machine
-// registries are never read, only snapshots already merged under the
-// engine lock.
-func (e *Engine) LiveMetrics() stats.Snapshot {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.agg.Snapshot()
 }
 
 // WallTimes snapshots the per-workload wall-time histograms of executed
@@ -444,8 +394,8 @@ func (e *Engine) runLogSnapshot() ([]RunRecord, uint64) {
 	return append(recs, e.runLog[:oldest]...), e.runsDropped
 }
 
-// record appends a provenance entry and folds an executed run's
-// metrics into the live aggregate. Completion doubles as a watchdog
+// record appends a provenance entry and observes an executed run's
+// wall time under its workload. Completion doubles as a watchdog
 // heartbeat.
 func (e *Engine) record(id uint64, spec RunSpec, res *RunResult, cached bool, phases map[string]float64, traceID string) {
 	e.heartbeat()
@@ -472,7 +422,6 @@ func (e *Engine) record(id uint64, spec RunSpec, res *RunResult, cached bool, ph
 		e.runsDropped++
 	}
 	if !cached && res.Err == nil {
-		e.agg.Merge(res.Metrics)
 		e.wallReg.Histogram(spec.Workload, wallBuckets).Observe(res.Wall.Milliseconds())
 	}
 	e.mu.Unlock()
@@ -875,10 +824,6 @@ func (e *Engine) RunAll(ctx context.Context, specs []RunSpec, parallelism int, p
 
 	start := time.Now()
 	e.queued.Add(int64(len(specs)))
-	e.mu.Lock()
-	e.sweep.done, e.sweep.total = 0, len(specs)
-	e.sweep.elapsed, e.sweep.eta = 0, 0
-	e.mu.Unlock()
 	if lg := e.Logger(); lg != nil {
 		lg.Info("sweep start", "runs", len(specs), "parallelism", parallelism)
 	}
@@ -931,10 +876,6 @@ func (e *Engine) RunAll(ctx context.Context, specs []RunSpec, parallelism int, p
 			if doneCost > 0 && done < len(specs) {
 				eta = time.Duration(float64(elapsed) * (totalCost - doneCost) / doneCost)
 			}
-			e.mu.Lock()
-			e.sweep.done, e.sweep.total = done, len(specs)
-			e.sweep.elapsed, e.sweep.eta = elapsed, eta
-			e.mu.Unlock()
 			if progress != nil {
 				progress(Progress{Done: done, Total: len(specs), Result: &results[i], Elapsed: elapsed, ETA: eta})
 			}

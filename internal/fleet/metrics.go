@@ -6,7 +6,7 @@ package fleet
 // plus hbat_fleet_* state — worker registry states, per-worker
 // dispatched specs, retries, and no-worker rejections. hbatd hands
 // MetricsFamilies to obs.Config.Extra, so /metrics serves one
-// promcheck-valid exposition.
+// exposition.
 
 import "hbat/internal/obs"
 

@@ -8,32 +8,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-
-	"hbat/internal/stats"
 )
-
-// Namespace prefixes every exposed metric: the registry's two-segment
-// `subsystem.noun_unit` names become `hbat_subsystem_noun_unit`.
-const Namespace = "hbat"
-
-// PromName maps a registry metric name to its Prometheus exposition
-// name: the hbat namespace is prepended and every character outside
-// [a-zA-Z0-9_:] becomes an underscore (dots separate the segments).
-func PromName(name string) string {
-	var b strings.Builder
-	b.Grow(len(Namespace) + 1 + len(name))
-	b.WriteString(Namespace)
-	b.WriteByte('_')
-	for _, r := range name {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9', r == '_', r == ':':
-			b.WriteRune(r)
-		default:
-			b.WriteByte('_')
-		}
-	}
-	return b.String()
-}
 
 // Label is one exposition label pair.
 type Label struct {
@@ -71,45 +46,6 @@ type Family struct {
 // Scalar returns a family of one unlabelled series.
 func Scalar(name, kind, help string, v float64) Family {
 	return Family{Name: name, Kind: kind, Help: help, Series: []Series{{Value: v}}}
-}
-
-// SnapshotFamilies converts a stats snapshot into exposition families,
-// attaching the given labels to every series. Gauges additionally
-// export a companion `<name>_max` gauge (the high-water mark the
-// registry tracks); histograms export `<name>_max` the same way.
-func SnapshotFamilies(snap stats.Snapshot, labels ...Label) []Family {
-	var fams []Family
-	for _, m := range snap {
-		name := PromName(m.Name)
-		switch m.Kind {
-		case "counter":
-			fams = append(fams, Family{
-				Name: name, Kind: "counter",
-				Series: []Series{{Labels: labels, Value: float64(m.Value)}},
-			})
-		case "gauge":
-			fams = append(fams,
-				Family{Name: name, Kind: "gauge",
-					Series: []Series{{Labels: labels, Value: float64(m.Level)}}},
-				Family{Name: name + "_max", Kind: "gauge",
-					Series: []Series{{Labels: labels, Value: float64(m.Max)}}},
-			)
-		case "histogram":
-			fams = append(fams,
-				Family{Name: name, Kind: "histogram",
-					Hists: []HistSeries{{
-						Labels: labels,
-						Bounds: m.Bounds,
-						Counts: m.Buckets,
-						Sum:    float64(m.Sum),
-						Count:  m.Count,
-					}}},
-				Family{Name: name + "_max", Kind: "gauge",
-					Series: []Series{{Labels: labels, Value: float64(m.Max)}}},
-			)
-		}
-	}
-	return fams
 }
 
 // WriteExposition renders families as Prometheus text exposition

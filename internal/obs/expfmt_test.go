@@ -3,22 +3,7 @@ package obs
 import (
 	"strings"
 	"testing"
-
-	"hbat/internal/stats"
 )
-
-func TestPromName(t *testing.T) {
-	cases := map[string]string{
-		"tlb.port_queue_depth": "hbat_tlb_port_queue_depth",
-		"sweep.runs_executed":  "hbat_sweep_runs_executed",
-		"weird-name.1":         "hbat_weird_name_1",
-	}
-	for in, want := range cases {
-		if got := PromName(in); got != want {
-			t.Errorf("PromName(%q) = %q, want %q", in, got, want)
-		}
-	}
-}
 
 // TestWriteExpositionGolden pins the exposition byte-for-byte: family
 // ordering (sorted by name), series ordering (sorted by label
@@ -66,43 +51,6 @@ hbat_zeta_total 3
 	// The golden output must also satisfy our own validator.
 	if _, err := ParseExposition(strings.NewReader(b.String())); err != nil {
 		t.Errorf("golden output fails validation: %v", err)
-	}
-}
-
-// TestSnapshotFamiliesRoundTrip renders a real registry snapshot and
-// validates it parses, with gauges and histograms growing _max
-// companions.
-func TestSnapshotFamiliesRoundTrip(t *testing.T) {
-	r := stats.NewRegistry()
-	r.Counter("tlb.lookups").Add(12)
-	g := r.Gauge("rob.depth")
-	g.Set(9)
-	g.Set(4)
-	h := r.Histogram("tlb.walk_latency", []int64{1, 4, 16})
-	for _, v := range []int64{0, 3, 20} {
-		h.Observe(v)
-	}
-
-	fams := SnapshotFamilies(r.Snapshot(), Label{"run", "1"})
-	var b strings.Builder
-	if err := WriteExposition(&b, fams); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
-	for _, want := range []string{
-		"hbat_tlb_lookups{run=\"1\"} 12",
-		"hbat_rob_depth{run=\"1\"} 4",
-		"hbat_rob_depth_max{run=\"1\"} 9",
-		"hbat_tlb_walk_latency_bucket{run=\"1\",le=\"+Inf\"} 3",
-		"hbat_tlb_walk_latency_max{run=\"1\"} 20",
-		"hbat_tlb_walk_latency_count{run=\"1\"} 3",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("exposition missing %q:\n%s", want, out)
-		}
-	}
-	if _, err := ParseExposition(strings.NewReader(out)); err != nil {
-		t.Errorf("snapshot exposition invalid: %v", err)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -161,6 +162,80 @@ func TestDocsNameOnlyLiveFlags(t *testing.T) {
 	}
 }
 
+// WorkerFamilies and CoordinatorFamilies are every family /metrics
+// exports in each hbatd role, sorted: the worker's once it has run a
+// job, the coordinator's once it has dispatched one.
+// TestFamiliesPerRole pins them against live scrapes; hbat-experiments
+// -obs exports the worker's hbat_obs_*, hbat_process_* and
+// hbat_sweep_* families.
+var (
+	WorkerFamilies = []string{
+		"hbat_fabric_jobs_open",
+		"hbat_fabric_queue_depth",
+		"hbat_fabric_request_duration_ms",
+		"hbat_fabric_requests",
+		"hbat_fabric_span_subscribers",
+		"hbat_fabric_store_quota_bytes",
+		"hbat_fabric_store_tenant_bytes",
+		"hbat_obs_healthy",
+		"hbat_obs_last_progress_age_seconds",
+		"hbat_obs_scrapes",
+		"hbat_obs_uptime_seconds",
+		"hbat_process_goroutines",
+		"hbat_sweep_accepting",
+		"hbat_sweep_build_cache_hits",
+		"hbat_sweep_build_cache_misses",
+		"hbat_sweep_ckpt_cache_hits",
+		"hbat_sweep_ckpt_cache_misses",
+		"hbat_sweep_run_wall_ms",
+		"hbat_sweep_runs_active",
+		"hbat_sweep_runs_done",
+		"hbat_sweep_runs_executed",
+		"hbat_sweep_runs_queued",
+		"hbat_sweep_spec_cache_hits",
+		"hbat_sweep_spec_cache_misses",
+	}
+	CoordinatorFamilies = []string{
+		"hbat_fabric_jobs_open",
+		"hbat_fabric_request_duration_ms",
+		"hbat_fabric_requests",
+		"hbat_fleet_no_worker_events",
+		"hbat_fleet_spec_retries",
+		"hbat_fleet_specs_dispatched",
+		"hbat_fleet_worker_state",
+		"hbat_obs_scrapes",
+		"hbat_obs_uptime_seconds",
+		"hbat_process_goroutines",
+	}
+)
+
+// familyRE matches a family name in prose or a command; a trailing *
+// makes it a prefix.
+var familyRE = regexp.MustCompile(`hbat_[a-z0-9_]+\*?`)
+
+// TestDocsNameOnlyLiveFamilies: every hbat_… name the docs give is a
+// family one of the roles exports, or with a trailing * the prefix of
+// one, so a deleted family cannot live on in a walkthrough.
+func TestDocsNameOnlyLiveFamilies(t *testing.T) {
+	live := append(slices.Clone(WorkerFamilies), CoordinatorFamilies...)
+	named := 0
+	for _, doc := range docs {
+		for _, tok := range familyRE.FindAllString(readDoc(t, doc), -1) {
+			named++
+			prefix, isPrefix := strings.CutSuffix(tok, "*")
+			ok := slices.ContainsFunc(live, func(f string) bool {
+				return f == tok || isPrefix && strings.HasPrefix(f, prefix)
+			})
+			if !ok {
+				t.Errorf("%s names %s, which no role exports", doc, tok)
+			}
+		}
+	}
+	if named == 0 {
+		t.Fatal("the docs name no family")
+	}
+}
+
 // invocation splits a doc command into the binary it runs and its
 // arguments: `go run ./cmd/<bin> ...`, `go run ./bench ...`, or a
 // command line that starts with the binary's name.
@@ -179,7 +254,7 @@ func invocation(cmd string) (string, []string) {
 
 // retired names binaries and flags that are gone; only the migration
 // notes for hbatc (the paragraphs giving `s/hbatc/hbatd/`) may name one.
-var retiredRE = regexp.MustCompile(`(^|[^a-z-])(hbatc|hbat-bench-sweep|hbat-missrates|hbat-report|promcheck -static)($|[^a-z-])`)
+var retiredRE = regexp.MustCompile(`(^|[^a-z-])(hbatc|hbat-bench-sweep|hbat-missrates|hbat-report|promcheck)($|[^a-z-])`)
 
 func TestDocsNameNoRetiredBinaryOrFlag(t *testing.T) {
 	for _, doc := range docs {

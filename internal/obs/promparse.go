@@ -15,9 +15,9 @@ import (
 // most once and before its samples, that all of a family's lines form
 // one contiguous group, and — for histograms — that every series has a
 // +Inf bucket, non-decreasing cumulative buckets, and a _count equal to
-// the +Inf bucket. It is the checker CI runs against a live /metrics
-// scrape (cmd promcheck) and what the exposition golden tests assert
-// round-trips.
+// the +Inf bucket. It is the tests' reference parser: every test that
+// scrapes a live /metrics, in process or from a built binary, validates
+// the body with it, and the exposition golden tests assert round-trips.
 func ParseExposition(r io.Reader) (int, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)

@@ -6,9 +6,12 @@
 //
 // The server is strictly opt-in: without the -obs flag no listener is
 // opened and no goroutine started, and the simulator's hot path is
-// untouched either way — scrapes read only the sweep engine's
-// lock-protected aggregates (Engine.LiveMetrics, Engine.State), never a
-// live machine's registry.
+// untouched either way — scrapes read only the sweep engine's atomic
+// counters and lock-protected wall-time histograms (Engine.State,
+// Engine.CacheStats, Engine.WallTimes), never a live machine's
+// registry. Per-run metrics are read per run (the artifact, `hbat
+// -metrics`); a RunAll sweep's progress and ETA are its `sweep
+// progress` log records.
 package obs
 
 import (
@@ -32,8 +35,8 @@ type Config struct {
 	// Addr is the listen address (e.g. ":8090", "127.0.0.1:0").
 	Addr string
 	// Engine, when non-nil, contributes sweep state: live run gauges,
-	// cache counters and hit ratios, ETA, the merged per-run metrics
-	// registry, and per-workload wall-time histograms.
+	// cache and executed-run counters, and per-workload wall-time
+	// histograms.
 	Engine *engine.Engine
 	// Spans, when non-nil, serves the live span view at /debug/spans:
 	// currently open spans with their ages plus the recent-span ring.
@@ -155,51 +158,35 @@ func (s *Server) families() []Family {
 		)
 	}
 	if e := s.cfg.Engine; e != nil {
-		st := e.State()
-		ratio := func(hits, misses uint64) float64 {
-			if hits+misses == 0 {
-				return 0
-			}
-			return float64(hits) / float64(hits+misses)
-		}
+		st, cs := e.State(), e.CacheStats()
 		accepting := 0.0
 		if st.Accepting {
 			accepting = 1
 		}
 		fams = append(fams,
-			Family{Name: "hbat_sweep_runs_queued", Kind: "gauge",
-				Help:   "Dispatched simulation requests waiting for a worker.",
-				Series: []Series{{Value: float64(st.Queued)}}},
-			Family{Name: "hbat_sweep_runs_active", Kind: "gauge",
-				Help:   "Simulations executing right now.",
-				Series: []Series{{Value: float64(st.Active)}}},
-			Family{Name: "hbat_sweep_runs_done", Kind: "gauge",
-				Help:   "Completed simulation requests (executed, cached, or cancelled).",
-				Series: []Series{{Value: float64(st.Done)}}},
-			Family{Name: "hbat_sweep_accepting", Kind: "gauge",
-				Help:   "1 while the engine accepts new work, 0 while draining.",
-				Series: []Series{{Value: accepting}}},
-			Family{Name: "hbat_sweep_build_cache_hit_ratio", Kind: "gauge",
-				Help:   "Workload build requests served from the build cache.",
-				Series: []Series{{Value: ratio(st.Cache.BuildHits, st.Cache.BuildMisses)}}},
-			Family{Name: "hbat_sweep_spec_cache_hit_ratio", Kind: "gauge",
-				Help:   "Simulation requests served from the RunSpec memo.",
-				Series: []Series{{Value: ratio(st.Cache.SpecHits, st.Cache.SpecMisses)}}},
-			Family{Name: "hbat_sweep_eta_seconds", Kind: "gauge",
-				Help:   "EWMA-cost-weighted estimate of the current sweep's remaining wall time.",
-				Series: []Series{{Value: st.ETASeconds}}},
-			Family{Name: "hbat_sweep_elapsed_seconds", Kind: "gauge",
-				Help:   "Wall time the current sweep has been running.",
-				Series: []Series{{Value: st.ElapsedSeconds}}},
-			Family{Name: "hbat_sweep_progress_runs", Kind: "gauge",
-				Help:   "Completed runs of the current sweep (see hbat_sweep_progress_total_runs).",
-				Series: []Series{{Value: float64(st.SweepDone)}}},
-			Family{Name: "hbat_sweep_progress_total_runs", Kind: "gauge",
-				Help:   "Total runs of the current sweep.",
-				Series: []Series{{Value: float64(st.SweepTotal)}}},
+			Scalar("hbat_sweep_runs_queued", "gauge",
+				"Dispatched simulation requests waiting for a worker.", float64(st.Queued)),
+			Scalar("hbat_sweep_runs_active", "gauge",
+				"Simulations executing right now.", float64(st.Active)),
+			Scalar("hbat_sweep_runs_done", "gauge",
+				"Completed simulation requests (executed, cached, or cancelled).", float64(st.Done)),
+			Scalar("hbat_sweep_accepting", "gauge",
+				"1 while the engine accepts new work, 0 while draining.", accepting),
+			Scalar("hbat_sweep_runs_executed", "counter",
+				"Simulations actually run (spec memo misses).", float64(st.Executed)),
+			Scalar("hbat_sweep_build_cache_hits", "counter",
+				"Program build requests served from the build cache.", float64(cs.BuildHits)),
+			Scalar("hbat_sweep_build_cache_misses", "counter",
+				"Program build requests that built the program.", float64(cs.BuildMisses)),
+			Scalar("hbat_sweep_spec_cache_hits", "counter",
+				"Simulation requests served from the RunSpec memo.", float64(cs.SpecHits)),
+			Scalar("hbat_sweep_spec_cache_misses", "counter",
+				"Simulation requests that simulated.", float64(cs.SpecMisses)),
+			Scalar("hbat_sweep_ckpt_cache_hits", "counter",
+				"Fast-forward checkpoint requests served from memory or the checkpoint directory.", float64(cs.CkptHits)),
+			Scalar("hbat_sweep_ckpt_cache_misses", "counter",
+				"Fast-forward checkpoint requests that ran the functional warm-up.", float64(cs.CkptMisses)),
 		)
-		fams = append(fams, SnapshotFamilies(e.MetricsSnapshot())...)
-		fams = append(fams, SnapshotFamilies(e.LiveMetrics())...)
 		wallFam := Family{Name: "hbat_sweep_run_wall_ms", Kind: "histogram",
 			Help: "Wall time of executed simulations, by workload (milliseconds)."}
 		for _, m := range e.WallTimes() {

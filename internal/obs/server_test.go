@@ -78,8 +78,8 @@ func TestMetricsScrapeDuringSweep(t *testing.T) {
 		t.Fatalf("mid-sweep scrape produced invalid exposition: %v", scrapeErr)
 	}
 
-	// After the sweep the scrape must carry the merged run metrics, the
-	// settled gauges, and per-workload wall histograms.
+	// After the sweep the scrape must carry the settled gauges, the
+	// executed-run counter, and per-workload wall histograms.
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
 	body := rec.Body.String()
@@ -92,7 +92,7 @@ func TestMetricsScrapeDuringSweep(t *testing.T) {
 		"hbat_sweep_runs_done 6",
 		"hbat_sweep_accepting 1",
 		"hbat_obs_healthy 1",
-		"hbat_tlb_lookups",
+		"hbat_sweep_runs_executed 6",
 		`hbat_sweep_run_wall_ms_bucket{workload="espresso",le="+Inf"}`,
 		`hbat_sweep_run_wall_ms_count{workload="perl"} 3`,
 	} {

@@ -1,20 +1,20 @@
-// Package stats is the simulator's metrics registry: named counters,
-// gauges, and histograms that the pipeline, translation devices, and
-// caches record fine-grained events into (TLB-port queue depths,
-// translation-latency distributions, squash and replay counts, fetch
-// stall causes). Aggregate end-of-run numbers live in cpu.Stats and
-// tlb.Stats; this package holds the distributions and event streams
-// that turn those aggregates into an oracle tests can assert on, and
-// that the harness exports as JSON/CSV.
+// Package stats is the simulator's metrics registry: named counters
+// and histograms that the pipeline, translation devices, and caches
+// record fine-grained events into (translation-latency distributions,
+// squash and replay counts, fetch stall causes). Aggregate end-of-run
+// numbers live in cpu.Stats and tlb.Stats; this package holds the
+// distributions and event streams that turn those aggregates into an
+// oracle tests can assert on.
 //
 // A Registry belongs to one simulated machine and is not safe for
 // concurrent use — the harness runs machines in parallel, but each owns
 // its registry exclusively, which keeps the hot increment paths free of
-// synchronization. Cross-run aggregation (the /metrics endpoint of
-// internal/obs) therefore never reads a live machine's registry:
-// the sweep engine folds each completed run's Snapshot into a private
-// aggregate registry under its own lock (Registry.Merge), and scrapes
-// read only that aggregate.
+// synchronization. A Snapshot is one run's, and it is read per run:
+// Result.Metrics, `hbat -analyze`, and `hbat -metrics` / `-metrics-csv`
+// (WriteJSON, WriteCSV); the run's headline counters travel in its
+// artifact (api.Result). Nothing sums snapshots across runs: a total
+// over every design and workload a process ran answers no question
+// about any one of them.
 package stats
 
 import (
@@ -44,31 +44,6 @@ func (c *Counter) Value() uint64 { return c.v }
 
 // Name returns the counter's registered name.
 func (c *Counter) Name() string { return c.name }
-
-// Gauge is an instantaneous level (queue depth, occupancy). It tracks
-// the maximum level seen alongside the current value.
-type Gauge struct {
-	name string
-	v    int64
-	max  int64
-}
-
-// Set records the current level.
-func (g *Gauge) Set(v int64) {
-	g.v = v
-	if v > g.max {
-		g.max = v
-	}
-}
-
-// Value returns the most recently set level.
-func (g *Gauge) Value() int64 { return g.v }
-
-// Max returns the highest level ever set.
-func (g *Gauge) Max() int64 { return g.max }
-
-// Name returns the gauge's registered name.
-func (g *Gauge) Name() string { return g.name }
 
 // Histogram is a distribution over int64 samples with explicit bucket
 // upper bounds: sample v falls in the first bucket with v <= bound; an
@@ -198,7 +173,6 @@ func ExpBuckets(start, factor int64, n int) []int64 {
 type Registry struct {
 	order      []string
 	counters   map[string]*Counter
-	gauges     map[string]*Gauge
 	histograms map[string]*Histogram
 }
 
@@ -206,7 +180,6 @@ type Registry struct {
 func NewRegistry() *Registry {
 	return &Registry{
 		counters:   make(map[string]*Counter),
-		gauges:     make(map[string]*Gauge),
 		histograms: make(map[string]*Histogram),
 	}
 }
@@ -214,9 +187,6 @@ func NewRegistry() *Registry {
 func (r *Registry) claim(name string) {
 	if _, dup := r.counters[name]; dup {
 		panic(fmt.Sprintf("stats: %q already registered as a counter", name))
-	}
-	if _, dup := r.gauges[name]; dup {
-		panic(fmt.Sprintf("stats: %q already registered as a gauge", name))
 	}
 	if _, dup := r.histograms[name]; dup {
 		panic(fmt.Sprintf("stats: %q already registered as a histogram", name))
@@ -233,17 +203,6 @@ func (r *Registry) Counter(name string) *Counter {
 	c := &Counter{name: name}
 	r.counters[name] = c
 	return c
-}
-
-// Gauge returns the named gauge, creating it on first use.
-func (r *Registry) Gauge(name string) *Gauge {
-	if g, ok := r.gauges[name]; ok {
-		return g
-	}
-	r.claim(name)
-	g := &Gauge{name: name}
-	r.gauges[name] = g
-	return g
 }
 
 // Histogram returns the named histogram, creating it on first use with
@@ -267,75 +226,17 @@ func (r *Registry) Histogram(name string, bounds []int64) *Histogram {
 	return h
 }
 
-// Merge folds a snapshot into the registry, creating metrics on first
-// sight: counters add their values, gauges take the incoming level and
-// the maximum of the two maxima, and histograms add bucket-wise. A
-// histogram whose bucket bounds differ from the already-registered ones
-// folds its samples into the overflow bucket instead, so the bucket
-// totals always still equal the count (the invariant the Prometheus
-// exposition relies on).
-//
-// Merge is how per-run registries become a live aggregate without
-// locking the hot increment paths: each machine owns its registry
-// exclusively during the run, and the sweep engine merges the finished
-// run's Snapshot under the engine lock.
-func (r *Registry) Merge(s Snapshot) {
-	for _, m := range s {
-		switch m.Kind {
-		case "counter":
-			r.Counter(m.Name).Add(m.Value)
-		case "gauge":
-			g := r.Gauge(m.Name)
-			g.Set(m.Level)
-			if m.Max > g.max {
-				g.max = m.Max
-			}
-		case "histogram":
-			h := r.Histogram(m.Name, m.Bounds)
-			if boundsEqual(h.bounds, m.Bounds) && len(m.Buckets) == len(h.counts) {
-				for i, c := range m.Buckets {
-					h.counts[i] += c
-				}
-			} else {
-				h.counts[len(h.counts)-1] += m.Count
-			}
-			h.n += m.Count
-			h.sum += m.Sum
-			if m.Max > h.max {
-				h.max = m.Max
-			}
-		}
-	}
-}
-
-func boundsEqual(a, b []int64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // Metric is one exported metric in a Snapshot. Exactly one of the
 // kind-specific groups is meaningful, selected by Kind.
 type Metric struct {
 	Name string `json:"name"`
-	Kind string `json:"kind"` // "counter", "gauge", or "histogram"
+	Kind string `json:"kind"` // "counter" or "histogram"
 
 	// Counter.
 	Value uint64 `json:"value,omitempty"`
 
-	// Gauge.
-	Level int64 `json:"level,omitempty"`
-
-	// Gauge and histogram.
-	Max int64 `json:"max,omitempty"`
-
 	// Histogram.
+	Max     int64    `json:"max,omitempty"`
 	Count   uint64   `json:"count,omitempty"`
 	Sum     int64    `json:"sum,omitempty"`
 	Mean    float64  `json:"mean,omitempty"`
@@ -357,9 +258,6 @@ func (r *Registry) Snapshot() Snapshot {
 		case r.counters[name] != nil:
 			c := r.counters[name]
 			out = append(out, Metric{Name: name, Kind: "counter", Value: c.v})
-		case r.gauges[name] != nil:
-			g := r.gauges[name]
-			out = append(out, Metric{Name: name, Kind: "gauge", Level: g.v, Max: g.max})
 		case r.histograms[name] != nil:
 			h := r.histograms[name]
 			out = append(out, Metric{
@@ -406,8 +304,6 @@ func (s Snapshot) WriteJSON(w io.Writer) error {
 		switch m.Kind {
 		case "counter":
 			_, err = fmt.Fprintf(w, "  {\"name\":%q,\"kind\":\"counter\",\"value\":%d}%s\n", m.Name, m.Value, sep)
-		case "gauge":
-			_, err = fmt.Fprintf(w, "  {\"name\":%q,\"kind\":\"gauge\",\"level\":%d,\"max\":%d}%s\n", m.Name, m.Level, m.Max, sep)
 		default:
 			_, err = fmt.Fprintf(w, "  {\"name\":%q,\"kind\":\"histogram\",\"count\":%d,\"sum\":%d,\"mean\":%.6f,\"max\":%d,\"bounds\":%s,\"buckets\":%s}%s\n",
 				m.Name, m.Count, m.Sum, m.Mean, m.Max, jsonInts(m.Bounds), jsonUints(m.Buckets), sep)
@@ -432,8 +328,6 @@ func (s Snapshot) WriteCSV(w io.Writer) error {
 		switch m.Kind {
 		case "counter":
 			_, err = fmt.Fprintf(w, "%s,counter,%d\n", m.Name, m.Value)
-		case "gauge":
-			_, err = fmt.Fprintf(w, "%s,gauge,%d\n%s.max,gauge,%d\n", m.Name, m.Level, m.Name, m.Max)
 		default:
 			if _, err = fmt.Fprintf(w, "%s.count,histogram,%d\n%s.sum,histogram,%d\n%s.max,histogram,%d\n",
 				m.Name, m.Count, m.Name, m.Sum, m.Name, m.Max); err != nil {

@@ -7,7 +7,7 @@ import (
 	"testing"
 )
 
-func TestCounterGaugeBasics(t *testing.T) {
+func TestCounterBasics(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("cpu.squashes")
 	c.Inc()
@@ -17,13 +17,6 @@ func TestCounterGaugeBasics(t *testing.T) {
 	}
 	if r.Counter("cpu.squashes") != c {
 		t.Fatal("second lookup returned a different counter")
-	}
-
-	g := r.Gauge("rob.depth")
-	g.Set(7)
-	g.Set(3)
-	if g.Value() != 3 || g.Max() != 7 {
-		t.Fatalf("gauge = %d max %d", g.Value(), g.Max())
 	}
 }
 
@@ -93,13 +86,13 @@ func TestNameCollisionAcrossKindsPanics(t *testing.T) {
 			t.Fatal("no panic on kind collision")
 		}
 	}()
-	r.Gauge("x")
+	r.Histogram("x", nil)
 }
 
 func TestSnapshotSortedAndStable(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("zebra").Add(1)
-	r.Gauge("alpha").Set(2)
+	r.Counter("alpha").Add(2)
 	r.Histogram("mid", []int64{1}).Observe(5)
 	s := r.Snapshot()
 	if len(s) != 3 {
@@ -121,7 +114,7 @@ func TestSnapshotSortedAndStable(t *testing.T) {
 func TestWriteJSONIsValidJSON(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("a").Add(3)
-	r.Gauge("b").Set(-2)
+	r.Counter("b")
 	h := r.Histogram("c", []int64{0, 4})
 	h.Observe(2)
 	h.Observe(9)

@@ -3,8 +3,8 @@
 // and per tenant, plus gauges over live state (open jobs on either
 // role; worker-queue depth and store quota utilization on a worker).
 // The families are exported through obs.Config.Extra, so /metrics
-// serves them next to the registry-backed simulation metrics in one
-// promcheck-valid exposition.
+// serves them next to the engine's hbat_sweep_* families in one
+// exposition.
 //
 // Routes are recorded as templates ("/v1/jobs/{id}/events"), never raw
 // paths, so label cardinality is bounded by the API surface, not by

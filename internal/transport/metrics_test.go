@@ -24,7 +24,7 @@ import (
 )
 
 // scrape renders the service's extra families exactly as hbatd's
-// /metrics does and validates the exposition with the promcheck parser.
+// /metrics does and validates the exposition with obs.ParseExposition.
 func scrape(t *testing.T, svc *transport.Service) string {
 	t.Helper()
 	var buf bytes.Buffer
@@ -39,7 +39,7 @@ func scrape(t *testing.T, svc *transport.Service) string {
 
 // TestREDMetrics drives the API across routes and tenants and checks
 // the RED families: counters keyed by route template, tenant, and
-// status class; a promcheck-valid duration histogram; and the
+// status class; a valid duration histogram; and the
 // live-state gauges.
 func TestREDMetrics(t *testing.T) {
 	svc, ts, _ := newService(t, transport.Config{Workers: 2, Spans: runspan.New(runspan.Config{})})
@@ -93,7 +93,7 @@ func TestREDMetrics(t *testing.T) {
 // two hundred already own bytes in the store, as after a restart); every
 // tenant-labelled family exports at most the 64 first-seen names plus
 // "other", the overflow is still counted, and the exposition stays
-// promcheck-valid.
+// valid.
 func TestTenantLabelIsBounded(t *testing.T) {
 	st, err := store.New(store.Config{})
 	if err != nil {
