@@ -79,16 +79,17 @@ profile-ffwd:
 
 # Where a coordinator's store-hit job spends its bytes and host time:
 # BenchmarkFleetHitJob (submit, wait, result through a coordinator over
-# two workers, all in one process). One run records every allocation
-# and prints the -benchmem line and the top 25 sites by alloc_space; a
-# second, unperturbed run prints the CPU top 25. A job allocates ~87 KiB
-# here (2-core Xeon): ~54 KiB is net/http's own cost for six HTTP
-# exchanges, both ends (net/http 23, textproto 12, bufio 6 — 4 of it the
-# dispatch stream's line buffer — context 5, io 4, url 3); 14 KiB is the
-# rig's span tracing, 8 of it the worker's span feed (64 SpanData slots
-# per /events stream); encoding/json 6; transport 3.4; api, engine and
-# fleet ~1 each. The job event feeds cost 512 B a subscriber. Leaves
-# nothing behind.
+# two workers, all in one process), which profiles the coordinator's
+# intake path: its front end answers the job from its own store, and no
+# worker sees it. One run records every allocation and prints the
+# -benchmem line and the top 25 sites by alloc_space; a second,
+# unperturbed run prints the CPU top 25. A job allocates ~31 KiB here
+# (2-core Xeon): ~22 KiB is net/http's own cost for three HTTP
+# exchanges, both ends (net/http 11, textproto 6, io 2.5, url 1.3,
+# context 1.3); the span tracing 2.2; encoding/json 2.2; transport 1.4;
+# api and engine ~1. It allocated ~87 KiB while the coordinator
+# dispatched a stored spec to a worker: six HTTP exchanges, the
+# dispatch stream and the worker's span feed. Leaves nothing behind.
 profile-fleet:
 	@d=$$(mktemp -d) && \
 	go test -c -o $$d/fleet.test ./internal/fleet/ && \

@@ -206,8 +206,11 @@ type SpecStatus struct {
 	// Cached reports the result was served from an engine's RunSpec
 	// memo instead of being simulated.
 	Cached bool `json:"cached,omitempty"`
-	// StoreHit reports the result was served straight from the
-	// content-addressed result store, without touching an engine.
+	// StoreHit reports that the answering daemon's own result store
+	// held the artifact when the job was submitted, in either role: the
+	// spec was finished at intake and reached no engine and no worker.
+	// (A worker also sets it for a key another job stored between this
+	// job's intake and the spec's turn in its queue.)
 	StoreHit bool    `json:"store_hit,omitempty"`
 	WallMs   float64 `json:"wall_ms,omitempty"`
 	Error    string  `json:"error,omitempty"`
@@ -217,11 +220,12 @@ type SpecStatus struct {
 	ResultURL string `json:"result_url,omitempty"`
 	SHA256    string `json:"sha256,omitempty"`
 	// Worker is the fleet worker that produced (or cached) the result,
-	// set by a coordinator; single-node services leave it empty.
+	// set by a coordinator; single-node services leave it empty, and so
+	// does a coordinator for a store hit, which it dispatched nowhere.
 	Worker string `json:"worker,omitempty"`
 	// Attempts counts dispatches of this spec, set by a coordinator: 1
 	// for a first-try success, more when the spec was retried on
-	// another worker after a failure or timeout.
+	// another worker after a failure or timeout, 0 for a store hit.
 	Attempts int `json:"attempts,omitempty"`
 }
 

@@ -17,6 +17,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -26,6 +27,7 @@ import (
 	"hbat/internal/fleet"
 	"hbat/internal/fleet/fleettest"
 	"hbat/internal/obs"
+	"hbat/internal/runspan"
 	"hbat/internal/store"
 	"hbat/internal/transport"
 )
@@ -58,6 +60,9 @@ type session struct {
 	base     string
 	shutdown func(context.Context) error
 	families func() []obs.Family
+	// counters sums, across the role's processes, the series of every
+	// family their /metrics export (the traced sessions only).
+	counters func() map[string]float64
 	out      []outcome
 	acc      api.JobAccepted // the last accepted job
 	status   api.JobStatus   // its terminal status, once waited for
@@ -261,6 +266,85 @@ func runContract(s *session) {
 	}
 }
 
+// runStoredSpec is the step "a stored spec never reaches the
+// executor": a spec run once and then resubmitted is answered at
+// intake. Neither a simulation nor a dispatch counts it, its status is
+// a store hit that names no worker and no attempt, and its job's span
+// journal holds the store_hit span and neither executor's first span:
+// a worker pool's queue_wait or a coordinator's dispatch.
+func runStoredSpec(s *session) {
+	t := s.t
+	job := api.JobRequest{Specs: []api.SimOptions{contractSpec("test", 11)}}
+	s.submit("stored spec: first run", 202, job)
+	s.wait()
+	before := s.counters()
+	if before["hbat_sweep_runs_executed"] < 1 {
+		t.Fatalf("the first run left hbat_sweep_runs_executed at %v: the scrape reads the wrong process", before["hbat_sweep_runs_executed"])
+	}
+	s.submit("stored spec: resubmitted", 202, job)
+	s.wait()
+	after := s.counters()
+	for _, name := range []string{"hbat_sweep_runs_executed", "hbat_fleet_specs_dispatched"} {
+		if after[name] != before[name] {
+			t.Errorf("%s moved %v -> %v for a stored spec", name, before[name], after[name])
+		}
+	}
+	if sp := s.status.Specs[0]; !sp.StoreHit || sp.Worker != "" || sp.Attempts != 0 {
+		t.Errorf("resubmitted spec = %+v, want store_hit, no worker, 0 attempts", sp)
+	}
+	_, spans, err := runspan.ReadJournal(bytes.NewReader(s.get("stored spec: spans", 200, s.acc.SpansURL)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	hit := false
+	for _, d := range spans {
+		hit = hit || d.Name == "store_hit"
+		if d.Name == "queue_wait" || d.Name == "dispatch" {
+			t.Errorf("the resubmitted job reached the executor: %s span", d.Name)
+		}
+	}
+	if !hit {
+		t.Errorf("the resubmitted job's %d spans hold no store_hit span", len(spans))
+	}
+}
+
+// scrape reads each base's /metrics and sums every family's series.
+func scrape(t *testing.T, bases ...string) map[string]float64 {
+	t.Helper()
+	sums := make(map[string]float64)
+	for _, base := range bases {
+		resp, err := http.Get(base + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		sc := bufio.NewScanner(resp.Body)
+		for sc.Scan() {
+			line := sc.Text()
+			if line == "" || line[0] == '#' {
+				continue
+			}
+			i := strings.LastIndexByte(line, ' ')
+			v, err := strconv.ParseFloat(line[i+1:], 64)
+			if err != nil {
+				t.Fatalf("%s/metrics: %q: %v", base, line, err)
+			}
+			name, _, _ := strings.Cut(line[:i], "{")
+			sums[name] += v
+		}
+		resp.Body.Close()
+	}
+	return sums
+}
+
+// daemonMux mounts a role's /v1 handler beside its obs endpoints, as
+// hbatd does.
+func daemonMux(v1 http.Handler, cfg obs.Config) http.Handler {
+	mux := http.NewServeMux()
+	mux.Handle("/v1/", v1)
+	mux.Handle("/", obs.NewHandler(cfg))
+	return mux
+}
+
 func TestV1ContractAcrossFrontEnds(t *testing.T) {
 	guardGoroutines(t)
 
@@ -297,6 +381,48 @@ func TestV1ContractAcrossFrontEnds(t *testing.T) {
 			runContract(s)
 		})
 	}
+	compareSessions(t, sessions)
+
+	// A stored spec never reaches the executor, in either role. The step
+	// reads the job's spans, so it runs on a second pair that traces.
+	eng := engine.New()
+	tracer := runspan.New(runspan.Config{})
+	eng.SetSpans(tracer)
+	tst, err := store.New(store.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tsvc, err := transport.New(transport.Config{Engine: eng, Store: tst, Workers: 2, Spans: tracer})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tsrv := httptest.NewServer(daemonMux(tsvc.Handler(), obs.Config{Engine: eng, Spans: tracer, Extra: tsvc.MetricsFamilies}))
+	t.Cleanup(tsrv.Close)
+	t.Cleanup(func() { tsvc.Shutdown(context.Background()) })
+	trig := fleettest.New(t, 1)
+	tcoord, _, _ := newCoord(t, trig, nil)
+	csrv := httptest.NewServer(daemonMux(tcoord.Handler(), obs.Config{Ready: tcoord.Accepting, Extra: tcoord.MetricsFamilies}))
+	t.Cleanup(csrv.Close)
+
+	traced := []*session{
+		{base: tsrv.URL, counters: func() map[string]float64 { return scrape(t, tsrv.URL) }},
+		{base: csrv.URL, counters: func() map[string]float64 { return scrape(t, csrv.URL, trig.Addrs()[0]) }},
+	}
+	for i, name := range []string{"stored spec on worker", "stored spec on coordinator"} {
+		s := traced[i]
+		t.Run(name, func(t *testing.T) {
+			s.t = t
+			runStoredSpec(s)
+		})
+	}
+	compareSessions(t, traced)
+	http.DefaultClient.CloseIdleConnections()
+}
+
+// compareSessions fails on every step the worker and the coordinator
+// answered differently.
+func compareSessions(t *testing.T, sessions []*session) {
+	t.Helper()
 	w, c := sessions[0].out, sessions[1].out
 	if len(w) != len(c) {
 		t.Fatalf("the worker answered %d steps, the coordinator %d", len(w), len(c))
@@ -306,7 +432,6 @@ func TestV1ContractAcrossFrontEnds(t *testing.T) {
 			t.Errorf("front ends disagree:\n  worker      %+v\n  coordinator %+v", w[i], c[i])
 		}
 	}
-	http.DefaultClient.CloseIdleConnections()
 }
 
 // quotaAnswer is what TestStoreQuotaParityAcrossRoles compares across

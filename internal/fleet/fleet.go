@@ -1,15 +1,17 @@
 // Package fleet is the sweep fabric's coordinator tier: hbatd started
 // with -worker URL,..., fanning v1 jobs out across many plain hbatd
-// workers. It speaks
-// the exact same wire contract as a single worker — hbat.Dial and curl
-// cannot tell the difference — but behind the API it keeps a live
-// worker registry (static -worker list plus registrations, health-
-// probed into an up/draining/down state machine), shards expanded
-// specs across live workers by rendezvous hashing on a checkpoint-
-// affinity key, retries failed or timed-out specs on a different
-// worker with capped exponential backoff, and files each artifact once,
-// hash-verified, into its own store — the one its front end serves
-// results from, as a worker's does; a result it did not file is a 404.
+// workers. It speaks the exact same wire contract as a single worker —
+// hbat.Dial and curl cannot tell the difference. Its front end answers
+// every spec its own store already holds at intake, as a worker's
+// does, so a stored result never leaves the coordinator. Behind the API
+// it keeps a live worker registry (static -worker list plus
+// registrations, health-probed into an up/draining/down state
+// machine), shards the open specs across live workers by rendezvous
+// hashing on a checkpoint-affinity key, retries failed or timed-out
+// specs on a different worker with capped exponential backoff, and
+// files each artifact once, hash-verified, into its own store — the
+// one its front end serves results from, as a worker's does; a result
+// it did not file is a 404.
 //
 // Sharding uses rendezvous (highest-random-weight) hashing on the
 // spec's affinity key — workload, budget, scale, page size, fast-
@@ -54,9 +56,10 @@ type Config struct {
 	// Workers are the static worker base URLs ("http://host:port")
 	// probed from startup.
 	Workers []string
-	// Store is the coordinator's own artifact tier: each result is
-	// fetched from its worker once, filed here under the job's tenant,
-	// and served from here alone.
+	// Store is the coordinator's own artifact tier: its front end
+	// answers a stored key at intake; any other result is fetched from
+	// its worker once, filed here under the job's tenant, and served
+	// from here alone.
 	Store *store.Store
 	// Client, when non-nil, builds the api.Client for a worker address
 	// — the test seam. The default is api.NewClient with

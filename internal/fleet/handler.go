@@ -30,9 +30,11 @@ func (r remote) Admit() error {
 	return nil
 }
 
-func (r remote) Start(j *transport.Job) {
+// Start dispatches the job's open specs; intake has finished the rest
+// from the coordinator's store.
+func (r remote) Start(j *transport.Job, open []int) {
 	r.c.jobWG.Add(1)
-	go r.c.runJob(j)
+	go r.c.runJob(j, open)
 }
 
 // Close stops the prober, which also cuts short every retry backoff,

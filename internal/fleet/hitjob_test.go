@@ -78,8 +78,9 @@ func (h *hitRig) warm(tb testing.TB) {
 }
 
 // BenchmarkFleetHitJob is one store-hit job through a coordinator over
-// two workers, everything in this process: run it with -benchmem, or
-// profile it with `make profile-fleet`.
+// two workers, everything in this process: the coordinator's intake
+// answers it from its own store, so the workers see none of it. Run it
+// with -benchmem, or profile it with `make profile-fleet`.
 func BenchmarkFleetHitJob(b *testing.B) {
 	h := newHitRig(b, true)
 	h.warm(b)

@@ -1,18 +1,19 @@
 package fleet
 
-// One coordinator job's life: specs shard to live workers by affinity
-// rendezvous, each worker group goes out as one batch (a worker-side
-// job), worker SSE streams fan back in as merged coordinator events,
-// and each completed spec's artifact is fetched exactly once, verified
-// against the worker-reported content hash, and filed into the
-// coordinator store — the only place the coordinator serves results
-// from. A batch that errors, times out, or returns corrupt bytes
-// sends its unfinished specs into the next retry wave, which re-ranks
-// them onto workers not yet tried — with capped exponential backoff
-// between waves and a hard per-spec attempt cap. Workers that died
-// mid-batch are (independently) demoted by the prober, so the next
-// wave's live set no longer contains them: re-sharding on worker death
-// falls out of rank() over the survivors.
+// One coordinator job's life. Intake has answered every spec the
+// coordinator store held; the open specs shard to live workers by
+// affinity rendezvous, each worker group goes out as one batch (a
+// worker-side job), worker SSE streams fan back in as merged
+// coordinator events, and each completed spec's artifact is fetched
+// exactly once, verified against the worker-reported content hash, and
+// filed into the coordinator store — the only place the coordinator
+// serves results from. A batch that errors, times out, or returns
+// corrupt bytes sends its unfinished specs into the next retry wave,
+// which re-ranks them onto workers not yet tried — with capped
+// exponential backoff between waves and a hard per-spec attempt cap.
+// Workers that died mid-batch are (independently) demoted by the
+// prober, so the next wave's live set no longer contains them:
+// re-sharding on worker death falls out of rank() over the survivors.
 
 import (
 	"context"
@@ -25,13 +26,10 @@ import (
 	"hbat/internal/transport"
 )
 
-// runJob drives a job to completion through retry waves.
-func (c *Coordinator) runJob(j *transport.Job) {
+// runJob drives a job's open specs to completion through retry waves.
+func (c *Coordinator) runJob(j *transport.Job, open []int) {
 	defer c.jobWG.Done()
-	pending := make([]int, len(j.Runs))
-	for i := range pending {
-		pending[i] = i
-	}
+	pending := open
 	// tried[i] is the worker addrs spec i was attempted on. A spec is in
 	// exactly one dispatch group per wave and waves do not overlap, so
 	// the elements need no lock.
@@ -267,7 +265,9 @@ func (c *Coordinator) completeSpec(ctx context.Context, j *transport.Job, w *wor
 		j.Note(idxs, err.Error())
 		return idxs
 	}
-	final.Cached, final.StoreHit, final.WallMs = s.Cached, s.StoreHit, s.WallMs
+	// Not the worker's StoreHit: a store hit is the coordinator's own
+	// store answering at intake, and this spec was dispatched.
+	final.Cached, final.WallMs = s.Cached, s.WallMs
 	for _, i := range idxs {
 		j.Finish(i, final)
 	}
@@ -275,18 +275,16 @@ func (c *Coordinator) completeSpec(ctx context.Context, j *transport.Job, w *wor
 }
 
 // fileArtifact is the one fetch of a result and returns the done status
-// it leaves the spec in. A key the coordinator store already holds is
-// never re-fetched; otherwise the computing worker is asked for the
-// bytes, which must hash to what the worker reported before they are
-// filed under the job's tenant. A store that refuses verified bytes
-// (quota, disk) is not a retry: the spec is done exactly as a worker
-// reports it, with the store's error, the hash, and no result URL.
+// it leaves the spec in. The computing worker is asked for the bytes,
+// which must hash to what the worker reported before they are filed
+// under the job's tenant. A key stored at intake never gets here (the
+// front end answered it); a key another job filed since intake is
+// fetched and verified once more, and its Put is the store's duplicate
+// no-op. A store that refuses verified bytes (quota, disk) is not a
+// retry: the spec is done exactly as a worker reports it, with the
+// store's error, the hash, and no result URL.
 func (c *Coordinator) fileArtifact(ctx context.Context, j *transport.Job, w *worker, key, reported string) (api.SpecStatus, error) {
 	done := api.SpecStatus{State: api.StateDone, ResultURL: api.PathResults + key}
-	if _, sha, ok := c.cfg.Store.Get(key); ok {
-		done.SHA256 = sha
-		return done, nil
-	}
 	sp := c.cfg.Spans.Start(j.Trace, j.Root, "fetch_result")
 	if sp != nil {
 		defer sp.SetAttr("worker", w.addr).SetAttr("spec_key", key).End()

@@ -12,13 +12,16 @@ import (
 
 // Bytes allocated per store-hit job in this process — the client, the
 // front ends, the workers and their span tracers together: the rig's
-// own reading with ~1.3x headroom. The rig reads 35.8 KiB straight to
-// a worker and 84 KiB through a coordinator. The coordinator read
-// 150 KiB while each dispatch stream pre-allocated a 64 KiB line
-// buffer and each job event feed 64 by-value events.
+// own reading with ~1.3x headroom. The rig reads 34.6 KiB straight to
+// a worker and 30.5 KiB through a coordinator, whose front end answers
+// the job from its own store at intake: no dispatch, no worker. The
+// coordinator read 84 KiB while it dispatched a stored spec to a worker
+// and looked in its store only after the worker answered, and 150 KiB
+// while each dispatch stream also pre-allocated a 64 KiB line buffer
+// and each job event feed 64 by-value events.
 const (
 	directHitJobBudget = 46 << 10
-	fleetHitJobBudget  = 108 << 10
+	fleetHitJobBudget  = 40 << 10
 )
 
 // TestHitJobAllocBudget drives closed-loop store-hit jobs straight to a

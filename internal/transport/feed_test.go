@@ -24,7 +24,7 @@ import (
 func parkedJob(t *testing.T, n int) (http.Handler, *Job) {
 	t.Helper()
 	exec := &stubExec{park: true}
-	h := NewFront(Config{}, exec).Handler()
+	h := NewFront(Config{Store: memStore(t)}, exec).Handler()
 	specs := make([]api.SimOptions, n)
 	for i := range specs {
 		specs[i] = api.SimOptions{

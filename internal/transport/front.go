@@ -6,13 +6,20 @@
 // The Front owns everything a client can see — the routing table, job
 // intake and admission, the job table and each Job's state machine,
 // SSE fan-out, results with ETags from the role's own store, the
-// manifest, ping, the RED middleware, and the drain — and hands every
-// admitted job to an Executor, the seam behind which hbatd's two roles
-// differ. Service (this package, plain hbatd) executes on a local
+// manifest, ping, the RED middleware, and the drain. At intake it
+// looks every spec key up in that store and finishes each stored spec
+// on the spot; a job with an open spec left goes to an Executor, the
+// seam behind which hbatd's two roles differ, which runs only the open
+// specs. Service (this package, plain hbatd) executes on a local
 // worker pool over a sweep engine; fleet.Coordinator (hbatd -worker
 // URL,...) executes by dispatching to remote workers. Either executor
 // files each finished artifact into the store the Front serves from. A
 // client cannot tell which one it is talking to.
+//
+// The store is content-addressed, so a stored artifact answers any
+// tenant that submits its spec, whoever filed it, and charges that
+// tenant nothing: a store quota counts the bytes a tenant's own jobs
+// filed, and a store hit files none.
 package transport
 
 import (
@@ -66,11 +73,13 @@ type Executor interface {
 	// Admit reports why no new job can start right now (nil when one
 	// can); the front end answers a non-nil error 503.
 	Admit() error
-	// Start begins executing an admitted job and returns at once. The
-	// executor reports progress into j — Running when a spec is picked
-	// up, Finish with each spec's terminal status, Publish for events
-	// it forwards — and the job ends with its last Finish.
-	Start(j *Job)
+	// Start receives only a job with an open spec, and runs only its
+	// open specs: open lists, in submission order, the indices intake
+	// did not answer from the store (at least one). It returns at once.
+	// The executor reports progress into j — Running when a spec is
+	// picked up, Finish with each spec's terminal status, Publish for
+	// events it forwards — and the job ends with its last Finish.
+	Start(j *Job, open []int)
 	// Close ends a drain: started jobs run to completion or ctx expiry,
 	// then the executor's goroutines exit. No Start follows it.
 	Close(ctx context.Context) error
@@ -107,10 +116,14 @@ type Front struct {
 }
 
 // NewFront builds the front end a daemon serves through exec. Of cfg
-// it reads TenantJobs, MaxSpecs, Logger, Spans,
-// Store (the results and the manifest's artifact list), and Engine (the
-// manifest's run log; nil on a daemon that never simulates).
+// it reads TenantJobs, MaxSpecs, Logger, Spans, Store (required: the
+// intake lookup, the results and the manifest's artifact list), and
+// Engine (the manifest's run log; nil on a daemon that never
+// simulates).
 func NewFront(cfg Config, exec Executor) *Front {
+	if cfg.Store == nil {
+		panic("transport: NewFront needs a Config.Store")
+	}
 	if cfg.MaxSpecs <= 0 {
 		cfg.MaxSpecs = 1024
 	}

@@ -8,30 +8,48 @@ import (
 	"hash/fnv"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"runtime"
 	"testing"
 	"time"
 
 	"hbat/api"
+	"hbat/internal/engine"
+	"hbat/internal/runspan"
+	"hbat/internal/store"
 )
 
-// stubExec finishes every job inside Start, except while park is set:
-// then the job stays open and is kept for the test to finish.
+// stubExec finishes every open spec inside Start, except while park is
+// set: then the job stays open and is kept for the test to finish. It
+// records the open indices of every Start.
 type stubExec struct {
 	park   bool
 	parked []*Job
+	starts [][]int
 }
 
 func (e *stubExec) Admit() error { return nil }
 
-func (e *stubExec) Start(j *Job) {
+func (e *stubExec) Start(j *Job, open []int) {
+	e.starts = append(e.starts, open)
 	if e.park {
 		e.parked = append(e.parked, j)
 		return
 	}
-	for i := range j.Keys {
+	for _, i := range open {
 		j.Finish(i, api.SpecStatus{State: api.StateDone})
 	}
+}
+
+// memStore is the memory-only store every test front end is given: a
+// Front requires one in either role.
+func memStore(tb testing.TB) *store.Store {
+	tb.Helper()
+	st, err := store.New(store.Config{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return st
 }
 
 func (e *stubExec) Close(context.Context) error { return nil }
@@ -64,7 +82,7 @@ func TestShardInRange(t *testing.T) {
 func TestJobTableKeepsABoundedTailOfFinishedJobs(t *testing.T) {
 	const extra = 5
 	exec := &stubExec{}
-	f := NewFront(Config{}, exec)
+	f := NewFront(Config{Store: memStore(t)}, exec)
 	f.grace = 0 // every finished job is old enough to leave
 	h := f.Handler()
 
@@ -110,7 +128,7 @@ func TestJobTableKeepsABoundedTailOfFinishedJobs(t *testing.T) {
 // and the first finish after the grace trims the table back to the
 // count bound.
 func TestJobTableKeepsAFinishedJobThroughItsGrace(t *testing.T) {
-	f := NewFront(Config{}, &stubExec{})
+	f := NewFront(Config{Store: memStore(t)}, &stubExec{})
 	f.grace = time.Hour
 	h := f.Handler()
 	status := func(id string) int {
@@ -142,9 +160,18 @@ func TestJobTableKeepsAFinishedJobThroughItsGrace(t *testing.T) {
 // its acceptance.
 func submitTo(t *testing.T, h http.Handler) api.JobAccepted {
 	t.Helper()
-	body, err := json.Marshal(api.JobRequest{Specs: []api.SimOptions{{
-		CommonOptions: api.CommonOptions{Scale: "test"}, Workload: "compress", Design: "T4",
-	}}})
+	return submitSpecs(t, h, testSpec(0))
+}
+
+// testSpec is a test-scale compress/T4 spec under seed.
+func testSpec(seed uint64) api.SimOptions {
+	return api.SimOptions{CommonOptions: api.CommonOptions{Scale: "test", Seed: seed}, Workload: "compress", Design: "T4"}
+}
+
+// submitSpecs submits one job of specs to h and returns its 202 answer.
+func submitSpecs(t *testing.T, h http.Handler, specs ...api.SimOptions) api.JobAccepted {
+	t.Helper()
+	body, err := json.Marshal(api.JobRequest{Specs: specs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +214,7 @@ func statusOf(t *testing.T, h http.Handler, path string) (int, api.JobStatus, ap
 // the terminal status, within 50 ms — instead of a timer.
 func TestBlockingStatusIsAnsweredAtTheLastFinish(t *testing.T) {
 	exec := &stubExec{park: true}
-	h := NewFront(Config{TenantJobs: 1}, exec).Handler()
+	h := NewFront(Config{TenantJobs: 1, Store: memStore(t)}, exec).Handler()
 	acc := submitTo(t, h)
 
 	type answer struct {
@@ -227,7 +254,7 @@ func TestBlockingStatusIsAnsweredAtTheLastFinish(t *testing.T) {
 // 200 with the job's current, non-terminal status, and a hold above the
 // server's cap is clamped to it, not refused.
 func TestBlockingStatusHoldElapsesAndIsCapped(t *testing.T) {
-	f := NewFront(Config{}, &stubExec{park: true})
+	f := NewFront(Config{Store: memStore(t)}, &stubExec{park: true})
 	f.maxHold = 300 * time.Millisecond // stands in for the 30 s maxStatusHold
 	h := f.Handler()
 	acc := submitTo(t, h)
@@ -257,7 +284,7 @@ func TestBlockingStatusHoldElapsesAndIsCapped(t *testing.T) {
 // open or finished.
 func TestBlockingStatusRefusesAMalformedWait(t *testing.T) {
 	exec := &stubExec{park: true}
-	h := NewFront(Config{}, exec).Handler()
+	h := NewFront(Config{Store: memStore(t)}, exec).Handler()
 	open := submitTo(t, h)
 	exec.park = false
 	finished := submitTo(t, h)
@@ -284,7 +311,7 @@ func TestBlockingStatusRefusesAMalformedWait(t *testing.T) {
 // disconnects while parked ends the handler; nothing waits out the hold
 // on its behalf.
 func TestBlockingStatusClientGoneLeavesNoGoroutine(t *testing.T) {
-	h := NewFront(Config{}, &stubExec{park: true}).Handler()
+	h := NewFront(Config{Store: memStore(t)}, &stubExec{park: true}).Handler()
 	acc := submitTo(t, h)
 	ts := httptest.NewServer(h)
 	defer ts.Close()
@@ -336,7 +363,7 @@ func TestFinishedJobTailRetainsUnderFourKiBAJob(t *testing.T) {
 		runtime.ReadMemStats(&ms)
 		return ms.HeapAlloc
 	}
-	f := NewFront(Config{}, &stubExec{})
+	f := NewFront(Config{Store: memStore(t)}, &stubExec{})
 	h := f.Handler()
 	submitTo(t, h) // the front end's own one-time allocations
 	before := heap()
@@ -352,5 +379,75 @@ func TestFinishedJobTailRetainsUnderFourKiBAJob(t *testing.T) {
 		t.Errorf("a retained finished job holds %d bytes of heap, want at most 4096", per)
 	} else {
 		t.Logf("a retained finished job holds %d bytes of heap", per)
+	}
+}
+
+// TestIntakeAnswersStoredSpecs: intake finishes every spec whose key the
+// store holds — done, a store hit, the stored hash and result URL, and
+// a store_hit span — and hands the executor only the rest. A job whose
+// specs all hit never reaches Executor.Start, and a stored artifact
+// answers a tenant other than the one that filed it without charging
+// it.
+func TestIntakeAnswersStoredSpecs(t *testing.T) {
+	st := memStore(t)
+	spec, err := engine.SpecFromWire(testSpec(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := spec.Hash()
+	sha, err := st.Put("filer", key, []byte(`{"stored":true}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tracer := runspan.New(runspan.Config{})
+	exec := &stubExec{park: true}
+	h := NewFront(Config{Store: st, Spans: tracer}, exec).Handler()
+
+	hit := func(t *testing.T, s api.SpecStatus) {
+		t.Helper()
+		if s.State != api.StateDone || !s.StoreHit || s.SHA256 != sha || s.ResultURL != api.PathResults+key ||
+			s.Worker != "" || s.Attempts != 0 {
+			t.Errorf("stored spec = %+v, want done, a store hit, sha %.12s and its result URL", s, sha)
+		}
+	}
+
+	t.Run("all stored", func(t *testing.T) {
+		acc := submitSpecs(t, h, testSpec(1), testSpec(1))
+		if len(exec.starts) != 0 {
+			t.Fatalf("a job whose specs are all stored reached Executor.Start with %v", exec.starts)
+		}
+		code, js, _ := statusOf(t, h, acc.StatusURL)
+		if code != http.StatusOK || js.State != api.StateDone || js.Done != 2 {
+			t.Fatalf("status = %d %+v, want the job done at intake", code, js)
+		}
+		for _, s := range js.Specs {
+			hit(t, s)
+		}
+		var hits int
+		for _, d := range tracer.SpansForTrace(acc.TraceID) {
+			if d.Name == "store_hit" && d.Attrs["spec_key"] == key {
+				hits++
+			}
+		}
+		if hits != 2 {
+			t.Errorf("%d store_hit spans for the job, want 2", hits)
+		}
+	})
+
+	t.Run("one open", func(t *testing.T) {
+		acc := submitSpecs(t, h, testSpec(2), testSpec(1))
+		if !reflect.DeepEqual(exec.starts, [][]int{{0}}) {
+			t.Fatalf("Executor.Start received open specs %v, want [[0]]", exec.starts)
+		}
+		_, js, _ := statusOf(t, h, acc.StatusURL)
+		if js.State == api.StateDone || js.Done != 1 || js.Specs[0].State != api.StateQueued {
+			t.Errorf("status = %+v, want the stored spec done and the other queued", js)
+		}
+		hit(t, js.Specs[1])
+		exec.parked[0].Finish(0, api.SpecStatus{State: api.StateDone})
+	})
+
+	if got := st.Tenants(); !reflect.DeepEqual(got, map[string]int64{"filer": int64(len(`{"stored":true}`))}) {
+		t.Errorf("store charges %v, want only the filer", got)
 	}
 }

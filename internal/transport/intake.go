@@ -1,9 +1,11 @@
 package transport
 
 // Job intake: body bounds, tenant resolution, grid expansion, spec
-// normalization, trace-identity extraction, and admission. A spec
-// submitted in either role passes through here, so it lands in the
-// same key space and carries the same trace identity semantics.
+// normalization, trace-identity extraction, admission, and the store
+// lookup. A spec submitted in either role passes through here, so it
+// lands in the same key space, carries the same trace identity
+// semantics, and is answered from the store without an executor when
+// its key is already there.
 
 import (
 	"cmp"
@@ -251,7 +253,39 @@ func (f *Front) handleJobs(w http.ResponseWriter, r *http.Request) {
 	if f.cfg.Spans.Enabled() {
 		acc.SpansURL = api.PathJobs + "/" + j.ID + "/spans"
 	}
-	f.exec.Start(j)
+	if open := f.answerStored(j); len(open) > 0 {
+		f.exec.Start(j, open)
+	}
 	f.starting.Done()
 	WriteJSON(w, http.StatusAccepted, acc)
+}
+
+// answerStored finishes, at intake, every spec whose key the store
+// already holds, and returns the indices of the rest in submission
+// order: the only specs the executor is handed. A job whose specs all
+// hit is done before its 202 is written and never reaches the executor.
+func (f *Front) answerStored(j *Job) []int {
+	var open []int
+	for i, key := range j.Keys {
+		if _, sha, ok := f.cfg.Store.Get(key); ok {
+			finishStored(j, i, sha, f.cfg.Spans)
+		} else {
+			open = append(open, i)
+		}
+	}
+	return open
+}
+
+// finishStored finishes spec idx from the store: done, a store hit,
+// the stored hash and the result URL, and a store_hit span under the
+// job root.
+func finishStored(j *Job, idx int, sha string, spans *runspan.Tracer) {
+	key := j.Keys[idx]
+	if sp := spans.Start(j.Trace, j.Root, "store_hit"); sp != nil {
+		sp.SetAttr("spec_key", key).End()
+	}
+	j.Finish(idx, api.SpecStatus{
+		State: api.StateDone, StoreHit: true,
+		ResultURL: api.PathResults + key, SHA256: sha,
+	})
 }

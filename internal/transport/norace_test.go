@@ -15,7 +15,7 @@ import (
 // answered on the plain path whatever wait says — the only extra
 // allocations over a request without wait are the query parse's.
 func TestBlockingStatusForAFinishedJobArmsNoTimer(t *testing.T) {
-	h := NewFront(Config{}, &stubExec{}).Handler()
+	h := NewFront(Config{Store: memStore(t)}, &stubExec{}).Handler()
 	acc := submitTo(t, h)
 	serve := func(query string) func() {
 		req := httptest.NewRequest(http.MethodGet, acc.StatusURL+query, nil)

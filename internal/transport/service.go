@@ -1,12 +1,13 @@
 package transport
 
-// The worker role's executor: a worker pool over a sweep engine and a result
-// store. An admitted job's specs shard across the pool by spec key.
-// Workers consult the store first (a restart serves previous results
-// without simulating), then the engine (whose memo deduplicates
-// concurrent and repeated specs across tenants), render the canonical
-// artifact, and file it back into the store under the submitting
-// tenant.
+// The worker role's executor: a worker pool over a sweep engine and a
+// result store. The front end has already answered every spec whose key
+// the store held at intake (which is how a restarted worker serves its
+// previous results); the open specs shard across the pool by spec key.
+// A worker checks the store once more, for a key filed since intake,
+// then runs the engine (whose memo deduplicates concurrent and repeated
+// specs across tenants), renders the canonical artifact, and files it
+// into the store under the submitting tenant.
 
 import (
 	"context"
@@ -30,6 +31,8 @@ type Config struct {
 	// cross-tenant memo hits; the service never creates its own.
 	Engine *engine.Engine
 	// Store holds rendered artifacts, content-addressed by spec key.
+	// The front end answers a stored key at intake and serves results
+	// from it, so every front end needs one, in either role.
 	Store *store.Store
 	// Workers sizes the worker pool (default 4). Specs shard across
 	// workers by spec key, so an identical spec submitted twice lands
@@ -121,15 +124,15 @@ func (p *pool) Admit() error {
 	return nil
 }
 
-// Start shards the job's specs across the pool by spec key: identical
-// specs always land on the same worker queue, so a duplicate only ever
-// waits on the engine's singleflight, never races it.
-func (p *pool) Start(j *Job) {
+// Start shards the job's open specs across the pool by spec key:
+// identical specs always land on the same worker queue, so a duplicate
+// waits behind the first, never races it.
+func (p *pool) Start(j *Job, open []int) {
 	p.enq.Add(1)
 	go func() {
 		defer p.enq.Done()
-		for i, key := range j.Keys {
-			p.queues[shard(key, len(p.queues))] <- specTask{job: j, idx: i, enq: p.spans.Now()}
+		for _, i := range open {
+			p.queues[shard(j.Keys[i], len(p.queues))] <- specTask{job: j, idx: i, enq: p.spans.Now()}
 		}
 	}()
 }
@@ -169,7 +172,7 @@ func (p *pool) worker(queue <-chan specTask) {
 	}
 }
 
-// runSpec executes (or cache-serves) one spec and reports its terminal
+// runSpec executes (or store-serves) one spec and reports its terminal
 // status. A spec that panics fails with an error naming the panic; the
 // worker goes on to the next spec.
 func (p *pool) runSpec(t specTask) {
@@ -194,14 +197,14 @@ func (p *pool) runSpec(t specTask) {
 		sp.SetAttr("spec_key", key).End()
 	}
 
+	// Intake answered every key stored when the job arrived; this
+	// answers a key stored between intake and pickup. Specs of one key
+	// queue on one shard, and simulate drops the engine's copy once the
+	// store has the artifact, so without this lookup the second of two
+	// in-flight jobs on one key (or the second copy of a key within one
+	// job) would simulate it again.
 	if _, sha, ok := p.store.Get(key); ok {
-		if sp := p.spans.Start(j.Trace, j.Root, "store_hit"); sp != nil {
-			sp.SetAttr("spec_key", key).End()
-		}
-		j.Finish(t.idx, api.SpecStatus{
-			State: api.StateDone, StoreHit: true,
-			ResultURL: api.PathResults + key, SHA256: sha,
-		})
+		finishStored(j, t.idx, sha, p.spans)
 		return
 	}
 	// Thread the job's trace identity into the engine: its run root
