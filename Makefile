@@ -46,9 +46,15 @@ bench:
 # allocation sites by bytes, then the top 25 functions by CPU. Leaves
 # nothing behind. A run allocated 218 KiB while each built its machine
 # new: memory frames 112, cache tag arrays 33, ROB 18, predictor 17,
-# TLB banks 11, metrics registry and snapshot 18. Since machines are
-# recycled (cpu.Machine.Release) it allocates 40 KiB: TLB banks 11,
-# metrics registry 8 and snapshot 7, page table 3, memory frames 2.
+# TLB banks 11, metrics registry and snapshot 18. Recycling machines
+# (cpu.Machine.Release) took it to 40 KiB: TLB banks 11, metrics
+# registry 8 and snapshot 6, page table 3, memory frames 2. Since a
+# machine also keeps its address space, registry and one TLB device per
+# design, and no sweep renders a snapshot, a pass allocates 1.4 MB, 11
+# KiB a run: the engine's result, memo entry and flight 5, the pass's
+# ten program builds 4, the figure 0.5, and inside the run only memory
+# frames beyond the kept ones, 2. The first pass adds each new
+# machine's TLB banks, tag arrays, ROB and predictor (~3 KiB a run).
 profile-core:
 	@d=$$(mktemp -d) && \
 	go test -run '^$$' -bench 'BenchmarkFigure5$$' -benchtime 2x -benchmem -memprofilerate 1 \

@@ -50,7 +50,7 @@ func Analyze(ctx context.Context, o Options) (*Analysis, error) {
 		model.RunStats{CPU: base.Stats, TLB: base.TLB},
 		model.RunStats{CPU: dev.Stats, TLB: dev.TLB},
 		float64(cpu.DefaultConfig().TLBMissLatency))
-	return &Analysis{ModelReport: rep, Metrics: dev.Metrics}, nil
+	return &Analysis{ModelReport: rep, Metrics: dev.Metrics()}, nil
 }
 
 // RenderAnalysis writes a fitted model report in the paper's notation,

@@ -165,9 +165,9 @@ type PipelineTrace = ptrace.Recorder
 // with WriteCSV.
 type IntervalSeries = stats.IntervalSeries
 
-// MetricsSnapshot is a point-in-time export of a run's metrics registry
-// (counters, gauges, and histograms; see internal/stats). It marshals
-// to stable JSON and CSV via WriteJSON and WriteCSV.
+// MetricsSnapshot is a run's metrics export, counters and histograms
+// sorted by name (see internal/stats). It marshals to stable JSON and
+// CSV via WriteJSON and WriteCSV.
 type MetricsSnapshot = stats.Snapshot
 
 // Result reports one simulation. The embedded api.Result carries the
@@ -178,10 +178,11 @@ type MetricsSnapshot = stats.Snapshot
 type Result struct {
 	api.Result
 
-	// Metrics is the run's full metrics-registry export: queue-depth
-	// and translation-latency distributions, replay and squash counts,
-	// and per-cause stall cycles. Local runs only — it does not cross
-	// the wire.
+	// Metrics is the run's full metrics export: queue-depth and
+	// translation-latency distributions, replay and squash counts,
+	// per-cause stall cycles and the aggregate counters, rendered from
+	// the engine's result (engine.RunResult.Metrics). Local runs only —
+	// it does not cross the wire.
 	Metrics MetricsSnapshot
 
 	// Trace is the captured pipeline recording (nil unless
@@ -262,7 +263,7 @@ func Simulate(ctx context.Context, o Options) (*Result, error) {
 	}
 	return &Result{
 		Result:    engine.Wire(r),
-		Metrics:   r.Metrics,
+		Metrics:   r.Metrics(),
 		Trace:     r.Trace,
 		Intervals: r.Intervals,
 	}, nil

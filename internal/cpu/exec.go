@@ -333,7 +333,7 @@ func (m *Machine) memExecute() {
 	if rejected > 0 {
 		m.counted.Reject(rejected)
 		m.stats.TLBRetries += rejected
-		m.metrics.replayTLBNoPort.Add(rejected)
+		m.metrics.count[cReplayTLBNoPort].Add(rejected)
 		m.metrics.noPortThisCycle += int64(rejected)
 	}
 }
@@ -464,7 +464,7 @@ func (m *Machine) memRequest(idx int, e *robEntry) {
 	if !forwarded {
 		extraCache, ok = m.dcache.Access(cacheAddr, false, m.cycle)
 		if !ok {
-			m.metrics.replayCachePort.Inc()
+			m.metrics.count[cReplayDCacheNoPort].Inc()
 			if m.tracer != nil {
 				m.tracer.Emit(e.seq, m.cycle, ptrace.KDCachePort, e.pc, e.inst, 0)
 			}
@@ -506,7 +506,7 @@ func (m *Machine) translate(idx int, e *robEntry, vc bool) (pte *vm.PTE, extra i
 	switch res.Outcome {
 	case tlb.NoPort:
 		m.stats.TLBRetries++
-		m.metrics.replayTLBNoPort.Inc()
+		m.metrics.count[cReplayTLBNoPort].Inc()
 		m.metrics.noPortThisCycle++
 		if m.tracer != nil {
 			m.tracer.Emit(e.seq, m.cycle, ptrace.KTLBNoPort, e.pc, e.inst, 0)
@@ -528,7 +528,7 @@ func (m *Machine) translate(idx int, e *robEntry, vc bool) (pte *vm.PTE, extra i
 		}
 		return nil, 0, false
 	}
-	m.metrics.transExtra.Observe(res.Extra)
+	m.metrics.dist[dTransExtra].Observe(res.Extra)
 	if m.tracer != nil {
 		m.tracer.Emit(e.seq, m.cycle, ptrace.KTLBHit, e.pc, e.inst, res.Extra)
 	}
@@ -583,7 +583,7 @@ func (m *Machine) forwardFromStore(idx int, e *robEntry) (val uint64, ok, mustWa
 		}
 	}
 	if mustWait {
-		m.metrics.replayStoreWait.Inc()
+		m.metrics.count[cReplayStoreWait].Inc()
 		if m.tracer != nil {
 			m.tracer.Emit(e.seq, m.cycle, ptrace.KStoreWait, e.pc, e.inst, 0)
 		}
@@ -654,8 +654,8 @@ func (m *Machine) recover(idx int, e *robEntry) {
 	}
 	n := m.rob.squashAfter(idx)
 	m.stats.Squashed += uint64(n)
-	m.metrics.squashRecoveries.Inc()
-	m.metrics.squashedInsts.Add(uint64(n))
+	m.metrics.count[cSquashRecoveries].Inc()
+	m.metrics.count[cSquashedInsts].Add(uint64(n))
 
 	for r := range m.rename {
 		m.rename[r] = -1

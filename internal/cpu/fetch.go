@@ -21,7 +21,7 @@ func (m *Machine) fetch() {
 		return
 	}
 	if m.fetchQLen() >= m.cfg.FetchQueue {
-		m.metrics.stallQueueFull.Inc()
+		m.metrics.count[cStallQueueFull].Inc()
 		return
 	}
 	blockMask := uint64(m.icache.BlockBytes() - 1)

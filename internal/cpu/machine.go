@@ -127,6 +127,10 @@ type Machine struct {
 	// to ckpt.Build.
 	cancelCtx  context.Context
 	cancelPoll cancelpoll.Poller
+
+	// devices holds, by mnemonic, the translation device of each Table
+	// 2 design this machine has run (see NewWithDesign).
+	devices map[string]tlb.Device
 }
 
 // rejecter is a translation device that knows, without side effects,
@@ -153,29 +157,66 @@ type intervalBase struct {
 // fills); use tlb.NewFromSpec mnemonics via NewWithDesign for the
 // standard Table 2 designs.
 func New(p *prog.Program, cfg Config, buildTLB func(*vm.AddressSpace) tlb.Device) (*Machine, error) {
+	return build(p, cfg, func(m *Machine) tlb.Device { return buildTLB(m.AS) })
+}
+
+// NewWithDesign builds a machine using a Table 2 design mnemonic. A
+// machine that has run the design before resets its device for this
+// run instead of building one.
+func NewWithDesign(p *prog.Program, cfg Config, design string) (*Machine, error) {
+	spec, err := tlb.LookupSpec(design)
+	if err != nil {
+		return nil, err
+	}
+	return build(p, cfg, func(m *Machine) tlb.Device { return m.device(spec, cfg.Seed) })
+}
+
+// device returns spec's translation device over m.AS: the one this
+// machine kept from an earlier run of the design, reset, or a new one
+// it keeps from now on.
+func (m *Machine) device(spec tlb.Spec, seed uint64) tlb.Device {
+	if d := m.devices[spec.Mnemonic]; d != nil {
+		d.(tlb.Resetter).Reset(m.AS, seed)
+		return d
+	}
+	d := spec.Build(m.AS, seed)
+	if m.devices == nil {
+		m.devices = make(map[string]tlb.Device)
+	}
+	m.devices[spec.Mnemonic] = d
+	return d
+}
+
+// build makes a machine running p whose translation device dtlb
+// returns, called once the machine's address space is set up.
+func build(p *prog.Program, cfg Config, dtlb func(*Machine) tlb.Device) (*Machine, error) {
 	if cfg.PageSize == 0 {
 		return nil, fmt.Errorf("cpu: zero page size")
 	}
-	// Start from a released machine when there is one: its memory, tag
-	// arrays, predictor tables, ROB and fetch ring are reset and kept
-	// where the configuration matches, and everything else is built
-	// here as for a new machine.
+	// Start from a released machine when there is one: its memory,
+	// page table, tag arrays, predictor tables, ROB, fetch ring and
+	// metrics registry are reset and kept where the configuration
+	// matches, and everything else is built here as for a new machine.
 	m, _ := released.Get().(*Machine)
 	if m == nil {
-		m = &Machine{Mem: mem.New()}
+		m = &Machine{Mem: mem.New(), AS: vm.NewAddressSpace(cfg.PageSize)}
+	} else {
+		m.AS.Reset(cfg.PageSize)
 	}
 	*m = Machine{
 		cfg:     cfg,
 		prog:    p,
-		AS:      vm.NewAddressSpace(cfg.PageSize),
+		AS:      m.AS,
 		Mem:     m.Mem,
+		devices: m.devices,
 		icache:  resetCache(m.icache, cfg.ICache),
 		dcache:  resetCache(m.dcache, cfg.DCache),
 		pred:    resetPredictor(m.pred, cfg.Branch),
 		rob:     resetROB(m.rob, cfg.ROBSize),
 		fetchQ:  m.fetchQ,
-		metrics: newCoreMetrics(cfg.ROBSize, m.metrics.cycleN),
+		metrics: m.metrics,
 	}
+	m.metrics.reset(cfg.ROBSize)
 	if len(m.fetchQ) != cfg.FetchQueue {
 		m.fetchQ = make([]fetchedInst, cfg.FetchQueue)
 	}
@@ -194,7 +235,7 @@ func New(p *prog.Program, cfg Config, buildTLB func(*vm.AddressSpace) tlb.Device
 	for _, r := range p.Regions {
 		m.AS.AddRegion(r)
 	}
-	m.DTLB = buildTLB(m.AS)
+	m.DTLB = dtlb(m)
 	m.tracker, _ = m.DTLB.(tlb.RegisterTracker)
 	if d, ok := m.DTLB.(rejecter); ok && d.PiggybackPorts() == 0 && !cfg.VirtualCache {
 		m.counted = d
@@ -241,30 +282,37 @@ func New(p *prog.Program, cfg Config, buildTLB func(*vm.AddressSpace) tlb.Device
 var released sync.Pool
 
 // Release hands the machine back for a later New to reuse. Call it once
-// the run's results are copied out: Stats, DTLB.Stats() and
-// Metrics().Snapshot() by value, and Tracer() and Intervals(), which
-// the machine lets go of. The machine must not be used afterwards.
+// the run's results are copied out: Stats(), DTLB.Stats() and
+// Observed() by value, and Tracer() and Intervals(), which the machine
+// lets go of. The machine must not be used afterwards.
 //
-// A released machine keeps only what has the same shape from run to
-// run: up to mem.KeepFrames of the frames its memory owned privately
-// (never one still shared with a checkpoint), and the cache tag
-// arrays, predictor tables, ROB, fetch ring and per-cycle counts,
-// which New reuses when the next configuration matches. It drops the
-// program, address space, translation device, checkpoint, lockstep
-// reference, metrics registry, tracer, interval series, progress
-// callback and context, so a pooled machine pins nothing of the run.
+// A released machine keeps what has the same shape from run to run,
+// and the next New resets it instead of allocating it: up to
+// mem.KeepFrames of the frames its memory owned privately (never one
+// still shared with a checkpoint), the address space with its page
+// table's map and entries, the translation device of every Table 2
+// design it has run (NewWithDesign resets the one its design names;
+// a device from New's factory is dropped), the metrics registry with
+// its handles, and the cache tag arrays, predictor tables, ROB, fetch
+// ring and per-cycle counts, reused when the next configuration
+// matches. It drops the program, checkpoint, lockstep reference,
+// micro-ITLB, tracer, interval series, progress callback and context,
+// so a pooled machine pins nothing of the run beyond its own page
+// table's entries, which the next New clears.
 func (m *Machine) Release() {
 	m.Mem.Reset()
 	m.rob.reset()
 	clear(m.fetchQ)
 	*m = Machine{
+		AS:      m.AS,
 		Mem:     m.Mem,
+		devices: m.devices,
 		icache:  m.icache,
 		dcache:  m.dcache,
 		pred:    m.pred,
 		rob:     m.rob,
 		fetchQ:  m.fetchQ,
-		metrics: coreMetrics{cycleN: m.metrics.cycleN},
+		metrics: m.metrics,
 	}
 	released.Put(m)
 }
@@ -296,17 +344,6 @@ func resetROB(r *rob, size int) *rob {
 		return newROB(size)
 	}
 	return r
-}
-
-// NewWithDesign builds a machine using a Table 2 design mnemonic.
-func NewWithDesign(p *prog.Program, cfg Config, design string) (*Machine, error) {
-	spec, err := tlb.LookupSpec(design)
-	if err != nil {
-		return nil, err
-	}
-	return New(p, cfg, func(as *vm.AddressSpace) tlb.Device {
-		return spec.Build(as, cfg.Seed)
-	})
 }
 
 func (m *Machine) writeVirt(vaddr uint64, b []byte) error {
@@ -447,7 +484,7 @@ func (m *Machine) Run() error {
 	if m.interval != nil && m.cycle > m.intervalPrev.cycle {
 		m.sampleInterval() // flush the final partial interval
 	}
-	m.syncAggregateMetrics()
+	m.metrics.foldCycleCounts()
 	return m.err
 }
 

@@ -30,7 +30,7 @@ func TestMetricsRegistryPopulated(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := m.Stats()
-	snap := m.Metrics().Snapshot()
+	snap := m.Metrics()
 
 	rob, ok := snap.Get("rob.occupancy")
 	if !ok || rob.Count != uint64(s.Cycles) {
@@ -120,7 +120,7 @@ func TestMetricsFetchStallCauses(t *testing.T) {
 	if err := m.Run(); err != nil {
 		t.Fatal(err)
 	}
-	snap := m.Metrics().Snapshot()
+	snap := m.Metrics()
 	byCause := snap.CounterValue("fetch.stall_redirect_cycles") +
 		snap.CounterValue("fetch.stall_icache_cycles") +
 		snap.CounterValue("fetch.stall_itlb_cycles")

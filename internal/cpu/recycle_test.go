@@ -118,19 +118,21 @@ func (r *recycleRig) run(t *testing.T, s recycleSpec) (*cpu.Machine, outcome) {
 		t.Fatalf("%s: %v", s.name, err)
 	}
 	o := outcome{stats: *m.Stats(), tlb: *m.DTLB.Stats()}
-	if o.metrics, err = json.Marshal(m.Metrics().Snapshot()); err != nil {
-		t.Fatal(err)
-	}
-	o.artifact = engine.Artifact(engine.Wire(engine.RunResult{
+	res := engine.RunResult{
 		Spec: engine.RunSpec{
 			Workload: s.workload, Design: s.design, Budget: prog.Budget32, Scale: s.scale,
 			PageSize: cfg.PageSize, InOrder: cfg.InOrder, Seed: cfg.Seed, MaxInsts: cfg.MaxInsts,
 			VirtualCache: cfg.VirtualCache, ContextSwitchEvery: cfg.FlushTLBEvery,
 			Lockstep: cfg.Lockstep, FastForward: cfg.FastForward,
 		},
-		Stats: o.stats,
-		TLB:   o.tlb,
-	}))
+		Stats:    o.stats,
+		TLB:      o.tlb,
+		Observed: m.Observed(),
+	}
+	if o.metrics, err = json.Marshal(res.Metrics()); err != nil {
+		t.Fatal(err)
+	}
+	o.artifact = engine.Artifact(engine.Wire(res))
 	for i := range o.regs {
 		o.regs[i] = m.Reg(isa.Reg(i))
 	}
@@ -171,7 +173,9 @@ func (o outcome) diff(w outcome) string {
 // restored 99 % deep and one stopped mid-flight — runs on the recycled
 // machine and is released in turn; then the first spec runs again on
 // that machine, and every observable outcome must match the fresh
-// run's.
+// run's. The again-run must also have got back what the machine keeps:
+// the first run's translation device, reset, and the address space and
+// metrics registry the other run released.
 func TestRecycledEqualsFresh(t *testing.T) {
 	var r recycleRig
 	const test, full = workload.ScaleTest, workload.ScaleFull
@@ -209,18 +213,30 @@ func TestRecycledEqualsFresh(t *testing.T) {
 		t.Run(s.name, func(t *testing.T) {
 			cpu.DrainReleased()
 			m, want := r.run(t, s)
+			ranS, dev := m, m.DTLB // the machine that last ran s, and its device
 			m.Release()
 			for try := 0; ; try++ {
 				m, _ := r.run(t, other)
+				as, reg := m.AS, m.Registry()
 				m.Release()
 				again, got := r.run(t, s)
-				if again != m {
+				if again != m || m != ranS {
 					// The pool may drop a machine (a collection, or the
 					// goroutine moving to another P): go round again.
+					ranS, dev = again, again.DTLB
+					again.Release()
 					if try < 10 {
 						continue
 					}
 					t.Fatal("New never started from the released machine")
+				}
+				switch {
+				case again.DTLB != dev:
+					t.Fatalf("after %s, the recycled machine built a new %s device instead of resetting its own", other.name, s.design)
+				case again.AS != as:
+					t.Fatalf("after %s, the recycled machine built a new address space", other.name)
+				case again.Registry() != reg:
+					t.Fatalf("after %s, the recycled machine built a new metrics registry", other.name)
 				}
 				if d := got.diff(want); d != "" {
 					t.Fatalf("after %s, the recycled machine's run differs: %s", other.name, d)

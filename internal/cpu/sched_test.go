@@ -255,7 +255,7 @@ func TestCountedRejectsMatchTheWalk(t *testing.T) {
 		if *counted.DTLB.Stats() != *walked.DTLB.Stats() {
 			t.Errorf("%s: tlb stats differ:\ncounted %+v\nwalked  %+v", design, *counted.DTLB.Stats(), *walked.DTLB.Stats())
 		}
-		if c, w := counted.Metrics().Snapshot(), walked.Metrics().Snapshot(); !reflect.DeepEqual(c, w) {
+		if c, w := counted.Metrics(), walked.Metrics(); !reflect.DeepEqual(c, w) {
 			t.Errorf("%s: metrics differ:\ncounted %+v\nwalked  %+v", design, c, w)
 		}
 	}

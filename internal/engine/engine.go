@@ -725,7 +725,7 @@ func (e *Engine) execute(ctx context.Context, spec RunSpec) RunResult {
 	}
 	res.Stats = *m.Stats()
 	res.TLB = *m.DTLB.Stats()
-	res.Metrics = m.Metrics().Snapshot()
+	res.Observed = m.Observed()
 	res.Trace = m.Tracer()
 	res.Intervals = m.Intervals()
 	// res holds copies of everything it reads from m, so the next New

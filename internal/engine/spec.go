@@ -65,11 +65,13 @@ func (s RunSpec) String() string {
 
 // RunResult is one simulation's outcome.
 type RunResult struct {
-	Spec    RunSpec
-	Stats   cpu.Stats
-	TLB     tlb.Stats
-	Metrics stats.Snapshot
-	Err     error
+	Spec  RunSpec
+	Stats cpu.Stats
+	TLB   tlb.Stats
+	// Observed holds what the run counted live beyond Stats and TLB;
+	// Metrics renders the full metrics export from the three.
+	Observed cpu.Observed
+	Err      error
 
 	// Wall is the run's wall-clock time (zero for memo-cache hits).
 	Wall time.Duration
@@ -82,4 +84,12 @@ type RunResult struct {
 	// Intervals holds the sampled time series when Spec.IntervalEvery
 	// was positive.
 	Intervals *stats.IntervalSeries
+}
+
+// Metrics renders the run's metrics export: queue-depth and
+// translation-latency distributions, replay and squash counts,
+// per-cause stall cycles and the aggregate counters, sorted by name.
+// It allocates the export on each call; nothing in a sweep calls it.
+func (r *RunResult) Metrics() stats.Snapshot {
+	return cpu.RenderMetrics(&r.Stats, &r.TLB, &r.Observed)
 }

@@ -2,9 +2,12 @@ package fleet_test
 
 import (
 	"context"
+	"errors"
 	"net/http"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"hbat/api"
 	"hbat/internal/fleet"
@@ -93,5 +96,78 @@ func TestSameKeyInFlightThroughCoordinator(t *testing.T) {
 	}
 	if s := cst.Stats(); s.Puts != 1 || s.DupPuts != 1 {
 		t.Errorf("coordinator store: %d puts and %d duplicate puts, want 1 and 1", s.Puts, s.DupPuts)
+	}
+}
+
+// familyValue sums one family's series in the coordinator's /metrics
+// export.
+func familyValue(coord *fleet.Coordinator, name string) float64 {
+	var v float64
+	for _, f := range coord.MetricsFamilies() {
+		if f.Name == name {
+			for _, s := range f.Series {
+				v += s.Value
+			}
+		}
+	}
+	return v
+}
+
+// TestStoredJobNeedsNoWorker: with every worker down, a job whose specs
+// the coordinator's store holds is accepted and done at intake, each
+// spec a store hit, while a job with one unstored spec is still the
+// typed 503. Only that refusal counts as finding no live worker, and it
+// leaves no open job charged to its tenant.
+func TestStoredJobNeedsNoWorker(t *testing.T) {
+	guardGoroutines(t)
+	rig := fleettest.New(t, 1)
+	coord, cl, _ := newCoord(t, rig, nil)
+	ctx := context.Background()
+	stored := seedSpecs(2)
+	acc, err := cl.Submit(ctx, api.JobRequest{Specs: stored})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := waitJob(t, cl, acc.ID); st.State != api.StateDone {
+		t.Fatalf("filling the store: job %s", st.State)
+	}
+	rig.Workers[0].Crash()
+	pollWorkers(t, cl, 5*time.Second, func(ws []api.Worker) bool {
+		return len(ws) == 1 && ws[0].State == api.WorkerDown
+	})
+	refusals := familyValue(coord, "hbat_fleet_no_worker_events")
+
+	acc, err = cl.Submit(ctx, api.JobRequest{Specs: stored})
+	if err != nil {
+		t.Fatalf("a job the store holds, with no live worker: %v", err)
+	}
+	st, err := cl.Job(ctx, acc.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.State != api.StateDone {
+		t.Fatalf("stored job is %s after its 202, want done", st.State)
+	}
+	for _, s := range st.Specs {
+		if s.State != api.StateDone || !s.StoreHit || s.SHA256 == "" {
+			t.Errorf("spec %s: state %s, store_hit %v, sha %q; want done from the store", s.SpecKey, s.State, s.StoreHit, s.SHA256)
+		}
+	}
+	if n := familyValue(coord, "hbat_fleet_no_worker_events"); n != refusals {
+		t.Errorf("the stored job moved the no-worker count %g -> %g", refusals, n)
+	}
+
+	mixed := append(stored[:1:1], seedSpecs(3)[2])
+	_, err = cl.Submit(ctx, api.JobRequest{Specs: mixed})
+	var apiErr *api.Error
+	if !errors.As(err, &apiErr) || apiErr.Code != http.StatusServiceUnavailable ||
+		!strings.Contains(apiErr.Message, fleet.ErrNoWorkers.Error()) {
+		t.Fatalf("a job with an unstored spec and no live worker: %v, want the typed 503", err)
+	}
+	if n := familyValue(coord, "hbat_fleet_no_worker_events"); n != refusals+1 {
+		t.Errorf("the refused job moved the no-worker count %g -> %g, want +1", refusals, n)
+	}
+	if n := familyValue(coord, "hbat_fabric_jobs_open"); n != 0 {
+		t.Errorf("%g jobs open after the refusal, want 0", n)
 	}
 }

@@ -81,7 +81,7 @@ func variantDigest(t *testing.T, budget prog.RegBudget, tweak func(*cpu.Config))
 				Stats: *m.Stats(),
 				TLB:   *m.DTLB.Stats(),
 			})))
-			metrics, err := json.Marshal(m.Metrics().Snapshot())
+			metrics, err := json.Marshal(m.Metrics())
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -9,12 +9,16 @@
 // A Registry belongs to one simulated machine and is not safe for
 // concurrent use — the harness runs machines in parallel, but each owns
 // its registry exclusively, which keeps the hot increment paths free of
-// synchronization. A Snapshot is one run's, and it is read per run:
+// synchronization. The machine keeps its registry from run to run and
+// zeroes it (Reset); what a run counted leaves the machine by value
+// (cpu.Observed, in engine.RunResult). A run's Snapshot is rendered
+// from those values and the run's aggregate statistics only where it is
+// read (cpu.RenderMetrics, through engine.RunResult.Metrics):
 // Result.Metrics, `hbat -analyze`, and `hbat -metrics` / `-metrics-csv`
-// (WriteJSON, WriteCSV); the run's headline counters travel in its
-// artifact (api.Result). Nothing sums snapshots across runs: a total
-// over every design and workload a process ran answers no question
-// about any one of them.
+// (WriteJSON, WriteCSV). A sweep renders none. The run's headline
+// counters travel in its artifact (api.Result). Nothing sums snapshots
+// across runs: a total over every design and workload a process ran
+// answers no question about any one of them.
 package stats
 
 import (
@@ -226,6 +230,18 @@ func (r *Registry) Histogram(name string, bounds []int64) *Histogram {
 	return h
 }
 
+// Reset zeroes every metric's value, keeping the metrics and the
+// handles callers hold to them.
+func (r *Registry) Reset() {
+	for _, c := range r.counters {
+		c.v = 0
+	}
+	for _, h := range r.histograms {
+		clear(h.counts)
+		h.sum, h.n, h.max = 0, 0, 0
+	}
+}
+
 // Metric is one exported metric in a Snapshot. Exactly one of the
 // kind-specific groups is meaningful, selected by Kind.
 type Metric struct {
@@ -260,15 +276,31 @@ func (r *Registry) Snapshot() Snapshot {
 			out = append(out, Metric{Name: name, Kind: "counter", Value: c.v})
 		case r.histograms[name] != nil:
 			h := r.histograms[name]
-			out = append(out, Metric{
-				Name: name, Kind: "histogram",
-				Count: h.n, Sum: h.sum, Mean: h.Mean(), Max: h.max,
-				Bounds:  append([]int64(nil), h.bounds...),
-				Buckets: append([]uint64(nil), h.counts...),
-			})
+			out = append(out, HistogramMetric(name, h.bounds, h.counts, h.sum, h.max))
 		}
 	}
 	return out
+}
+
+// HistogramMetric exports a histogram's state held elsewhere: its
+// bucket bounds and counts (the last count is the overflow bucket, as
+// Histogram.Buckets returns them), and its samples' sum and maximum.
+// The Metric holds copies of bounds and counts.
+func HistogramMetric(name string, bounds []int64, counts []uint64, sum, maximum int64) Metric {
+	var n uint64
+	for _, c := range counts {
+		n += c
+	}
+	mean := 0.0
+	if n > 0 {
+		mean = float64(sum) / float64(n)
+	}
+	return Metric{
+		Name: name, Kind: "histogram",
+		Count: n, Sum: sum, Mean: mean, Max: maximum,
+		Bounds:  append([]int64(nil), bounds...),
+		Buckets: append([]uint64(nil), counts...),
+	}
 }
 
 // Get returns the named metric from the snapshot.

@@ -77,17 +77,27 @@ func NewSetAssocBank(size, ways int, repl Replacement, seed uint64) *Bank {
 	if size <= 0 || ways <= 0 || size%ways != 0 {
 		panic(fmt.Sprintf("tlb: invalid bank geometry %d entries / %d ways", size, ways))
 	}
-	if seed == 0 {
-		seed = 0x9e3779b97f4a7c15
-	}
-	return &Bank{
+	b := &Bank{
 		entries: make([]bankEntry, size),
 		index:   make(map[uint64]int, size),
 		repl:    repl,
-		rng:     seed,
 		ways:    ways,
 		nsets:   size / ways,
 	}
+	b.Reset(seed)
+	return b
+}
+
+// Reset empties the bank, zeroes its counters and reseeds its
+// replacement generator: the bank is then as its constructor built it
+// with seed.
+func (b *Bank) Reset(seed uint64) {
+	if seed == 0 {
+		seed = 0x9e3779b97f4a7c15
+	}
+	b.Flush()
+	b.rng = seed
+	b.Hits, b.Misses = 0, 0
 }
 
 // Ways returns the bank's associativity.

@@ -1,7 +1,11 @@
 package tlb
 
 import (
+	"reflect"
 	"testing"
+
+	"hbat/internal/isa"
+	"hbat/internal/vm"
 )
 
 func TestAllSpecsBuild(t *testing.T) {
@@ -99,5 +103,63 @@ func TestMissRateSimAndReplacementFor(t *testing.T) {
 	}
 	if got := s.MissRate(); got != 0.25 {
 		t.Fatalf("miss rate %f", got)
+	}
+}
+
+// drive presents a pseudo-random request stream to d for cycles
+// cycles, filling every miss, and returns a transcript of its answers.
+// The stream covers more pages than any design holds, so replacement
+// (and its generator) decides what later hits.
+func drive(t *testing.T, d Device, seed uint64, cycles int) []Result {
+	t.Helper()
+	x := seed
+	next := func(n uint64) uint64 {
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+		return x % n
+	}
+	tracker, _ := d.(RegisterTracker)
+	var out []Result
+	for now := int64(1); now <= int64(cycles); now++ {
+		d.BeginCycle(now)
+		for range 4 {
+			req := Request{VPN: next(300), Base: isa.Reg(next(8)), OffHi: uint8(next(4)), Load: next(2) == 0, Write: next(4) == 0}
+			r := d.Lookup(req, now)
+			if r.Outcome == Miss {
+				fill(t, d, req.VPN)
+			}
+			if r.PTE != nil {
+				r.PTE = &vm.PTE{VPN: r.PTE.VPN, PFN: r.PTE.PFN}
+			}
+			out = append(out, r)
+		}
+		if tracker != nil {
+			tracker.Propagate(isa.Reg(next(8)), isa.Reg(next(8)), isa.Zero)
+		}
+		if next(50) == 0 {
+			d.Invalidate(next(300))
+		}
+	}
+	return out
+}
+
+// TestResetEqualsNew: every Table 2 device, used and then Reset, answers
+// a request stream exactly as a new device built with the same seed.
+func TestResetEqualsNew(t *testing.T) {
+	for _, m := range DesignOrder {
+		spec, _ := LookupSpec(m)
+		fresh := spec.Build(testAS(t, 4096), 7)
+		used := spec.Build(testAS(t, 4096), 99)
+		drive(t, used, 3, 500)
+		used.FlushAll()
+		used.(Resetter).Reset(testAS(t, 4096), 7)
+		want, got := drive(t, fresh, 5, 500), drive(t, used, 5, 500)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: a reset device answers differently from a new one", m)
+		}
+		if *used.Stats() != *fresh.Stats() {
+			t.Errorf("%s: reset device stats %+v, new %+v", m, *used.Stats(), *fresh.Stats())
+		}
 	}
 }

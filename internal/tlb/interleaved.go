@@ -63,7 +63,6 @@ func NewInterleaved(name string, as *vm.AddressSpace, totalEntries, nbanks int, 
 	}
 	t := &Interleaved{
 		name:      name,
-		as:        as,
 		banks:     make([]*Bank, nbanks),
 		sel:       sel,
 		piggy:     perBankPiggy,
@@ -72,9 +71,22 @@ func NewInterleaved(name string, as *vm.AddressSpace, totalEntries, nbanks int, 
 		piggyUsed: make([]int, nbanks),
 	}
 	for i := range t.banks {
-		t.banks[i] = NewBank(totalEntries/nbanks, repl, seed+uint64(i)*0x9e37)
+		t.banks[i] = NewBank(totalEntries/nbanks, repl, 0)
 	}
+	t.Reset(as, seed)
 	return t
+}
+
+// Reset implements Resetter: bank i is seeded seed+i*0x9e37.
+func (t *Interleaved) Reset(as *vm.AddressSpace, seed uint64) {
+	t.as = as
+	for i, b := range t.banks {
+		b.Reset(seed + uint64(i)*0x9e37)
+	}
+	t.stats = Stats{}
+	clear(t.busy)
+	clear(t.inflight)
+	clear(t.piggyUsed)
 }
 
 // Name implements Device.

@@ -29,13 +29,24 @@ type Multilevel struct {
 
 // NewMultilevel builds a two-level TLB.
 func NewMultilevel(name string, as *vm.AddressSpace, l1Entries, l1Ports, l2Entries int, seed uint64) *Multilevel {
-	return &Multilevel{
+	t := &Multilevel{
 		name:  name,
-		as:    as,
-		l1:    NewBank(l1Entries, LRU, seed),
-		l2:    NewBank(l2Entries, Random, seed+0x51ed),
+		l1:    NewBank(l1Entries, LRU, 0),
+		l2:    NewBank(l2Entries, Random, 0),
 		ports: l1Ports,
 	}
+	t.Reset(as, seed)
+	return t
+}
+
+// Reset implements Resetter: the L1 is seeded seed and the L2
+// seed+0x51ed.
+func (t *Multilevel) Reset(as *vm.AddressSpace, seed uint64) {
+	t.as = as
+	t.l1.Reset(seed)
+	t.l2.Reset(seed + 0x51ed)
+	t.stats = Stats{}
+	t.l2Free, t.portsUsed = 0, 0
 }
 
 // Name implements Device.

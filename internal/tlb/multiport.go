@@ -40,14 +40,24 @@ func NewMultiported(name string, as *vm.AddressSpace, entries, ports, piggyPorts
 	if ports < 1 {
 		panic(fmt.Sprintf("tlb: %s needs at least one port", name))
 	}
-	return &Multiported{
+	t := &Multiported{
 		name:     name,
-		as:       as,
 		bank:     NewBank(entries, repl, seed),
 		ports:    ports,
 		piggy:    piggyPorts,
 		inflight: make([]inflightXlat, 0, ports),
 	}
+	t.Reset(as, seed)
+	return t
+}
+
+// Reset implements Resetter.
+func (t *Multiported) Reset(as *vm.AddressSpace, seed uint64) {
+	t.as = as
+	t.bank.Reset(seed)
+	t.stats = Stats{}
+	t.cycle, t.portsUsed, t.piggyUsed = 0, 0, 0
+	t.inflight = t.inflight[:0]
 }
 
 // Name implements Device.

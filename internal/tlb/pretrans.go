@@ -41,14 +41,24 @@ type preEntry struct {
 // entry pretranslation cache (LRU, ports access ports) over a single-
 // ported base TLB of baseEntries entries (random replacement).
 func NewPretranslation(name string, as *vm.AddressSpace, cacheEntries, ports, baseEntries int, seed uint64) *Pretranslation {
-	return &Pretranslation{
-		name:    name,
-		as:      as,
-		cache:   make([]preEntry, cacheEntries),
-		ports:   ports,
-		base:    NewBank(baseEntries, Random, seed),
-		offMask: 0xF,
+	t := &Pretranslation{
+		name:  name,
+		cache: make([]preEntry, cacheEntries),
+		ports: ports,
+		base:  NewBank(baseEntries, Random, seed),
 	}
+	t.Reset(as, seed)
+	return t
+}
+
+// Reset implements Resetter; the offset tag is four bits again.
+func (t *Pretranslation) Reset(as *vm.AddressSpace, seed uint64) {
+	t.as = as
+	clear(t.cache)
+	t.base.Reset(seed)
+	t.offMask = 0xF
+	t.stats = Stats{}
+	t.baseFree, t.portsUsed, t.clock = 0, 0, 0
 }
 
 // SetOffsetTagBits restricts how many of the four offset bits in the
@@ -242,8 +252,10 @@ func (t *Pretranslation) Propagate(dst, src1, src2 isa.Reg) {
 		return
 	}
 	t.InvalidateReg(dst)
-	// Copy src's entries to dst. Collect first: attach may evict.
-	var copies []preEntry
+	// Copy src's entries to dst. Collect first: attach may evict. The
+	// buffer holds a Table 2 cache (8 entries) without allocating.
+	var buf [8]preEntry
+	copies := buf[:0]
 	for i := range t.cache {
 		e := &t.cache[i]
 		if e.valid && e.reg == src {

@@ -137,6 +137,15 @@ type Device interface {
 	Stats() *Stats
 }
 
+// Resetter is implemented by every Table 2 design. Reset returns the
+// device to the state its constructor leaves it in over as with seed:
+// every structure empty, the statistics zeroed, the replacement
+// generators reseeded. It keeps the device's storage, so a simulator
+// that runs a design again resets the device instead of building one.
+type Resetter interface {
+	Reset(as *vm.AddressSpace, seed uint64)
+}
+
 // Warmer is implemented by designs that support functional warm-up: Warm
 // installs the translation for vpn into the device's caching structures
 // exactly as a Fill would, but records no statistics, claims no port, and

@@ -71,7 +71,8 @@ const tool = "hbatd"
 // between admission and its last spec's terminal status.
 type Executor interface {
 	// Admit reports why no new job can start right now (nil when one
-	// can); the front end answers a non-nil error 503.
+	// can); the front end answers a non-nil error 503. It is asked only
+	// for a job the store leaves a spec of open.
 	Admit() error
 	// Start receives only a job with an open spec, and runs only its
 	// open specs: open lists, in submission order, the indices intake

@@ -156,6 +156,8 @@ func traceIdentity(r *http.Request, req *api.JobRequest) (traceID, parentSpan st
 // handleJobs serves POST /v1/jobs. Rejections come in a fixed order:
 // 405, 413/400 (body), 400 (bad tenant), 400 (empty), 413 (too many
 // specs), 400 (bad spec), 503 (executor or drain), 429 (tenant quota).
+// The executor is asked to admit the job only when the store leaves a
+// spec open: a job the store answers whole needs no worker or engine.
 func (f *Front) handleJobs(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		WriteErr(w, http.StatusMethodNotAllowed, "POST %s", api.PathJobs)
@@ -186,9 +188,12 @@ func (f *Front) handleJobs(w http.ResponseWriter, r *http.Request) {
 		WriteErr(w, http.StatusBadRequest, "bad spec: %v", err)
 		return
 	}
-	if err := f.exec.Admit(); err != nil {
-		WriteErr(w, http.StatusServiceUnavailable, "%v", err)
-		return
+	stored, open := f.lookupStored(sts)
+	if len(open) > 0 {
+		if err := f.exec.Admit(); err != nil {
+			WriteErr(w, http.StatusServiceUnavailable, "%v", err)
+			return
+		}
 	}
 
 	traceID, parentSpan := traceIdentity(r, &req)
@@ -253,27 +258,34 @@ func (f *Front) handleJobs(w http.ResponseWriter, r *http.Request) {
 	if f.cfg.Spans.Enabled() {
 		acc.SpansURL = api.PathJobs + "/" + j.ID + "/spans"
 	}
-	if open := f.answerStored(j); len(open) > 0 {
+	for i, sha := range stored {
+		if sha != "" {
+			finishStored(j, i, sha, f.cfg.Spans)
+		}
+	}
+	if len(open) > 0 {
 		f.exec.Start(j, open)
 	}
 	f.starting.Done()
 	WriteJSON(w, http.StatusAccepted, acc)
 }
 
-// answerStored finishes, at intake, every spec whose key the store
-// already holds, and returns the indices of the rest in submission
-// order: the only specs the executor is handed. A job whose specs all
-// hit is done before its 202 is written and never reaches the executor.
-func (f *Front) answerStored(j *Job) []int {
-	var open []int
-	for i, key := range j.Keys {
-		if _, sha, ok := f.cfg.Store.Get(key); ok {
-			finishStored(j, i, sha, f.cfg.Spans)
+// lookupStored looks every spec key up in the store: stored[i] is the
+// SHA-256 of spec i's stored artifact ("" when the store lacks it), and
+// open lists the rest in submission order, the only specs the executor
+// is handed. Intake finishes the stored specs once the job is admitted;
+// a job whose specs all hit is done before its 202 is written and never
+// reaches the executor.
+func (f *Front) lookupStored(sts []api.SpecStatus) (stored []string, open []int) {
+	stored = make([]string, len(sts))
+	for i := range sts {
+		if _, sha, ok := f.cfg.Store.Get(sts[i].SpecKey); ok {
+			stored[i] = sha
 		} else {
 			open = append(open, i)
 		}
 	}
-	return open
+	return stored, open
 }
 
 // finishStored finishes spec idx from the store: done, a store hit,

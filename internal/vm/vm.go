@@ -83,6 +83,15 @@ type AddressSpace struct {
 	regions   []Region
 	nextFrame uint64 // next physical frame number to hand out
 
+	// blocks hold the page table's entries, pteBlock each, handed out
+	// in order: blocks[used] from entry next. Blocks never move (TLB
+	// devices point into them), and Reset keeps them for the next run.
+	blocks     [][]PTE
+	used, next int
+	// room is the most entries pages has held: a cleared map keeps room
+	// for that many.
+	room int
+
 	// Faults counts translation failures (unmapped or protection).
 	Faults uint64
 	// WalkCount counts successful page-table walks (TLB fills).
@@ -102,6 +111,15 @@ func CheckPageSize(pageSize uint64) error {
 // which must be a power of two of at least 1 KB (the paper evaluates
 // 4 KB and 8 KB pages).
 func NewAddressSpace(pageSize uint64) *AddressSpace {
+	as := &AddressSpace{pages: make(map[uint64]*PTE)}
+	as.Reset(pageSize)
+	return as
+}
+
+// Reset empties the address space and sets its page size, as
+// NewAddressSpace would build it, keeping the page table's storage: the
+// map and the entry blocks. Every PTE it handed out before is reused.
+func (as *AddressSpace) Reset(pageSize uint64) {
 	if err := CheckPageSize(pageSize); err != nil {
 		panic(err)
 	}
@@ -109,12 +127,33 @@ func NewAddressSpace(pageSize uint64) *AddressSpace {
 	for s := pageSize; s > 1; s >>= 1 {
 		bits++
 	}
-	return &AddressSpace{
+	room := max(as.room, len(as.pages))
+	clear(as.pages)
+	*as = AddressSpace{
 		pageBits:  bits,
 		pageSize:  pageSize,
-		pages:     make(map[uint64]*PTE),
+		pages:     as.pages,
+		regions:   as.regions[:0],
 		nextFrame: 1, // frame 0 reserved so PFN 0 never appears in a valid PTE
+		blocks:    as.blocks,
+		room:      room,
 	}
+}
+
+// pteBlock is how many page-table entries one block holds.
+const pteBlock = 32
+
+// newPTE returns a page-table entry holding pte.
+func (as *AddressSpace) newPTE(pte PTE) *PTE {
+	if as.used == len(as.blocks) {
+		as.blocks = append(as.blocks, make([]PTE, pteBlock))
+	}
+	p := &as.blocks[as.used][as.next]
+	if as.next++; as.next == pteBlock {
+		as.used, as.next = as.used+1, 0
+	}
+	*p = pte
+	return p
 }
 
 // PageSize returns the page size in bytes.
@@ -172,7 +211,7 @@ func (as *AddressSpace) Walk(vpn uint64) (*PTE, error) {
 		as.Faults++
 		return nil, fmt.Errorf("%w: va 0x%x", ErrUnmapped, vaddr)
 	}
-	pte := &PTE{VPN: vpn, PFN: as.nextFrame, Perm: r.Perm}
+	pte := as.newPTE(PTE{VPN: vpn, PFN: as.nextFrame, Perm: r.Perm})
 	as.nextFrame++
 	as.pages[vpn] = pte
 	as.WalkCount++
@@ -244,10 +283,14 @@ func (as *AddressSpace) ExportPages() []PTE {
 // appear behind the same pointer they captured at construction. Fault and
 // walk counters are zeroed — the measurement window starts fresh.
 func (as *AddressSpace) ImportPages(ptes []PTE, nextFrame uint64) {
-	as.pages = make(map[uint64]*PTE, len(ptes))
-	for i := range ptes {
-		p := ptes[i]
-		as.pages[p.VPN] = &p
+	if as.room = max(as.room, len(as.pages)); len(ptes) > as.room {
+		as.pages = make(map[uint64]*PTE, len(ptes))
+		as.room = len(ptes)
+	} else {
+		clear(as.pages)
+	}
+	for _, p := range ptes {
+		as.pages[p.VPN] = as.newPTE(p)
 	}
 	as.nextFrame = nextFrame
 	as.Faults = 0

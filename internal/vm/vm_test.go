@@ -2,6 +2,7 @@ package vm
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -154,5 +155,42 @@ func TestTranslationProperties(t *testing.T) {
 		return true
 	}, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestResetEqualsNew: an address space Reset to another page size maps
+// exactly as a new one, reusing the entries it handed out before.
+func TestResetEqualsNew(t *testing.T) {
+	as := newAS(t, 4096)
+	var first *PTE
+	for vpn := uint64(0x10000); vpn < 0x10000+2*pteBlock+5; vpn++ {
+		pte, err := as.Walk(vpn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if first == nil {
+			first = pte
+		}
+		pte.Dirty = true
+	}
+	as.Reset(8192)
+	if as.MappedPages() != 0 || len(as.Regions()) != 0 || as.NextFrame() != 1 || as.WalkCount != 0 {
+		t.Fatalf("reset address space keeps state: %d pages, %d regions, next frame %d, %d walks",
+			as.MappedPages(), len(as.Regions()), as.NextFrame(), as.WalkCount)
+	}
+	fresh := NewAddressSpace(8192)
+	for _, a := range []*AddressSpace{as, fresh} {
+		a.AddRegion(Region{Name: "data", Base: 0x1000_0000, Size: 1 << 20, Perm: PermRW})
+		for va := uint64(0x1000_0000); va < 0x1000_0000+40*8192; va += 3 * 8192 {
+			if _, err := a.Translate(va, PermWrite); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if as.PageBits() != 13 || !reflect.DeepEqual(as.ExportPages(), fresh.ExportPages()) {
+		t.Fatalf("reset address space maps %+v, a new one %+v", as.ExportPages(), fresh.ExportPages())
+	}
+	if pte, _ := as.Lookup(0x1000_0000 >> 13); pte != first {
+		t.Error("the first page mapped after Reset got a new entry, not the first one handed out before")
 	}
 }

@@ -22,6 +22,7 @@ const (
 	sblockOverInterp = 1.5   // ~2.2x
 	ffwdOverCold     = 8.0   // ~24x
 	coreOverInterp   = 0.063 // 0.8 x the 0.079 three traced runs read (0.083 0.077 0.077)
+	runAllocs        = 60    // 44-45: memory frames and the page table's growth
 )
 
 // bench runs one workload, checks that its outputs were correct and no
@@ -85,6 +86,14 @@ func main() {
 	if core < coreOverInterp {
 		fail("cycle core over interpreter %.4f is below the %g floor", core, coreOverInterp)
 	}
+	// The ladder's count of mallocs inside one from-reset Run
+	// (test-scale compress on T4): the run's memory frames and page
+	// table, and nothing per run beside them. The margin covers the map
+	// growth Go's per-map hash seeds make vary; copying the end-of-run
+	// aggregates into a registry again (125 before it stopped) fails.
+	if n, ok := layers["cpu.run_allocs"]; !ok || n > runAllocs {
+		fail("one Run makes %g allocations (reported: %v), over the %d floor", n, ok, runAllocs)
+	}
 	// Two untraced runs: the two-phase methodology must pay for itself
 	// in simulated instructions per host second.
 	ffwd := bench("ffwd-99", 0)["sim_minst_per_s"]
@@ -93,7 +102,8 @@ func main() {
 		fail("ffwd-99 over grid-cold %.1fx is below the %.1fx floor", ffwd/cold, ffwdOverCold)
 	}
 	fmt.Printf("floors ok: sblock %.2fx over the interpreter, 10 checkpoints built / 20 shared, "+
-		"cycle core %.4f of the interpreter, ffwd-99 %.1fx over grid-cold\n", raw, core, ffwd/cold)
+		"cycle core %.4f of the interpreter, %g allocations in one Run, ffwd-99 %.1fx over grid-cold\n",
+		raw, core, layers["cpu.run_allocs"], ffwd/cold)
 }
 
 func fail(format string, args ...any) {
