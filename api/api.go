@@ -66,10 +66,12 @@ const (
 // follows its submission directly finds the job at any job rate). A
 // client parked on the job when it finishes always gets the terminal
 // status; one that asks later and finds the id gone should resubmit the
-// same specs once — the
-// result store outlives both the job table and a restart, so the
-// resubmission is answered from it — which is what hbat.Fabric.Simulate
-// does.
+// same specs once — the result store outlives both the job table and a
+// restart, so the resubmission is answered from it — which is what
+// hbat.Fabric.Simulate does. A job the store answers whole needs no
+// status request at all: it is done before its 202 is written, and the
+// 202 carries its status (JobAccepted.Status), which Client.Wait returns
+// as is.
 const WaitParam = "wait"
 
 // TenantHeader names the request header carrying the caller's tenant
@@ -184,6 +186,13 @@ type JobAccepted struct {
 	// exist; empty when the server runs without span tracing.
 	TraceID  string `json:"trace_id,omitempty"`
 	SpansURL string `json:"spans_url,omitempty"`
+	// Status is the job's terminal status when intake left it nothing
+	// to run — the store answered every spec — exactly what GET
+	// StatusURL would serve. It is absent for a job with an open spec
+	// and from a server that predates it; either way the job is waited
+	// for as before. Client.Wait answers a job its own Submit saw
+	// finish from this field, without a request.
+	Status *JobStatus `json:"status,omitempty"`
 }
 
 // Spec states reported by SpecStatus.State, and job states reported by

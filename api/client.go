@@ -8,12 +8,23 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"sync"
 	"time"
 )
 
 // maxEventLine caps one SSE line Events will read; dataPrefix marks the
 // lines it decodes.
 const maxEventLine = 1 << 20
+
+// maxErrorBody caps the bytes of a non-2xx body the client reads: an
+// api.Error is a few hundred, and whatever follows the cap is dropped
+// with the connection. maxSizedBody is the largest declared length a
+// 2xx body is read into one buffer of that size; a longer or undeclared
+// one grows as it is read.
+const (
+	maxErrorBody = 1 << 16
+	maxSizedBody = 8 << 20
+)
 
 var dataPrefix = []byte("data: ")
 
@@ -38,6 +49,12 @@ type Client struct {
 	// event stream legitimately outlives any single-request budget, so
 	// its lifetime is bounded only by the caller's context.
 	Timeout time.Duration
+
+	// finished is the terminal status the last Submit's 202 carried
+	// (JobAccepted.Status), until a Wait for that job takes it: one
+	// slot, so nothing to bound.
+	mu       sync.Mutex
+	finished *JobStatus
 }
 
 // NewClient returns a Client for the service rooted at base.
@@ -90,14 +107,28 @@ func (c *Client) send(ctx context.Context, method, path string, body any) (http.
 		return nil, nil, err
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
+	if resp.StatusCode/100 != 2 {
+		data, _ := io.ReadAll(io.LimitReader(resp.Body, maxErrorBody))
+		return nil, nil, errorFrom(resp, data)
+	}
+	data, err := readBody(resp)
 	if err != nil {
 		return nil, nil, err
 	}
-	if resp.StatusCode/100 != 2 {
-		return nil, nil, errorFrom(resp, data)
-	}
 	return resp.Header, data, nil
+}
+
+// readBody reads a 2xx body whole: into one buffer of its declared
+// length, up to maxSizedBody, or by io.ReadAll's growth otherwise.
+func readBody(resp *http.Response) ([]byte, error) {
+	if n := resp.ContentLength; n > 0 && n <= maxSizedBody {
+		data := make([]byte, n)
+		if _, err := io.ReadFull(resp.Body, data); err != nil {
+			return nil, err
+		}
+		return data, nil
+	}
+	return io.ReadAll(resp.Body)
 }
 
 // errorFrom is the one decoding of a non-2xx answer: the server's
@@ -142,12 +173,33 @@ func (c *Client) Ping(ctx context.Context) error {
 // Submit posts a job and returns its acceptance record. A
 // req.Traceparent is additionally sent as the traceparent header, so
 // intermediaries that only read headers see the same trace context the
-// body carries.
+// body carries. When the 202 carries the job's terminal status (the
+// server's store answered every spec), Submit keeps it for the Wait
+// that follows.
 func (c *Client) Submit(ctx context.Context, req JobRequest) (JobAccepted, error) {
 	var acc JobAccepted
 	err := c.do(ctx, http.MethodPost, PathJobs, req, &acc)
+	if err == nil && acc.Status != nil && terminal(acc.Status.State) {
+		c.mu.Lock()
+		c.finished = acc.Status
+		c.mu.Unlock()
+	}
 	return acc, err
 }
+
+// takeFinished returns, and forgets, the status Submit kept when it is
+// job id's.
+func (c *Client) takeFinished(id string) (JobStatus, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if st := c.finished; st != nil && st.ID == id {
+		c.finished = nil
+		return *st, true
+	}
+	return JobStatus{}, false
+}
+
+func terminal(state string) bool { return state == StateDone || state == StateFailed }
 
 // Spans fetches a job's server-side span journal: the raw JSON-lines
 // document GET /v1/jobs/{id}/spans serves (versioned header line, then
@@ -177,28 +229,38 @@ const (
 )
 
 // Wait blocks until a job leaves the queued/running states (or the
-// context ends) and returns its final status. Each status request asks
-// the server to hold it until the job finishes (see WaitParam), so a
-// finished job is reported the moment it finishes and a job costs one
-// request per hold, not one per tick. A job id the server no longer
-// knows — the daemon restarted, or the job finished long enough ago to
-// leave the server's tail — is the server's *Error with Code 404,
-// returned as is: Wait never resubmits.
+// context ends) and returns its final status. It answers a job its own
+// Submit saw finish without a request: the status that job's 202
+// carried, once (the client keeps only the last such status, so a
+// second Wait for it, or a Wait after another Submit replaced it, asks
+// the server). Otherwise each status request asks the server to hold it
+// until the job finishes (see WaitParam), so a finished job is reported
+// the moment it finishes and a job costs one request per hold, not one
+// per tick. A job id the server no longer knows — the daemon restarted,
+// or the job finished long enough ago to leave the server's tail — is
+// the server's *Error with Code 404, returned as is: Wait never
+// resubmits.
 func (c *Client) Wait(ctx context.Context, id string) (JobStatus, error) {
+	if st, ok := c.takeFinished(id); ok {
+		return st, nil
+	}
 	hold := waitHold
 	if c.Timeout > 0 && c.Timeout/2 < hold {
 		hold = c.Timeout / 2
 	}
 	path := PathJobs + "/" + id + "?" + WaitParam + "=" + hold.String()
-	floor := time.NewTicker(waitFloor)
-	defer floor.Stop()
+	var floor *time.Ticker
 	for {
 		var st JobStatus
 		if err := c.do(ctx, http.MethodGet, path, nil, &st); err != nil {
 			return st, err
 		}
-		if st.State == StateDone || st.State == StateFailed {
+		if terminal(st.State) {
 			return st, nil
+		}
+		if floor == nil {
+			floor = time.NewTicker(waitFloor)
+			defer floor.Stop()
 		}
 		select {
 		case <-ctx.Done():
@@ -249,7 +311,7 @@ func (c *Client) Events(ctx context.Context, id string, fn func(Event) bool) err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		data, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
+		data, _ := io.ReadAll(io.LimitReader(resp.Body, maxErrorBody))
 		return errorFrom(resp, data)
 	}
 	sc := bufio.NewScanner(resp.Body)

@@ -2,12 +2,16 @@ package api
 
 import (
 	"bufio"
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -347,4 +351,203 @@ func TestGoneJobIsATyped404Everywhere(t *testing.T) {
 			t.Errorf("%s made %d requests for a gone job, want 1", tc.name, n)
 		}
 	}
+}
+
+// jobServer is a v1 job endpoint that counts its requests. A job whose
+// tenant is "stored" is finished at intake, and its 202 carries the
+// status; any other is accepted open. A status request answers any id
+// done.
+type jobServer struct {
+	seq, posts, gets atomic.Int64
+}
+
+func (s *jobServer) status(id string) JobStatus {
+	return JobStatus{API: Version, ID: id, State: StateDone, Done: 1, Total: 1,
+		Specs: []SpecStatus{{SpecKey: "k" + id, State: StateDone, StoreHit: true}}}
+}
+
+func (s *jobServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if r.Method == http.MethodGet {
+		s.gets.Add(1)
+		json.NewEncoder(w).Encode(s.status(strings.TrimPrefix(r.URL.Path, PathJobs+"/")))
+		return
+	}
+	s.posts.Add(1)
+	var req JobRequest
+	json.NewDecoder(r.Body).Decode(&req)
+	acc := JobAccepted{API: Version, ID: fmt.Sprintf("j%d", s.seq.Add(1)), Total: 1}
+	if req.Tenant == "stored" {
+		st := s.status(acc.ID)
+		acc.Status = &st
+	}
+	w.WriteHeader(http.StatusAccepted)
+	json.NewEncoder(w).Encode(acc)
+}
+
+// TestWaitAnswersAJobItsSubmitSawFinish: Submit then Wait of a job
+// finished at intake is one request, and Wait returns the status the
+// 202 carried. Wait on another id, a second Wait on the same id, a Wait
+// whose kept status a later Submit replaced, and a Wait after a 202
+// without status each ask the server, as before.
+func TestWaitAnswersAJobItsSubmitSawFinish(t *testing.T) {
+	s := &jobServer{}
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+	c := NewClient(ts.URL)
+	ctx := context.Background()
+	submit := func(tenant string) JobAccepted {
+		t.Helper()
+		acc, err := c.Submit(ctx, JobRequest{Tenant: tenant})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return acc
+	}
+	// wait returns the job's status and the status requests Wait made.
+	wait := func(id string) (JobStatus, int64) {
+		t.Helper()
+		before := s.gets.Load()
+		st, err := c.Wait(ctx, id)
+		if err != nil || st.ID != id || st.State != StateDone {
+			t.Fatalf("Wait(%s) = %+v, %v; want that job done", id, st, err)
+		}
+		return st, s.gets.Load() - before
+	}
+
+	acc := submit("stored")
+	if acc.Status == nil {
+		t.Fatal("the stored job's 202 carries no status")
+	}
+	st, gets := wait(acc.ID)
+	if gets != 0 || s.posts.Load() != 1 {
+		t.Errorf("Submit+Wait of a job finished at intake made %d requests, want 1", s.posts.Load()+gets)
+	}
+	if !reflect.DeepEqual(st, *acc.Status) {
+		t.Errorf("Wait = %+v, want the 202's status %+v", st, *acc.Status)
+	}
+	if _, gets := wait(acc.ID); gets != 1 {
+		t.Errorf("a second Wait on %s made %d status requests, want 1", acc.ID, gets)
+	}
+
+	acc = submit("stored")
+	if _, gets := wait("j0"); gets != 1 {
+		t.Errorf("Wait on another id made %d status requests, want 1", gets)
+	}
+	if _, gets := wait(acc.ID); gets != 0 {
+		t.Errorf("Wait on another id cost %s its kept status: %d status requests", acc.ID, gets)
+	}
+
+	first, second := submit("stored"), submit("stored")
+	if _, gets := wait(first.ID); gets != 1 {
+		t.Errorf("Wait on a job whose kept status was replaced made %d status requests, want 1", gets)
+	}
+	if _, gets := wait(second.ID); gets != 0 {
+		t.Errorf("Wait on the last stored job made %d status requests, want 0", gets)
+	}
+
+	acc = submit("")
+	if acc.Status != nil {
+		t.Fatalf("an open job's 202 carries %+v", acc.Status)
+	}
+	if _, gets := wait(acc.ID); gets != 1 {
+		t.Errorf("Wait after a 202 without status made %d status requests, want 1", gets)
+	}
+}
+
+// TestConcurrentSubmitWaitGetsItsOwnJob: eight goroutines share one
+// Client, each running Submit+Wait on its own stored jobs; each Wait
+// returns its own job's status, from the kept slot or the server.
+func TestConcurrentSubmitWaitGetsItsOwnJob(t *testing.T) {
+	s := &jobServer{}
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+	c := NewClient(ts.URL)
+	var wg sync.WaitGroup
+	for range 8 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ctx := context.Background()
+			for range 25 {
+				acc, err := c.Submit(ctx, JobRequest{Tenant: "stored"})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				st, err := c.Wait(ctx, acc.ID)
+				if err != nil || st.ID != acc.ID || len(st.Specs) != 1 || st.Specs[0].SpecKey != "k"+acc.ID {
+					t.Errorf("Wait(%s) = %+v, %v; want its own job's status", acc.ID, st, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	t.Logf("200 jobs: %d status requests", s.gets.Load())
+}
+
+// countingBody counts the bytes read from a response body.
+type countingBody struct {
+	io.ReadCloser
+	n *atomic.Int64
+}
+
+func (b countingBody) Read(p []byte) (int, error) {
+	n, err := b.ReadCloser.Read(p)
+	b.n.Add(int64(n))
+	return n, err
+}
+
+type countingTransport struct{ n atomic.Int64 }
+
+func (c *countingTransport) RoundTrip(r *http.Request) (*http.Response, error) {
+	resp, err := http.DefaultTransport.RoundTrip(r)
+	if err == nil {
+		resp.Body = countingBody{resp.Body, &c.n}
+	}
+	return resp, err
+}
+
+// TestErrorBodyIsCapped: a non-2xx body over the 64 KiB cap still comes
+// back as *Error with the status code, and the client reads no more
+// than the cap of it.
+func TestErrorBodyIsCapped(t *testing.T) {
+	const size = 1 << 20
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.WriteHeader(http.StatusBadGateway)
+		w.Write(bytes.Repeat([]byte("x"), size))
+	}))
+	defer ts.Close()
+	tr := &countingTransport{}
+	c := NewClient(ts.URL)
+	c.HTTP = &http.Client{Transport: tr}
+	_, err := c.Job(context.Background(), "j1")
+	var apiErr *Error
+	if !errors.As(err, &apiErr) || apiErr.Code != http.StatusBadGateway {
+		t.Fatalf("a %d-byte 502 body: %v, want *Error with Code 502", size, err)
+	}
+	if n := tr.n.Load(); n > maxErrorBody {
+		t.Errorf("read %d bytes of a %d-byte error body, want at most %d", n, size, maxErrorBody)
+	}
+}
+
+// TestSizedBodyIsOneAllocation: a 2xx body that declares its length is
+// read into one buffer of that size; one that does not still reads
+// whole.
+func TestSizedBodyIsOneAllocation(t *testing.T) {
+	data := bytes.Repeat([]byte("x"), 5<<10)
+	rd := bytes.NewReader(data)
+	resp := &http.Response{ContentLength: int64(len(data)), Body: io.NopCloser(rd)}
+	read := func() {
+		rd.Reset(data)
+		got, err := readBody(resp)
+		if err != nil || !bytes.Equal(got, data) {
+			t.Fatalf("readBody = %d bytes, %v; want the %d-byte body", len(got), err, len(data))
+		}
+	}
+	if allocs := testing.AllocsPerRun(50, read); allocs != 1 {
+		t.Errorf("a body of declared length took %v allocations, want 1", allocs)
+	}
+	resp.ContentLength = -1
+	read()
 }

@@ -52,6 +52,9 @@ type outcome struct {
 	ETag string
 	// Events are the SSE event types streamed, in order.
 	Events []string
+	// Finished is the state a 202 carried in its status: "" for a job
+	// with an open spec, whose 202 carries none.
+	Finished string
 }
 
 // session is one front end under the script.
@@ -133,8 +136,12 @@ func (s *session) submit(step string, want int, body any) {
 	}
 	data := s.do(step, want, http.MethodPost, api.PathJobs, bytes.NewReader(raw), nil)
 	if want == http.StatusAccepted && !s.t.Failed() {
+		s.acc = api.JobAccepted{}
 		if err := json.Unmarshal(data, &s.acc); err != nil {
 			s.t.Fatalf("%s: %v", step, err)
+		}
+		if s.acc.Status != nil {
+			s.out[len(s.out)-1].Finished = s.acc.Status.State
 		}
 	}
 }
@@ -269,19 +276,32 @@ func runContract(s *session) {
 // runStoredSpec is the step "a stored spec never reaches the
 // executor": a spec run once and then resubmitted is answered at
 // intake. Neither a simulation nor a dispatch counts it, its status is
-// a store hit that names no worker and no attempt, and its job's span
-// journal holds the store_hit span and neither executor's first span:
-// a worker pool's queue_wait or a coordinator's dispatch.
+// a store hit that names no worker and no attempt, its 202 carries
+// that status exactly as a GET of the job serves it (the first run's,
+// with its spec open, carries none), and its job's span journal holds
+// the store_hit span and neither executor's first span: a worker
+// pool's queue_wait or a coordinator's dispatch.
 func runStoredSpec(s *session) {
 	t := s.t
 	job := api.JobRequest{Specs: []api.SimOptions{contractSpec("test", 11)}}
 	s.submit("stored spec: first run", 202, job)
+	if s.acc.Status != nil {
+		t.Errorf("the first run's 202 carries status %+v; its spec was open", *s.acc.Status)
+	}
 	s.wait()
 	before := s.counters()
 	if before["hbat_sweep_runs_executed"] < 1 {
 		t.Fatalf("the first run left hbat_sweep_runs_executed at %v: the scrape reads the wrong process", before["hbat_sweep_runs_executed"])
 	}
 	s.submit("stored spec: resubmitted", 202, job)
+	carried := s.acc.Status
+	var served api.JobStatus
+	if err := json.Unmarshal(s.get("stored spec: status", 200, s.acc.StatusURL), &served); err != nil {
+		t.Fatal(err)
+	}
+	if carried == nil || !reflect.DeepEqual(*carried, served) {
+		t.Errorf("the stored job's 202 carries status %+v, want what GET serves: %+v", carried, served)
+	}
 	s.wait()
 	after := s.counters()
 	for _, name := range []string{"hbat_sweep_runs_executed", "hbat_fleet_specs_dispatched"} {

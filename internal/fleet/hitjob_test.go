@@ -2,12 +2,14 @@ package fleet_test
 
 // One-spec store-hit jobs in a closed loop, each making the three calls
 // the benchmark's serve-hit and fleet-hit workloads make: Submit, Wait,
-// Result. The per-job allocation budget (norace_test.go) and
-// BenchmarkFleetHitJob (`make profile-fleet`) drive the same loop.
+// Result (two HTTP exchanges: Wait returns the status the 202 carried).
+// The per-job request and allocation budgets (norace_test.go)
+// and BenchmarkFleetHitJob (`make profile-fleet`) drive the same loop.
 
 import (
 	"context"
 	"net/http"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -21,6 +23,20 @@ import (
 type hitRig struct {
 	cl  *api.Client
 	req api.JobRequest
+	// trips counts the client's HTTP round trips.
+	trips *tripCounter
+}
+
+// tripCounter is an http.RoundTripper that counts the round trips it
+// passes on.
+type tripCounter struct {
+	next http.RoundTripper
+	n    atomic.Int64
+}
+
+func (c *tripCounter) RoundTrip(r *http.Request) (*http.Response, error) {
+	c.n.Add(1)
+	return c.next.RoundTrip(r)
 }
 
 // newHitRig mounts the path a job takes — straight to one rig worker,
@@ -42,9 +58,10 @@ func newHitRig(tb testing.TB, coordinated bool) *hitRig {
 	}
 	tr := &http.Transport{MaxConnsPerHost: 1, MaxIdleConnsPerHost: 1}
 	tb.Cleanup(tr.CloseIdleConnections)
+	trips := &tripCounter{next: tr}
 	cl := api.NewClient(base)
-	cl.HTTP = &http.Client{Transport: tr}
-	h := &hitRig{cl: cl, req: api.JobRequest{Specs: seedSpecs(1)}}
+	cl.HTTP = &http.Client{Transport: trips}
+	h := &hitRig{cl: cl, req: api.JobRequest{Specs: seedSpecs(1)}, trips: trips}
 	h.job(tb)
 	return h
 }
@@ -66,6 +83,26 @@ func (h *hitRig) job(tb testing.TB) {
 	}
 	if _, _, err := h.cl.Result(ctx, st.Specs[0].SpecKey); err != nil {
 		tb.Fatal(err)
+	}
+}
+
+// TestStoredJobRequestBudget: in either role, a one-spec job the front
+// end's store holds costs its client exactly two round trips: the POST,
+// whose 202 carries the finished status that Wait returns, and the
+// result. It cost three while Wait asked for that status again.
+func TestStoredJobRequestBudget(t *testing.T) {
+	for _, tc := range []struct {
+		name        string
+		coordinated bool
+	}{{"direct", false}, {"coordinator", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			h := newHitRig(t, tc.coordinated)
+			before := h.trips.n.Load()
+			h.job(t)
+			if n := h.trips.n.Load() - before; n != 2 {
+				t.Errorf("a stored one-spec job took %d round trips, want 2 (submit, result)", n)
+			}
+		})
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"net/http"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -169,5 +170,77 @@ func TestStoredJobNeedsNoWorker(t *testing.T) {
 	}
 	if n := familyValue(coord, "hbat_fabric_jobs_open"); n != 0 {
 		t.Errorf("%g jobs open after the refusal, want 0", n)
+	}
+}
+
+// requestLog is an http.RoundTripper that records the method and path
+// of every request it passes on, except the prober's.
+type requestLog struct {
+	next http.RoundTripper
+	mu   sync.Mutex
+	reqs []string
+}
+
+func (l *requestLog) RoundTrip(r *http.Request) (*http.Response, error) {
+	if r.URL.Path != "/ready" && r.URL.Path != api.PathManifest {
+		l.mu.Lock()
+		l.reqs = append(l.reqs, r.Method+" "+r.URL.Path)
+		l.mu.Unlock()
+	}
+	return l.next.RoundTrip(r)
+}
+
+func (l *requestLog) requests() []string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return append([]string(nil), l.reqs...)
+}
+
+// TestWorkerStoredBatchIsOneRequest: a spec the worker's store holds
+// and the coordinator's does not is dispatched as one worker POST, whose
+// 202 carries the finished batch, and one result fetch: no event stream
+// and no status request. The job ends done with the worker's hash, and
+// the verified artifact is filed in the coordinator store.
+func TestWorkerStoredBatchIsOneRequest(t *testing.T) {
+	guardGoroutines(t)
+	rig := fleettest.New(t, 1)
+	ctx := context.Background()
+	req := api.JobRequest{Specs: seedSpecs(1)}
+	wcl := api.NewClient(rig.Workers[0].Addr)
+	acc, err := wcl.Submit(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := waitJob(t, wcl, acc.ID).Specs[0]
+
+	tr := &http.Transport{}
+	t.Cleanup(tr.CloseIdleConnections)
+	log := &requestLog{next: tr}
+	cst, err := store.New(store.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, cl, _ := newCoord(t, rig, func(c *fleet.Config) {
+		c.Store = cst
+		c.Client = func(addr string) *api.Client {
+			wc := api.NewClient(addr)
+			wc.HTTP = &http.Client{Transport: log}
+			return wc
+		}
+	})
+	acc, err = cl.Submit(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := waitJob(t, cl, acc.ID)
+	if s := st.Specs[0]; st.State != api.StateDone || s.SHA256 != want.SHA256 || s.StoreHit || s.Attempts != 1 {
+		t.Errorf("job %s spec = %+v, want done, dispatched once, sha %.12s", acc.ID, s, want.SHA256)
+	}
+	wantReqs := []string{"POST " + api.PathJobs, "GET " + api.PathResults + want.SpecKey}
+	if got := log.requests(); !reflect.DeepEqual(got, wantReqs) {
+		t.Errorf("the worker saw %q, want %q", got, wantReqs)
+	}
+	if _, sha, ok := cst.Get(want.SpecKey); !ok || sha != want.SHA256 {
+		t.Errorf("coordinator store holds %.12s (ok %v), want the worker's %.12s", sha, ok, want.SHA256)
 	}
 }

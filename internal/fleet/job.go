@@ -4,13 +4,15 @@ package fleet
 // coordinator store held; the open specs shard to live workers by
 // affinity rendezvous, each worker group goes out as one batch (a
 // worker-side job), worker SSE streams fan back in as merged
-// coordinator events, and each completed spec's artifact is fetched
-// exactly once, verified against the worker-reported content hash, and
-// filed into the coordinator store — the only place the coordinator
-// serves results from. A batch that errors, times out, or returns
-// corrupt bytes sends its unfinished specs into the next retry wave,
-// which re-ranks them onto workers not yet tried — with capped
-// exponential backoff between waves and a hard per-spec attempt cap.
+// coordinator events (a batch the worker's store answered whole comes
+// back finished in its 202 and opens no stream), and each completed
+// spec's artifact is fetched exactly once, verified against the
+// worker-reported content hash, and filed into the coordinator store —
+// the only place the coordinator serves results from. A batch that
+// errors, times out, or returns corrupt bytes sends its unfinished
+// specs into the next retry wave, which re-ranks them onto workers not
+// yet tried — with capped exponential backoff between waves and a hard
+// per-spec attempt cap.
 // Workers that died mid-batch are (independently) demoted by the
 // prober, so the next wave's live set no longer contains them:
 // re-sharding on worker death falls out of rank() over the survivors.
@@ -136,10 +138,12 @@ func (c *Coordinator) backoffWait(wave int) bool {
 }
 
 // dispatch sends one batch of specs to one worker as a worker-side job
-// and reconciles the outcome. It returns the indices that need another
-// attempt: every index on batch-level failure (submit error, stream +
-// status loss, timeout), or the subset that came back unfinished or
-// with corrupt artifact bytes. A spec the worker ran and reported
+// and reconciles the outcome: from the worker's 202 when its store held
+// every spec (one request, then one fetch per spec), else from its SSE
+// stream and a final status poll. It returns the indices that need
+// another attempt: every index on batch-level failure (submit error,
+// stream + status loss, timeout), or the subset that came back
+// unfinished or with corrupt artifact bytes. A spec the worker ran and reported
 // failed is final: runs are deterministic, so it would fail the same
 // way on every worker.
 func (c *Coordinator) dispatch(j *transport.Job, w *worker, idxs []int, tried []map[string]bool) (failed []int) {
@@ -183,6 +187,11 @@ func (c *Coordinator) dispatch(j *transport.Job, w *worker, idxs []int, tried []
 	if err != nil {
 		j.Note(idxs, "submit to "+w.addr+": "+err.Error())
 		return idxs
+	}
+	if acc.Status != nil {
+		// The worker's store held every spec: the batch came back
+		// finished in its 202, so there is nothing to stream or poll.
+		return c.reconcile(ctx, j, w, byKey, *acc.Status)
 	}
 
 	// Fan the worker's SSE stream into the coordinator job: spec
@@ -228,6 +237,14 @@ func (c *Coordinator) dispatch(j *transport.Job, w *worker, idxs []int, tried []
 		j.Note(open, "worker "+w.addr+" lost mid-batch: "+err.Error())
 		return open
 	}
+	return c.reconcile(ctx, j, w, byKey, st)
+}
+
+// reconcile settles a batch from the worker job's terminal status:
+// byKey's done specs are fetched and filed, its failed ones are final,
+// and the indices of any it left unfinished (or whose artifact failed
+// to verify) come back for another attempt.
+func (c *Coordinator) reconcile(ctx context.Context, j *transport.Job, w *worker, byKey map[string][]int, st api.JobStatus) (failed []int) {
 	final := make(map[string]api.SpecStatus, len(st.Specs))
 	for _, s := range st.Specs {
 		final[s.SpecKey] = s

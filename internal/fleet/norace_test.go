@@ -12,16 +12,19 @@ import (
 
 // Bytes allocated per store-hit job in this process — the client, the
 // front ends, the workers and their span tracers together: the rig's
-// own reading with ~1.3x headroom. The rig reads 34.6 KiB straight to
-// a worker and 30.5 KiB through a coordinator, whose front end answers
-// the job from its own store at intake: no dispatch, no worker. The
-// coordinator read 84 KiB while it dispatched a stored spec to a worker
-// and looked in its store only after the worker answered, and 150 KiB
-// while each dispatch stream also pre-allocated a 64 KiB line buffer
-// and each job event feed 64 by-value events.
+// own reading with ~1.2x headroom. The rig reads 26.4 KiB straight to
+// a worker and 22.4 KiB through a coordinator, whose front end answers
+// the job from its own store at intake: no dispatch, no worker. Each
+// job is two HTTP exchanges, the submit (whose 202 carries the finished
+// status) and the result; it read 34.6 and 30.4 KiB while the client
+// spent a third exchange asking for that status. The coordinator read
+// 84 KiB while it dispatched a stored spec to a worker and looked in
+// its store only after the worker answered, and 150 KiB while each
+// dispatch stream also pre-allocated a 64 KiB line buffer and each job
+// event feed 64 by-value events.
 const (
-	directHitJobBudget = 46 << 10
-	fleetHitJobBudget  = 40 << 10
+	directHitJobBudget = 32 << 10
+	fleetHitJobBudget  = 27 << 10
 )
 
 // TestHitJobAllocBudget drives closed-loop store-hit jobs straight to a

@@ -28,6 +28,7 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -344,7 +345,8 @@ func (f *Front) serveEvents(w http.ResponseWriter, r *http.Request, j *Job) {
 
 // handleResult serves GET /v1/results/{speckey} from this process's
 // store in either role: the canonical artifact with its content hash as
-// a strong ETag, or a 404 for a key the store does not hold.
+// a strong ETag and its length declared, or a 404 for a key the store
+// does not hold.
 func (f *Front) handleResult(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet && r.Method != http.MethodHead {
 		WriteErr(w, http.StatusMethodNotAllowed, "GET only")
@@ -367,6 +369,7 @@ func (f *Front) handleResult(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusNotModified)
 		return
 	}
+	w.Header().Set("Content-Length", strconv.Itoa(len(data)))
 	w.Write(data)
 }
 

@@ -157,7 +157,8 @@ func traceIdentity(r *http.Request, req *api.JobRequest) (traceID, parentSpan st
 // 405, 413/400 (body), 400 (bad tenant), 400 (empty), 413 (too many
 // specs), 400 (bad spec), 503 (executor or drain), 429 (tenant quota).
 // The executor is asked to admit the job only when the store leaves a
-// spec open: a job the store answers whole needs no worker or engine.
+// spec open: a job the store answers whole needs no worker or engine,
+// and its 202 carries the terminal status a GET of it would serve.
 func (f *Front) handleJobs(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		WriteErr(w, http.StatusMethodNotAllowed, "POST %s", api.PathJobs)
@@ -265,6 +266,9 @@ func (f *Front) handleJobs(w http.ResponseWriter, r *http.Request) {
 	}
 	if len(open) > 0 {
 		f.exec.Start(j, open)
+	} else {
+		st := j.status()
+		acc.Status = &st
 	}
 	f.starting.Done()
 	WriteJSON(w, http.StatusAccepted, acc)
@@ -274,8 +278,8 @@ func (f *Front) handleJobs(w http.ResponseWriter, r *http.Request) {
 // SHA-256 of spec i's stored artifact ("" when the store lacks it), and
 // open lists the rest in submission order, the only specs the executor
 // is handed. Intake finishes the stored specs once the job is admitted;
-// a job whose specs all hit is done before its 202 is written and never
-// reaches the executor.
+// a job whose specs all hit is done before its 202 is written, the 202
+// carries its status, and it never reaches the executor.
 func (f *Front) lookupStored(sts []api.SpecStatus) (stored []string, open []int) {
 	stored = make([]string, len(sts))
 	for i := range sts {
