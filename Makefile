@@ -89,17 +89,19 @@ profile-ffwd:
 # intake path: its front end answers the job from its own store, and no
 # worker sees it. One run records every allocation and prints the
 # -benchmem line and the top 25 sites by alloc_space; a second,
-# unperturbed run prints the CPU top 25. A job allocates ~22.6 KiB here
-# (2-core Xeon): ~13 KiB is net/http's own cost for two HTTP exchanges,
-# both ends (net/http 7.4, textproto 4, context 0.8, url 0.6): the
+# unperturbed run prints the CPU top 25. A job allocates ~17.2 KiB here
+# (2-core Xeon): ~6.9 KiB is net/http's own cost for one HTTP exchange,
+# both ends (net/http 4.1, textproto 2.1, context 0.4, url 0.3): the
 # submit, whose 202 carries the finished status that api.Client.Wait
-# returns, and the result; the span tracing 2.1; encoding/json 1.9;
-# transport 1.7; api 1.6 (the two bodies, each read into one buffer of
-# its declared length); engine 0.4. It allocated ~31 KiB while Wait
-# asked for that status in a third exchange and bodies were read by
-# io.ReadAll, and ~87 KiB while the coordinator dispatched a stored spec
-# to a worker: six HTTP exchanges, the dispatch stream and the worker's
-# span feed. Leaves nothing behind.
+# returns and the artifact that api.Client.Result returns; encoding/json
+# 2.6 (the artifact's base64 among it); the span tracing 2.1; api 1.8
+# (the 202 body, read into one buffer of its declared length, and the
+# artifact's checked hash); transport 1.7; engine 0.5. It allocated
+# ~22.6 KiB while Result fetched the artifact in a second exchange, ~31
+# KiB while Wait also asked for the status in a third and bodies were
+# read by io.ReadAll, and ~87 KiB while the coordinator dispatched a
+# stored spec to a worker: six HTTP exchanges, the dispatch stream and
+# the worker's span feed. Leaves nothing behind.
 profile-fleet:
 	@d=$$(mktemp -d) && \
 	go test -c -o $$d/fleet.test ./internal/fleet/ && \

@@ -71,8 +71,15 @@ const (
 // hbat.Fabric.Simulate does. A job the store answers whole needs no
 // status request at all: it is done before its 202 is written, and the
 // 202 carries its status (JobAccepted.Status), which Client.Wait returns
-// as is.
+// as is, and its artifacts (JobAccepted.Artifacts) when they fit in
+// MaxInlineArtifacts, which Client.Result returns without a request.
 const WaitParam = "wait"
+
+// MaxInlineArtifacts is the most artifact bytes, summed over a job's
+// specs, a 202 carries in JobAccepted.Artifacts: a 13-design sweep is
+// ~8 KiB. A stored job over it gets its status alone, and its client
+// fetches each artifact from PathResults.
+const MaxInlineArtifacts = 64 << 10
 
 // TenantHeader names the request header carrying the caller's tenant
 // identity. A "tenant" field in the JobRequest body takes precedence;
@@ -193,6 +200,14 @@ type JobAccepted struct {
 	// for as before. Client.Wait answers a job its own Submit saw
 	// finish from this field, without a request.
 	Status *JobStatus `json:"status,omitempty"`
+	// Artifacts are the stored artifacts of a job that Status reports
+	// finished at intake, index-aligned with SpecKeys: the bytes GET
+	// /v1/results/{key} would serve. They are present only beside
+	// Status, and only when their total size is at most
+	// MaxInlineArtifacts; a job status (GET StatusURL) never carries
+	// them. Client.Result answers from each artifact that hashes to its
+	// spec's SHA256.
+	Artifacts [][]byte `json:"artifacts,omitempty"`
 }
 
 // Spec states reported by SpecStatus.State, and job states reported by

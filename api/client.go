@@ -4,10 +4,13 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"sync"
 	"time"
 )
@@ -50,11 +53,26 @@ type Client struct {
 	// its lifetime is bounded only by the caller's context.
 	Timeout time.Duration
 
-	// finished is the terminal status the last Submit's 202 carried
-	// (JobAccepted.Status), until a Wait for that job takes it: one
-	// slot, so nothing to bound.
-	mu       sync.Mutex
-	finished *JobStatus
+	// kept is what the last successful Submit's 202 carried: one job's
+	// slot, replaced by every Submit, so it holds at most
+	// MaxInlineArtifacts of bytes.
+	mu   sync.Mutex
+	kept keptJob
+}
+
+// keptJob is a job finished at intake, as its 202 carried it: its
+// terminal status (JobAccepted.Status), until a Wait for the job takes
+// it, and each inlined artifact that hashed to its spec's SHA256, until
+// a Result for its key takes it.
+type keptJob struct {
+	status *JobStatus
+	arts   []keptArtifact
+}
+
+// keptArtifact is one inlined artifact and its checked SHA-256 hex.
+type keptArtifact struct {
+	key, sha string
+	data     []byte
 }
 
 // NewClient returns a Client for the service rooted at base.
@@ -175,16 +193,51 @@ func (c *Client) Ping(ctx context.Context) error {
 // intermediaries that only read headers see the same trace context the
 // body carries. When the 202 carries the job's terminal status (the
 // server's store answered every spec), Submit keeps it for the Wait
-// that follows.
+// that follows, and with it every inlined artifact whose SHA-256 is
+// its spec's SHA256 in that status, for the Results that follow; the
+// kept bytes are acc.Artifacts' own, so treat those as read-only.
+// Every successful Submit replaces what the previous one kept, with
+// nothing when its 202 carries no terminal status.
 func (c *Client) Submit(ctx context.Context, req JobRequest) (JobAccepted, error) {
 	var acc JobAccepted
-	err := c.do(ctx, http.MethodPost, PathJobs, req, &acc)
-	if err == nil && acc.Status != nil && terminal(acc.Status.State) {
-		c.mu.Lock()
-		c.finished = acc.Status
-		c.mu.Unlock()
+	if err := c.do(ctx, http.MethodPost, PathJobs, req, &acc); err != nil {
+		return acc, err
 	}
-	return acc, err
+	k := keep(&acc)
+	c.mu.Lock()
+	c.kept = k
+	c.mu.Unlock()
+	return acc, nil
+}
+
+// keep is the slot a 202 leaves: empty unless it carries a terminal
+// status, and the status's checked artifacts beside it when they are
+// aligned with SpecKeys and fit in MaxInlineArtifacts together.
+func keep(acc *JobAccepted) keptJob {
+	st := acc.Status
+	if st == nil || !terminal(st.State) {
+		return keptJob{}
+	}
+	k := keptJob{status: st}
+	n := len(acc.SpecKeys)
+	if len(acc.Artifacts) != n || len(st.Specs) != n {
+		return k
+	}
+	total := 0
+	for _, data := range acc.Artifacts {
+		total += len(data)
+	}
+	if total > MaxInlineArtifacts {
+		return k
+	}
+	for i, data := range acc.Artifacts {
+		sp := &st.Specs[i]
+		sum := sha256.Sum256(data)
+		if sha := hex.EncodeToString(sum[:]); sha == sp.SHA256 && sp.SpecKey == acc.SpecKeys[i] {
+			k.arts = append(k.arts, keptArtifact{key: sp.SpecKey, sha: sha, data: data})
+		}
+	}
+	return k
 }
 
 // takeFinished returns, and forgets, the status Submit kept when it is
@@ -192,11 +245,25 @@ func (c *Client) Submit(ctx context.Context, req JobRequest) (JobAccepted, error
 func (c *Client) takeFinished(id string) (JobStatus, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if st := c.finished; st != nil && st.ID == id {
-		c.finished = nil
+	if st := c.kept.status; st != nil && st.ID == id {
+		c.kept.status = nil
 		return *st, true
 	}
 	return JobStatus{}, false
+}
+
+// takeArtifact returns, and forgets, an artifact Submit kept for key,
+// with its checked hash.
+func (c *Client) takeArtifact(key string) ([]byte, string, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for i, a := range c.kept.arts {
+		if a.key == key {
+			c.kept.arts = slices.Delete(c.kept.arts, i, i+1)
+			return a.data, a.sha, true
+		}
+	}
+	return nil, "", false
 }
 
 func terminal(state string) bool { return state == StateDone || state == StateFailed }
@@ -271,8 +338,16 @@ func (c *Client) Wait(ctx context.Context, id string) (JobStatus, error) {
 }
 
 // Result fetches a rendered artifact by spec key, returning the exact
-// served bytes and their content-hash ETag (unquoted).
+// served bytes and their content-hash ETag (unquoted). It answers a key
+// its own Submit's 202 inlined without a request, once: the kept bytes,
+// with the SHA-256 hex they were checked against as the ETag, which is
+// the ETag the server would send (the client keeps only the last job's
+// artifacts, so a second Result for the key, or one after another
+// Submit, asks the server).
 func (c *Client) Result(ctx context.Context, specKey string) ([]byte, string, error) {
+	if data, sha, ok := c.takeArtifact(specKey); ok {
+		return data, sha, nil
+	}
 	hdr, data, err := c.send(ctx, http.MethodGet, PathResults+specKey, nil)
 	if err != nil {
 		return nil, "", err

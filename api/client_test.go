@@ -4,6 +4,8 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -353,20 +355,45 @@ func TestGoneJobIsATyped404Everywhere(t *testing.T) {
 	}
 }
 
-// jobServer is a v1 job endpoint that counts its requests. A job whose
+// jobServer is a v1 job endpoint that counts its requests. Job jN has
+// the one spec key kjN, whose artifact is artifact(jN). A job whose
 // tenant is "stored" is finished at intake, and its 202 carries the
-// status; any other is accepted open. A status request answers any id
-// done.
+// status and the artifact; one whose tenant is "tampered" carries the
+// status and bytes that do not hash to it; any other is accepted open.
+// A status request answers any id done, and a result request serves
+// the key's artifact with its hash as the ETag.
 type jobServer struct {
-	seq, posts, gets atomic.Int64
+	seq, posts, gets, results atomic.Int64
+	// size, when positive, is the length of every artifact.
+	size int
+}
+
+func (s *jobServer) artifact(id string) []byte {
+	if s.size > 0 {
+		return bytes.Repeat([]byte(id[:1]), s.size)
+	}
+	return []byte(`{"job":"` + id + `"}`)
+}
+
+func sha256Hex(data []byte) string {
+	sum := sha256.Sum256(data)
+	return hex.EncodeToString(sum[:])
 }
 
 func (s *jobServer) status(id string) JobStatus {
 	return JobStatus{API: Version, ID: id, State: StateDone, Done: 1, Total: 1,
-		Specs: []SpecStatus{{SpecKey: "k" + id, State: StateDone, StoreHit: true}}}
+		Specs: []SpecStatus{{SpecKey: "k" + id, State: StateDone, StoreHit: true,
+			ResultURL: PathResults + "k" + id, SHA256: sha256Hex(s.artifact(id))}}}
 }
 
 func (s *jobServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if key, ok := strings.CutPrefix(r.URL.Path, PathResults); ok {
+		s.results.Add(1)
+		data := s.artifact(strings.TrimPrefix(key, "k"))
+		w.Header().Set("ETag", `"`+sha256Hex(data)+`"`)
+		w.Write(data)
+		return
+	}
 	if r.Method == http.MethodGet {
 		s.gets.Add(1)
 		json.NewEncoder(w).Encode(s.status(strings.TrimPrefix(r.URL.Path, PathJobs+"/")))
@@ -375,13 +402,127 @@ func (s *jobServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.posts.Add(1)
 	var req JobRequest
 	json.NewDecoder(r.Body).Decode(&req)
-	acc := JobAccepted{API: Version, ID: fmt.Sprintf("j%d", s.seq.Add(1)), Total: 1}
-	if req.Tenant == "stored" {
+	id := fmt.Sprintf("j%d", s.seq.Add(1))
+	acc := JobAccepted{API: Version, ID: id, Total: 1, SpecKeys: []string{"k" + id}}
+	if req.Tenant == "stored" || req.Tenant == "tampered" {
 		st := s.status(acc.ID)
 		acc.Status = &st
+		acc.Artifacts = [][]byte{s.artifact(id)}
+	}
+	if req.Tenant == "tampered" {
+		acc.Artifacts[0] = []byte("tampered")
 	}
 	w.WriteHeader(http.StatusAccepted)
 	json.NewEncoder(w).Encode(acc)
+}
+
+// requests is the number of requests s has served.
+func (s *jobServer) requests() int64 { return s.posts.Load() + s.gets.Load() + s.results.Load() }
+
+// TestStoredJobIsOneRequest: Submit, Wait and Result of a job finished
+// at intake make one request, the POST: Result returns the artifact the
+// 202 carried, with its hash as the ETag. A second Result for the key
+// asks the server.
+func TestStoredJobIsOneRequest(t *testing.T) {
+	s := &jobServer{}
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+	c := NewClient(ts.URL)
+	ctx := context.Background()
+	acc, err := c.Submit(ctx, JobRequest{Tenant: "stored"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := c.Wait(ctx, acc.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := s.artifact(acc.ID)
+	for i, wantReqs := range []int64{1, 2} {
+		data, etag, err := c.Result(ctx, st.Specs[0].SpecKey)
+		if err != nil || !bytes.Equal(data, want) || etag != st.Specs[0].SHA256 {
+			t.Fatalf("Result %d = %q, %s, %v; want %q with ETag %.12s", i+1, data, etag, err, want, st.Specs[0].SHA256)
+		}
+		if n := s.requests(); n != wantReqs {
+			t.Errorf("Submit, Wait and %d Results of a stored job made %d requests, want %d", i+1, n, wantReqs)
+		}
+	}
+}
+
+// TestTamperedArtifactIsDropped: an inlined artifact that does not hash
+// to its spec's SHA256 is not kept, and Result returns the server's
+// bytes.
+func TestTamperedArtifactIsDropped(t *testing.T) {
+	s := &jobServer{}
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+	c := NewClient(ts.URL)
+	ctx := context.Background()
+	acc, err := c.Submit(ctx, JobRequest{Tenant: "tampered"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(c.kept.arts) != 0 {
+		t.Errorf("Submit kept %d artifacts that do not hash to their status", len(c.kept.arts))
+	}
+	data, etag, err := c.Result(ctx, acc.SpecKeys[0])
+	if want := s.artifact(acc.ID); err != nil || !bytes.Equal(data, want) || etag != sha256Hex(want) {
+		t.Errorf("Result = %q, %s, %v; want the server's %q", data, etag, err, want)
+	}
+	if n := s.results.Load(); n != 1 {
+		t.Errorf("Result made %d result requests, want 1", n)
+	}
+}
+
+// TestOversizeArtifactsAreNotKept: a 202 whose artifacts total more
+// than MaxInlineArtifacts leaves the status kept and no artifact, even
+// one that hashes to its status.
+func TestOversizeArtifactsAreNotKept(t *testing.T) {
+	s := &jobServer{size: MaxInlineArtifacts + 1}
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+	c := NewClient(ts.URL)
+	ctx := context.Background()
+	acc, err := c.Submit(ctx, JobRequest{Tenant: "stored"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.kept.status == nil || len(c.kept.arts) != 0 {
+		t.Errorf("an oversize 202 kept status %v and %d artifacts, want the status alone", c.kept.status != nil, len(c.kept.arts))
+	}
+	if _, _, err := c.Result(ctx, acc.SpecKeys[0]); err != nil || s.results.Load() != 1 {
+		t.Errorf("Result = %v after %d result requests, want the server's answer", err, s.results.Load())
+	}
+}
+
+// TestSubmitReplacesTheSlot: every successful Submit replaces what the
+// previous one kept, so a 202 without a terminal status leaves nothing:
+// neither the earlier job's status nor its artifact.
+func TestSubmitReplacesTheSlot(t *testing.T) {
+	s := &jobServer{}
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+	c := NewClient(ts.URL)
+	ctx := context.Background()
+	stored, err := c.Submit(ctx, JobRequest{Tenant: "stored"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.kept.status == nil || len(c.kept.arts) != 1 {
+		t.Fatalf("a stored job's 202 kept status %v and %d artifacts, want both", c.kept.status != nil, len(c.kept.arts))
+	}
+	if _, err := c.Submit(ctx, JobRequest{}); err != nil {
+		t.Fatal(err)
+	}
+	if c.kept.status != nil || c.kept.arts != nil {
+		t.Errorf("a 202 without status left %+v kept", c.kept)
+	}
+	if _, err := c.Wait(ctx, stored.ID); err != nil || s.gets.Load() != 1 {
+		t.Errorf("Wait for the replaced job = %v after %d status requests, want 1", err, s.gets.Load())
+	}
+	if _, _, err := c.Result(ctx, stored.SpecKeys[0]); err != nil || s.results.Load() != 1 {
+		t.Errorf("Result for the replaced job = %v after %d result requests, want 1", err, s.results.Load())
+	}
 }
 
 // TestWaitAnswersAJobItsSubmitSawFinish: Submit then Wait of a job
@@ -455,8 +596,9 @@ func TestWaitAnswersAJobItsSubmitSawFinish(t *testing.T) {
 }
 
 // TestConcurrentSubmitWaitGetsItsOwnJob: eight goroutines share one
-// Client, each running Submit+Wait on its own stored jobs; each Wait
-// returns its own job's status, from the kept slot or the server.
+// Client, each running Submit, Wait and Result on its own stored jobs;
+// each Wait returns its own job's status and each Result its own job's
+// bytes and hash, from the kept slot or the server.
 func TestConcurrentSubmitWaitGetsItsOwnJob(t *testing.T) {
 	s := &jobServer{}
 	ts := httptest.NewServer(s)
@@ -479,11 +621,16 @@ func TestConcurrentSubmitWaitGetsItsOwnJob(t *testing.T) {
 					t.Errorf("Wait(%s) = %+v, %v; want its own job's status", acc.ID, st, err)
 					return
 				}
+				data, etag, err := c.Result(ctx, st.Specs[0].SpecKey)
+				if want := s.artifact(acc.ID); err != nil || !bytes.Equal(data, want) || etag != st.Specs[0].SHA256 {
+					t.Errorf("Result(%s) = %q, %s, %v; want its own job's %q", st.Specs[0].SpecKey, data, etag, err, want)
+					return
+				}
 			}
 		}()
 	}
 	wg.Wait()
-	t.Logf("200 jobs: %d status requests", s.gets.Load())
+	t.Logf("200 jobs: %d status requests, %d result requests", s.gets.Load(), s.results.Load())
 }
 
 // countingBody counts the bytes read from a response body.

@@ -2,7 +2,8 @@ package fleet_test
 
 // One-spec store-hit jobs in a closed loop, each making the three calls
 // the benchmark's serve-hit and fleet-hit workloads make: Submit, Wait,
-// Result (two HTTP exchanges: Wait returns the status the 202 carried).
+// Result (one HTTP exchange: Wait and Result return the status and the
+// artifact the 202 carried).
 // The per-job request and allocation budgets (norace_test.go)
 // and BenchmarkFleetHitJob (`make profile-fleet`) drive the same loop.
 
@@ -87,9 +88,10 @@ func (h *hitRig) job(tb testing.TB) {
 }
 
 // TestStoredJobRequestBudget: in either role, a one-spec job the front
-// end's store holds costs its client exactly two round trips: the POST,
-// whose 202 carries the finished status that Wait returns, and the
-// result. It cost three while Wait asked for that status again.
+// end's store holds costs its client exactly one round trip: the POST,
+// whose 202 carries the finished status that Wait returns and the
+// artifact that Result returns. It cost two while Result fetched the
+// artifact, and three while Wait also asked for the status again.
 func TestStoredJobRequestBudget(t *testing.T) {
 	for _, tc := range []struct {
 		name        string
@@ -99,8 +101,8 @@ func TestStoredJobRequestBudget(t *testing.T) {
 			h := newHitRig(t, tc.coordinated)
 			before := h.trips.n.Load()
 			h.job(t)
-			if n := h.trips.n.Load() - before; n != 2 {
-				t.Errorf("a stored one-spec job took %d round trips, want 2 (submit, result)", n)
+			if n := h.trips.n.Load() - before; n != 1 {
+				t.Errorf("a stored one-spec job took %d round trips, want 1 (submit)", n)
 			}
 		})
 	}

@@ -198,9 +198,10 @@ func (l *requestLog) requests() []string {
 
 // TestWorkerStoredBatchIsOneRequest: a spec the worker's store holds
 // and the coordinator's does not is dispatched as one worker POST, whose
-// 202 carries the finished batch, and one result fetch: no event stream
-// and no status request. The job ends done with the worker's hash, and
-// the verified artifact is filed in the coordinator store.
+// 202 carries the finished batch and its artifact: no event stream, no
+// status request and no result fetch. The job ends done with the
+// worker's hash, and the verified artifact is filed in the coordinator
+// store.
 func TestWorkerStoredBatchIsOneRequest(t *testing.T) {
 	guardGoroutines(t)
 	rig := fleettest.New(t, 1)
@@ -236,7 +237,7 @@ func TestWorkerStoredBatchIsOneRequest(t *testing.T) {
 	if s := st.Specs[0]; st.State != api.StateDone || s.SHA256 != want.SHA256 || s.StoreHit || s.Attempts != 1 {
 		t.Errorf("job %s spec = %+v, want done, dispatched once, sha %.12s", acc.ID, s, want.SHA256)
 	}
-	wantReqs := []string{"POST " + api.PathJobs, "GET " + api.PathResults + want.SpecKey}
+	wantReqs := []string{"POST " + api.PathJobs}
 	if got := log.requests(); !reflect.DeepEqual(got, wantReqs) {
 		t.Errorf("the worker saw %q, want %q", got, wantReqs)
 	}

@@ -5,8 +5,9 @@ package fleet
 // affinity rendezvous, each worker group goes out as one batch (a
 // worker-side job), worker SSE streams fan back in as merged
 // coordinator events (a batch the worker's store answered whole comes
-// back finished in its 202 and opens no stream), and each completed
-// spec's artifact is fetched exactly once, verified against the
+// back finished in its 202, with its artifacts when they fit, and opens
+// no stream), and each completed spec's artifact is fetched at most
+// once (not at all when that 202 carried it), verified against the
 // worker-reported content hash, and filed into the coordinator store —
 // the only place the coordinator serves results from. A batch that
 // errors, times out, or returns corrupt bytes sends its unfinished
@@ -139,7 +140,8 @@ func (c *Coordinator) backoffWait(wave int) bool {
 
 // dispatch sends one batch of specs to one worker as a worker-side job
 // and reconciles the outcome: from the worker's 202 when its store held
-// every spec (one request, then one fetch per spec), else from its SSE
+// every spec (one request, whose artifacts the client's Result returns,
+// or one fetch per spec the 202 did not carry), else from its SSE
 // stream and a final status poll. It returns the indices that need
 // another attempt: every index on batch-level failure (submit error,
 // stream + status loss, timeout), or the subset that came back
@@ -190,7 +192,8 @@ func (c *Coordinator) dispatch(j *transport.Job, w *worker, idxs []int, tried []
 	}
 	if acc.Status != nil {
 		// The worker's store held every spec: the batch came back
-		// finished in its 202, so there is nothing to stream or poll.
+		// finished in its 202, so there is nothing to stream or poll,
+		// and Result answers from the artifacts the 202 carried.
 		return c.reconcile(ctx, j, w, byKey, *acc.Status)
 	}
 
@@ -292,7 +295,8 @@ func (c *Coordinator) completeSpec(ctx context.Context, j *transport.Job, w *wor
 }
 
 // fileArtifact is the one fetch of a result and returns the done status
-// it leaves the spec in. The computing worker is asked for the bytes,
+// it leaves the spec in. The computing worker is asked for the bytes
+// (the client answers from the worker's 202 when that carried them),
 // which must hash to what the worker reported before they are filed
 // under the job's tenant. A key stored at intake never gets here (the
 // front end answered it); a key another job filed since intake is

@@ -12,19 +12,20 @@ import (
 
 // Bytes allocated per store-hit job in this process — the client, the
 // front ends, the workers and their span tracers together: the rig's
-// own reading with ~1.2x headroom. The rig reads 26.4 KiB straight to
-// a worker and 22.4 KiB through a coordinator, whose front end answers
+// own reading with ~1.2x headroom. The rig reads 21.0 KiB straight to
+// a worker and 17.0 KiB through a coordinator, whose front end answers
 // the job from its own store at intake: no dispatch, no worker. Each
-// job is two HTTP exchanges, the submit (whose 202 carries the finished
-// status) and the result; it read 34.6 and 30.4 KiB while the client
-// spent a third exchange asking for that status. The coordinator read
+// job is one HTTP exchange, the submit, whose 202 carries the finished
+// status and the stored artifact; it read 26.4 and 22.4 KiB while the
+// client fetched the artifact in a second exchange, and 34.6 and 30.4
+// KiB while it spent a third asking for the status. The coordinator read
 // 84 KiB while it dispatched a stored spec to a worker and looked in
 // its store only after the worker answered, and 150 KiB while each
 // dispatch stream also pre-allocated a 64 KiB line buffer and each job
 // event feed 64 by-value events.
 const (
-	directHitJobBudget = 32 << 10
-	fleetHitJobBudget  = 27 << 10
+	directHitJobBudget = 25 << 10
+	fleetHitJobBudget  = 20 << 10
 )
 
 // TestHitJobAllocBudget drives closed-loop store-hit jobs straight to a

@@ -416,6 +416,10 @@ func TestIntakeAnswersStoredSpecs(t *testing.T) {
 		if len(exec.starts) != 0 {
 			t.Fatalf("a job whose specs are all stored reached Executor.Start with %v", exec.starts)
 		}
+		stored := []byte(`{"stored":true}`)
+		if want := [][]byte{stored, stored}; !reflect.DeepEqual(acc.Artifacts, want) {
+			t.Errorf("the 202 carries artifacts %q, want %q", acc.Artifacts, want)
+		}
 		code, js, _ := statusOf(t, h, acc.StatusURL)
 		if code != http.StatusOK || js.State != api.StateDone || js.Done != 2 {
 			t.Fatalf("status = %d %+v, want the job done at intake", code, js)
@@ -439,6 +443,9 @@ func TestIntakeAnswersStoredSpecs(t *testing.T) {
 		if !reflect.DeepEqual(exec.starts, [][]int{{0}}) {
 			t.Fatalf("Executor.Start received open specs %v, want [[0]]", exec.starts)
 		}
+		if acc.Status != nil || acc.Artifacts != nil {
+			t.Errorf("a job with an open spec got status %+v and %d artifacts in its 202", acc.Status, len(acc.Artifacts))
+		}
 		_, js, _ := statusOf(t, h, acc.StatusURL)
 		if js.State == api.StateDone || js.Done != 1 || js.Specs[0].State != api.StateQueued {
 			t.Errorf("status = %+v, want the stored spec done and the other queued", js)
@@ -449,5 +456,39 @@ func TestIntakeAnswersStoredSpecs(t *testing.T) {
 
 	if got := st.Tenants(); !reflect.DeepEqual(got, map[string]int64{"filer": int64(len(`{"stored":true}`))}) {
 		t.Errorf("store charges %v, want only the filer", got)
+	}
+}
+
+// TestStoredArtifactsInlineUpToTheCap: a job the store answers whole
+// carries its artifacts in the 202 while they total at most
+// api.MaxInlineArtifacts; one byte over, the 202 carries the terminal
+// status alone.
+func TestStoredArtifactsInlineUpToTheCap(t *testing.T) {
+	st := memStore(t)
+	put := func(seed uint64, size int) api.SimOptions {
+		t.Helper()
+		o := testSpec(seed)
+		spec, err := engine.SpecFromWire(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := st.Put("filer", spec.Hash(), bytes.Repeat([]byte{'x'}, size)); err != nil {
+			t.Fatal(err)
+		}
+		return o
+	}
+	full, one := put(1, api.MaxInlineArtifacts), put(2, 1)
+	h := NewFront(Config{Store: st}, &stubExec{}).Handler()
+
+	acc := submitSpecs(t, h, full)
+	if acc.Status == nil || len(acc.Artifacts) != 1 || len(acc.Artifacts[0]) != api.MaxInlineArtifacts {
+		t.Errorf("a stored job of exactly the cap: status %v, %d artifacts; want both, inlined", acc.Status != nil, len(acc.Artifacts))
+	}
+	acc = submitSpecs(t, h, full, one)
+	if acc.Status == nil || acc.Status.State != api.StateDone {
+		t.Fatalf("a stored job over the cap: status %+v, want it done at intake", acc.Status)
+	}
+	if acc.Artifacts != nil {
+		t.Errorf("a stored job one byte over the cap carries %d artifacts, want none", len(acc.Artifacts))
 	}
 }

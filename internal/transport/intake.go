@@ -158,7 +158,8 @@ func traceIdentity(r *http.Request, req *api.JobRequest) (traceID, parentSpan st
 // specs), 400 (bad spec), 503 (executor or drain), 429 (tenant quota).
 // The executor is asked to admit the job only when the store leaves a
 // spec open: a job the store answers whole needs no worker or engine,
-// and its 202 carries the terminal status a GET of it would serve.
+// and its 202 carries the terminal status a GET of it would serve and,
+// up to api.MaxInlineArtifacts, the stored artifacts themselves.
 func (f *Front) handleJobs(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		WriteErr(w, http.StatusMethodNotAllowed, "POST %s", api.PathJobs)
@@ -189,7 +190,7 @@ func (f *Front) handleJobs(w http.ResponseWriter, r *http.Request) {
 		WriteErr(w, http.StatusBadRequest, "bad spec: %v", err)
 		return
 	}
-	stored, open := f.lookupStored(sts)
+	stored, data, open := f.lookupStored(sts)
 	if len(open) > 0 {
 		if err := f.exec.Admit(); err != nil {
 			WriteErr(w, http.StatusServiceUnavailable, "%v", err)
@@ -269,27 +270,41 @@ func (f *Front) handleJobs(w http.ResponseWriter, r *http.Request) {
 	} else {
 		st := j.status()
 		acc.Status = &st
+		if inlineSize(data) <= api.MaxInlineArtifacts {
+			acc.Artifacts = data
+		}
 	}
 	f.starting.Done()
 	WriteJSON(w, http.StatusAccepted, acc)
 }
 
 // lookupStored looks every spec key up in the store: stored[i] is the
-// SHA-256 of spec i's stored artifact ("" when the store lacks it), and
-// open lists the rest in submission order, the only specs the executor
-// is handed. Intake finishes the stored specs once the job is admitted;
-// a job whose specs all hit is done before its 202 is written, the 202
-// carries its status, and it never reaches the executor.
-func (f *Front) lookupStored(sts []api.SpecStatus) (stored []string, open []int) {
+// SHA-256 of spec i's stored artifact ("" when the store lacks it),
+// data[i] the artifact, and open lists the rest in submission order,
+// the only specs the executor is handed. Intake finishes the stored
+// specs once the job is admitted; a job whose specs all hit is done
+// before its 202 is written, the 202 carries its status (and data, up
+// to api.MaxInlineArtifacts), and it never reaches the executor.
+func (f *Front) lookupStored(sts []api.SpecStatus) (stored []string, data [][]byte, open []int) {
 	stored = make([]string, len(sts))
+	data = make([][]byte, len(sts))
 	for i := range sts {
-		if _, sha, ok := f.cfg.Store.Get(sts[i].SpecKey); ok {
-			stored[i] = sha
+		if b, sha, ok := f.cfg.Store.Get(sts[i].SpecKey); ok {
+			stored[i], data[i] = sha, b
 		} else {
 			open = append(open, i)
 		}
 	}
-	return stored, open
+	return stored, data, open
+}
+
+// inlineSize is the bytes a 202 inlining data would carry as artifacts.
+func inlineSize(data [][]byte) int {
+	n := 0
+	for _, b := range data {
+		n += len(b)
+	}
+	return n
 }
 
 // finishStored finishes spec idx from the store: done, a store hit,

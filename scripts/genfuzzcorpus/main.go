@@ -1,10 +1,14 @@
 package main
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
 
+	"hbat/api"
 	"hbat/internal/ckpt"
 	"hbat/internal/mem"
 	"hbat/internal/vm"
@@ -45,4 +49,44 @@ func main() {
 	write(dir, "seed_bit_flip", flipped)
 	write(dir, "seed_truncated", valid[:len(valid)-9])
 	fmt.Println("corpus written:", len(valid), "byte valid seed")
+	jobAcceptedSeeds("api/testdata/fuzz/FuzzJobAccepted")
+}
+
+// jobAcceptedSeeds writes 202 bodies for api.FuzzJobAccepted: a stored
+// job whose artifact hashes to its status, and the shapes the client
+// must keep nothing from (or only some of): tampered bytes, misaligned
+// artifacts, a running status, no status, and a body cut short.
+func jobAcceptedSeeds(dir string) {
+	art := []byte(`{"api":"v1","spec_key":"k1","design":"T4","workload":"compress"}`)
+	other := []byte(`{"api":"v1","spec_key":"k2","design":"M8","workload":"gcc"}`)
+	spec := func(key string, data []byte) api.SpecStatus {
+		sum := sha256.Sum256(data)
+		return api.SpecStatus{SpecKey: key, State: api.StateDone, StoreHit: true,
+			ResultURL: api.PathResults + key, SHA256: hex.EncodeToString(sum[:])}
+	}
+	status := func(state string, specs ...api.SpecStatus) *api.JobStatus {
+		return &api.JobStatus{API: api.Version, ID: "j1", Tenant: "default", State: state,
+			Done: len(specs), Total: len(specs), Specs: specs}
+	}
+	accepted := func(keys []string, st *api.JobStatus, arts ...[]byte) api.JobAccepted {
+		return api.JobAccepted{API: api.Version, ID: "j1", Tenant: "default", Total: len(keys),
+			SpecKeys: keys, StatusURL: api.PathJobs + "/j1", EventsURL: api.PathJobs + "/j1/events",
+			Status: st, Artifacts: arts}
+	}
+	for name, acc := range map[string]api.JobAccepted{
+		"seed_stored":     accepted([]string{"k1"}, status(api.StateDone, spec("k1", art)), art),
+		"seed_tampered":   accepted([]string{"k1"}, status(api.StateDone, spec("k1", art)), []byte("tampered")),
+		"seed_two_specs":  accepted([]string{"k1", "k2"}, status(api.StateDone, spec("k1", art), spec("k2", other)), art, other),
+		"seed_duplicate":  accepted([]string{"k1", "k1"}, status(api.StateDone, spec("k1", art), spec("k1", art)), art, art),
+		"seed_misaligned": accepted([]string{"k1"}, status(api.StateDone, spec("k1", art)), art, other),
+		"seed_running":    accepted([]string{"k1"}, status(api.StateRunning, spec("k1", art)), art),
+		"seed_open":       accepted([]string{"k1"}, nil),
+	} {
+		body, err := json.Marshal(acc)
+		if err != nil {
+			panic(err)
+		}
+		write(dir, name, body)
+	}
+	write(dir, "seed_not_json", []byte(`{"spec_keys":["k1"],"artifacts":[`))
 }
