@@ -50,11 +50,15 @@ bench:
 # (cpu.Machine.Release) took it to 40 KiB: TLB banks 11, metrics
 # registry 8 and snapshot 6, page table 3, memory frames 2. Since a
 # machine also keeps its address space, registry and one TLB device per
-# design, and no sweep renders a snapshot, a pass allocates 1.4 MB, 11
-# KiB a run: the engine's result, memo entry and flight 5, the pass's
-# ten program builds 4, the figure 0.5, and inside the run only memory
-# frames beyond the kept ones, 2. The first pass adds each new
-# machine's TLB banks, tag arrays, ROB and predictor (~3 KiB a run).
+# design, and no sweep renders a snapshot, a pass allocated 1.4-1.7 MB,
+# 11-13 KiB a run, half of it the ten program builds and memory frames.
+# Since a program's data is one image its builder writes in place and
+# every machine maps copy-on-write, a pass allocates 1.2 MB, 9.5 KiB a
+# run: the engine's result, memo entry and flight 5, the pass's ten
+# program builds 3 (their images 2.5), the figure 0.5, and inside the
+# run only the frames it writes beyond the kept ones, 1. The first pass
+# adds each new machine's TLB banks, tag arrays, ROB and predictor (~3
+# KiB a run).
 profile-core:
 	@d=$$(mktemp -d) && \
 	go test -run '^$$' -bench 'BenchmarkFigure5$$' -benchtime 2x -benchmem -memprofilerate 1 \
@@ -64,21 +68,38 @@ profile-core:
 	go tool pprof -top -nodecount 25 $$d/hbat.test $$d/cpu.prof; \
 	rm -rf $$d
 
-# Where a checkpointed sweep's host time goes: a CPU profile of the
-# ffwd-99 plan (30 full-scale runs fast-forwarding 99 % through 10
-# shared checkpoints, fresh engine per iteration), top 25 functions by
-# cumulative time. The header's "Total samples = ... (N%)" is CPU time
-# over wall time: on two cores, 200 % means both worked throughout and
-# a figure near 100 % means one sat idle (waiting on the other's
-# checkpoint build, before ISSUE 18). ckpt.Build warms while it
-# executes, so its time shows under sblock.(*Engine).Warm: execBlock
-# itself plus the ckpt.(*buildState) sink methods Ref and Block it
-# calls (~67 % of CPU); the cycle core's cpu.(*Machine).Run is ~27 %.
-# The snapshot takes the build machine's frames instead of copying
-# them, so it no longer shows (~1.7 % when it copied). Leaves nothing
-# behind.
+# Where a checkpointed sweep's bytes and host time go: the ffwd-99 plan
+# (30 full-scale runs fast-forwarding 99 % through 10 shared
+# checkpoints, fresh engine per iteration). One run records every
+# allocation and prints the pass's B/op and the top 25 sites by
+# alloc_space (the profile also holds the benchmark's one-time setup:
+# each program built and run once on the interpreter to count it); a
+# second, unperturbed run prints the top 25 functions by cumulative
+# time. A pass allocated 15.4 MB (2-core Xeon) while builders staged
+# arrays and encoded them into buffers (builds 4.5 MB), emu.New copied
+# every loaded frame into the checkpoint build's memory (3.1) and the
+# translated engine allocated a frame on a first read as on a first
+# write (fast-forward 4.7, windows 0.5), besides the builds' tag arrays
+# and predictors (1.2). With each program's data one image its builder
+# writes in place and every machine maps copy-on-write, reads through
+# a shared zero frame, and the builds' tag arrays recycled, it
+# allocates 11.4 MB: frames the fast-forward writes 5.7 (copies of the
+# image's written frames included), the images 2.9, the windows'
+# frames 0.3, tag-array and predictor snapshots 0.6. The CPU header's
+# "Total samples = ... (N%)" is CPU time over wall time: on two cores,
+# 200 % means both worked throughout and a figure near 100 % means one
+# sat idle (as one did while workers queued on one checkpoint build).
+# ckpt.Build warms while it executes, so its time shows under
+# sblock.(*Engine).Warm: execBlock itself plus the ckpt.(*buildState)
+# sink methods Ref and Block it calls (~67 % of CPU); the cycle core's
+# cpu.(*Machine).Run is ~27 %. The snapshot takes the build machine's
+# frames instead of copying them, so it no longer shows (~1.7 % when it
+# copied). Leaves nothing behind.
 profile-ffwd:
 	@d=$$(mktemp -d) && \
+	go test -run '^$$' -bench 'BenchmarkFFwd99$$' -benchtime 3x -benchmem -memprofilerate 1 \
+		-o $$d/hbat.test -memprofile $$d/mem.prof . | grep -o '[0-9]* B/op.*allocs/op' && \
+	go tool pprof -top -sample_index alloc_space -nodecount 25 $$d/hbat.test $$d/mem.prof && \
 	go test -run '^$$' -bench 'BenchmarkFFwd99$$' -benchtime 30x -o $$d/hbat.test -cpuprofile $$d/cpu.prof . >/dev/null && \
 	go tool pprof -top -cum -nodecount 25 $$d/hbat.test $$d/cpu.prof; \
 	rm -rf $$d

@@ -74,6 +74,16 @@ func New(cfg Config) *Predictor {
 // Config returns the configuration the predictor was built from.
 func (p *Predictor) Config() Config { return p.cfg }
 
+// Reuse returns p reset when it was built from cfg, and a new predictor
+// otherwise (p may be nil).
+func Reuse(p *Predictor, cfg Config) *Predictor {
+	if p == nil || p.cfg != cfg {
+		return New(cfg)
+	}
+	p.Reset()
+	return p
+}
+
 // Reset returns the predictor to the state New leaves it in, keeping
 // its tables, so a machine that is built again with the same
 // configuration allocates none.

@@ -106,6 +106,16 @@ func New(cfg Config) *Cache {
 // Config returns the configuration the cache was built from.
 func (c *Cache) Config() Config { return c.cfg }
 
+// Reuse returns c reset when it was built from cfg, and a new cache
+// otherwise (c may be nil).
+func Reuse(c *Cache, cfg Config) *Cache {
+	if c == nil || c.cfg != cfg {
+		return New(cfg)
+	}
+	c.Reset()
+	return c
+}
+
 // Reset returns the cache to the state New leaves it in: every line
 // invalid, every counter zero. It keeps the tag array, so a machine that
 // is built again with the same configuration allocates none.

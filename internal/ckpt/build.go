@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"sync"
 
 	"hbat/internal/bpred"
 	"hbat/internal/cache"
@@ -209,7 +210,19 @@ func Build(ctx context.Context, p *prog.Program, cfg BuildConfig) (*Checkpoint, 
 	if err != nil {
 		return nil, err
 	}
-	return bs.snapshot(cfg), nil
+	c := bs.snapshot(cfg)
+	spares.Put(&warmers{ic: bs.ic, dc: bs.dc, pred: bs.pred})
+	return c, nil
+}
+
+// spares holds the tag arrays and predictor of finished builds, whose
+// state the snapshot copied out: the next build of the same geometry
+// resets and reuses them instead of allocating its own.
+var spares sync.Pool // of *warmers
+
+type warmers struct {
+	ic, dc *cache.Cache
+	pred   *bpred.Predictor
 }
 
 // build runs Build's functional phase and returns the warmed state.
@@ -233,11 +246,15 @@ func build(ctx context.Context, p *prog.Program, cfg BuildConfig) (*buildState, 
 	// not leave referenced/dirty bits behind.
 	em.AS.ClearStatus()
 
+	w, _ := spares.Get().(*warmers)
+	if w == nil {
+		w = new(warmers)
+	}
 	bs := &buildState{
 		em:       em,
-		ic:       cache.New(cfg.ICache),
-		dc:       cache.New(cfg.DCache),
-		pred:     bpred.New(cfg.Branch),
+		ic:       cache.Reuse(w.ic, cfg.ICache),
+		dc:       cache.Reuse(w.dc, cfg.DCache),
+		pred:     bpred.Reuse(w.pred, cfg.Branch),
 		n:        cfg.FastForward,
 		pageBits: em.AS.PageBits(),
 		icEpoch:  1,

@@ -209,9 +209,9 @@ func build(p *prog.Program, cfg Config, dtlb func(*Machine) tlb.Device) (*Machin
 		AS:      m.AS,
 		Mem:     m.Mem,
 		devices: m.devices,
-		icache:  resetCache(m.icache, cfg.ICache),
-		dcache:  resetCache(m.dcache, cfg.DCache),
-		pred:    resetPredictor(m.pred, cfg.Branch),
+		icache:  cache.Reuse(m.icache, cfg.ICache),
+		dcache:  cache.Reuse(m.dcache, cfg.DCache),
+		pred:    bpred.Reuse(m.pred, cfg.Branch),
 		rob:     resetROB(m.rob, cfg.ROBSize),
 		fetchQ:  m.fetchQ,
 		metrics: m.metrics,
@@ -258,13 +258,10 @@ func build(p *prog.Program, cfg Config, dtlb func(*Machine) tlb.Device) (*Machin
 	m.nextFlushAt = cfg.FlushTLBEvery
 	// A fast-forwarding machine replaces its page table and physical
 	// memory with the checkpoint's before the first cycle
-	// (restoreCheckpoint), so data segments loaded here would be frames
-	// written to be thrown away.
+	// (restoreCheckpoint), so data loaded here would be thrown away.
 	if cfg.FastForward == 0 {
-		for _, seg := range p.Data {
-			if err := m.writeVirt(seg.Addr, seg.Bytes); err != nil {
-				return nil, fmt.Errorf("cpu: loading data segment at 0x%x: %w", seg.Addr, err)
-			}
+		if err := p.Load(m.AS, m.Mem); err != nil {
+			return nil, fmt.Errorf("cpu: %w", err)
 		}
 	}
 	// Loading the initial images is the loader's work, not the
@@ -317,26 +314,6 @@ func (m *Machine) Release() {
 	released.Put(m)
 }
 
-// resetCache returns c reset when it was built from cfg, and a new
-// cache otherwise.
-func resetCache(c *cache.Cache, cfg cache.Config) *cache.Cache {
-	if c == nil || c.Config() != cfg {
-		return cache.New(cfg)
-	}
-	c.Reset()
-	return c
-}
-
-// resetPredictor returns p reset when it was built from cfg, and a new
-// predictor otherwise.
-func resetPredictor(p *bpred.Predictor, cfg bpred.Config) *bpred.Predictor {
-	if p == nil || p.Config() != cfg {
-		return bpred.New(cfg)
-	}
-	p.Reset()
-	return p
-}
-
 // resetROB returns r (which Release emptied) when it has size entries,
 // and a new ROB otherwise.
 func resetROB(r *rob, size int) *rob {
@@ -344,24 +321,6 @@ func resetROB(r *rob, size int) *rob {
 		return newROB(size)
 	}
 	return r
-}
-
-func (m *Machine) writeVirt(vaddr uint64, b []byte) error {
-	ps := m.AS.PageSize()
-	for len(b) > 0 {
-		pa, err := m.AS.Translate(vaddr, vm.PermWrite)
-		if err != nil {
-			return err
-		}
-		n := ps - m.AS.PageOffset(vaddr)
-		if uint64(len(b)) < n {
-			n = uint64(len(b))
-		}
-		m.Mem.Write(pa, b[:n])
-		b = b[n:]
-		vaddr += n
-	}
-	return nil
 }
 
 func (m *Machine) readMem(paddr uint64, width uint8) uint64 {

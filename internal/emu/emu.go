@@ -56,31 +56,10 @@ func New(p *prog.Program, pageSize uint64) (*Machine, error) {
 	for reg, v := range p.InitRegs {
 		m.Regs[reg] = v
 	}
-	for _, seg := range p.Data {
-		if err := m.writeVirt(seg.Addr, seg.Bytes); err != nil {
-			return nil, fmt.Errorf("emu: loading data segment at 0x%x: %w", seg.Addr, err)
-		}
+	if err := p.Load(m.AS, m.Mem); err != nil {
+		return nil, fmt.Errorf("emu: %w", err)
 	}
 	return m, nil
-}
-
-// writeVirt copies bytes into virtual memory page by page.
-func (m *Machine) writeVirt(vaddr uint64, b []byte) error {
-	ps := m.AS.PageSize()
-	for len(b) > 0 {
-		pa, err := m.AS.Translate(vaddr, vm.PermWrite)
-		if err != nil {
-			return err
-		}
-		n := ps - m.AS.PageOffset(vaddr)
-		if uint64(len(b)) < n {
-			n = uint64(len(b))
-		}
-		m.Mem.Write(pa, b[:n])
-		b = b[n:]
-		vaddr += n
-	}
-	return nil
 }
 
 func (m *Machine) loadRaw(vaddr uint64, width int) (uint64, error) {

@@ -93,6 +93,7 @@ func (e *Engine) Warm(limit uint64, w Warmer) error {
 // or InstCount reaches limit.
 func (e *Engine) drive(limit uint64, w Warmer) error {
 	m := e.m
+	e.syncViews()
 	for !m.Halted && (limit == 0 || m.InstCount < limit) {
 		// Exact (select-based) poll: block chaining makes this loop's
 		// iterations rare, and a cancel arriving before the run must
@@ -102,7 +103,9 @@ func (e *Engine) drive(limit uint64, w Warmer) error {
 			return err
 		}
 		if e.pendingInterp > 0 {
-			if err := e.interpStep(w); err != nil {
+			err := e.interpStep(w)
+			e.syncViews()
+			if err != nil {
 				return err
 			}
 			continue

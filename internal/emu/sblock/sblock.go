@@ -135,7 +135,11 @@ const (
 // page's sticky Ref/Dirty status — so a fast-path access needs no
 // status update to stay exact. fr caches the backing frame when the
 // whole page fits in one frame (page size <= mem.FrameSize; both are
-// powers of two, so the aligned page never straddles a frame).
+// powers of two, so the aligned page never straddles a frame). A
+// read fill caches a read-only view (mem.Memory.View: a frame still
+// shared with the program's image or a checkpoint, or the zero frame
+// for untouched memory), so reading allocates nothing; a write fill
+// replaces it with the frame the memory owns, which fr then keeps.
 type tlbEnt struct {
 	vpnP1   uint64 // vpn+1; 0 means invalid
 	base    uint64 // physical page base (PFN << pageBits)
@@ -165,6 +169,7 @@ type Engine struct {
 
 	exec  BlockExec // the record Warm hands its sink
 	tlb   [tlbSize]tlbEnt
+	epoch uint64 // the memory's Epoch when the read-only views were taken
 	stats Stats
 }
 
@@ -181,6 +186,7 @@ func New(m *emu.Machine) *Engine {
 		targets:   make(map[uint64]struct{}),
 		blocks:    make(map[uint64]*block),
 		byPage:    make(map[uint64][]*block),
+		epoch:     m.Mem.Epoch(),
 	}
 	for i := range m.Prog.Code {
 		in := &m.Prog.Code[i]
@@ -210,6 +216,27 @@ func (e *Engine) Flush() {
 	e.byPage = make(map[uint64][]*block)
 	e.hint = nil
 	e.tlb = [tlbSize]tlbEnt{}
+	e.epoch = e.m.Mem.Epoch()
+}
+
+// syncViews takes the read-only views again once the memory has
+// replaced a frame since they were taken. A write outside a page's own
+// write fill can reach a frame another entry views: a slow-path store
+// that runs past its frame, an interpreted step, a write fill of
+// another page in the same frame (pages smaller than a frame), or a
+// write between runs. Each replacement happens once per frame, so the
+// scans are rare.
+func (e *Engine) syncViews() {
+	ep := e.m.Mem.Epoch()
+	if ep == e.epoch || !e.frameable {
+		return
+	}
+	e.epoch = ep
+	for i := range e.tlb {
+		if en := &e.tlb[i]; en.fr != nil && !en.writeOK {
+			en.fr = e.m.Mem.View(en.base)
+		}
+	}
 }
 
 // lookupBuild returns the cached block starting at pc, translating it
@@ -355,14 +382,17 @@ func (e *Engine) fill(vaddr uint64, write bool) (uint64, error) {
 	en := &e.tlb[vpn&tlbMask]
 	if en.vpnP1 != vpn+1 {
 		*en = tlbEnt{vpnP1: vpn + 1, base: pa &^ e.pageMask}
-		if e.frameable {
-			en.fr = e.m.Mem.Frame(en.base)
-		}
 	}
 	if write {
 		en.writeOK = true
+		if e.frameable {
+			en.fr = e.m.Mem.Frame(en.base)
+		}
 	} else {
 		en.readOK = true
+		if e.frameable && en.fr == nil {
+			en.fr = e.m.Mem.View(en.base)
+		}
 	}
 	e.stats.SlowFills++
 	return pa, nil
@@ -441,6 +471,7 @@ func (e *Engine) store(vaddr uint64, width uint8, v uint64) (uint64, error) {
 			}
 		}
 		e.memWrite(pa, width, v)
+		e.syncViews()
 		return pa, nil
 	}
 	pa, err := e.fill(vaddr, true)
@@ -448,6 +479,7 @@ func (e *Engine) store(vaddr uint64, width uint8, v uint64) (uint64, error) {
 		return 0, err
 	}
 	e.memWrite(pa, width, v)
+	e.syncViews()
 	return pa, nil
 }
 

@@ -105,6 +105,19 @@ func TestRunMemoServesRepeats(t *testing.T) {
 	}
 }
 
+// imageSum adds up the bytes of p's data segments.
+func imageSum(p *prog.Program) uint64 {
+	var sum uint64
+	for _, seg := range p.Data {
+		buf := make([]byte, seg.Size)
+		p.Image.Read(seg.Addr, buf)
+		for _, b := range buf {
+			sum += uint64(b)
+		}
+	}
+	return sum
+}
+
 // TestBuildCacheSharesImmutablePrograms asserts the contract the build
 // cache rests on: two designs simulated from one cached program leave
 // the program bit-identical, do the same architected work, and still
@@ -121,12 +134,7 @@ func TestBuildCacheSharesImmutablePrograms(t *testing.T) {
 	}
 	// Fingerprint the shared program before any machine touches it.
 	codeLen := len(p.Code)
-	var dataSum uint64
-	for _, seg := range p.Data {
-		for _, b := range seg.Bytes {
-			dataSum += uint64(b)
-		}
-	}
+	dataSum := imageSum(p)
 	initRegs := make(map[string]uint64)
 	for r, v := range p.InitRegs {
 		initRegs[r.String()] = v
@@ -150,13 +158,7 @@ func TestBuildCacheSharesImmutablePrograms(t *testing.T) {
 	if len(p.Code) != codeLen {
 		t.Errorf("code length changed: %d -> %d", codeLen, len(p.Code))
 	}
-	var dataSum2 uint64
-	for _, seg := range p.Data {
-		for _, b := range seg.Bytes {
-			dataSum2 += uint64(b)
-		}
-	}
-	if dataSum2 != dataSum {
+	if imageSum(p) != dataSum {
 		t.Error("data segments mutated by simulation")
 	}
 	for r, v := range p.InitRegs {

@@ -1,7 +1,10 @@
 // Package mem implements the sparse physical memory underlying the
 // simulated machine. Storage is allocated in fixed-size frames on first
-// touch, so multi-megabyte simulated data sets (the paper's TFFT uses
-// ~40 MB) cost only what they actually touch.
+// write, so multi-megabyte simulated data sets (the paper's TFFT uses
+// ~40 MB) cost only what they actually write: untouched memory reads as
+// zero and allocates nothing, and a frame shared with an immutable image
+// (a program's initial data, a checkpoint) is read in place and copied
+// the first time it is written.
 package mem
 
 import (
@@ -27,8 +30,7 @@ type frame [FrameSize]byte
 // vm.AddressSpace hands physical frames out sequentially from zero, so
 // the table is dense and a lookup is one bounds check and one load.
 type Memory struct {
-	frames  []*frame // nil: untouched
-	touched int      // non-nil entries of frames
+	frames []*frame // nil: untouched
 	// shared, parallel to frames, marks the frames that still alias an
 	// imported image's storage (ImportFrames): readable in place, copied
 	// by frameFor before the first write. nshared counts them, so a
@@ -37,9 +39,13 @@ type Memory struct {
 	shared  []bool
 	nshared int
 	// free holds frames the memory owned privately before a Reset, at
-	// most KeepFrames, for take to hand out again on a first touch or
+	// most KeepFrames, for take to hand out again on a first write or
 	// as the target of a copy-on-write copy.
 	free []*frame
+	// epoch counts the times a frame was allocated, copied on write or
+	// mapped: a View taken before it moved may no longer be the frame
+	// that holds its address. It never goes back, not even on Reset.
+	epoch uint64
 }
 
 // KeepFrames bounds the frames Reset keeps for reuse (256 KiB): a
@@ -68,7 +74,7 @@ func (m *Memory) frameFor(addr uint64) *frame {
 	case f == nil:
 		f = m.take()
 		m.frames[fn] = f
-		m.touched++
+		m.epoch++
 	case m.nshared != 0 && m.shared[fn]:
 		own := m.take()
 		*own = *f
@@ -76,6 +82,7 @@ func (m *Memory) frameFor(addr uint64) *frame {
 		m.frames[fn] = f
 		m.shared[fn] = false
 		m.nshared--
+		m.epoch++
 	}
 	return f
 }
@@ -113,7 +120,7 @@ func (m *Memory) Reset() {
 	}
 	clear(frames)
 	clear(shared)
-	*m = Memory{frames: frames, shared: shared, free: free}
+	*m = Memory{frames: frames, shared: shared, free: free, epoch: m.epoch + 1}
 }
 
 // grow extends the frame table to hold frame fn, at least doubling it.
@@ -134,9 +141,6 @@ func (m *Memory) peekFrame(addr uint64) *frame {
 	return nil
 }
 
-// FramesTouched reports how many backing frames have been allocated.
-func (m *Memory) FramesTouched() int { return m.touched }
-
 // FrameImage is one backing frame keyed by its frame index (physical
 // address >> FrameBits). Data is the frame itself, not a copy of it.
 type FrameImage struct {
@@ -151,14 +155,14 @@ type FrameImage struct {
 // the omission is invisible to any Read and keeps checkpoints compact
 // and deterministic.
 func (m *Memory) ExportFrames() []FrameImage {
-	out := make([]FrameImage, 0, m.touched)
+	var out []FrameImage
 	for idx, f := range m.frames {
 		if f == nil || *f == (frame{}) {
 			continue
 		}
 		out = append(out, FrameImage{Index: uint64(idx), Data: (*[FrameSize]byte)(f)})
 	}
-	*m = Memory{}
+	*m = Memory{epoch: m.epoch + 1}
 	return out
 }
 
@@ -182,26 +186,61 @@ func (m *Memory) ImportFrames(frames []FrameImage) {
 		m.grow(top - 1)
 	}
 	for i := range frames {
-		fn := frames[i].Index
-		if m.frames[fn] == nil {
-			m.touched++
-			m.nshared++
-		}
-		m.frames[fn], m.shared[fn] = (*frame)(frames[i].Data), true
+		m.Share(frames[i].Index<<FrameBits, frames[i].Data)
 	}
 }
 
+// Share maps the frame containing addr to f, copy-on-write, replacing
+// whatever the memory held there: the memory reads f in place and
+// copies it the first time the frame is written (or handed out by
+// Frame). The caller must not modify f afterwards; the memory never
+// does, so any number of memories may share f, concurrently.
+func (m *Memory) Share(addr uint64, f *[FrameSize]byte) {
+	fn := addr >> FrameBits
+	if fn >= uint64(len(m.frames)) {
+		m.grow(fn)
+	}
+	if !m.shared[fn] {
+		m.shared[fn] = true
+		m.nshared++
+	}
+	m.frames[fn] = (*frame)(f)
+	m.epoch++
+}
+
 // Frame returns a pointer to the backing frame containing addr,
-// allocating it on first touch and taking a private copy of a frame
-// still shared with an imported image, since the caller may write
+// allocating it where the memory holds none and taking a private copy
+// of a frame still shared with an image, since the caller may write
 // through it. The pointer stays valid until Reset (or ImportFrames,
-// which resets) recycles the store or ExportFrames hands it over. The translated functional engine
-// caches it to skip the frame-map lookup on its memory fast path;
-// allocating on a read here is invisible because an all-zero frame reads
-// identically to an untouched one and ExportFrames omits it.
+// which resets) recycles the store or ExportFrames hands it over. A
+// reader takes View instead, which allocates nothing.
 func (m *Memory) Frame(addr uint64) *[FrameSize]byte {
 	return (*[FrameSize]byte)(m.frameFor(addr))
 }
+
+// zero is the frame View returns for untouched memory. Nothing writes
+// it: Frame and every store allocate a frame of their own instead.
+var zero frame
+
+// View returns the frame containing addr for reading only: the
+// memory's own frame, one it still shares with an image, or a single
+// all-zero frame for untouched memory. It allocates and copies
+// nothing. The caller must not write through the pointer, and must
+// take the view again once Epoch has moved: a write may have replaced
+// the frame since (a first write allocates one, and a write to a
+// shared frame copies it).
+func (m *Memory) View(addr uint64) *[FrameSize]byte {
+	if f := m.peekFrame(addr); f != nil {
+		return (*[FrameSize]byte)(f)
+	}
+	return (*[FrameSize]byte)(&zero)
+}
+
+// Epoch reports how many times the memory has replaced the frame behind
+// some address (allocated, copied on write, mapped, or emptied by
+// Reset, ImportFrames or ExportFrames). A view taken at one epoch is
+// current for as long as Epoch returns the same value.
+func (m *Memory) Epoch() uint64 { return m.epoch }
 
 // ByteAt returns the byte at addr (0 for untouched memory).
 func (m *Memory) ByteAt(addr uint64) byte {

@@ -24,7 +24,7 @@ func TestZeroValueAndUntouchedReadsAsZero(t *testing.T) {
 			t.Fatal("untouched span != 0")
 		}
 	}
-	if m.FramesTouched() != 0 {
+	if m.framesHeld() != 0 {
 		t.Error("reads allocated frames")
 	}
 }
@@ -75,7 +75,7 @@ func TestSparseness(t *testing.T) {
 	m := New()
 	m.SetByte(0, 1)
 	m.SetByte(1<<30, 1)
-	if got := m.FramesTouched(); got != 2 {
+	if got := m.framesHeld(); got != 2 {
 		t.Errorf("frames touched = %d, want 2", got)
 	}
 }
@@ -173,7 +173,7 @@ func TestImportFramesIsCopyOnWrite(t *testing.T) {
 	m.ImportFrames(fs)
 	other.ImportFrames(fs)
 	ref := eagerImport(pristine)
-	if got := m.FramesTouched(); got != len(fs) {
+	if got := m.framesHeld(); got != len(fs) {
 		t.Fatalf("import touched %d frames, want %d", got, len(fs))
 	}
 
@@ -280,7 +280,7 @@ func TestExportFramesHandsOver(t *testing.T) {
 	if n := after.TotalAlloc - before.TotalAlloc; n >= frames*FrameSize/8 {
 		t.Errorf("exporting %d frames allocated %d bytes: frames are being copied", frames, n)
 	}
-	if m.FramesTouched() != 0 || m.Read64(0) != 0 {
+	if m.framesHeld() != 0 || m.Read64(0) != 0 {
 		t.Fatal("the memory still holds frames after handing them over")
 	}
 	m.Write64(0, 99)
@@ -324,8 +324,8 @@ func TestResetKeepsOnlyItsOwnFrames(t *testing.T) {
 	}
 	_ = m.Read64(3 << FrameBits) // frame 3: read, still shared
 	m.Reset()
-	if m.FramesTouched() != 0 || len(m.free) != 11 {
-		t.Fatalf("after Reset: %d frames touched, %d kept; want 0 and the 11 it owned", m.FramesTouched(), len(m.free))
+	if m.framesHeld() != 0 || len(m.free) != 11 {
+		t.Fatalf("after Reset: %d frames touched, %d kept; want 0 and the 11 it owned", m.framesHeld(), len(m.free))
 	}
 	for _, f := range m.free {
 		for i := range fs {
@@ -371,5 +371,51 @@ func TestResetKeepsAtMostKeepFrames(t *testing.T) {
 	m.Reset()
 	if len(m.free) != KeepFrames || m.frames != nil {
 		t.Errorf("Reset kept %d frames and a %d-entry table, want %d and none", len(m.free), len(m.frames), KeepFrames)
+	}
+}
+
+// TestViewIsReadOnlyAndCurrentPerEpoch: View hands out the frame a
+// read would use — the one zero frame for untouched memory, a shared
+// frame itself — allocating nothing, and Epoch moves whenever a write
+// puts a different frame behind an address, so a reader knows when to
+// take its view again.
+func TestViewIsReadOnlyAndCurrentPerEpoch(t *testing.T) {
+	fs := testImage()
+	m := New()
+	m.ImportFrames(fs)
+	ep := m.Epoch()
+	var untouched, shared *[FrameSize]byte
+	if allocs := testing.AllocsPerRun(10, func() {
+		untouched, shared = m.View(40<<FrameBits), m.View(1<<FrameBits+7)
+	}); allocs != 0 {
+		t.Errorf("View made %.0f allocations", allocs)
+	}
+	if *untouched != ([FrameSize]byte{}) || untouched != m.View(50<<FrameBits) {
+		t.Error("untouched memory is not viewed through the one zero frame")
+	}
+	if shared != fs[0].Data || m.framesHeld() != len(fs) || m.Epoch() != ep {
+		t.Fatal("viewing a shared frame copied it")
+	}
+
+	m.SetByte(1<<FrameBits, 0xEE) // copy on write
+	if m.Epoch() == ep || m.View(1<<FrameBits) == shared || m.View(1 << FrameBits)[0] != 0xEE {
+		t.Error("a copy on write left the epoch or the view where they were")
+	}
+	ep = m.Epoch()
+	m.SetByte(1<<FrameBits+1, 0xEF) // the frame is the memory's own now
+	if m.Epoch() != ep {
+		t.Error("a write to an owned frame moved the epoch")
+	}
+	m.Write64(40<<FrameBits, 1) // first write
+	if m.Epoch() == ep || m.View(40<<FrameBits) == untouched {
+		t.Error("allocating a frame left the epoch or the view where they were")
+	}
+	if *untouched != ([FrameSize]byte{}) || fs[0].Data[0] == 0xEE {
+		t.Fatal("a write reached the zero frame or the image")
+	}
+
+	m.Share(2<<FrameBits, fs[0].Data) // replaces frame 2 with frame 1's image
+	if m.View(2<<FrameBits) != fs[0].Data || m.Read64(2<<FrameBits) != binary.LittleEndian.Uint64(fs[0].Data[:]) {
+		t.Error("Share did not put the frame behind the address")
 	}
 }

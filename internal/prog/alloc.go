@@ -1,7 +1,6 @@
 package prog
 
 import (
-	"encoding/binary"
 	"fmt"
 	"sort"
 
@@ -326,19 +325,19 @@ func (b *Builder) Finalize(budget RegBudget) (*Program, error) {
 		insts[i].Target = addr
 	}
 
-	data := make([]DataSeg, len(b.data))
-	copy(data, b.data)
+	// The jump tables are the last data written: the image is the
+	// program's from here on.
 	for _, jt := range b.jumpTables {
-		buf := make([]byte, 8*len(jt.labels))
+		s := b.Segment(jt.addr, uint64(8*len(jt.labels)))
 		for i, lbl := range jt.labels {
 			addr, err := labelAddr(lbl)
 			if err != nil {
 				return nil, err
 			}
-			binary.LittleEndian.PutUint64(buf[i*8:], addr)
+			s.SetWord(i, addr)
 		}
-		data = append(data, DataSeg{Addr: jt.addr, Bytes: buf})
 	}
+	b.err = fmt.Errorf("prog %q: already finalized", b.name)
 
 	dataSize := b.dataNext - DataBase
 	if dataSize < 4096 {
@@ -354,7 +353,8 @@ func (b *Builder) Finalize(budget RegBudget) (*Program, error) {
 			{Name: "data", Base: DataBase, Size: dataSize + 65536, Perm: vm.PermRW},
 			{Name: "stack", Base: StackTop - StackSize, Size: StackSize, Perm: vm.PermRW},
 		},
-		Data: data,
+		Data:  b.data,
+		Image: b.image,
 		InitRegs: map[isa.Reg]uint64{
 			isa.SP: StackTop - 0x10000,
 			isa.GP: DataBase,

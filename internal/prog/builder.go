@@ -1,7 +1,6 @@
 package prog
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
 
@@ -33,7 +32,8 @@ type Builder struct {
 
 	symbols  map[string]uint64 // data symbol -> address
 	dataNext uint64
-	data     []DataSeg
+	data     []DataSeg // declared segments, in declaration order
+	image    Image     // their bytes, written as they are set
 
 	jumpTables []jumpTable
 
@@ -150,27 +150,26 @@ func (b *Builder) Addr(name string) uint64 {
 	return a
 }
 
-// SetData records an initial data image at addr.
+// SetData declares bytes as initial data at addr (Segment, then set).
 func (b *Builder) SetData(addr uint64, bytes []byte) {
-	b.data = append(b.data, DataSeg{Addr: addr, Bytes: bytes})
+	s := b.Segment(addr, uint64(len(bytes)))
+	s.write(addr, bytes)
 }
 
-// SetWords records initial 64-bit little-endian words at addr.
+// SetWords declares initial 64-bit little-endian words at addr.
 func (b *Builder) SetWords(addr uint64, words []uint64) {
-	buf := make([]byte, 8*len(words))
+	s := b.Segment(addr, 8*uint64(len(words)))
 	for i, w := range words {
-		binary.LittleEndian.PutUint64(buf[i*8:], w)
+		s.SetWord(i, w)
 	}
-	b.SetData(addr, buf)
 }
 
-// SetFloats records initial float64 values at addr.
+// SetFloats declares initial float64 values at addr.
 func (b *Builder) SetFloats(addr uint64, vals []float64) {
-	buf := make([]byte, 8*len(vals))
+	s := b.Segment(addr, 8*uint64(len(vals)))
 	for i, v := range vals {
-		binary.LittleEndian.PutUint64(buf[i*8:], math.Float64bits(v))
+		s.SetFloat(i, v)
 	}
-	b.SetData(addr, buf)
 }
 
 // JumpTable allocates a table of 8-byte code addresses, one per label,

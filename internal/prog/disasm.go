@@ -50,7 +50,7 @@ func (p *Program) Disassemble(w io.Writer) {
 	if len(p.Data) > 0 {
 		fmt.Fprintln(w, "data:")
 		for _, seg := range p.Data {
-			fmt.Fprintf(w, "  %08x  %d bytes\n", seg.Addr, len(seg.Bytes))
+			fmt.Fprintf(w, "  %08x  %d bytes\n", seg.Addr, seg.Size)
 		}
 	}
 	if len(p.Regions) > 0 {

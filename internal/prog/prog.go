@@ -33,17 +33,12 @@ const MaxPageSize = DataBase
 // can reference it without importing internal/isa.
 const RegZero = isa.Zero
 
-// DataSeg is an initial data image copied into memory before a run.
-type DataSeg struct {
-	Addr  uint64
-	Bytes []byte
-}
-
 // Program is a finalized, runnable program. A Program is immutable
-// once finalized: the simulator copies data segments into its own
-// memory at load time and only ever reads Code/InitRegs/Regions, so
-// one built Program may be shared by any number of concurrently
-// running machines (the workload build cache depends on this).
+// once finalized: a machine maps the initial data image into its own
+// memory copy-on-write at load time (Load) and only ever reads
+// Code/InitRegs/Regions, so one built Program may be shared by any
+// number of concurrently running machines (the workload build cache
+// depends on this).
 type Program struct {
 	Name string
 	Code []isa.Inst
@@ -51,10 +46,13 @@ type Program struct {
 	// simulator derives nothing per dynamic instruction. Finalize fills
 	// it; a Program assembled by hand may leave it nil, and a machine
 	// then decodes its own copy.
-	Decoded  []isa.Decoded
-	Entry    uint64
-	Regions  []vm.Region
+	Decoded []isa.Decoded
+	Entry   uint64
+	Regions []vm.Region
+	// Data lists the initial-data segments in declaration order, jump
+	// tables last; Image holds their bytes.
 	Data     []DataSeg
+	Image    Image
 	InitRegs map[isa.Reg]uint64
 
 	// Budget records the register budget the program was finalized

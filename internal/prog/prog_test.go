@@ -1,11 +1,14 @@
 package prog
 
 import (
+	"bytes"
 	"encoding/binary"
 	"strings"
 	"testing"
 
 	"hbat/internal/isa"
+	"hbat/internal/mem"
+	"hbat/internal/vm"
 )
 
 func TestLabelsResolve(t *testing.T) {
@@ -120,16 +123,11 @@ func TestJumpTableResolved(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var tab []byte
-	for _, seg := range p.Data {
-		if seg.Addr == DataBase {
-			tab = seg.Bytes
-		}
+	tab := p.Image.Frame(DataBase)
+	if tab == nil || len(p.Data) != 1 || p.Data[0] != (DataSeg{Addr: DataBase, Size: 16}) {
+		t.Fatalf("jump table data missing: segments %v", p.Data)
 	}
-	if tab == nil {
-		t.Fatal("jump table data missing")
-	}
-	h0 := binary.LittleEndian.Uint64(tab)
+	h0 := binary.LittleEndian.Uint64(tab[:])
 	h1 := binary.LittleEndian.Uint64(tab[8:])
 	if h0 != CodeBase+1*isa.InstBytes || h1 != CodeBase+2*isa.InstBytes {
 		t.Fatalf("table = %#x %#x", h0, h1)
@@ -233,5 +231,124 @@ func TestDisassemble(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("disassembly missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// loaded loads p at pageSize and returns n bytes read back at vaddr
+// through the page table.
+func loaded(t *testing.T, p *Program, pageSize, vaddr uint64, n int) []byte {
+	t.Helper()
+	as, m := vm.NewAddressSpace(pageSize), mem.New()
+	for _, r := range p.Regions {
+		as.AddRegion(r)
+	}
+	if err := p.Load(as, m); err != nil {
+		t.Fatal(err)
+	}
+	out := make([]byte, n)
+	for i := range out {
+		pa, err := as.Translate(vaddr+uint64(i), vm.PermRead)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[i] = m.ByteAt(pa)
+	}
+	return out
+}
+
+// TestOverlappingSegmentsLastWins: where two segments overlap, the
+// bytes written last are the ones a machine loads; declaring a segment
+// writes none of its bytes.
+func TestOverlappingSegmentsLastWins(t *testing.T) {
+	b := NewBuilder("overlap")
+	a := b.Alloc("a", 32, 8)
+	b.SetData(a, bytes.Repeat([]byte{1}, 32))
+	b.SetWords(a+8, []uint64{0x0202020202020202})
+	s := b.Segment(a+12, 8)
+	s.SetByte(7, 3)
+	b.Halt()
+	p, err := b.Finalize(Budget32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := bytes.Repeat([]byte{1}, 32)
+	copy(want[8:16], bytes.Repeat([]byte{2}, 8))
+	want[19] = 3 // the rest of the last segment was never set
+	got := make([]byte, 32)
+	p.Image.Read(a, got)
+	if !bytes.Equal(got, want) {
+		t.Fatalf("image % x, want % x", got, want)
+	}
+	if len(p.Data) != 3 {
+		t.Fatalf("%d segments, want the 3 declared", len(p.Data))
+	}
+	for _, ps := range []uint64{1024, 4096, 8192} {
+		if got := loaded(t, p, ps, a, 32); !bytes.Equal(got, want) {
+			t.Errorf("%d B pages: loaded % x, want % x", ps, got, want)
+		}
+	}
+}
+
+// TestSegmentStraddlingPages: a segment that runs across page and
+// frame boundaries loads whole, whatever the page size.
+func TestSegmentStraddlingPages(t *testing.T) {
+	b := NewBuilder("straddle")
+	b.Alloc("pad", 4096-12, 8)
+	a := b.Alloc("a", 9000, 4)
+	data := make([]byte, 9000)
+	for i := range data {
+		data[i] = byte(i*7 + 1)
+	}
+	b.SetData(a, data)
+	b.Halt()
+	p, err := b.Finalize(Budget32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a%1024 == 0 || a/4096 == (a+9000)/4096 {
+		t.Fatalf("segment at 0x%x does not straddle", a)
+	}
+	for _, ps := range []uint64{1024, 2048, 4096, 8192} {
+		if got := loaded(t, p, ps, a, len(data)); !bytes.Equal(got, data) {
+			t.Errorf("%d B pages: the loaded segment differs", ps)
+		}
+	}
+}
+
+// TestJumpTablesWrittenAtFinalize: a jump table's entries are code
+// addresses known only once registers are allocated, so Finalize
+// writes them last: over any data written to the table's bytes, and
+// into the image the program keeps. A builder yields one program.
+func TestJumpTablesWrittenAtFinalize(t *testing.T) {
+	b := NewBuilder("jt-late")
+	tab := b.JumpTable("tab", "h1")
+	b.SetWords(tab, []uint64{0xdead})
+	b.Nop()
+	b.Label("h1")
+	b.Halt()
+	p, err := b.Finalize(Budget32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := uint64(CodeBase + isa.InstBytes)
+	if got := binary.LittleEndian.Uint64(loaded(t, p, 4096, tab, 8)); got != want {
+		t.Fatalf("loaded table entry %#x, want %#x", got, want)
+	}
+	if last := p.Data[len(p.Data)-1]; last != (DataSeg{Addr: tab, Size: 8}) {
+		t.Fatalf("last segment %+v, want the jump table's", last)
+	}
+	if _, err := b.Finalize(Budget8); err == nil {
+		t.Fatal("a second Finalize rewrote the first program's image")
+	}
+}
+
+// TestSegmentOutsideDataFails: initial data can only lie in the data
+// segment, and a misplaced segment fails the build without panicking.
+func TestSegmentOutsideDataFails(t *testing.T) {
+	b := NewBuilder("outside")
+	b.SetWords(StackTop-64, []uint64{1, 2})
+	b.Halt()
+	if _, err := b.Finalize(Budget32); err == nil {
+		t.Fatal("initial data on the stack accepted")
 	}
 }

@@ -31,16 +31,15 @@ func buildCompress(budget prog.RegBudget, scale Scale) (*prog.Program, error) {
 	// Synthesize compressible input: runs of repeated bytes drawn from
 	// a small alphabet so hash hits occur at a realistic rate.
 	r := newRNG(0xc0357e55)
-	in := make([]byte, inSize)
+	in := b.Segment(inAddr, uint64(inSize))
 	for i := 0; i < inSize; {
 		ch := byte('a' + r.intn(16))
 		run := 1 + r.intn(6)
 		for j := 0; j < run && i < inSize; j++ {
-			in[i] = ch
+			in.SetByte(i, ch)
 			i++
 		}
 	}
-	b.SetData(inAddr, in)
 
 	pin := b.IVar("pin")
 	pend := b.IVar("pend")

@@ -31,19 +31,16 @@ func buildDoduc(budget prog.RegBudget, scale Scale) (*prog.Program, error) {
 	b.Alloc("checksum", 8, 8)
 
 	r := newRNG(0xd0d0c)
-	av := make([]float64, elems)
-	cv := make([]float64, elems)
-	bd := make([]byte, elems)
-	for i := range av {
-		av[i] = 0.25 + r.float()
-		cv[i] = 0.5 + r.float()*0.5
+	av := b.Segment(aAddr, uint64(8*elems))
+	cv := b.Segment(cAddr, uint64(8*elems))
+	bd := b.Segment(br, uint64(elems))
+	for i := 0; i < elems; i++ {
+		av.SetFloat(i, 0.25+r.float())
+		cv.SetFloat(i, 0.5+r.float()*0.5)
 		if r.float() < 0.12 { // occasional divide iterations
-			bd[i] = 1
+			bd.SetByte(i, 1)
 		}
 	}
-	b.SetFloats(aAddr, av)
-	b.SetFloats(cAddr, cv)
-	b.SetData(br, bd)
 
 	pa := b.IVar("pa")
 	pc := b.IVar("pc")

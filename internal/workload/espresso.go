@@ -30,23 +30,21 @@ func buildEspresso(budget prog.RegBudget, scale Scale) (*prog.Program, error) {
 	b.Alloc("checksum", 8, 8)
 
 	r := newRNG(0xe59e550)
-	wa := make([]uint64, wordsPerCube*cubes)
-	wb := make([]uint64, wordsPerCube*cubes)
-	for i := range wa {
-		wa[i] = r.next() | r.next() // biased toward ones
-		wb[i] = r.next() & r.next() // biased toward zeros
+	wa := b.Segment(covA, uint64(8*wordsPerCube*cubes))
+	wb := b.Segment(covB, uint64(8*wordsPerCube*cubes))
+	for i := 0; i < wordsPerCube*cubes; i++ {
+		wa.SetWord(i, r.next()|r.next()) // biased toward ones
+		wb.SetWord(i, r.next()&r.next()) // biased toward zeros
 	}
 	// ~30% of cubes are disjoint from their partner, so the non-empty
 	// tally branch is data-dependent (espresso's rate is ~90%).
 	for c := 0; c < cubes; c++ {
 		if r.intn(10) < 3 {
 			for w := 0; w < wordsPerCube; w++ {
-				wb[c*wordsPerCube+w] = 0
+				wb.SetWord(c*wordsPerCube+w, 0)
 			}
 		}
 	}
-	b.SetWords(covA, wa)
-	b.SetWords(covB, wb)
 
 	pa := b.IVar("pa")
 	pb := b.IVar("pb")

@@ -1,10 +1,6 @@
 package workload
 
-import (
-	"encoding/binary"
-
-	"hbat/internal/prog"
-)
+import "hbat/internal/prog"
 
 func init() {
 	register(&Workload{
@@ -39,9 +35,9 @@ func buildGCC(budget prog.RegBudget, scale Scale) (*prog.Program, error) {
 	// shuffle window, so successive nodes are usually nearby (arena
 	// churn) but regularly jump far (freshly allocated subtrees).
 	r := newRNG(0x9cc)
-	order := make([]int, nodes)
+	order := make([]int32, nodes) // node index: half the bytes of []int
 	for i := range order {
-		order[i] = i
+		order[i] = int32(i)
 	}
 	const window = 512
 	for i := range order {
@@ -54,13 +50,13 @@ func buildGCC(budget prog.RegBudget, scale Scale) (*prog.Program, error) {
 		}
 		order[i], order[j] = order[j], order[i]
 	}
-	img := make([]byte, gccNodeBytes*nodes)
+	img := b.Segment(arena, uint64(gccNodeBytes*nodes))
 	prevKind := uint64(3)
 	for i := 0; i < nodes; i++ {
-		at := order[i] * gccNodeBytes
+		w := int(order[i]) * gccNodeBytes / 8 // the node's first word
 		next := uint64(0)
 		if i+1 < nodes {
-			next = arena + uint64(order[i+1]*gccNodeBytes)
+			next = arena + uint64(order[i+1])*gccNodeBytes
 		}
 		// Kind distribution mirrors RTL: arithmetic and register
 		// references dominate, calls and notes are rare, and similar
@@ -70,13 +66,12 @@ func buildGCC(budget prog.RegBudget, scale Scale) (*prog.Program, error) {
 			kindDist := [...]uint64{3, 3, 3, 0, 0, 0, 0, 1, 1, 2, 2, 4, 5, 5, 6, 7}
 			prevKind = kindDist[r.intn(len(kindDist))]
 		}
-		binary.LittleEndian.PutUint64(img[at+8:], prevKind)
-		binary.LittleEndian.PutUint64(img[at:], next)
-		binary.LittleEndian.PutUint64(img[at+16:], r.next()%1024) // op1
-		binary.LittleEndian.PutUint64(img[at+24:], r.next()%1024) // op2
+		img.SetWord(w+1, prevKind)
+		img.SetWord(w, next)
+		img.SetWord(w+2, r.next()%1024) // op1
+		img.SetWord(w+3, r.next()%1024) // op2
 	}
-	b.SetData(arena, img)
-	head := arena + uint64(order[0]*gccNodeBytes)
+	head := arena + uint64(order[0])*gccNodeBytes
 
 	jt := b.JumpTable("kinds",
 		"kReg", "kMem", "kConst", "kPlus", "kMult", "kJumpInsn", "kCall", "kNote")

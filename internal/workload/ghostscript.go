@@ -32,16 +32,14 @@ func buildGhostscript(budget prog.RegBudget, scale Scale) (*prog.Program, error)
 	_ = raster
 
 	r := newRNG(0x905757)
-	pt := make([]uint64, spans*4)
-	for i := range pt {
-		pt[i] = r.next() & 0x00ffffff
+	pt := b.Segment(pathTab, uint64(8*spans*4))
+	for i := 0; i < spans*4; i++ {
+		pt.SetWord(i, r.next()&0x00ffffff)
 	}
-	b.SetWords(pathTab, pt)
-	hp := make([]uint64, rowWords)
-	for i := range hp {
-		hp[i] = r.next()
+	hp := b.Segment(pattern, uint64(8*rowWords))
+	for i := 0; i < rowWords; i++ {
+		hp.SetWord(i, r.next())
 	}
-	b.SetWords(pattern, hp)
 
 	prow := b.IVar("prow")
 	pp := b.IVar("pp")

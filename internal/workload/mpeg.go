@@ -35,29 +35,26 @@ func buildMPEG(budget prog.RegBudget, scale Scale) (*prog.Program, error) {
 	r := newRNG(0x3be9)
 	// Reference frame content (sparse samples are enough; untouched
 	// pages read as zero).
-	refImg := make([]uint64, 4096)
-	for i := range refImg {
-		refImg[i] = r.next() & 0x00ff00ff00ff00ff
+	refImg := b.Segment(ref, 8*4096)
+	for i := 0; i < 4096; i++ {
+		refImg.SetWord(i, r.next()&0x00ff00ff00ff00ff)
 	}
-	b.SetWords(ref, refImg)
 	// Motion vectors: blocks decode in raster order, each referencing
 	// the frame near its own position plus a small displacement (real
 	// motion vectors span a few macroblocks, not the whole frame).
 	// Successive blocks therefore stream through both frames while
 	// still touching several distinct pages per block.
-	mvs := make([]uint64, blocks)
+	mvs := b.Segment(mv, uint64(8*blocks))
 	span := frameBytes - 32<<10
-	for i := range mvs {
+	for i := 0; i < blocks; i++ {
 		pos := i * 1024 % span
 		disp := r.intn(16 << 10) // up to ±16 KB of motion
-		mvs[i] = uint64(pos+disp) &^ 7
+		mvs.SetWord(i, uint64(pos+disp)&^7)
 	}
-	b.SetWords(mv, mvs)
-	coef := make([]uint64, 64)
-	for i := range coef {
-		coef[i] = uint64(r.intn(256))
+	coef := b.Segment(blk, 64*8)
+	for i := 0; i < 64; i++ {
+		coef.SetWord(i, uint64(r.intn(256)))
 	}
-	b.SetWords(blk, coef)
 
 	pmv := b.IVar("pmv")
 	pblk := b.IVar("pblk")

@@ -45,11 +45,11 @@ func buildPerl(budget prog.RegBudget, scale Scale) (*prog.Program, error) {
 	// Generate bytecode with stack-depth tracking so the VM stack
 	// never underflows: the depth is kept in [2, 64].
 	r := newRNG(0x9e71)
-	code := make([]byte, codeLen)
+	code := b.Segment(bc, uint64(codeLen))
 	depth := 0
 	run := 0
 	cur := pOpPush
-	for i := range code {
+	for i := 0; i < codeLen; i++ {
 		// Real bytecode repeats opcodes in short runs (argument pushes,
 		// list ops), which is what lets the BTB predict a fraction of
 		// the indirect dispatches; perl's overall rate is ~81%.
@@ -71,9 +71,8 @@ func buildPerl(budget prog.RegBudget, scale Scale) (*prog.Program, error) {
 		case pOpAdd, pOpDrop, pOpHashPut:
 			depth--
 		}
-		code[i] = byte(op)
+		code.SetByte(i, byte(op))
 	}
-	b.SetData(bc, code)
 
 	jt := b.JumpTable("dispatch",
 		"opPush", "opAdd", "opDup", "opHashPut", "opHashGet", "opXor", "opDrop", "opSwap")

@@ -55,13 +55,12 @@ func buildTFFT(budget prog.RegBudget, scale Scale) (*prog.Program, error) {
 	// Input samples and helper tables (host-side precomputation mirrors
 	// TFFT's own table setup, which is not the measured kernel).
 	r := newRNG(0x7FF7)
-	samples := make([]float64, 2*n)
-	for i := range samples {
-		samples[i] = r.float()*2 - 1
+	samples := b.Segment(data, uint64(16*n))
+	for i := 0; i < 2*n; i++ {
+		samples.SetFloat(i, r.float()*2-1)
 	}
-	b.SetFloats(data, samples)
 
-	rev := make([]uint64, n)
+	rev := b.Segment(revTab, uint64(8*n))
 	for i := 0; i < n; i++ {
 		v := 0
 		for bit := uint(0); bit < logN; bit++ {
@@ -69,17 +68,15 @@ func buildTFFT(budget prog.RegBudget, scale Scale) (*prog.Program, error) {
 				v |= 1 << (logN - 1 - bit)
 			}
 		}
-		rev[i] = uint64(v) * 16 // byte offset of the partner element
+		rev.SetWord(i, uint64(v)*16) // byte offset of the partner element
 	}
-	b.SetWords(revTab, rev)
 
-	tw := make([]float64, n)
+	tw := b.Segment(twid, uint64(8*n))
 	for k := 0; k < n/2; k++ {
 		ang := -2 * math.Pi * float64(k) / float64(n)
-		tw[2*k] = math.Cos(ang)
-		tw[2*k+1] = math.Sin(ang)
+		tw.SetFloat(2*k, math.Cos(ang))
+		tw.SetFloat(2*k+1, math.Sin(ang))
 	}
-	b.SetFloats(twid, tw)
 
 	pd := b.IVar("pd")
 	prv := b.IVar("prv")

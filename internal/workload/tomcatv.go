@@ -31,15 +31,14 @@ func buildTomcatv(budget prog.RegBudget, scale Scale) (*prog.Program, error) {
 	b.Alloc("checksum", 8, 8)
 
 	r := newRNG(0x70 << 4)
-	grid := make([]float64, nCols*nRows)
-	for i := range grid {
-		grid[i] = r.float()
+	gx := b.Segment(xA, uint64(8*nCols*nRows))
+	for i := 0; i < nCols*nRows; i++ {
+		gx.SetFloat(i, r.float())
 	}
-	b.SetFloats(xA, grid)
-	for i := range grid {
-		grid[i] = r.float() * 0.5
+	gy := b.Segment(yA, uint64(8*nCols*nRows))
+	for i := 0; i < nCols*nRows; i++ {
+		gy.SetFloat(i, r.float()*0.5)
 	}
-	b.SetFloats(yA, grid)
 
 	px := b.IVar("px")
 	py := b.IVar("py")

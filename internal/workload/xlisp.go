@@ -1,10 +1,6 @@
 package workload
 
-import (
-	"encoding/binary"
-
-	"hbat/internal/prog"
-)
+import "hbat/internal/prog"
 
 func init() {
 	register(&Workload{
@@ -38,9 +34,9 @@ func buildXlisp(budget prog.RegBudget, scale Scale) (*prog.Program, error) {
 	// cell of the same list, car holding a small integer or (for ~20%)
 	// a pointer into another list (shared structure).
 	r := newRNG(0x115b)
-	order := make([]int, cells)
+	order := make([]int32, cells) // cell index: half the bytes of []int
 	for i := range order {
-		order[i] = i
+		order[i] = int32(i)
 	}
 	for i := range order {
 		j := i + r.intn(256)
@@ -50,15 +46,16 @@ func buildXlisp(budget prog.RegBudget, scale Scale) (*prog.Program, error) {
 		order[i], order[j] = order[j], order[i]
 	}
 	const nLists = 4
-	img := make([]byte, xlispCellBytes*cells)
+	img := b.Segment(heap, uint64(xlispCellBytes*cells))
 	heads := make([]uint64, nLists)
 	perList := cells / nLists
-	cellAddr := func(i int) uint64 { return heap + uint64(order[i]*xlispCellBytes) }
+	cellAddr := func(i int) uint64 { return heap + uint64(order[i])*xlispCellBytes }
 	for k := 0; k < nLists; k++ {
 		base := k * perList
 		heads[k] = cellAddr(base)
 		for i := 0; i < perList; i++ {
-			at := order[base+i] * xlispCellBytes
+			// The cell's first word (car), then cdr.
+			w := int(order[base+i]) * xlispCellBytes / 8
 			car := uint64(r.intn(1024))<<1 | 1 // tagged fixnum
 			if r.intn(5) == 0 && i > 0 {
 				car = cellAddr(base + r.intn(i)) // pointer into this list
@@ -67,11 +64,10 @@ func buildXlisp(budget prog.RegBudget, scale Scale) (*prog.Program, error) {
 			if i+1 < perList {
 				cdr = cellAddr(base + i + 1)
 			}
-			binary.LittleEndian.PutUint64(img[at:], car)
-			binary.LittleEndian.PutUint64(img[at+8:], cdr)
+			img.SetWord(w, car)
+			img.SetWord(w+1, cdr)
 		}
 	}
-	b.SetData(heap, img)
 	roots := b.Alloc("roots", uint64(8*nLists), 8)
 	b.SetWords(roots, heads)
 
