@@ -36,10 +36,12 @@ ci: check
 	go run ./scripts/floors
 
 # One iteration of every Benchmark* function (tables, figures,
-# ablations): a smoke, not a measurement. How fast the simulator is, per
-# layer and end to end, is `go run ./bench` (bench/README.md).
+# ablations; the pretranslation offset-bits ablation lives in
+# internal/tlb, beside the knob it turns): a smoke, not a measurement.
+# How fast the simulator is, per layer and end to end, is `go run
+# ./bench` (bench/README.md).
 bench:
-	go test -run '^$$' -bench=. -benchmem -benchtime=1x .
+	go test -run '^$$' -bench=. -benchmem -benchtime=1x . ./internal/tlb/
 
 # Where the cycle core's host time and bytes go: the Figure 5 grid (130
 # from-reset runs, test scale). Prints the pass's B/op, the top 25

@@ -66,13 +66,13 @@ const (
 // follows its submission directly finds the job at any job rate). A
 // client parked on the job when it finishes always gets the terminal
 // status; one that asks later and finds the id gone should resubmit the
-// same specs once — the result store outlives both the job table and a
-// restart, so the resubmission is answered from it — which is what
-// hbat.Fabric.Simulate does. A job the store answers whole needs no
-// status request at all: it is done before its 202 is written, and the
-// 202 carries its status (JobAccepted.Status), which Client.Wait returns
-// as is, and its artifacts (JobAccepted.Artifacts) when they fit in
-// MaxInlineArtifacts, which Client.Result returns without a request.
+// same specs — the result store outlives both the job table and a
+// restart, so the resubmission is answered from it. A job the store
+// answers whole needs no status request at all: it is done before its
+// 202 is written, and the 202 carries its status (JobAccepted.Status),
+// which Client.Wait returns as is, and its artifacts
+// (JobAccepted.Artifacts) when they fit in MaxInlineArtifacts, which
+// Client.Result returns without a request.
 const WaitParam = "wait"
 
 // MaxInlineArtifacts is the most artifact bytes, summed over a job's

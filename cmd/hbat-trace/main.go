@@ -95,7 +95,7 @@ func main() {
 // remote fetches a job's server-side span journal from a live hbatd
 // (GET /v1/jobs/{id}/spans), optionally reads the submitting client's
 // local journal next to it, and renders everything as one merged
-// Perfetto timeline: the client's fabric_simulate span with the
+// Perfetto timeline: the client's root span with the
 // server's job > queue_wait and run > checkpoint > simulate trees
 // nested at true wall-clock offsets, linked by the shared trace id.
 func remote(ctx context.Context, args []string) {

@@ -25,7 +25,6 @@ import (
 	"hbat/internal/harness"
 	"hbat/internal/prog"
 	"hbat/internal/ptrace"
-	"hbat/internal/runspan"
 	"hbat/internal/stats"
 	"hbat/internal/tlb"
 	"hbat/internal/workload"
@@ -62,28 +61,6 @@ var ErrEngineStarted = engine.ErrStarted
 // for specs they have already warmed. Must be called before the first
 // simulation; afterwards it returns ErrEngineStarted.
 func SetCheckpointDir(dir string) error { return defaultEngine.SetCheckpointDir(dir) }
-
-// SpanTracer records per-run phase spans (program build, checkpoint,
-// fast-forward, simulate, render) with cache and
-// singleflight visibility; see internal/runspan. A nil tracer is the
-// disabled tracer.
-type SpanTracer = runspan.Tracer
-
-// NewSpanTracer returns an enabled span tracer. Attach it with
-// SetSpanTracer (or Engine.SetSpans), stream its journal with
-// SpanTracer.OpenJournal, and export the merged Perfetto timeline
-// with SpanTracer.WritePerfettoFile.
-func NewSpanTracer() *SpanTracer { return runspan.New(runspan.Config{}) }
-
-// SetSpanTracer attaches a span tracer to the shared sweep engine:
-// every simulation driven through the facade emits one trace with a
-// span per phase. Safe at any time, including while a sweep is
-// running; nil detaches.
-func SetSpanTracer(t *SpanTracer) { defaultEngine.SetSpans(t) }
-
-// Spans returns the shared sweep engine's span tracer (nil when
-// tracing is off).
-func Spans() *SpanTracer { return defaultEngine.Spans() }
 
 // Manifest is the run-provenance record written alongside sweep
 // artifacts; see engine.Manifest.
@@ -172,9 +149,9 @@ type MetricsSnapshot = stats.Snapshot
 
 // Result reports one simulation. The embedded api.Result carries the
 // deterministic outcome fields (cycles, IPC, TLB behaviour, stall
-// breakdown) in their canonical wire form; Artifact renders exactly
-// those bytes, so a facade run and an hbatd-served result for the same
-// spec are comparable byte-for-byte.
+// breakdown) in their canonical wire form, so a facade run and an
+// hbatd-served result for the same spec are comparable byte-for-byte
+// (engine.Artifact renders them).
 type Result struct {
 	api.Result
 
@@ -191,20 +168,7 @@ type Result struct {
 	// Intervals is the sampled time series (nil unless
 	// Options.IntervalEvery was positive).
 	Intervals *IntervalSeries
-
-	// JobID and TraceID identify the remote job that produced this
-	// result (remote Fabric.Simulate only; empty for local runs).
-	// TraceID is the cross-process trace id shared by the client's
-	// fabric_simulate span and the server's job/run spans — the handle
-	// `hbat-trace remote` merges journals by.
-	JobID   string
-	TraceID string
 }
-
-// Artifact renders the result's canonical artifact: the indented JSON
-// of the embedded api.Result with a trailing newline — the exact bytes
-// GET /v1/results/{speckey} serves for the same spec.
-func (r *Result) Artifact() []byte { return engine.Artifact(r.Result) }
 
 func parseScale(s string) (workload.Scale, error) {
 	sc, err := engine.ParseScale(s)

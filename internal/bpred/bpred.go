@@ -28,14 +28,6 @@ type Stats struct {
 	TargetHits    uint64
 }
 
-// DirRate returns the conditional-branch direction prediction rate.
-func (s *Stats) DirRate() float64 {
-	if s.CondLookups == 0 {
-		return 0
-	}
-	return float64(s.CondCorrect) / float64(s.CondLookups)
-}
-
 type btbEntry struct {
 	pc     uint64
 	target uint64
@@ -70,9 +62,6 @@ func New(cfg Config) *Predictor {
 	p.Reset()
 	return p
 }
-
-// Config returns the configuration the predictor was built from.
-func (p *Predictor) Config() Config { return p.cfg }
 
 // Reuse returns p reset when it was built from cfg, and a new predictor
 // otherwise (p may be nil).
@@ -166,16 +155,6 @@ func (p *Predictor) Resolve(pc uint64, predTaken, actualTaken bool, ghrSnapshot 
 func (p *Predictor) UpdateTarget(pc, target uint64) {
 	p.btb[(pc>>2)&p.btbMask] = btbEntry{pc: pc, target: target, valid: true}
 }
-
-// RestoreHistory force-restores the global history (squash recovery for
-// wrong-path fetches beyond the mispredicted branch).
-func (p *Predictor) RestoreHistory(ghr uint64) { p.ghr = ghr & p.ghrMask }
-
-// History returns the current global history register value.
-func (p *Predictor) History() uint64 { return p.ghr }
-
-// Stats returns predictor counters.
-func (p *Predictor) Stats() *Stats { return &p.stats }
 
 // MispredictPenalty returns the configured redirect penalty in cycles.
 func (p *Predictor) MispredictPenalty() int64 { return p.cfg.MispredictPenalty }

@@ -41,12 +41,12 @@ func TestHistoryRepairOnMispredict(t *testing.T) {
 	p := New(DefaultConfig())
 	pc := uint64(0x400300)
 	_, snap := p.PredictDir(pc)
-	before := p.History()
+	before := p.ghr
 	_ = before
 	p.Resolve(pc, true, false, snap) // mispredicted taken, actually not
 	want := (snap << 1) & ((1 << 8) - 1)
-	if p.History() != want {
-		t.Fatalf("history after repair = %#x, want %#x", p.History(), want)
+	if p.ghr != want {
+		t.Fatalf("history after repair = %#x, want %#x", p.ghr, want)
 	}
 }
 
@@ -75,7 +75,7 @@ func TestStatsRate(t *testing.T) {
 		taken, snap := p.PredictDir(pc)
 		p.Resolve(pc, taken, true, snap)
 	}
-	if r := p.Stats().DirRate(); r <= 0.5 {
+	if r := p.stats.DirRate(); r <= 0.5 {
 		t.Fatalf("dir rate %f", r)
 	}
 }
@@ -84,8 +84,8 @@ func TestRestoreHistory(t *testing.T) {
 	p := New(DefaultConfig())
 	p.PredictDir(0x400600)
 	p.RestoreHistory(0xAB)
-	if p.History() != 0xAB {
-		t.Fatalf("history = %#x", p.History())
+	if p.ghr != 0xAB {
+		t.Fatalf("history = %#x", p.ghr)
 	}
 }
 
@@ -104,6 +104,6 @@ func TestResetMatchesNew(t *testing.T) {
 		t.Error("Reset reallocated the pattern history table")
 	}
 	if !reflect.DeepEqual(p, New(DefaultConfig())) {
-		t.Errorf("reset predictor differs from a new one (stats %+v, ghr %#x)", *p.Stats(), p.History())
+		t.Errorf("reset predictor differs from a new one (stats %+v, ghr %#x)", p.stats, p.ghr)
 	}
 }

@@ -13,7 +13,7 @@ func TestWarmCondNoStats(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		p.WarmCond(pc, true)
 	}
-	if got := *p.Stats(); got != (Stats{}) {
+	if got := p.stats; got != (Stats{}) {
 		t.Fatalf("WarmCond perturbed stats: %+v", got)
 	}
 	// After consistent taken-training under a converged history, the
@@ -31,7 +31,7 @@ func TestWarmCondShiftsHistory(t *testing.T) {
 	p.WarmCond(0x1000, true)
 	p.WarmCond(0x1004, false)
 	p.WarmCond(0x1008, true)
-	if got, want := p.History(), uint64(0b101); got != want {
+	if got, want := p.ghr, uint64(0b101); got != want {
 		t.Fatalf("history after warm T,N,T = %b, want %b", got, want)
 	}
 }

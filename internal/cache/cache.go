@@ -42,14 +42,6 @@ type Stats struct {
 	PortUse [9]uint64
 }
 
-// MissRate returns misses per access.
-func (s *Stats) MissRate() float64 {
-	if s.Accesses == 0 {
-		return 0
-	}
-	return float64(s.Misses) / float64(s.Accesses)
-}
-
 // line is one way of a set, 16 bytes. tag is the full block address
 // with the line's valid and dirty bits packed into its top two bits,
 // which no block address reaches: blocks are at least 4 bytes, so a
@@ -102,9 +94,6 @@ func New(cfg Config) *Cache {
 		blockBits: blockBits,
 	}
 }
-
-// Config returns the configuration the cache was built from.
-func (c *Cache) Config() Config { return c.cfg }
 
 // Reuse returns c reset when it was built from cfg, and a new cache
 // otherwise (c may be nil).

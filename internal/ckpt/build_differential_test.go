@@ -29,7 +29,7 @@ func TestBuildEnginesByteIdentical(t *testing.T) {
 	if testing.Short() {
 		budgets = []uint64{500}
 	}
-	for _, w := range workload.All() {
+	for _, w := range progen.Workloads() {
 		w := w
 		t.Run(w.Name, func(t *testing.T) {
 			t.Parallel()
@@ -85,7 +85,7 @@ func TestBuildEnginesByteIdentical(t *testing.T) {
 		t.Run("tiny-caches/"+c.name, func(t *testing.T) {
 			t.Parallel()
 			var deferred, eager uint64
-			for _, w := range workload.All() {
+			for _, w := range progen.Workloads() {
 				p, err := w.Build(prog.Budget32, workload.ScaleTest)
 				if err != nil {
 					t.Fatalf("build workload: %v", err)
@@ -205,7 +205,7 @@ func storeToCodeProgram() *prog.Program {
 		Code:  code,
 		Entry: prog.CodeBase,
 		Regions: []vm.Region{
-			{Name: "text", Base: prog.CodeBase, Size: prog.CodeSize, Perm: vm.PermRead | vm.PermWrite | vm.PermExec},
+			{Name: "text", Base: prog.CodeBase, Size: 4 << 20, Perm: vm.PermRead | vm.PermWrite | vm.PermExec},
 			{Name: "data", Base: prog.DataBase, Size: prog.DataSize, Perm: vm.PermRW},
 		},
 		InitRegs: map[isa.Reg]uint64{8: prog.CodeBase, 10: prog.DataBase},
@@ -265,7 +265,7 @@ func compareCheckpoints(t testing.TB, ff uint64, want, got *Checkpoint) {
 // short-program sentinel, the bad-engine rejection, and cancellation
 // all report identically.
 func TestBuildEngineErrors(t *testing.T) {
-	p, err := workload.All()[0].Build(prog.Budget32, workload.ScaleTest)
+	p, err := progen.Workloads()[0].Build(prog.Budget32, workload.ScaleTest)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,6 +15,7 @@ import (
 	"hbat/internal/cache"
 	"hbat/internal/mem"
 	"hbat/internal/prog"
+	"hbat/internal/progen"
 	"hbat/internal/workload"
 )
 
@@ -34,7 +35,7 @@ func testBuildConfig(n uint64) BuildConfig {
 // workload at test scale.
 func buildTestCheckpoint(t *testing.T) (*Checkpoint, *prog.Program) {
 	t.Helper()
-	w := workload.All()[0]
+	w := progen.Workloads()[0]
 	p, err := w.Build(prog.Budget32, workload.ScaleTest)
 	if err != nil {
 		t.Fatal(err)

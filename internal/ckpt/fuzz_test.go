@@ -8,6 +8,7 @@ import (
 
 	"hbat/internal/emu"
 	"hbat/internal/prog"
+	"hbat/internal/progen"
 	"hbat/internal/workload"
 )
 
@@ -33,7 +34,7 @@ func mustRun(t *testing.T, p *prog.Program) *emu.Machine {
 func FuzzCheckpointRoundTrip(f *testing.F) {
 	// Seed with a real encoded checkpoint plus edge shapes; the on-disk
 	// corpus under testdata/fuzz adds pre-mutated variants.
-	w := workload.All()[0]
+	w := progen.Workloads()[0]
 	p, err := w.Build(prog.Budget32, workload.ScaleTest)
 	if err != nil {
 		f.Fatal(err)

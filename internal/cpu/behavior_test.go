@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"encoding/binary"
 	"testing"
 
 	"hbat/internal/isa"
@@ -198,7 +199,11 @@ func TestMispredictRecovery(t *testing.T) {
 			s = s*1103515245 + 12345
 			bs[i] = byte(s >> 16)
 		}
-		b.SetData(seedData, bs)
+		words := make([]uint64, len(bs)/8)
+		for i := range words {
+			words[i] = binary.LittleEndian.Uint64(bs[8*i:])
+		}
+		b.SetWords(seedData, words)
 		b.Alloc("out", 8, 8)
 		p := b.IVar("p")
 		v := b.IVar("v")

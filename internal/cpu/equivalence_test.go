@@ -6,6 +6,7 @@ import (
 
 	"hbat/internal/isa"
 	"hbat/internal/prog"
+	"hbat/internal/progen"
 	"hbat/internal/tlb"
 	"hbat/internal/workload"
 )
@@ -68,7 +69,7 @@ func captureArch(t *testing.T, m *Machine, p *prog.Program) archState {
 // so every (design, workload) cell is additionally verified commit-by-
 // commit against the golden emulator.
 func TestAllDesignsArchEquivalent(t *testing.T) {
-	for _, w := range workload.All() {
+	for _, w := range progen.Workloads() {
 		w := w
 		t.Run(w.Name, func(t *testing.T) {
 			t.Parallel()

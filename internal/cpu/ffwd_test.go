@@ -13,6 +13,7 @@ import (
 	"hbat/internal/emu"
 	"hbat/internal/isa"
 	"hbat/internal/prog"
+	"hbat/internal/progen"
 	"hbat/internal/workload"
 )
 
@@ -52,7 +53,7 @@ func functionalLength(t *testing.T, p *prog.Program) uint64 {
 // commit is additionally verified against the restored golden emulator)
 // and window IPC / TLB miss rate within the stated tolerances.
 func TestFastForwardDifferential(t *testing.T) {
-	for _, w := range workload.All() {
+	for _, w := range progen.Workloads() {
 		w := w
 		t.Run(w.Name, func(t *testing.T) {
 			t.Parallel()
@@ -149,7 +150,10 @@ func TestFastForwardDifferential(t *testing.T) {
 				if winLookups > 0 {
 					wantMiss = float64(fullTLB.Misses-prefTLB.Misses) / float64(winLookups)
 				}
-				gotMiss := ffwd.DTLB.Stats().MissRate()
+				gotMiss := 0.0
+				if s := ffwd.DTLB.Stats(); s.Lookups > 0 {
+					gotMiss = float64(s.Misses) / float64(s.Lookups)
+				}
 				if diff := math.Abs(gotMiss - wantMiss); diff > ffwdMissTol {
 					t.Errorf("%s: window TLB miss rate %.4f vs full run's %.4f (abs err %.4f > %.3f)",
 						design, gotMiss, wantMiss, diff, ffwdMissTol)
@@ -165,7 +169,7 @@ func TestFastForwardDifferential(t *testing.T) {
 // run their window to halt, writing memory as they go; the checkpoint
 // must still encode to the bytes it had before any of them ran.
 func TestCheckpointOutlivesItsRestores(t *testing.T) {
-	p, err := workload.All()[0].Build(prog.Budget32, workload.ScaleTest)
+	p, err := progen.Workloads()[0].Build(prog.Budget32, workload.ScaleTest)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +231,7 @@ func TestCheckpointOutlivesItsRestores(t *testing.T) {
 // TestFastForwardShortProgram: fast-forwarding past the program's end
 // must fail with the typed error, not measure an empty window.
 func TestFastForwardShortProgram(t *testing.T) {
-	p, err := workload.All()[0].Build(prog.Budget32, workload.ScaleTest)
+	p, err := progen.Workloads()[0].Build(prog.Budget32, workload.ScaleTest)
 	if err != nil {
 		t.Fatal(err)
 	}

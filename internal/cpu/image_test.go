@@ -11,6 +11,7 @@ import (
 	"hbat/internal/emu"
 	"hbat/internal/emu/sblock"
 	"hbat/internal/prog"
+	"hbat/internal/progen"
 	"hbat/internal/workload"
 )
 
@@ -19,7 +20,7 @@ func imageHash(p *prog.Program) [sha256.Size]byte {
 	h := sha256.New()
 	for _, seg := range p.Data {
 		buf := make([]byte, seg.Size)
-		p.Image.Read(seg.Addr, buf)
+		progen.ReadImage(&p.Image, seg.Addr, buf)
 		h.Write(buf)
 	}
 	return [sha256.Size]byte(h.Sum(nil))
@@ -35,9 +36,9 @@ func imageHash(p *prog.Program) [sha256.Size]byte {
 func TestProgramImageReadOnly(t *testing.T) {
 	ctx := context.Background()
 	var wg sync.WaitGroup
-	progs := make([]*prog.Program, 0, len(workload.All()))
+	progs := make([]*prog.Program, 0, len(progen.Workloads()))
 	hashes := make([][sha256.Size]byte, 0, cap(progs))
-	for _, w := range workload.All() {
+	for _, w := range progen.Workloads() {
 		p, err := w.Build(prog.Budget32, workload.ScaleTest)
 		if err != nil {
 			t.Fatal(err)

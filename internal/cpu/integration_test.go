@@ -5,6 +5,7 @@ import (
 
 	"hbat/internal/emu"
 	"hbat/internal/prog"
+	"hbat/internal/progen"
 	"hbat/internal/workload"
 )
 
@@ -16,7 +17,7 @@ import (
 // or TLB-device misbehaviour shows up here.
 func TestPipelineMatchesEmulatorAllWorkloads(t *testing.T) {
 	designs := []string{"T4", "T1", "M4", "P8", "PB1", "I4/PB"}
-	for _, w := range workload.All() {
+	for _, w := range progen.Workloads() {
 		w := w
 		t.Run(w.Name, func(t *testing.T) {
 			t.Parallel()

@@ -526,15 +526,6 @@ func (m *Machine) sampleInterval() {
 // Stats returns the run's statistics (valid after Run).
 func (m *Machine) Stats() *Stats { return &m.stats }
 
-// Halted reports whether the program executed Halt.
-func (m *Machine) Halted() bool { return m.halted }
-
-// Cycle returns the current cycle number.
-func (m *Machine) Cycle() int64 { return m.cycle }
-
-// Reg returns an architected register's value (for tests).
-func (m *Machine) Reg(r isa.Reg) uint64 { return m.regs[r] }
-
 // ReadVirt reads virtual memory (for result assertions in tests).
 func (m *Machine) ReadVirt(vaddr uint64, buf []byte) error {
 	ps := m.AS.PageSize()
@@ -552,25 +543,4 @@ func (m *Machine) ReadVirt(vaddr uint64, buf []byte) error {
 		vaddr += n
 	}
 	return nil
-}
-
-// ICacheStats and DCacheStats expose cache counters.
-func (m *Machine) ICacheStats() *cache.Stats { return m.icache.Stats() }
-
-// DCacheStats exposes data-cache counters.
-func (m *Machine) DCacheStats() *cache.Stats { return m.dcache.Stats() }
-
-// PredStats exposes branch predictor counters.
-func (m *Machine) PredStats() *bpred.Stats { return m.pred.Stats() }
-
-// DebugHead renders the ROB head entry for diagnosing stalls (used by
-// development tooling and deadlock reports).
-func (m *Machine) DebugHead() string {
-	e := m.rob.headEntry()
-	if e == nil {
-		return fmt.Sprintf("rob empty; fetchPC=0x%x stall=%d haltPending=%v qlen=%d tlbMiss=%d",
-			m.fetchPC, m.fetchStallUntil, m.haltPending, m.fetchQLen(), m.tlbMissOutstanding)
-	}
-	return fmt.Sprintf("head pc=0x%x %v state=%d doneAt=%d addrReady=%v walking=%v walkDone=%d memReqAt=%d effAddr=0x%x cycle=%d count=%d lsq=%d tlbMiss=%d",
-		e.pc, e.inst, e.state, e.doneAt, e.addrReady, e.walking, e.walkDone, e.memReqAt, e.effAddr, m.cycle, m.rob.count, m.lsqCount, m.tlbMissOutstanding)
 }

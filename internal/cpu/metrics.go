@@ -157,13 +157,6 @@ func (m *Machine) Observed() Observed {
 	return o
 }
 
-// Metrics renders the run's metrics export (valid after Run, before
-// Release).
-func (m *Machine) Metrics() stats.Snapshot {
-	o := m.Observed()
-	return RenderMetrics(&m.stats, m.DTLB.Stats(), &o)
-}
-
 // RenderMetrics renders a run's metrics export: the live counts and
 // distributions of o, and the aggregates of s, t and both caches under
 // the names the export has always given them, sorted by name.

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"hbat/internal/prog"
+	"hbat/internal/stats"
 	"hbat/internal/workload"
 )
 
@@ -32,11 +33,11 @@ func TestMetricsRegistryPopulated(t *testing.T) {
 	s := m.Stats()
 	snap := m.Metrics()
 
-	rob, ok := snap.Get("rob.occupancy")
+	rob, ok := metric(snap, "rob.occupancy")
 	if !ok || rob.Count != uint64(s.Cycles) {
 		t.Errorf("rob.occupancy sampled %d cycles, ran %d", rob.Count, s.Cycles)
 	}
-	qd, ok := snap.Get("tlb.port_queue_depth")
+	qd, ok := metric(snap, "tlb.port_queue_depth")
 	if !ok || qd.Count != uint64(s.Cycles) {
 		t.Errorf("tlb.port_queue_depth sampled %d cycles, ran %d", qd.Count, s.Cycles)
 	}
@@ -47,7 +48,7 @@ func TestMetricsRegistryPopulated(t *testing.T) {
 		t.Error("T1 ran without a single port rejection; the test exerts no pressure")
 	}
 
-	lat, ok := snap.Get("tlb.translate_extra_cycles")
+	lat, ok := metric(snap, "tlb.translate_extra_cycles")
 	if !ok || lat.Count != m.DTLB.Stats().Hits {
 		t.Errorf("translation-latency histogram has %d samples, device hit %d times",
 			lat.Count, m.DTLB.Stats().Hits)
@@ -60,9 +61,9 @@ func TestMetricsRegistryPopulated(t *testing.T) {
 		"cpu.squash_insts":      s.Squashed,
 		"tlb.noport":            m.DTLB.Stats().NoPorts,
 		"tlb.hits":              m.DTLB.Stats().Hits,
-		"dcache.hits":           m.DCacheStats().Hits,
+		"dcache.hits":           m.dcache.Stats().Hits,
 	} {
-		if got := snap.CounterValue(name); got != want {
+		if got := counterValue(snap, name); got != want {
 			t.Errorf("%s = %d, want %d", name, got, want)
 		}
 	}
@@ -121,13 +122,29 @@ func TestMetricsFetchStallCauses(t *testing.T) {
 		t.Fatal(err)
 	}
 	snap := m.Metrics()
-	byCause := snap.CounterValue("fetch.stall_redirect_cycles") +
-		snap.CounterValue("fetch.stall_icache_cycles") +
-		snap.CounterValue("fetch.stall_itlb_cycles")
+	byCause := counterValue(snap, "fetch.stall_redirect_cycles") +
+		counterValue(snap, "fetch.stall_icache_cycles") +
+		counterValue(snap, "fetch.stall_itlb_cycles")
 	if byCause != uint64(m.Stats().FetchStallCycles) {
 		t.Errorf("stall causes sum to %d, aggregate is %d", byCause, m.Stats().FetchStallCycles)
 	}
-	if snap.CounterValue("fetch.stall_redirect_cycles") == 0 {
+	if counterValue(snap, "fetch.stall_redirect_cycles") == 0 {
 		t.Error("gcc ran without a single mispredict-redirect stall")
 	}
+}
+
+// metric returns the named metric from s.
+func metric(s stats.Snapshot, name string) (stats.Metric, bool) {
+	for _, m := range s {
+		if m.Name == name {
+			return m, true
+		}
+	}
+	return stats.Metric{}, false
+}
+
+// counterValue returns the named counter's value in s (0 when absent).
+func counterValue(s stats.Snapshot, name string) uint64 {
+	m, _ := metric(s, name)
+	return m.Value
 }

@@ -126,7 +126,7 @@ func TestCollapsingBufferPredictionBandwidth(t *testing.T) {
 		for i := 0; i < 200; i++ {
 			b.Li(regs[i%8], int64(i))
 			b.Li(regs[(i+1)%8], int64(i+1))
-			b.Bltz(prog.RegZero, "never")
+			b.Br(isa.Bltz, prog.RegZero, isa.Zero, "never")
 		}
 		b.Halt()
 		b.Label("never")

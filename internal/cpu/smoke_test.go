@@ -67,7 +67,7 @@ func TestSmokeOutOfOrderMatchesEmulator(t *testing.T) {
 				t.Fatalf("Run: %v", err)
 			}
 			if !m.Halted() {
-				t.Fatalf("machine did not halt (cycles=%d committed=%d)", m.Cycle(), m.Stats().Committed)
+				t.Fatalf("machine did not halt (cycles=%d committed=%d)", m.cycle, m.Stats().Committed)
 			}
 			if got, want := m.Stats().Committed, ref.InstCount; got != want {
 				t.Errorf("committed %d insts, emulator retired %d", got, want)

@@ -1,6 +1,9 @@
 package cpu
 
 import (
+	"bytes"
+	"encoding/csv"
+	"strconv"
 	"testing"
 
 	"hbat/internal/prog"
@@ -151,9 +154,23 @@ func TestIntervalSampling(t *testing.T) {
 	if iv == nil {
 		t.Fatal("no interval series")
 	}
-	rows := make([][]float64, iv.Len())
-	for i := range rows {
-		rows[i] = iv.Row(i)
+	var csvOut bytes.Buffer
+	if err := iv.WriteCSV(&csvOut); err != nil {
+		t.Fatal(err)
+	}
+	recs, err := csv.NewReader(&csvOut).ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rows [][]float64
+	for _, rec := range recs[1:] {
+		row := make([]float64, len(rec))
+		for i, f := range rec {
+			if row[i], err = strconv.ParseFloat(f, 64); err != nil {
+				t.Fatal(err)
+			}
+		}
+		rows = append(rows, row)
 	}
 	if len(rows) == 0 {
 		t.Fatal("no interval rows")

@@ -88,7 +88,7 @@ func TestInstructionBudget(t *testing.T) {
 
 func TestPCEscapeFails(t *testing.T) {
 	b := prog.NewBuilder("esc")
-	b.Nop() // falls off the end
+	b.Op3(isa.Nop, 0, 0, 0) // falls off the end
 	p, _ := b.Finalize(prog.Budget32)
 	p.Code = p.Code[:1]
 	m, _ := New(p, 4096)
@@ -187,23 +187,23 @@ func TestFloatingPointProgram(t *testing.T) {
 	b.La(p, "in")
 	b.La(o, "out")
 	b.LiF(k, 2.0)
-	b.LdF(x, p, 0)  // 1.5
-	b.LdF(y, p, 8)  // -2.25
-	b.AddF(z, x, y) // -0.75
-	b.MulF(z, z, k) // -1.5
-	b.AbsF(z, z)    // 1.5
+	b.LdF(x, p, 0)                  // 1.5
+	b.LdF(y, p, 8)                  // -2.25
+	b.AddF(z, x, y)                 // -0.75
+	b.MulF(z, z, k)                 // -1.5
+	b.Op3(isa.AbsF, z, z, isa.Zero) // 1.5
 	b.StF(z, o, 0)
-	b.LdF(x, p, 16) // 8.0
-	b.LdF(y, p, 24) // 0.5
-	b.DivF(z, x, y) // 16.0
-	b.SubF(z, z, k) // 14.0
-	b.NegF(z, z)    // -14.0
+	b.LdF(x, p, 16)                 // 8.0
+	b.LdF(y, p, 24)                 // 0.5
+	b.DivF(z, x, y)                 // 16.0
+	b.SubF(z, z, k)                 // 14.0
+	b.Op3(isa.NegF, z, z, isa.Zero) // -14.0
 	b.StF(z, o, 8)
 	// Compare-and-branch: |x| > |z|? (8 vs 14) -> not taken path.
-	b.CmpLtF(cmp, x, z)
+	b.Op3(isa.CmpLtF, cmp, x, z)
 	b.Bne(cmp, prog.RegZero, "less")
-	b.CvtFI(n, x) // 8
-	b.CvtIF(z, n) // 8.0
+	b.Op3(isa.CvtFI, n, x, isa.Zero) // 8
+	b.Op3(isa.CvtIF, z, n, isa.Zero) // 8.0
 	b.MovF(y, z)
 	b.StF(y, o, 16)
 	b.Label("less")
@@ -252,14 +252,14 @@ func TestByteHalfwordAccess(t *testing.T) {
 	b.La(p, "buf")
 	b.La(o, "res")
 	b.Li(v, 0x8081)
-	b.Sh(v, p, 0) // halfword 0x8081
-	b.Lh(v, p, 0) // sign-extends
+	b.MemOp(isa.Sh, isa.AMImm, v, p, 0, 0) // halfword 0x8081
+	b.MemOp(isa.Lh, isa.AMImm, v, p, 0, 0) // sign-extends
 	b.Sd(v, o, 0)
 	b.Li(v, 0x80)
-	b.Sb(v, p, 8)
-	b.Lbu(v, p, 8) // zero-extends
+	b.MemOp(isa.Sb, isa.AMImm, v, p, 0, 8)
+	b.MemOp(isa.Lbu, isa.AMImm, v, p, 0, 8) // zero-extends
 	b.Sd(v, o, 8)
-	b.Lb(v, p, 8) // sign-extends
+	b.MemOp(isa.Lb, isa.AMImm, v, p, 0, 8) // sign-extends
 	b.Sd(v, o, 16)
 	b.Halt()
 	pr, err := b.Finalize(prog.Budget32)

@@ -7,6 +7,7 @@ import (
 
 	"hbat/internal/mem"
 	"hbat/internal/prog"
+	"hbat/internal/progen"
 	"hbat/internal/vm"
 	"hbat/internal/workload"
 )
@@ -22,7 +23,7 @@ func copyLoad(p *prog.Program, pageSize uint64) (*vm.AddressSpace, *mem.Memory, 
 	}
 	for _, seg := range p.Data {
 		b := make([]byte, seg.Size)
-		p.Image.Read(seg.Addr, b)
+		progen.ReadImage(&p.Image, seg.Addr, b)
 		for vaddr := seg.Addr; len(b) > 0; {
 			pa, err := as.Translate(vaddr, vm.PermWrite)
 			if err != nil {
@@ -47,7 +48,7 @@ func TestLoadMatchesCopyingLoader(t *testing.T) {
 	if testing.Short() {
 		scale = workload.ScaleTest
 	}
-	for _, w := range workload.All() {
+	for _, w := range progen.Workloads() {
 		p, err := w.Build(prog.Budget32, scale)
 		if err != nil {
 			t.Fatal(err)

@@ -9,6 +9,7 @@ import (
 	"hbat/internal/isa"
 	"hbat/internal/mem"
 	"hbat/internal/prog"
+	"hbat/internal/progen"
 )
 
 // imageSpan is the data the shared-frame programs address: the first
@@ -45,8 +46,11 @@ func sharedFrameProgram(t *testing.T, seed uint64, pageSize uint64, n int) *prog
 		b.Addi(acc, acc, 0x155)
 		op(acc, addr, 0)
 	}
-	loads := []func(rd, base isa.Reg, off int32){b.Ld, b.Lw, b.Lh, b.Lbu}
-	stores := []func(rv, base isa.Reg, off int32){b.Sd, b.Sw, b.Sh, b.Sb}
+	memOp := func(op isa.Op) func(r, base isa.Reg, off int32) {
+		return func(r, base isa.Reg, off int32) { b.MemOp(op, isa.AMImm, r, base, 0, off) }
+	}
+	loads := []func(rd, base isa.Reg, off int32){b.Ld, memOp(isa.Lw), memOp(isa.Lh), memOp(isa.Lbu)}
+	stores := []func(rv, base isa.Reg, off int32){b.Sd, memOp(isa.Sw), memOp(isa.Sh), memOp(isa.Sb)}
 
 	load(b.Ld, pageSize)
 	store(b.Sd, pageSize-4)
@@ -85,7 +89,7 @@ func imageHash(p *prog.Program) [32]byte {
 	h := sha256.New()
 	for _, seg := range p.Data {
 		buf := make([]byte, seg.Size)
-		p.Image.Read(seg.Addr, buf)
+		progen.ReadImage(&p.Image, seg.Addr, buf)
 		h.Write(buf)
 	}
 	return [32]byte(h.Sum(nil))

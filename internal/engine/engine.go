@@ -375,14 +375,6 @@ type RunRecord struct {
 	TraceID string `json:"trace_id,omitempty"`
 }
 
-// RunLog returns a copy of the engine's provenance log: the most
-// recent runLogKept requests in completion order, executed and
-// cache-served alike.
-func (e *Engine) RunLog() []RunRecord {
-	recs, _ := e.runLogSnapshot()
-	return recs
-}
-
 // runLogSnapshot returns the run log, oldest record first, and how many
 // older records it has dropped.
 func (e *Engine) runLogSnapshot() ([]RunRecord, uint64) {

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"hbat/internal/prog"
+	"hbat/internal/progen"
 	"hbat/internal/workload"
 )
 
@@ -110,7 +111,7 @@ func imageSum(p *prog.Program) uint64 {
 	var sum uint64
 	for _, seg := range p.Data {
 		buf := make([]byte, seg.Size)
-		p.Image.Read(seg.Addr, buf)
+		progen.ReadImage(&p.Image, seg.Addr, buf)
 		for _, b := range buf {
 			sum += uint64(b)
 		}

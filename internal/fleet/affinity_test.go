@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"hbat/api"
+	"hbat/internal/engine"
 	"hbat/internal/fleet/fleettest"
 )
 
@@ -37,12 +38,19 @@ func ckptTotals(rig *fleettest.Rig) (hits, misses uint64) {
 	return hits, misses
 }
 
+// runLog returns e's provenance log, read the way a manifest records it.
+func runLog(e *engine.Engine) []engine.RunRecord {
+	var m engine.Manifest
+	m.RecordRuns(e)
+	return m.Runs
+}
+
 // byWorkload maps workload → set of workers its specs ran on, using
 // the engines' own run logs (ground truth, not coordinator bookkeeping).
 func byWorkload(rig *fleettest.Rig) map[string]map[string]bool {
 	placements := make(map[string]map[string]bool)
 	for _, w := range rig.Workers {
-		for _, rec := range w.Engine.RunLog() {
+		for _, rec := range runLog(w.Engine) {
 			if placements[rec.Workload] == nil {
 				placements[rec.Workload] = make(map[string]bool)
 			}
@@ -165,7 +173,7 @@ func TestFleetAffinityStableAcrossCoordinators(t *testing.T) {
 func engineRunsOnce(rig *fleettest.Rig) map[string]bool {
 	keys := make(map[string]bool)
 	for _, w := range rig.Workers {
-		for _, rec := range w.Engine.RunLog() {
+		for _, rec := range runLog(w.Engine) {
 			keys[rec.SpecHash] = true
 		}
 	}

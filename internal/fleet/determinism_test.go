@@ -5,15 +5,14 @@ package fleet_test
 // worker, or a 3-worker fleet behind a coordinator — and one W3C
 // trace id must thread from the submitting client through the
 // coordinator into the worker engines' run records. This is the
-// property that makes the coordinator transparent: hbat.Dial cannot
-// tell (and must not care) what is on the other end.
+// property that makes the coordinator transparent: an api.Client
+// cannot tell (and must not care) what is on the other end.
 
 import (
 	"bytes"
 	"context"
 	"testing"
 
-	"hbat"
 	"hbat/api"
 	"hbat/internal/engine"
 	"hbat/internal/fleet/fleettest"
@@ -79,7 +78,7 @@ func fleetArtifacts(t *testing.T, n int, specs []api.SimOptions) map[string][]by
 	// under the client's trace id (coordinator → worker → engine).
 	traced := false
 	for _, w := range rig.Workers {
-		for _, rec := range w.Engine.RunLog() {
+		for _, rec := range runLog(w.Engine) {
 			if rec.TraceID == tc.TraceID {
 				traced = true
 			}
@@ -124,48 +123,45 @@ func TestFleetDeterminismAcrossTiers(t *testing.T) {
 	}
 }
 
-// TestFleetDialTransparency: hbat.Dial against a coordinator behaves
-// exactly like dialing one worker — remote mode, a populated TraceID,
-// and the same artifact bytes a local simulation renders.
+// TestFleetDialTransparency: an api.Client dialing a coordinator sees
+// what it sees dialing one worker: the job carries the client's trace
+// id, and the artifact is the bytes a local simulation renders.
 func TestFleetDialTransparency(t *testing.T) {
 	guardGoroutines(t)
 	rig := fleettest.New(t, 3)
 	_, cl, _ := newCoord(t, rig, nil)
+	ctx := context.Background()
 
-	srvURL := cl.Base
-	fab, err := hbat.Dial(context.Background(), srvURL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !fab.Remote() {
-		t.Fatalf("Dial(%s) fell back to local mode: %v", srvURL, fab.FallbackErr())
-	}
-
-	o := hbat.Options{
-		CommonOptions: hbat.CommonOptions{Scale: "test", Seed: 4},
-		Workload:      "compress",
-		Design:        "I8",
-	}
-	r, err := fab.Simulate(context.Background(), o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.TraceID == "" {
-		t.Error("remote result through the coordinator has no TraceID")
-	}
-
-	spec, err := engine.SpecFromWire(api.SimOptions{
+	opts := api.SimOptions{
 		CommonOptions: api.CommonOptions{Scale: "test", Seed: 4},
 		Workload:      "compress", Design: "I8",
-	})
+	}
+	tc := runspan.NewTraceContext()
+	acc, err := cl.Submit(ctx, api.JobRequest{Specs: []api.SimOptions{opts}, Traceparent: tc.Traceparent()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := engine.New().Run(context.Background(), spec)
+	if acc.TraceID != tc.TraceID {
+		t.Errorf("job through the coordinator has trace id %q, want the client's %q", acc.TraceID, tc.TraceID)
+	}
+	st, err := cl.Wait(ctx, acc.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, _, err := cl.Result(ctx, st.Specs[0].SpecKey)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	spec, err := engine.SpecFromWire(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := engine.New().Run(ctx, spec)
 	if res.Err != nil {
 		t.Fatal(res.Err)
 	}
-	if want := engine.Artifact(engine.Wire(res)); !bytes.Equal(r.Artifact(), want) {
-		t.Error("artifact via hbat.Dial(coordinator) differs from a local simulation")
+	if want := engine.Artifact(engine.Wire(res)); !bytes.Equal(data, want) {
+		t.Error("artifact through the coordinator differs from a local simulation")
 	}
 }

@@ -1,7 +1,7 @@
 // Package fleet is the sweep fabric's coordinator tier: hbatd started
 // with -worker URL,..., fanning v1 jobs out across many plain hbatd
 // workers. It speaks the exact same wire contract as a single worker —
-// hbat.Dial and curl cannot tell the difference. Its front end answers
+// an api.Client and curl cannot tell the difference. Its front end answers
 // every spec its own store already holds at intake, as a worker's
 // does, so a stored result never leaves the coordinator. Behind the API
 // it keeps a live worker registry (static -worker list plus

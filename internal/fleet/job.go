@@ -26,6 +26,7 @@ import (
 
 	"hbat/api"
 	"hbat/internal/engine"
+	"hbat/internal/runspan"
 	"hbat/internal/transport"
 )
 
@@ -160,7 +161,7 @@ func (c *Coordinator) dispatch(j *transport.Job, w *worker, idxs []int, tried []
 		// The coordinator job root is the remote parent: the worker's
 		// own job span tree hangs under it, and the engine stamps the
 		// shared trace id into its run records.
-		Traceparent: "00-" + j.TraceID + "-" + j.SpanID + "-01",
+		Traceparent: runspan.TraceContext{TraceID: j.TraceID, SpanID: j.SpanID}.Traceparent(),
 	}
 	j.Running(w.addr, idxs...)
 	for _, i := range idxs {

@@ -5,6 +5,7 @@ import (
 
 	"hbat/internal/cpu"
 	"hbat/internal/prog"
+	"hbat/internal/progen"
 	"hbat/internal/tlb"
 	"hbat/internal/workload"
 )
@@ -30,7 +31,7 @@ func TestFigure5Orderings(t *testing.T) {
 // TestMultilevelInclusion: after every M16, M8 and M4 run on all ten
 // workloads, each L1 entry is also in the L2.
 func TestMultilevelInclusion(t *testing.T) {
-	for _, w := range workload.All() {
+	for _, w := range progen.Workloads() {
 		p, err := w.Build(prog.Budget32, workload.ScaleTest)
 		if err != nil {
 			t.Fatal(err)

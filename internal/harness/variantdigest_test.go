@@ -81,7 +81,8 @@ func variantDigest(t *testing.T, budget prog.RegBudget, tweak func(*cpu.Config))
 				Stats: *m.Stats(),
 				TLB:   *m.DTLB.Stats(),
 			})))
-			metrics, err := json.Marshal(m.Metrics())
+			o := m.Observed()
+			metrics, err := json.Marshal(cpu.RenderMetrics(m.Stats(), m.DTLB.Stats(), &o))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -259,9 +259,6 @@ func (i *Inst) IsMem() bool {
 // IsLoad reports whether the instruction is a load.
 func (i *Inst) IsLoad() bool { return opClass[i.Op] == ClassLoad }
 
-// IsStore reports whether the instruction is a store.
-func (i *Inst) IsStore() bool { return opClass[i.Op] == ClassStore }
-
 // IsCtrl reports whether the instruction can redirect the PC.
 func (i *Inst) IsCtrl() bool {
 	c := opClass[i.Op]

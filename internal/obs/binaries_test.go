@@ -24,6 +24,7 @@ import (
 	"time"
 
 	"hbat/api"
+	"hbat/internal/promtext"
 )
 
 // proc is a started binary; the test reads its stderr as it arrives.
@@ -105,7 +106,7 @@ func scrape(t *testing.T, base string) string {
 	}
 	defer resp.Body.Close()
 	body, err := io.ReadAll(resp.Body)
-	if _, perr := ParseExposition(bytes.NewReader(body)); err != nil || perr != nil {
+	if _, perr := promtext.ParseExposition(bytes.NewReader(body)); err != nil || perr != nil {
 		t.Errorf("%s/metrics: %v %v", base, err, perr)
 	}
 	return string(body)

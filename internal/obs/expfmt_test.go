@@ -3,6 +3,8 @@ package obs
 import (
 	"strings"
 	"testing"
+
+	"hbat/internal/promtext"
 )
 
 // TestWriteExpositionGolden pins the exposition byte-for-byte: family
@@ -49,7 +51,7 @@ hbat_zeta_total 3
 		t.Errorf("exposition mismatch:\n--- got ---\n%s--- want ---\n%s", got, want)
 	}
 	// The golden output must also satisfy our own validator.
-	if _, err := ParseExposition(strings.NewReader(b.String())); err != nil {
+	if _, err := promtext.ParseExposition(strings.NewReader(b.String())); err != nil {
 		t.Errorf("golden output fails validation: %v", err)
 	}
 }

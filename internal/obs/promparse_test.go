@@ -3,7 +3,12 @@ package obs
 import (
 	"strings"
 	"testing"
+
+	"hbat/internal/promtext"
 )
+
+// The reference parser (internal/promtext) is tested here, beside the
+// exposition writer whose output it validates.
 
 func TestParseExpositionAccepts(t *testing.T) {
 	cases := map[string]struct {
@@ -31,7 +36,7 @@ x 1
 `, 1},
 	}
 	for name, tc := range cases {
-		n, err := ParseExposition(strings.NewReader(tc.in))
+		n, err := promtext.ParseExposition(strings.NewReader(tc.in))
 		if err != nil {
 			t.Errorf("%s: unexpected error: %v", name, err)
 		}
@@ -88,7 +93,7 @@ h_bucket 3
 `,
 	}
 	for name, in := range cases {
-		if _, err := ParseExposition(strings.NewReader(in)); err == nil {
+		if _, err := promtext.ParseExposition(strings.NewReader(in)); err == nil {
 			t.Errorf("%s: accepted invalid exposition:\n%s", name, in)
 		}
 	}

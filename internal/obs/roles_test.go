@@ -18,6 +18,7 @@ import (
 	"hbat/internal/engine"
 	"hbat/internal/fleet"
 	"hbat/internal/obs"
+	"hbat/internal/promtext"
 	"hbat/internal/runspan"
 	"hbat/internal/store"
 	"hbat/internal/transport"
@@ -183,7 +184,7 @@ func allowedValues(label string, poolSize int) []string {
 	return nil
 }
 
-// scrapeFamilies GETs base/metrics, validates it with ParseExposition,
+// scrapeFamilies GETs base/metrics, validates it with promtext.ParseExposition,
 // and returns each declared family's series as label maps (a
 // histogram's le buckets, _sum and _count fold into one series).
 func scrapeFamilies(t *testing.T, base string) map[string][]map[string]string {
@@ -197,7 +198,7 @@ func scrapeFamilies(t *testing.T, base string) map[string][]map[string]string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := obs.ParseExposition(bytes.NewReader(body)); err != nil {
+	if _, err := promtext.ParseExposition(bytes.NewReader(body)); err != nil {
 		t.Fatalf("invalid exposition: %v\n%s", err, body)
 	}
 	fams := map[string][]map[string]string{}

@@ -12,6 +12,7 @@ import (
 
 	"hbat/internal/engine"
 	"hbat/internal/prog"
+	"hbat/internal/promtext"
 	"hbat/internal/workload"
 )
 
@@ -54,7 +55,7 @@ func TestMetricsScrapeDuringSweep(t *testing.T) {
 			}
 			rec := httptest.NewRecorder()
 			h.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
-			if _, err := ParseExposition(rec.Body); err != nil {
+			if _, err := promtext.ParseExposition(rec.Body); err != nil {
 				mu.Lock()
 				scrapeErr = err
 				mu.Unlock()

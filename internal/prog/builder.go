@@ -150,12 +150,6 @@ func (b *Builder) Addr(name string) uint64 {
 	return a
 }
 
-// SetData declares bytes as initial data at addr (Segment, then set).
-func (b *Builder) SetData(addr uint64, bytes []byte) {
-	s := b.Segment(addr, uint64(len(bytes)))
-	s.write(addr, bytes)
-}
-
 // SetWords declares initial 64-bit little-endian words at addr.
 func (b *Builder) SetWords(addr uint64, words []uint64) {
 	s := b.Segment(addr, 8*uint64(len(words)))
@@ -197,15 +191,12 @@ func (b *Builder) Sub(rd, rs, rt isa.Reg)         { b.Op3(isa.Sub, rd, rs, rt) }
 func (b *Builder) And(rd, rs, rt isa.Reg)         { b.Op3(isa.And, rd, rs, rt) }
 func (b *Builder) Or(rd, rs, rt isa.Reg)          { b.Op3(isa.Or, rd, rs, rt) }
 func (b *Builder) Xor(rd, rs, rt isa.Reg)         { b.Op3(isa.Xor, rd, rs, rt) }
-func (b *Builder) Slt(rd, rs, rt isa.Reg)         { b.Op3(isa.Slt, rd, rs, rt) }
 func (b *Builder) Sltu(rd, rs, rt isa.Reg)        { b.Op3(isa.Sltu, rd, rs, rt) }
 func (b *Builder) Mult(rd, rs, rt isa.Reg)        { b.Op3(isa.Mult, rd, rs, rt) }
 func (b *Builder) Div(rd, rs, rt isa.Reg)         { b.Op3(isa.Div, rd, rs, rt) }
-func (b *Builder) Rem(rd, rs, rt isa.Reg)         { b.Op3(isa.Rem, rd, rs, rt) }
 func (b *Builder) Addi(rd, rs isa.Reg, imm int32) { b.OpI(isa.Addi, rd, rs, imm) }
 func (b *Builder) Andi(rd, rs isa.Reg, imm int32) { b.OpI(isa.Andi, rd, rs, imm) }
 func (b *Builder) Ori(rd, rs isa.Reg, imm int32)  { b.OpI(isa.Ori, rd, rs, imm) }
-func (b *Builder) Xori(rd, rs isa.Reg, imm int32) { b.OpI(isa.Xori, rd, rs, imm) }
 func (b *Builder) Slti(rd, rs isa.Reg, imm int32) { b.OpI(isa.Slti, rd, rs, imm) }
 func (b *Builder) Sll(rd, rs isa.Reg, sh int32)   { b.OpI(isa.Sll, rd, rs, sh) }
 func (b *Builder) Srl(rd, rs isa.Reg, sh int32)   { b.OpI(isa.Srl, rd, rs, sh) }
@@ -238,18 +229,11 @@ func (b *Builder) La(rd isa.Reg, symbol string) { b.Li(rd, int64(b.Addr(symbol))
 
 // --- floating point helpers ---
 
-func (b *Builder) AddF(fd, fs, ft isa.Reg)   { b.Op3(isa.AddF, fd, fs, ft) }
-func (b *Builder) SubF(fd, fs, ft isa.Reg)   { b.Op3(isa.SubF, fd, fs, ft) }
-func (b *Builder) MulF(fd, fs, ft isa.Reg)   { b.Op3(isa.MulF, fd, fs, ft) }
-func (b *Builder) DivF(fd, fs, ft isa.Reg)   { b.Op3(isa.DivF, fd, fs, ft) }
-func (b *Builder) MovF(fd, fs isa.Reg)       { b.Op3(isa.MovF, fd, fs, isa.Zero) }
-func (b *Builder) NegF(fd, fs isa.Reg)       { b.Op3(isa.NegF, fd, fs, isa.Zero) }
-func (b *Builder) AbsF(fd, fs isa.Reg)       { b.Op3(isa.AbsF, fd, fs, isa.Zero) }
-func (b *Builder) CvtIF(fd, rs isa.Reg)      { b.Op3(isa.CvtIF, fd, rs, isa.Zero) }
-func (b *Builder) CvtFI(rd, fs isa.Reg)      { b.Op3(isa.CvtFI, rd, fs, isa.Zero) }
-func (b *Builder) CmpLtF(rd, fs, ft isa.Reg) { b.Op3(isa.CmpLtF, rd, fs, ft) }
-func (b *Builder) CmpLeF(rd, fs, ft isa.Reg) { b.Op3(isa.CmpLeF, rd, fs, ft) }
-func (b *Builder) CmpEqF(rd, fs, ft isa.Reg) { b.Op3(isa.CmpEqF, rd, fs, ft) }
+func (b *Builder) AddF(fd, fs, ft isa.Reg) { b.Op3(isa.AddF, fd, fs, ft) }
+func (b *Builder) SubF(fd, fs, ft isa.Reg) { b.Op3(isa.SubF, fd, fs, ft) }
+func (b *Builder) MulF(fd, fs, ft isa.Reg) { b.Op3(isa.MulF, fd, fs, ft) }
+func (b *Builder) DivF(fd, fs, ft isa.Reg) { b.Op3(isa.DivF, fd, fs, ft) }
+func (b *Builder) MovF(fd, fs isa.Reg)     { b.Op3(isa.MovF, fd, fs, isa.Zero) }
 
 // LiF loads a float constant through the integer path (Lui/Ori cannot
 // build a double): the constant is stored in a pooled data slot and
@@ -273,33 +257,19 @@ func (b *Builder) MemOp(op isa.Op, mode isa.AMode, rd, rs, rt isa.Reg, imm int32
 	b.emit(isa.Inst{Op: op, Mode: mode, Rd: rd, Rs: rs, Rt: rt, Imm: imm})
 }
 
-func (b *Builder) Lb(rd, base isa.Reg, off int32)  { b.MemOp(isa.Lb, isa.AMImm, rd, base, 0, off) }
-func (b *Builder) Lbu(rd, base isa.Reg, off int32) { b.MemOp(isa.Lbu, isa.AMImm, rd, base, 0, off) }
-func (b *Builder) Lh(rd, base isa.Reg, off int32)  { b.MemOp(isa.Lh, isa.AMImm, rd, base, 0, off) }
-func (b *Builder) Lw(rd, base isa.Reg, off int32)  { b.MemOp(isa.Lw, isa.AMImm, rd, base, 0, off) }
 func (b *Builder) Ld(rd, base isa.Reg, off int32)  { b.MemOp(isa.Ld, isa.AMImm, rd, base, 0, off) }
-func (b *Builder) Sb(rv, base isa.Reg, off int32)  { b.MemOp(isa.Sb, isa.AMImm, rv, base, 0, off) }
-func (b *Builder) Sh(rv, base isa.Reg, off int32)  { b.MemOp(isa.Sh, isa.AMImm, rv, base, 0, off) }
-func (b *Builder) Sw(rv, base isa.Reg, off int32)  { b.MemOp(isa.Sw, isa.AMImm, rv, base, 0, off) }
 func (b *Builder) Sd(rv, base isa.Reg, off int32)  { b.MemOp(isa.Sd, isa.AMImm, rv, base, 0, off) }
 func (b *Builder) LdF(fd, base isa.Reg, off int32) { b.MemOp(isa.LdF, isa.AMImm, fd, base, 0, off) }
 func (b *Builder) StF(fv, base isa.Reg, off int32) { b.MemOp(isa.StF, isa.AMImm, fv, base, 0, off) }
 
 // Indexed (register+register) addressing, the paper's extension.
-func (b *Builder) LwX(rd, base, idx isa.Reg)  { b.MemOp(isa.Lw, isa.AMReg, rd, base, idx, 0) }
-func (b *Builder) LdX(rd, base, idx isa.Reg)  { b.MemOp(isa.Ld, isa.AMReg, rd, base, idx, 0) }
-func (b *Builder) SwX(rv, base, idx isa.Reg)  { b.MemOp(isa.Sw, isa.AMReg, rv, base, idx, 0) }
-func (b *Builder) SdX(rv, base, idx isa.Reg)  { b.MemOp(isa.Sd, isa.AMReg, rv, base, idx, 0) }
-func (b *Builder) LdFX(fd, base, idx isa.Reg) { b.MemOp(isa.LdF, isa.AMReg, fd, base, idx, 0) }
-func (b *Builder) StFX(fv, base, idx isa.Reg) { b.MemOp(isa.StF, isa.AMReg, fv, base, idx, 0) }
+func (b *Builder) LwX(rd, base, idx isa.Reg) { b.MemOp(isa.Lw, isa.AMReg, rd, base, idx, 0) }
+func (b *Builder) LdX(rd, base, idx isa.Reg) { b.MemOp(isa.Ld, isa.AMReg, rd, base, idx, 0) }
 
 // Post-increment addressing, the paper's extension: access at base,
 // then base += delta.
 func (b *Builder) LdPost(rd, base isa.Reg, delta int32) {
 	b.MemOp(isa.Ld, isa.AMPostInc, rd, base, 0, delta)
-}
-func (b *Builder) LwPost(rd, base isa.Reg, delta int32) {
-	b.MemOp(isa.Lw, isa.AMPostInc, rd, base, 0, delta)
 }
 func (b *Builder) LbuPost(rd, base isa.Reg, delta int32) {
 	b.MemOp(isa.Lbu, isa.AMPostInc, rd, base, 0, delta)
@@ -326,10 +296,7 @@ func (b *Builder) Br(op isa.Op, rs, rt isa.Reg, label string) {
 
 func (b *Builder) Beq(rs, rt isa.Reg, label string) { b.Br(isa.Beq, rs, rt, label) }
 func (b *Builder) Bne(rs, rt isa.Reg, label string) { b.Br(isa.Bne, rs, rt, label) }
-func (b *Builder) Blez(rs isa.Reg, label string)    { b.Br(isa.Blez, rs, isa.Zero, label) }
 func (b *Builder) Bgtz(rs isa.Reg, label string)    { b.Br(isa.Bgtz, rs, isa.Zero, label) }
-func (b *Builder) Bltz(rs isa.Reg, label string)    { b.Br(isa.Bltz, rs, isa.Zero, label) }
-func (b *Builder) Bgez(rs isa.Reg, label string)    { b.Br(isa.Bgez, rs, isa.Zero, label) }
 
 // J emits an unconditional jump to label.
 func (b *Builder) J(label string) { b.emitBranch(isa.Inst{Op: isa.J}, label) }
@@ -343,11 +310,5 @@ func (b *Builder) Jr(rs isa.Reg) { b.emit(isa.Inst{Op: isa.Jr, Rs: rs}) }
 // Ret returns through $ra.
 func (b *Builder) Ret() { b.emit(isa.Inst{Op: isa.Jr, Rs: isa.RA}) }
 
-// Nop emits a no-op.
-func (b *Builder) Nop() { b.emit(isa.Inst{Op: isa.Nop}) }
-
 // Halt emits the program-termination instruction.
 func (b *Builder) Halt() { b.emit(isa.Inst{Op: isa.Halt}) }
-
-// Len reports how many abstract instructions have been emitted so far.
-func (b *Builder) Len() int { return len(b.insts) }

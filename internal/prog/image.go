@@ -37,22 +37,6 @@ func (im *Image) Frame(vaddr uint64) *[mem.FrameSize]byte {
 	return nil
 }
 
-// Read fills buf with the image's bytes from vaddr on (zero where it
-// holds no data).
-func (im *Image) Read(vaddr uint64, buf []byte) {
-	for len(buf) > 0 {
-		off := vaddr & (mem.FrameSize - 1)
-		n := min(uint64(len(buf)), mem.FrameSize-off)
-		if f := im.Frame(vaddr); f != nil {
-			copy(buf[:n], f[off:])
-		} else {
-			clear(buf[:n])
-		}
-		buf = buf[n:]
-		vaddr += n
-	}
-}
-
 // frameFor returns the frame holding vaddr, allocating it on first
 // write. The caller has checked that vaddr lies in the data segment.
 func (im *Image) frameFor(vaddr uint64) *[mem.FrameSize]byte {

@@ -17,7 +17,6 @@ import (
 // 32 bits so two-instruction Lui/Ori sequences materialize any pointer.
 const (
 	CodeBase  = 0x0040_0000 // text segment
-	CodeSize  = 0x0040_0000 // 4 MB of text
 	DataBase  = 0x1000_0000 // globals ($gp points here)
 	DataSize  = 0x1800_0000 // globals + static heap (384 MB reservable)
 	StackTop  = 0x7fff_0000 // stack grows down from here

@@ -51,7 +51,7 @@ func TestUndefinedLabelFails(t *testing.T) {
 func TestDuplicateLabelFails(t *testing.T) {
 	b := NewBuilder("bad")
 	b.Label("x")
-	b.Nop()
+	b.emit(isa.Inst{Op: isa.Nop})
 	b.Label("x")
 	b.Halt()
 	if _, err := b.Finalize(Budget32); err == nil {
@@ -114,9 +114,9 @@ func TestLiRanges(t *testing.T) {
 func TestJumpTableResolved(t *testing.T) {
 	b := NewBuilder("jt")
 	b.JumpTable("tab", "h0", "h1")
-	b.Nop()
+	b.emit(isa.Inst{Op: isa.Nop})
 	b.Label("h0")
-	b.Nop()
+	b.emit(isa.Inst{Op: isa.Nop})
 	b.Label("h1")
 	b.Halt()
 	p, err := b.Finalize(Budget32)
@@ -198,7 +198,7 @@ func TestBudget8SpillsAndStaysArchitectural(t *testing.T) {
 
 func TestInstAt(t *testing.T) {
 	b := NewBuilder("instat")
-	b.Nop()
+	b.emit(isa.Inst{Op: isa.Nop})
 	b.Halt()
 	p, _ := b.Finalize(Budget32)
 	if p.InstAt(CodeBase) == nil || p.InstAt(CodeBase+4) == nil {
@@ -262,7 +262,7 @@ func loaded(t *testing.T, p *Program, pageSize, vaddr uint64, n int) []byte {
 func TestOverlappingSegmentsLastWins(t *testing.T) {
 	b := NewBuilder("overlap")
 	a := b.Alloc("a", 32, 8)
-	b.SetData(a, bytes.Repeat([]byte{1}, 32))
+	b.Segment(a, 32).write(a, bytes.Repeat([]byte{1}, 32))
 	b.SetWords(a+8, []uint64{0x0202020202020202})
 	s := b.Segment(a+12, 8)
 	s.SetByte(7, 3)
@@ -274,8 +274,8 @@ func TestOverlappingSegmentsLastWins(t *testing.T) {
 	want := bytes.Repeat([]byte{1}, 32)
 	copy(want[8:16], bytes.Repeat([]byte{2}, 8))
 	want[19] = 3 // the rest of the last segment was never set
-	got := make([]byte, 32)
-	p.Image.Read(a, got)
+	// a starts the data segment, so its 32 bytes lie in one frame.
+	got := p.Image.Frame(a)[a%mem.FrameSize:][:32]
 	if !bytes.Equal(got, want) {
 		t.Fatalf("image % x, want % x", got, want)
 	}
@@ -299,7 +299,7 @@ func TestSegmentStraddlingPages(t *testing.T) {
 	for i := range data {
 		data[i] = byte(i*7 + 1)
 	}
-	b.SetData(a, data)
+	b.Segment(a, uint64(len(data))).write(a, data)
 	b.Halt()
 	p, err := b.Finalize(Budget32)
 	if err != nil {
@@ -323,7 +323,7 @@ func TestJumpTablesWrittenAtFinalize(t *testing.T) {
 	b := NewBuilder("jt-late")
 	tab := b.JumpTable("tab", "h1")
 	b.SetWords(tab, []uint64{0xdead})
-	b.Nop()
+	b.emit(isa.Inst{Op: isa.Nop})
 	b.Label("h1")
 	b.Halt()
 	p, err := b.Finalize(Budget32)

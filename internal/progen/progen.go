@@ -1,5 +1,6 @@
-// Package progen generates random but well-formed simulated programs
-// for differential and fuzz testing: arithmetic over a handful of
+// Package progen holds the programs the tests run: every workload
+// (Workloads) and random but well-formed simulated programs for
+// differential and fuzz testing: arithmetic over a handful of
 // registers, loads and stores confined to a private buffer, forward
 // (data-dependent) branches, bounded backward loops, and post-increment
 // walks that stay in bounds. Every generated program halts.

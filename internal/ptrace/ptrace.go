@@ -82,15 +82,6 @@ type Event struct {
 	Arg   int64 // kind-specific detail (latency, occupancy, ...)
 }
 
-// Disasm renders the event's instruction ("?" when unknown — wrong-path
-// fetches beyond the text segment carry no decoded instruction).
-func (e *Event) Disasm() string {
-	if e.Inst == nil {
-		return "?"
-	}
-	return e.Inst.String()
-}
-
 // Config parameterizes a Recorder.
 type Config struct {
 	// Cap is the ring-buffer capacity in events (default 1<<16). When
@@ -135,10 +126,6 @@ func New(cfg Config) *Recorder {
 	cfg = cfg.normalized()
 	return &Recorder{cfg: cfg, buf: make([]Event, 0, cfg.Cap)}
 }
-
-// Window returns the recording window ([start, end] cycles; end 0 means
-// unbounded).
-func (r *Recorder) Window() (start, end int64) { return r.cfg.Start, r.cfg.End }
 
 // Enabled reports whether an event at the given cycle would be
 // recorded. Nil-safe; this is the hot-path gate.

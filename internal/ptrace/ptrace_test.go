@@ -23,14 +23,14 @@ func TestNilRecorderIsSafe(t *testing.T) {
 
 func TestConfigNormalization(t *testing.T) {
 	r := New(Config{})
-	if got, _ := r.Window(); got != 1 {
+	if got := r.cfg.Start; got != 1 {
 		t.Errorf("default start = %d, want 1", got)
 	}
 	if cap(r.buf) != 1<<16 {
 		t.Errorf("default cap = %d, want %d", cap(r.buf), 1<<16)
 	}
 	r = New(Config{Start: -5, End: -1, Cap: 4})
-	s, e := r.Window()
+	s, e := r.cfg.Start, r.cfg.End
 	if s != 1 || e != 0 {
 		t.Errorf("window = [%d,%d], want [1,0]", s, e)
 	}

@@ -31,9 +31,6 @@ func NewIntervalSeries(every int64, cols ...string) *IntervalSeries {
 // Every returns the sampling interval in cycles.
 func (s *IntervalSeries) Every() int64 { return s.every }
 
-// Columns returns the column names.
-func (s *IntervalSeries) Columns() []string { return s.cols }
-
 // Append adds one sample row; its arity must match the columns.
 func (s *IntervalSeries) Append(row ...float64) {
 	if len(row) != len(s.cols) {
@@ -41,12 +38,6 @@ func (s *IntervalSeries) Append(row ...float64) {
 	}
 	s.rows = append(s.rows, append([]float64(nil), row...))
 }
-
-// Len returns how many rows have been appended.
-func (s *IntervalSeries) Len() int { return len(s.rows) }
-
-// Row returns row i (the backing slice; do not mutate).
-func (s *IntervalSeries) Row(i int) []float64 { return s.rows[i] }
 
 // WriteCSV writes a header row of column names followed by one line per
 // sample. Values render with strconv's shortest-round-trip formatting,

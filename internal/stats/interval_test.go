@@ -74,12 +74,6 @@ func TestIntervalSeriesCSV(t *testing.T) {
 	if b.String() != want {
 		t.Errorf("CSV = %q, want %q", b.String(), want)
 	}
-	if s.Len() != 2 || s.Row(1)[0] != 200 {
-		t.Errorf("rows: len %d, row1 %v", s.Len(), s.Row(1))
-	}
-	if cols := s.Columns(); len(cols) != 3 || cols[2] != "tlb.miss_rate" {
-		t.Errorf("columns = %v", cols)
-	}
 }
 
 func TestIntervalSeriesPanicsOnMisuse(t *testing.T) {

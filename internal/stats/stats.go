@@ -39,15 +39,8 @@ func (c *Counter) Inc() { c.v++ }
 // Add adds n.
 func (c *Counter) Add(n uint64) { c.v += n }
 
-// Set overwrites the count (used when mirroring an externally
-// maintained aggregate into the registry at end of run).
-func (c *Counter) Set(n uint64) { c.v = n }
-
 // Value returns the current count.
 func (c *Counter) Value() uint64 { return c.v }
-
-// Name returns the counter's registered name.
-func (c *Counter) Name() string { return c.name }
 
 // Histogram is a distribution over int64 samples with explicit bucket
 // upper bounds: sample v falls in the first bucket with v <= bound; an
@@ -85,78 +78,16 @@ func (h *Histogram) ObserveN(v int64, n uint64) {
 	h.counts[len(h.bounds)] += n
 }
 
-// Count returns how many samples were observed.
-func (h *Histogram) Count() uint64 { return h.n }
-
 // Sum returns the total of all samples.
 func (h *Histogram) Sum() int64 { return h.sum }
 
 // Max returns the largest sample (0 before any Observe).
 func (h *Histogram) Max() int64 { return h.max }
 
-// Mean returns the average sample (0 before any Observe).
-func (h *Histogram) Mean() float64 {
-	if h.n == 0 {
-		return 0
-	}
-	return float64(h.sum) / float64(h.n)
-}
-
 // Buckets returns the bucket bounds and counts (the final count is the
 // overflow bucket, bound +inf).
 func (h *Histogram) Buckets() (bounds []int64, counts []uint64) {
 	return h.bounds, h.counts
-}
-
-// Quantile estimates the q-quantile (0 <= q <= 1) from the bucket
-// counts: it returns the upper bound of the first bucket whose
-// cumulative count reaches q of the samples, and the largest observed
-// sample for quantiles landing in the overflow bucket. An empty
-// histogram reports 0. The estimate is conservative (an upper bound on
-// the true quantile within bucket resolution), which is the useful
-// direction for latency reporting.
-func (h *Histogram) Quantile(q float64) int64 {
-	if h.n == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	// Rank of the q-quantile sample, 1-based and rounded up (the
-	// conservative direction); q=0 means the first.
-	rank := uint64(q * float64(h.n))
-	if float64(rank) < q*float64(h.n) {
-		rank++
-	}
-	if rank == 0 {
-		rank = 1
-	}
-	var cum uint64
-	for i, c := range h.counts {
-		cum += c
-		if cum >= rank {
-			if i < len(h.bounds) {
-				return h.bounds[i]
-			}
-			return h.max // overflow bucket: cap at the observed maximum
-		}
-	}
-	return h.max
-}
-
-// Name returns the histogram's registered name.
-func (h *Histogram) Name() string { return h.name }
-
-// LinearBuckets returns n upper bounds start, start+step, ...
-func LinearBuckets(start, step int64, n int) []int64 {
-	out := make([]int64, n)
-	for i := range out {
-		out[i] = start + int64(i)*step
-	}
-	return out
 }
 
 // ExpBuckets returns n upper bounds start, start*factor, ... (factor
@@ -301,23 +232,6 @@ func HistogramMetric(name string, bounds []int64, counts []uint64, sum, maximum 
 		Bounds:  append([]int64(nil), bounds...),
 		Buckets: append([]uint64(nil), counts...),
 	}
-}
-
-// Get returns the named metric from the snapshot.
-func (s Snapshot) Get(name string) (Metric, bool) {
-	for _, m := range s {
-		if m.Name == name {
-			return m, true
-		}
-	}
-	return Metric{}, false
-}
-
-// CounterValue returns the named counter's value (0 when absent — the
-// convenient form for test assertions).
-func (s Snapshot) CounterValue(name string) uint64 {
-	m, _ := s.Get(name)
-	return m.Value
 }
 
 // WriteJSON writes the snapshot as a JSON array. The encoding is

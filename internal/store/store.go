@@ -392,13 +392,6 @@ func (s *Store) dropLocked(e *entry) {
 	}
 }
 
-// TenantUsage returns the live bytes attributed to tenant.
-func (s *Store) TenantUsage(tenant string) int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.tenants[tenant]
-}
-
 // TenantQuota returns the configured per-tenant byte quota (0 means
 // unlimited) — the denominator of a quota-utilization gauge.
 func (s *Store) TenantQuota() int64 { return s.cfg.TenantQuotaBytes }

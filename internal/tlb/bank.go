@@ -100,20 +100,11 @@ func (b *Bank) Reset(seed uint64) {
 	b.Hits, b.Misses = 0, 0
 }
 
-// Ways returns the bank's associativity.
-func (b *Bank) Ways() int { return b.ways }
-
 // set returns the index range [lo, hi) that may hold vpn.
 func (b *Bank) set(vpn uint64) (lo, hi int) {
 	s := int(vpn % uint64(b.nsets))
 	return s * b.ways, (s + 1) * b.ways
 }
-
-// Size returns the bank's entry count.
-func (b *Bank) Size() int { return len(b.entries) }
-
-// Replacement returns the bank's replacement policy.
-func (b *Bank) Replacement() Replacement { return b.repl }
 
 func (b *Bank) rand() uint64 {
 	x := b.rng
@@ -228,9 +219,6 @@ func (b *Bank) Flush() {
 	}
 	clear(b.index)
 }
-
-// Len reports how many valid entries the bank holds.
-func (b *Bank) Len() int { return len(b.index) }
 
 // VPNs returns the set of resident VPNs (for invariant checks in tests).
 func (b *Bank) VPNs() []uint64 {

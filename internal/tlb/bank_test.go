@@ -25,8 +25,8 @@ func TestBankLookupInsert(t *testing.T) {
 	if !ok || got != pte {
 		t.Fatalf("lookup after insert: ok=%v pte=%v", ok, got)
 	}
-	if b.Len() != 1 {
-		t.Fatalf("Len = %d, want 1", b.Len())
+	if len(b.index) != 1 {
+		t.Fatalf("Len = %d, want 1", len(b.index))
 	}
 }
 
@@ -75,8 +75,8 @@ func TestBankRandomEvictionIsValidEntry(t *testing.T) {
 		if _, hit := b.Probe(evicted); hit {
 			t.Fatalf("evicted vpn %d still present", evicted)
 		}
-		if b.Len() != 4 {
-			t.Fatalf("Len = %d, want 4", b.Len())
+		if len(b.index) != 4 {
+			t.Fatalf("Len = %d, want 4", len(b.index))
 		}
 	}
 }
@@ -93,8 +93,8 @@ func TestBankInvalidateAndFlush(t *testing.T) {
 	b.Insert(1, nil, 2)
 	b.Insert(2, nil, 3)
 	b.Flush()
-	if b.Len() != 0 {
-		t.Fatalf("Len after flush = %d", b.Len())
+	if len(b.index) != 0 {
+		t.Fatalf("Len after flush = %d", len(b.index))
 	}
 }
 
@@ -103,8 +103,8 @@ func TestBankReinsertRefreshes(t *testing.T) {
 	b.Insert(1, nil, 1)
 	b.Insert(2, nil, 2)
 	b.Insert(1, &vm.PTE{PFN: 5}, 3) // refresh, no eviction
-	if b.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", b.Len())
+	if len(b.index) != 2 {
+		t.Fatalf("Len = %d, want 2", len(b.index))
 	}
 	pte, _ := b.Probe(1)
 	if pte == nil || pte.PFN != 5 {
@@ -129,7 +129,7 @@ func TestBankProperties(t *testing.T) {
 			pte := &vm.PTE{VPN: vpn, PFN: uint64(i + 1)}
 			b.Insert(vpn, pte, int64(i))
 			latest[vpn] = pte
-			if b.Len() > 8 {
+			if len(b.index) > 8 {
 				return false
 			}
 		}
@@ -236,8 +236,8 @@ func TestSetAssocResidency(t *testing.T) {
 	if _, ok := b.Probe(2); !ok {
 		t.Fatal("unrelated set disturbed")
 	}
-	if b.Ways() != 2 {
-		t.Fatalf("Ways() = %d", b.Ways())
+	if b.ways != 2 {
+		t.Fatalf("Ways() = %d", b.ways)
 	}
 }
 
@@ -276,7 +276,7 @@ func TestSetAssocProperties(t *testing.T) {
 					return false
 				}
 			}
-			if sa.Len() > 16 {
+			if len(sa.index) > 16 {
 				return false
 			}
 		}

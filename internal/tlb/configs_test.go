@@ -52,23 +52,23 @@ func TestTable2Parameters(t *testing.T) {
 	as := testAS(t, 4096)
 	// Spot-check the structural parameters Table 2 specifies.
 	d, _ := NewFromSpec("T4", as, 1)
-	if mp := d.(*Multiported); mp.Ports() != 4 || mp.Bank().Size() != 128 {
+	if mp := d.(*Multiported); mp.ports != 4 || len(mp.bank.entries) != 128 {
 		t.Error("T4 structure wrong")
 	}
 	d, _ = NewFromSpec("PB1", as, 1)
-	if mp := d.(*Multiported); mp.Ports() != 1 || mp.PiggybackPorts() != 3 {
+	if mp := d.(*Multiported); mp.ports != 1 || mp.PiggybackPorts() != 3 {
 		t.Error("PB1 structure wrong")
 	}
 	d, _ = NewFromSpec("I8", as, 1)
-	if il := d.(*Interleaved); il.Banks() != 8 || il.Bank(0).Size() != 16 {
+	if il := d.(*Interleaved); len(il.banks) != 8 || len(il.Bank(0).entries) != 16 {
 		t.Error("I8 structure wrong")
 	}
 	d, _ = NewFromSpec("M4", as, 1)
 	ml := d.(*Multilevel)
-	if ml.L1().Size() != 4 || ml.L2().Size() != 128 {
+	if len(ml.l1.entries) != 4 || len(ml.l2.entries) != 128 {
 		t.Error("M4 structure wrong")
 	}
-	if ml.L1().Replacement() != LRU || ml.L2().Replacement() != Random {
+	if ml.l1.repl != LRU || ml.l2.repl != Random {
 		t.Error("M4 replacement policies wrong")
 	}
 	d, _ = NewFromSpec("X4", as, 1)

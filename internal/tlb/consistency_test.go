@@ -73,7 +73,7 @@ func TestMultilevelInvalidateMaintainsInclusion(t *testing.T) {
 		if !d.CheckInclusion() {
 			t.Fatalf("inclusion violated after invalidating %d", vpn)
 		}
-		if _, ok := d.L1().Probe(vpn); ok {
+		if _, ok := d.l1.Probe(vpn); ok {
 			t.Fatalf("L1 retains shot-down vpn %d", vpn)
 		}
 	}

@@ -92,9 +92,6 @@ func (t *Interleaved) Reset(as *vm.AddressSpace, seed uint64) {
 // Name implements Device.
 func (t *Interleaved) Name() string { return t.name }
 
-// Banks returns the bank count.
-func (t *Interleaved) Banks() int { return len(t.banks) }
-
 // PiggybackPorts returns the piggyback port count per bank.
 func (t *Interleaved) PiggybackPorts() int { return t.piggy }
 

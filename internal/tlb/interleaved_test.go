@@ -117,7 +117,7 @@ func TestInterleavedFillGoesToSelectedBank(t *testing.T) {
 		if _, ok := d.Bank(bank).Probe(vpn); !ok {
 			t.Fatalf("vpn %d not in its selected bank %d", vpn, bank)
 		}
-		for bi := 0; bi < d.Banks(); bi++ {
+		for bi := 0; bi < len(d.banks); bi++ {
 			if bi == bank {
 				continue
 			}

@@ -157,12 +157,6 @@ func (t *Multilevel) Warm(vpn uint64, pte *vm.PTE, now int64) {
 // Stats implements Device.
 func (t *Multilevel) Stats() *Stats { return &t.stats }
 
-// L1 exposes the upper-level bank for tests.
-func (t *Multilevel) L1() *Bank { return t.l1 }
-
-// L2 exposes the base bank for tests.
-func (t *Multilevel) L2() *Bank { return t.l2 }
-
 // CheckInclusion reports whether every L1 entry is present in the L2
 // (the multi-level inclusion invariant). Tests call it after arbitrary
 // operation sequences.

@@ -29,7 +29,7 @@ func TestMultilevelL1MissPenalty(t *testing.T) {
 		fill(t, d, vpn)
 	}
 	// vpn 1 was LRU-evicted from the L1 but remains in the L2.
-	if _, ok := d.L1().Probe(1); ok {
+	if _, ok := d.l1.Probe(1); ok {
 		t.Fatal("vpn 1 should have been evicted from the 4-entry L1")
 	}
 	d.BeginCycle(10)
@@ -42,7 +42,7 @@ func TestMultilevelL1MissPenalty(t *testing.T) {
 		t.Fatalf("L1 miss extra = %d, want 2", r.Extra)
 	}
 	// The entry was promoted into the L1.
-	if _, ok := d.L1().Probe(1); !ok {
+	if _, ok := d.l1.Probe(1); !ok {
 		t.Fatal("L2 hit did not promote into L1")
 	}
 }
@@ -111,7 +111,7 @@ func TestMultilevelInclusionProperty(t *testing.T) {
 					return false
 				}
 			}
-			if !d.CheckInclusion() || d.L1().Len() > 4 {
+			if !d.CheckInclusion() || len(d.l1.index) > 4 {
 				return false
 			}
 		}
@@ -132,7 +132,7 @@ func TestMultilevelStatusWriteThroughUsesL2Port(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, ok := d.L1().Probe(1); ok {
+	if _, ok := d.l1.Probe(1); ok {
 		t.Fatal("setup: vpn 1 should have been evicted from the L1")
 	}
 	d.BeginCycle(30)
@@ -154,7 +154,7 @@ func TestMultilevelFlushAll(t *testing.T) {
 	d := NewMultilevel("M8", as, 8, 4, 128, 1)
 	fill(t, d, 1)
 	d.FlushAll()
-	if d.L1().Len() != 0 || d.L2().Len() != 0 {
+	if len(d.l1.index) != 0 || len(d.l2.index) != 0 {
 		t.Fatal("FlushAll left entries")
 	}
 	d.BeginCycle(1)

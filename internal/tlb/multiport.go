@@ -63,9 +63,6 @@ func (t *Multiported) Reset(as *vm.AddressSpace, seed uint64) {
 // Name implements Device.
 func (t *Multiported) Name() string { return t.name }
 
-// Ports returns the real port count.
-func (t *Multiported) Ports() int { return t.ports }
-
 // PiggybackPorts returns the piggyback port count.
 func (t *Multiported) PiggybackPorts() int { return t.piggy }
 
@@ -169,6 +166,3 @@ func (t *Multiported) Warm(vpn uint64, pte *vm.PTE, now int64) {
 
 // Stats implements Device.
 func (t *Multiported) Stats() *Stats { return &t.stats }
-
-// Bank exposes the underlying storage for tests.
-func (t *Multiported) Bank() *Bank { return t.bank }

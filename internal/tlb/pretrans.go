@@ -61,22 +61,6 @@ func (t *Pretranslation) Reset(as *vm.AddressSpace, seed uint64) {
 	t.baseFree, t.portsUsed, t.clock = 0, 0, 0
 }
 
-// SetOffsetTagBits restricts how many of the four offset bits in the
-// request participate in the pretranslation tag. The paper uses four
-// (Section 4.1: "the upper 4 bits of the offset of a load"); zero
-// degenerates to one pretranslation per register, the original
-// branch-address-cache organization. Returns the receiver for chaining.
-func (t *Pretranslation) SetOffsetTagBits(n int) *Pretranslation {
-	if n < 0 {
-		n = 0
-	}
-	if n > 4 {
-		n = 4
-	}
-	t.offMask = uint8(0xF >> (4 - n))
-	return t
-}
-
 // Name implements Device.
 func (t *Pretranslation) Name() string { return t.name }
 
@@ -287,18 +271,4 @@ func (t *Pretranslation) hasEntries(r isa.Reg) bool {
 		}
 	}
 	return false
-}
-
-// Base exposes the base TLB bank for tests.
-func (t *Pretranslation) Base() *Bank { return t.base }
-
-// CacheLen reports how many pretranslations are currently attached.
-func (t *Pretranslation) CacheLen() int {
-	n := 0
-	for i := range t.cache {
-		if t.cache[i].valid {
-			n++
-		}
-	}
-	return n
 }

@@ -102,14 +102,6 @@ func (s *Stats) observeExtra(extra int64) {
 	s.ExtraHist[i]++
 }
 
-// MissRate returns base-TLB misses per definitive lookup.
-func (s *Stats) MissRate() float64 {
-	if s.Lookups == 0 {
-		return 0
-	}
-	return float64(s.Misses) / float64(s.Lookups)
-}
-
 // Device is a complete address-translation mechanism. BeginCycle must
 // be called once per simulated cycle before any Lookup for that cycle.
 // Lookup answers a request; on a Miss the core performs the walk policy

@@ -181,15 +181,10 @@ func (r *Reader) ForEach(f func(Record) error) error {
 	}
 }
 
-// Capture functionally executes p and writes its data-reference trace.
-// maxRefs caps the trace length (0 = the whole run).
-func Capture(p *prog.Program, pageSize uint64, w io.Writer, maxRefs uint64) (uint64, error) {
-	return CaptureContext(context.Background(), p, pageSize, w, maxRefs)
-}
-
-// CaptureContext is Capture with cancellation: a cancelled ctx stops
-// the functional run promptly (checked every few thousand steps) and
-// returns ctx.Err().
+// CaptureContext functionally executes p and writes its data-reference
+// trace. maxRefs caps the trace length (0 = the whole run). A cancelled
+// ctx stops the functional run promptly (checked every few thousand
+// steps) and returns ctx.Err().
 func CaptureContext(ctx context.Context, p *prog.Program, pageSize uint64, w io.Writer, maxRefs uint64) (uint64, error) {
 	m, err := emu.New(p, pageSize)
 	if err != nil {

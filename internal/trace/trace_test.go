@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"io"
 	"testing"
@@ -97,9 +98,9 @@ func TestCaptureMatchesDirectExecution(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Via Capture + Reader.
+	// Via CaptureContext + Reader.
 	var buf bytes.Buffer
-	n, err := Capture(p, 4096, &buf, 0)
+	n, err := CaptureContext(context.Background(), p, 4096, &buf, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +134,7 @@ func TestCaptureCap(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	n, err := Capture(p, 4096, &buf, 100)
+	n, err := CaptureContext(context.Background(), p, 4096, &buf, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +160,7 @@ func TestReplayMissRateMatchesLive(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	if _, err := Capture(p, 4096, &buf, 0); err != nil {
+	if _, err := CaptureContext(context.Background(), p, 4096, &buf, 0); err != nil {
 		t.Fatal(err)
 	}
 	rd, err := NewReader(&buf)

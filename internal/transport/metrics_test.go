@@ -18,20 +18,21 @@ import (
 	"hbat/api"
 	"hbat/internal/engine"
 	"hbat/internal/obs"
+	"hbat/internal/promtext"
 	"hbat/internal/runspan"
 	"hbat/internal/store"
 	"hbat/internal/transport"
 )
 
 // scrape renders the service's extra families exactly as hbatd's
-// /metrics does and validates the exposition with obs.ParseExposition.
+// /metrics does and validates the exposition with promtext.ParseExposition.
 func scrape(t *testing.T, svc *transport.Service) string {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := obs.WriteExposition(&buf, svc.MetricsFamilies()); err != nil {
 		t.Fatalf("write exposition: %v", err)
 	}
-	if n, err := obs.ParseExposition(bytes.NewReader(buf.Bytes())); err != nil {
+	if n, err := promtext.ParseExposition(bytes.NewReader(buf.Bytes())); err != nil {
 		t.Fatalf("exposition invalid after %d samples: %v\n%s", n, err, buf.String())
 	}
 	return buf.String()

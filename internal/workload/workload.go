@@ -76,16 +76,6 @@ func register(w *Workload) {
 	registry[w.Name] = w
 }
 
-// All returns every workload in Table 3 order.
-func All() []*Workload {
-	names := Names()
-	out := make([]*Workload, len(names))
-	for i, n := range names {
-		out[i] = registry[n]
-	}
-	return out
-}
-
 // table3Order lists the paper's benchmarks in Table 3 order.
 var table3Order = []string{
 	"compress", "doduc", "espresso", "gcc", "ghostscript",

@@ -10,6 +10,7 @@ import (
 	"hbat/internal/engine"
 	"hbat/internal/prog"
 	"hbat/internal/ptrace"
+	"hbat/internal/runspan"
 	"hbat/internal/workload"
 )
 
@@ -21,7 +22,7 @@ import (
 // and micro events are time-shifted so none precedes its anchoring
 // simulate span.
 func TestMergedSpanTimeline(t *testing.T) {
-	tr := NewSpanTracer()
+	tr := runspan.New(runspan.Config{})
 	eng := engine.New()
 	eng.SetSpans(tr)
 
@@ -132,18 +133,16 @@ func TestMergedSpanTimeline(t *testing.T) {
 	}
 }
 
-// TestFacadeSpanTracerAccessors checks the package-level span wiring:
-// attach, observe through the shared engine, detach.
+// TestFacadeSpanTracerAccessors checks the shared engine's span wiring:
+// an experiment run through the facade traces into the tracer attached
+// to the shared engine.
 func TestFacadeSpanTracerAccessors(t *testing.T) {
-	if Spans() != nil {
+	if defaultEngine.Spans() != nil {
 		t.Fatal("shared engine has a tracer before attach")
 	}
-	tr := NewSpanTracer()
-	SetSpanTracer(tr)
-	defer SetSpanTracer(nil)
-	if Spans() != tr {
-		t.Fatal("Spans() did not return the attached tracer")
-	}
+	tr := runspan.New(runspan.Config{})
+	defaultEngine.SetSpans(tr)
+	defer defaultEngine.SetSpans(nil)
 	if err := RunExperiment(context.Background(), "table2", ExperimentOptions{CommonOptions: CommonOptions{Scale: "test"}}, &bytes.Buffer{}); err != nil {
 		t.Fatal(err)
 	}
