@@ -70,15 +70,16 @@ const (
 // restart, so the resubmission is answered from it. A job the store
 // answers whole needs no status request at all: it is done before its
 // 202 is written, and the 202 carries its status (JobAccepted.Status),
-// which Client.Wait returns as is, and its artifacts
-// (JobAccepted.Artifacts) when they fit in MaxInlineArtifacts, which
-// Client.Result returns without a request.
+// which Client.Wait returns as is. Every terminal status, in a 202 or
+// in answer to this request, carries each done spec's artifact
+// (SpecStatus.Artifact) when they fit in MaxInlineArtifacts together,
+// which Client.Result returns without a request.
 const WaitParam = "wait"
 
 // MaxInlineArtifacts is the most artifact bytes, summed over a job's
-// specs, a 202 carries in JobAccepted.Artifacts: a 13-design sweep is
-// ~8 KiB. A stored job over it gets its status alone, and its client
-// fetches each artifact from PathResults.
+// specs, a terminal job status carries in SpecStatus.Artifact: a
+// 13-design sweep is ~8 KiB. A job over it gets its status alone, and
+// its client fetches each artifact from PathResults.
 const MaxInlineArtifacts = 64 << 10
 
 // TenantHeader names the request header carrying the caller's tenant
@@ -200,13 +201,9 @@ type JobAccepted struct {
 	// for as before. Client.Wait answers a job its own Submit saw
 	// finish from this field, without a request.
 	Status *JobStatus `json:"status,omitempty"`
-	// Artifacts are the stored artifacts of a job that Status reports
-	// finished at intake, index-aligned with SpecKeys: the bytes GET
-	// /v1/results/{key} would serve. They are present only beside
-	// Status, and only when their total size is at most
-	// MaxInlineArtifacts; a job status (GET StatusURL) never carries
-	// them. Client.Result answers from each artifact that hashes to its
-	// spec's SHA256.
+	// Artifacts is never populated: Status carries each artifact in its
+	// spec's SpecStatus.Artifact. The field stays under this package's
+	// append-only rule.
 	Artifacts [][]byte `json:"artifacts,omitempty"`
 }
 
@@ -251,6 +248,12 @@ type SpecStatus struct {
 	// for a first-try success, more when the spec was retried on
 	// another worker after a failure or timeout, 0 for a store hit.
 	Attempts int `json:"attempts,omitempty"`
+	// Artifact is the bytes GET ResultURL would serve, carried in the
+	// spec's "spec" event and in a terminal job status (a 202's Status,
+	// or GET /v1/jobs/{id} once the job is done or failed) when its
+	// specs' artifacts total at most MaxInlineArtifacts. Client.Result
+	// answers from an artifact that hashes to SHA256.
+	Artifact []byte `json:"artifact,omitempty"`
 }
 
 // JobStatus is the GET /v1/jobs/{id} response.

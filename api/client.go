@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"slices"
 	"sync"
 	"time"
 )
@@ -53,26 +52,21 @@ type Client struct {
 	// its lifetime is bounded only by the caller's context.
 	Timeout time.Duration
 
-	// kept is what the last successful Submit's 202 carried: one job's
-	// slot, replaced by every Submit, so it holds at most
-	// MaxInlineArtifacts of bytes.
+	// kept is the last terminal status the client read: one job's
+	// slot, replaced by every Submit and by every Wait that reads one
+	// with artifacts, so it holds at most MaxInlineArtifacts of bytes.
 	mu   sync.Mutex
 	kept keptJob
 }
 
-// keptJob is a job finished at intake, as its 202 carried it: its
-// terminal status (JobAccepted.Status), until a Wait for the job takes
-// it, and each inlined artifact that hashed to its spec's SHA256, until
-// a Result for its key takes it.
+// keptJob is the last terminal status the client read, from a 202 or
+// from Wait. Wait takes the status once when Submit read it (wait), and
+// Result takes each of its checked artifacts once: arts[i] is
+// status.Specs[i].Artifact until a Result for that spec's key.
 type keptJob struct {
 	status *JobStatus
-	arts   []keptArtifact
-}
-
-// keptArtifact is one inlined artifact and its checked SHA-256 hex.
-type keptArtifact struct {
-	key, sha string
-	data     []byte
+	wait   bool
+	arts   [][]byte
 }
 
 // NewClient returns a Client for the service rooted at base.
@@ -193,74 +187,72 @@ func (c *Client) Ping(ctx context.Context) error {
 // intermediaries that only read headers see the same trace context the
 // body carries. When the 202 carries the job's terminal status (the
 // server's store answered every spec), Submit keeps it for the Wait
-// that follows, and with it every inlined artifact whose SHA-256 is
-// its spec's SHA256 in that status, for the Results that follow; the
-// kept bytes are acc.Artifacts' own, so treat those as read-only.
-// Every successful Submit replaces what the previous one kept, with
+// that follows, and its artifacts for the Results that follow (see
+// keep). Every successful Submit replaces what the client kept, with
 // nothing when its 202 carries no terminal status.
 func (c *Client) Submit(ctx context.Context, req JobRequest) (JobAccepted, error) {
 	var acc JobAccepted
 	if err := c.do(ctx, http.MethodPost, PathJobs, req, &acc); err != nil {
 		return acc, err
 	}
-	k := keep(&acc)
+	var k keptJob
+	if st := acc.Status; st != nil && terminal(st.State) {
+		k = keep(st, true)
+	}
 	c.mu.Lock()
 	c.kept = k
 	c.mu.Unlock()
 	return acc, nil
 }
 
-// keep is the slot a 202 leaves: empty unless it carries a terminal
-// status, and the status's checked artifacts beside it when they are
-// aligned with SpecKeys and fit in MaxInlineArtifacts together.
-func keep(acc *JobAccepted) keptJob {
-	st := acc.Status
-	if st == nil || !terminal(st.State) {
-		return keptJob{}
-	}
-	k := keptJob{status: st}
-	n := len(acc.SpecKeys)
-	if len(acc.Artifacts) != n || len(st.Specs) != n {
-		return k
-	}
+// keep is the slot a terminal status leaves. Each spec's Artifact that
+// does not hash to its SHA256 is dropped from st, and all of them are
+// when they total more than MaxInlineArtifacts; the rest are kept. The
+// kept bytes are st's own, so treat those as read-only.
+func keep(st *JobStatus, wait bool) keptJob {
+	k := keptJob{status: st, wait: wait}
 	total := 0
-	for _, data := range acc.Artifacts {
-		total += len(data)
+	for i := range st.Specs {
+		if sp := &st.Specs[i]; sp.Artifact != nil {
+			if sum := sha256.Sum256(sp.Artifact); hex.EncodeToString(sum[:]) != sp.SHA256 {
+				sp.Artifact = nil
+			}
+			total += len(sp.Artifact)
+		}
 	}
-	if total > MaxInlineArtifacts {
+	if total == 0 || total > MaxInlineArtifacts {
+		for i := range st.Specs {
+			st.Specs[i].Artifact = nil
+		}
 		return k
 	}
-	for i, data := range acc.Artifacts {
-		sp := &st.Specs[i]
-		sum := sha256.Sum256(data)
-		if sha := hex.EncodeToString(sum[:]); sha == sp.SHA256 && sp.SpecKey == acc.SpecKeys[i] {
-			k.arts = append(k.arts, keptArtifact{key: sp.SpecKey, sha: sha, data: data})
-		}
+	k.arts = make([][]byte, len(st.Specs))
+	for i := range st.Specs {
+		k.arts[i] = st.Specs[i].Artifact
 	}
 	return k
 }
 
-// takeFinished returns, and forgets, the status Submit kept when it is
-// job id's.
+// takeFinished returns the status Submit kept when it is job id's, once.
 func (c *Client) takeFinished(id string) (JobStatus, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if st := c.kept.status; st != nil && st.ID == id {
-		c.kept.status = nil
+	if st := c.kept.status; st != nil && c.kept.wait && st.ID == id {
+		c.kept.wait = false
 		return *st, true
 	}
 	return JobStatus{}, false
 }
 
-// takeArtifact returns, and forgets, an artifact Submit kept for key,
-// with its checked hash.
+// takeArtifact returns, and forgets, an artifact the slot keeps for
+// key, with its checked hash.
 func (c *Client) takeArtifact(key string) ([]byte, string, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for i, a := range c.kept.arts {
-		if a.key == key {
-			c.kept.arts = slices.Delete(c.kept.arts, i, i+1)
-			return a.data, a.sha, true
+	for i, data := range c.kept.arts {
+		if sp := &c.kept.status.Specs[i]; data != nil && sp.SpecKey == key {
+			c.kept.arts[i] = nil
+			return data, sp.SHA256, true
 		}
 	}
 	return nil, "", false
@@ -296,11 +288,13 @@ const (
 )
 
 // Wait blocks until a job leaves the queued/running states (or the
-// context ends) and returns its final status. It answers a job its own
-// Submit saw finish without a request: the status that job's 202
-// carried, once (the client keeps only the last such status, so a
-// second Wait for it, or a Wait after another Submit replaced it, asks
-// the server). Otherwise each status request asks the server to hold it
+// context ends) and returns its final status. When that status carries
+// artifacts, Wait keeps it for the Results that follow, replacing what
+// the client kept, as Submit does. It answers a job its own Submit
+// saw finish without a request: the status that job's 202 carried,
+// once (the client keeps only the last such status, so a second Wait
+// for it, or a Wait after another Submit replaced it, asks the
+// server). Otherwise each status request asks the server to hold it
 // until the job finishes (see WaitParam), so a finished job is reported
 // the moment it finishes and a job costs one request per hold, not one
 // per tick. A job id the server no longer knows — the daemon restarted,
@@ -323,7 +317,13 @@ func (c *Client) Wait(ctx context.Context, id string) (JobStatus, error) {
 			return st, err
 		}
 		if terminal(st.State) {
-			return st, nil
+			kept := st
+			if k := keep(&kept, false); k.arts != nil {
+				c.mu.Lock()
+				c.kept = k
+				c.mu.Unlock()
+			}
+			return kept, nil
 		}
 		if floor == nil {
 			floor = time.NewTicker(waitFloor)
@@ -339,11 +339,12 @@ func (c *Client) Wait(ctx context.Context, id string) (JobStatus, error) {
 
 // Result fetches a rendered artifact by spec key, returning the exact
 // served bytes and their content-hash ETag (unquoted). It answers a key
-// its own Submit's 202 inlined without a request, once: the kept bytes,
-// with the SHA-256 hex they were checked against as the ETag, which is
-// the ETag the server would send (the client keeps only the last job's
-// artifacts, so a second Result for the key, or one after another
-// Submit, asks the server).
+// whose artifact the last terminal status the client read carried
+// without a request, once: the kept bytes, with the SHA-256 hex they
+// were checked against as the ETag, which is the ETag the server would
+// send (the client keeps only the last job's artifacts, so a second
+// Result for the key, or one after another Submit or Wait, asks the
+// server).
 func (c *Client) Result(ctx context.Context, specKey string) ([]byte, string, error) {
 	if data, sha, ok := c.takeArtifact(specKey); ok {
 		return data, sha, nil
@@ -371,7 +372,8 @@ func (c *Client) Result(ctx context.Context, specKey string) ([]byte, string, er
 // bufio.Scanner's 4 KiB and doubles only for a longer line, up to
 // maxEventLine (a longer one ends the stream with bufio.ErrTooLong),
 // and each event decodes straight out of that buffer. Every
-// coordinator dispatch opens one of these to read two ~300-byte lines.
+// coordinator dispatch opens one of these to read one ~1 KiB line per
+// spec (its status and artifact) and a ~100-byte done.
 func (c *Client) Events(ctx context.Context, id string, fn func(Event) bool) error {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.Base+PathJobs+"/"+id+"/events", nil)
 	if err != nil {

@@ -360,12 +360,15 @@ func TestGoneJobIsATyped404Everywhere(t *testing.T) {
 // tenant is "stored" is finished at intake, and its 202 carries the
 // status and the artifact; one whose tenant is "tampered" carries the
 // status and bytes that do not hash to it; any other is accepted open.
-// A status request answers any id done, and a result request serves
-// the key's artifact with its hash as the ETag.
+// A status request answers any id done, carrying the artifact when
+// inline is set (bytes that do not hash to it when tamper is also set),
+// and a result request serves the key's artifact with its hash as the
+// ETag.
 type jobServer struct {
 	seq, posts, gets, results atomic.Int64
 	// size, when positive, is the length of every artifact.
-	size int
+	size           int
+	inline, tamper bool
 }
 
 func (s *jobServer) artifact(id string) []byte {
@@ -396,7 +399,15 @@ func (s *jobServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 	if r.Method == http.MethodGet {
 		s.gets.Add(1)
-		json.NewEncoder(w).Encode(s.status(strings.TrimPrefix(r.URL.Path, PathJobs+"/")))
+		id, _, _ := strings.Cut(strings.TrimPrefix(r.URL.Path, PathJobs+"/"), "?")
+		st := s.status(id)
+		if s.inline {
+			st.Specs[0].Artifact = s.artifact(id)
+		}
+		if s.tamper {
+			st.Specs[0].Artifact = []byte("tampered")
+		}
+		json.NewEncoder(w).Encode(st)
 		return
 	}
 	s.posts.Add(1)
@@ -406,11 +417,11 @@ func (s *jobServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	acc := JobAccepted{API: Version, ID: id, Total: 1, SpecKeys: []string{"k" + id}}
 	if req.Tenant == "stored" || req.Tenant == "tampered" {
 		st := s.status(acc.ID)
+		st.Specs[0].Artifact = s.artifact(id)
+		if req.Tenant == "tampered" {
+			st.Specs[0].Artifact = []byte("tampered")
+		}
 		acc.Status = &st
-		acc.Artifacts = [][]byte{s.artifact(id)}
-	}
-	if req.Tenant == "tampered" {
-		acc.Artifacts[0] = []byte("tampered")
 	}
 	w.WriteHeader(http.StatusAccepted)
 	json.NewEncoder(w).Encode(acc)
@@ -450,8 +461,8 @@ func TestStoredJobIsOneRequest(t *testing.T) {
 }
 
 // TestTamperedArtifactIsDropped: an inlined artifact that does not hash
-// to its spec's SHA256 is not kept, and Result returns the server's
-// bytes.
+// to its spec's SHA256 is neither kept nor left in the returned status,
+// and Result returns the server's bytes.
 func TestTamperedArtifactIsDropped(t *testing.T) {
 	s := &jobServer{}
 	ts := httptest.NewServer(s)
@@ -464,6 +475,9 @@ func TestTamperedArtifactIsDropped(t *testing.T) {
 	}
 	if len(c.kept.arts) != 0 {
 		t.Errorf("Submit kept %d artifacts that do not hash to their status", len(c.kept.arts))
+	}
+	if a := acc.Status.Specs[0].Artifact; a != nil {
+		t.Errorf("Submit returned the status with the tampered artifact %q", a)
 	}
 	data, etag, err := c.Result(ctx, acc.SpecKeys[0])
 	if want := s.artifact(acc.ID); err != nil || !bytes.Equal(data, want) || etag != sha256Hex(want) {
@@ -492,6 +506,47 @@ func TestOversizeArtifactsAreNotKept(t *testing.T) {
 	}
 	if _, _, err := c.Result(ctx, acc.SpecKeys[0]); err != nil || s.results.Load() != 1 {
 		t.Errorf("Result = %v after %d result requests, want the server's answer", err, s.results.Load())
+	}
+}
+
+// TestColdJobIsTwoRequests: Submit, Wait and Result of a job that is
+// still open at its 202 make two requests, the POST and the status
+// request: Wait keeps the artifact its terminal status carried, and
+// Result returns it with its hash as the ETag. A second Result for the
+// key asks the server, and so does a Result once Wait read a status
+// carrying a tampered artifact.
+func TestColdJobIsTwoRequests(t *testing.T) {
+	s := &jobServer{inline: true}
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+	c := NewClient(ts.URL)
+	ctx := context.Background()
+	acc, err := c.Submit(ctx, JobRequest{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := c.Wait(ctx, acc.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := s.artifact(acc.ID)
+	for i, wantReqs := range []int64{2, 3} {
+		data, etag, err := c.Result(ctx, st.Specs[0].SpecKey)
+		if err != nil || !bytes.Equal(data, want) || etag != st.Specs[0].SHA256 {
+			t.Fatalf("Result %d = %q, %s, %v; want %q with ETag %.12s", i+1, data, etag, err, want, st.Specs[0].SHA256)
+		}
+		if n := s.requests(); n != wantReqs {
+			t.Errorf("Submit, Wait and %d Results of a cold job made %d requests, want %d", i+1, n, wantReqs)
+		}
+	}
+
+	s.tamper = true
+	if st, err = c.Wait(ctx, acc.ID); err != nil || st.Specs[0].Artifact != nil {
+		t.Fatalf("Wait = %+v, %v; want the status without its tampered artifact", st, err)
+	}
+	before := s.results.Load()
+	if data, _, err := c.Result(ctx, st.Specs[0].SpecKey); err != nil || !bytes.Equal(data, s.artifact(acc.ID)) || s.results.Load() != before+1 {
+		t.Errorf("Result after a tampered status = %q, %v; want the server's bytes from one fetch", data, err)
 	}
 }
 

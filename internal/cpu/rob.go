@@ -306,8 +306,7 @@ func (r *rob) due(wheel, idx int) int64 {
 	return e.memReqAt
 }
 
-func (r *rob) full() bool  { return r.count == len(r.entries) }
-func (r *rob) empty() bool { return r.count == 0 }
+func (r *rob) full() bool { return r.count == len(r.entries) }
 
 // inc returns the slot after idx in ring order.
 func (r *rob) inc(idx int) int {

@@ -9,7 +9,7 @@ import (
 
 func TestROBRingBasics(t *testing.T) {
 	r := newROB(4)
-	if !r.empty() || r.full() {
+	if r.count != 0 || r.full() {
 		t.Fatal("fresh ROB state wrong")
 	}
 	idxs := make([]int, 0, 4)
@@ -84,7 +84,7 @@ func TestROBConsistencyProperty(t *testing.T) {
 					seq++
 				}
 			case 1:
-				if !r.empty() {
+				if r.count != 0 {
 					r.pop()
 				}
 			case 2:

@@ -341,12 +341,12 @@ func TestROBSetOrderProperty(t *testing.T) {
 					// pop expects what commit hands it: a head in no
 					// stage set or bucket whose store address, if any,
 					// is known.
-					if !r.empty() && unplace(r.head) {
+					if r.count != 0 && unplace(r.head) {
 						r.sets[setStoreUnknown].remove(r.head)
 						r.pop()
 					}
 				case 3:
-					if !r.empty() {
+					if r.count != 0 {
 						order := ringOrder(r)
 						r.squashAfter(order[rng.Intn(len(order))])
 					}

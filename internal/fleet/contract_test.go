@@ -277,17 +277,17 @@ func runContract(s *session) {
 // executor": a spec run once and then resubmitted is answered at
 // intake. Neither a simulation nor a dispatch counts it, its status is
 // a store hit that names no worker and no attempt, its 202 carries
-// that status exactly as a GET of the job serves it and the artifact
+// that status exactly as a GET of the job serves it, with the artifact
 // exactly as a GET of the result serves it (the first run's, with its
-// spec open, carries neither), and its job's span journal holds
+// spec open, carries no status), and its job's span journal holds
 // the store_hit span and neither executor's first span: a worker
 // pool's queue_wait or a coordinator's dispatch.
 func runStoredSpec(s *session) {
 	t := s.t
 	job := api.JobRequest{Specs: []api.SimOptions{contractSpec("test", 11)}}
 	s.submit("stored spec: first run", 202, job)
-	if s.acc.Status != nil || s.acc.Artifacts != nil {
-		t.Errorf("the first run's 202 carries status %+v and %d artifacts; its spec was open", s.acc.Status, len(s.acc.Artifacts))
+	if s.acc.Status != nil {
+		t.Errorf("the first run's 202 carries status %+v; its spec was open", s.acc.Status)
 	}
 	s.wait()
 	before := s.counters()
@@ -303,10 +303,9 @@ func runStoredSpec(s *session) {
 	if carried == nil || !reflect.DeepEqual(*carried, served) {
 		t.Errorf("the stored job's 202 carries status %+v, want what GET serves: %+v", carried, served)
 	}
-	inlined := s.acc.Artifacts
 	result := s.get("stored spec: result", 200, api.PathResults+s.acc.SpecKeys[0])
-	if len(inlined) != 1 || !bytes.Equal(inlined[0], result) {
-		t.Errorf("the stored job's 202 carries artifacts %q, want the %d bytes GET serves", inlined, len(result))
+	if carried == nil || !bytes.Equal(carried.Specs[0].Artifact, result) {
+		t.Errorf("the stored job's 202 carries status %+v, want the %d bytes GET serves as its artifact", carried, len(result))
 	}
 	s.wait()
 	after := s.counters()

@@ -10,8 +10,9 @@
 //   - Hang: requests park until the client gives up (or the fault is
 //     cleared) — the stuck-but-alive worker.
 //   - Slow: every request sleeps first — the overloaded worker.
-//   - Corrupt: artifact responses come back with a flipped byte — the
-//     worker (or path) that silently damages result bytes.
+//   - Corrupt: every artifact the worker sends — a result body, or one
+//     inline in a status or a spec event — comes back with a flipped
+//     byte: the worker (or path) that silently damages result bytes.
 //   - Drain: the worker's own graceful shutdown mid-job, so /ready
 //     reports 503 while in-flight work completes.
 //   - Panic: every spec the worker simulates panics inside the engine
@@ -26,6 +27,7 @@ package fleettest
 import (
 	"bytes"
 	"context"
+	"encoding/base64"
 	"encoding/json"
 	"io"
 	"log/slog"
@@ -55,7 +57,8 @@ const (
 	FaultHang
 	// FaultSlow delays every request by the rig's SlowBy.
 	FaultSlow
-	// FaultCorrupt flips a byte in every /v1/results response body.
+	// FaultCorrupt flips a byte in every /v1/results response body and
+	// in every artifact a job status, a 202 or a spec event carries.
 	FaultCorrupt
 	// FaultPanic panics every run the worker's engine starts.
 	FaultPanic
@@ -86,6 +89,8 @@ type Worker struct {
 	// no-duplicate-run invariant.
 	submitted map[string]int
 	crashed   bool
+	// held, while open, parks every engine beat (see Hold).
+	held chan struct{}
 }
 
 // Rig is a loopback fleet of real workers.
@@ -148,8 +153,11 @@ func newWorker(t testing.TB) *Worker {
 	// goroutine that runs the spec.
 	eng.SetHeartbeat(func() {
 		w.mu.Lock()
-		fault := w.fault
+		fault, held := w.fault, w.held
 		w.mu.Unlock()
+		if held != nil {
+			<-held
+		}
 		if fault == FaultPanic {
 			panic("fleettest: injected panic")
 		}
@@ -191,6 +199,25 @@ func (w *Worker) SetFault(f Fault, slowBy time.Duration) {
 	close(w.hangers)
 	w.hangers = make(chan struct{})
 	w.mu.Unlock()
+}
+
+// Hold parks the worker's engine at its next beat — a run starting —
+// until release is called (which is idempotent): a job's specs cannot
+// finish before the test lets them.
+func (w *Worker) Hold() (release func()) {
+	held := make(chan struct{})
+	w.mu.Lock()
+	w.held = held
+	w.mu.Unlock()
+	var once sync.Once
+	return func() {
+		once.Do(func() {
+			w.mu.Lock()
+			w.held = nil
+			w.mu.Unlock()
+			close(held)
+		})
+	}
 }
 
 // Crash drops the worker like a kill -9: the listener closes and every
@@ -254,25 +281,104 @@ func (w *Worker) middleware(next http.Handler) http.Handler {
 			w.recordSubmission(r)
 		}
 
-		if fault == FaultCorrupt && strings.HasPrefix(r.URL.Path, api.PathResults) {
-			rec := httptest.NewRecorder()
-			next.ServeHTTP(rec, r)
-			body := rec.Body.Bytes()
-			if rec.Code == http.StatusOK && len(body) > 0 {
-				body = append([]byte(nil), body...)
-				body[len(body)/2] ^= 0x01
-			}
-			for k, vs := range rec.Header() {
-				for _, v := range vs {
-					rw.Header().Add(k, v)
-				}
-			}
-			rw.WriteHeader(rec.Code)
-			rw.Write(body)
+		if fault == FaultCorrupt {
+			corrupt(next, rw, r)
 			return
 		}
 		next.ServeHTTP(rw, r)
 	})
+}
+
+// corrupt serves r through next with a byte of every artifact in the
+// answer flipped: a result body's own bytes, each inline "artifact" of
+// a JSON body (a 202, a job status), and each one in an SSE data line.
+func corrupt(next http.Handler, rw http.ResponseWriter, r *http.Request) {
+	if strings.HasSuffix(r.URL.Path, "/events") {
+		next.ServeHTTP(&sseCorrupter{ResponseWriter: rw}, r)
+		return
+	}
+	rec := httptest.NewRecorder()
+	next.ServeHTTP(rec, r)
+	body := rec.Body.Bytes()
+	if rec.Code/100 == 2 && len(body) > 0 {
+		if strings.HasPrefix(r.URL.Path, api.PathResults) {
+			body[len(body)/2] ^= 0x01
+		} else {
+			body = flipArtifacts(body)
+		}
+	}
+	for k, vs := range rec.Header() {
+		if k != "Content-Length" {
+			rw.Header()[k] = vs
+		}
+	}
+	rw.WriteHeader(rec.Code)
+	rw.Write(body)
+}
+
+// sseCorrupter rewrites each SSE data line the handler writes with
+// flipArtifacts.
+type sseCorrupter struct {
+	http.ResponseWriter
+	buf []byte
+}
+
+func (s *sseCorrupter) Write(p []byte) (int, error) {
+	s.buf = append(s.buf, p...)
+	for {
+		i := bytes.IndexByte(s.buf, '\n')
+		if i < 0 {
+			return len(p), nil
+		}
+		line := s.buf[:i]
+		if doc, ok := bytes.CutPrefix(line, []byte("data: ")); ok {
+			line = append([]byte("data: "), flipArtifacts(doc)...)
+		}
+		if _, err := s.ResponseWriter.Write(append(line, '\n')); err != nil {
+			return 0, err
+		}
+		s.buf = s.buf[i+1:]
+	}
+}
+
+func (s *sseCorrupter) Flush() { s.ResponseWriter.(http.Flusher).Flush() }
+
+// flipArtifacts returns the JSON document doc with a byte flipped in
+// every non-empty "artifact" it carries, at any depth; a document that
+// does not decode comes back as it is.
+func flipArtifacts(doc []byte) []byte {
+	dec := json.NewDecoder(bytes.NewReader(doc))
+	dec.UseNumber()
+	var v any
+	if dec.Decode(&v) != nil {
+		return doc
+	}
+	var flip func(any)
+	flip = func(v any) {
+		switch v := v.(type) {
+		case map[string]any:
+			for k, x := range v {
+				if b64, ok := x.(string); ok && k == "artifact" {
+					if b, err := base64.StdEncoding.DecodeString(b64); err == nil && len(b) > 0 {
+						b[len(b)/2] ^= 0x01
+						v[k] = b
+					}
+				} else {
+					flip(x)
+				}
+			}
+		case []any:
+			for _, x := range v {
+				flip(x)
+			}
+		}
+	}
+	flip(v)
+	out, err := json.Marshal(v)
+	if err != nil {
+		return doc
+	}
+	return out
 }
 
 // recordSubmission notes every spec key in a job submission, leaving

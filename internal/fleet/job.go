@@ -5,10 +5,10 @@ package fleet
 // affinity rendezvous, each worker group goes out as one batch (a
 // worker-side job), worker SSE streams fan back in as merged
 // coordinator events (a batch the worker's store answered whole comes
-// back finished in its 202, with its artifacts when they fit, and opens
-// no stream), and each completed spec's artifact is fetched at most
-// once (not at all when that 202 carried it), verified against the
-// worker-reported content hash, and filed into the coordinator store —
+// back finished in its 202 and opens no stream), and each completed
+// spec's artifact — carried by its spec event or terminal status, and
+// fetched only when neither carried it — is verified against the
+// worker-reported content hash and filed into the coordinator store —
 // the only place the coordinator serves results from. A batch that
 // errors, times out, or returns corrupt bytes sends its unfinished
 // specs into the next retry wave, which re-ranks them onto workers not
@@ -141,14 +141,14 @@ func (c *Coordinator) backoffWait(wave int) bool {
 
 // dispatch sends one batch of specs to one worker as a worker-side job
 // and reconciles the outcome: from the worker's 202 when its store held
-// every spec (one request, whose artifacts the client's Result returns,
-// or one fetch per spec the 202 did not carry), else from its SSE
-// stream and a final status poll. It returns the indices that need
-// another attempt: every index on batch-level failure (submit error,
-// stream + status loss, timeout), or the subset that came back
-// unfinished or with corrupt artifact bytes. A spec the worker ran and reported
-// failed is final: runs are deterministic, so it would fail the same
-// way on every worker.
+// every spec, else from its SSE stream, and from a final status poll
+// only when the stream ended before reporting every spec terminal. The
+// artifacts ride in those statuses and events. It returns the indices
+// that need another attempt: every index on batch-level failure (submit
+// error, stream + status loss, timeout), or the subset that came back
+// unfinished or with corrupt artifact bytes. A spec the worker ran and
+// reported failed is final: runs are deterministic, so it would fail
+// the same way on every worker.
 func (c *Coordinator) dispatch(j *transport.Job, w *worker, idxs []int, tried []map[string]bool) (failed []int) {
 	ctx, cancel := context.WithTimeout(context.Background(), c.cfg.BatchTimeout)
 	defer cancel()
@@ -193,18 +193,19 @@ func (c *Coordinator) dispatch(j *transport.Job, w *worker, idxs []int, tried []
 	}
 	if acc.Status != nil {
 		// The worker's store held every spec: the batch came back
-		// finished in its 202, so there is nothing to stream or poll,
-		// and Result answers from the artifacts the 202 carried.
+		// finished in its 202, so there is nothing to stream or poll.
 		return c.reconcile(ctx, j, w, byKey, *acc.Status)
 	}
 
 	// Fan the worker's SSE stream into the coordinator job: spec
-	// completions reconcile (and fetch artifacts) as they happen, and
+	// completions settle (and file their artifacts) as they happen, and
 	// worker span events forward relabeled so one merged stream shows
 	// the whole fleet. The stream is lossy and may die with the worker;
-	// the final status poll below reconciles whatever it missed.
+	// unless it reported every key terminal and closed with its done,
+	// the final status poll below reconciles whatever it missed. Events
+	// calls back on one goroutine.
 	handled := make(map[string]bool, len(byKey))
-	var hmu sync.Mutex
+	closed := false
 	_ = w.client.Events(ctx, acc.ID, func(ev api.Event) bool {
 		switch ev.Type {
 		case "span":
@@ -218,20 +219,20 @@ func (c *Coordinator) dispatch(j *transport.Job, w *worker, idxs []int, tried []
 				j.Publish(api.Event{Type: "span", Job: j.ID, Span: &span})
 			}
 		case "spec":
-			if ev.Spec != nil && ev.Spec.State == api.StateDone {
-				hmu.Lock()
-				seen := handled[ev.Spec.SpecKey]
-				handled[ev.Spec.SpecKey] = true
-				hmu.Unlock()
-				if !seen {
-					if is, ok := byKey[ev.Spec.SpecKey]; ok {
-						c.completeSpec(ctx, j, w, is, *ev.Spec)
-					}
+			if s := ev.Spec; s != nil && (s.State == api.StateDone || s.State == api.StateFailed) && !handled[s.SpecKey] {
+				if is, ok := byKey[s.SpecKey]; ok {
+					handled[s.SpecKey] = true
+					failed = append(failed, c.settle(ctx, j, w, is, *s)...)
 				}
 			}
+		case "done":
+			closed = true
 		}
 		return true
 	})
+	if closed && len(handled) == len(byKey) {
+		return failed
+	}
 
 	// Reconcile: the poll is the source of truth for every spec the
 	// stream missed (or the whole batch, when the stream never ran).
@@ -260,28 +261,29 @@ func (c *Coordinator) reconcile(ctx context.Context, j *transport.Job, w *worker
 			failed = append(failed, is...)
 			continue
 		}
-		if s.State == api.StateFailed {
-			for _, i := range is {
-				j.Finish(i, api.SpecStatus{State: api.StateFailed, Error: s.Error})
-			}
-			continue
-		}
-		failed = append(failed, c.completeSpec(ctx, j, w, is, s)...)
+		failed = append(failed, c.settle(ctx, j, w, is, s)...)
 	}
 	return failed
 }
 
-// completeSpec finishes one done spec reported by a worker: file its
-// artifact into the coordinator store and mark every index sharing the
-// spec key done. A fetch or verification failure returns the indices
-// for retry — corrupt bytes from one worker re-run elsewhere.
-func (c *Coordinator) completeSpec(ctx context.Context, j *transport.Job, w *worker, idxs []int, s api.SpecStatus) (failed []int) {
+// settle finishes the indices of one spec key from the terminal status
+// its worker reported: a failure is final, and a done spec's artifact
+// is filed into the coordinator store. A fetch or verification failure
+// returns the indices for retry — corrupt bytes from one worker re-run
+// elsewhere.
+func (c *Coordinator) settle(ctx context.Context, j *transport.Job, w *worker, idxs []int, s api.SpecStatus) (failed []int) {
 	// Idempotence across stream + reconcile: terminal specs are skipped
 	// inside Finish, but avoid double fetches up front too.
 	if len(j.Open(idxs)) == 0 {
 		return nil
 	}
-	final, err := c.fileArtifact(ctx, j, w, s.SpecKey, s.SHA256)
+	if s.State == api.StateFailed {
+		for _, i := range idxs {
+			j.Finish(i, api.SpecStatus{State: api.StateFailed, Error: s.Error})
+		}
+		return nil
+	}
+	final, err := c.fileArtifact(ctx, j, w, s)
 	if err != nil {
 		j.Note(idxs, err.Error())
 		return idxs
@@ -295,32 +297,36 @@ func (c *Coordinator) completeSpec(ctx context.Context, j *transport.Job, w *wor
 	return nil
 }
 
-// fileArtifact is the one fetch of a result and returns the done status
-// it leaves the spec in. The computing worker is asked for the bytes
-// (the client answers from the worker's 202 when that carried them),
-// which must hash to what the worker reported before they are filed
-// under the job's tenant. A key stored at intake never gets here (the
-// front end answered it); a key another job filed since intake is
-// fetched and verified once more, and its Put is the store's duplicate
-// no-op. A store that refuses verified bytes (quota, disk) is not a
-// retry: the spec is done exactly as a worker reports it, with the
-// store's error, the hash, and no result URL.
-func (c *Coordinator) fileArtifact(ctx context.Context, j *transport.Job, w *worker, key, reported string) (api.SpecStatus, error) {
+// fileArtifact files the artifact of a done spec status s a worker
+// reported and returns the done status it leaves the spec in. The bytes
+// are the ones s carries, or else one fetch from the computing worker,
+// and they must hash to s.SHA256 before they are filed under the job's
+// tenant. A key stored at intake never gets here (the front end
+// answered it); a key another job filed since intake is verified once
+// more, and its Put is the store's duplicate no-op. A store that
+// refuses verified bytes (quota, disk) is not a retry: the spec is done
+// exactly as a worker reports it, with the store's error, the hash, and
+// no result URL.
+func (c *Coordinator) fileArtifact(ctx context.Context, j *transport.Job, w *worker, s api.SpecStatus) (api.SpecStatus, error) {
+	key, data := s.SpecKey, s.Artifact
 	done := api.SpecStatus{State: api.StateDone, ResultURL: api.PathResults + key}
-	sp := c.cfg.Spans.Start(j.Trace, j.Root, "fetch_result")
-	if sp != nil {
-		defer sp.SetAttr("worker", w.addr).SetAttr("spec_key", key).End()
-	}
-	data, _, err := w.client.Result(ctx, key)
-	if err != nil {
-		return done, err
+	if data == nil {
+		if sp := c.cfg.Spans.Start(j.Trace, j.Root, "fetch_result"); sp != nil {
+			defer sp.SetAttr("worker", w.addr).SetAttr("spec_key", key).End()
+		}
+		var err error
+		if data, _, err = w.client.Result(ctx, key); err != nil {
+			return done, err
+		}
 	}
 	done.SHA256 = engine.ArtifactSHA256(data)
-	if reported != "" && done.SHA256 != reported {
-		return done, &corruptError{worker: w.addr, key: key, got: done.SHA256, want: reported}
+	if s.SHA256 != "" && done.SHA256 != s.SHA256 {
+		return done, &corruptError{worker: w.addr, key: key, got: done.SHA256, want: s.SHA256}
 	}
 	if _, err := c.cfg.Store.Put(j.Tenant, key, data); err != nil {
 		done.Error, done.ResultURL = err.Error(), ""
+	} else {
+		done.Artifact = data
 	}
 	return done, nil
 }

@@ -167,7 +167,7 @@ func TestSubscribersShareImmutableEvents(t *testing.T) {
 		if a.ev != b.ev {
 			t.Errorf("event %d: subscribers hold different copies", i)
 		}
-		if !reflect.DeepEqual(*a.ev, a.snap) || (a.ev.Spec != nil && *a.ev.Spec != a.spec) {
+		if !reflect.DeepEqual(*a.ev, a.snap) || (a.ev.Spec != nil && !reflect.DeepEqual(*a.ev.Spec, a.spec)) {
 			t.Errorf("event %d changed after delivery: delivered %+v %+v, now %+v %+v",
 				i, a.snap, a.spec, *a.ev, a.ev.Spec)
 		}

@@ -261,7 +261,30 @@ func (f *Front) serveStatus(w http.ResponseWriter, r *http.Request, j *Job) {
 		}
 		st = j.status()
 	}
-	WriteJSON(w, http.StatusOK, st)
+	WriteJSON(w, http.StatusOK, f.render(st))
+}
+
+// render returns st with each done spec's stored artifact when st is
+// terminal, all of them or, over api.MaxInlineArtifacts together, none.
+// The bytes are the store's own.
+func (f *Front) render(st api.JobStatus) api.JobStatus {
+	if !terminal(st.State) {
+		return st
+	}
+	total := 0
+	for i := range st.Specs {
+		sp := &st.Specs[i]
+		if data, sha, ok := f.cfg.Store.Get(sp.SpecKey); ok && sha == sp.SHA256 {
+			if total += len(data); total > api.MaxInlineArtifacts {
+				for j := range st.Specs {
+					st.Specs[j].Artifact = nil
+				}
+				return st
+			}
+			sp.Artifact = data
+		}
+	}
+	return st
 }
 
 // serveEvents streams the job's progress as SSE. Each event is one
@@ -275,15 +298,16 @@ func (f *Front) serveEvents(w http.ResponseWriter, r *http.Request, j *Job) {
 		WriteErr(w, http.StatusNotImplemented, "streaming unsupported")
 		return
 	}
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.WriteHeader(http.StatusOK)
-	fl.Flush()
-
+	// Subscribed before the headers go out: a client holding them is
+	// sent every spec event from then on.
 	events, cancel := j.subscribe(64)
 	defer cancel()
 	spans, cancelSpans := f.cfg.Spans.Subscribe(64)
 	defer cancelSpans()
+	w.Header().Set("Content-Type", "text/event-stream")
+	w.Header().Set("Cache-Control", "no-cache")
+	w.WriteHeader(http.StatusOK)
+	fl.Flush()
 	// Unsubscribe the moment the client goes away, not merely when this
 	// handler returns: a handler blocked mid-Write to a stalled peer
 	// would otherwise keep both subscriptions registered (and the span

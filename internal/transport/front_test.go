@@ -417,8 +417,8 @@ func TestIntakeAnswersStoredSpecs(t *testing.T) {
 			t.Fatalf("a job whose specs are all stored reached Executor.Start with %v", exec.starts)
 		}
 		stored := []byte(`{"stored":true}`)
-		if want := [][]byte{stored, stored}; !reflect.DeepEqual(acc.Artifacts, want) {
-			t.Errorf("the 202 carries artifacts %q, want %q", acc.Artifacts, want)
+		if got := inlined(acc.Status); !reflect.DeepEqual(got, [][]byte{stored, stored}) {
+			t.Errorf("the 202 carries artifacts %q, want %q twice", got, stored)
 		}
 		code, js, _ := statusOf(t, h, acc.StatusURL)
 		if code != http.StatusOK || js.State != api.StateDone || js.Done != 2 {
@@ -443,12 +443,15 @@ func TestIntakeAnswersStoredSpecs(t *testing.T) {
 		if !reflect.DeepEqual(exec.starts, [][]int{{0}}) {
 			t.Fatalf("Executor.Start received open specs %v, want [[0]]", exec.starts)
 		}
-		if acc.Status != nil || acc.Artifacts != nil {
-			t.Errorf("a job with an open spec got status %+v and %d artifacts in its 202", acc.Status, len(acc.Artifacts))
+		if acc.Status != nil {
+			t.Errorf("a job with an open spec got status %+v in its 202", acc.Status)
 		}
 		_, js, _ := statusOf(t, h, acc.StatusURL)
 		if js.State == api.StateDone || js.Done != 1 || js.Specs[0].State != api.StateQueued {
 			t.Errorf("status = %+v, want the stored spec done and the other queued", js)
+		}
+		if got := inlined(&js); got != nil {
+			t.Errorf("a running job's status carries artifacts %q", got)
 		}
 		hit(t, js.Specs[1])
 		exec.parked[0].Finish(0, api.SpecStatus{State: api.StateDone})
@@ -459,10 +462,28 @@ func TestIntakeAnswersStoredSpecs(t *testing.T) {
 	}
 }
 
+// inlined returns the artifacts a job status carries, one per spec (nil
+// for one without), or nil when it is nil or carries none.
+func inlined(st *api.JobStatus) [][]byte {
+	if st == nil {
+		return nil
+	}
+	var arts [][]byte
+	for _, sp := range st.Specs {
+		arts = append(arts, sp.Artifact)
+	}
+	for _, a := range arts {
+		if a != nil {
+			return arts
+		}
+	}
+	return nil
+}
+
 // TestStoredArtifactsInlineUpToTheCap: a job the store answers whole
-// carries its artifacts in the 202 while they total at most
-// api.MaxInlineArtifacts; one byte over, the 202 carries the terminal
-// status alone.
+// carries its artifacts in the 202, and a GET of its status carries
+// them too, while they total at most api.MaxInlineArtifacts; one byte
+// over, either carries the terminal status alone.
 func TestStoredArtifactsInlineUpToTheCap(t *testing.T) {
 	st := memStore(t)
 	put := func(seed uint64, size int) api.SimOptions {
@@ -481,14 +502,20 @@ func TestStoredArtifactsInlineUpToTheCap(t *testing.T) {
 	h := NewFront(Config{Store: st}, &stubExec{}).Handler()
 
 	acc := submitSpecs(t, h, full)
-	if acc.Status == nil || len(acc.Artifacts) != 1 || len(acc.Artifacts[0]) != api.MaxInlineArtifacts {
-		t.Errorf("a stored job of exactly the cap: status %v, %d artifacts; want both, inlined", acc.Status != nil, len(acc.Artifacts))
+	_, js, _ := statusOf(t, h, acc.StatusURL)
+	for _, st := range []*api.JobStatus{acc.Status, &js} {
+		if arts := inlined(st); st == nil || len(arts) != 1 || len(arts[0]) != api.MaxInlineArtifacts {
+			t.Errorf("a stored job of exactly the cap: status %v, %d artifacts; want both, inlined", st != nil, len(arts))
+		}
 	}
 	acc = submitSpecs(t, h, full, one)
 	if acc.Status == nil || acc.Status.State != api.StateDone {
 		t.Fatalf("a stored job over the cap: status %+v, want it done at intake", acc.Status)
 	}
-	if acc.Artifacts != nil {
-		t.Errorf("a stored job one byte over the cap carries %d artifacts, want none", len(acc.Artifacts))
+	_, js, _ = statusOf(t, h, acc.StatusURL)
+	for _, st := range []*api.JobStatus{acc.Status, &js} {
+		if arts := inlined(st); arts != nil {
+			t.Errorf("a stored job one byte over the cap carries %d artifacts, want none", len(arts))
+		}
 	}
 }

@@ -8,12 +8,14 @@ package transport
 // its key is already there.
 
 import (
+	"bytes"
 	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
+	"sync"
 
 	"hbat/api"
 	"hbat/internal/engine"
@@ -28,12 +30,23 @@ import (
 // 1024-spec job.
 const maxJobBody = 8 << 20
 
+// jsonBufs recycles the buffers WriteJSON encodes bodies into.
+var jsonBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
 // WriteJSON writes v as the JSON body of a response with the given
-// status code.
+// status code. The body is encoded whole first, so its length is
+// declared and a client reads it into one buffer of that size, not one
+// grown chunk by chunk (a terminal status carrying its artifacts is
+// tens of KiB).
 func WriteJSON(w http.ResponseWriter, code int, v any) {
+	buf := jsonBufs.Get().(*bytes.Buffer)
+	defer jsonBufs.Put(buf)
+	buf.Reset()
+	json.NewEncoder(buf).Encode(v)
 	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(buf.Len()))
 	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(v)
+	w.Write(buf.Bytes())
 }
 
 // WriteErr writes a structured api.Error response.
@@ -158,8 +171,8 @@ func traceIdentity(r *http.Request, req *api.JobRequest) (traceID, parentSpan st
 // specs), 400 (bad spec), 503 (executor or drain), 429 (tenant quota).
 // The executor is asked to admit the job only when the store leaves a
 // spec open: a job the store answers whole needs no worker or engine,
-// and its 202 carries the terminal status a GET of it would serve and,
-// up to api.MaxInlineArtifacts, the stored artifacts themselves.
+// and its 202 carries the terminal status a GET of it would serve, with
+// the stored artifacts up to api.MaxInlineArtifacts (Front.render).
 func (f *Front) handleJobs(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		WriteErr(w, http.StatusMethodNotAllowed, "POST %s", api.PathJobs)
@@ -190,7 +203,7 @@ func (f *Front) handleJobs(w http.ResponseWriter, r *http.Request) {
 		WriteErr(w, http.StatusBadRequest, "bad spec: %v", err)
 		return
 	}
-	stored, data, open := f.lookupStored(sts)
+	stored, open := f.lookupStored(sts)
 	if len(open) > 0 {
 		if err := f.exec.Admit(); err != nil {
 			WriteErr(w, http.StatusServiceUnavailable, "%v", err)
@@ -262,61 +275,47 @@ func (f *Front) handleJobs(w http.ResponseWriter, r *http.Request) {
 	}
 	for i, sha := range stored {
 		if sha != "" {
-			finishStored(j, i, sha, f.cfg.Spans)
+			finishStored(j, i, sha, nil, f.cfg.Spans)
 		}
 	}
 	if len(open) > 0 {
 		f.exec.Start(j, open)
 	} else {
-		st := j.status()
+		st := f.render(j.status())
 		acc.Status = &st
-		if inlineSize(data) <= api.MaxInlineArtifacts {
-			acc.Artifacts = data
-		}
 	}
 	f.starting.Done()
 	WriteJSON(w, http.StatusAccepted, acc)
 }
 
 // lookupStored looks every spec key up in the store: stored[i] is the
-// SHA-256 of spec i's stored artifact ("" when the store lacks it),
-// data[i] the artifact, and open lists the rest in submission order,
-// the only specs the executor is handed. Intake finishes the stored
-// specs once the job is admitted; a job whose specs all hit is done
-// before its 202 is written, the 202 carries its status (and data, up
-// to api.MaxInlineArtifacts), and it never reaches the executor.
-func (f *Front) lookupStored(sts []api.SpecStatus) (stored []string, data [][]byte, open []int) {
+// SHA-256 of spec i's stored artifact ("" when the store lacks it), and
+// open lists the rest in submission order, the only specs the executor
+// is handed. Intake finishes the stored specs once the job is admitted;
+// a job whose specs all hit is done before its 202 is written, the 202
+// carries its status, and it never reaches the executor.
+func (f *Front) lookupStored(sts []api.SpecStatus) (stored []string, open []int) {
 	stored = make([]string, len(sts))
-	data = make([][]byte, len(sts))
 	for i := range sts {
-		if b, sha, ok := f.cfg.Store.Get(sts[i].SpecKey); ok {
-			stored[i], data[i] = sha, b
+		if _, sha, ok := f.cfg.Store.Get(sts[i].SpecKey); ok {
+			stored[i] = sha
 		} else {
 			open = append(open, i)
 		}
 	}
-	return stored, data, open
-}
-
-// inlineSize is the bytes a 202 inlining data would carry as artifacts.
-func inlineSize(data [][]byte) int {
-	n := 0
-	for _, b := range data {
-		n += len(b)
-	}
-	return n
+	return stored, open
 }
 
 // finishStored finishes spec idx from the store: done, a store hit,
 // the stored hash and the result URL, and a store_hit span under the
-// job root.
-func finishStored(j *Job, idx int, sha string, spans *runspan.Tracer) {
+// job root. data, the stored bytes, goes on the spec's event.
+func finishStored(j *Job, idx int, sha string, data []byte, spans *runspan.Tracer) {
 	key := j.Keys[idx]
 	if sp := spans.Start(j.Trace, j.Root, "store_hit"); sp != nil {
 		sp.SetAttr("spec_key", key).End()
 	}
 	j.Finish(idx, api.SpecStatus{
 		State: api.StateDone, StoreHit: true,
-		ResultURL: api.PathResults + key, SHA256: sha,
+		ResultURL: api.PathResults + key, SHA256: sha, Artifact: data,
 	})
 }

@@ -69,8 +69,6 @@ func terminal(state string) bool {
 	return state == api.StateDone || state == api.StateFailed
 }
 
-func cloneStatus(st api.SpecStatus) *api.SpecStatus { return &st }
-
 // Running marks specs as executing. A non-empty worker names the remote
 // process the attempt runs on and counts the attempt.
 func (j *Job) Running(worker string, idxs ...int) {
@@ -122,7 +120,9 @@ func (j *Job) Note(idxs []int, msg string) {
 }
 
 // Finish records one spec's terminal status and publishes it; what
-// Running already set (Worker, Attempts) survives. A second report for
+// Running already set (Worker, Attempts) survives. final.Artifact, the
+// bytes the executor just filed, goes on the spec's event alone: the
+// job table holds no artifact. A second report for
 // the same spec is ignored. The report that makes the last spec
 // terminal rolls the job up to done or failed, emits the "done" event,
 // closes every subscriber, ends the root span, releases the job's
@@ -140,7 +140,11 @@ func (j *Job) Finish(idx int, final api.SpecStatus) {
 	j.done++
 	done, total := j.done, len(j.specs)
 	if len(j.subs) > 0 {
-		j.publishLocked(&api.Event{Type: "spec", Job: j.ID, Spec: cloneStatus(*st), Done: done, Total: total})
+		ev := *st
+		if len(final.Artifact) <= api.MaxInlineArtifacts {
+			ev.Artifact = final.Artifact
+		}
+		j.publishLocked(&api.Event{Type: "spec", Job: j.ID, Spec: &ev, Done: done, Total: total})
 	}
 	if done == total {
 		j.state = api.StateDone

@@ -203,8 +203,8 @@ func (p *pool) runSpec(t specTask) {
 	// store has the artifact, so without this lookup the second of two
 	// in-flight jobs on one key (or the second copy of a key within one
 	// job) would simulate it again.
-	if _, sha, ok := p.store.Get(key); ok {
-		finishStored(j, t.idx, sha, p.spans)
+	if data, sha, ok := p.store.Get(key); ok {
+		finishStored(j, t.idx, sha, data, p.spans)
 		return
 	}
 	// Thread the job's trace identity into the engine: its run root
@@ -243,5 +243,6 @@ func (p *pool) simulate(ctx context.Context, tenant, key string, spec engine.Run
 	p.engine.Forget(spec)
 	st.ResultURL = api.PathResults + key
 	st.SHA256 = sha
+	st.Artifact = data
 	return st
 }

@@ -14,8 +14,13 @@ import (
 	"hbat/internal/vm"
 )
 
-func write(dir, name string, data []byte) {
-	content := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", data)
+// write writes one corpus entry: a fuzz target's arguments, each a
+// []byte.
+func write(dir, name string, args ...[]byte) {
+	content := "go test fuzz v1\n"
+	for _, data := range args {
+		content += fmt.Sprintf("[]byte(%q)\n", data)
+	}
 	if err := os.WriteFile(filepath.Join(dir, name), []byte(content), 0o644); err != nil {
 		panic(err)
 	}
@@ -52,41 +57,55 @@ func main() {
 	jobAcceptedSeeds("api/testdata/fuzz/FuzzJobAccepted")
 }
 
-// jobAcceptedSeeds writes 202 bodies for api.FuzzJobAccepted: a stored
-// job whose artifact hashes to its status, and the shapes the client
-// must keep nothing from (or only some of): tampered bytes, misaligned
-// artifacts, a running status, no status, and a body cut short.
+// jobAcceptedSeeds writes (202 body, job status body) pairs for
+// api.FuzzJobAccepted: a stored job whose artifact hashes to its status,
+// a job open at its 202 whose terminal status carries it, and the
+// shapes the client must keep nothing from (or only some of): tampered
+// bytes, a status naming other keys than its 202, a running status, a
+// failed one, and bodies cut short.
 func jobAcceptedSeeds(dir string) {
 	art := []byte(`{"api":"v1","spec_key":"k1","design":"T4","workload":"compress"}`)
 	other := []byte(`{"api":"v1","spec_key":"k2","design":"M8","workload":"gcc"}`)
-	spec := func(key string, data []byte) api.SpecStatus {
+	spec := func(key string, data, carried []byte) api.SpecStatus {
 		sum := sha256.Sum256(data)
-		return api.SpecStatus{SpecKey: key, State: api.StateDone, StoreHit: true,
-			ResultURL: api.PathResults + key, SHA256: hex.EncodeToString(sum[:])}
+		return api.SpecStatus{SpecKey: key, State: api.StateDone,
+			ResultURL: api.PathResults + key, SHA256: hex.EncodeToString(sum[:]), Artifact: carried}
 	}
 	status := func(state string, specs ...api.SpecStatus) *api.JobStatus {
 		return &api.JobStatus{API: api.Version, ID: "j1", Tenant: "default", State: state,
 			Done: len(specs), Total: len(specs), Specs: specs}
 	}
-	accepted := func(keys []string, st *api.JobStatus, arts ...[]byte) api.JobAccepted {
+	accepted := func(st *api.JobStatus, keys ...string) api.JobAccepted {
 		return api.JobAccepted{API: api.Version, ID: "j1", Tenant: "default", Total: len(keys),
 			SpecKeys: keys, StatusURL: api.PathJobs + "/j1", EventsURL: api.PathJobs + "/j1/events",
-			Status: st, Artifacts: arts}
+			Status: st}
 	}
-	for name, acc := range map[string]api.JobAccepted{
-		"seed_stored":     accepted([]string{"k1"}, status(api.StateDone, spec("k1", art)), art),
-		"seed_tampered":   accepted([]string{"k1"}, status(api.StateDone, spec("k1", art)), []byte("tampered")),
-		"seed_two_specs":  accepted([]string{"k1", "k2"}, status(api.StateDone, spec("k1", art), spec("k2", other)), art, other),
-		"seed_duplicate":  accepted([]string{"k1", "k1"}, status(api.StateDone, spec("k1", art), spec("k1", art)), art, art),
-		"seed_misaligned": accepted([]string{"k1"}, status(api.StateDone, spec("k1", art)), art, other),
-		"seed_running":    accepted([]string{"k1"}, status(api.StateRunning, spec("k1", art)), art),
-		"seed_open":       accepted([]string{"k1"}, nil),
+	stored := status(api.StateDone, spec("k1", art, art))
+	two := status(api.StateDone, spec("k1", art, art), spec("k2", other, other))
+	tampered := status(api.StateDone, spec("k1", art, []byte("tampered")))
+	for name, seed := range map[string]struct {
+		acc api.JobAccepted
+		st  *api.JobStatus
+	}{
+		"seed_stored":        {accepted(stored, "k1"), stored},
+		"seed_tampered":      {accepted(tampered, "k1"), tampered},
+		"seed_two_specs":     {accepted(two, "k1", "k2"), two},
+		"seed_duplicate":     {accepted(status(api.StateDone, spec("k1", art, art), spec("k1", art, art)), "k1", "k1"), stored},
+		"seed_running":       {accepted(status(api.StateRunning, spec("k1", art, art)), "k1"), stored},
+		"seed_misaligned":    {accepted(status(api.StateDone, spec("k2", other, other)), "k1"), two},
+		"seed_open":          {accepted(nil, "k1", "k2"), two},
+		"seed_open_tampered": {accepted(nil, "k1"), tampered},
+		"seed_open_failed":   {accepted(nil, "k1"), status(api.StateFailed, spec("k1", art, nil))},
 	} {
-		body, err := json.Marshal(acc)
+		acc, err := json.Marshal(seed.acc)
 		if err != nil {
 			panic(err)
 		}
-		write(dir, name, body)
+		st, err := json.Marshal(seed.st)
+		if err != nil {
+			panic(err)
+		}
+		write(dir, name, acc, st)
 	}
-	write(dir, "seed_not_json", []byte(`{"spec_keys":["k1"],"artifacts":[`))
+	write(dir, "seed_not_json", []byte(`{"spec_keys":["k1"],"status":{"state":"done","specs":[`), []byte(`{"state":"done","specs":[{"artifact":`))
 }
