@@ -16,7 +16,7 @@ import (
 type ModelReport = model.Report
 
 // Analysis is Analyze's result: the fitted Section 2 model plus the
-// analyzed run's full metrics snapshot (the stats-registry export with
+// analyzed run's full metrics snapshot (cpu.RenderMetrics's export with
 // queue-depth and translation-latency distributions, replay and squash
 // counts, and stall causes).
 type Analysis struct {

@@ -362,11 +362,15 @@ func (c *Client) Result(ctx context.Context, specKey string) ([]byte, string, er
 
 // Events opens the SSE stream of a job and calls fn for every decoded
 // event until fn returns false, the stream ends, or ctx is done. The
-// terminal "done" event (when one arrives) is delivered to fn like any
-// other; Events returns nil right after it. The stream is lossy by
-// design — a consumer that needs every spec's final state should
-// reconcile with Job after Events returns. The client's Timeout does
-// NOT apply here; bound the stream's lifetime through ctx.
+// stream opens with a "spec" event for each spec that finished before
+// it, then carries each later one, every spec once, with its artifact
+// when the server inlines it. The terminal "done" event (when one
+// arrives) is delivered to fn like any other; Events returns nil right
+// after it. The stream is lossy by design — a consumer that lags loses
+// spec events, so one that needs every spec's final state and did not
+// see them all should reconcile with Job after Events returns. The
+// client's Timeout does NOT apply here; bound the stream's lifetime
+// through ctx.
 //
 // A stream costs what it carries: the line buffer starts at
 // bufio.Scanner's 4 KiB and doubles only for a longer line, up to

@@ -64,8 +64,8 @@ func run(ctx context.Context) error {
 		ffwd       = flag.Uint64("ffwd", 0, "fast-forward: functionally execute the first N instructions and measure only the remainder (0 = run from reset)")
 		ckptDir    = flag.String("ckpt-dir", "", "persist fast-forward checkpoints in this directory (reused across invocations)")
 		lockstep   = flag.Bool("lockstep", false, "verify every commit against the golden emulator (differential check)")
-		metrics    = flag.String("metrics", "", "write the run's metrics registry as JSON to this file (\"-\" = stdout)")
-		metricsCSV = flag.String("metrics-csv", "", "write the run's metrics registry as CSV to this file (\"-\" = stdout)")
+		metrics    = flag.String("metrics", "", "write the run's metrics (counters and distributions) as JSON to this file (\"-\" = stdout)")
+		metricsCSV = flag.String("metrics-csv", "", "write the run's metrics (counters and distributions) as CSV to this file (\"-\" = stdout)")
 
 		traceFile    = flag.String("trace", "", "record pipeline events and write the trace to this file")
 		traceFormat  = flag.String("trace-format", "perfetto", "trace export format: perfetto (ui.perfetto.dev JSON) or konata (pipeline-viewer log)")

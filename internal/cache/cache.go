@@ -30,16 +30,10 @@ func DefaultDCache() Config {
 
 // Stats counts cache activity.
 type Stats struct {
-	Accesses   uint64
 	Hits       uint64
 	Misses     uint64
 	Writebacks uint64
 	PortStalls uint64
-
-	// PortUse[i] counts completed cycles during which exactly i ports
-	// were claimed (the last bucket collects higher use). Only ported
-	// caches record it; the fetch side uses AccessUnported.
-	PortUse [9]uint64
 }
 
 // line is one way of a set, 16 bytes. tag is the full block address
@@ -66,8 +60,6 @@ type Cache struct {
 	setMask   uint64
 	blockBits uint
 	stats     Stats
-
-	cycle     int64
 	portsUsed int
 }
 
@@ -111,7 +103,7 @@ func Reuse(c *Cache, cfg Config) *Cache {
 func (c *Cache) Reset() {
 	clear(c.lines)
 	c.stats = Stats{}
-	c.cycle, c.portsUsed = 0, 0
+	c.portsUsed = 0
 }
 
 // set returns the ways of the set block maps to.
@@ -123,17 +115,8 @@ func (c *Cache) set(block uint64) []line {
 // BlockBytes returns the cache's block size.
 func (c *Cache) BlockBytes() int { return c.cfg.BlockBytes }
 
-// BeginCycle resets the per-cycle port counter, closing out the
-// previous cycle's port-use sample.
+// BeginCycle opens cycle now: every port is free again.
 func (c *Cache) BeginCycle(now int64) {
-	if c.cycle > 0 && c.cfg.Ports > 0 {
-		i := c.portsUsed
-		if i >= len(c.stats.PortUse) {
-			i = len(c.stats.PortUse) - 1
-		}
-		c.stats.PortUse[i]++
-	}
-	c.cycle = now
 	c.portsUsed = 0
 }
 
@@ -174,9 +157,6 @@ func (c *Cache) WarmAccess(paddr uint64, write bool, now int64) {
 }
 
 func (c *Cache) lookupAlloc(paddr uint64, write bool, now int64, count bool) int64 {
-	if count {
-		c.stats.Accesses++
-	}
 	block := paddr >> c.blockBits
 	set := c.set(block)
 	want := block | validBit // the full block address is the tag: simple and exact

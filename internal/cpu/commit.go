@@ -59,7 +59,7 @@ func (m *Machine) commit() {
 				cacheAddr = e.effAddr
 			}
 			if _, ok := m.dcache.Access(cacheAddr, true, m.cycle); !ok {
-				m.metrics.count[cCommitStoreRetry].Inc()
+				m.stats.CommitStoreRetries++
 				if m.tracer != nil {
 					m.tracer.Emit(e.seq, m.cycle, ptrace.KCommitRetry, e.pc, e.inst, 0)
 				}

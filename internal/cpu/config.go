@@ -20,6 +20,7 @@ import (
 	"hbat/internal/bpred"
 	"hbat/internal/cache"
 	"hbat/internal/ckpt"
+	"hbat/internal/stats"
 )
 
 // Config parameterizes a machine. DefaultConfig reproduces Table 1.
@@ -166,9 +167,12 @@ func DefaultConfig() Config {
 	}
 }
 
-// Stats aggregates a run's results. With Config.FastForward set, every
-// field describes the measurement window only; the skipped prefix is
-// reported separately as FastForwarded.
+// Stats is every count a run keeps: the core's event counters, its
+// three distributions and both caches' counters, each counted once and
+// held by value, so Stats is comparable and copies with =. The
+// translation device's own counts are its tlb.Stats. With
+// Config.FastForward set, every field describes the measurement window
+// only; the skipped prefix is reported separately as FastForwarded.
 type Stats struct {
 	Cycles int64
 
@@ -186,8 +190,9 @@ type Stats struct {
 	Issued    uint64
 	IssuedMem uint64
 
-	Fetched  uint64
-	Squashed uint64
+	Fetched          uint64
+	Squashed         uint64 // wrong-path instructions squashed
+	SquashRecoveries uint64 // misprediction recoveries that squashed them
 
 	// Branch prediction (direction, conditional branches only).
 	BranchLookups uint64
@@ -197,22 +202,50 @@ type Stats struct {
 	TLBWalks          uint64 // page-table walks performed
 	TLBWalkCycles     int64  // cycles spent with a walk in progress at the ROB head
 	DispatchTLBStalls int64  // cycles dispatch was stalled by an outstanding TLB miss
-	TLBRetries        uint64 // lookups rejected for want of a port (retried)
+	TLBRetries        uint64 // lookups rejected for want of a port (replayed)
+
+	// Other replays: a memory operation that could not finish this
+	// cycle and tries again the next.
+	DCacheRetries      uint64 // loads without a data-cache port
+	StoreWaits         uint64 // loads waiting on an older store's data
+	CommitStoreRetries uint64 // commit cycles a store found no data-cache port
 
 	// Instruction-fetch translation (only when Config.ModelITLB).
-	ITLBAccesses      uint64
-	ITLBMisses        uint64
-	ITLBRefillRejects uint64 // unified-TLB refills rejected for want of a port
+	ITLBAccesses uint64
+	ITLBMisses   uint64
 
 	// ContextFlushes counts FlushTLBEvery-induced full TLB flushes.
 	ContextFlushes uint64
 
 	// Stall breakdown (cycles; categories can overlap with useful work
 	// elsewhere in the machine — they describe one stage each).
-	FetchStallCycles    int64 // front end blocked (redirect penalty, I-cache or ITLB miss)
+	// FetchStalls counts the cycles the front end was blocked, by the
+	// cause that blocked it (a redirect penalty, an I-cache or an ITLB
+	// miss; FetchStallCycles sums them); a stall with no cause would
+	// land in FetchStalls[stallNone].
+	FetchStalls         [numStallCauses]int64
+	FetchQueueFull      int64 // fetch found its queue full
 	DispatchROBFull     int64 // dispatch blocked on a full re-order buffer
 	DispatchLSQFull     int64 // dispatch blocked on a full load/store queue
 	DispatchEmptyCycles int64 // dispatch starved by the front end
+
+	// Distributions.
+	TransExtra   stats.Dist // extra translation latency per TLB hit (transExtraBounds)
+	QueueDepth   stats.Dist // TLB-port rejections per cycle (queueDepthBounds)
+	ROBOccupancy stats.Dist // ROB occupancy per cycle (robOccupancyBounds)
+
+	// The caches' counters, copied at the end of Run.
+	ICache, DCache cache.Stats
+}
+
+// FetchStallCycles returns the cycles the front end was blocked, every
+// cause together.
+func (s *Stats) FetchStallCycles() int64 {
+	var n int64
+	for _, c := range s.FetchStalls {
+		n += c
+	}
+	return n
 }
 
 // IPC returns committed instructions per cycle.

@@ -333,8 +333,6 @@ func (m *Machine) memExecute() {
 	if rejected > 0 {
 		m.counted.Reject(rejected)
 		m.stats.TLBRetries += rejected
-		m.metrics.count[cReplayTLBNoPort].Add(rejected)
-		m.metrics.noPortThisCycle += int64(rejected)
 	}
 }
 
@@ -464,7 +462,7 @@ func (m *Machine) memRequest(idx int, e *robEntry) {
 	if !forwarded {
 		extraCache, ok = m.dcache.Access(cacheAddr, false, m.cycle)
 		if !ok {
-			m.metrics.count[cReplayDCacheNoPort].Inc()
+			m.stats.DCacheRetries++
 			if m.tracer != nil {
 				m.tracer.Emit(e.seq, m.cycle, ptrace.KDCachePort, e.pc, e.inst, 0)
 			}
@@ -506,8 +504,6 @@ func (m *Machine) translate(idx int, e *robEntry, vc bool) (pte *vm.PTE, extra i
 	switch res.Outcome {
 	case tlb.NoPort:
 		m.stats.TLBRetries++
-		m.metrics.count[cReplayTLBNoPort].Inc()
-		m.metrics.noPortThisCycle++
 		if m.tracer != nil {
 			m.tracer.Emit(e.seq, m.cycle, ptrace.KTLBNoPort, e.pc, e.inst, 0)
 		}
@@ -528,7 +524,7 @@ func (m *Machine) translate(idx int, e *robEntry, vc bool) (pte *vm.PTE, extra i
 		}
 		return nil, 0, false
 	}
-	m.metrics.dist[dTransExtra].Observe(res.Extra)
+	m.stats.TransExtra.Observe(transExtraBounds, res.Extra)
 	if m.tracer != nil {
 		m.tracer.Emit(e.seq, m.cycle, ptrace.KTLBHit, e.pc, e.inst, res.Extra)
 	}
@@ -583,7 +579,7 @@ func (m *Machine) forwardFromStore(idx int, e *robEntry) (val uint64, ok, mustWa
 		}
 	}
 	if mustWait {
-		m.metrics.count[cReplayStoreWait].Inc()
+		m.stats.StoreWaits++
 		if m.tracer != nil {
 			m.tracer.Emit(e.seq, m.cycle, ptrace.KStoreWait, e.pc, e.inst, 0)
 		}
@@ -654,8 +650,7 @@ func (m *Machine) recover(idx int, e *robEntry) {
 	}
 	n := m.rob.squashAfter(idx)
 	m.stats.Squashed += uint64(n)
-	m.metrics.count[cSquashRecoveries].Inc()
-	m.metrics.count[cSquashedInsts].Add(uint64(n))
+	m.stats.SquashRecoveries++
 
 	for r := range m.rename {
 		m.rename[r] = -1

@@ -14,9 +14,6 @@ func DrainReleased() {
 	}
 }
 
-// Registry returns the machine's metrics registry.
-func (m *Machine) Registry() *stats.Registry { return m.metrics.reg }
-
 // Halted reports whether the program executed Halt.
 func (m *Machine) Halted() bool { return m.halted }
 
@@ -38,6 +35,5 @@ func (m *Machine) DebugHead() string {
 // Metrics renders the run's metrics export (valid after Run, before
 // Release).
 func (m *Machine) Metrics() stats.Snapshot {
-	o := m.Observed()
-	return RenderMetrics(&m.stats, m.DTLB.Stats(), &o)
+	return RenderMetrics(&m.stats, m.DTLB.Stats())
 }

@@ -16,12 +16,11 @@ func (m *Machine) fetch() {
 		return
 	}
 	if m.cycle < m.fetchStallUntil {
-		m.stats.FetchStallCycles++
-		m.countFetchStall()
+		m.stats.FetchStalls[m.fetchStallCause]++
 		return
 	}
 	if m.fetchQLen() >= m.cfg.FetchQueue {
-		m.metrics.count[cStallQueueFull].Inc()
+		m.stats.FetchQueueFull++
 		return
 	}
 	blockMask := uint64(m.icache.BlockBytes() - 1)
@@ -44,7 +43,6 @@ func (m *Machine) fetch() {
 				switch res.Outcome {
 				case tlb.NoPort:
 					// Retry next cycle; the data side kept the ports.
-					m.stats.ITLBRefillRejects++
 					m.stats.ITLBMisses-- // counted again on the retry
 					m.stats.ITLBAccesses--
 					return

@@ -102,7 +102,7 @@ type Machine struct {
 	// production paths.
 	testCommitHook func(*Machine, *robEntry)
 
-	metrics coreMetrics
+	samples cycleCounts
 
 	// tracer, when non-nil, records cycle-accurate pipeline events
 	// (nil by default: every emit site is guarded by a nil check, so
@@ -111,9 +111,8 @@ type Machine struct {
 
 	// interval, when non-nil, accumulates the periodic time-series
 	// samples configured by EnableIntervalSampling.
-	interval       *stats.IntervalSeries
-	intervalPrev   intervalBase
-	intervalNoPort int64
+	interval     *stats.IntervalSeries
+	intervalPrev intervalBase
 
 	// progress, when non-nil, is called every progressEvery cycles
 	// (long-run heartbeat; see SetProgress).
@@ -150,6 +149,7 @@ type intervalBase struct {
 	committed uint64
 	lookups   uint64
 	misses    uint64
+	retries   uint64
 }
 
 // New builds a machine running p with the given TLB design factory.
@@ -195,7 +195,7 @@ func build(p *prog.Program, cfg Config, dtlb func(*Machine) tlb.Device) (*Machin
 	}
 	// Start from a released machine when there is one: its memory,
 	// page table, tag arrays, predictor tables, ROB, fetch ring and
-	// metrics registry are reset and kept where the configuration
+	// per-cycle counts are reset and kept where the configuration
 	// matches, and everything else is built here as for a new machine.
 	m, _ := released.Get().(*Machine)
 	if m == nil {
@@ -214,9 +214,9 @@ func build(p *prog.Program, cfg Config, dtlb func(*Machine) tlb.Device) (*Machin
 		pred:    bpred.Reuse(m.pred, cfg.Branch),
 		rob:     resetROB(m.rob, cfg.ROBSize),
 		fetchQ:  m.fetchQ,
-		metrics: m.metrics,
+		samples: m.samples,
 	}
-	m.metrics.reset(cfg.ROBSize)
+	m.samples.reset(cfg.ROBSize)
 	if len(m.fetchQ) != cfg.FetchQueue {
 		m.fetchQ = make([]fetchedInst, cfg.FetchQueue)
 	}
@@ -279,9 +279,9 @@ func build(p *prog.Program, cfg Config, dtlb func(*Machine) tlb.Device) (*Machin
 var released sync.Pool
 
 // Release hands the machine back for a later New to reuse. Call it once
-// the run's results are copied out: Stats(), DTLB.Stats() and
-// Observed() by value, and Tracer() and Intervals(), which the machine
-// lets go of. The machine must not be used afterwards.
+// the run's results are copied out: Stats() and DTLB.Stats() by value,
+// and Tracer() and Intervals(), which the machine lets go of. The
+// machine must not be used afterwards.
 //
 // A released machine keeps what has the same shape from run to run,
 // and the next New resets it instead of allocating it: up to
@@ -289,13 +289,12 @@ var released sync.Pool
 // still shared with a checkpoint), the address space with its page
 // table's map and entries, the translation device of every Table 2
 // design it has run (NewWithDesign resets the one its design names;
-// a device from New's factory is dropped), the metrics registry with
-// its handles, and the cache tag arrays, predictor tables, ROB, fetch
-// ring and per-cycle counts, reused when the next configuration
-// matches. It drops the program, checkpoint, lockstep reference,
-// micro-ITLB, tracer, interval series, progress callback and context,
-// so a pooled machine pins nothing of the run beyond its own page
-// table's entries, which the next New clears.
+// a device from New's factory is dropped), and the cache tag arrays,
+// predictor tables, ROB, fetch ring and per-cycle counts, reused when
+// the next configuration matches. It drops the program, checkpoint,
+// lockstep reference, micro-ITLB, tracer, interval series, progress
+// callback and context, so a pooled machine pins nothing of the run
+// beyond its own page table's entries, which the next New clears.
 func (m *Machine) Release() {
 	m.Mem.Reset()
 	m.rob.reset()
@@ -309,7 +308,7 @@ func (m *Machine) Release() {
 		pred:    m.pred,
 		rob:     m.rob,
 		fetchQ:  m.fetchQ,
-		metrics: m.metrics,
+		samples: m.samples,
 	}
 	released.Put(m)
 }
@@ -443,7 +442,8 @@ func (m *Machine) Run() error {
 	if m.interval != nil && m.cycle > m.intervalPrev.cycle {
 		m.sampleInterval() // flush the final partial interval
 	}
-	m.metrics.foldCycleCounts()
+	m.samples.fold(&m.stats)
+	m.stats.ICache, m.stats.DCache = *m.icache.Stats(), *m.dcache.Stats()
 	return m.err
 }
 
@@ -485,7 +485,6 @@ func (m *Machine) EnableIntervalSampling(every int64) {
 	m.interval = stats.NewIntervalSeries(every,
 		"cycle", "ipc", "tlb.miss_rate", "rob.occupancy", "tlb.port_queue_depth")
 	m.intervalPrev = intervalBase{}
-	m.intervalNoPort = 0
 }
 
 // Intervals returns the interval time series (nil unless
@@ -517,10 +516,10 @@ func (m *Machine) sampleInterval() {
 	if dLook := ts.Lookups - prev.lookups; dLook > 0 {
 		missRate = float64(ts.Misses-prev.misses) / float64(dLook)
 	}
-	queueDepth := float64(m.intervalNoPort) / float64(dCycles)
+	queueDepth := float64(m.stats.TLBRetries-prev.retries) / float64(dCycles)
 	m.interval.Append(float64(m.cycle), ipc, missRate, float64(m.rob.count), queueDepth)
-	*prev = intervalBase{cycle: m.cycle, committed: m.stats.Committed, lookups: ts.Lookups, misses: ts.Misses}
-	m.intervalNoPort = 0
+	*prev = intervalBase{cycle: m.cycle, committed: m.stats.Committed, lookups: ts.Lookups,
+		misses: ts.Misses, retries: m.stats.TLBRetries}
 }
 
 // Stats returns the run's statistics (valid after Run).

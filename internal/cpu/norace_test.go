@@ -19,21 +19,21 @@ import (
 // released machine that has run its design before. Such a run reads 0
 // bytes; 512 leaves room for an allocation the runtime makes on its own
 // account and still fails if any per-run structure comes back: a
-// device's banks (about 11 KiB), the metrics registry (8) or its
-// snapshot (7), the page table's map (2) or its entries (0.8).
+// device's banks (about 11 KiB), the per-cycle counts (1), the page
+// table's map (2) or its entries (0.8).
 const recycledRunBudget = 512
 
 // TestRecycledRunAllocBudget: a from-reset run on a recycled machine
 // allocates only what the run itself needs. Test-scale compress runs
 // under each of the 13 designs in turn, as the engine runs it: New,
-// Run, Stats, DTLB.Stats and Observed copied out by value, Release.
+// Run, Stats and DTLB.Stats copied out by value, Release.
 // Once the machine has run every design, each further run allocates
 // nothing: the budget holds each design's fewest bytes over three
 // passes, since a bank's index map may still grow now and then (Go's
 // maps reseed on clear, and a grown map stays grown), while a per-run
 // structure shows in every pass. A new machine's first run reads about 245 KiB (memory frames
 // about half, then the tag arrays, ROB, predictor, TLB banks and
-// metrics registry), and a recycled machine's first run of a design
+// per-cycle counts), and a recycled machine's first run of a design
 // about 11 KiB, its device.
 func TestRecycledRunAllocBudget(t *testing.T) {
 	w, err := workload.ByName("compress")
@@ -60,8 +60,7 @@ func TestRecycledRunAllocBudget(t *testing.T) {
 		res := struct {
 			s Stats
 			t tlb.Stats
-			o Observed
-		}{*m.Stats(), *m.DTLB.Stats(), m.Observed()}
+		}{*m.Stats(), *m.DTLB.Stats()}
 		m.Release()
 		runtime.ReadMemStats(&after)
 		_ = res

@@ -125,9 +125,8 @@ func (r *recycleRig) run(t *testing.T, s recycleSpec) (*cpu.Machine, outcome) {
 			VirtualCache: cfg.VirtualCache, ContextSwitchEvery: cfg.FlushTLBEvery,
 			Lockstep: cfg.Lockstep, FastForward: cfg.FastForward,
 		},
-		Stats:    o.stats,
-		TLB:      o.tlb,
-		Observed: m.Observed(),
+		Stats: o.stats,
+		TLB:   o.tlb,
 	}
 	if o.metrics, err = json.Marshal(res.Metrics()); err != nil {
 		t.Fatal(err)
@@ -174,8 +173,8 @@ func (o outcome) diff(w outcome) string {
 // machine and is released in turn; then the first spec runs again on
 // that machine, and every observable outcome must match the fresh
 // run's. The again-run must also have got back what the machine keeps:
-// the first run's translation device, reset, and the address space and
-// metrics registry the other run released.
+// the first run's translation device, reset, and the address space the
+// other run released.
 func TestRecycledEqualsFresh(t *testing.T) {
 	var r recycleRig
 	const test, full = workload.ScaleTest, workload.ScaleFull
@@ -217,7 +216,7 @@ func TestRecycledEqualsFresh(t *testing.T) {
 			m.Release()
 			for try := 0; ; try++ {
 				m, _ := r.run(t, other)
-				as, reg := m.AS, m.Registry()
+				as := m.AS
 				m.Release()
 				again, got := r.run(t, s)
 				if again != m || m != ranS {
@@ -235,8 +234,6 @@ func TestRecycledEqualsFresh(t *testing.T) {
 					t.Fatalf("after %s, the recycled machine built a new %s device instead of resetting its own", other.name, s.design)
 				case again.AS != as:
 					t.Fatalf("after %s, the recycled machine built a new address space", other.name)
-				case again.Registry() != reg:
-					t.Fatalf("after %s, the recycled machine built a new metrics registry", other.name)
 				}
 				if d := got.diff(want); d != "" {
 					t.Fatalf("after %s, the recycled machine's run differs: %s", other.name, d)

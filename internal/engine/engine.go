@@ -13,7 +13,9 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"maps"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -103,10 +105,10 @@ type Engine struct {
 	// ewma holds learned wall-time estimates in seconds, keyed by the
 	// spec features that dominate run length.
 	ewma map[costKey]float64
-	// wallReg holds one wall-time histogram per workload (metric name =
-	// the workload), touched only under mu, which is what makes a
-	// concurrent /metrics scrape race-free while machines run.
-	wallReg *stats.Registry
+	// wall holds one wall-time distribution per workload, touched only
+	// under mu, which is what makes a concurrent /metrics scrape
+	// race-free while machines run.
+	wall map[string]stats.Dist
 	// runLog records the last runLogKept requests (executed or
 	// cache-served) for the provenance manifest: a ring once full, the
 	// oldest record at runsDropped % runLogKept.
@@ -131,11 +133,11 @@ type Engine struct {
 // New returns an empty sweep engine.
 func New() *Engine {
 	return &Engine{
-		progs:   newFlight[progKey, *prog.Program](progKept),
-		ckpts:   newFlight[ckptKey, *ckpt.Checkpoint](ckptKept),
-		memo:    newFlight[specKey, RunResult](memoKept),
-		ewma:    make(map[costKey]float64),
-		wallReg: stats.NewRegistry(),
+		progs: newFlight[progKey, *prog.Program](progKept),
+		ckpts: newFlight[ckptKey, *ckpt.Checkpoint](ckptKept),
+		memo:  newFlight[specKey, RunResult](memoKept),
+		ewma:  make(map[costKey]float64),
+		wall:  make(map[string]stats.Dist),
 	}
 }
 
@@ -347,7 +349,12 @@ func (e *Engine) State() EngineState {
 func (e *Engine) WallTimes() stats.Snapshot {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.wallReg.Snapshot()
+	out := make(stats.Snapshot, 0, len(e.wall))
+	for _, w := range slices.Sorted(maps.Keys(e.wall)) {
+		d := e.wall[w]
+		out = append(out, d.Metric(w, wallBuckets))
+	}
+	return out
 }
 
 // RunRecord is one entry of the engine's provenance log: a run request
@@ -414,7 +421,9 @@ func (e *Engine) record(id uint64, spec RunSpec, res *RunResult, cached bool, ph
 		e.runsDropped++
 	}
 	if !cached && res.Err == nil {
-		e.wallReg.Histogram(spec.Workload, wallBuckets).Observe(res.Wall.Milliseconds())
+		d := e.wall[spec.Workload]
+		d.Observe(wallBuckets, res.Wall.Milliseconds())
+		e.wall[spec.Workload] = d
 	}
 	e.mu.Unlock()
 }
@@ -717,7 +726,6 @@ func (e *Engine) execute(ctx context.Context, spec RunSpec) RunResult {
 	}
 	res.Stats = *m.Stats()
 	res.TLB = *m.DTLB.Stats()
-	res.Observed = m.Observed()
 	res.Trace = m.Tracer()
 	res.Intervals = m.Intervals()
 	// res holds copies of everything it reads from m, so the next New

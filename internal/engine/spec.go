@@ -65,13 +65,12 @@ func (s RunSpec) String() string {
 
 // RunResult is one simulation's outcome.
 type RunResult struct {
-	Spec  RunSpec
+	Spec RunSpec
+	// Stats and TLB hold every count the run kept; Metrics renders the
+	// metrics export from the two.
 	Stats cpu.Stats
 	TLB   tlb.Stats
-	// Observed holds what the run counted live beyond Stats and TLB;
-	// Metrics renders the full metrics export from the three.
-	Observed cpu.Observed
-	Err      error
+	Err   error
 
 	// Wall is the run's wall-clock time (zero for memo-cache hits).
 	Wall time.Duration
@@ -91,5 +90,5 @@ type RunResult struct {
 // per-cause stall cycles and the aggregate counters, sorted by name.
 // It allocates the export on each call; nothing in a sweep calls it.
 func (r *RunResult) Metrics() stats.Snapshot {
-	return cpu.RenderMetrics(&r.Stats, &r.TLB, &r.Observed)
+	return cpu.RenderMetrics(&r.Stats, &r.TLB)
 }

@@ -125,7 +125,7 @@ func Wire(res RunResult) api.Result {
 		NoPortRetries: res.TLB.NoPorts,
 		StatusWrites:  res.TLB.StatusWrites,
 
-		FetchStallCycles:  res.Stats.FetchStallCycles,
+		FetchStallCycles:  res.Stats.FetchStallCycles(),
 		DispatchTLBStalls: res.Stats.DispatchTLBStalls,
 		DispatchROBFull:   res.Stats.DispatchROBFull,
 		DispatchLSQFull:   res.Stats.DispatchLSQFull,

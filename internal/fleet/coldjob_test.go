@@ -65,39 +65,19 @@ func coldJob(t *testing.T, base string, req api.JobRequest) []string {
 
 // workerLog builds a coordinator over one rig worker whose requests
 // from the coordinator pass through rt (wrapping a requestLog), and
-// returns a client of the coordinator and the log. The worker's engine
-// is held until the coordinator holds the headers of its first event
-// stream, so no spec finishes before the stream is subscribed.
+// returns a client of the coordinator and the log.
 func workerLog(t *testing.T, rt func(http.RoundTripper) http.RoundTripper) (*api.Client, *requestLog) {
 	tr := &http.Transport{}
 	t.Cleanup(tr.CloseIdleConnections)
 	log := &requestLog{next: tr}
-	rig := fleettest.New(t, 1)
-	release := rig.Workers[0].Hold()
-	t.Cleanup(release)
-	opened := &streamOpened{next: log, release: release}
-	_, cl, _ := newCoord(t, rig, func(c *fleet.Config) {
+	_, cl, _ := newCoord(t, fleettest.New(t, 1), func(c *fleet.Config) {
 		c.Client = func(addr string) *api.Client {
 			wc := api.NewClient(addr)
-			wc.HTTP = &http.Client{Transport: rt(opened)}
+			wc.HTTP = &http.Client{Transport: rt(log)}
 			return wc
 		}
 	})
 	return cl, log
-}
-
-// streamOpened calls release once an event stream's headers arrive.
-type streamOpened struct {
-	next    http.RoundTripper
-	release func()
-}
-
-func (s *streamOpened) RoundTrip(r *http.Request) (*http.Response, error) {
-	resp, err := s.next.RoundTrip(r)
-	if err == nil && strings.HasSuffix(r.URL.Path, "/events") {
-		s.release()
-	}
-	return resp, err
 }
 
 // kinds names each logged request by its route; a Wait's consecutive
@@ -151,6 +131,39 @@ func TestColdJobRequestBudget(t *testing.T) {
 			t.Errorf("the worker saw %q, want %q", log.requests(), want)
 		}
 	})
+}
+
+// TestFinishedBatchStreamsItsSpecs: a worker batch that finishes
+// before the coordinator opens its event stream is reported on that
+// stream, which opens with the finished specs and their artifacts: the
+// worker sees the POST and the events GET, and no status request.
+func TestFinishedBatchStreamsItsSpecs(t *testing.T) {
+	guardGoroutines(t)
+	cl, log := workerLog(t, func(next http.RoundTripper) http.RoundTripper { return finishedFirst{next} })
+	if got := coldJob(t, cl.Base, sweep(105)); !reflect.DeepEqual(got, waited) {
+		t.Errorf("a cold 13-design sweep made requests %q, want %q", got, waited)
+	}
+	if got, want := kinds(log.requests()), []string{"submit", "events"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("the worker saw %q, want %q", log.requests(), want)
+	}
+}
+
+// finishedFirst holds each event stream request until the worker job
+// it names has finished, waiting on a client of its own, which the
+// request log does not see.
+type finishedFirst struct{ next http.RoundTripper }
+
+func (f finishedFirst) RoundTrip(r *http.Request) (*http.Response, error) {
+	if path, ok := strings.CutSuffix(r.URL.Path, "/events"); ok {
+		tr := &http.Transport{}
+		defer tr.CloseIdleConnections()
+		wc := api.NewClient(r.URL.Scheme + "://" + r.URL.Host)
+		wc.HTTP = &http.Client{Transport: tr}
+		if _, err := wc.Wait(r.Context(), strings.TrimPrefix(path, api.PathJobs+"/")); err != nil {
+			return nil, err
+		}
+	}
+	return f.next.RoundTrip(r)
 }
 
 // TestOversizeJobFetchesEachArtifact: the 130-spec Figure 5 grid's

@@ -216,8 +216,8 @@ func runContract(s *session) {
 	s.get("unknown sub-endpoint", 404, s.acc.StatusURL+"/bogus")
 	s.get("spans with tracing off", 404, s.acc.StatusURL+"/spans")
 	s.get("events for a finished job", 200, s.acc.EventsURL)
-	if ev := s.out[len(s.out)-1].Events; !reflect.DeepEqual(ev, []string{"done"}) {
-		t.Errorf("late subscriber saw events %v, want [done]", ev)
+	if ev := s.out[len(s.out)-1].Events; !reflect.DeepEqual(ev, []string{"spec", "done"}) {
+		t.Errorf("late subscriber saw events %v, want [spec done]: the finished spec, then the done", ev)
 	}
 
 	// Results.

@@ -89,8 +89,6 @@ type Worker struct {
 	// no-duplicate-run invariant.
 	submitted map[string]int
 	crashed   bool
-	// held, while open, parks every engine beat (see Hold).
-	held chan struct{}
 }
 
 // Rig is a loopback fleet of real workers.
@@ -153,11 +151,8 @@ func newWorker(t testing.TB) *Worker {
 	// goroutine that runs the spec.
 	eng.SetHeartbeat(func() {
 		w.mu.Lock()
-		fault, held := w.fault, w.held
+		fault := w.fault
 		w.mu.Unlock()
-		if held != nil {
-			<-held
-		}
 		if fault == FaultPanic {
 			panic("fleettest: injected panic")
 		}
@@ -199,25 +194,6 @@ func (w *Worker) SetFault(f Fault, slowBy time.Duration) {
 	close(w.hangers)
 	w.hangers = make(chan struct{})
 	w.mu.Unlock()
-}
-
-// Hold parks the worker's engine at its next beat — a run starting —
-// until release is called (which is idempotent): a job's specs cannot
-// finish before the test lets them.
-func (w *Worker) Hold() (release func()) {
-	held := make(chan struct{})
-	w.mu.Lock()
-	w.held = held
-	w.mu.Unlock()
-	var once sync.Once
-	return func() {
-		once.Do(func() {
-			w.mu.Lock()
-			w.held = nil
-			w.mu.Unlock()
-			close(held)
-		})
-	}
 }
 
 // Crash drops the worker like a kill -9: the listener closes and every

@@ -81,8 +81,7 @@ func variantDigest(t *testing.T, budget prog.RegBudget, tweak func(*cpu.Config))
 				Stats: *m.Stats(),
 				TLB:   *m.DTLB.Stats(),
 			})))
-			o := m.Observed()
-			metrics, err := json.Marshal(cpu.RenderMetrics(m.Stats(), m.DTLB.Stats(), &o))
+			metrics, err := json.Marshal(cpu.RenderMetrics(m.Stats(), m.DTLB.Stats()))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -1,8 +1,9 @@
 package obs
 
-// Two gates on one analysis of the module's shipped code: every
+// Three gates on one analysis of the module's shipped code: every
 // exported identifier has a caller outside the tests
-// (TestNoTestOnlyExports), and every Go identifier the docs name in
+// (TestNoTestOnlyExports), every run counter has a reader outside them
+// (TestNoWriteOnlyCounters), and every Go identifier the docs name in
 // backticks exists (TestDocsNameLiveIdentifiers). The analysis is
 // standard library only: `go list` finds the packages, go/parser reads
 // their non-test files, and go/types checks them in import order with
@@ -35,6 +36,7 @@ type modPkg struct {
 	path, dir, name string
 	goFiles         []string
 	testFiles       []string
+	files           []*ast.File // the parsed goFiles
 	types           *types.Package
 	info            *types.Info
 	testNames       map[string]bool
@@ -189,7 +191,7 @@ func (m *moduleImporter) check(p *modPkg) error {
 	if err != nil {
 		return fmt.Errorf("type-checking %s: %v", p.path, err)
 	}
-	p.types = pkg
+	p.types, p.files = pkg, files
 	return nil
 }
 
@@ -269,6 +271,97 @@ func TestNoTestOnlyExports(t *testing.T) {
 	for key := range testOnlyAllowed {
 		if !allowed[key] {
 			t.Errorf("testOnlyAllowed names %s, which is not an exported identifier only tests use: drop the entry", key)
+		}
+	}
+}
+
+// counterStructs are the structs that hold a run's counts.
+var counterStructs = []string{"hbat/internal/cpu.Stats", "hbat/internal/tlb.Stats", "hbat/internal/cache.Stats"}
+
+// writeOnlyAllowed are the fields of counterStructs that no shipped
+// code reads but that stay, each with the reader that needs them.
+var writeOnlyAllowed = map[string]string{
+	"hbat/internal/cpu.Stats.ITLBAccesses": "read by TestMicroITLBValidatesPaperScoping: the micro-ITLB study (Config.ModelITLB) runs only in the cpu tests",
+	"hbat/internal/cpu.Stats.ITLBMisses":   "read by TestMicroITLBValidatesPaperScoping: the micro-ITLB study (Config.ModelITLB) runs only in the cpu tests",
+}
+
+// TestNoWriteOnlyCounters: every field of counterStructs is read by
+// some non-test file of the module. Being assigned, incremented (++,
+// +=), keyed in a composite literal or measured (len, cap) is not a
+// read, and neither is being the array an element of which is
+// written. A counter nothing reads costs the tick an increment and
+// answers no question: delete it, or allowlist it in writeOnlyAllowed
+// naming its reader; an entry nothing needs any more is an error too.
+func TestNoWriteOnlyCounters(t *testing.T) {
+	a := analyzeModule(t)
+	read := map[types.Object]bool{}
+	for _, p := range a.pkgs {
+		unread := map[*ast.Ident]bool{}
+		for _, f := range p.files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.AssignStmt:
+					for _, lhs := range n.Lhs {
+						unread[fieldOf(lhs)] = true
+					}
+				case *ast.IncDecStmt:
+					unread[fieldOf(n.X)] = true
+				case *ast.KeyValueExpr:
+					if id, ok := n.Key.(*ast.Ident); ok {
+						unread[id] = true
+					}
+				case *ast.CallExpr:
+					if id, ok := n.Fun.(*ast.Ident); ok && len(n.Args) == 1 {
+						if _, ok := p.info.Uses[id].(*types.Builtin); ok && (id.Name == "len" || id.Name == "cap") {
+							unread[fieldOf(n.Args[0])] = true
+						}
+					}
+				}
+				return true
+			})
+		}
+		for id, obj := range p.info.Uses {
+			if v, ok := obj.(*types.Var); ok && v.IsField() && !unread[id] {
+				read[v] = true
+			}
+		}
+	}
+	allowed := map[string]bool{}
+	for _, name := range counterStructs {
+		i := strings.LastIndex(name, ".")
+		st := a.pkgs[name[:i]].types.Scope().Lookup(name[i+1:]).Type().Underlying().(*types.Struct)
+		for f := range st.Fields() {
+			key := name + "." + f.Name()
+			switch {
+			case read[f]:
+			case writeOnlyAllowed[key] != "":
+				allowed[key] = true
+			default:
+				t.Errorf("%s: %s is counted but no shipped code reads it: delete it, or allowlist it naming its reader",
+					a.fset.Position(f.Pos()), key)
+			}
+		}
+	}
+	for key := range writeOnlyAllowed {
+		if !allowed[key] {
+			t.Errorf("writeOnlyAllowed names %s, which is not a counter only tests read: drop the entry", key)
+		}
+	}
+}
+
+// fieldOf returns the field identifier e names (x.f, x.f[i]), or nil
+// when e is no field.
+func fieldOf(e ast.Expr) *ast.Ident {
+	for {
+		switch x := e.(type) {
+		case *ast.IndexExpr:
+			e = x.X
+		case *ast.ParenExpr:
+			e = x.X
+		case *ast.SelectorExpr:
+			return x.Sel
+		default:
+			return nil
 		}
 	}
 }

@@ -2,61 +2,41 @@ package stats
 
 import (
 	"encoding/json"
-	"reflect"
 	"strings"
 	"testing"
 )
 
-func TestCounterBasics(t *testing.T) {
-	r := NewRegistry()
-	c := r.Counter("cpu.squashes")
-	c.Inc()
-	c.Add(4)
-	if c.Value() != 5 {
-		t.Fatalf("counter = %d", c.Value())
-	}
-	if r.Counter("cpu.squashes") != c {
-		t.Fatal("second lookup returned a different counter")
-	}
-}
-
 func TestHistogramBucketing(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram("lat", []int64{0, 1, 3, 7})
+	bounds := []int64{0, 1, 3, 7}
+	var d Dist
 	for _, v := range []int64{0, 0, 1, 2, 3, 5, 9, 100} {
-		h.Observe(v)
+		d.Observe(bounds, v)
 	}
-	_, counts := h.Buckets()
 	want := []uint64{2, 1, 2, 1, 2} // le0, le1, le3, le7, overflow
 	for i := range want {
-		if counts[i] != want[i] {
-			t.Fatalf("bucket %d = %d, want %d (all %v)", i, counts[i], want[i], counts)
+		if d.Buckets[i] != want[i] {
+			t.Fatalf("bucket %d = %d, want %d (all %v)", i, d.Buckets[i], want[i], d.Buckets)
 		}
 	}
-	if h.n != 8 || h.Sum() != 120 || h.Max() != 100 {
-		t.Fatalf("count %d sum %d max %d", h.n, h.Sum(), h.Max())
+	if m := d.Metric("lat", bounds); m.Count != 8 || m.Sum != 120 || m.Max != 100 || len(m.Buckets) != 5 {
+		t.Fatalf("count %d sum %d max %d buckets %v", m.Count, m.Sum, m.Max, m.Buckets)
 	}
 }
 
-// ObserveN(v, n) leaves a histogram exactly as n Observe(v) calls do,
-// and ObserveN(v, 0) leaves it untouched.
+// ObserveN(v, n) leaves a distribution exactly as n Observe(v) calls
+// do, and ObserveN(v, 0) leaves it untouched.
 func TestHistogramObserveN(t *testing.T) {
-	r := NewRegistry()
-	one := r.Histogram("one", []int64{0, 1, 3, 7})
-	bulk := r.Histogram("bulk", []int64{0, 1, 3, 7})
+	bounds := []int64{0, 1, 3, 7}
+	var one, bulk Dist
 	for v, n := range []uint64{3, 0, 5, 1, 0, 0, 2, 0, 0, 0, 4} {
 		for range n {
-			one.Observe(int64(v))
+			one.Observe(bounds, int64(v))
 		}
-		bulk.ObserveN(int64(v), n)
+		bulk.ObserveN(bounds, int64(v), n)
 	}
-	bulk.ObserveN(99, 0)
-	snap := r.Snapshot()
-	a, _ := snap.Get("one")
-	b, _ := snap.Get("bulk")
-	a.Name, b.Name = "", ""
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("ObserveN: %+v, Observe: %+v", b, a)
+	bulk.ObserveN(bounds, 99, 0)
+	if one != bulk {
+		t.Fatalf("ObserveN: %+v, Observe: %+v", bulk, one)
 	}
 }
 
@@ -69,49 +49,22 @@ func TestBucketHelpers(t *testing.T) {
 	}
 }
 
-func TestNameCollisionAcrossKindsPanics(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("x")
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic on kind collision")
-		}
-	}()
-	r.Histogram("x", nil)
-}
-
-func TestSnapshotSortedAndStable(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("zebra").Add(1)
-	r.Counter("alpha").Add(2)
-	r.Histogram("mid", []int64{1}).Observe(5)
-	s := r.Snapshot()
-	if len(s) != 3 {
-		t.Fatalf("snapshot len %d", len(s))
-	}
-	for i, want := range []string{"alpha", "mid", "zebra"} {
-		if s[i].Name != want {
-			t.Fatalf("order %v", s)
-		}
-	}
-	if m, _ := s.Get("zebra"); m.Value != 1 {
-		t.Fatalf("zebra = %d", m.Value)
-	}
-	if _, ok := s.Get("nope"); ok {
-		t.Fatal("found a metric that does not exist")
-	}
+// lat is a two-sample histogram over bounds {0, 4}.
+func lat(name string) Metric {
+	var d Dist
+	d.Observe([]int64{0, 4}, 2)
+	d.Observe([]int64{0, 4}, 9)
+	return d.Metric(name, []int64{0, 4})
 }
 
 func TestWriteJSONIsValidJSON(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("a").Add(3)
-	r.Counter("b")
-	h := r.Histogram("c", []int64{0, 4})
-	h.Observe(2)
-	h.Observe(9)
-
+	s := Snapshot{
+		{Name: "a", Kind: "counter", Value: 3},
+		{Name: "b", Kind: "counter"},
+		lat("c"),
+	}
 	var sb strings.Builder
-	if err := r.Snapshot().WriteJSON(&sb); err != nil {
+	if err := s.WriteJSON(&sb); err != nil {
 		t.Fatal(err)
 	}
 	var decoded []map[string]any
@@ -130,14 +83,9 @@ func TestWriteJSONIsValidJSON(t *testing.T) {
 }
 
 func TestWriteCSV(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("hits").Add(7)
-	h := r.Histogram("lat", []int64{1})
-	h.Observe(0)
-	h.Observe(5)
-
+	s := Snapshot{{Name: "hits", Kind: "counter", Value: 7}, lat("lat")}
 	var sb strings.Builder
-	if err := r.Snapshot().WriteCSV(&sb); err != nil {
+	if err := s.WriteCSV(&sb); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()
@@ -145,7 +93,7 @@ func TestWriteCSV(t *testing.T) {
 		"name,kind,value\n",
 		"hits,counter,7\n",
 		"lat.count,histogram,2\n",
-		"lat.le_1,histogram,1\n",
+		"lat.le_4,histogram,1\n",
 		"lat.le_inf,histogram,1\n",
 	} {
 		if !strings.Contains(out, want) {

@@ -128,7 +128,6 @@ func (t *Interleaved) Lookup(req Request, now int64) Result {
 				return Result{Outcome: Miss}
 			}
 			t.stats.Hits++
-			t.stats.observeExtra(0)
 			if statusWrite(t.inflight[b].pte, req.Write) {
 				t.stats.StatusWrites++
 			}
@@ -146,7 +145,6 @@ func (t *Interleaved) Lookup(req Request, now int64) Result {
 		return Result{Outcome: Miss}
 	}
 	t.stats.Hits++
-	t.stats.observeExtra(0)
 	if statusWrite(pte, req.Write) {
 		t.stats.StatusWrites++
 	}
@@ -176,7 +174,6 @@ func (t *Interleaved) FlushAll() {
 	for _, b := range t.banks {
 		b.Flush()
 	}
-	t.stats.Flushes++
 }
 
 // Warm implements Warmer: installs the translation into its selected

@@ -79,7 +79,6 @@ func (t *Multilevel) Lookup(req Request, now int64) Result {
 	if pte, ok := t.l1.Lookup(req.VPN, now); ok {
 		t.stats.Hits++
 		t.stats.ShieldHits++
-		t.stats.observeExtra(0)
 		if statusWrite(pte, req.Write) {
 			// Write-through of the status change to the L2: consumes a
 			// background slot of the L2 port but adds no latency to
@@ -100,7 +99,7 @@ func (t *Multilevel) Lookup(req Request, now int64) Result {
 
 	if pte, ok := t.l2.Lookup(req.VPN, start); ok {
 		t.stats.Hits++
-		t.stats.observeExtra(extra)
+		t.stats.ExtraCycles += uint64(extra)
 		if statusWrite(pte, req.Write) {
 			t.stats.StatusWrites++
 		}
@@ -142,7 +141,6 @@ func (t *Multilevel) Invalidate(vpn uint64) {
 func (t *Multilevel) FlushAll() {
 	t.l1.Flush()
 	t.l2.Flush()
-	t.stats.Flushes++
 }
 
 // Warm implements Warmer: loads both levels like a Fill (preserving

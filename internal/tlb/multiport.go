@@ -107,7 +107,6 @@ func (t *Multiported) Lookup(req Request, now int64) Result {
 			}
 			t.stats.Lookups++
 			t.stats.Hits++
-			t.stats.observeExtra(0)
 			t.bank.Touch(req.VPN, now)
 			if statusWrite(fl.pte, req.Write) {
 				t.stats.StatusWrites++
@@ -128,7 +127,6 @@ func (t *Multiported) Lookup(req Request, now int64) Result {
 		return Result{Outcome: Miss}
 	}
 	t.stats.Hits++
-	t.stats.observeExtra(0)
 	if statusWrite(pte, req.Write) {
 		t.stats.StatusWrites++
 	}
@@ -155,7 +153,6 @@ func (t *Multiported) Invalidate(vpn uint64) {
 // FlushAll implements Device.
 func (t *Multiported) FlushAll() {
 	t.bank.Flush()
-	t.stats.Flushes++
 }
 
 // Warm implements Warmer: installs the translation like a Fill without

@@ -124,7 +124,6 @@ func (t *Pretranslation) Lookup(req Request, now int64) Result {
 			e.lastUse = t.clock
 			t.stats.Hits++
 			t.stats.ShieldHits++
-			t.stats.observeExtra(0)
 			if statusWrite(e.pte, req.Write) {
 				t.stats.StatusWrites++
 				t.reserveBasePort(now + 1)
@@ -147,7 +146,7 @@ func (t *Pretranslation) Lookup(req Request, now int64) Result {
 		return Result{Outcome: Miss}
 	}
 	t.stats.Hits++
-	t.stats.observeExtra(extra)
+	t.stats.ExtraCycles += uint64(extra)
 	if statusWrite(pte, req.Write) {
 		t.stats.StatusWrites++
 	}
@@ -185,7 +184,6 @@ func (t *Pretranslation) flushCache() {
 	for i := range t.cache {
 		t.cache[i] = preEntry{}
 	}
-	t.stats.Flushes++
 }
 
 // FlushAll implements Device.

@@ -150,9 +150,6 @@ func TestPretranslationFlushOnBaseReplacement(t *testing.T) {
 	if d.CacheLen() != 0 {
 		t.Fatalf("cache len = %d after base replacement, want 0 (flushed)", d.CacheLen())
 	}
-	if d.Stats().Flushes == 0 {
-		t.Fatal("no flush recorded")
-	}
 }
 
 func TestPretranslationLRUCapacity(t *testing.T) {

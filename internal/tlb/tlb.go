@@ -81,25 +81,6 @@ type Stats struct {
 	ExtraCycles  uint64 // total extra hit-latency cycles (includes queueing)
 	StatusWrites uint64 // reference/dirty write-throughs sent to the base TLB
 	Fills        uint64 // translations installed after page-table walks
-	Flushes      uint64 // full flushes (pretranslation coherence)
-
-	// ExtraHist is the distribution of per-hit extra latency: bucket i
-	// counts hits answered with Extra == i cycles; the last bucket
-	// collects everything slower. ExtraCycles is its weighted sum.
-	ExtraHist [8]uint64
-}
-
-// observeExtra records one hit's extra translation latency.
-func (s *Stats) observeExtra(extra int64) {
-	s.ExtraCycles += uint64(extra)
-	i := int(extra)
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(s.ExtraHist) {
-		i = len(s.ExtraHist) - 1
-	}
-	s.ExtraHist[i]++
 }
 
 // Device is a complete address-translation mechanism. BeginCycle must

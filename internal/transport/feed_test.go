@@ -139,7 +139,7 @@ func TestSubscribersShareImmutableEvents(t *testing.T) {
 	var wg sync.WaitGroup
 	got := make([][]seen, 2)
 	for s := range got {
-		events, cancel := j.subscribe(64)
+		_, events, cancel := j.subscribe(64)
 		defer cancel()
 		wg.Add(1)
 		go func() {
@@ -173,6 +173,59 @@ func TestSubscribersShareImmutableEvents(t *testing.T) {
 		}
 		if i < n && (a.ev.Spec.State != api.StateDone || a.ev.Done != i+1) {
 			t.Errorf("event %d = %+v %+v, want spec %d done", i, *a.ev, *a.ev.Spec, i)
+		}
+	}
+}
+
+// TestStreamOpensWithFinishedSpecs: a stream opened after two of its
+// job's three specs finished sends those first, the done one with the
+// artifact the store holds and the failed one bare, then the third
+// spec's Finish and the done: each spec once, counting 1, 2, 3. Every
+// data line is the event's JSON document as json.Marshal writes it.
+func TestStreamOpensWithFinishedSpecs(t *testing.T) {
+	h, j := parkedJob(t, 3)
+	artifact := []byte(`{"cycles":1}`)
+	sha, err := j.front.cfg.Store.Put("t", j.Keys[0], artifact)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j.Finish(0, api.SpecStatus{State: api.StateDone, SHA256: sha})
+	j.Finish(1, api.SpecStatus{State: api.StateFailed, Error: "boom"})
+	rec := httptest.NewRecorder()
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, api.PathJobs+"/"+j.ID+"/events", nil))
+	}()
+	for j.subscribers() == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	j.Finish(2, api.SpecStatus{State: api.StateDone, SHA256: "late", Artifact: []byte("late")})
+	<-served
+
+	var got []api.Event
+	for _, chunk := range strings.Split(strings.TrimSuffix(rec.Body.String(), "\n\n"), "\n\n") {
+		typ, data, ok := strings.Cut(chunk, "\ndata: ")
+		var ev api.Event
+		if !ok || json.Unmarshal([]byte(data), &ev) != nil || typ != "event: "+ev.Type {
+			t.Fatalf("malformed event %q", chunk)
+		}
+		if b, _ := json.Marshal(ev); string(b) != data {
+			t.Errorf("data line %s, json.Marshal writes %s", data, b)
+		}
+		got = append(got, ev)
+	}
+	want := []struct {
+		key, state, artifact string
+	}{{j.Keys[0], api.StateDone, string(artifact)}, {j.Keys[1], api.StateFailed, ""}, {j.Keys[2], api.StateDone, "late"}}
+	if len(got) != len(want)+1 || got[len(want)].Type != "done" || got[len(want)].Done != 3 {
+		t.Fatalf("stream sent %+v, want %d spec events and a done", got, len(want))
+	}
+	for i, w := range want {
+		ev := got[i]
+		if ev.Type != "spec" || ev.Done != i+1 || ev.Total != 3 || ev.Spec.SpecKey != w.key ||
+			ev.Spec.State != w.state || string(ev.Spec.Artifact) != w.artifact {
+			t.Errorf("event %d = %+v %+v, want spec %s %s with artifact %q", i, ev, *ev.Spec, w.key, w.state, w.artifact)
 		}
 	}
 }

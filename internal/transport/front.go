@@ -25,7 +25,7 @@ package transport
 import (
 	"context"
 	"encoding/json"
-	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"strconv"
@@ -291,7 +291,10 @@ func (f *Front) render(st api.JobStatus) api.JobStatus {
 // api.Event JSON document: spec completions, whatever the executor
 // publishes (a coordinator forwards its workers' span events), and the
 // live run-root spans of the job's own runs: the tracer's feed carries
-// every tenant's runs, the job's are those under its trace id.
+// every tenant's runs, the job's are those under its trace id. The
+// stream opens with the specs that finished before it, each with its
+// stored artifact under Finish's cap, so a batch that finishes before
+// its stream is requested is reported on it all the same.
 func (f *Front) serveEvents(w http.ResponseWriter, r *http.Request, j *Job) {
 	fl, ok := w.(http.Flusher)
 	if !ok {
@@ -299,8 +302,8 @@ func (f *Front) serveEvents(w http.ResponseWriter, r *http.Request, j *Job) {
 		return
 	}
 	// Subscribed before the headers go out: a client holding them is
-	// sent every spec event from then on.
-	events, cancel := j.subscribe(64)
+	// sent every spec, those already finished first.
+	past, events, cancel := j.subscribe(64)
 	defer cancel()
 	spans, cancelSpans := f.cfg.Spans.Subscribe(64)
 	defer cancelSpans()
@@ -319,16 +322,32 @@ func (f *Front) serveEvents(w http.ResponseWriter, r *http.Request, j *Job) {
 	})
 	defer stop()
 
+	// One encoder for the stream: each event encodes into its pooled
+	// buffer and straight on to the response.
+	enc := json.NewEncoder(w)
 	emit := func(ev *api.Event) bool {
-		b, err := json.Marshal(ev)
-		if err != nil {
+		if _, err := io.WriteString(w, "event: "+ev.Type+"\ndata: "); err != nil {
 			return false
 		}
-		if _, err := fmt.Fprintf(w, "event: %s\ndata: %s\n\n", ev.Type, b); err != nil {
+		// Encode writes the document and its "\n"; the blank line ends
+		// the event.
+		if enc.Encode(ev) != nil {
+			return false
+		}
+		if _, err := io.WriteString(w, "\n"); err != nil {
 			return false
 		}
 		fl.Flush()
 		return true
+	}
+	for i := range past {
+		sp := &past[i]
+		if data, sha, ok := f.cfg.Store.Get(sp.SpecKey); ok && sha == sp.SHA256 && len(data) <= api.MaxInlineArtifacts {
+			sp.Artifact = data
+		}
+		if !emit(&api.Event{Type: "spec", Job: j.ID, Spec: sp, Done: i + 1, Total: len(j.Keys)}) {
+			return
+		}
 	}
 
 	for {

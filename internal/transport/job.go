@@ -196,22 +196,31 @@ func (j *Job) publishLocked(ev *api.Event) {
 	}
 }
 
-// subscribe registers an event feed for a job. The returned cancel is
-// idempotent. A job that is already done gets an immediate "done"
-// event and a closed channel.
-func (j *Job) subscribe(buf int) (<-chan *api.Event, func()) {
+// subscribe registers an event feed for a job and returns, read under
+// the same lock, the specs already terminal, in index order: the feed
+// carries the Finishes after them, so a subscriber that sends these
+// first sends every spec once. The returned cancel is idempotent. A
+// job that is already done gets an immediate "done" event and a closed
+// channel.
+func (j *Job) subscribe(buf int) ([]api.SpecStatus, <-chan *api.Event, func()) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	var past []api.SpecStatus
+	for _, sp := range j.specs {
+		if terminal(sp.State) {
+			past = append(past, sp)
+		}
+	}
 	ch := make(chan *api.Event, buf)
 	if j.done == len(j.specs) {
 		ch <- &api.Event{Type: "done", Job: j.ID, Done: j.done, Total: len(j.specs)}
 		close(ch)
-		return ch, func() {}
+		return past, ch, func() {}
 	}
 	j.subSeq++
 	id := j.subSeq
 	j.subs[id] = ch
-	return ch, func() {
+	return past, ch, func() {
 		j.mu.Lock()
 		if _, ok := j.subs[id]; ok {
 			delete(j.subs, id)
