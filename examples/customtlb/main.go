@@ -26,7 +26,7 @@ import (
 // fully-associative victim buffer with two ports. Lookups that miss the
 // bank but hit the victim buffer are serviced with one extra cycle.
 type victimTLB struct {
-	main   *tlb.Interleaved
+	main   *tlb.Banked
 	victim *tlb.Bank
 	as     *vm.AddressSpace
 	stats  tlb.Stats
@@ -36,7 +36,7 @@ type victimTLB struct {
 
 func newVictimTLB(as *vm.AddressSpace, seed uint64) *victimTLB {
 	return &victimTLB{
-		main:   tlb.NewInterleaved("I4v", as, 128, 4, tlb.BitSelect(4), 0, tlb.Random, seed),
+		main:   tlb.NewBanked("I4v", as, 128, 4, 1, 0, tlb.BitSelect(4), tlb.Random, seed),
 		victim: tlb.NewBank(8, tlb.LRU, seed+99),
 		as:     as,
 	}

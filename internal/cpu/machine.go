@@ -51,12 +51,11 @@ type Machine struct {
 	dcache  *cache.Cache
 	pred    *bpred.Predictor
 
-	// counted is DTLB when every request to it takes a real port or
-	// bank (a multi-ported or interleaved TLB with no piggyback ports,
-	// reached by every memory request: no virtual-address cache in
-	// front); memExecute then counts the requests that find theirs taken
-	// without making them.
-	counted rejecter
+	// counted is DTLB when every request to it takes a real port (a
+	// banked TLB with no piggyback ports, reached by every memory
+	// request: no virtual-address cache in front); memExecute then
+	// counts the requests that find theirs taken without making them.
+	counted *tlb.Banked
 
 	// Pipeline state.
 	rob        *rob
@@ -130,16 +129,6 @@ type Machine struct {
 	// devices holds, by mnemonic, the translation device of each Table
 	// 2 design this machine has run (see NewWithDesign).
 	devices map[string]tlb.Device
-}
-
-// rejecter is a translation device that knows, without side effects,
-// when a request would be answered NoPort (its port or bank is taken
-// this cycle), and can charge such requests in one sum — exactly so
-// only without piggyback ports, which serve requests Busy turns away.
-type rejecter interface {
-	PiggybackPorts() int
-	Busy(vpn uint64) bool
-	Reject(n uint64)
 }
 
 // intervalBase snapshots the counters an interval sample differences
@@ -237,7 +226,9 @@ func build(p *prog.Program, cfg Config, dtlb func(*Machine) tlb.Device) (*Machin
 	}
 	m.DTLB = dtlb(m)
 	m.tracker, _ = m.DTLB.(tlb.RegisterTracker)
-	if d, ok := m.DTLB.(rejecter); ok && d.PiggybackPorts() == 0 && !cfg.VirtualCache {
+	// Busy predicts NoPort exactly only without piggyback ports, which
+	// serve requests Busy turns away.
+	if d, ok := m.DTLB.(*tlb.Banked); ok && d.PiggybackPorts() == 0 && !cfg.VirtualCache {
 		m.counted = d
 	}
 	if cfg.ModelITLB {

@@ -141,14 +141,6 @@ func (b *Bank) Probe(vpn uint64) (*vm.PTE, bool) {
 	return nil, false
 }
 
-// Touch refreshes the recency of vpn if present (used when a piggyback
-// shares an in-flight translation).
-func (b *Bank) Touch(vpn uint64, now int64) {
-	if i, ok := b.index[vpn]; ok {
-		b.entries[i].lastUse = now
-	}
-}
-
 // Insert installs vpn -> pte, evicting per the replacement policy if
 // the bank is full. It returns the evicted VPN and whether an eviction
 // of a valid entry occurred (multi-level designs use this to enforce

@@ -15,48 +15,50 @@ type Spec struct {
 }
 
 // The thirteen analyzed configurations of Table 2. Every base structure
-// holds 128 entries; interleaved banks split those entries evenly.
+// holds 128 entries; interleaved banks split those entries evenly. The
+// banked designs read NewBanked(name, as, entries, banks, ports per
+// bank, piggyback ports per bank, bank select, replacement, seed).
 var specs = map[string]Spec{
 	"T4": {
 		Mnemonic:    "T4",
 		Description: "4-ported TLB, 128 entries, fully-associative, random replacement",
 		Build: func(as *vm.AddressSpace, seed uint64) Device {
-			return NewMultiported("T4", as, 128, 4, 0, Random, seed)
+			return NewBanked("T4", as, 128, 1, 4, 0, BitSelect(1), Random, seed)
 		},
 	},
 	"T2": {
 		Mnemonic:    "T2",
 		Description: "2-ported TLB, 128 entries, fully-associative, random replacement",
 		Build: func(as *vm.AddressSpace, seed uint64) Device {
-			return NewMultiported("T2", as, 128, 2, 0, Random, seed)
+			return NewBanked("T2", as, 128, 1, 2, 0, BitSelect(1), Random, seed)
 		},
 	},
 	"T1": {
 		Mnemonic:    "T1",
 		Description: "1-ported TLB, 128 entries, fully-associative, random replacement",
 		Build: func(as *vm.AddressSpace, seed uint64) Device {
-			return NewMultiported("T1", as, 128, 1, 0, Random, seed)
+			return NewBanked("T1", as, 128, 1, 1, 0, BitSelect(1), Random, seed)
 		},
 	},
 	"I8": {
 		Mnemonic:    "I8",
 		Description: "8-way bit-select interleaved TLB, 128 entries (16-entry fully-associative banks), random replacement in bank",
 		Build: func(as *vm.AddressSpace, seed uint64) Device {
-			return NewInterleaved("I8", as, 128, 8, BitSelect(8), 0, Random, seed)
+			return NewBanked("I8", as, 128, 8, 1, 0, BitSelect(8), Random, seed)
 		},
 	},
 	"I4": {
 		Mnemonic:    "I4",
 		Description: "4-way bit-select interleaved TLB, 128 entries (32-entry fully-associative banks), random replacement in bank",
 		Build: func(as *vm.AddressSpace, seed uint64) Device {
-			return NewInterleaved("I4", as, 128, 4, BitSelect(4), 0, Random, seed)
+			return NewBanked("I4", as, 128, 4, 1, 0, BitSelect(4), Random, seed)
 		},
 	},
 	"X4": {
 		Mnemonic:    "X4",
 		Description: "4-way XOR-select interleaved TLB, 128 entries (32-entry fully-associative banks), random replacement in bank",
 		Build: func(as *vm.AddressSpace, seed uint64) Device {
-			return NewInterleaved("X4", as, 128, 4, XORSelect(4), 0, Random, seed)
+			return NewBanked("X4", as, 128, 4, 1, 0, XORSelect(4), Random, seed)
 		},
 	},
 	"M16": {
@@ -91,21 +93,21 @@ var specs = map[string]Spec{
 		Mnemonic:    "PB2",
 		Description: "2-ported TLB w/ 2 piggyback ports, 128 entries, fully-associative, random replacement",
 		Build: func(as *vm.AddressSpace, seed uint64) Device {
-			return NewMultiported("PB2", as, 128, 2, 2, Random, seed)
+			return NewBanked("PB2", as, 128, 1, 2, 2, BitSelect(1), Random, seed)
 		},
 	},
 	"PB1": {
 		Mnemonic:    "PB1",
 		Description: "1-ported TLB w/ 3 piggyback ports, 128 entries, fully-associative, random replacement",
 		Build: func(as *vm.AddressSpace, seed uint64) Device {
-			return NewMultiported("PB1", as, 128, 1, 3, Random, seed)
+			return NewBanked("PB1", as, 128, 1, 1, 3, BitSelect(1), Random, seed)
 		},
 	},
 	"I4/PB": {
 		Mnemonic:    "I4/PB",
 		Description: "4-way bit-select interleaved TLB w/piggybacked banks, 128 entries (32 entries/bank), random replacement in bank",
 		Build: func(as *vm.AddressSpace, seed uint64) Device {
-			return NewInterleaved("I4/PB", as, 128, 4, BitSelect(4), 3, Random, seed)
+			return NewBanked("I4/PB", as, 128, 4, 1, 3, BitSelect(4), Random, seed)
 		},
 	},
 }

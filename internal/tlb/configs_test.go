@@ -51,19 +51,26 @@ func TestLookupSpecUnknown(t *testing.T) {
 func TestTable2Parameters(t *testing.T) {
 	as := testAS(t, 4096)
 	// Spot-check the structural parameters Table 2 specifies.
-	d, _ := NewFromSpec("T4", as, 1)
-	if mp := d.(*Multiported); mp.ports != 4 || len(mp.bank.entries) != 128 {
-		t.Error("T4 structure wrong")
+	for _, row := range []struct {
+		m                   string
+		banks, ports, piggy int
+	}{
+		{"T4", 1, 4, 0}, {"T2", 1, 2, 0}, {"T1", 1, 1, 0},
+		{"I8", 8, 1, 0}, {"I4", 4, 1, 0}, {"X4", 4, 1, 0},
+		{"PB2", 1, 2, 2}, {"PB1", 1, 1, 3}, {"I4/PB", 4, 1, 3},
+	} {
+		d := banked(t, row.m, as)
+		if len(d.banks) != row.banks || d.ports != row.ports || d.PiggybackPorts() != row.piggy {
+			t.Errorf("%s: %d banks, %d+%d ports, want %d, %d+%d",
+				row.m, len(d.banks), d.ports, d.PiggybackPorts(), row.banks, row.ports, row.piggy)
+		}
+		for i := range d.banks {
+			if b := d.Bank(i); len(b.entries) != 128/row.banks || b.repl != Random {
+				t.Errorf("%s bank %d: %d entries, %v replacement", row.m, i, len(b.entries), b.repl)
+			}
+		}
 	}
-	d, _ = NewFromSpec("PB1", as, 1)
-	if mp := d.(*Multiported); mp.ports != 1 || mp.PiggybackPorts() != 3 {
-		t.Error("PB1 structure wrong")
-	}
-	d, _ = NewFromSpec("I8", as, 1)
-	if il := d.(*Interleaved); len(il.banks) != 8 || len(il.Bank(0).entries) != 16 {
-		t.Error("I8 structure wrong")
-	}
-	d, _ = NewFromSpec("M4", as, 1)
+	d, _ := NewFromSpec("M4", as, 1)
 	ml := d.(*Multilevel)
 	if len(ml.l1.entries) != 4 || len(ml.l2.entries) != 128 {
 		t.Error("M4 structure wrong")
@@ -71,8 +78,7 @@ func TestTable2Parameters(t *testing.T) {
 	if ml.l1.repl != LRU || ml.l2.repl != Random {
 		t.Error("M4 replacement policies wrong")
 	}
-	d, _ = NewFromSpec("X4", as, 1)
-	il := d.(*Interleaved)
+	il := banked(t, "X4", as)
 	// XOR-select must not equal bit-select everywhere.
 	diff := false
 	for vpn := uint64(0); vpn < 64; vpn++ {

@@ -23,7 +23,7 @@ type Multilevel struct {
 	ports int // L1 ports (4 in the paper: enough for all requesters)
 	stats Stats
 
-	l2Free    int64 // next cycle the single L2 port is free
+	l2Port    serialPort // the single L2 port
 	portsUsed int
 }
 
@@ -46,7 +46,7 @@ func (t *Multilevel) Reset(as *vm.AddressSpace, seed uint64) {
 	t.l1.Reset(seed)
 	t.l2.Reset(seed + 0x51ed)
 	t.stats = Stats{}
-	t.l2Free, t.portsUsed = 0, 0
+	t.l2Port, t.portsUsed = serialPort{}, 0
 }
 
 // Name implements Device.
@@ -54,18 +54,6 @@ func (t *Multilevel) Name() string { return t.name }
 
 // BeginCycle implements Device.
 func (t *Multilevel) BeginCycle(now int64) { t.portsUsed = 0 }
-
-// reserveL2Port books the earliest available slot of the single L2
-// port for a request arriving at cycle arrive, returning the cycle the
-// access starts.
-func (t *Multilevel) reserveL2Port(arrive int64) int64 {
-	start := arrive
-	if t.l2Free > start {
-		start = t.l2Free
-	}
-	t.l2Free = start + 1
-	return start
-}
 
 // Lookup implements Device.
 func (t *Multilevel) Lookup(req Request, now int64) Result {
@@ -84,7 +72,7 @@ func (t *Multilevel) Lookup(req Request, now int64) Result {
 			// background slot of the L2 port but adds no latency to
 			// this request (Section 4.1).
 			t.stats.StatusWrites++
-			t.reserveL2Port(now + 1)
+			t.l2Port.reserve(now + 1)
 		}
 		return Result{Outcome: Hit, PTE: pte}
 	}
@@ -93,7 +81,7 @@ func (t *Multilevel) Lookup(req Request, now int64) Result {
 	// Miss in the L1: the request is sent to the L2 next cycle and may
 	// queue behind other L2 work. The minimum L1-miss penalty is 2
 	// cycles: one to reach the L2, one to access it.
-	start := t.reserveL2Port(now + 1)
+	start := t.l2Port.reserve(now + 1)
 	extra := (start - now) + 1
 	t.stats.QueueCycles += uint64(start - (now + 1))
 

@@ -23,7 +23,7 @@ type Pretranslation struct {
 	offMask uint8
 	stats   Stats
 
-	baseFree  int64 // next free cycle of the single base-TLB port
+	basePort  serialPort // the single base-TLB port
 	portsUsed int
 	clock     int64 // LRU clock for the pretranslation cache
 }
@@ -58,7 +58,7 @@ func (t *Pretranslation) Reset(as *vm.AddressSpace, seed uint64) {
 	t.base.Reset(seed)
 	t.offMask = 0xF
 	t.stats = Stats{}
-	t.baseFree, t.portsUsed, t.clock = 0, 0, 0
+	t.basePort, t.portsUsed, t.clock = serialPort{}, 0, 0
 }
 
 // Name implements Device.
@@ -66,15 +66,6 @@ func (t *Pretranslation) Name() string { return t.name }
 
 // BeginCycle implements Device.
 func (t *Pretranslation) BeginCycle(now int64) { t.portsUsed = 0 }
-
-func (t *Pretranslation) reserveBasePort(arrive int64) int64 {
-	start := arrive
-	if t.baseFree > start {
-		start = t.baseFree
-	}
-	t.baseFree = start + 1
-	return start
-}
 
 func (t *Pretranslation) find(reg isa.Reg, offHi uint8) *preEntry {
 	for i := range t.cache {
@@ -126,7 +117,7 @@ func (t *Pretranslation) Lookup(req Request, now int64) Result {
 			t.stats.ShieldHits++
 			if statusWrite(e.pte, req.Write) {
 				t.stats.StatusWrites++
-				t.reserveBasePort(now + 1)
+				t.basePort.reserve(now + 1)
 			}
 			return Result{Outcome: Hit, PTE: e.pte}
 		}
@@ -136,7 +127,7 @@ func (t *Pretranslation) Lookup(req Request, now int64) Result {
 	// A pretranslation miss is not detected until the cycle after
 	// address generation; the request then needs the single-ported
 	// base TLB, where it may queue (Section 4.1).
-	start := t.reserveBasePort(now + 1)
+	start := t.basePort.reserve(now + 1)
 	extra := start - now
 	t.stats.QueueCycles += uint64(start - (now + 1))
 

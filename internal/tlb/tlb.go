@@ -1,10 +1,12 @@
 // Package tlb implements the paper's high-bandwidth address-translation
-// mechanisms: multi-ported TLBs, interleaved TLBs (bit- and XOR-select),
-// multi-level TLBs with an LRU L1 and inclusion, piggyback ports, and
-// pretranslation caches. Every design sits behind the Device interface,
-// which models per-cycle port arbitration, queueing at busy ports, and
-// the latency each shielding mechanism adds or hides, exactly as in
-// Section 3 and Table 2 of Austin & Sohi (ISCA '96).
+// mechanisms: one banked TLB that is the multi-ported (one bank, k
+// ports), interleaved (bit- or XOR-select over n one-ported banks) and
+// piggyback-ported designs, multi-level TLBs with an LRU L1 and
+// inclusion, and pretranslation caches. Every design sits behind the
+// Device interface, which models per-cycle port arbitration, queueing
+// at busy ports, and the latency each shielding mechanism adds or
+// hides, exactly as in Section 3 and Table 2 of Austin & Sohi (ISCA
+// '96).
 package tlb
 
 import (
@@ -141,6 +143,21 @@ type RegisterTracker interface {
 	// InvalidateReg records that dst received a value unrelated to any
 	// tracked pointer (load result, immediate materialization, ...).
 	InvalidateReg(dst isa.Reg)
+}
+
+// serialPort is the single port of the base TLB behind a shield (the
+// L2 of a multi-level design, the base TLB of pretranslation): one
+// access per cycle, taken in request order.
+type serialPort struct {
+	free int64 // next cycle the port is free
+}
+
+// reserve books the earliest slot at or after cycle arrive, returning
+// the cycle the access starts.
+func (p *serialPort) reserve(arrive int64) int64 {
+	start := max(arrive, p.free)
+	p.free = start + 1
+	return start
 }
 
 // statusWrite updates the authoritative PTE status bits for an access
