@@ -185,15 +185,15 @@ func BenchmarkAblationBankSelect(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for _, cfg := range []struct {
 			name string
-			mk   func(int) tlb.BankSelect
+			sel  tlb.Select
 		}{{"bit", tlb.BitSelect}, {"xor", tlb.XORSelect}} {
-			sel := cfg.mk(4)
+			d := tlb.NewBanked("I4", vm.NewAddressSpace(4096), 128, 4, 1, 0, cfg.sel, tlb.Random, 1)
 			conflicts := 0
 			total := 0
 			// Simultaneous request pairs drawn from a strided stream:
 			// the pathological case for bit selection.
 			for vpn := uint64(0); vpn < 4096; vpn++ {
-				a, c := sel(vpn), sel(vpn+4) // stride-4 pages collide under bit select
+				a, c := d.SelectBank(vpn), d.SelectBank(vpn+4) // stride-4 pages collide under bit select
 				total++
 				if a == c {
 					conflicts++

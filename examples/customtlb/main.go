@@ -36,7 +36,7 @@ type victimTLB struct {
 
 func newVictimTLB(as *vm.AddressSpace, seed uint64) *victimTLB {
 	return &victimTLB{
-		main:   tlb.NewBanked("I4v", as, 128, 4, 1, 0, tlb.BitSelect(4), tlb.Random, seed),
+		main:   tlb.NewBanked("I4v", as, 128, 4, 1, 0, tlb.BitSelect, tlb.Random, seed),
 		victim: tlb.NewBank(8, tlb.LRU, seed+99),
 		as:     as,
 	}

@@ -326,7 +326,7 @@ func TestCustomDeviceFactory(t *testing.T) {
 	}
 	var wrapped *countingTLB
 	m, err := New(pr, DefaultConfig(), func(as *vm.AddressSpace) tlb.Device {
-		inner := tlb.NewBanked("T4", as, 128, 1, 4, 0, tlb.BitSelect(1), tlb.Random, 1)
+		inner := tlb.NewBanked("T4", as, 128, 1, 4, 0, tlb.BitSelect, tlb.Random, 1)
 		wrapped = &countingTLB{Device: inner}
 		return wrapped
 	})

@@ -216,9 +216,11 @@ var testOnlyAllowed = map[string]string{
 // _test.go files is referenced by some non-test file of the module
 // (bench/, cmd/, examples/ and scripts/ count). Methods that satisfy an
 // interface of the module or the standard library are callers' through
-// that interface and exempt; testOnlyAllowed names the rest, and an
-// entry nothing needs any more is an error too. Code only tests need
-// belongs in the tests, in export_test.go, or in a test-helper package.
+// that interface and exempt, and so are the methods of an embedded type
+// that an embedding type satisfies an interface with. testOnlyAllowed
+// names the rest, and an entry nothing needs any more is an error too.
+// Code only tests need belongs in the tests, in export_test.go, or in a
+// test-helper package.
 func TestNoTestOnlyExports(t *testing.T) {
 	a := analyzeModule(t)
 	used := map[types.Object]bool{}
@@ -228,6 +230,10 @@ func TestNoTestOnlyExports(t *testing.T) {
 		}
 	}
 	ifaces := a.interfaces(t)
+	var named []*types.Named
+	for _, p := range a.pkgs {
+		named = append(named, namedTypes(p.types)...)
+	}
 	allowed := map[string]bool{}
 	var found []string
 	report := func(key string, obj types.Object) {
@@ -249,18 +255,10 @@ func TestNoTestOnlyExports(t *testing.T) {
 			if obj.Exported() && !used[obj] {
 				report(p.path+"."+name, obj)
 			}
-			tn, ok := obj.(*types.TypeName)
-			if !ok || tn.IsAlias() {
-				continue
-			}
-			named, ok := tn.Type().(*types.Named)
-			if !ok {
-				continue
-			}
-			for m := range named.Methods() {
-				if m.Exported() && !used[m] && !satisfiesInterface(named, m.Name(), ifaces) {
-					report(p.path+"."+name+"."+m.Name(), m)
-				}
+		}
+		for _, n := range namedTypes(p.types) {
+			for _, m := range unusedMethods(n, used, named, ifaces) {
+				report(p.path+"."+n.Obj().Name()+"."+m.Name(), m)
 			}
 		}
 	}
@@ -432,6 +430,83 @@ func (a *moduleAnalysis) interfaces(t *testing.T) []*types.Interface {
 		}
 	}
 	return out
+}
+
+// namedTypes returns the defined types pkg declares at package level.
+func namedTypes(pkg *types.Package) []*types.Named {
+	var out []*types.Named
+	for _, name := range pkg.Scope().Names() {
+		if tn, ok := pkg.Scope().Lookup(name).(*types.TypeName); ok && !tn.IsAlias() {
+			if n, ok := tn.Type().(*types.Named); ok {
+				out = append(out, n)
+			}
+		}
+	}
+	return out
+}
+
+// unusedMethods returns t's exported methods that nothing reaches: no
+// use names them, t does not satisfy an interface with them, and no
+// type of named they are promoted to satisfies one with them.
+func unusedMethods(t *types.Named, used map[types.Object]bool, named []*types.Named, ifaces []*types.Interface) []*types.Func {
+	var out []*types.Func
+	for m := range t.Methods() {
+		if !m.Exported() || used[m] || satisfiesInterface(t, m.Name(), ifaces) {
+			continue
+		}
+		promoted := slices.ContainsFunc(named, func(e *types.Named) bool {
+			obj, _, _ := types.LookupFieldOrMethod(types.NewPointer(e), false, m.Pkg(), m.Name())
+			return obj == m && satisfiesInterface(e, m.Name(), ifaces)
+		})
+		if !promoted {
+			out = append(out, m)
+		}
+	}
+	return out
+}
+
+// embedFixture is a package whose embedded type has one method that
+// satisfies an interface for its embedder and one that nothing uses.
+const embedFixture = `package fixture
+
+type Device interface {
+	Name() string
+	Lookup() int
+}
+
+type skeleton struct{}
+
+func (*skeleton) Name() string { return "" }
+func (*skeleton) Probe() int   { return 0 }
+
+type Dev struct{ skeleton }
+
+func (*Dev) Lookup() int { return 0 }
+`
+
+// TestPromotedMethodsGate: a method of an embedded type counts as used
+// when an embedding type satisfies an interface with it, and only then.
+func TestPromotedMethodsGate(t *testing.T) {
+	fset := token.NewFileSet()
+	f, err := parser.ParseFile(fset, "fixture.go", embedFixture, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkg, err := new(types.Config).Check("fixture", fset, []*ast.File{f}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	named := namedTypes(pkg)
+	ifaces := []*types.Interface{pkg.Scope().Lookup("Device").Type().Underlying().(*types.Interface)}
+	var got []string
+	for _, n := range named {
+		for _, m := range unusedMethods(n, map[types.Object]bool{}, named, ifaces) {
+			got = append(got, n.Obj().Name()+"."+m.Name())
+		}
+	}
+	if want := []string{"skeleton.Probe"}; !slices.Equal(got, want) {
+		t.Fatalf("flagged %v, want %v", got, want)
+	}
 }
 
 // satisfiesInterface reports whether T or *T implements an interface

@@ -2,35 +2,23 @@ package tlb
 
 import (
 	"fmt"
+	"math/bits"
 
 	"hbat/internal/vm"
 )
 
-// BankSelect maps a virtual page number to a bank index.
-type BankSelect func(vpn uint64) int
+// Select names how a banked TLB maps a virtual page to a bank.
+type Select uint8
 
-// BitSelect returns the paper's bit-selection function: the address
-// bits immediately above the page offset pick the bank (Section 4.1).
-// BitSelect(1) maps every page to bank 0.
-func BitSelect(banks int) BankSelect {
-	mask := uint64(banks - 1)
-	return func(vpn uint64) int { return int(vpn & mask) }
-}
-
-// XORSelect returns the paper's XOR-folding function for X4: the three
-// least-significant groups of two address bits above the page offset
-// are XOR'd together (Section 4.1). For other bank counts, the same
-// construction folds three groups of log2(banks) bits.
-func XORSelect(banks int) BankSelect {
-	bits := uint(0)
-	for b := banks; b > 1; b >>= 1 {
-		bits++
-	}
-	mask := uint64(banks - 1)
-	return func(vpn uint64) int {
-		return int((vpn ^ (vpn >> bits) ^ (vpn >> (2 * bits))) & mask)
-	}
-}
+const (
+	// BitSelect is the paper's bit selection: the address bits
+	// immediately above the page offset pick the bank (Section 4.1).
+	BitSelect Select = iota
+	// XORSelect is the paper's XOR folding for X4: the three
+	// least-significant groups of log2(banks) address bits above the
+	// page offset are XOR'd together (Section 4.1).
+	XORSelect
+)
 
 // Banked is the one mechanism behind Sections 3.1, 3.2 and 3.4: a set
 // of fully-associative banks, each with its own real ports and
@@ -50,9 +38,10 @@ type Banked struct {
 	name  string
 	as    *vm.AddressSpace
 	banks []*Bank
-	sel   BankSelect
-	ports int // real ports per bank
-	piggy int // piggyback ports per bank
+	mask  uint64 // banks-1
+	fold  uint   // XORSelect: log2(banks); BitSelect: 0
+	ports int    // real ports per bank
+	piggy int    // piggyback ports per bank
 	stats Stats
 	cycle []bankCycle // per bank
 }
@@ -72,7 +61,7 @@ type inflightXlat struct {
 // NewBanked builds a TLB of entries split evenly over banks
 // fully-associative banks (a power of two), each with portsPerBank real
 // ports and piggyPerBank piggyback ports; sel maps a page to its bank.
-func NewBanked(name string, as *vm.AddressSpace, entries, banks, portsPerBank, piggyPerBank int, sel BankSelect, repl Replacement, seed uint64) *Banked {
+func NewBanked(name string, as *vm.AddressSpace, entries, banks, portsPerBank, piggyPerBank int, sel Select, repl Replacement, seed uint64) *Banked {
 	if banks < 1 || banks&(banks-1) != 0 {
 		panic(fmt.Sprintf("tlb: %s bank count %d must be a power of two", name, banks))
 	}
@@ -85,10 +74,13 @@ func NewBanked(name string, as *vm.AddressSpace, entries, banks, portsPerBank, p
 	t := &Banked{
 		name:  name,
 		banks: make([]*Bank, banks),
-		sel:   sel,
+		mask:  uint64(banks - 1),
 		ports: portsPerBank,
 		piggy: piggyPerBank,
 		cycle: make([]bankCycle, banks),
+	}
+	if sel == XORSelect {
+		t.fold = uint(bits.TrailingZeros(uint(banks)))
 	}
 	inflight := make([]inflightXlat, banks*portsPerBank)
 	for i := range t.banks {
@@ -120,7 +112,7 @@ func (t *Banked) PiggybackPorts() int { return t.piggy }
 // answers a Lookup of vpn NoPort and changes nothing but Stats.NoPorts,
 // so a caller may count such requests and Reject them in one call
 // instead.
-func (t *Banked) Busy(vpn uint64) bool { return len(t.cycle[t.sel(vpn)].inflight) == t.ports }
+func (t *Banked) Busy(vpn uint64) bool { return len(t.cycle[t.SelectBank(vpn)].inflight) == t.ports }
 
 // Reject records n requests turned away for want of a port, exactly as
 // n Lookups answered NoPort would.
@@ -141,7 +133,7 @@ func (t *Banked) BeginCycle(now int64) {
 // TLB access, so a piggybacked request sees no extra latency, and one
 // that shares a missing translation shares its walk (Section 3.4).
 func (t *Banked) Lookup(req Request, now int64) Result {
-	b := t.sel(req.VPN)
+	b := t.SelectBank(req.VPN)
 	c := &t.cycle[b]
 	if c.piggyUsed < t.piggy {
 		for _, fl := range c.inflight {
@@ -183,14 +175,14 @@ func (t *Banked) Fill(vpn uint64, now int64) (*vm.PTE, error) {
 	if err != nil {
 		return nil, err
 	}
-	t.banks[t.sel(vpn)].Insert(vpn, pte, now)
+	t.banks[t.SelectBank(vpn)].Insert(vpn, pte, now)
 	t.stats.Fills++
 	return pte, nil
 }
 
 // Invalidate implements Device.
 func (t *Banked) Invalidate(vpn uint64) {
-	t.banks[t.sel(vpn)].Invalidate(vpn)
+	t.banks[t.SelectBank(vpn)].Invalidate(vpn)
 }
 
 // FlushAll implements Device.
@@ -203,7 +195,7 @@ func (t *Banked) FlushAll() {
 // Warm implements Warmer: installs the translation into its selected
 // bank like a Fill without touching the statistics.
 func (t *Banked) Warm(vpn uint64, pte *vm.PTE, now int64) {
-	t.banks[t.sel(vpn)].Insert(vpn, pte, now)
+	t.banks[t.SelectBank(vpn)].Insert(vpn, pte, now)
 }
 
 // Stats implements Device.
@@ -212,5 +204,8 @@ func (t *Banked) Stats() *Stats { return &t.stats }
 // Bank returns bank i.
 func (t *Banked) Bank(i int) *Bank { return t.banks[i] }
 
-// SelectBank returns the bank vpn maps to.
-func (t *Banked) SelectBank(vpn uint64) int { return t.sel(vpn) }
+// SelectBank returns the bank vpn maps to. Under BitSelect the fold is
+// 0 and this is vpn & mask.
+func (t *Banked) SelectBank(vpn uint64) int {
+	return int((vpn ^ vpn>>t.fold ^ vpn>>(2*t.fold)) & t.mask)
+}

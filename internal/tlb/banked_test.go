@@ -201,25 +201,34 @@ func TestFillOutsideRegionsFails(t *testing.T) {
 	}
 }
 
+// selector builds a 128-entry Banked of banks one-ported banks under sel.
+func selector(t *testing.T, banks int, sel Select) *Banked {
+	return NewBanked("sel", testAS(t, 4096), 128, banks, 1, 0, sel, Random, 1)
+}
+
 func TestBitSelect(t *testing.T) {
-	sel := BitSelect(4)
+	four, one := selector(t, 4, BitSelect), selector(t, 1, BitSelect)
 	for vpn := uint64(0); vpn < 32; vpn++ {
-		if got, want := sel(vpn), int(vpn%4); got != want {
-			t.Fatalf("BitSelect(4)(%d) = %d, want %d", vpn, got, want)
+		if got, want := four.SelectBank(vpn), int(vpn%4); got != want {
+			t.Fatalf("BitSelect over 4 banks: page %d -> bank %d, want %d", vpn, got, want)
 		}
-		if got := BitSelect(1)(vpn); got != 0 {
-			t.Fatalf("BitSelect(1)(%d) = %d, want 0", vpn, got)
+		if got := one.SelectBank(vpn); got != 0 {
+			t.Fatalf("BitSelect over 1 bank: page %d -> bank %d, want 0", vpn, got)
 		}
 	}
 }
 
 func TestXORSelectInRangeAndSpreads(t *testing.T) {
-	sel := XORSelect(4)
+	xor := selector(t, 4, XORSelect)
 	counts := make([]int, 4)
 	for vpn := uint64(0); vpn < 4096; vpn++ {
-		b := sel(vpn)
+		b := xor.SelectBank(vpn)
 		if b < 0 || b > 3 {
 			t.Fatalf("bank %d out of range", b)
+		}
+		// The three groups of two bits above the page offset, XOR'd.
+		if want := int((vpn ^ vpn>>2 ^ vpn>>4) & 3); b != want {
+			t.Fatalf("XORSelect: page %d -> bank %d, want %d", vpn, b, want)
 		}
 		counts[b]++
 	}
@@ -230,10 +239,10 @@ func TestXORSelectInRangeAndSpreads(t *testing.T) {
 	}
 	// XOR folding must differ from bit selection somewhere, or it adds
 	// nothing.
-	bit := BitSelect(4)
+	bit := selector(t, 4, BitSelect)
 	differs := false
 	for vpn := uint64(0); vpn < 64; vpn++ {
-		if sel(vpn) != bit(vpn) {
+		if xor.SelectBank(vpn) != bit.SelectBank(vpn) {
 			differs = true
 			break
 		}
@@ -338,7 +347,7 @@ func TestInterleavedFillGoesToSelectedBank(t *testing.T) {
 // only ever resident in its selected bank, regardless of fill order.
 func TestInterleavedResidencyProperty(t *testing.T) {
 	as := testAS(t, 4096)
-	for _, sel := range []BankSelect{BitSelect(4), XORSelect(4)} {
+	for _, sel := range []Select{BitSelect, XORSelect} {
 		check := func(vpns []uint16) bool {
 			d := NewBanked("I4", as, 32, 4, 1, 0, sel, Random, 9)
 			for _, v := range vpns {

@@ -70,13 +70,34 @@ func TestTable2Parameters(t *testing.T) {
 			}
 		}
 	}
-	d, _ := NewFromSpec("M4", as, 1)
-	ml := d.(*Multilevel)
-	if len(ml.l1.entries) != 4 || len(ml.l2.entries) != 128 {
-		t.Error("M4 structure wrong")
-	}
-	if ml.l1.repl != LRU || ml.l2.repl != Random {
-		t.Error("M4 replacement policies wrong")
+	// The shielded rows: a 4-ported shield over a single-ported
+	// 128-entry random base, whose access costs an M* request one cycle
+	// beyond queueing and a P8 request none.
+	for _, row := range []struct {
+		m       string
+		entries int
+		access  int64
+	}{{"M16", 16, 1}, {"M8", 8, 1}, {"M4", 4, 1}, {"P8", 8, 0}} {
+		d, _ := NewFromSpec(row.m, as, 1)
+		var s *shielded
+		switch d := d.(type) {
+		case *Multilevel:
+			s = &d.shielded
+			if len(d.l1.entries) != row.entries || d.l1.repl != LRU {
+				t.Errorf("%s: %d-entry %v L1, want %d-entry LRU", row.m, len(d.l1.entries), d.l1.repl, row.entries)
+			}
+		case *Pretranslation:
+			s = &d.shielded
+			if len(d.cache) != row.entries {
+				t.Errorf("%s: %d-entry pretranslation cache, want %d", row.m, len(d.cache), row.entries)
+			}
+		default:
+			t.Fatalf("%s: built %T", row.m, d)
+		}
+		if s.ports != 4 || len(s.base.entries) != 128 || s.base.repl != Random || s.access != row.access {
+			t.Errorf("%s: %d shield ports over a %d-entry %v base costing %d, want 4 over 128 Random costing %d",
+				row.m, s.ports, len(s.base.entries), s.base.repl, s.access, row.access)
+		}
 	}
 	il := banked(t, "X4", as)
 	// XOR-select must not equal bit-select everywhere.

@@ -154,7 +154,7 @@ func TestMultilevelFlushAll(t *testing.T) {
 	d := NewMultilevel("M8", as, 8, 4, 128, 1)
 	fill(t, d, 1)
 	d.FlushAll()
-	if len(d.l1.index) != 0 || len(d.l2.index) != 0 {
+	if len(d.l1.index) != 0 || len(d.base.index) != 0 {
 		t.Fatal("FlushAll left entries")
 	}
 	d.BeginCycle(1)

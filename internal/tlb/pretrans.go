@@ -15,17 +15,10 @@ import (
 // write to a register drops them. Coherence is enforced by flushing the
 // pretranslation cache whenever a base-TLB entry is replaced.
 type Pretranslation struct {
-	name    string
-	as      *vm.AddressSpace
+	shielded
 	cache   []preEntry
-	ports   int
-	base    *Bank
 	offMask uint8
-	stats   Stats
-
-	basePort  serialPort // the single base-TLB port
-	portsUsed int
-	clock     int64 // LRU clock for the pretranslation cache
+	clock   int64 // LRU clock for the pretranslation cache
 }
 
 type preEntry struct {
@@ -42,10 +35,8 @@ type preEntry struct {
 // ported base TLB of baseEntries entries (random replacement).
 func NewPretranslation(name string, as *vm.AddressSpace, cacheEntries, ports, baseEntries int, seed uint64) *Pretranslation {
 	t := &Pretranslation{
-		name:  name,
-		cache: make([]preEntry, cacheEntries),
-		ports: ports,
-		base:  NewBank(baseEntries, Random, seed),
+		shielded: shielded{name: name, base: NewBank(baseEntries, Random, seed), ports: ports},
+		cache:    make([]preEntry, cacheEntries),
 	}
 	t.Reset(as, seed)
 	return t
@@ -53,19 +44,11 @@ func NewPretranslation(name string, as *vm.AddressSpace, cacheEntries, ports, ba
 
 // Reset implements Resetter; the offset tag is four bits again.
 func (t *Pretranslation) Reset(as *vm.AddressSpace, seed uint64) {
-	t.as = as
+	t.reset(as)
 	clear(t.cache)
 	t.base.Reset(seed)
-	t.offMask = 0xF
-	t.stats = Stats{}
-	t.basePort, t.portsUsed, t.clock = serialPort{}, 0, 0
+	t.offMask, t.clock = 0xF, 0
 }
-
-// Name implements Device.
-func (t *Pretranslation) Name() string { return t.name }
-
-// BeginCycle implements Device.
-func (t *Pretranslation) BeginCycle(now int64) { t.portsUsed = 0 }
 
 func (t *Pretranslation) find(reg isa.Reg, offHi uint8) *preEntry {
 	for i := range t.cache {
@@ -99,106 +82,65 @@ func (t *Pretranslation) attach(reg isa.Reg, offHi uint8, vpn uint64, pte *vm.PT
 
 // Lookup implements Device.
 func (t *Pretranslation) Lookup(req Request, now int64) Result {
-	if t.portsUsed >= t.ports {
-		t.stats.NoPorts++
+	if !t.claimPort() {
 		return Result{Outcome: NoPort}
 	}
-	t.portsUsed++
-	t.stats.Lookups++
-
 	// The pretranslation is read in parallel with register-file access
 	// and is usable only if the access's virtual page matches the page
 	// the translation was attached for (Section 3.5).
-	if req.Base < isa.NumIntRegs {
+	tracked := req.Base < isa.NumIntRegs
+	if tracked {
 		if e := t.find(req.Base, req.OffHi&t.offMask); e != nil && e.vpn == req.VPN {
 			t.clock++
 			e.lastUse = t.clock
-			t.stats.Hits++
-			t.stats.ShieldHits++
-			if statusWrite(e.pte, req.Write) {
-				t.stats.StatusWrites++
-				t.basePort.reserve(now + 1)
-			}
-			return Result{Outcome: Hit, PTE: e.pte}
+			return t.shieldHit(e.pte, req.Write, now)
 		}
 	}
-	t.stats.ShieldMisses++
-
 	// A pretranslation miss is not detected until the cycle after
 	// address generation; the request then needs the single-ported
-	// base TLB, where it may queue (Section 4.1).
-	start := t.basePort.reserve(now + 1)
-	extra := start - now
-	t.stats.QueueCycles += uint64(start - (now + 1))
-
-	pte, ok := t.base.Lookup(req.VPN, start)
-	if !ok {
-		t.stats.Misses++
-		return Result{Outcome: Miss}
+	// base TLB, where it may queue (Section 4.1). A hit is attached to
+	// the base register value.
+	r := t.lookupBase(req, now)
+	if r.Outcome == Hit && tracked {
+		t.attach(req.Base, req.OffHi&t.offMask, req.VPN, r.PTE)
 	}
-	t.stats.Hits++
-	t.stats.ExtraCycles += uint64(extra)
-	if statusWrite(pte, req.Write) {
-		t.stats.StatusWrites++
-	}
-	// Attach the result to the base register value.
-	if req.Base < isa.NumIntRegs {
-		t.attach(req.Base, req.OffHi&t.offMask, req.VPN, pte)
-	}
-	return Result{Outcome: Hit, Extra: extra, PTE: pte}
+	return r
 }
 
-// Fill implements Device. Replacing a base-TLB entry flushes the
-// pretranslation cache (the paper's coherence rule), so an attached
-// translation can never outlive its base-TLB entry.
+// Fill implements Device.
 func (t *Pretranslation) Fill(vpn uint64, now int64) (*vm.PTE, error) {
-	pte, err := t.as.Walk(vpn)
-	if err != nil {
-		return nil, err
+	pte, err := t.walk(vpn)
+	if err == nil {
+		t.Warm(vpn, pte, now)
 	}
-	if _, evicted := t.base.Insert(vpn, pte, now); evicted {
-		t.flushCache()
-	}
-	t.stats.Fills++
-	return pte, nil
+	return pte, err
 }
 
 // Invalidate implements Device: removing a base-TLB entry flushes the
 // pretranslation cache, the same coherence rule as replacement.
 func (t *Pretranslation) Invalidate(vpn uint64) {
 	if t.base.Invalidate(vpn) {
-		t.flushCache()
-	}
-}
-
-func (t *Pretranslation) flushCache() {
-	for i := range t.cache {
-		t.cache[i] = preEntry{}
+		clear(t.cache)
 	}
 }
 
 // FlushAll implements Device.
 func (t *Pretranslation) FlushAll() {
-	t.flushCache()
+	clear(t.cache)
 	t.base.Flush()
 }
 
 // Warm implements Warmer: installs the translation into the base TLB
-// like a Fill without touching the statistics. The coherence rule still
-// applies — a base-TLB eviction empties the pretranslation cache — but
-// the quiet flush is uncounted. Pretranslations themselves are not
-// warmed: they bind to register *values*, which the warm-up replay does
-// not carry.
+// like a Fill without touching the statistics. Replacing a base-TLB
+// entry flushes the pretranslation cache (the paper's coherence rule),
+// so an attached translation can never outlive its base-TLB entry.
+// Pretranslations themselves are not warmed: they bind to register
+// *values*, which the warm-up replay does not carry.
 func (t *Pretranslation) Warm(vpn uint64, pte *vm.PTE, now int64) {
 	if _, evicted := t.base.Insert(vpn, pte, now); evicted {
-		for i := range t.cache {
-			t.cache[i] = preEntry{}
-		}
+		clear(t.cache)
 	}
 }
-
-// Stats implements Device.
-func (t *Pretranslation) Stats() *Stats { return &t.stats }
 
 // Propagate implements RegisterTracker: dst was produced by pointer
 // arithmetic on src1 (or src2); pretranslations attached to the first

@@ -1,8 +1,10 @@
 // Package tlb implements the paper's high-bandwidth address-translation
-// mechanisms: one banked TLB that is the multi-ported (one bank, k
-// ports), interleaved (bit- or XOR-select over n one-ported banks) and
-// piggyback-ported designs, multi-level TLBs with an LRU L1 and
-// inclusion, and pretranslation caches. Every design sits behind the
+// mechanisms, with Table 2 as one slice of rows (configs.go): one banked
+// TLB that is the multi-ported (one bank, k ports), interleaved (bit- or
+// XOR-select over n one-ported banks) and piggyback-ported designs, and
+// one shield over a single-ported base TLB that is the multi-level
+// designs (an LRU L1 with inclusion) and pretranslation (a register-
+// tagged cache). Every design sits behind the
 // Device interface, which models per-cycle port arbitration, queueing
 // at busy ports, and the latency each shielding mechanism adds or
 // hides, exactly as in Section 3 and Table 2 of Austin & Sohi (ISCA
@@ -158,6 +160,88 @@ func (p *serialPort) reserve(arrive int64) int64 {
 	start := max(arrive, p.free)
 	p.free = start + 1
 	return start
+}
+
+// shielded is what the multi-level and pretranslation designs share: a
+// small multi-ported shield in front of a single-ported base TLB
+// (Sections 3.3 and 3.5). The embedding device keeps only its shield.
+type shielded struct {
+	name   string
+	as     *vm.AddressSpace
+	base   *Bank
+	ports  int // shield ports (4 in the paper: enough for all requesters)
+	used   int // shield ports claimed this cycle
+	port   serialPort
+	stats  Stats
+	access int64 // base-TLB cycles charged beyond queueing: 1 for an L2 access, 0 for P8
+}
+
+// Name implements Device.
+func (s *shielded) Name() string { return s.name }
+
+// BeginCycle implements Device.
+func (s *shielded) BeginCycle(now int64) { s.used = 0 }
+
+// Stats implements Device.
+func (s *shielded) Stats() *Stats { return &s.stats }
+
+// reset zeroes the per-run state; the device resets its banks.
+func (s *shielded) reset(as *vm.AddressSpace) {
+	s.as, s.stats, s.port, s.used = as, Stats{}, serialPort{}, 0
+}
+
+// claimPort claims a shield port for a lookup, or counts a NoPort.
+func (s *shielded) claimPort() bool {
+	if s.used >= s.ports {
+		s.stats.NoPorts++
+		return false
+	}
+	s.used++
+	s.stats.Lookups++
+	return true
+}
+
+// shieldHit answers a lookup the shield served with pte, at no extra
+// latency. A status change writes through to the base TLB, taking a
+// slot of its port but adding no latency to this request (Section 4.1).
+func (s *shielded) shieldHit(pte *vm.PTE, write bool, now int64) Result {
+	s.stats.Hits++
+	s.stats.ShieldHits++
+	if statusWrite(pte, write) {
+		s.stats.StatusWrites++
+		s.port.reserve(now + 1)
+	}
+	return Result{Outcome: Hit, PTE: pte}
+}
+
+// lookupBase answers a shield miss from the base TLB, which the
+// request reaches the next cycle and where it may queue behind other
+// base-TLB work; it costs its queueing plus access.
+func (s *shielded) lookupBase(req Request, now int64) Result {
+	s.stats.ShieldMisses++
+	start := s.port.reserve(now + 1)
+	s.stats.QueueCycles += uint64(start - (now + 1))
+	pte, ok := s.base.Lookup(req.VPN, start)
+	if !ok {
+		s.stats.Misses++
+		return Result{Outcome: Miss}
+	}
+	extra := start - now + s.access
+	s.stats.Hits++
+	s.stats.ExtraCycles += uint64(extra)
+	if statusWrite(pte, req.Write) {
+		s.stats.StatusWrites++
+	}
+	return Result{Outcome: Hit, Extra: extra, PTE: pte}
+}
+
+// walk is a Fill's page-table walk, counted.
+func (s *shielded) walk(vpn uint64) (*vm.PTE, error) {
+	pte, err := s.as.Walk(vpn)
+	if err == nil {
+		s.stats.Fills++
+	}
+	return pte, err
 }
 
 // statusWrite updates the authoritative PTE status bits for an access
