@@ -23,6 +23,9 @@ import (
 	"hbat/internal/stats"
 )
 
+// maxROBSize is the largest ROBSize: one bit per slot in a word.
+const maxROBSize = 64
+
 // Config parameterizes a machine. DefaultConfig reproduces Table 1.
 type Config struct {
 	// Issue model.
@@ -30,9 +33,11 @@ type Config struct {
 	FetchWidth  int
 	IssueWidth  int
 	CommitWidth int
-	ROBSize     int
-	LSQSize     int
-	FetchQueue  int
+	// ROBSize is 1..64 entries (Table 1: 64): every scheduler set of
+	// ROB slots is one 64-bit word, one bit per slot.
+	ROBSize    int
+	LSQSize    int
+	FetchQueue int
 
 	// Functional units (counts of fully pipelined units).
 	IntALUs   int

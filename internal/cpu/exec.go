@@ -19,28 +19,26 @@ import (
 func (m *Machine) setDest(idx int, e *robEntry, slot int, val uint64, readyAt int64) {
 	e.dests[slot].val, e.dests[slot].readyAt = val, readyAt
 	cons := m.rob.consumers(idx, slot)
-	for w, word := range cons {
-		for ; word != 0; word &= word - 1 {
-			c := w<<6 + bits.TrailingZeros64(word)
-			ce := m.rob.at(c)
-			for k := 0; k < ce.nsrc; k++ {
-				if op := &ce.srcs[k]; op.producer == int32(idx) && op.slot == int8(slot) {
-					op.producer = -1
-					ce.deliver(k, val, readyAt)
-					if ce.isData(k) {
-						if ce.state == sStoreData {
-							m.rob.park(wheelMem, c, max(readyAt, m.cycle+1), m.cycle)
-						}
-						continue
+	for word := *cons; word != 0; word &= word - 1 {
+		c := bits.TrailingZeros64(uint64(word))
+		ce := m.rob.at(c)
+		for k := 0; k < ce.nsrc; k++ {
+			if op := &ce.srcs[k]; op.producer == int32(idx) && op.slot == int8(slot) {
+				op.producer = -1
+				ce.deliver(k, val, readyAt)
+				if ce.isData(k) {
+					if ce.state == sStoreData {
+						m.rob.park(wheelMem, c, max(readyAt, m.cycle+1), m.cycle)
 					}
-					if ce.pending--; ce.pending == 0 {
-						m.ready(c, ce)
-					}
+					continue
+				}
+				if ce.pending--; ce.pending == 0 {
+					m.ready(c, ce)
 				}
 			}
 		}
-		cons[w] = 0
 	}
+	*cons = 0
 }
 
 // ready makes entry idx, whose last issue operand has just been
@@ -559,32 +557,29 @@ func (m *Machine) completeStore(idx int, e *robEntry) {
 }
 
 // forwardFromStore searches older in-flight stores for one covering
-// this load. Exact address+width matches forward the raw value;
-// partial overlaps force the load to wait (mustWait, counted as a
-// replay) until the store commits.
+// this load. The youngest older store that overlaps it decides: an
+// exact address+width match whose data is captured forwards the raw
+// value; a partial overlap, or data not yet captured, forces the load
+// to wait (mustWait, counted as a replay) until the store commits.
 func (m *Machine) forwardFromStore(idx int, e *robEntry) (val uint64, ok, mustWait bool) {
+	r := m.rob
 	lo, hi := e.effAddr, e.effAddr+uint64(e.memWidth)
-	for j := m.rob.first(setStoreKnown); j >= 0 && m.rob.olderThan(j, idx); j = m.rob.after(setStoreKnown, j) {
-		o := m.rob.at(j)
+	for j := r.before(r.sets[setStoreKnown], idx); j >= 0; j = r.before(r.sets[setStoreKnown], j) {
+		o := r.at(j)
 		slo, shi := o.effAddr, o.effAddr+uint64(o.memWidth)
 		if hi <= slo || shi <= lo {
 			continue
 		}
-		// The youngest older match wins, so keep going.
 		if slo == lo && o.memWidth == e.memWidth && o.state == sDone {
-			val, ok, mustWait = o.storeVal, true, false
-		} else {
-			// Partial overlap, or the store's data isn't ready yet.
-			val, ok, mustWait = 0, false, true
+			return o.storeVal, true, false
 		}
-	}
-	if mustWait {
 		m.stats.StoreWaits++
 		if m.tracer != nil {
 			m.tracer.Emit(e.seq, m.cycle, ptrace.KStoreWait, e.pc, e.inst, 0)
 		}
+		return 0, false, true
 	}
-	return val, ok, mustWait
+	return 0, false, false
 }
 
 // complete finishes executing instructions whose latency has elapsed

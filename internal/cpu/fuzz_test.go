@@ -64,33 +64,36 @@ func TestRandomProgramsDifferential(t *testing.T) {
 			// divergence is caught at the offending commit (with a
 			// decoded context window) instead of at the final-state
 			// comparison below, and has its scheduler state checked
-			// against a full scan after every cycle.
+			// against a full scan after every cycle, on a ring of a
+			// whole word, a part of one, or a single slot.
 			design := designs[s%len(designs)]
+			robSize := []int{64, 48, 17, 1}[s%4]
+			name := fmt.Sprintf("%s/rob%d", design, robSize)
 			cfg := DefaultConfig()
-			cfg.Lockstep = true
+			cfg.Lockstep, cfg.ROBSize = true, robSize
 			m, err := NewWithDesign(p, cfg, design)
 			if err != nil {
 				t.Fatal(err)
 			}
-			check(design, m)
+			check(name, m)
 
 			cfg = DefaultConfig()
-			cfg.Lockstep = true
+			cfg.Lockstep, cfg.ROBSize = true, robSize
 			cfg.InOrder = true
 			mi, err := NewWithDesign(p, cfg, design)
 			if err != nil {
 				t.Fatal(err)
 			}
-			check(design+"/inorder", mi)
+			check(name+"/inorder", mi)
 
 			cfg = DefaultConfig()
-			cfg.Lockstep = true
+			cfg.Lockstep, cfg.ROBSize = true, robSize
 			cfg.VirtualCache = true
 			mv, err := NewWithDesign(p, cfg, design)
 			if err != nil {
 				t.Fatal(err)
 			}
-			check(design+"/vcache", mv)
+			check(name+"/vcache", mv)
 		})
 	}
 }

@@ -182,6 +182,9 @@ func build(p *prog.Program, cfg Config, dtlb func(*Machine) tlb.Device) (*Machin
 	if cfg.PageSize == 0 {
 		return nil, fmt.Errorf("cpu: zero page size")
 	}
+	if cfg.ROBSize < 1 || cfg.ROBSize > maxROBSize {
+		return nil, fmt.Errorf("cpu: ROBSize %d outside 1..%d", cfg.ROBSize, maxROBSize)
+	}
 	// Start from a released machine when there is one: its memory,
 	// page table, tag arrays, predictor tables, ROB, fetch ring and
 	// per-cycle counts are reset and kept where the configuration

@@ -125,27 +125,12 @@ func (e *robEntry) missCharged() bool { return e.flags&fMissCharged != 0 }
 func (e *robEntry) setFaulted()       { e.flags |= fFaulted }
 func (e *robEntry) faulted() bool     { return e.flags&fFaulted != 0 }
 
-// slotSet is a set of ROB slot indices, one bit per slot (one word for
-// the 64-entry Table 1 machine).
-type slotSet []uint64
+// slotSet is a set of ROB slot indices, one bit per slot: a ROB holds
+// at most 64 entries (Config.ROBSize).
+type slotSet uint64
 
-func (s slotSet) add(i int)    { s[i>>6] |= 1 << (i & 63) }
-func (s slotSet) remove(i int) { s[i>>6] &^= 1 << (i & 63) }
-
-// nextIn returns the lowest member in [lo, hi), or -1.
-func (s slotSet) nextIn(lo, hi int) int {
-	for lo < hi {
-		w := lo >> 6
-		if word := s[w] >> (lo & 63); word != 0 {
-			if i := lo + bits.TrailingZeros64(word); i < hi {
-				return i
-			}
-			return -1
-		}
-		lo = (w + 1) << 6
-	}
-	return -1
-}
+func (s *slotSet) add(i int)    { *s |= 1 << (i & 63) }
+func (s *slotSet) remove(i int) { *s &^= 1 << (i & 63) }
 
 // The scheduler sets hold what a pipeline stage visits this cycle, and
 // nothing that cannot act yet: an entry whose next action lies at a
@@ -191,60 +176,38 @@ type rob struct {
 	entries []robEntry
 	head    int // oldest
 	count   int
-	words   int // per slotSet
 
-	// bits backs every slotSet below, so squashAfter masks one array.
-	bits  []uint64
 	sets  [numSets]slotSet
-	far   slotSet  // parked entries due beyond the wheel's reach
-	wheel []uint64 // wheelSpan x numWheels buckets, one slotSet each
-	kept  slotSet  // squashAfter's scratch mask
+	far   slotSet                        // parked entries due beyond the wheel's reach
+	wheel [wheelSpan * numWheels]slotSet // see bucket
 
 	// cons holds one slotSet per destination of every slot: the
 	// consumers linked to it (see consumers).
-	cons []uint64
+	cons []slotSet
 }
 
 func newROB(size int) *rob {
-	words := (size + 63) / 64
-	r := &rob{entries: make([]robEntry, size), words: words}
-	r.bits = make([]uint64, (numSets+1+numWheels*wheelSpan+2*size)*words)
-	rest := r.bits
-	take := func(n int) []uint64 {
-		s := rest[: n*words : n*words]
-		rest = rest[n*words:]
-		return s
-	}
-	for i := range r.sets {
-		r.sets[i] = take(1)
-	}
-	r.far, r.wheel, r.cons = take(1), take(numWheels*wheelSpan), take(2*size)
-	r.kept = make(slotSet, words)
-	return r
+	return &rob{entries: make([]robEntry, size), cons: make([]slotSet, 2*size)}
 }
 
 // reset empties the ring, as newROB leaves it, and drops the
 // instruction pointers of the entries it held.
 func (r *rob) reset() {
 	clear(r.entries)
-	clear(r.bits)
-	r.head, r.count = 0, 0
+	clear(r.cons)
+	*r = rob{entries: r.entries, cons: r.cons}
 }
 
 // consumers returns the set of slots with an operand linked to
 // destination slot of entry idx. It empties when that destination's
 // value is delivered, so a retiring entry's sets are empty.
-func (r *rob) consumers(idx, slot int) slotSet {
-	i := (idx*2 + slot) * r.words
-	return r.cons[i : i+r.words]
-}
+func (r *rob) consumers(idx, slot int) *slotSet { return &r.cons[idx*2+slot] }
 
 // bucket returns wheel's bucket for cycle due. The wheels' buckets for
 // one cycle lie side by side, and the next cycle's after them: a cycle
-// wakes from, and mostly parks into, a cache line or two.
-func (r *rob) bucket(wheel int, due int64) slotSet {
-	i := (int(due&(wheelSpan-1))*numWheels + wheel) * r.words
-	return r.wheel[i : i+r.words]
+// wakes from, and mostly parks into, one cache line.
+func (r *rob) bucket(wheel int, due int64) *slotSet {
+	return &r.wheel[int(due&(wheelSpan-1))*numWheels+wheel]
 }
 
 // park puts slot idx, which is in no stage set, to sleep until cycle
@@ -263,26 +226,25 @@ func (r *rob) park(wheel, idx int, due, now int64) {
 // as if it had woken it itself.
 func (r *rob) wake(now int64) {
 	for wheel, set := range wheelSet {
-		b, set := r.bucket(wheel, now), r.sets[set]
-		for w, word := range b {
-			if word == 0 {
-				continue
-			}
-			if far := word & r.far[w]; far != 0 {
-				word &^= r.notYet(wheel, w, far, now)
-			}
-			set[w] |= word
-			b[w] &^= word
+		b := r.bucket(wheel, now)
+		due := *b
+		if due == 0 {
+			continue
 		}
+		if far := due & r.far; far != 0 {
+			due &^= r.notYet(wheel, far, now)
+		}
+		r.sets[set] |= due
+		*b &^= due
 	}
 }
 
-// notYet sorts the far members of a bucket whose turn has come (word w
-// of it) into those due now, which stop being far, and those due a
-// whole turn of the wheel or more from now, which it returns.
-func (r *rob) notYet(wheel, w int, far uint64, now int64) (later uint64) {
+// notYet sorts the far members of a bucket whose turn has come into
+// those due now, which stop being far, and those due a whole turn of
+// the wheel or more from now, which it returns.
+func (r *rob) notYet(wheel int, far slotSet, now int64) (later slotSet) {
 	for f := far; f != 0; f &= f - 1 {
-		idx := w<<6 + bits.TrailingZeros64(f)
+		idx := bits.TrailingZeros64(uint64(f))
 		if r.due(wheel, idx) > now {
 			later |= f & -f
 		} else {
@@ -357,26 +319,33 @@ func (r *rob) headEntry() *robEntry {
 	return &r.entries[r.head]
 }
 
-// first returns the oldest member of set, or -1. Members are always
-// live slots, so the ring's two segments are searched whole.
+// Age order is a mask. The live slots, oldest first, are those from
+// head up to the end of the ring, then those from 0 below head; a set's
+// members are always live slots, so a set ANDed with a mask of slot
+// positions is the set's members among them, whatever the mask says of
+// dead slots.
+
+// older returns the slots older than slot idx: every live one, and
+// dead ones besides.
+func (r *rob) older(idx int) slotSet {
+	below := slotSet(1)<<(idx&63) - 1
+	fromHead := ^(slotSet(1)<<(r.head&63) - 1)
+	if idx < r.head {
+		return below | fromHead
+	}
+	return below & fromHead
+}
+
+// first returns the oldest member of set, or -1.
 func (r *rob) first(set int) int {
 	s := r.sets[set]
-	if len(s) == 1 {
-		// The ring is one word: its older segment is the bits from
-		// head up, its younger one the bits below.
-		word := s[0]
-		if old := word >> (r.head & 63) << (r.head & 63); old != 0 {
-			return bits.TrailingZeros64(old)
-		}
-		if word != 0 {
-			return bits.TrailingZeros64(word)
-		}
-		return -1
+	if old := s >> (r.head & 63) << (r.head & 63); old != 0 {
+		return bits.TrailingZeros64(uint64(old))
 	}
-	if i := s.nextIn(r.head, len(r.entries)); i >= 0 {
-		return i
+	if s != 0 {
+		return bits.TrailingZeros64(uint64(s))
 	}
-	return s.nextIn(0, r.head)
+	return -1
 }
 
 // after returns the oldest member of set younger than slot idx, or -1.
@@ -385,55 +354,53 @@ func (r *rob) first(set int) int {
 // re-reading each entry's state would.
 func (r *rob) after(set, idx int) int {
 	s := r.sets[set]
-	if len(s) == 1 {
-		word := s[0]
-		above := word &^ (2<<(idx&63) - 1)
-		below := word & (1<<(r.head&63) - 1)
-		if idx < r.head {
-			above &= below
-			below = 0
-		}
-		if above != 0 {
-			return bits.TrailingZeros64(above)
-		}
-		if below != 0 {
-			return bits.TrailingZeros64(below)
-		}
-		return -1
-	}
+	above := s &^ (2<<(idx&63) - 1)
+	below := s & (1<<(r.head&63) - 1)
 	if idx < r.head {
-		return s.nextIn(idx+1, r.head)
+		above &= below
+		below = 0
 	}
-	if i := s.nextIn(idx+1, len(r.entries)); i >= 0 {
-		return i
+	if above != 0 {
+		return bits.TrailingZeros64(uint64(above))
 	}
-	return s.nextIn(0, r.head)
+	if below != 0 {
+		return bits.TrailingZeros64(uint64(below))
+	}
+	return -1
+}
+
+// before returns the youngest member of s older than slot idx, or -1:
+// the highest one below idx, else the highest one from head up.
+func (r *rob) before(s slotSet, idx int) int {
+	s &= r.older(idx)
+	if lo := s & (1<<(idx&63) - 1); lo != 0 {
+		return 63 - bits.LeadingZeros64(uint64(lo))
+	}
+	if s != 0 {
+		return 63 - bits.LeadingZeros64(uint64(s))
+	}
+	return -1
 }
 
 // anyOlder reports whether set has a member older than slot idx.
-func (r *rob) anyOlder(set, idx int) bool {
-	i := r.first(set)
-	return i >= 0 && r.olderThan(i, idx)
-}
+func (r *rob) anyOlder(set, idx int) bool { return r.sets[set]&r.older(idx) != 0 }
 
 // squashAfter drops every entry younger than slot keepIdx from the
 // ring, from every set and wheel bucket, and returns how many were
 // squashed.
 func (r *rob) squashAfter(keepIdx int) int {
-	pos := r.pos(keepIdx)
-	squashed := r.count - pos - 1
-	r.count = pos + 1
-	clear(r.kept)
-	for i, idx := 0, r.head; i < r.count; i, idx = i+1, r.inc(idx) {
-		r.kept.add(idx)
+	squashed := r.count - r.pos(keepIdx) - 1
+	r.count -= squashed
+	kept := r.older(keepIdx) | 1<<(keepIdx&63)
+	for i := range r.sets {
+		r.sets[i] &= kept
 	}
-	for i := 0; i < len(r.bits); i += r.words {
-		for w, k := range r.kept {
-			r.bits[i+w] &= k
-		}
+	r.far &= kept
+	for i := range r.wheel {
+		r.wheel[i] &= kept
+	}
+	for i := range r.cons {
+		r.cons[i] &= kept
 	}
 	return squashed
 }
-
-// olderThan reports whether slot a holds an older instruction than b.
-func (r *rob) olderThan(a, b int) bool { return r.pos(a) < r.pos(b) }

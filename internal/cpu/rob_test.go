@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -41,8 +42,8 @@ func TestROBRingBasics(t *testing.T) {
 			t.Fatalf("ring order %v, want %v", seqs, want)
 		}
 	}
-	if !r.olderThan(idxs[1], idx) {
-		t.Fatal("olderThan wrong across wrap")
+	if !r.older(idx).has(idxs[1]) || r.older(idxs[1]).has(idx) {
+		t.Fatal("older wrong across wrap")
 	}
 }
 
@@ -112,6 +113,30 @@ func TestROBConsistencyProperty(t *testing.T) {
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestROBSizeBounds: every scheduler set is one word, so New takes a
+// ROB of 1 to 64 entries, and runs each to the emulator's end; outside
+// that range it returns an error naming it.
+func TestROBSizeBounds(t *testing.T) {
+	p := buildSumProgram(t, 100, prog.Budget32)
+	for _, size := range []int{0, 65, 96, 1, 17, 64} {
+		cfg := DefaultConfig()
+		cfg.ROBSize, cfg.Lockstep = size, true
+		m, err := NewWithDesign(p, cfg, "T2")
+		if size < 1 || size > 64 {
+			if err == nil || !strings.Contains(err.Error(), "1..64") {
+				t.Errorf("ROBSize %d: error %v, want one naming 1..64", size, err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("ROBSize %d: %v", size, err)
+		}
+		if err := m.Run(); err != nil || !m.Halted() {
+			t.Errorf("ROBSize %d: run %v, halted %v", size, err, m.Halted())
+		}
 	}
 }
 

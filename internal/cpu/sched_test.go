@@ -16,7 +16,7 @@ import (
 	"hbat/internal/workload"
 )
 
-func (s slotSet) has(i int) bool { return s[i>>6]&(1<<(i&63)) != 0 }
+func (s slotSet) has(i int) bool { return s&(1<<(i&63)) != 0 }
 
 // checkScheduler rebuilds the scheduler state — every set and wake
 // wheel bucket, each un-issued entry's pending-source count and each
@@ -25,21 +25,17 @@ func (s slotSet) has(i int) bool { return s[i>>6]&(1<<(i&63)) != 0 }
 // cycles, after tick: m.cycle's stages have all run.
 func (m *Machine) checkScheduler() error {
 	r := m.rob
-	words := r.words
-	want := make([]slotSet, numSets)
-	for i := range want {
-		want[i] = make(slotSet, words)
-	}
-	wantWheel := make([]uint64, len(r.wheel))
-	wantCons := make([]uint64, len(r.cons))
-	live := make(slotSet, words)
+	var want [numSets]slotSet
+	var wantWheel [len(r.wheel)]slotSet
+	wantCons := make([]slotSet, len(r.cons))
+	var live slotSet
 	// parked expects slot idx in wheel's bucket for cycle due and
 	// nowhere else. Nothing parks for the cycle under way or an earlier
 	// one, and an entry not marked far is due before its bucket next
 	// comes round.
 	parked := func(wheel, idx int, due int64) error {
 		due = max(due, m.cycle+1)
-		slotSet(wantWheel[(int(due&(wheelSpan-1))*numWheels+wheel)*words:]).add(idx)
+		wantWheel[int(due&(wheelSpan-1))*numWheels+wheel].add(idx)
 		if due-m.cycle >= wheelSpan && !r.far.has(idx) {
 			return fmt.Errorf("slot %d is parked for cycle %d, %d cycles ahead, and not marked far", idx, due, due-m.cycle)
 		}
@@ -99,7 +95,7 @@ func (m *Machine) checkScheduler() error {
 			if at := r.at(p).dests[op.slot].readyAt; at != math.MaxInt64 {
 				return fmt.Errorf("slot %d operand %d is still linked to slot %d dest %d, fixed for cycle %d", idx, k, p, op.slot, at)
 			}
-			slotSet(wantCons[(p*2+int(op.slot))*words:]).add(idx)
+			wantCons[p*2+int(op.slot)].add(idx)
 			if !e.isData(k) {
 				pending++
 			}
@@ -112,33 +108,29 @@ func (m *Machine) checkScheduler() error {
 		}
 	}
 	names := [numSets]string{"unissued", "ready", "due", "mem", "store-unknown", "store-known"}
-	for s := 0; s < numSets; s++ {
-		for w := 0; w < words; w++ {
-			if r.sets[s][w] != want[s][w] {
-				return fmt.Errorf("%s set word %d = %#x, a full scan gives %#x", names[s], w, r.sets[s][w], want[s][w])
-			}
+	for s := range want {
+		if r.sets[s] != want[s] {
+			return fmt.Errorf("%s set = %#x, a full scan gives %#x", names[s], r.sets[s], want[s])
 		}
 	}
 	// Every parked entry in its due cycle's bucket and no other, no
 	// bucket bit on a slot that is dead or not parked, and nothing far
 	// that is not parked.
-	parkedSlots := make(slotSet, words)
+	var parkedSlots slotSet
 	for i := range wantWheel {
 		if r.wheel[i] != wantWheel[i] {
-			return fmt.Errorf("wheel %d bucket %d word %d = %#x, a full scan gives %#x",
-				i/words%numWheels, i/words/numWheels, i%words, r.wheel[i], wantWheel[i])
+			return fmt.Errorf("wheel %d bucket %d = %#x, a full scan gives %#x",
+				i%numWheels, i/numWheels, r.wheel[i], wantWheel[i])
 		}
-		parkedSlots[i%words] |= r.wheel[i]
+		parkedSlots |= r.wheel[i]
 	}
-	for w := 0; w < words; w++ {
-		if stray := r.far[w] &^ parkedSlots[w]; stray != 0 {
-			return fmt.Errorf("far word %d marks %#x, which no bucket holds", w, stray)
-		}
+	if stray := r.far &^ parkedSlots; stray != 0 {
+		return fmt.Errorf("far marks %#x, which no bucket holds", stray)
 	}
 	for i := range wantCons {
 		if r.cons[i] != wantCons[i] {
-			return fmt.Errorf("slot %d dest %d consumers word %d = %#x, a full scan gives %#x",
-				i/words/2, i/words%2, i%words, r.cons[i], wantCons[i])
+			return fmt.Errorf("slot %d dest %d consumers = %#x, a full scan gives %#x",
+				i/2, i%2, r.cons[i], wantCons[i])
 		}
 	}
 	return nil
@@ -192,8 +184,9 @@ func TestSchedulerStateConsistent(t *testing.T) {
 			c.DCache.MissLatency *= 25
 			c.TLBMissLatency *= 10
 		}},
-		// A ring of more than one word, checked against the emulator.
-		variant{name: "rob96", design: "T2", tweak: func(c *Config) { c.ROBSize, c.Lockstep = 96, true }},
+		// A ring that wraps inside its word, checked against the
+		// emulator.
+		variant{name: "rob48", design: "T2", tweak: func(c *Config) { c.ROBSize, c.Lockstep = 48, true }},
 		// Nothing to wait for: results available the cycle they issue.
 		variant{name: "zerolat", design: "T2", tweak: func(c *Config) { c.IntALULat = 0 }},
 	)
@@ -269,18 +262,20 @@ func TestCountedRejectsMatchTheWalk(t *testing.T) {
 
 // TestROBSetOrderProperty: across random sequences of push, pop,
 // squash, set changes, parks (up to three turns of the wheel ahead) and
-// cycles going by, on rings of one word, a partial word and more than
-// one word, iterating a set with first/after visits exactly the members
-// a plain model of the scheduler gives it, in the ring's oldest-first
-// order; every parked entry wakes into its wheel's set on its due cycle
-// and not before; and nothing outside the ring is left in any set,
-// bucket or the far mask.
+// cycles going by, on rings of one slot, a few, a partial word and a
+// whole word, iterating a set with first/after visits exactly the
+// members a plain model of the scheduler gives it, in the ring's
+// oldest-first order; for a random live slot, older, anyOlder and
+// iterating with before agree with the model's ring order too; every
+// parked entry wakes into its wheel's set on its due cycle and not
+// before; and nothing outside the ring is left in any set, bucket or
+// the far mask.
 func TestROBSetOrderProperty(t *testing.T) {
 	// where is the model: which set (0..numSets-1) or wheel
 	// (numSets+wheel) a live slot is in, or -1; store sets ride along
 	// independently, as in the machine.
 	const nowhere = -1
-	for _, size := range []int{1, 4, 48, 64, 96} {
+	for _, size := range []int{1, 4, 48, 64} {
 		size := size
 		check := func(seed int64, ops []uint8) bool {
 			rng := rand.New(rand.NewSource(seed))
@@ -404,20 +399,23 @@ func TestROBSetOrderProperty(t *testing.T) {
 				// Nothing but what the model holds is anywhere: not a
 				// dead slot, not a slot twice.
 				n := 0
-				for i, word := range r.bits[:len(r.bits)-len(r.cons)] {
-					if i/r.words != numSets { // the far mask repeats bucket bits
-						n += bits.OnesCount64(word)
-					}
+				for _, word := range r.sets {
+					n += bits.OnesCount64(uint64(word))
+				}
+				for _, word := range r.wheel {
+					n += bits.OnesCount64(uint64(word))
 				}
 				if n != held {
 					t.Logf("size %d cycle %d: sets and buckets hold %d bits, the model %d", size, now, n, held)
 					return false
 				}
-				for w, word := range r.far {
-					if word&^liveMask(r)[w] != 0 {
-						t.Logf("size %d: far marks a dead slot", size)
-						return false
-					}
+				if r.far&^liveMask(r) != 0 {
+					t.Logf("size %d: far marks a dead slot", size)
+					return false
+				}
+				if len(order) > 0 && !agesAgree(t, r, order, order[rng.Intn(len(order))]) {
+					t.Logf("size %d head %d count %d", size, r.head, r.count)
+					return false
 				}
 			}
 			return true
@@ -428,9 +426,45 @@ func TestROBSetOrderProperty(t *testing.T) {
 	}
 }
 
+// agesAgree checks older, anyOlder and iteration with before at live
+// slot idx against the ring order: the slots listed before idx are the
+// older ones, and before visits each set's members among them youngest
+// first.
+func agesAgree(t *testing.T, r *rob, order []int, idx int) bool {
+	older := order[:slices.Index(order, idx)]
+	var want slotSet
+	for _, j := range older {
+		want.add(j)
+	}
+	if got := r.older(idx) & liveMask(r); got != want {
+		t.Logf("older(%d) holds live slots %#x, the ring order gives %#x", idx, got, want)
+		return false
+	}
+	for set := 0; set < numSets; set++ {
+		var wantBefore, gotBefore []int
+		for i := len(older) - 1; i >= 0; i-- {
+			if r.sets[set].has(older[i]) {
+				wantBefore = append(wantBefore, older[i])
+			}
+		}
+		for j := r.before(r.sets[set], idx); j >= 0; j = r.before(r.sets[set], j) {
+			gotBefore = append(gotBefore, j)
+		}
+		if !slices.Equal(gotBefore, wantBefore) {
+			t.Logf("set %d before slot %d: iterated %v, the ring order gives %v", set, idx, gotBefore, wantBefore)
+			return false
+		}
+		if got := r.anyOlder(set, idx); got != (len(wantBefore) > 0) {
+			t.Logf("set %d: anyOlder(%d) = %v, the ring order gives %v", set, idx, got, wantBefore)
+			return false
+		}
+	}
+	return true
+}
+
 // liveMask returns the set of live slots.
 func liveMask(r *rob) slotSet {
-	live := make(slotSet, r.words)
+	var live slotSet
 	for _, idx := range ringOrder(r) {
 		live.add(idx)
 	}

@@ -21,7 +21,7 @@ import (
 const (
 	sblockOverInterp = 1.5   // ~2.2x
 	ffwdOverCold     = 8.0   // ~24x
-	coreOverInterp   = 0.063 // 0.8 x the 0.079 three traced runs read (0.083 0.077 0.077)
+	coreOverInterp   = 0.068 // 0.8 x the 0.085 three traced runs read (0.084 0.075 0.098)
 	runAllocs        = 60    // 44-45: memory frames and the page table's growth
 )
 
