@@ -15,7 +15,9 @@ import (
 //
 // wrote, each file under a "== hbat -flag" header line. The file is
 // never regenerated: a change to how the core counts an event must
-// leave every exported byte as it was.
+// leave every exported byte as it was. (Its one edit removed the two
+// lines of fetch.stall_itlb_cycles, a metric deleted with the
+// micro-ITLB study, which read 0 here.)
 func TestExportGolden(t *testing.T) {
 	res, err := Simulate(context.Background(), Options{
 		CommonOptions: CommonOptions{Scale: "test"},

@@ -60,9 +60,6 @@ func New(ctx context.Context) Poller {
 	return p
 }
 
-// Enabled reports whether the poller can ever observe a cancellation.
-func (p Poller) Enabled() bool { return p.done != nil }
-
 // Due reports whether step is a polling point: every Every steps, and
 // never for a disabled poller. Loops call Due with their step counter
 // and only pay for a channel poll when it returns true.

@@ -11,7 +11,6 @@ import (
 
 	"hbat/internal/bpred"
 	"hbat/internal/cache"
-	"hbat/internal/cancelpoll"
 	"hbat/internal/emu"
 	"hbat/internal/emu/sblock"
 	"hbat/internal/isa"
@@ -26,17 +25,6 @@ import (
 // design's warmed contents with a wide margin.
 const DefaultWarmCap = 1024
 
-// Functional-engine selectors for BuildConfig.Engine.
-const (
-	// EngineTranslated is the superblock-translated engine (the
-	// default): pre-decoded blocks warmed while they execute, no
-	// per-instruction decode. Observationally identical to the
-	// interpreter.
-	EngineTranslated = "sblock"
-	// EngineInterpreted is the reference per-instruction interpreter.
-	EngineInterpreted = "interp"
-)
-
 // BuildConfig parameterizes the functional warm-up phase. The cache and
 // predictor geometries must match the measuring machine's configuration
 // or the state import at restore will be rejected.
@@ -46,21 +34,17 @@ type BuildConfig struct {
 	ICache      cache.Config
 	DCache      cache.Config
 	Branch      bpred.Config
-	WarmCap     int // max warm refs retained; 0 means DefaultWarmCap
 
-	// Engine selects the functional execution engine:
-	// EngineTranslated (also the "" default) or EngineInterpreted.
-	// Both produce byte-identical checkpoints; the interpreter remains
-	// as the differential reference and debugging fallback.
-	Engine string
+	warmCap int // max warm refs retained; 0, in every build but a test's, means DefaultWarmCap
 }
 
-// buildState is the warming state shared by both functional engines:
-// the machine, the tag arrays and predictor being warmed, and the
-// distinct-page reference stream. On the translated engine it is also
-// the sblock.Warmer, and holds the two pieces of work that path defers:
-// the open run of same-line data references, and the I-cache hits of
-// whole block executions that cannot miss.
+// buildState is the warming state: the machine, the tag arrays and
+// predictor being warmed, and the distinct-page reference stream. It is
+// also the translated engine's sblock.Warmer, and holds the two pieces
+// of work that path defers: the open run of same-line data references,
+// and the I-cache hits of whole block executions that cannot miss. The
+// tests' reference interpreter warms the same state one instruction at
+// a time.
 type buildState struct {
 	em     *emu.Machine
 	ic, dc *cache.Cache
@@ -143,15 +127,15 @@ func (bs *buildState) stamp(i uint64) int64 { return int64(i) - int64(bs.n) }
 
 // Ref is the translated path's data-reference sink. The engine's own
 // access already translated the reference, so it needs only the
-// interpreter's second walk counted, not repeated. A run of consecutive
-// references to one cache line — across block boundaries too —
-// collapses to one warm access and one distinct-page update when the
-// run ends: WarmAccess keeps no statistics, so its tag-array result for
-// the run is the last stamp with the OR of the write bits, and the warm
-// table's entry for the page is likewise the run's last sequence number
-// with OR'd writes. Nothing else touches the D-cache or the warm table
-// between two references, so this is byte-identical to the interpreted
-// per-reference loop.
+// reference interpreter's second walk counted, not repeated. A run of
+// consecutive references to one cache line — across block boundaries
+// too — collapses to one warm access and one distinct-page update when
+// the run ends: WarmAccess keeps no statistics, so its tag-array result
+// for the run is the last stamp with the OR of the write bits, and the
+// warm table's entry for the page is likewise the run's last sequence
+// number with OR'd writes. Nothing else touches the D-cache or the warm
+// table between two references, so this is byte-identical to the
+// interpreter's per-reference warming.
 func (bs *buildState) Ref(vaddr, pa uint64, write bool, instIdx uint64) {
 	r := &bs.ref
 	if r.n == 0 || pa&bs.dLineMask != r.line {
@@ -176,35 +160,17 @@ func (bs *buildState) closeRef() {
 	r.n = 0
 }
 
-// noteRef warms the data cache and the distinct-page stream for one
-// data reference on the interpreted engine. Translating here
-// interleaves demand allocation identically with the emulator's own
-// access, which finds the PTE already mapped, so the checkpointed page
-// table is exactly what the functional phase alone would have produced.
-func (bs *buildState) noteRef(vaddr uint64, write bool, instIdx uint64) {
-	perm := vm.PermRead
-	if write {
-		perm = vm.PermWrite
-	}
-	paddr, terr := bs.em.AS.Translate(vaddr, perm)
-	if terr != nil {
-		return // the emulator's own access will surface the fault
-	}
-	bs.dc.WarmAccess(paddr, write, bs.stamp(instIdx))
-	bs.notePage(paddr, vaddr, write, bs.warmSeq)
-	bs.warmSeq++
-}
-
 // Build runs the functional phase: it executes the first
 // cfg.FastForward instructions of p while functionally warming the
 // cache tag arrays, the branch predictor, and the distinct-page
-// reference stream, then snapshots everything into a Checkpoint. The
-// default engine executes superblock-translated code and warms while it
-// executes; cfg.Engine selects the per-instruction interpreter instead.
-// Both engines produce byte-identical checkpoints. The context is
-// polled at cancelpoll granularity (per block for the translated
-// engine). Build fails with ErrShortProgram if the program halts at or
-// before the fast-forward point, leaving no measurement window.
+// reference stream, then snapshots everything into a Checkpoint, which
+// a fast-forwarding cpu.Machine restores (cpu.Config.Checkpoint). It
+// executes superblock-translated code and warms while it executes; its
+// checkpoints are byte-identical to those of a per-instruction
+// interpreter warming one step at a time, the reference the tests hold
+// it to. The context is polled per block, at cancelpoll granularity.
+// Build fails with ErrShortProgram if the program halts at or before
+// the fast-forward point, leaving no measurement window.
 func Build(ctx context.Context, p *prog.Program, cfg BuildConfig) (*Checkpoint, error) {
 	bs, err := build(ctx, p, cfg)
 	if err != nil {
@@ -227,16 +193,22 @@ type warmers struct {
 
 // build runs Build's functional phase and returns the warmed state.
 func build(ctx context.Context, p *prog.Program, cfg BuildConfig) (*buildState, error) {
+	bs, err := newBuildState(p, cfg)
+	if err != nil {
+		return nil, err
+	}
+	if err := bs.runTranslated(ctx); err != nil {
+		return nil, err
+	}
+	return bs, nil
+}
+
+// newBuildState sets up the warming state of a build of p under cfg:
+// the functional machine at program entry and cold tag arrays and
+// predictor.
+func newBuildState(p *prog.Program, cfg BuildConfig) (*buildState, error) {
 	if cfg.FastForward == 0 {
 		return nil, fmt.Errorf("ckpt: FastForward must be positive")
-	}
-	translated := true
-	switch cfg.Engine {
-	case "", EngineTranslated:
-	case EngineInterpreted:
-		translated = false
-	default:
-		return nil, fmt.Errorf("ckpt: unknown functional engine %q", cfg.Engine)
 	}
 	em, err := emu.New(p, cfg.PageSize)
 	if err != nil {
@@ -260,85 +232,15 @@ func build(ctx context.Context, p *prog.Program, cfg BuildConfig) (*buildState, 
 		icEpoch:  1,
 	}
 	bs.dLineMask = ^uint64(bs.dc.BlockBytes() - 1)
-
-	if translated {
-		err = bs.runTranslated(ctx)
-	} else {
-		err = bs.runInterpreted(ctx)
-	}
-	if err != nil {
-		return nil, err
-	}
 	return bs, nil
-}
-
-// runInterpreted is the reference warm loop: one emu.Step per
-// instruction, warming the icache on the fetch path, the dcache and
-// warm stream via the OnMemRef hook, and the predictor on resolved
-// control flow.
-func (bs *buildState) runInterpreted(ctx context.Context) error {
-	em, n := bs.em, bs.n
-	poll := cancelpoll.New(ctx)
-	em.OnMemRef = func(vaddr uint64, write bool) {
-		bs.noteRef(vaddr, write, em.InstCount)
-	}
-	defer func() { em.OnMemRef = nil }()
-
-	for em.InstCount < n {
-		if poll.Due(em.InstCount) {
-			if cerr := poll.Err(); cerr != nil {
-				return fmt.Errorf("ckpt: build interrupted: %w", cerr)
-			}
-		}
-		if em.Halted {
-			return fmt.Errorf("%w: halted after %d of %d instructions",
-				ErrShortProgram, em.InstCount, n)
-		}
-
-		pcBefore := em.PC
-		in := em.Prog.InstAt(pcBefore)
-		if in == nil {
-			return fmt.Errorf("ckpt: PC 0x%x outside text segment", pcBefore)
-		}
-		// Warm the instruction cache along the fetch path. Walking (not
-		// probing) demand-allocates text pages exactly as the timed
-		// machine's fetch stage does, keeping frame allocation in step.
-		if pte, werr := em.AS.Walk(em.AS.VPN(pcBefore)); werr == nil {
-			paddr := pte.PFN<<em.AS.PageBits() | em.AS.PageOffset(pcBefore)
-			bs.ic.WarmAccess(paddr, false, bs.stamp(em.InstCount))
-		}
-
-		// The outcome, not the next PC: a taken branch may target the
-		// next instruction.
-		taken := in.Class() == isa.ClassBranch && isa.BranchTaken(in, em.Regs[in.Rs], em.Regs[in.Rt])
-		if serr := em.Step(); serr != nil {
-			return fmt.Errorf("ckpt: functional phase: %w", serr)
-		}
-
-		// Train the branch predictor on the resolved control flow.
-		switch in.Class() {
-		case isa.ClassBranch:
-			bs.pred.WarmCond(pcBefore, taken)
-			if taken {
-				bs.pred.UpdateTarget(pcBefore, em.PC)
-			}
-		case isa.ClassJump:
-			bs.pred.UpdateTarget(pcBefore, em.PC)
-		}
-	}
-	if em.Halted {
-		return fmt.Errorf("%w: halted exactly at the fast-forward point (%d instructions)",
-			ErrShortProgram, n)
-	}
-	return nil
 }
 
 // runTranslated is the fused warm loop: the superblock engine chains
 // blocks and reports each execution and data reference to bs (the
 // sblock.Warmer) as it goes. The observable result — warmed tag arrays,
 // predictor state, warm stream, page table, walk counts — is identical
-// to runInterpreted's; the differential battery in this package pins
-// that, byte for byte, through ckpt.Encode.
+// to the reference interpreter's; the differential battery in this
+// package pins that, byte for byte, through ckpt.Encode.
 func (bs *buildState) runTranslated(ctx context.Context) error {
 	em, n := bs.em, bs.n
 	eng := sblock.New(em)
@@ -367,9 +269,9 @@ func (bs *buildState) runTranslated(ctx context.Context) error {
 }
 
 // Block is the translated path's block sink. It reproduces the
-// interpreted loop's per-instruction fetch — one walk and one I-cache
-// warm access each — and trains the predictor on the closing control
-// transfer. The engine's entry walk counted one fetch walk; the rest
+// reference interpreter's per-instruction fetch — one walk and one
+// I-cache warm access each — and trains the predictor on the closing
+// control transfer. The engine's entry walk counted one fetch walk; the rest
 // are counted in bulk. Consecutive fetches from one line collapse to a
 // single warm access at the run's last address and stamp (WarmAccess
 // keeps no statistics and nothing else touches the set mid-run).
@@ -512,8 +414,8 @@ func (bs *buildState) snapshot(cfg BuildConfig) *Checkpoint {
 	}
 
 	// Order the distinct-page stream oldest-first by most recent use and
-	// cap it to the most recent WarmCap pages.
-	warmCap := cfg.WarmCap
+	// cap it to the most recent warmCap pages.
+	warmCap := cfg.warmCap
 	if warmCap <= 0 {
 		warmCap = DefaultWarmCap
 	}

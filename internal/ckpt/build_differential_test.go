@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"hbat/internal/cache"
+	"hbat/internal/cancelpoll"
 	"hbat/internal/emu"
 	"hbat/internal/isa"
 	"hbat/internal/prog"
@@ -15,15 +16,96 @@ import (
 	"hbat/internal/workload"
 )
 
+// buildInterpreted is the reference warm loop Build is held to: the
+// same warming state as Build's, advanced by one emu.Step per
+// instruction, warming the icache on the fetch path, the dcache and
+// warm stream via the OnMemRef hook, and the predictor on resolved
+// control flow.
+func buildInterpreted(ctx context.Context, p *prog.Program, cfg BuildConfig) (*buildState, error) {
+	bs, err := newBuildState(p, cfg)
+	if err != nil {
+		return nil, err
+	}
+	em, n := bs.em, bs.n
+	poll := cancelpoll.New(ctx)
+	// Translating here interleaves demand allocation identically with
+	// the emulator's own access, which finds the PTE already mapped, so
+	// the checkpointed page table is exactly what the functional phase
+	// alone would have produced.
+	em.OnMemRef = func(vaddr uint64, write bool) {
+		perm := vm.PermRead
+		if write {
+			perm = vm.PermWrite
+		}
+		paddr, terr := em.AS.Translate(vaddr, perm)
+		if terr != nil {
+			return // the emulator's own access will surface the fault
+		}
+		bs.dc.WarmAccess(paddr, write, bs.stamp(em.InstCount))
+		bs.notePage(paddr, vaddr, write, bs.warmSeq)
+		bs.warmSeq++
+	}
+	defer func() { em.OnMemRef = nil }()
+
+	for em.InstCount < n {
+		if poll.Due(em.InstCount) {
+			if cerr := poll.Err(); cerr != nil {
+				return nil, fmt.Errorf("ckpt: build interrupted: %w", cerr)
+			}
+		}
+		if em.Halted {
+			return nil, fmt.Errorf("%w: halted after %d of %d instructions",
+				ErrShortProgram, em.InstCount, n)
+		}
+
+		pcBefore := em.PC
+		in := em.Prog.InstAt(pcBefore)
+		if in == nil {
+			return nil, fmt.Errorf("ckpt: PC 0x%x outside text segment", pcBefore)
+		}
+		// Warm the instruction cache along the fetch path. Walking (not
+		// probing) demand-allocates text pages exactly as the timed
+		// machine's fetch stage does, keeping frame allocation in step.
+		if pte, werr := em.AS.Walk(em.AS.VPN(pcBefore)); werr == nil {
+			paddr := pte.PFN<<em.AS.PageBits() | em.AS.PageOffset(pcBefore)
+			bs.ic.WarmAccess(paddr, false, bs.stamp(em.InstCount))
+		}
+
+		// The outcome, not the next PC: a taken branch may target the
+		// next instruction.
+		taken := in.Class() == isa.ClassBranch && isa.BranchTaken(in, em.Regs[in.Rs], em.Regs[in.Rt])
+		if serr := em.Step(); serr != nil {
+			return nil, fmt.Errorf("ckpt: functional phase: %w", serr)
+		}
+
+		// Train the branch predictor on the resolved control flow.
+		switch in.Class() {
+		case isa.ClassBranch:
+			bs.pred.WarmCond(pcBefore, taken)
+			if taken {
+				bs.pred.UpdateTarget(pcBefore, em.PC)
+			}
+		case isa.ClassJump:
+			bs.pred.UpdateTarget(pcBefore, em.PC)
+		}
+	}
+	if em.Halted {
+		return nil, fmt.Errorf("%w: halted exactly at the fast-forward point (%d instructions)",
+			ErrShortProgram, n)
+	}
+	return bs, nil
+}
+
 // TestBuildEnginesByteIdentical is the headline differential battery
-// for the superblock-translated functional engine: over every workload
-// in the registry, at representative fast-forward budgets, the
-// translated and interpreted engines must produce byte-identical
+// for Build's superblock-translated warm-up: over every workload in the
+// registry, at representative fast-forward budgets, Build and the
+// reference interpreter (buildInterpreted) must produce byte-identical
 // checkpoints — same architectural state, same page table and frame
 // images, same warmed tag arrays and predictor, same WarmRef stream in
 // the same order. Comparing through Encode covers every field at once
 // and pins the contract the two-phase methodology rests on: the warmed
-// measurement window cannot depend on which engine fast-forwarded.
+// measurement window is what executing the skipped prefix one
+// instruction at a time would have left.
 func TestBuildEnginesByteIdentical(t *testing.T) {
 	budgets := []uint64{1, 500, 5_000}
 	if testing.Short() {
@@ -39,27 +121,15 @@ func TestBuildEnginesByteIdentical(t *testing.T) {
 			}
 			for _, ff := range budgets {
 				cfg := testBuildConfig(ff)
-				cfg.Engine = EngineInterpreted
-				want, ierr := Build(context.Background(), p, cfg)
-				cfg.Engine = EngineTranslated
+				want, ierr := buildInterpreted(context.Background(), p, cfg)
 				got, terr := Build(context.Background(), p, cfg)
 				if (ierr == nil) != (terr == nil) || (ierr != nil && ierr.Error() != terr.Error()) {
-					t.Fatalf("ff %d: interpreted err %v, translated err %v", ff, ierr, terr)
+					t.Fatalf("ff %d: interpreted err %v, Build err %v", ff, ierr, terr)
 				}
 				if ierr != nil {
 					continue // both failed identically (e.g. short program)
 				}
-				compareCheckpoints(t, ff, want, got)
-
-				// The "" default must be the translated engine.
-				cfg.Engine = ""
-				def, derr := Build(context.Background(), p, cfg)
-				if derr != nil {
-					t.Fatalf("ff %d: default engine: %v", ff, derr)
-				}
-				if !bytes.Equal(def.Encode(), want.Encode()) {
-					t.Fatalf("ff %d: default-engine checkpoint differs", ff)
-				}
+				compareCheckpoints(t, ff, want.snapshot(cfg), got)
 			}
 		})
 	}
@@ -165,14 +235,13 @@ func depth99(t *testing.T, p *prog.Program) uint64 {
 	return mustRun(t, p).InstCount * 99 / 100
 }
 
-// buildBoth builds p under cfg on both engines, requires the same error
-// or byte-identical checkpoints, and returns the translated engine's
-// warmed state (nil when both failed).
+// buildBoth builds p under cfg with Build's translated warm-up and the
+// reference interpreter, requires the same error or byte-identical
+// checkpoints, and returns the translated warmed state (nil when both
+// failed).
 func buildBoth(t testing.TB, p *prog.Program, cfg BuildConfig) *buildState {
 	t.Helper()
-	cfg.Engine = EngineInterpreted
-	want, ierr := build(context.Background(), p, cfg)
-	cfg.Engine = EngineTranslated
+	want, ierr := buildInterpreted(context.Background(), p, cfg)
 	got, terr := build(context.Background(), p, cfg)
 	if (ierr == nil) != (terr == nil) || (ierr != nil && ierr.Error() != terr.Error()) {
 		t.Fatalf("ff %d: interpreted err %v, translated err %v", cfg.FastForward, ierr, terr)
@@ -261,48 +330,41 @@ func compareCheckpoints(t testing.TB, ff uint64, want, got *Checkpoint) {
 	}
 }
 
-// TestBuildEngineErrors pins the engine-independent error surface: the
-// short-program sentinel, the bad-engine rejection, and cancellation
-// all report identically.
+// TestBuildEngineErrors pins Build's error surface to the reference
+// interpreter's: the short-program sentinel and cancellation report
+// identically.
 func TestBuildEngineErrors(t *testing.T) {
 	p, err := progen.Workloads()[0].Build(prog.Budget32, workload.ScaleTest)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	cfg := testBuildConfig(1)
-	cfg.Engine = "jit"
-	if _, err := Build(context.Background(), p, cfg); err == nil {
-		t.Error("unknown engine accepted")
-	}
-
-	// Fast-forward far past the program's halt: both engines must
-	// report ErrShortProgram with the same instruction count.
-	cfg = testBuildConfig(1 << 40)
-	cfg.Engine = EngineInterpreted
-	_, ierr := Build(context.Background(), p, cfg)
-	cfg.Engine = EngineTranslated
+	// Fast-forward far past the program's halt: both must report
+	// ErrShortProgram with the same instruction count.
+	cfg := testBuildConfig(1 << 40)
+	_, ierr := buildInterpreted(context.Background(), p, cfg)
 	_, terr := Build(context.Background(), p, cfg)
 	if ierr == nil || terr == nil || ierr.Error() != terr.Error() {
-		t.Errorf("short-program errors differ:\n  interpreted: %v\n  translated:  %v", ierr, terr)
+		t.Errorf("short-program errors differ:\n  interpreted: %v\n  Build:       %v", ierr, terr)
 	}
 
-	// A cancelled context stops both engines with the interrupt wrapper.
+	// A cancelled context stops both with the interrupt wrapper.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, eng := range []string{EngineInterpreted, EngineTranslated} {
-		cfg := testBuildConfig(1 << 40)
-		cfg.Engine = eng
-		_, cerr := Build(ctx, p, cfg)
-		want := fmt.Sprintf("ckpt: build interrupted: %v", context.Canceled)
-		if cerr == nil || cerr.Error() != want {
-			t.Errorf("%s: cancelled build error = %v, want %q", eng, cerr, want)
+	want := fmt.Sprintf("ckpt: build interrupted: %v", context.Canceled)
+	for name, build := range map[string]func() error{
+		"interpreted": func() error { _, err := buildInterpreted(ctx, p, cfg); return err },
+		"Build":       func() error { _, err := Build(ctx, p, cfg); return err },
+	} {
+		if cerr := build(); cerr == nil || cerr.Error() != want {
+			t.Errorf("%s: cancelled build error = %v, want %q", name, cerr, want)
 		}
 	}
 }
 
-// FuzzBuildEngines builds generated programs on both functional engines
-// and requires byte-identical checkpoints (or the same error). The
+// FuzzBuildEngines builds generated programs with Build and with the
+// reference interpreter and requires byte-identical checkpoints (or the
+// same error). The
 // program comes from FuzzSuperblockExec's generator inputs — seed,
 // length, flavor, and flags (1 = Budget8, 2 = 8K pages) — the depth is
 // taken modulo one more than the program's functional length (so the

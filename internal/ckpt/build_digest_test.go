@@ -18,12 +18,12 @@ import (
 var update = flag.Bool("update", false, "rewrite testdata/build_digest.json")
 
 // TestBuildDigest pins the bytes of built checkpoints across commits
-// (testdata/build_digest.json). The interpreter-vs-translated battery
-// cannot see a warm-stream bug the two engines share — both go through
-// notePage and snapshot — so a change to how the
-// distinct-page stream is kept must leave these digests untouched. No
-// test-scale workload touches more than DefaultWarmCap pages, so one
-// case forces WarmCap 8 to exercise the cap. Regenerate only for a
+// (testdata/build_digest.json). The battery against the reference
+// interpreter cannot see a warm-stream bug the two share — both go
+// through notePage and snapshot — so a change to how the distinct-page
+// stream is kept must leave these digests untouched. No test-scale
+// workload touches more than DefaultWarmCap pages, so one case forces a
+// warmCap of 8 to exercise the cap. Regenerate only for a
 // deliberate change to what a checkpoint holds:
 //
 //	go test ./internal/ckpt/ -run TestBuildDigest -update
@@ -49,7 +49,7 @@ func TestBuildDigest(t *testing.T) {
 		}
 		for _, ff := range []uint64{5_000, 20_000} {
 			cfg := testBuildConfig(ff)
-			cfg.WarmCap = tc.warmCap
+			cfg.warmCap = tc.warmCap
 			c, err := Build(context.Background(), p, cfg)
 			if err != nil {
 				t.Fatalf("%s ff %d: %v", tc.workload, ff, err)

@@ -17,6 +17,9 @@
 package cpu
 
 import (
+	"errors"
+	"fmt"
+
 	"hbat/internal/bpred"
 	"hbat/internal/cache"
 	"hbat/internal/ckpt"
@@ -68,24 +71,6 @@ type Config struct {
 	PageSize       uint64
 	TLBMissLatency int64 // fixed walk latency after earlier instructions complete
 
-	// Instruction-fetch translation. The paper scopes fetch translation
-	// out ("well served by a single-ported instruction TLB or a small
-	// micro-TLB over a unified TLB", Section 1) and the default model
-	// treats it as free. Setting ModelITLB true adds a single-ported
-	// micro-ITLB of ITLBEntries entries (LRU): a miss stalls fetch for
-	// ITLBRefillLatency cycles (the unified-TLB refill path), letting
-	// experiments validate the paper's scoping claim.
-	ModelITLB         bool
-	ITLBEntries       int
-	ITLBRefillLatency int64
-	// UnifiedTLB routes micro-ITLB refills through the *data*
-	// translation device (the CBJ92-style "micro-TLB over a unified
-	// instruction and data TLB" the paper mentions): refills then
-	// compete with data requests for the device's ports, letting
-	// experiments measure the interference the paper's scoping assumed
-	// negligible. Requires ModelITLB.
-	UnifiedTLB bool
-
 	// VirtualCache switches the data cache to a virtually-indexed,
 	// virtually-tagged organization (Section 3's "road not taken"):
 	// cache hits complete without any translation, and the translation
@@ -113,19 +98,18 @@ type Config struct {
 	Lockstep bool
 
 	// FastForward enables two-phase simulation: the first FastForward
-	// instructions execute on the fast functional emulator (warming the
-	// TLB/cache/branch-predictor state without timing) and only the
-	// remainder is measured cycle-accurately. MaxInsts still counts
-	// committed instructions of the measurement window only. When
-	// Checkpoint is nil the warm-up runs inline; supplying a pre-built
-	// (possibly disk-cached) Checkpoint skips it, which is how a sweep
-	// amortizes one warm-up across all thirteen TLB designs.
+	// instructions were executed functionally by ckpt.Build, which warmed
+	// the TLB/cache/branch-predictor state without timing, and only the
+	// remainder is measured cycle-accurately. The machine restores
+	// Checkpoint, which must be that build's (New rejects FastForward
+	// without one), so a sweep amortizes one warm-up across all thirteen
+	// TLB designs. MaxInsts still counts committed instructions of the
+	// measurement window only.
 	FastForward uint64
 	Checkpoint  *ckpt.Checkpoint
 
-	// Run limits.
-	MaxInsts  uint64 // committed-instruction budget (0 = until Halt)
-	MaxCycles int64  // safety limit (0 = none)
+	// MaxInsts is the committed-instruction budget (0 = until Halt).
+	MaxInsts uint64
 
 	// Seed drives every randomized structure for reproducibility.
 	Seed uint64
@@ -165,11 +149,40 @@ func DefaultConfig() Config {
 		PageSize:       4096,
 		TLBMissLatency: 30,
 
-		ITLBEntries:       4,
-		ITLBRefillLatency: 2,
-
 		Seed: 1,
 	}
+}
+
+// check rejects a configuration no run can use: a zero page size, a
+// ROB beyond one scheduler word, a width, queue or unit count below 1
+// (every run would end in ErrDeadlock: with no functional unit of a
+// class, or no prediction budget, the first instruction that needs one
+// never issues or is never fetched), and a fast-forward with no
+// checkpoint to restore.
+func (c *Config) check() error {
+	if c.PageSize == 0 {
+		return errors.New("cpu: zero page size")
+	}
+	if c.ROBSize < 1 || c.ROBSize > maxROBSize {
+		return fmt.Errorf("cpu: ROBSize %d outside 1..%d", c.ROBSize, maxROBSize)
+	}
+	for _, f := range []struct {
+		name string
+		n    int
+	}{
+		{"FetchWidth", c.FetchWidth}, {"IssueWidth", c.IssueWidth}, {"CommitWidth", c.CommitWidth},
+		{"LSQSize", c.LSQSize}, {"FetchQueue", c.FetchQueue},
+		{"IntALUs", c.IntALUs}, {"LdStUnits", c.LdStUnits}, {"FPAdders", c.FPAdders},
+		{"MaxBranchesPerFetch", c.MaxBranchesPerFetch},
+	} {
+		if f.n < 1 {
+			return fmt.Errorf("cpu: %s %d is below 1: every run would deadlock", f.name, f.n)
+		}
+	}
+	if c.FastForward > 0 && c.Checkpoint == nil {
+		return errors.New("cpu: FastForward without a Checkpoint (build one with ckpt.Build)")
+	}
+	return nil
 }
 
 // Stats is every count a run keeps: the core's event counters, its
@@ -215,19 +228,15 @@ type Stats struct {
 	StoreWaits         uint64 // loads waiting on an older store's data
 	CommitStoreRetries uint64 // commit cycles a store found no data-cache port
 
-	// Instruction-fetch translation (only when Config.ModelITLB).
-	ITLBAccesses uint64
-	ITLBMisses   uint64
-
 	// ContextFlushes counts FlushTLBEvery-induced full TLB flushes.
 	ContextFlushes uint64
 
 	// Stall breakdown (cycles; categories can overlap with useful work
 	// elsewhere in the machine — they describe one stage each).
 	// FetchStalls counts the cycles the front end was blocked, by the
-	// cause that blocked it (a redirect penalty, an I-cache or an ITLB
-	// miss; FetchStallCycles sums them); a stall with no cause would
-	// land in FetchStalls[stallNone].
+	// cause that blocked it (a redirect penalty or an I-cache miss;
+	// FetchStallCycles sums them); a stall with no cause would land in
+	// FetchStalls[stallNone].
 	FetchStalls         [numStallCauses]int64
 	FetchQueueFull      int64 // fetch found its queue full
 	DispatchROBFull     int64 // dispatch blocked on a full re-order buffer

@@ -1,11 +1,30 @@
 package cpu
 
 import (
+	"context"
 	"fmt"
 
+	"hbat/internal/ckpt"
 	"hbat/internal/isa"
+	"hbat/internal/prog"
 	"hbat/internal/stats"
 )
+
+// WithCheckpoint returns cfg set to fast-forward over p's first n
+// instructions, restoring the checkpoint ckpt.Build makes of them with
+// cfg's page size, caches and predictor: what the engine does for a
+// fast-forwarded spec.
+func WithCheckpoint(p *prog.Program, cfg Config, n uint64) (Config, error) {
+	c, err := ckpt.Build(context.Background(), p, ckpt.BuildConfig{
+		PageSize: cfg.PageSize, FastForward: n,
+		ICache: cfg.ICache, DCache: cfg.DCache, Branch: cfg.Branch,
+	})
+	if err != nil {
+		return cfg, err
+	}
+	cfg.FastForward, cfg.Checkpoint = n, c
+	return cfg, nil
+}
 
 // DrainReleased empties the pool of released machines, so the next New
 // builds a machine from nothing.

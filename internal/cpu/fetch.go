@@ -1,10 +1,6 @@
 package cpu
 
-import (
-	"hbat/internal/isa"
-	"hbat/internal/ptrace"
-	"hbat/internal/tlb"
-)
+import "hbat/internal/isa"
 
 // fetch models the front end of Table 1 with the collapsing-buffer
 // variant of Section 4.1: up to FetchWidth instructions per cycle from
@@ -25,56 +21,6 @@ func (m *Machine) fetch() {
 	}
 	blockMask := uint64(m.icache.BlockBytes() - 1)
 	block := m.fetchPC &^ blockMask
-
-	// Optional micro-ITLB: one fetch translation per cycle; a miss
-	// stalls the front end while the translation is refilled.
-	if m.itlb != nil {
-		vpn := m.fetchPC >> m.pageBits
-		m.stats.ITLBAccesses++
-		if _, ok := m.itlb.Lookup(vpn, m.cycle); !ok {
-			m.stats.ITLBMisses++
-			if m.tracer != nil {
-				m.tracer.Emit(-1, m.cycle, ptrace.KITLBMiss, m.fetchPC, nil, 0)
-			}
-			if m.cfg.UnifiedTLB {
-				// The refill goes through the shared translation
-				// device, competing with data requests for a port.
-				res := m.DTLB.Lookup(tlb.Request{VPN: vpn}, m.cycle)
-				switch res.Outcome {
-				case tlb.NoPort:
-					// Retry next cycle; the data side kept the ports.
-					m.stats.ITLBMisses-- // counted again on the retry
-					m.stats.ITLBAccesses--
-					return
-				case tlb.Miss:
-					// Code pages are in the page table (the loader put
-					// them there); a shared-TLB capacity miss still
-					// costs a full walk.
-					if _, err := m.DTLB.Fill(vpn, m.cycle); err != nil {
-						// Wrong-path fetch outside any region: treat as
-						// unmapped; the bogus path will be squashed.
-						m.fetchStallUntil = m.cycle + m.cfg.ITLBRefillLatency
-						m.fetchStallCause = stallITLBMiss
-						m.itlb.Insert(vpn, nil, m.cycle)
-						return
-					}
-					m.itlb.Insert(vpn, nil, m.cycle)
-					m.fetchStallUntil = m.cycle + m.cfg.TLBMissLatency
-					m.fetchStallCause = stallITLBMiss
-					return
-				default:
-					m.itlb.Insert(vpn, nil, m.cycle)
-					m.fetchStallUntil = m.cycle + m.cfg.ITLBRefillLatency + res.Extra
-					m.fetchStallCause = stallITLBMiss
-					return
-				}
-			}
-			m.itlb.Insert(vpn, nil, m.cycle)
-			m.fetchStallUntil = m.cycle + m.cfg.ITLBRefillLatency
-			m.fetchStallCause = stallITLBMiss
-			return
-		}
-	}
 
 	// One I-cache block access per fetch cycle.
 	if extra := m.icache.AccessUnported(m.fetchPaddr(m.fetchPC), false, m.cycle); extra > 0 {

@@ -1,70 +1,33 @@
 package cpu
 
 import (
-	"context"
 	"fmt"
 
 	"hbat/internal/ckpt"
 	"hbat/internal/tlb"
 )
 
-// ctx0 substitutes Background for the nil context SetCancel leaves
-// behind when cancellation is disabled.
-func ctx0(ctx context.Context) context.Context {
-	if ctx == nil {
-		return context.Background()
-	}
-	return ctx
-}
-
-// FastForward performs the two-phase simulation's functional warm-up
-// (or checkpoint restore) ahead of the first simulated cycle. Run
-// calls it automatically; callers that want to time the warm-up
-// separately from the cycle loop (the harness's span tracer does)
-// may invoke it explicitly first — it is idempotent, and any error
-// it returns is sticky and re-reported by Run.
+// FastForward restores the two-phase simulation's checkpoint
+// (Config.Checkpoint) ahead of the first simulated cycle. Run calls it
+// automatically; callers that want to time the restore separately from
+// the cycle loop (the engine's span tracer does) may invoke it
+// explicitly first — it is idempotent, and any error it returns is
+// sticky and re-reported by Run.
 func (m *Machine) FastForward() error {
-	if m.err == nil {
-		if err := m.maybeFastForward(); err != nil {
+	if m.err == nil && m.cfg.FastForward > 0 && m.stats.FastForwarded == 0 {
+		if err := m.restoreCheckpoint(m.cfg.Checkpoint); err != nil {
 			m.err = fmt.Errorf("cpu: fast-forward: %w", err)
 		}
 	}
 	return m.err
 }
 
-// maybeFastForward runs (or restores) the two-phase simulation's
-// functional warm-up. Called once at the top of Run: with
-// Config.FastForward set, the machine's architectural and warmed
-// microarchitectural state is replaced by the checkpoint's before the
-// first cycle is simulated. With Config.Checkpoint nil the warm-up runs
-// inline on the functional emulator, honoring SetCancel's context at the
-// same 4096-step granularity as the cycle loop.
-func (m *Machine) maybeFastForward() error {
-	if m.cfg.FastForward == 0 || m.stats.FastForwarded != 0 {
-		return nil
-	}
-	c := m.cfg.Checkpoint
-	if c == nil {
-		ctx := m.cancelCtx
-		built, err := ckpt.Build(ctx0(ctx), m.prog, ckpt.BuildConfig{
-			PageSize:    m.cfg.PageSize,
-			FastForward: m.cfg.FastForward,
-			ICache:      m.cfg.ICache,
-			DCache:      m.cfg.DCache,
-			Branch:      m.cfg.Branch,
-		})
-		if err != nil {
-			return err
-		}
-		c = built
-	}
-	return m.restoreCheckpoint(c)
-}
-
-// restoreCheckpoint injects a warmed checkpoint into the machine. The
-// address space is mutated in place — the TLB device captured its
-// pointer at construction — while physical memory, which nothing
-// aliases, is replaced wholesale by a copy-on-write view of the
+// restoreCheckpoint injects the warmed checkpoint ckpt.Build made of
+// the first Config.FastForward instructions: the machine's
+// architectural and warmed microarchitectural state become the
+// checkpoint's. The address space is mutated in place — the TLB device
+// captured its pointer at construction — while physical memory, which
+// nothing aliases, is replaced wholesale by a copy-on-write view of the
 // checkpoint's frames (the checkpoint's zero-frame omission assumes a
 // fresh store, and New loads no data segment into a machine that will
 // fast-forward).
@@ -101,8 +64,7 @@ func (m *Machine) restoreCheckpoint(c *ckpt.Checkpoint) error {
 	// TLB warm-up: replay the distinct-page reference stream oldest
 	// first with negative recency stamps, resolving each VPN against the
 	// freshly imported page table. Designs that cannot warm (none of the
-	// Table 2 set) simply start cold. The micro-ITLB is left cold: its
-	// four entries warm within a handful of fetches.
+	// Table 2 set) simply start cold.
 	if w, ok := m.DTLB.(tlb.Warmer); ok {
 		refs := c.WarmRefs
 		for i, ref := range refs {

@@ -99,8 +99,10 @@ func TestFastForwardDifferential(t *testing.T) {
 				// cycle-accurate measurement to halt, lockstep-checked
 				// against the restored golden reference.
 				ffwdCfg := DefaultConfig()
-				ffwdCfg.FastForward = n
 				ffwdCfg.Lockstep = true
+				if ffwdCfg, err = WithCheckpoint(p, ffwdCfg, n); err != nil {
+					t.Fatal(err)
+				}
 				ffwd, err := NewWithDesign(p, ffwdCfg, design)
 				if err != nil {
 					t.Fatal(err)
@@ -228,27 +230,8 @@ func TestCheckpointOutlivesItsRestores(t *testing.T) {
 	}
 }
 
-// TestFastForwardShortProgram: fast-forwarding past the program's end
-// must fail with the typed error, not measure an empty window.
-func TestFastForwardShortProgram(t *testing.T) {
-	p, err := progen.Workloads()[0].Build(prog.Budget32, workload.ScaleTest)
-	if err != nil {
-		t.Fatal(err)
-	}
-	total := functionalLength(t, p)
-	cfg := DefaultConfig()
-	cfg.FastForward = total + 1
-	m, err := NewWithDesign(p, cfg, "T4")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Run(); !errors.Is(err, ckpt.ErrShortProgram) {
-		t.Fatalf("Run = %v, want ErrShortProgram", err)
-	}
-}
-
-// spinProgram builds a program that never halts: the functional phase
-// can only end via cancellation.
+// spinProgram builds a program that never halts: a run of it can only
+// end via cancellation.
 func spinProgram(t *testing.T) *prog.Program {
 	t.Helper()
 	b := prog.NewBuilder("spin")
@@ -265,17 +248,27 @@ func spinProgram(t *testing.T) *prog.Program {
 	return p
 }
 
-// TestFastForwardCancellation mirrors the sweep engine's in-flight
-// cancellation test: SetCancel's context must interrupt the functional
-// fast-forward phase — not just the cycle loop — promptly.
-func TestFastForwardCancellation(t *testing.T) {
+// spinWindow is a machine restored from a checkpoint of spinProgram's
+// first 1000 instructions: its measurement window never ends.
+func spinWindow(t *testing.T) *Machine {
+	t.Helper()
 	p := spinProgram(t)
-	cfg := DefaultConfig()
-	cfg.FastForward = 1 << 40
+	cfg, err := WithCheckpoint(p, DefaultConfig(), 1000)
+	if err != nil {
+		t.Fatal(err)
+	}
 	m, err := NewWithDesign(p, cfg, "T4")
 	if err != nil {
 		t.Fatal(err)
 	}
+	return m
+}
+
+// TestFastForwardCancellation mirrors the sweep engine's in-flight
+// cancellation test: SetCancel's context must interrupt a restored
+// machine's measurement window promptly.
+func TestFastForwardCancellation(t *testing.T) {
+	m := spinWindow(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	m.SetCancel(ctx)
 	go func() {
@@ -283,29 +276,26 @@ func TestFastForwardCancellation(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	err = m.Run()
-	if !errors.Is(err, context.Canceled) {
+	if err := m.Run(); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Run = %v, want context.Canceled", err)
 	}
 	if el := time.Since(start); el > 5*time.Second {
-		t.Fatalf("cancellation took %v, want prompt interruption of the warm-up", el)
+		t.Fatalf("cancellation took %v, want prompt interruption", el)
 	}
 }
 
 // TestFastForwardAlreadyCancelled: a context cancelled before Run must
-// stop the warm-up at its first poll.
+// stop a restored machine at the first poll, before its first cycle.
 func TestFastForwardAlreadyCancelled(t *testing.T) {
-	p := spinProgram(t)
-	cfg := DefaultConfig()
-	cfg.FastForward = 1 << 40
-	m, err := NewWithDesign(p, cfg, "T4")
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := spinWindow(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	m.SetCancel(ctx)
 	if err := m.Run(); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Run = %v, want context.Canceled", err)
+	}
+	if m.Stats().Cycles != 0 || m.Stats().FastForwarded != 1000 {
+		t.Fatalf("cancelled run: %d cycles, %d fast-forwarded; want 0 and the restored 1000",
+			m.Stats().Cycles, m.Stats().FastForwarded)
 	}
 }

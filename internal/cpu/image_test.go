@@ -54,7 +54,11 @@ func TestProgramImageReadOnly(t *testing.T) {
 		half := em.InstCount / 2
 		cycleRun := func(ffwd uint64) error {
 			cfg := cpu.DefaultConfig()
-			cfg.FastForward = ffwd
+			if ffwd > 0 {
+				if cfg, err = cpu.WithCheckpoint(p, cfg, ffwd); err != nil {
+					return err
+				}
+			}
 			m, err := cpu.NewWithDesign(p, cfg, "T4")
 			if err != nil {
 				return err

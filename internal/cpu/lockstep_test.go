@@ -53,7 +53,6 @@ func TestLockstepConfigVariants(t *testing.T) {
 		"inorder": func(c *Config) { c.InOrder = true },
 		"vcache":  func(c *Config) { c.VirtualCache = true },
 		"flush":   func(c *Config) { c.FlushTLBEvery = 1000 },
-		"itlb":    func(c *Config) { c.ModelITLB = true; c.UnifiedTLB = true },
 	}
 	p := lockstepProgram(t, "tfft", prog.Budget8)
 	for name, mod := range variants {

@@ -79,8 +79,6 @@ type Machine struct {
 	intALUUsed, ldstUsed, fpAddUsed int
 	intMDFree, fpMDFree             int64
 
-	itlb *tlb.Bank // micro instruction TLB (nil unless Config.ModelITLB)
-
 	tlbMissOutstanding int
 	lastCommitCycle    int64
 	nextFlushAt        uint64
@@ -118,12 +116,9 @@ type Machine struct {
 	progress      func(cycle int64, committed uint64)
 	progressEvery int64
 
-	// cancelCtx/cancelPoll implement cooperative cancellation: Run
-	// polls the context every cancelpoll.Every cycles and stops with
-	// its error once cancelled (see SetCancel). cancelCtx is retained
-	// so the functional fast-forward phase can hand the same context
-	// to ckpt.Build.
-	cancelCtx  context.Context
+	// cancelPoll implements cooperative cancellation: Run polls the
+	// context every cancelpoll.Every cycles and stops with its error
+	// once cancelled (see SetCancel).
 	cancelPoll cancelpoll.Poller
 
 	// devices holds, by mnemonic, the translation device of each Table
@@ -179,11 +174,8 @@ func (m *Machine) device(spec tlb.Spec, seed uint64) tlb.Device {
 // build makes a machine running p whose translation device dtlb
 // returns, called once the machine's address space is set up.
 func build(p *prog.Program, cfg Config, dtlb func(*Machine) tlb.Device) (*Machine, error) {
-	if cfg.PageSize == 0 {
-		return nil, fmt.Errorf("cpu: zero page size")
-	}
-	if cfg.ROBSize < 1 || cfg.ROBSize > maxROBSize {
-		return nil, fmt.Errorf("cpu: ROBSize %d outside 1..%d", cfg.ROBSize, maxROBSize)
+	if err := cfg.check(); err != nil {
+		return nil, err
 	}
 	// Start from a released machine when there is one: its memory,
 	// page table, tag arrays, predictor tables, ROB, fetch ring and
@@ -234,13 +226,6 @@ func build(p *prog.Program, cfg Config, dtlb func(*Machine) tlb.Device) (*Machin
 	if d, ok := m.DTLB.(*tlb.Banked); ok && d.PiggybackPorts() == 0 && !cfg.VirtualCache {
 		m.counted = d
 	}
-	if cfg.ModelITLB {
-		n := cfg.ITLBEntries
-		if n <= 0 {
-			n = 4
-		}
-		m.itlb = tlb.NewBank(n, tlb.LRU, cfg.Seed+0x171b)
-	}
 	for reg, v := range p.InitRegs {
 		m.regs[reg] = v
 	}
@@ -286,7 +271,7 @@ var released sync.Pool
 // a device from New's factory is dropped), and the cache tag arrays,
 // predictor tables, ROB, fetch ring and per-cycle counts, reused when
 // the next configuration matches. It drops the program, checkpoint,
-// lockstep reference, micro-ITLB, tracer, interval series, progress
+// lockstep reference, tracer, interval series, progress
 // callback and context, so a pooled machine pins nothing of the run
 // beyond its own page table's entries, which the next New clears.
 func (m *Machine) Release() {
@@ -384,11 +369,8 @@ func (m *Machine) tick() {
 	}
 	if m.cfg.FlushTLBEvery > 0 && m.stats.Committed >= m.nextFlushAt {
 		// Context switch: every cached translation dies (the paper's
-		// multiprogramming scenario). The micro-ITLB goes too.
+		// multiprogramming scenario).
 		m.DTLB.FlushAll()
-		if m.itlb != nil {
-			m.itlb.Flush()
-		}
 		m.stats.ContextFlushes++
 		m.nextFlushAt = m.stats.Committed + m.cfg.FlushTLBEvery
 	}
@@ -409,15 +391,11 @@ func (m *Machine) tick() {
 // returns nil on a clean halt or on reaching the committed-instruction
 // budget, and the context's error when cancelled.
 func (m *Machine) Run() error {
-	// Two-phase mode: functional fast-forward (or checkpoint restore)
-	// happens before the first simulated cycle. Run, not New, hosts
-	// it so SetCancel's context covers the warm-up too.
+	// Two-phase mode: the checkpoint is restored before the first
+	// simulated cycle.
 	m.FastForward()
 	for !m.halted && m.err == nil {
 		if m.cfg.MaxInsts > 0 && m.stats.Committed >= m.cfg.MaxInsts {
-			break
-		}
-		if m.cfg.MaxCycles > 0 && m.cycle >= m.cfg.MaxCycles {
 			break
 		}
 		if m.cancelPoll.Due(uint64(m.cycle)) {
@@ -443,21 +421,10 @@ func (m *Machine) Run() error {
 
 // SetCancel arranges for Run to stop with ctx.Err() once ctx is
 // cancelled, checked every cancelpoll.Every cycles so an in-flight
-// simulation is interrupted promptly. The same context covers the
-// functional fast-forward phase, which polls it at the granularity
-// cancelpoll specifies (per instruction batch for the interpreted
-// engine, per superblock for the translated one). Call before Run; a
-// nil ctx (or one that can never be cancelled) disables the check
-// entirely, which keeps the run loop's fast path a single nil
-// comparison.
-func (m *Machine) SetCancel(ctx context.Context) {
-	m.cancelPoll = cancelpoll.New(ctx)
-	if !m.cancelPoll.Enabled() {
-		m.cancelCtx = nil
-		return
-	}
-	m.cancelCtx = ctx
-}
+// simulation is interrupted promptly. Call before Run; a nil ctx (or
+// one that can never be cancelled) disables the check entirely, which
+// keeps the run loop's fast path a single nil comparison.
+func (m *Machine) SetCancel(ctx context.Context) { m.cancelPoll = cancelpoll.New(ctx) }
 
 // SetTracer attaches a pipeline event recorder (nil detaches). With no
 // tracer attached — the default — the pipeline's emit sites reduce to

@@ -22,7 +22,6 @@ const (
 	stallNone uint8 = iota
 	stallRedirect
 	stallICacheMiss
-	stallITLBMiss
 	numStallCauses
 )
 
@@ -70,7 +69,7 @@ func (c *cycleCounts) fold(s *Stats) {
 // translation device's tlb.Stats, under the names the export has always
 // given them, sorted by name.
 func RenderMetrics(s *Stats, t *tlb.Stats) stats.Snapshot {
-	out := make(stats.Snapshot, 0, 44) // the 44 metrics below
+	out := make(stats.Snapshot, 0, 43) // the 43 metrics below
 	counter := func(name string, v uint64) {
 		out = append(out, stats.Metric{Name: name, Kind: "counter", Value: v})
 	}
@@ -96,7 +95,6 @@ func RenderMetrics(s *Stats, t *tlb.Stats) stats.Snapshot {
 
 	counter("fetch.stall_redirect_cycles", uint64(s.FetchStalls[stallRedirect]))
 	counter("fetch.stall_icache_cycles", uint64(s.FetchStalls[stallICacheMiss]))
-	counter("fetch.stall_itlb_cycles", uint64(s.FetchStalls[stallITLBMiss]))
 	counter("fetch.stall_queue_full_cycles", uint64(s.FetchQueueFull))
 	counter("dispatch.stall_tlb_miss_cycles", uint64(s.DispatchTLBStalls))
 	counter("dispatch.stall_rob_full_cycles", uint64(s.DispatchROBFull))

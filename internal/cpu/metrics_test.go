@@ -99,16 +99,14 @@ func TestMetricsExtraLatencyDistribution(t *testing.T) {
 }
 
 // TestMetricsFetchStallCauses checks that every fetch-stall cycle has
-// a cause: the three exported causes sum to FetchStallCycles.
+// a cause: the two exported causes sum to FetchStallCycles.
 func TestMetricsFetchStallCauses(t *testing.T) {
 	w, _ := workload.ByName("gcc")
 	p, err := w.Build(prog.Budget32, workload.ScaleTest)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := DefaultConfig()
-	cfg.ModelITLB = true
-	m, err := NewWithDesign(p, cfg, "T4")
+	m, err := NewWithDesign(p, DefaultConfig(), "T4")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,8 +115,7 @@ func TestMetricsFetchStallCauses(t *testing.T) {
 	}
 	snap := m.Metrics()
 	byCause := counterValue(snap, "fetch.stall_redirect_cycles") +
-		counterValue(snap, "fetch.stall_icache_cycles") +
-		counterValue(snap, "fetch.stall_itlb_cycles")
+		counterValue(snap, "fetch.stall_icache_cycles")
 	if byCause != uint64(m.Stats().FetchStallCycles()) {
 		t.Errorf("stall causes sum to %d, aggregate is %d", byCause, m.Stats().FetchStallCycles())
 	}

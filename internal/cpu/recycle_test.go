@@ -188,7 +188,6 @@ func TestRecycledEqualsFresh(t *testing.T) {
 	specs = append(specs,
 		recycleSpec{"in-order", "gcc", test, "I4", func(c *cpu.Config) { c.InOrder = true }},
 		recycleSpec{"virtual-cache", "tomcatv", test, "M8", func(c *cpu.Config) { c.VirtualCache = true }},
-		recycleSpec{"itlb", "gcc", test, "T2", func(c *cpu.Config) { c.ModelITLB, c.UnifiedTLB = true, true }},
 		recycleSpec{"context-switch", "compress", test, "PB1", func(c *cpu.Config) { c.FlushTLBEvery = 2000 }},
 		recycleSpec{"lockstep", "tomcatv", test, "I4/PB", func(c *cpu.Config) { c.Lockstep = true }},
 		recycleSpec{"restore", "compress", test, "X4", restoring(half)},

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"hbat/internal/prog"
+	"hbat/internal/workload"
 )
 
 func TestROBRingBasics(t *testing.T) {
@@ -116,16 +117,64 @@ func TestROBConsistencyProperty(t *testing.T) {
 	}
 }
 
-// TestROBSizeBounds: every scheduler set is one word, so New takes a
-// ROB of 1 to 64 entries, and runs each to the emulator's end; outside
-// that range it returns an error naming it.
+// TestROBSizeBounds: New rejects a Config no run can use, naming the
+// field: a ROB outside 1..64 (every scheduler set is one word), and a
+// width, queue, unit count or prediction budget below 1, with which
+// every run ends in ErrDeadlock. At the least each takes, the baseline
+// runs tomcatv (integer, floating-point and memory work) to the
+// emulator's end under lockstep.
 func TestROBSizeBounds(t *testing.T) {
-	p := buildSumProgram(t, 100, prog.Budget32)
-	for _, size := range []int{0, 65, 96, 1, 17, 64} {
+	w, err := workload.ByName("tomcatv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := w.Build(prog.Budget32, workload.ScaleTest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fields := []struct {
+		name string
+		set  func(*Config, int)
+	}{
+		{"ROBSize", func(c *Config, n int) { c.ROBSize = n }},
+		{"FetchWidth", func(c *Config, n int) { c.FetchWidth = n }},
+		{"IssueWidth", func(c *Config, n int) { c.IssueWidth = n }},
+		{"CommitWidth", func(c *Config, n int) { c.CommitWidth = n }},
+		{"LSQSize", func(c *Config, n int) { c.LSQSize = n }},
+		{"FetchQueue", func(c *Config, n int) { c.FetchQueue = n }},
+		{"IntALUs", func(c *Config, n int) { c.IntALUs = n }},
+		{"LdStUnits", func(c *Config, n int) { c.LdStUnits = n }},
+		{"FPAdders", func(c *Config, n int) { c.FPAdders = n }},
+		{"MaxBranchesPerFetch", func(c *Config, n int) { c.MaxBranchesPerFetch = n }},
+	}
+	for _, f := range fields {
+		t.Run(f.name, func(t *testing.T) {
+			for _, n := range []int{0, -1} {
+				cfg := DefaultConfig()
+				f.set(&cfg, n)
+				if _, err := NewWithDesign(p, cfg, "T2"); err == nil || !strings.Contains(err.Error(), f.name) {
+					t.Errorf("%s %d: error %v, want one naming %s", f.name, n, err, f.name)
+				}
+			}
+			cfg := DefaultConfig()
+			cfg.Lockstep = true
+			f.set(&cfg, 1)
+			m, err := NewWithDesign(p, cfg, "T2")
+			if err != nil {
+				t.Fatalf("%s 1: %v", f.name, err)
+			}
+			if err := m.Run(); err != nil || !m.Halted() {
+				t.Errorf("%s 1: run %v, halted %v", f.name, err, m.Halted())
+			}
+		})
+	}
+
+	sum := buildSumProgram(t, 100, prog.Budget32)
+	for _, size := range []int{65, 96, 17, 64} {
 		cfg := DefaultConfig()
 		cfg.ROBSize, cfg.Lockstep = size, true
-		m, err := NewWithDesign(p, cfg, "T2")
-		if size < 1 || size > 64 {
+		m, err := NewWithDesign(sum, cfg, "T2")
+		if size > 64 {
 			if err == nil || !strings.Contains(err.Error(), "1..64") {
 				t.Errorf("ROBSize %d: error %v, want one naming 1..64", size, err)
 			}
@@ -137,6 +186,13 @@ func TestROBSizeBounds(t *testing.T) {
 		if err := m.Run(); err != nil || !m.Halted() {
 			t.Errorf("ROBSize %d: run %v, halted %v", size, err, m.Halted())
 		}
+	}
+
+	// A fast-forward restores a checkpoint, so it needs one.
+	cfg := DefaultConfig()
+	cfg.FastForward = 1000
+	if _, err := NewWithDesign(sum, cfg, "T2"); err == nil || !strings.Contains(err.Error(), "Checkpoint") {
+		t.Errorf("FastForward without a Checkpoint: error %v, want one naming Checkpoint", err)
 	}
 }
 

@@ -141,7 +141,7 @@ func runChecked(m *Machine) error {
 	if err := m.FastForward(); err != nil {
 		return err
 	}
-	for !m.halted && m.err == nil && (m.cfg.MaxCycles == 0 || m.cycle < m.cfg.MaxCycles) {
+	for !m.halted && m.err == nil {
 		m.tick()
 		if err := m.checkScheduler(); err != nil {
 			return fmt.Errorf("cycle %d: %w", m.cycle, err)
@@ -155,9 +155,9 @@ func runChecked(m *Machine) error {
 // TestSchedulerStateConsistent validates the scheduler state against a
 // full scan after every cycle, on a branchy and a memory-heavy workload,
 // over all 13 designs and the configurations that reach the scheduler
-// by another road: in-order issue, the virtual-address cache, the
-// micro-ITLB refilling through the data TLB, periodic TLB flushes, an
-// attached tracer, and latencies longer than the wake wheel, or zero.
+// by another road: in-order issue, the virtual-address cache, periodic
+// TLB flushes, an attached tracer, and latencies longer than the wake
+// wheel, or zero.
 func TestSchedulerStateConsistent(t *testing.T) {
 	type variant struct {
 		name, design string
@@ -171,7 +171,6 @@ func TestSchedulerStateConsistent(t *testing.T) {
 	variants = append(variants,
 		variant{name: "inorder", design: "T2", tweak: func(c *Config) { c.InOrder = true }},
 		variant{name: "vcache", design: "T1", tweak: func(c *Config) { c.VirtualCache = true }},
-		variant{name: "itlb-unified", design: "T2", tweak: func(c *Config) { c.ModelITLB, c.UnifiedTLB = true, true }},
 		variant{name: "flush", design: "M4", tweak: func(c *Config) { c.FlushTLBEvery = 2000 }},
 		// A tracer wants every completion and every rejected request
 		// as an event on its cycle: computations are parked for

@@ -90,8 +90,7 @@ func (e *Engine) loadOrBuildCheckpoint(ctx context.Context, key ckptKey, p *prog
 			return c, nil
 		}
 	}
-	bsp := tr.Start(rt, sp, "ckpt_build").SetAttr("engine", ckpt.EngineTranslated)
-	sp.SetAttr("engine", ckpt.EngineTranslated)
+	bsp := tr.Start(rt, sp, "ckpt_build")
 	c, err := ckpt.Build(ctx, p, ckpt.BuildConfig{
 		PageSize:    key.pageSize,
 		FastForward: key.ffwd,

@@ -1,10 +1,11 @@
 package obs
 
-// Three gates on one analysis of the module's shipped code: every
+// Four gates on one analysis of the module's shipped code: every
 // exported identifier has a caller outside the tests
 // (TestNoTestOnlyExports), every run counter has a reader outside them
-// (TestNoWriteOnlyCounters), and every Go identifier the docs name in
-// backticks exists (TestDocsNameLiveIdentifiers). The analysis is
+// (TestNoWriteOnlyCounters), every configuration knob has a writer
+// outside them (TestNoTestOnlyKnobs), and every Go identifier the docs
+// name in backticks exists (TestDocsNameLiveIdentifiers). The analysis is
 // standard library only: `go list` finds the packages, go/parser reads
 // their non-test files, and go/types checks them in import order with
 // the standard library type-checked from source.
@@ -278,10 +279,7 @@ var counterStructs = []string{"hbat/internal/cpu.Stats", "hbat/internal/tlb.Stat
 
 // writeOnlyAllowed are the fields of counterStructs that no shipped
 // code reads but that stay, each with the reader that needs them.
-var writeOnlyAllowed = map[string]string{
-	"hbat/internal/cpu.Stats.ITLBAccesses": "read by TestMicroITLBValidatesPaperScoping: the micro-ITLB study (Config.ModelITLB) runs only in the cpu tests",
-	"hbat/internal/cpu.Stats.ITLBMisses":   "read by TestMicroITLBValidatesPaperScoping: the micro-ITLB study (Config.ModelITLB) runs only in the cpu tests",
-}
+var writeOnlyAllowed = map[string]string{}
 
 // TestNoWriteOnlyCounters: every field of counterStructs is read by
 // some non-test file of the module. Being assigned, incremented (++,
@@ -343,6 +341,121 @@ func TestNoWriteOnlyCounters(t *testing.T) {
 	for key := range writeOnlyAllowed {
 		if !allowed[key] {
 			t.Errorf("writeOnlyAllowed names %s, which is not a counter only tests read: drop the entry", key)
+		}
+	}
+}
+
+// knobAllowed are the exported fields of configuration structs that no
+// shipped code sets but that stay, each with its reason.
+var knobAllowed = map[string]string{
+	"hbat/internal/runspan.Config.Now":   "test seam: a fake clock, so the span tests can pin start times and durations",
+	"hbat/internal/runspan.Config.Epoch": "test seam: a fixed wall-clock epoch, so the journal tests can pin the header",
+	"hbat/internal/fleet.Config.Client":  "test seam: the fault battery's api.Client over a fault-injecting transport",
+	"hbat/api.CommonOptions.FFwdEngine":  "a wire field under api's append-only rule: older clients still send it, and it is ignored",
+	"hbat.Options.VirtualCache":          "facade option for callers outside the module; hbatd reaches the same run through api.SimOptions",
+	"hbat.Options.ContextSwitchEvery":    "facade option for callers outside the module; hbatd reaches the same run through api.SimOptions",
+	"hbat.ExperimentOptions.Workloads":   "facade option for callers outside the module; hbatd grids restrict workloads through api.Grid",
+	"hbat.ExperimentOptions.Designs":     "facade option for callers outside the module; hbatd grids restrict designs through api.Grid",
+}
+
+// isKnobStruct reports whether a struct type called name holds knobs:
+// its name ends in Config or Options.
+func isKnobStruct(name string) bool {
+	return strings.HasSuffix(name, "Config") || strings.HasSuffix(name, "Options")
+}
+
+// TestNoTestOnlyKnobs: every exported field of every struct type whose
+// name ends in Config or Options, in a non-main package, is set by
+// some non-test file of the module outside the test-helper packages
+// (bench/, cmd/, examples/ and scripts/ count). Being assigned,
+// incremented (++, +=), keyed or placed in a composite literal, or
+// having its address taken is a write; a write to x.f.g writes f too.
+// A knob only tests turn keeps a second path in shipped code that no
+// user can reach: delete it, or allowlist it in knobAllowed with its
+// reason; an entry nothing needs any more is an error too.
+func TestNoTestOnlyKnobs(t *testing.T) {
+	a := analyzeModule(t)
+	written := map[types.Object]bool{}
+	for _, p := range a.pkgs {
+		if testOnlyAllowed[p.path] != "" {
+			continue // a test-helper package
+		}
+		writeChain := func(e ast.Expr) {
+			for {
+				switch x := e.(type) {
+				case *ast.SelectorExpr:
+					written[p.info.Uses[x.Sel]] = true
+					e = x.X
+				case *ast.IndexExpr:
+					e = x.X
+				case *ast.ParenExpr:
+					e = x.X
+				case *ast.StarExpr:
+					e = x.X
+				default:
+					return
+				}
+			}
+		}
+		for _, f := range p.files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.AssignStmt:
+					for _, lhs := range n.Lhs {
+						writeChain(lhs)
+					}
+				case *ast.IncDecStmt:
+					writeChain(n.X)
+				case *ast.UnaryExpr:
+					if n.Op == token.AND {
+						writeChain(n.X)
+					}
+				case *ast.CompositeLit:
+					st, _ := p.info.Types[n].Type.Underlying().(*types.Struct)
+					for i, elt := range n.Elts {
+						if kv, ok := elt.(*ast.KeyValueExpr); ok {
+							if id, ok := kv.Key.(*ast.Ident); ok {
+								written[p.info.Uses[id]] = true
+							}
+						} else if st != nil {
+							written[st.Field(i)] = true
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
+	allowed := map[string]bool{}
+	var found []string
+	for _, p := range a.pkgs {
+		if p.name == "main" {
+			continue
+		}
+		for _, n := range namedTypes(p.types) {
+			st, ok := n.Underlying().(*types.Struct)
+			if !ok || !isKnobStruct(n.Obj().Name()) {
+				continue
+			}
+			for f := range st.Fields() {
+				key := p.path + "." + n.Obj().Name() + "." + f.Name()
+				switch {
+				case !f.Exported() || written[f]:
+				case knobAllowed[key] != "":
+					allowed[key] = true
+				default:
+					found = append(found, fmt.Sprintf("%s: %s", a.fset.Position(f.Pos()), key))
+				}
+			}
+		}
+	}
+	slices.Sort(found)
+	for _, f := range found {
+		t.Errorf("%s is a knob no shipped code sets: delete it and the path it selects, or allowlist it with a reason", f)
+	}
+	for key := range knobAllowed {
+		if !allowed[key] {
+			t.Errorf("knobAllowed names %s, which is not a knob only tests set: drop the entry", key)
 		}
 	}
 }

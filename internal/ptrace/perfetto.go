@@ -193,7 +193,7 @@ func (r *Recorder) AppendPerfetto(pw *PerfettoWriter, pidPipe, pidMem int, tsOff
 		ev := &events[i]
 		args := fmt.Sprintf("\"seq\":%d,\"pc\":\"0x%x\"", ev.Seq, ev.PC)
 		switch ev.Kind {
-		case KTLBMiss, KTLBNoPort, KITLBMiss:
+		case KTLBMiss, KTLBNoPort:
 			pw.Instant(pidMem, tidTLB, tsOffset+ev.Cycle, ev.Kind.String(), args)
 		case KWalkStart:
 			walkStart[ev.Seq] = ev.Cycle

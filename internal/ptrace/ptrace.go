@@ -50,7 +50,6 @@ const (
 	KDCachePort  // rejected for want of a cache port; retried
 	KStoreWait   // load replayed waiting on an older store's data/address
 	KCommitRetry // store commit retried for want of a cache port
-	KITLBMiss    // instruction micro-TLB miss stalled the front end
 
 	numKinds
 )
@@ -59,7 +58,7 @@ var kindNames = [numKinds]string{
 	"fetch", "dispatch", "issue", "complete", "commit", "squash", "fault",
 	"tlb_hit", "tlb_miss", "tlb_noport", "walk_start", "walk_end",
 	"dcache_hit", "dcache_miss", "dcache_noport", "store_wait",
-	"commit_store_retry", "itlb_miss",
+	"commit_store_retry",
 }
 
 func (k Kind) String() string {
@@ -70,8 +69,8 @@ func (k Kind) String() string {
 }
 
 // Event is one recorded pipeline event. Inst is the decoded instruction
-// (nil for events with no instruction, e.g. ITLB misses on wrong-path
-// fetch addresses); its disassembly is rendered lazily at export so the
+// (nil for events with no instruction, e.g. a wrong-path fetch outside
+// the text segment); its disassembly is rendered lazily at export so the
 // recording path stays allocation-free.
 type Event struct {
 	Seq   int64 // instruction sequence number (-1: not tied to one)

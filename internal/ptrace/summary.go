@@ -59,7 +59,6 @@ func (r *Recorder) WriteSummary(w io.Writer, topN int) error {
 		{"dcache port conflicts (retry cycles)", counts[KDCachePort]},
 		{"store-forward waits (retry cycles)", counts[KStoreWait]},
 		{"store commit retries", counts[KCommitRetry]},
-		{"itlb miss stalls", counts[KITLBMiss]},
 		{"squashed instructions", squashed},
 	}
 	sort.SliceStable(causes, func(i, j int) bool { return causes[i].cycles > causes[j].cycles })
