@@ -291,7 +291,7 @@ type Event struct {
 	Total int `json:"total,omitempty"`
 }
 
-// Span is a finished runspan span on the wire.
+// Span is a finished spans span on the wire.
 type Span struct {
 	Name  string            `json:"name"`
 	DurUS int64             `json:"dur_us"`

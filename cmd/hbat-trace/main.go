@@ -28,7 +28,7 @@ import (
 	"hbat/internal/engine"
 	"hbat/internal/obs"
 	"hbat/internal/prog"
-	"hbat/internal/runspan"
+	"hbat/internal/spans"
 	"hbat/internal/tlb"
 	"hbat/internal/trace"
 	"hbat/internal/workload"
@@ -117,29 +117,29 @@ func remote(ctx context.Context, args []string) {
 	if err != nil {
 		fatalf("remote: fetch spans: %v", err)
 	}
-	srvHdr, srvSpans, err := runspan.ReadJournal(bytes.NewReader(raw))
+	srvHdr, srvSpans, err := spans.ReadJournal(bytes.NewReader(raw))
 	if err != nil {
 		fatalf("remote: server journal: %v", err)
 	}
-	var parts []runspan.JournalPart
+	var parts []spans.JournalPart
 	if *clientJournal != "" {
 		f, err := os.Open(*clientJournal)
 		if err != nil {
 			fatalf("remote: %v", err)
 		}
-		hdr, spans, err := runspan.ReadJournal(f)
+		hdr, ds, err := spans.ReadJournal(f)
 		f.Close()
 		if err != nil {
 			fatalf("remote: client journal: %v", err)
 		}
-		parts = append(parts, runspan.JournalPart{Label: "client", Header: hdr, Spans: spans})
+		parts = append(parts, spans.JournalPart{Label: "client", Header: hdr, Spans: ds})
 	}
-	parts = append(parts, runspan.JournalPart{Label: "hbatd", Header: srvHdr, Spans: srvSpans})
+	parts = append(parts, spans.JournalPart{Label: "hbatd", Header: srvHdr, Spans: srvSpans})
 	f, err := os.Create(*out)
 	if err != nil {
 		fatalf("remote: %v", err)
 	}
-	st, err := runspan.WriteMergedPerfetto(f, parts)
+	st, err := spans.WriteMergedPerfetto(f, parts)
 	if err != nil {
 		f.Close()
 		fatalf("remote: merge: %v", err)

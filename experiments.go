@@ -8,13 +8,13 @@ import (
 
 	"hbat/internal/harness"
 	"hbat/internal/report"
-	"hbat/internal/runspan"
+	"hbat/internal/spans"
 )
 
 // renderSpan opens a "render" span (its own trace — rendering is
 // per-artifact, not per-run) on the options' engine tracer. Returns
 // nil, accepted by Span.End, when tracing is off.
-func renderSpan(ho harness.Options, artifact string) *runspan.Span {
+func renderSpan(ho harness.Options, artifact string) *spans.Span {
 	if ho.Engine == nil || !ho.Engine.Spans().Enabled() {
 		return nil
 	}

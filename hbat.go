@@ -23,8 +23,8 @@ import (
 	"hbat/internal/cpu"
 	"hbat/internal/engine"
 	"hbat/internal/harness"
+	"hbat/internal/pipetrace"
 	"hbat/internal/prog"
-	"hbat/internal/ptrace"
 	"hbat/internal/stats"
 	"hbat/internal/tlb"
 	"hbat/internal/workload"
@@ -122,7 +122,7 @@ type Options struct {
 	ProgressEvery int64
 }
 
-// TraceOptions bounds a pipeline-event recording (see internal/ptrace).
+// TraceOptions bounds a pipeline-event recording (see internal/pipetrace).
 type TraceOptions struct {
 	// Buffer is the ring-buffer capacity in events (default 65536);
 	// oldest events are overwritten once it fills.
@@ -136,7 +136,7 @@ type TraceOptions struct {
 // its WritePerfetto (Chrome/Perfetto trace-event JSON for
 // ui.perfetto.dev), WriteKonata (Konata pipeline-viewer log), or
 // WriteSummary (plain-text stall report) methods.
-type PipelineTrace = ptrace.Recorder
+type PipelineTrace = pipetrace.Recorder
 
 // IntervalSeries is a sampled time series of run metrics; export it
 // with WriteCSV.
@@ -203,7 +203,7 @@ func (o Options) spec() (engine.RunSpec, error) {
 		return engine.RunSpec{}, fmt.Errorf("hbat: %w", err)
 	}
 	if o.Trace != nil {
-		spec.Trace = &ptrace.Config{Cap: o.Trace.Buffer, Start: o.Trace.Start, End: o.Trace.End}
+		spec.Trace = &pipetrace.Config{Cap: o.Trace.Buffer, Start: o.Trace.Start, End: o.Trace.End}
 	}
 	spec.IntervalEvery = o.IntervalEvery
 	spec.Progress = o.Progress

@@ -4,7 +4,7 @@ import (
 	"fmt"
 
 	"hbat/internal/isa"
-	"hbat/internal/ptrace"
+	"hbat/internal/pipetrace"
 )
 
 // commit retires up to CommitWidth completed instructions in program
@@ -27,7 +27,7 @@ func (m *Machine) commit() {
 		}
 		if e.faulted() {
 			if m.tracer != nil {
-				m.tracer.Emit(e.seq, m.cycle, ptrace.KFault, e.pc, e.inst, 1)
+				m.tracer.Emit(e.seq, m.cycle, pipetrace.KFault, e.pc, e.inst, 1)
 			}
 			m.err = fmt.Errorf("cpu: protection fault at pc 0x%x (%s, addr 0x%x)", e.pc, e.inst, e.effAddr)
 			return
@@ -41,7 +41,7 @@ func (m *Machine) commit() {
 			}
 			m.stats.Committed++
 			if m.tracer != nil {
-				m.tracer.Emit(e.seq, m.cycle, ptrace.KCommit, e.pc, e.inst, 0)
+				m.tracer.Emit(e.seq, m.cycle, pipetrace.KCommit, e.pc, e.inst, 0)
 			}
 			m.halted = true
 			m.lastCommitCycle = m.cycle
@@ -61,7 +61,7 @@ func (m *Machine) commit() {
 			if _, ok := m.dcache.Access(cacheAddr, true, m.cycle); !ok {
 				m.stats.CommitStoreRetries++
 				if m.tracer != nil {
-					m.tracer.Emit(e.seq, m.cycle, ptrace.KCommitRetry, e.pc, e.inst, 0)
+					m.tracer.Emit(e.seq, m.cycle, pipetrace.KCommitRetry, e.pc, e.inst, 0)
 				}
 				return // retry next cycle
 			}
@@ -95,7 +95,7 @@ func (m *Machine) commit() {
 
 		m.stats.Committed++
 		if m.tracer != nil {
-			m.tracer.Emit(e.seq, m.cycle, ptrace.KCommit, e.pc, e.inst, 0)
+			m.tracer.Emit(e.seq, m.cycle, pipetrace.KCommit, e.pc, e.inst, 0)
 		}
 		switch {
 		case e.isLoad:

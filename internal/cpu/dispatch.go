@@ -4,8 +4,8 @@ import (
 	"math"
 
 	"hbat/internal/isa"
+	"hbat/internal/pipetrace"
 	"hbat/internal/prog"
-	"hbat/internal/ptrace"
 )
 
 // dispatch renames up to IssueWidth fetched instructions per cycle into
@@ -55,8 +55,8 @@ func (m *Machine) dispatch() {
 		e.predTaken = fi.predTaken
 		e.ghrSnap = fi.ghrSnap
 		if m.tracer != nil {
-			m.tracer.Emit(e.seq, fi.fetchCycle, ptrace.KFetch, e.pc, e.inst, 0)
-			m.tracer.Emit(e.seq, m.cycle, ptrace.KDispatch, e.pc, e.inst, int64(m.rob.count))
+			m.tracer.Emit(e.seq, fi.fetchCycle, pipetrace.KFetch, e.pc, e.inst, 0)
+			m.tracer.Emit(e.seq, m.cycle, pipetrace.KDispatch, e.pc, e.inst, int64(m.rob.count))
 		}
 
 		if d == nil || d.Class == isa.ClassNop || d.Class == isa.ClassHalt {
@@ -65,7 +65,7 @@ func (m *Machine) dispatch() {
 			// a placeholder that must be squashed before commit.
 			e.nextPC = fi.pc + isa.InstBytes
 			if m.tracer != nil {
-				m.tracer.Emit(e.seq, m.cycle, ptrace.KComplete, e.pc, e.inst, 0)
+				m.tracer.Emit(e.seq, m.cycle, pipetrace.KComplete, e.pc, e.inst, 0)
 			}
 			continue
 		}

@@ -13,7 +13,7 @@ import (
 	"hbat/internal/ckpt"
 	"hbat/internal/cpu"
 	"hbat/internal/prog"
-	"hbat/internal/runspan"
+	"hbat/internal/spans"
 	"hbat/internal/workload"
 )
 
@@ -53,7 +53,7 @@ func (k ckptKey) file(dir string) string {
 // source attribute (memory / disk / build) and child spans for
 // singleflight waits, disk loads, and builds. Time blocked on another
 // run's build of the same checkpoint is added to *waited.
-func (e *Engine) checkpoint(ctx context.Context, spec RunSpec, p *prog.Program, cfg cpu.Config, sp *runspan.Span, waited *time.Duration) (*ckpt.Checkpoint, error) {
+func (e *Engine) checkpoint(ctx context.Context, spec RunSpec, p *prog.Program, cfg cpu.Config, sp *spans.Span, waited *time.Duration) (*ckpt.Checkpoint, error) {
 	key := spec.ckptKey()
 	c, err, hit := e.ckpts.do(ctx, key, func() (*ckpt.Checkpoint, error) {
 		return e.loadOrBuildCheckpoint(ctx, key, p, cfg, sp)
@@ -72,7 +72,7 @@ func (e *Engine) checkpoint(ctx context.Context, spec RunSpec, p *prog.Program, 
 // overwritten — the checksum inside the codec makes the load failure
 // explicit rather than silent. sp is the run's "checkpoint" phase span
 // (may be nil).
-func (e *Engine) loadOrBuildCheckpoint(ctx context.Context, key ckptKey, p *prog.Program, cfg cpu.Config, sp *runspan.Span) (*ckpt.Checkpoint, error) {
+func (e *Engine) loadOrBuildCheckpoint(ctx context.Context, key ckptKey, p *prog.Program, cfg cpu.Config, sp *spans.Span) (*ckpt.Checkpoint, error) {
 	tr := e.Spans()
 	rt := sp.Trace()
 	path := ""

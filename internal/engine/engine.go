@@ -24,9 +24,9 @@ import (
 
 	"hbat/internal/ckpt"
 	"hbat/internal/cpu"
+	"hbat/internal/pipetrace"
 	"hbat/internal/prog"
-	"hbat/internal/ptrace"
-	"hbat/internal/runspan"
+	"hbat/internal/spans"
 	"hbat/internal/stats"
 	"hbat/internal/workload"
 )
@@ -91,7 +91,7 @@ type Engine struct {
 	// load/build, fast-forward, simulate — cache hits
 	// and singleflight waits as distinct spans with hit/miss
 	// attributes. nil means disabled and costs nothing on the hot path.
-	spans *runspan.Tracer
+	spans *spans.Tracer
 
 	// started latches on the first Run/RunAll/PrewarmBuilds call and
 	// freezes the checkpoint directory above (ErrStarted from then on).
@@ -376,7 +376,7 @@ type RunRecord struct {
 	// otherwise.
 	PhaseMs map[string]float64 `json:"phase_ms,omitempty"`
 	// TraceID is the cross-process trace id the run executed under
-	// (runspan.ContextWithTrace) — the same id the submitting client's
+	// (spans.ContextWithTrace) — the same id the submitting client's
 	// spans and the serving transport's access log carry. Empty for
 	// runs with no propagated trace context.
 	TraceID string `json:"trace_id,omitempty"`
@@ -479,7 +479,7 @@ func (e *Engine) buildProgram(spec RunSpec) (*prog.Program, error) {
 // on another run's build is a singleflight_wait span under sp, open
 // while the run waits (so /debug/spans shows a stuck build as a
 // growing age), and its duration is added to *waited.
-func (e *Engine) waitHook(sp *runspan.Span, waited *time.Duration) func() func() {
+func (e *Engine) waitHook(sp *spans.Span, waited *time.Duration) func() func() {
 	return func() func() {
 		wsp := e.Spans().Start(sp.Trace(), sp, "singleflight_wait")
 		blocked := time.Now()
@@ -536,14 +536,14 @@ func (e *Engine) Run(ctx context.Context, spec RunSpec) RunResult {
 	res.Cached = true
 	res.Wall = 0
 	id := e.runSeq.Add(1)
-	tc, hasTC := runspan.TraceFromContext(ctx)
+	tc, hasTC := spans.TraceFromContext(ctx)
 	if tr := e.Spans(); tr.Enabled() {
 		// Memo hits get a minimal trace of their own: a root span
 		// covering the (usually zero) wait on the producer, so hit
 		// traffic is visible on the timeline next to real runs.
 		rt := tr.NewTrace()
 		if hasTC {
-			rt = tr.NewTraceWith(tc.TraceID, runspan.NewSpanID(), tc.SpanID)
+			rt = tr.NewTraceWith(tc.TraceID, spans.NewSpanID(), tc.SpanID)
 		}
 		hroot := tr.StartAt(rt, nil, "run", waitMark).
 			SetAttr("workload", spec.Workload).
@@ -578,10 +578,10 @@ func (e *Engine) execute(ctx context.Context, spec RunSpec) RunResult {
 	id := e.runSeq.Add(1)
 	lg := e.runLogger(id, spec)
 	tr := e.Spans()
-	tc, hasTC := runspan.TraceFromContext(ctx)
+	tc, hasTC := spans.TraceFromContext(ctx)
 	var (
-		rt     runspan.TraceID
-		root   *runspan.Span
+		rt     spans.TraceID
+		root   *spans.Span
 		phases map[string]float64
 	)
 	if tr.Enabled() {
@@ -589,7 +589,7 @@ func (e *Engine) execute(ctx context.Context, spec RunSpec) RunResult {
 			// A propagated trace context (a remote submitter, or the
 			// fabric service's per-job span) parents this run's root
 			// under the caller's span and stamps the shared trace id.
-			rt = tr.NewTraceWith(tc.TraceID, runspan.NewSpanID(), tc.SpanID)
+			rt = tr.NewTraceWith(tc.TraceID, spans.NewSpanID(), tc.SpanID)
 		} else {
 			rt = tr.NewTrace()
 		}
@@ -611,7 +611,7 @@ func (e *Engine) execute(ctx context.Context, spec RunSpec) RunResult {
 	}
 	// endPhase closes a phase span and folds its wall time into the
 	// manifest's per-phase breakdown. Nil-safe (disabled tracer).
-	endPhase := func(sp *runspan.Span, name string) {
+	endPhase := func(sp *spans.Span, name string) {
 		if sp != nil {
 			phases[name] = sp.End().Seconds() * 1e3
 		}
@@ -692,7 +692,7 @@ func (e *Engine) execute(ctx context.Context, spec RunSpec) RunResult {
 	}
 	m.SetCancel(ctx)
 	if spec.Trace != nil {
-		m.SetTracer(ptrace.New(*spec.Trace))
+		m.SetTracer(pipetrace.New(*spec.Trace))
 	}
 	if spec.IntervalEvery > 0 {
 		m.EnableIntervalSampling(spec.IntervalEvery)
@@ -829,8 +829,8 @@ func (e *Engine) RunAll(ctx context.Context, specs []RunSpec, parallelism int, p
 	}
 	tr := e.Spans()
 	var (
-		sweepTrace runspan.TraceID
-		sweepSpan  *runspan.Span
+		sweepTrace spans.TraceID
+		sweepSpan  *spans.Span
 	)
 	sweepMark := tr.Now()
 	if tr.Enabled() {

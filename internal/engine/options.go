@@ -5,7 +5,7 @@ import (
 	"log/slog"
 
 	"hbat/internal/prog"
-	"hbat/internal/runspan"
+	"hbat/internal/spans"
 )
 
 // ErrStarted is returned by SetCheckpointDir, the one
@@ -46,7 +46,7 @@ func (e *Engine) SetLogger(l *slog.Logger) {
 
 // SetSpans replaces the engine's span tracer (nil disables tracing).
 // Safe at any time, including mid-sweep; see SetLogger.
-func (e *Engine) SetSpans(tr *runspan.Tracer) {
+func (e *Engine) SetSpans(tr *spans.Tracer) {
 	e.obsMu.Lock()
 	e.spans = tr
 	e.obsMu.Unlock()
@@ -61,7 +61,7 @@ func (e *Engine) SetHeartbeat(fn func()) {
 }
 
 // Spans returns the engine's span tracer (nil when tracing is off).
-func (e *Engine) Spans() *runspan.Tracer {
+func (e *Engine) Spans() *spans.Tracer {
 	e.obsMu.RLock()
 	defer e.obsMu.RUnlock()
 	return e.spans

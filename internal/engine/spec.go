@@ -5,8 +5,8 @@ import (
 	"time"
 
 	"hbat/internal/cpu"
+	"hbat/internal/pipetrace"
 	"hbat/internal/prog"
-	"hbat/internal/ptrace"
 	"hbat/internal/stats"
 	"hbat/internal/tlb"
 	"hbat/internal/workload"
@@ -43,8 +43,8 @@ type RunSpec struct {
 	Lockstep bool
 
 	// Trace, when non-nil, records pipeline events into a ring buffer
-	// returned as RunResult.Trace (see internal/ptrace).
-	Trace *ptrace.Config
+	// returned as RunResult.Trace (see internal/pipetrace).
+	Trace *pipetrace.Config
 	// IntervalEvery, when positive, samples interval time-series rows
 	// every N cycles into RunResult.Intervals.
 	IntervalEvery int64
@@ -79,7 +79,7 @@ type RunResult struct {
 	Cached bool
 
 	// Trace holds the recorded pipeline events when Spec.Trace was set.
-	Trace *ptrace.Recorder
+	Trace *pipetrace.Recorder
 	// Intervals holds the sampled time series when Spec.IntervalEvery
 	// was positive.
 	Intervals *stats.IntervalSeries

@@ -16,7 +16,7 @@ import (
 	"hbat/api"
 	"hbat/internal/engine"
 	"hbat/internal/fleet/fleettest"
-	"hbat/internal/runspan"
+	"hbat/internal/spans"
 )
 
 // detSpecs is the cross-tier spec set: distinct workloads and designs
@@ -58,7 +58,7 @@ func fleetArtifacts(t *testing.T, n int, specs []api.SimOptions) map[string][]by
 	_, cl, _ := newCoord(t, rig, nil)
 	ctx := context.Background()
 
-	tc := runspan.NewTraceContext()
+	tc := spans.NewTraceContext()
 	acc, err := cl.Submit(ctx, api.JobRequest{Specs: specs, Traceparent: tc.Traceparent()})
 	if err != nil {
 		t.Fatal(err)
@@ -136,7 +136,7 @@ func TestFleetDialTransparency(t *testing.T) {
 		CommonOptions: api.CommonOptions{Scale: "test", Seed: 4},
 		Workload:      "compress", Design: "I8",
 	}
-	tc := runspan.NewTraceContext()
+	tc := spans.NewTraceContext()
 	acc, err := cl.Submit(ctx, api.JobRequest{Specs: []api.SimOptions{opts}, Traceparent: tc.Traceparent()})
 	if err != nil {
 		t.Fatal(err)

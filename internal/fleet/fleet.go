@@ -37,7 +37,7 @@ import (
 
 	"hbat/api"
 	"hbat/internal/engine"
-	"hbat/internal/runspan"
+	"hbat/internal/spans"
 	"hbat/internal/store"
 	"hbat/internal/transport"
 )
@@ -99,7 +99,7 @@ type Config struct {
 	// Spans, when non-nil, records the coordinator's own span tree:
 	// job roots, per-batch dispatch spans, retry spans, and result
 	// fetches, all under the client's propagated trace id.
-	Spans *runspan.Tracer
+	Spans *spans.Tracer
 }
 
 // worker is one registry entry. state transitions are driven by the

@@ -26,7 +26,7 @@ import (
 
 	"hbat/api"
 	"hbat/internal/engine"
-	"hbat/internal/runspan"
+	"hbat/internal/spans"
 	"hbat/internal/transport"
 )
 
@@ -161,7 +161,7 @@ func (c *Coordinator) dispatch(j *transport.Job, w *worker, idxs []int, tried []
 		// The coordinator job root is the remote parent: the worker's
 		// own job span tree hangs under it, and the engine stamps the
 		// shared trace id into its run records.
-		Traceparent: runspan.TraceContext{TraceID: j.TraceID, SpanID: j.SpanID}.Traceparent(),
+		Traceparent: spans.TraceContext{TraceID: j.TraceID, SpanID: j.SpanID}.Traceparent(),
 	}
 	j.Running(w.addr, idxs...)
 	for _, i := range idxs {

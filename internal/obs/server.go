@@ -26,7 +26,7 @@ import (
 	"time"
 
 	"hbat/internal/engine"
-	"hbat/internal/runspan"
+	"hbat/internal/spans"
 )
 
 // Config wires a Server to its data sources. Every field is optional
@@ -40,7 +40,7 @@ type Config struct {
 	Engine *engine.Engine
 	// Spans, when non-nil, serves the live span view at /debug/spans:
 	// currently open spans with their ages plus the recent-span ring.
-	Spans *runspan.Tracer
+	Spans *spans.Tracer
 	// Watchdog, when non-nil, drives /health and the
 	// obs_last_progress_age_seconds metric.
 	Watchdog *Watchdog
@@ -266,11 +266,11 @@ func (s *Server) handleSpans(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "span tracing off (run with -spans)", http.StatusNotFound)
 		return
 	}
-	type spans struct {
-		Open   []runspan.OpenSpan `json:"open"`
-		Recent []runspan.SpanData `json:"recent"`
+	type view struct {
+		Open   []spans.OpenSpan `json:"open"`
+		Recent []spans.SpanData `json:"recent"`
 	}
-	writeJSON(w, http.StatusOK, spans{Open: tr.Open(), Recent: tr.Recent()})
+	writeJSON(w, http.StatusOK, view{Open: tr.Open(), Recent: tr.Recent()})
 }
 
 func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {

@@ -19,7 +19,7 @@ import (
 
 	"hbat/api"
 	"hbat/internal/engine"
-	"hbat/internal/runspan"
+	"hbat/internal/spans"
 	"hbat/internal/store"
 	"hbat/internal/tlb"
 	"hbat/internal/workload"
@@ -159,11 +159,11 @@ func traceIdentity(r *http.Request, req *api.JobRequest) (traceID, parentSpan st
 		tp = r.Header.Get(api.TraceparentHeader)
 	}
 	if tp != "" {
-		if tc, err := runspan.ParseTraceparent(tp); err == nil {
+		if tc, err := spans.ParseTraceparent(tp); err == nil {
 			return tc.TraceID, tc.SpanID
 		}
 	}
-	return runspan.NewTraceContext().TraceID, ""
+	return spans.NewTraceContext().TraceID, ""
 }
 
 // handleJobs serves POST /v1/jobs. Rejections come in a fixed order:
@@ -217,7 +217,7 @@ func (f *Front) handleJobs(w http.ResponseWriter, r *http.Request) {
 		ID:      newJobID(),
 		Tenant:  ten,
 		TraceID: traceID,
-		SpanID:  runspan.NewSpanID(),
+		SpanID:  spans.NewSpanID(),
 		Keys:    make([]string, len(sts)),
 		Wire:    wire,
 		Runs:    runs,
@@ -309,7 +309,7 @@ func (f *Front) lookupStored(sts []api.SpecStatus) (stored []string, open []int)
 // finishStored finishes spec idx from the store: done, a store hit,
 // the stored hash and the result URL, and a store_hit span under the
 // job root. data, the stored bytes, goes on the spec's event.
-func finishStored(j *Job, idx int, sha string, data []byte, spans *runspan.Tracer) {
+func finishStored(j *Job, idx int, sha string, data []byte, spans *spans.Tracer) {
 	key := j.Keys[idx]
 	if sp := spans.Start(j.Trace, j.Root, "store_hit"); sp != nil {
 		sp.SetAttr("spec_key", key).End()

@@ -9,7 +9,7 @@ import (
 
 	"hbat/api"
 	"hbat/internal/engine"
-	"hbat/internal/runspan"
+	"hbat/internal/spans"
 )
 
 // Job is one admitted job: the state machine an Executor reports into
@@ -28,8 +28,8 @@ type Job struct {
 	SpanID  string
 	// Trace/Root are the job's span tree when the daemon traces spans
 	// (0/nil otherwise). The root span covers admission to completion.
-	Trace runspan.TraceID
-	Root  *runspan.Span
+	Trace spans.TraceID
+	Root  *spans.Span
 	// Keys, Wire, and Runs are index-aligned: each spec's content key,
 	// the wire form it was submitted in, and its normalized run.
 	Keys []string

@@ -21,7 +21,7 @@ import (
 
 	"hbat/api"
 	"hbat/internal/engine"
-	"hbat/internal/runspan"
+	"hbat/internal/spans"
 	"hbat/internal/store"
 )
 
@@ -49,7 +49,7 @@ type Config struct {
 	Logger *slog.Logger
 	// Spans, when non-nil, feeds each job's SSE event stream with the
 	// live run-root spans of its own runs.
-	Spans *runspan.Tracer
+	Spans *spans.Tracer
 }
 
 // Service is hbatd in its worker role: the v1 Front over a local worker
@@ -104,7 +104,7 @@ type pool struct {
 	// run is engine.Run; tests substitute one that panics.
 	run   func(context.Context, engine.RunSpec) engine.RunResult
 	store *store.Store
-	spans *runspan.Tracer
+	spans *spans.Tracer
 	log   *slog.Logger
 
 	queues []chan specTask
@@ -210,8 +210,8 @@ func (p *pool) runSpec(t specTask) {
 	// Thread the job's trace identity into the engine: its run root
 	// parents under the job span, and the shared trace id lands in
 	// the engine's logs and manifest records.
-	ctx := runspan.ContextWithTrace(context.Background(),
-		runspan.TraceContext{TraceID: j.TraceID, SpanID: j.SpanID})
+	ctx := spans.ContextWithTrace(context.Background(),
+		spans.TraceContext{TraceID: j.TraceID, SpanID: j.SpanID})
 	j.Finish(t.idx, p.simulate(ctx, j.Tenant, key, j.Runs[t.idx]))
 }
 

@@ -25,7 +25,7 @@ count() {
 	echo "$total"
 }
 
-serving="api internal/engine internal/store internal/transport internal/fleet internal/obs internal/runspan cmd/hbatd"
+serving="api internal/engine internal/store internal/transport internal/fleet internal/obs internal/spans cmd/hbatd"
 simulator="internal/cpu internal/tlb internal/cache internal/bpred internal/vm internal/mem"
 frontend="internal/transport internal/fleet cmd/hbatd"
 
