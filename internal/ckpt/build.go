@@ -168,7 +168,7 @@ func (bs *buildState) closeRef() {
 // executes superblock-translated code and warms while it executes; its
 // checkpoints are byte-identical to those of a per-instruction
 // interpreter warming one step at a time, the reference the tests hold
-// it to. The context is polled per block, at cancelpoll granularity.
+// it to. The context is polled as sblock.Engine.SetCancel describes.
 // Build fails with ErrShortProgram if the program halts at or before
 // the fast-forward point, leaving no measurement window.
 func Build(ctx context.Context, p *prog.Program, cfg BuildConfig) (*Checkpoint, error) {

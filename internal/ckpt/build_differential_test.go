@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"hbat/internal/cache"
-	"hbat/internal/cancelpoll"
 	"hbat/internal/emu"
 	"hbat/internal/isa"
 	"hbat/internal/prog"
@@ -27,7 +26,6 @@ func buildInterpreted(ctx context.Context, p *prog.Program, cfg BuildConfig) (*b
 		return nil, err
 	}
 	em, n := bs.em, bs.n
-	poll := cancelpoll.New(ctx)
 	// Translating here interleaves demand allocation identically with
 	// the emulator's own access, which finds the PTE already mapped, so
 	// the checkpointed page table is exactly what the functional phase
@@ -48,8 +46,8 @@ func buildInterpreted(ctx context.Context, p *prog.Program, cfg BuildConfig) (*b
 	defer func() { em.OnMemRef = nil }()
 
 	for em.InstCount < n {
-		if poll.Due(em.InstCount) {
-			if cerr := poll.Err(); cerr != nil {
+		if em.InstCount%4096 == 0 {
+			if cerr := ctx.Err(); cerr != nil {
 				return nil, fmt.Errorf("ckpt: build interrupted: %w", cerr)
 			}
 		}

@@ -64,8 +64,8 @@ type Warmer interface {
 // Run executes until Halt or maxInsts instructions (0 = unlimited),
 // mirroring emu.Machine.Run exactly — same final state, same error
 // text on budget exhaustion or faults, same OnMemRef callback order.
-// If a cancellation context is armed (SetCancel), it is polled at
-// every block boundary and Run returns the context's error.
+// If a cancellation context is armed (SetCancel), Run returns its
+// error once it is cancelled.
 func (e *Engine) Run(maxInsts uint64) error {
 	if err := e.drive(maxInsts, nil); err != nil || e.m.Halted {
 		return err
@@ -95,12 +95,14 @@ func (e *Engine) drive(limit uint64, w Warmer) error {
 	m := e.m
 	e.syncViews()
 	for !m.Halted && (limit == 0 || m.InstCount < limit) {
-		// Exact (select-based) poll: block chaining makes this loop's
-		// iterations rare, and a cancel arriving before the run must
-		// stop it before any instruction executes. The hot per-block
-		// check is the atomic Tripped inside execBlock's chain step.
-		if err := e.poll.Err(); err != nil {
-			return err
+		// Chaining makes this loop's passes rare, so each polls: a
+		// cancel arriving before the run stops it before any
+		// instruction executes. The chain step polls in between.
+		if e.ctx != nil {
+			if err := e.ctx.Err(); err != nil {
+				return err
+			}
+			e.polledAt = m.InstCount
 		}
 		if e.pendingInterp > 0 {
 			err := e.interpStep(w)
@@ -539,8 +541,11 @@ blockLoop:
 		if limit > 0 && ic >= limit {
 			break
 		}
-		if e.poll.Tripped() {
-			break
+		if e.ctx != nil && ic-e.polledAt >= pollEvery {
+			e.polledAt = ic
+			if e.ctx.Err() != nil {
+				break
+			}
 		}
 		b = next
 	}

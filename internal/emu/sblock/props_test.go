@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"hbat/internal/cancelpoll"
 	"hbat/internal/emu"
 	"hbat/internal/isa"
 	"hbat/internal/prog"
@@ -35,9 +34,9 @@ func isCtrl(op isa.Op) bool {
 //   - block bodies contain no control flow — only the terminator may
 //     transfer;
 //   - block length is bounded by the page's instruction capacity and
-//     stays under the cancellation-poll interval, so per-block polling
-//     is at least as responsive as the interpreted loops'
-//     cancelpoll.Every granularity.
+//     stays under pollEvery, so the chain step's poll, made at the
+//     first block boundary after pollEvery instructions, is at most
+//     one block late.
 func TestBlockInvariants(t *testing.T) {
 	for _, pageSize := range []uint64{4096, 8192} {
 		for seed := uint64(0); seed < 6; seed++ {
@@ -67,8 +66,8 @@ func TestBlockInvariants(t *testing.T) {
 				if b.nInsts > maxInsts {
 					t.Errorf("block %#x: %d insts exceeds page capacity %d", pc0, b.nInsts, maxInsts)
 				}
-				if b.nInsts >= cancelpoll.Every {
-					t.Errorf("block %#x: %d insts reaches the %d-inst poll interval", pc0, b.nInsts, cancelpoll.Every)
+				if b.nInsts >= pollEvery {
+					t.Errorf("block %#x: %d insts reaches the %d-inst poll interval", pc0, b.nInsts, pollEvery)
 				}
 				if (b.end-1)>>e.pageBits != pc0>>e.pageBits {
 					t.Errorf("block %#x..%#x spans a %d-byte page boundary", pc0, b.end, pageSize)
@@ -255,8 +254,8 @@ func TestCancelObservedAtBlockBoundary(t *testing.T) {
 }
 
 // TestCancelStopsSpinLoop proves a running translated loop observes a
-// concurrent cancellation: the poll happens at every block entry, so
-// Run returns promptly instead of spinning forever.
+// concurrent cancellation: the chain step polls every pollEvery
+// instructions, so Run returns promptly instead of spinning forever.
 func TestCancelStopsSpinLoop(t *testing.T) {
 	m, err := emu.New(spinProgram(t), 4096)
 	if err != nil {

@@ -36,7 +36,6 @@ import (
 	"encoding/binary"
 	"fmt"
 
-	"hbat/internal/cancelpoll"
 	"hbat/internal/emu"
 	"hbat/internal/isa"
 	"hbat/internal/mem"
@@ -164,7 +163,8 @@ type Engine struct {
 	byPage  map[uint64][]*block
 	hint    *block // predicted next block (chained from the last exec)
 
-	poll          cancelpoll.Poller
+	ctx           context.Context // SetCancel's; nil: never cancelled
+	polledAt      uint64          // InstCount when ctx was last polled
 	pendingInterp int
 
 	exec  BlockExec // the record Warm hands its sink
@@ -198,12 +198,15 @@ func New(m *emu.Machine) *Engine {
 	return e
 }
 
-// SetCancel arms cooperative cancellation: the engine polls ctx at
-// every block boundary. Blocks are bounded by one page (at most
-// page-size/4 instructions, well under cancelpoll.Every), so
-// cancellation latency is at most one block — never worse than the
-// interpreted loops' cancelpoll granularity.
-func (e *Engine) SetCancel(ctx context.Context) { e.poll = cancelpoll.New(ctx) }
+// pollEvery is how many instructions chained blocks may retire between
+// two polls of the context; blocks stay below it.
+const pollEvery = 4096
+
+// SetCancel arms cooperative cancellation: the engine polls ctx on
+// every pass of its drive loop, so a context cancelled before a run
+// stops it before any instruction retires, and at the first block
+// boundary after every 4096 chained instructions. A nil ctx disarms it.
+func (e *Engine) SetCancel(ctx context.Context) { e.ctx = ctx }
 
 // Stats returns a copy of the engine's activity counters.
 func (e *Engine) Stats() Stats { return e.stats }
