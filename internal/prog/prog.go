@@ -24,9 +24,10 @@ const (
 )
 
 // MaxPageSize is the largest page this layout runs under. A page is
-// mapped when its first byte lies in a segment, and a page larger than
-// DataBase's alignment would start below the data segment, at 0.
-const MaxPageSize = DataBase
+// mapped when its first byte lies in a segment, and the page holding
+// the top of the stack starts inside the stack only while the page is
+// no larger than the stack.
+const MaxPageSize = StackSize
 
 // RegZero aliases the hardwired zero register so workload generators
 // can reference it without importing internal/isa.
