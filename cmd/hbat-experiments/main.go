@@ -63,10 +63,8 @@ func main() {
 		defer srv.Close()
 	}
 
-	if *ckptDir != "" {
-		if err := hbat.SetCheckpointDir(*ckptDir); err != nil {
-			fail(err)
-		}
+	if err := hbat.SetCheckpointDir(*ckptDir); err != nil {
+		fail(err)
 	}
 
 	csvCapable := make(map[string]bool)

@@ -162,10 +162,8 @@ func run(ctx context.Context) error {
 		MaxInsts:     *maxInsts,
 		Lockstep:     *lockstep,
 	}
-	if *ckptDir != "" {
-		if err := hbat.SetCheckpointDir(*ckptDir); err != nil {
-			return err
-		}
+	if err := hbat.SetCheckpointDir(*ckptDir); err != nil {
+		return err
 	}
 	if *traceFile != "" || *traceSummary {
 		switch *traceFormat {

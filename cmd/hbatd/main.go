@@ -20,7 +20,8 @@
 // graceful drain: /ready flips to 503, open jobs run to completion (or
 // -drain-timeout), then the process exits. With -data-dir the result
 // store persists across restarts: a restarted daemon reindexes it and
-// serves every stored spec without re-simulating.
+// serves every stored spec without re-simulating; a worker keeps its
+// warmed checkpoints there too, under the one -store-disk budget.
 //
 // Usage:
 //
@@ -79,7 +80,7 @@ func main() {
 		fc    fleet.Config
 	)
 	addr := flag.String("addr", ":9090", "listen address for the job API and observability endpoints")
-	flag.StringVar(&sc.Dir, "data-dir", "", "persist the result store in this directory (empty = memory only)")
+	flag.StringVar(&sc.Dir, "data-dir", "", "persist the result store, and a worker's fast-forward checkpoints, in this directory (empty = memory only)")
 	flag.Int64Var(&sc.MemBytes, "store-mem", 64<<20, "result store memory budget in bytes")
 	flag.Int64Var(&sc.DiskBytes, "store-disk", 0, "result store disk budget in bytes (0 = unbounded; needs -data-dir)")
 	flag.Int64Var(&sc.TenantQuotaBytes, "tenant-quota-bytes", 0, "stored bytes allowed per tenant (0 = unlimited)")
@@ -88,7 +89,6 @@ func main() {
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "how long a SIGTERM drain waits for open jobs before giving up")
 	// Worker role: the engine-side knobs.
 	flag.IntVar(&local.Workers, "workers", 0, "worker pool size (0 = 4)")
-	ckptDir := flag.String("ckpt-dir", "", "persist fast-forward checkpoints in this directory (reused across restarts)")
 	// Coordinator role.
 	flag.Var((*workerList)(&fc.Workers), "worker", "hbatd worker base URL; repeat the flag (or comma-separate) for a fleet. With one or more, this process coordinates them and simulates nothing itself")
 	flag.DurationVar(&fc.ProbeEvery, "probe-every", time.Second, "worker health-probe period")
@@ -107,7 +107,7 @@ func main() {
 	coordinator := len(fc.Workers) > 0
 	if coordinator {
 		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "workers" || f.Name == "ckpt-dir" {
+			if f.Name == "workers" {
 				fmt.Fprintf(os.Stderr, "hbatd: -%s configures the engine, and with -worker this process is a coordinator without one\n", f.Name)
 				os.Exit(2)
 			}
@@ -154,8 +154,8 @@ func main() {
 		d.V1, d.Shutdown, d.Obs.Ready, d.Obs.Extra = coord.Handler(), coord.Shutdown, coord.Accepting, coord.MetricsFamilies
 		d.Listening = []any{"role", role, "workers", len(fc.Workers), "data_dir", sc.Dir}
 	} else {
-		if *ckptDir != "" {
-			if err := eng.SetCheckpointDir(*ckptDir); err != nil {
+		if sc.Dir != "" {
+			if err := eng.SetCheckpointStore(st); err != nil {
 				obs.Fatal(err)
 			}
 		}

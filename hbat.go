@@ -26,6 +26,7 @@ import (
 	"hbat/internal/pipetrace"
 	"hbat/internal/prog"
 	"hbat/internal/stats"
+	"hbat/internal/store"
 	"hbat/internal/tlb"
 	"hbat/internal/workload"
 )
@@ -51,16 +52,24 @@ func SweepStats() SweepCacheStats { return defaultEngine.CacheStats() }
 func SweepEngine() *engine.Engine { return defaultEngine }
 
 // ErrEngineStarted is returned by SetCheckpointDir once the shared
-// engine has executed work: the checkpoint directory is frozen at
-// first use so a concurrent sweep never observes a half-applied
-// change.
+// engine has executed work: the checkpoint store is frozen at first
+// use so a concurrent sweep never observes a half-applied change.
 var ErrEngineStarted = engine.ErrStarted
 
-// SetCheckpointDir makes the shared sweep engine persist fast-forward
-// checkpoints under dir, so later processes skip the functional warm-up
-// for specs they have already warmed. Must be called before the first
+// SetCheckpointDir makes the shared sweep engine keep fast-forward
+// checkpoints in a result store under dir ("" keeps none), so later
+// processes skip warm-ups already done. Must be called before the first
 // simulation; afterwards it returns ErrEngineStarted.
-func SetCheckpointDir(dir string) error { return defaultEngine.SetCheckpointDir(dir) }
+func SetCheckpointDir(dir string) error {
+	if dir == "" {
+		return defaultEngine.SetCheckpointStore(nil)
+	}
+	s, err := store.New(store.Config{Dir: dir})
+	if err != nil {
+		return err
+	}
+	return defaultEngine.SetCheckpointStore(s)
+}
 
 // Manifest is the run-provenance record written alongside sweep
 // artifacts; see engine.Manifest.

@@ -7,7 +7,8 @@
 // microarchitectural state (cache tag arrays, predictor tables, and the
 // recency-ordered page-reference stream that re-warms any TLB design),
 // so one checkpoint per (workload, budget, scale) serves all thirteen
-// Table 2 designs of a sweep and survives process crashes on disk.
+// Table 2 designs of a sweep. Its encoding is what the engine keeps in
+// the result store, so a checkpoint survives the process.
 //
 // Build warms while it executes: the superblock engine (internal/emu/
 // sblock) reports each block execution and data reference to the
@@ -27,8 +28,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
 
 	"hbat/internal/bpred"
 	"hbat/internal/cache"
@@ -250,35 +249,6 @@ func Decode(data []byte) (*Checkpoint, error) {
 		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(d.buf)-d.off)
 	}
 	return c, nil
-}
-
-// SaveFile atomically writes the checkpoint to path (tmp + rename), so
-// a crash mid-write never leaves a torn checkpoint behind.
-func (c *Checkpoint) SaveFile(path string) error {
-	data := c.Encode()
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".ckpt-*")
-	if err != nil {
-		return err
-	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
-}
-
-// LoadFile reads and decodes a checkpoint file.
-func LoadFile(path string) (*Checkpoint, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return Decode(data)
 }
 
 // --- low-level codec ---

@@ -3,10 +3,7 @@ package engine
 import (
 	"context"
 	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
-	"os"
-	"path/filepath"
 	"strconv"
 	"time"
 
@@ -40,15 +37,26 @@ func (s RunSpec) ckptKey() ckptKey {
 	}
 }
 
-// file returns the key's on-disk path under dir: a fingerprint of the
-// key fields, so concurrent processes sharing a CkptDir agree on names.
-func (k ckptKey) file(dir string) string {
-	sum := sha256.Sum256([]byte(fmt.Sprintf("%#v", k)))
-	return filepath.Join(dir, "hbat-"+hex.EncodeToString(sum[:8])+".ckpt")
+// BlobStore is the durable tier of warmed checkpoints: *store.Store's
+// owner-less blobs, on disk only and bounded by the store's disk budget.
+type BlobStore interface {
+	GetBlob(key string) ([]byte, bool)
+	PutBlob(key string, data []byte) error
+}
+
+// storeKey names the checkpoint in a BlobStore: 48 hex characters of
+// SHA-256 over all but the depth, with the cache and predictor
+// configuration the warm-up fills, then the depth as 16. Every depth of
+// one program shares a prefix.
+func (k ckptKey) storeKey(cfg cpu.Config) string {
+	sum := sha256.Sum256(fmt.Appendf(nil, "%q %#v %#v %d %#v %#v %#v",
+		k.workload, k.budget, k.scale, k.pageSize, cfg.ICache, cfg.DCache, cfg.Branch))
+	return fmt.Sprintf("%x%016x", sum[:24], k.ffwd)
 }
 
 // checkpoint returns the warmed checkpoint for spec through the
-// checkpoint cache, persisting it under CkptDir when one is configured.
+// checkpoint cache, persisting it in the checkpoint store when one is
+// configured.
 // sp, when non-nil, is the run's "checkpoint" phase span: it gets a
 // source attribute (memory / disk / build) and child spans for
 // singleflight waits, disk loads, and builds. Time blocked on another
@@ -65,24 +73,23 @@ func (e *Engine) checkpoint(ctx context.Context, spec RunSpec, p *prog.Program, 
 	return c, err
 }
 
-// loadOrBuildCheckpoint resolves one checkpoint: from CkptDir when a
-// valid file exists (a hit, source=disk), otherwise by running the
-// functional warm-up (a miss, source=build) and persisting the result,
-// best-effort. A corrupt, truncated, or mismatched file is rebuilt and
-// overwritten — the checksum inside the codec makes the load failure
-// explicit rather than silent. sp is the run's "checkpoint" phase span
-// (may be nil).
+// loadOrBuildCheckpoint resolves one checkpoint: from the checkpoint
+// store when it holds a valid blob (a hit, source=disk), otherwise by
+// running the functional warm-up (a miss, source=build) and storing
+// the result, best-effort. A blob failing the store's hash, the codec
+// or the key is rebuilt. sp is the "checkpoint" span (may be nil).
 func (e *Engine) loadOrBuildCheckpoint(ctx context.Context, key ckptKey, p *prog.Program, cfg cpu.Config, sp *spans.Span) (*ckpt.Checkpoint, error) {
 	tr := e.Spans()
 	rt := sp.Trace()
-	path := ""
-	if e.ckptDir != "" {
-		path = key.file(e.ckptDir)
+	skey := ""
+	if e.ckptStore != nil {
+		skey = key.storeKey(cfg)
 		lsp := tr.Start(rt, sp, "ckpt_load")
-		c, lerr := ckpt.LoadFile(path)
-		ok := lerr == nil && c.PageSize == key.pageSize && c.FastForward == key.ffwd
+		data, ok := e.ckptStore.GetBlob(skey)
+		c, derr := ckpt.Decode(data)
+		ok = ok && derr == nil && c.PageSize == key.pageSize && c.FastForward == key.ffwd
 		if lsp != nil {
-			lsp.SetAttr("path", path).SetAttr("ok", strconv.FormatBool(ok)).End()
+			lsp.SetAttr("key", skey).SetAttr("ok", strconv.FormatBool(ok)).End()
 		}
 		if ok {
 			e.ckptHits.Add(1)
@@ -107,12 +114,10 @@ func (e *Engine) loadOrBuildCheckpoint(ctx context.Context, key ckptKey, p *prog
 	if err != nil {
 		return nil, err
 	}
-	if path != "" {
-		if mkerr := os.MkdirAll(e.ckptDir, 0o755); mkerr == nil {
-			if werr := c.SaveFile(path); werr != nil {
-				if lg := e.Logger(); lg != nil {
-					lg.Warn("checkpoint persist failed", "path", path, "error", werr.Error())
-				}
+	if skey != "" {
+		if werr := e.ckptStore.PutBlob(skey, c.Encode()); werr != nil {
+			if lg := e.Logger(); lg != nil {
+				lg.Warn("checkpoint persist failed", "key", skey, "error", werr.Error())
 			}
 		}
 	}

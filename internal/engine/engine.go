@@ -55,22 +55,16 @@ import (
 // safe for concurrent use and is meant to be long-lived: one engine per
 // process (or per experiment batch) maximizes reuse.
 //
-// Result-affecting configuration (the checkpoint directory) is
-// immutable once the engine has run: call SetCheckpointDir before the
-// first Run/RunAll/PrewarmBuilds call — afterwards it returns
-// ErrStarted instead of silently racing the scheduler.
-// Observability sinks (logger, span tracer, heartbeat) may be attached
-// at any time.
+// The checkpoint store is frozen at the first Run/RunAll/PrewarmBuilds
+// call (ErrStarted); observability sinks may be attached at any time.
 type Engine struct {
-	// ckptDir, when non-empty, persists fast-forward checkpoints to
-	// disk (one file per (workload, budget, scale, page size, N),
-	// named by the key's fingerprint). A later process with the same
-	// directory skips the functional warm-up entirely. Corrupt or
-	// mismatched files are rebuilt and overwritten, never trusted.
-	ckptDir string
+	// ckptStore, when non-nil, keeps fast-forward checkpoints as blobs
+	// (see ckptKey.storeKey), so a later process over the same store
+	// skips the warm-up. Corrupt or mismatched blobs are rebuilt.
+	ckptStore BlobStore
 
 	// obsMu guards the observability sinks below. Unlike the checkpoint
-	// directory, sinks carry no result-affecting state,
+	// store, sinks carry no result-affecting state,
 	// so they may be attached or replaced at any time — including
 	// mid-sweep; every read goes through Logger/Spans/beat.
 	obsMu sync.RWMutex
@@ -94,7 +88,7 @@ type Engine struct {
 	spans *spans.Tracer
 
 	// started latches on the first Run/RunAll/PrewarmBuilds call and
-	// freezes the checkpoint directory above (ErrStarted from then on).
+	// freezes the checkpoint store above (ErrStarted from then on).
 	started atomic.Bool
 
 	progs *flight[progKey, *prog.Program]
@@ -306,8 +300,8 @@ type CacheStats struct {
 	// RunSpec memo vs. actually simulated.
 	SpecHits, SpecMisses uint64
 	// CkptHits/CkptMisses count fast-forward checkpoint requests served
-	// from the checkpoint cache (in-memory or CkptDir) vs. built by
-	// running the functional warm-up.
+	// from memory or the checkpoint store vs. built by running the
+	// functional warm-up.
 	CkptHits, CkptMisses uint64
 }
 

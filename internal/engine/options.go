@@ -8,35 +8,27 @@ import (
 	"hbat/internal/spans"
 )
 
-// ErrStarted is returned by SetCheckpointDir, the one
-// result-affecting Set* method, once the engine has executed work:
-// the checkpoint directory is frozen at first use so a concurrent scheduler
-// never observes a half-applied change. Observability sinks
-// (SetLogger, SetSpans, SetHeartbeat) are exempt and may be attached
-// at any time.
+// ErrStarted is returned by SetCheckpointStore, the one
+// result-affecting Set* method, once the engine has executed work, so
+// a concurrent scheduler never observes a half-applied change.
 var ErrStarted = errors.New("engine: configuration is frozen after first run")
 
 // start latches the engine as started, freezing its configuration.
 func (e *Engine) start() { e.started.Store(true) }
 
-// setConfig runs apply unless the engine has started.
-func (e *Engine) setConfig(apply func()) error {
+// SetCheckpointStore persists warmed checkpoints in s; nil disables
+// persistence. Returns ErrStarted once the engine has run.
+func (e *Engine) SetCheckpointStore(s BlobStore) error {
 	if e.started.Load() {
 		return ErrStarted
 	}
-	apply()
+	e.ckptStore = s
 	return nil
-}
-
-// SetCheckpointDir redirects checkpoint persistence to dir; "" disables
-// it. Returns ErrStarted once the engine has run.
-func (e *Engine) SetCheckpointDir(dir string) error {
-	return e.setConfig(func() { e.ckptDir = dir })
 }
 
 // SetLogger replaces the engine's logger (nil disables logging).
 // Observability sinks carry no result-affecting state, so unlike the
-// checkpoint directory they may be attached at any time, including
+// checkpoint store they may be attached at any time, including
 // mid-sweep.
 func (e *Engine) SetLogger(l *slog.Logger) {
 	e.obsMu.Lock()

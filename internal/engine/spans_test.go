@@ -13,6 +13,7 @@ import (
 	"hbat/internal/cpu"
 	"hbat/internal/prog"
 	"hbat/internal/spans"
+	"hbat/internal/store"
 	"hbat/internal/workload"
 )
 
@@ -108,8 +109,8 @@ func TestRunEmitsPhaseSpans(t *testing.T) {
 // TestCheckpointSpans covers the fast-forward path: the first design
 // builds the warm-up checkpoint (source=build with a ckpt_build child
 // naming the engine), later designs reuse it from memory, and a fresh
-// engine sharing the CkptDir loads it from disk (ckpt_load ok=true,
-// source=disk).
+// engine over the same checkpoint store loads it from disk (ckpt_load
+// ok=true, source=disk).
 func TestCheckpointSpans(t *testing.T) {
 	dir := t.TempDir()
 	mk := func(design string) RunSpec {
@@ -120,7 +121,7 @@ func TestCheckpointSpans(t *testing.T) {
 	}
 	ctx := context.Background()
 
-	eng := newWithCkptDir(t, dir)
+	eng, _ := newWithCkptStore(t, store.Config{Dir: dir})
 	tr := spans.New()
 	eng.SetSpans(tr)
 	if r := eng.Run(ctx, mk("T4")); r.Err != nil {
@@ -146,10 +147,10 @@ func TestCheckpointSpans(t *testing.T) {
 	if len(cb) != 1 || cb[0].Parent != cks[0].Span && cb[0].Parent != cks[1].Span {
 		t.Errorf("ckpt_build spans = %+v, want one under a checkpoint span", cb)
 	}
-	// The cold engine probed the (empty) CkptDir before building.
+	// The cold engine probed the (empty) store before building.
 	cl := by["ckpt_load"]
-	if len(cl) != 1 || cl[0].Attrs["ok"] != "false" || cl[0].Attrs["path"] == "" {
-		t.Errorf("ckpt_load spans = %+v, want one failed probe with a path", cl)
+	if len(cl) != 1 || cl[0].Attrs["ok"] != "false" || !store.Key(cl[0].Attrs["key"]) || len(cl[0].Attrs["key"]) != 64 {
+		t.Errorf("ckpt_load spans = %+v, want one failed probe with a 64-hex key", cl)
 	}
 	ff := by["fast_forward"]
 	if len(ff) != 2 {
@@ -168,8 +169,9 @@ func TestCheckpointSpans(t *testing.T) {
 		}
 	}
 
-	// A fresh engine sharing the dir serves the checkpoint from disk.
-	eng2 := newWithCkptDir(t, dir)
+	// A fresh engine over the same directory serves the checkpoint from
+	// disk.
+	eng2, _ := newWithCkptStore(t, store.Config{Dir: dir})
 	tr2 := spans.New()
 	eng2.SetSpans(tr2)
 	if r := eng2.Run(ctx, mk("T4")); r.Err != nil {

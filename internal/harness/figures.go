@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"hbat/internal/emu"
+	"hbat/internal/emu/sblock"
 	"hbat/internal/engine"
 	"hbat/internal/prog"
 	"hbat/internal/tlb"
@@ -232,7 +233,8 @@ func (f *Figure6Result) RTWAvg(size int) float64 {
 // fully-associative TLBs from 4 to 128 entries (LRU replacement up to
 // 16 entries, random above — the policies the corresponding timing
 // structures use). Each workload's reference stream is generated once
-// by functional execution and fed to all six sizes. weights gives the
+// by the translated engine in hook mode (sblock; every data reference
+// in program order) and fed to all six sizes. weights gives the
 // run-time weighting (e.g. T4 cycles from Figure 5); if nil, committed
 // instruction counts are used.
 func Figure6(ctx context.Context, opts Options, weights map[string]float64) (*Figure6Result, error) {
@@ -244,20 +246,8 @@ func Figure6(ctx context.Context, opts Options, weights map[string]float64) (*Fi
 		MissRate:  make(map[string]map[int]float64),
 		Weights:   make(map[string]float64),
 	}
-	type job struct {
-		name string
-		mr   map[int]float64
-		wt   float64
-		err  error
-	}
-	jobs := make([]job, len(wls))
-	specs := make([]engine.RunSpec, len(wls))
-	for i, name := range wls {
-		specs[i] = engine.RunSpec{Workload: name} // placeholder for progress accounting
-		jobs[i].name = name
-	}
-	// Functional simulation is cheap; run serially per workload but the
-	// six TLB models concurrently via one pass over the stream.
+	// Functional simulation is cheap: run the workloads one after
+	// another, each feeding all six TLB models in one pass.
 	start := time.Now()
 	for i, name := range wls {
 		if err := ctx.Err(); err != nil {
@@ -282,33 +272,26 @@ func Figure6(ctx context.Context, opts Options, weights map[string]float64) (*Fi
 				s.Ref(vpn)
 			}
 		}
-		if err := m.Run(0); err != nil {
+		se := sblock.New(m)
+		se.SetCancel(ctx)
+		if err := se.Run(0); err != nil {
 			return nil, fmt.Errorf("figure6 %s: %w", name, err)
 		}
 		mr := make(map[int]float64, len(Figure6Sizes))
 		for j, size := range Figure6Sizes {
 			mr[size] = sims[j].MissRate()
 		}
-		jobs[i].mr = mr
-		jobs[i].wt = float64(m.InstCount)
+		f.MissRate[name] = mr
+		f.Weights[name] = float64(m.InstCount)
+		if w, ok := weights[name]; ok {
+			f.Weights[name] = w
+		}
 		if opts.Progress != nil {
 			opts.Progress(engine.Progress{
 				Done: i + 1, Total: len(wls),
-				Result:  &engine.RunResult{Spec: specs[i]},
+				Result:  &engine.RunResult{Spec: engine.RunSpec{Workload: name}},
 				Elapsed: time.Since(start),
 			})
-		}
-	}
-	for _, j := range jobs {
-		if j.err != nil {
-			return nil, j.err
-		}
-		f.MissRate[j.name] = j.mr
-		f.Weights[j.name] = j.wt
-		if weights != nil {
-			if w, ok := weights[j.name]; ok {
-				f.Weights[j.name] = w
-			}
 		}
 	}
 	return f, nil

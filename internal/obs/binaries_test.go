@@ -115,14 +115,15 @@ func scrape(t *testing.T, base string) string {
 // mergedFlags is every flag hbatd or the former coordinator binary
 // registered before the two became one: the merge moved the
 // coordinator's across verbatim, so renaming the binary is the whole
-// migration, and added none.
+// migration, and added none. hbatd's -ckpt-dir has gone since: a
+// worker keeps its checkpoints in the -data-dir store.
 var mergedFlags = []string{
 	// both
 	"addr", "data-dir", "store-mem", "store-disk", "tenant-quota-bytes",
 	"tenant-jobs", "max-specs", "drain-timeout",
 	"obs", "log-level", "log-format", "obs-watchdog", "spans", "spans-out",
 	// hbatd
-	"workers", "ckpt-dir",
+	"workers",
 	// the coordinator binary
 	"worker", "probe-every", "probe-timeout", "down-after",
 	"request-timeout", "batch-timeout", "retry-max", "retry-backoff",
@@ -144,14 +145,20 @@ func TestFlagSetIsTheUnionOfTheTwoDaemons(t *testing.T) {
 
 // TestEngineFlagsRefusedBesideWorker: -worker makes the process a
 // coordinator, which builds no engine; an engine-side flag set next to
-// it is a usage error naming both, not a silently ignored knob.
+// it is a usage error naming both, not a silently ignored knob. The
+// deleted -ckpt-dir is a usage error in either role.
 func TestEngineFlagsRefusedBesideWorker(t *testing.T) {
-	for _, engineFlag := range [][]string{{"-ckpt-dir", t.TempDir()}, {"-workers", "8"}} {
-		args := append([]string{"-addr", "127.0.0.1:0", "-worker", "http://127.0.0.1:1"}, engineFlag...)
-		code, stderr := run(t, "", "hbatd", args...)
-		if code != 2 || !strings.Contains(stderr, engineFlag[0]) || !strings.Contains(stderr, "-worker") {
-			t.Errorf("hbatd %v: exit %d, stderr %q; want exit 2 naming %s and -worker", args, code, stderr, engineFlag[0])
+	for _, args := range [][]string{
+		{"-addr", "127.0.0.1:0", "-ckpt-dir", t.TempDir()},
+		{"-addr", "127.0.0.1:0", "-worker", "http://127.0.0.1:1", "-ckpt-dir", t.TempDir()},
+	} {
+		if code, stderr := run(t, "", "hbatd", args...); code != 2 || !strings.Contains(stderr, "flag provided but not defined: -ckpt-dir") {
+			t.Errorf("hbatd %v: exit %d, stderr %q; want -ckpt-dir refused as undefined with exit 2", args, code, stderr)
 		}
+	}
+	args := []string{"-addr", "127.0.0.1:0", "-worker", "http://127.0.0.1:1", "-workers", "8"}
+	if code, stderr := run(t, "", "hbatd", args...); code != 2 || !strings.Contains(stderr, "-workers") || !strings.Contains(stderr, "-worker ") {
+		t.Errorf("hbatd %v: exit %d, stderr %q; want exit 2 naming -workers and -worker", args, code, stderr)
 	}
 }
 

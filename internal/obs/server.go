@@ -183,7 +183,7 @@ func (s *Server) families() []Family {
 			Scalar("hbat_sweep_spec_cache_misses", "counter",
 				"Simulation requests that simulated.", float64(cs.SpecMisses)),
 			Scalar("hbat_sweep_ckpt_cache_hits", "counter",
-				"Fast-forward checkpoint requests served from memory or the checkpoint directory.", float64(cs.CkptHits)),
+				"Fast-forward checkpoint requests served from memory or the checkpoint store.", float64(cs.CkptHits)),
 			Scalar("hbat_sweep_ckpt_cache_misses", "counter",
 				"Fast-forward checkpoint requests that ran the functional warm-up.", float64(cs.CkptMisses)),
 		)

@@ -8,7 +8,8 @@
 // corrupt file is deleted, the caller re-renders). Artifacts are
 // immutable — a key maps to exactly one byte sequence, so a Put of
 // different bytes under an existing key is rejected rather than
-// silently replacing a served artifact.
+// silently replacing a served artifact. Blobs (PutBlob, GetBlob) are
+// owner-less entries, the engine's warmed checkpoints.
 package store
 
 import (
@@ -18,6 +19,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -33,21 +35,24 @@ var ErrQuota = errors.New("store: tenant quota exceeded")
 // bytes — content-addressed entries are immutable.
 var ErrMismatch = errors.New("store: key already holds different content")
 
+// ErrNoDisk is returned by PutBlob on a store without a Dir.
+var ErrNoDisk = errors.New("store: blobs need a disk layer")
+
 // Config sizes a Store. Zero values mean: memory-only (no Dir),
 // a 64 MiB memory layer, unlimited disk, unlimited tenants.
 type Config struct {
-	// Dir, when non-empty, is the disk layer: one file per artifact,
-	// written atomically (temp + rename), carrying a self-describing
-	// header (sha256 + owning tenant) over the raw bytes. An existing
-	// directory is re-indexed on New, so a restarted service serves
-	// its previous results without re-simulating.
+	// Dir, when non-empty, is the disk layer: one file per artifact or
+	// blob, written atomically (temp + fsync + rename), carrying a
+	// self-describing header (sha256 + owning tenant, none for a blob)
+	// over the raw bytes. An existing directory is re-indexed on New, so
+	// a restarted service serves its previous results.
 	Dir string
 	// MemBytes bounds the in-memory layer (artifact bytes, not index
 	// overhead). Least-recently-used artifacts spill to disk-only; with
 	// no Dir they are evicted entirely. <= 0 means the 64 MiB default.
 	MemBytes int64
-	// DiskBytes, when > 0, bounds the disk layer; least-recently-used
-	// files are deleted once the total exceeds it.
+	// DiskBytes, when > 0, bounds the disk layer, blobs included;
+	// least-recently-used files are deleted once the total exceeds it.
 	DiskBytes int64
 	// TenantQuotaBytes, when > 0, bounds the live bytes attributed to
 	// any one tenant (the tenant whose Put first stored the artifact).
@@ -69,14 +74,14 @@ type Stats struct {
 	MemEvictions, DiskEvictions uint64
 	// Corrupt counts disk loads whose content hash did not match.
 	Corrupt uint64
-	// Entries/MemBytes/DiskBytes describe current occupancy.
+	// Entries/MemBytes/DiskBytes describe current occupancy, blobs included.
 	Entries   int
 	MemBytes  int64
 	DiskBytes int64
 }
 
-// entry is one stored artifact. data is nil when the artifact has been
-// spilled to disk-only; sha and size always describe the content.
+// entry is one stored artifact, or a blob when tenant is "". data is nil
+// while the bytes are on disk only; sha and size describe the content.
 type entry struct {
 	key    string
 	sha    string
@@ -111,9 +116,9 @@ type Store struct {
 
 const defaultMemBytes = 64 << 20
 
-// New opens a store. With cfg.Dir set, existing artifact files are
-// indexed (header-only read) so previous results stay servable; files
-// that fail to parse are deleted.
+// New opens a store. With cfg.Dir set, existing artifact and blob files
+// are indexed (header-only read) so previous results stay servable;
+// files whose header fails to parse are deleted.
 func New(cfg Config) (*Store, error) {
 	if cfg.MemBytes <= 0 {
 		cfg.MemBytes = defaultMemBytes
@@ -171,51 +176,63 @@ func (s *Store) path(key string) string {
 	return filepath.Join(s.cfg.Dir, key+".art")
 }
 
-// header is the first line of an artifact file: "sha256hex tenant\n".
-// The raw artifact bytes follow, so the stored content hash covers
-// exactly what Get returns.
+// header is the first line of an artifact file: "sha256hex tenant\n",
+// with an empty tenant for a blob. The raw bytes follow, so the stored
+// content hash covers exactly what Get returns.
 func header(sha, tenant string) []byte {
 	return []byte(sha + " " + tenant + "\n")
 }
 
-// parseFile splits an artifact file into header fields and content. The
-// header must be one header wrote: a lowercase hex SHA-256, one space,
-// and a well-formed tenant.
+const maxHeader = 2*sha256.Size + 1 + 64 + 1 // the longest header line
+
+// parseFile splits the start of an artifact file into header fields
+// and whatever content follows. The header must be one header wrote: a
+// lowercase hex SHA-256, one space, and a well-formed tenant or none.
 func parseFile(raw []byte) (sha, tenant string, data []byte, err error) {
 	nl := bytes.IndexByte(raw, '\n')
 	if nl < 0 {
 		return "", "", nil, errors.New("no header line")
 	}
 	sha, tenant, ok := strings.Cut(string(raw[:nl]), " ")
-	if !ok || len(sha) != 2*sha256.Size || !Key(sha) || !Tenant(tenant) {
+	if !ok || len(sha) != 2*sha256.Size || !Key(sha) || (tenant != "" && !Tenant(tenant)) {
 		return "", "", nil, errors.New("malformed header")
 	}
 	return sha, tenant, raw[nl+1:], nil
 }
 
-// reindex scans the disk layer and rebuilds the index without loading
-// artifact bytes into memory. Unparseable files are deleted.
+// reindex rebuilds the index from each file's header line and length;
+// the first read checks the content. Files without a valid header are
+// deleted.
 func (s *Store) reindex() error {
 	paths, err := filepath.Glob(filepath.Join(s.cfg.Dir, "*.art"))
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
 	for _, p := range paths {
-		raw, err := os.ReadFile(p)
+		f, err := os.Open(p)
 		if err != nil {
 			continue
 		}
+		head := make([]byte, maxHeader)
+		n, rerr := io.ReadFull(f, head)
+		fi, err := f.Stat()
+		f.Close()
+		if err != nil || (rerr != nil && rerr != io.ErrUnexpectedEOF && rerr != io.EOF) {
+			continue
+		}
 		key := strings.TrimSuffix(filepath.Base(p), ".art")
-		sha, tenant, data, perr := parseFile(raw)
+		sha, tenant, rest, perr := parseFile(head[:n])
 		if perr != nil || !Key(key) {
 			os.Remove(p)
 			continue
 		}
-		e := &entry{key: key, sha: sha, tenant: tenant, size: int64(len(data)), onDisk: true}
+		e := &entry{key: key, sha: sha, tenant: tenant, size: fi.Size() - int64(n-len(rest)), onDisk: true}
 		e.elem = s.lru.PushBack(e)
 		s.entries[key] = e
 		s.diskBytes += e.size
-		s.tenants[tenant] += e.size
+		if tenant != "" {
+			s.tenants[tenant] += e.size
+		}
 	}
 	return nil
 }
@@ -223,12 +240,12 @@ func (s *Store) reindex() error {
 // Get returns the artifact stored under key and its SHA-256 hex. A
 // disk-only entry is verified against its recorded hash and promoted
 // into the memory layer; a corrupt file is deleted and reported as a
-// miss.
+// miss. A blob key is a miss.
 func (s *Store) Get(key string) (data []byte, sha string, ok bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	e, found := s.entries[key]
-	if !found {
+	if !found || e.tenant == "" {
 		s.stats.Misses++
 		return nil, "", false
 	}
@@ -237,45 +254,80 @@ func (s *Store) Get(key string) (data []byte, sha string, ok bool) {
 		s.lru.MoveToFront(e.elem)
 		return e.data, e.sha, true
 	}
-	raw, err := os.ReadFile(s.path(key))
-	if err != nil {
-		s.dropLocked(e)
+	if data, ok = s.readLocked(e); !ok {
 		s.stats.Misses++
 		return nil, "", false
 	}
-	fsha, _, fdata, perr := parseFile(raw)
-	if perr != nil || fsha != e.sha || hash(fdata) != e.sha {
-		os.Remove(s.path(key))
-		s.dropLocked(e)
-		s.stats.Corrupt++
-		s.stats.Misses++
-		return nil, "", false
-	}
-	e.data = fdata
+	e.data = data
 	s.memBytes += e.size
-	s.lru.MoveToFront(e.elem)
 	s.spillLocked()
 	s.stats.DiskHits++
-	return fdata, e.sha, true
+	return data, e.sha, true
+}
+
+// GetBlob returns the blob stored under key, read from disk and checked
+// against its content hash; it counts in none of Get's counters.
+func (s *Store) GetBlob(key string) ([]byte, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if e, found := s.entries[key]; found && e.tenant == "" {
+		return s.readLocked(e)
+	}
+	return nil, false
+}
+
+// readLocked reads and checks e's file and marks e most recently used.
+// A missing file drops the entry; a corrupt one is deleted and counted.
+func (s *Store) readLocked(e *entry) ([]byte, bool) {
+	raw, err := os.ReadFile(s.path(e.key))
+	if err != nil {
+		s.dropLocked(e)
+		return nil, false
+	}
+	fsha, _, data, perr := parseFile(raw)
+	if perr != nil || fsha != e.sha || hash(data) != e.sha {
+		os.Remove(s.path(e.key))
+		s.dropLocked(e)
+		s.stats.Corrupt++
+		return nil, false
+	}
+	s.lru.MoveToFront(e.elem)
+	return data, true
 }
 
 // Put stores data under key, attributed to tenant, and returns the
 // content's SHA-256 hex. Re-putting identical bytes is a cheap no-op;
-// different bytes under an existing key return ErrMismatch; exceeding
-// the tenant's quota returns ErrQuota before anything is written. A
-// malformed key or tenant (see Key, Tenant) is refused outright.
+// different bytes (or a blob) under an existing key return ErrMismatch;
+// exceeding the tenant's quota returns ErrQuota before anything is
+// written. A malformed key or tenant (see Key, Tenant) is refused.
 func (s *Store) Put(tenant, key string, data []byte) (string, error) {
-	if !Key(key) {
-		return "", fmt.Errorf("store: invalid key %q", key)
-	}
 	if !Tenant(tenant) {
 		return "", fmt.Errorf("store: invalid tenant %q", tenant)
+	}
+	return s.put(tenant, key, data)
+}
+
+// PutBlob stores data under key as a blob: on disk only, charged to no
+// tenant, evicted by the disk budget like any file. It shares Put's
+// rules for an existing key, and a store without Dir returns ErrNoDisk.
+func (s *Store) PutBlob(key string, data []byte) error {
+	if s.cfg.Dir == "" {
+		return ErrNoDisk
+	}
+	_, err := s.put("", key, data)
+	return err
+}
+
+// put stores an artifact, or a blob when tenant is "" (Puts counts both).
+func (s *Store) put(tenant, key string, data []byte) (string, error) {
+	if !Key(key) {
+		return "", fmt.Errorf("store: invalid key %q", key)
 	}
 	sha := hash(data)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if e, found := s.entries[key]; found {
-		if e.sha != sha {
+		if e.sha != sha || (e.tenant == "") != (tenant == "") {
 			return "", ErrMismatch
 		}
 		s.stats.DupPuts++
@@ -283,19 +335,26 @@ func (s *Store) Put(tenant, key string, data []byte) (string, error) {
 		return sha, nil
 	}
 	size := int64(len(data))
-	if q := s.cfg.TenantQuotaBytes; q > 0 && s.tenants[tenant]+size > q {
-		return "", ErrQuota
+	e := &entry{key: key, sha: sha, tenant: tenant, size: size}
+	if tenant != "" {
+		if q := s.cfg.TenantQuotaBytes; q > 0 && s.tenants[tenant]+size > q {
+			return "", ErrQuota
+		}
+		e.data = data
+		s.memBytes += size
+		s.tenants[tenant] += size
 	}
-	e := &entry{key: key, sha: sha, tenant: tenant, size: size, data: data}
 	e.elem = s.lru.PushFront(e)
 	s.entries[key] = e
-	s.memBytes += size
-	s.tenants[tenant] += size
 	s.stats.Puts++
 	if s.cfg.Dir != "" {
 		if err := s.writeFile(key, sha, tenant, data); err != nil {
-			// Disk failure degrades to memory-only for this artifact.
+			// An artifact degrades to memory-only; a blob is gone.
 			s.stats.Corrupt++
+			if tenant == "" {
+				s.dropLocked(e)
+				return "", fmt.Errorf("store: %w", err)
+			}
 		} else {
 			e.onDisk = true
 			s.diskBytes += size
@@ -306,26 +365,24 @@ func (s *Store) Put(tenant, key string, data []byte) (string, error) {
 	return sha, nil
 }
 
-// writeFile persists one artifact atomically: temp file, fsync, rename.
+// writeFile persists one file atomically: temp file, fsync, rename.
 func (s *Store) writeFile(key, sha, tenant string, data []byte) error {
 	tmp, err := os.CreateTemp(s.cfg.Dir, key+".tmp*")
 	if err != nil {
 		return err
 	}
 	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(header(sha, tenant)); err != nil {
-		tmp.Close()
-		return err
+	_, err = tmp.Write(header(sha, tenant))
+	if err == nil {
+		_, err = tmp.Write(data)
 	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return err
+	if err == nil {
+		err = tmp.Sync()
 	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
 	}
-	if err := tmp.Close(); err != nil {
+	if err != nil {
 		return err
 	}
 	return os.Rename(tmp.Name(), s.path(key))
@@ -372,7 +429,7 @@ func (s *Store) evictDiskLocked() {
 	}
 }
 
-// dropLocked removes an entry entirely and refunds its tenant.
+// dropLocked removes an entry entirely and refunds its tenant, if any.
 func (s *Store) dropLocked(e *entry) {
 	if _, found := s.entries[e.key]; !found {
 		return
@@ -385,6 +442,9 @@ func (s *Store) dropLocked(e *entry) {
 	if e.onDisk {
 		e.onDisk = false
 		s.diskBytes -= e.size
+	}
+	if e.tenant == "" {
+		return
 	}
 	s.tenants[e.tenant] -= e.size
 	if s.tenants[e.tenant] <= 0 {
@@ -419,13 +479,15 @@ func (s *Store) Stats() Stats {
 	return st
 }
 
-// Keys returns every stored key, most recently used first.
+// Keys returns every artifact key (no blob's), most recently used first.
 func (s *Store) Keys() []string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	keys := make([]string, 0, len(s.entries))
 	for el := s.lru.Front(); el != nil; el = el.Next() {
-		keys = append(keys, el.Value.(*entry).key)
+		if e := el.Value.(*entry); e.tenant != "" {
+			keys = append(keys, e.key)
+		}
 	}
 	return keys
 }

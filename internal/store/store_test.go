@@ -1,10 +1,12 @@
 package store
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -258,5 +260,139 @@ func TestKeysOrder(t *testing.T) {
 	keys := s.Keys()
 	if len(keys) != 3 || keys[0] != "aa" {
 		t.Fatalf("Keys() = %v, want aa first", keys)
+	}
+}
+
+// TestBlobsLiveOnDiskAndOwnNothing: a blob is written to disk only,
+// charged to no tenant and listed nowhere; Get never serves one, and
+// the disk budget evicts it with everything else.
+func TestBlobsLiveOnDiskAndOwnNothing(t *testing.T) {
+	s, err := New(Config{Dir: t.TempDir(), DiskBytes: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Put("alice", "aa", []byte("artifact")); err != nil {
+		t.Fatal(err)
+	}
+	before := s.Stats()
+	tenants, keys := s.Tenants(), s.Keys()
+
+	blob := make([]byte, 40)
+	if err := s.PutBlob("b0", blob); err != nil {
+		t.Fatal(err)
+	}
+	got, ok := s.GetBlob("b0")
+	if !ok || !bytes.Equal(got, blob) {
+		t.Fatalf("GetBlob = %q/%v, want the blob", got, ok)
+	}
+	if _, _, ok := s.Get("b0"); ok {
+		t.Fatal("Get served a blob")
+	}
+	if _, ok := s.GetBlob("aa"); ok {
+		t.Fatal("GetBlob served an artifact")
+	}
+	st := s.Stats()
+	if st.MemBytes != before.MemBytes || st.MemEvictions != before.MemEvictions {
+		t.Fatalf("a blob touched the memory layer: %+v, was %+v", st, before)
+	}
+	if !reflect.DeepEqual(s.Tenants(), tenants) || !reflect.DeepEqual(s.Keys(), keys) {
+		t.Fatalf("a blob is charged or listed: tenants %v keys %v, were %v %v", s.Tenants(), s.Keys(), tenants, keys)
+	}
+	if st.DiskBytes != before.DiskBytes+40 {
+		t.Fatalf("DiskBytes = %d, want %d plus the blob's 40", st.DiskBytes, before.DiskBytes)
+	}
+
+	// Two more blobs overflow the 100-byte budget: the least recently
+	// used file goes, blob or not.
+	for _, k := range []string{"b1", "b2"} {
+		if err := s.PutBlob(k, blob); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st = s.Stats()
+	if st.DiskEvictions == 0 || st.DiskBytes > 100 {
+		t.Fatalf("disk budget not enforced over blobs: %+v", st)
+	}
+	if _, ok := s.GetBlob("b2"); !ok {
+		t.Fatal("the newest blob was evicted")
+	}
+	if !reflect.DeepEqual(s.Tenants(), tenants) {
+		t.Fatalf("tenants after evictions: %v, were %v", s.Tenants(), tenants)
+	}
+}
+
+// TestBlobKeysAreNotArtifacts: a key holds an artifact or a blob, not
+// both, and a blob survives a restart as a blob.
+func TestBlobKeysAreNotArtifacts(t *testing.T) {
+	dir := t.TempDir()
+	s, _ := New(Config{Dir: dir})
+	if err := s.PutBlob("bb", []byte("blob")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Put("t", "bb", []byte("blob")); !errors.Is(err, ErrMismatch) {
+		t.Fatalf("Put over a blob: err = %v, want ErrMismatch", err)
+	}
+	if _, err := s.Put("t", "aa", []byte("art")); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.PutBlob("aa", []byte("art")); !errors.Is(err, ErrMismatch) {
+		t.Fatalf("PutBlob over an artifact: err = %v, want ErrMismatch", err)
+	}
+
+	s2, err := New(Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := s2.GetBlob("bb"); !ok || string(got) != "blob" {
+		t.Fatalf("restart lost the blob: %q/%v", got, ok)
+	}
+	if keys := s2.Keys(); len(keys) != 1 || keys[0] != "aa" {
+		t.Fatalf("Keys after restart = %v, want only the artifact", keys)
+	}
+	if st := s2.Stats(); st.Entries != 2 || st.DiskBytes != 7 {
+		t.Fatalf("after restart: %+v, want 2 entries and 7 disk bytes", st)
+	}
+}
+
+// TestBlobNeedsDisk: without a disk layer there is nowhere to keep a
+// blob, so PutBlob refuses it and nothing is stored.
+func TestBlobNeedsDisk(t *testing.T) {
+	s, _ := New(Config{})
+	if err := s.PutBlob("aa", []byte("blob")); !errors.Is(err, ErrNoDisk) {
+		t.Fatalf("PutBlob without Dir: err = %v, want ErrNoDisk", err)
+	}
+	if _, ok := s.GetBlob("aa"); ok {
+		t.Fatal("a refused blob is served")
+	}
+	if st := s.Stats(); st.Entries != 0 {
+		t.Fatalf("a refused blob is stored: %+v", st)
+	}
+}
+
+// TestCorruptBlobIsMissAndDeleted: GetBlob checks the content hash on
+// every read, as Get does on a disk load.
+func TestCorruptBlobIsMissAndDeleted(t *testing.T) {
+	dir := t.TempDir()
+	s, _ := New(Config{Dir: dir})
+	if err := s.PutBlob("cc", []byte("sixteen byte body")); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "cc.art")
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw[len(raw)-2] ^= 0xFF
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := s.GetBlob("cc"); ok {
+		t.Fatal("corrupt blob served")
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Fatal("corrupt blob not deleted")
+	}
+	if st := s.Stats(); st.Corrupt != 1 || st.Entries != 0 || st.DiskBytes != 0 {
+		t.Fatalf("stats = %+v", st)
 	}
 }

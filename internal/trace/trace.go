@@ -190,31 +190,19 @@ func CaptureContext(ctx context.Context, p *prog.Program, pageSize uint64, w io.
 	if err != nil {
 		return 0, err
 	}
-	done := ctx.Done()
-	steps := 0
 	tw := NewWriter(w, Header{Workload: p.Name, PageSize: pageSize})
 	var captureErr error
 	m.OnMemRef = func(vaddr uint64, write bool) {
-		if captureErr != nil {
-			return
+		if captureErr == nil && (maxRefs == 0 || tw.Count() < maxRefs) {
+			captureErr = tw.Add(Record{Addr: vaddr, Write: write})
 		}
-		if maxRefs > 0 && tw.Count() >= maxRefs {
-			return
-		}
-		captureErr = tw.Add(Record{Addr: vaddr, Write: write})
 	}
-	for !m.Halted {
-		if maxRefs > 0 && tw.Count() >= maxRefs {
-			break
-		}
-		if done != nil && steps&4095 == 0 {
-			select {
-			case <-done:
-				return tw.Count(), ctx.Err()
-			default:
+	for steps := 0; !m.Halted && (maxRefs == 0 || tw.Count() < maxRefs); steps++ {
+		if steps&4095 == 0 {
+			if err := ctx.Err(); err != nil {
+				return tw.Count(), err
 			}
 		}
-		steps++
 		if err := m.Step(); err != nil {
 			return tw.Count(), err
 		}
