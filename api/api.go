@@ -339,9 +339,9 @@ type Result struct {
 }
 
 // Worker states reported by Worker.State, driven by the coordinator's
-// periodic /ready + /v1/manifest probes: "up" serves new work,
-// "draining" finishes what it has but is not dispatched to, "down"
-// failed consecutive probes and is excluded until it answers again.
+// periodic /ready probes: "up" serves new work, "draining" finishes
+// what it has but is not dispatched to, "down" failed consecutive
+// probes and is excluded until it answers again.
 const (
 	WorkerUp       = "up"
 	WorkerDraining = "draining"
@@ -355,8 +355,8 @@ type Worker struct {
 	Addr  string `json:"addr"`
 	State string `json:"state"`
 	// Tool is the worker's self-reported binary name from its
-	// /v1/manifest (normally "hbatd"); empty until the first
-	// successful manifest probe.
+	// /v1/ping (normally "hbatd"); empty until the first successful
+	// ping.
 	Tool string `json:"tool,omitempty"`
 	// Fails counts consecutive failed probes (reset on success).
 	Fails int `json:"fails,omitempty"`

@@ -168,18 +168,20 @@ func (c *Client) do(ctx context.Context, method, path string, body, out any) err
 	return json.Unmarshal(data, out)
 }
 
-// Ping probes the service and verifies it speaks this wire version.
-func (c *Client) Ping(ctx context.Context) error {
+// Ping probes the service, verifies it speaks this wire version, and
+// returns the tool name it answers with (the coordinator's handshake).
+func (c *Client) Ping(ctx context.Context) (tool string, err error) {
 	var pong struct {
-		API string `json:"api"`
+		API  string `json:"api"`
+		Pong string `json:"pong"`
 	}
 	if err := c.do(ctx, http.MethodGet, PathPing, nil, &pong); err != nil {
-		return err
+		return "", err
 	}
 	if pong.API != Version {
-		return fmt.Errorf("api: server speaks %q, client speaks %q", pong.API, Version)
+		return "", fmt.Errorf("api: server speaks %q, client speaks %q", pong.API, Version)
 	}
-	return nil
+	return pong.Pong, nil
 }
 
 // Submit posts a job and returns its acceptance record. A
@@ -443,18 +445,6 @@ func (c *Client) Ready(ctx context.Context) (bool, error) {
 		return false, nil
 	}
 	return false, &Error{API: Version, Code: resp.StatusCode, Message: resp.Status}
-}
-
-// Manifest fetches the service's provenance manifest and returns its
-// self-reported tool name — the coordinator's API-compatibility probe.
-func (c *Client) Manifest(ctx context.Context) (tool string, err error) {
-	var man struct {
-		Tool string `json:"tool"`
-	}
-	if err := c.do(ctx, http.MethodGet, PathManifest, nil, &man); err != nil {
-		return "", err
-	}
-	return man.Tool, nil
 }
 
 // Workers fetches a coordinator's fleet registry. Single-node hbatd

@@ -48,11 +48,10 @@ func TestClientTimeoutUnhangsWait(t *testing.T) {
 	}{
 		{"Job", func() error { _, err := c.Job(ctx, "j0"); return err }},
 		{"Wait", func() error { _, err := c.Wait(ctx, "j0"); return err }},
-		{"Ping", func() error { return c.Ping(ctx) }},
+		{"Ping", func() error { _, err := c.Ping(ctx); return err }},
 		{"Result", func() error { _, _, err := c.Result(ctx, "abc123"); return err }},
 		{"Spans", func() error { _, err := c.Spans(ctx, "j0"); return err }},
 		{"Ready", func() error { _, err := c.Ready(ctx); return err }},
-		{"Manifest", func() error { _, err := c.Manifest(ctx); return err }},
 		{"Submit", func() error { _, err := c.Submit(ctx, JobRequest{}); return err }},
 	}
 	for _, tc := range calls {

@@ -63,9 +63,9 @@ type Warmer interface {
 
 // Run executes until Halt or maxInsts instructions (0 = unlimited),
 // mirroring emu.Machine.Run exactly — same final state, same error
-// text on budget exhaustion or faults, same OnMemRef callback order.
-// If a cancellation context is armed (SetCancel), Run returns its
-// error once it is cancelled.
+// text on budget exhaustion or faults. It does not drive the machine's
+// OnMemRef: a run is observed through Warm. If a cancellation context
+// is armed (SetCancel), Run returns its error once it is cancelled.
 func (e *Engine) Run(maxInsts uint64) error {
 	if err := e.drive(maxInsts, nil); err != nil || e.m.Halted {
 		return err
@@ -119,7 +119,7 @@ func (e *Engine) drive(limit uint64, w Warmer) error {
 				return OutsideTextError(m.PC)
 			}
 		}
-		nb, err := e.execBlock(b, limit, w, m.OnMemRef)
+		nb, err := e.execBlock(b, limit, w)
 		if err != nil {
 			return err
 		}
@@ -174,17 +174,16 @@ func (e *Engine) interpStep(w Warmer) error {
 // execBlock dispatches pre-decoded uops against the machine state,
 // bounded by limit, and chains through memoized successors without
 // returning to the caller, re-checking the budget and the cancellation
-// flag at every block boundary. In hook mode the machine's OnMemRef
-// fires per reference, interpreter-identically; with a Warmer, each
-// block's text page is walked on entry and every data reference and
-// block execution is reported to it. It returns the memoized successor
-// block of the last block executed, when its terminator resolved one.
+// flag at every block boundary. With a Warmer, each block's text page
+// is walked on entry and every data reference and block execution is
+// reported to it. It returns the memoized successor block of the last
+// block executed, when its terminator resolved one.
 //
 // The machine's retirement counters and the address space's walk count
 // are held in locals for the duration and flushed on every exit, so
 // the dispatch loop performs no per-instruction stores outside the
 // register file.
-func (e *Engine) execBlock(b *block, limit uint64, w Warmer, hook func(uint64, bool)) (*block, error) {
+func (e *Engine) execBlock(b *block, limit uint64, w Warmer) (*block, error) {
 	m := e.m
 	regs := &m.Regs
 	pageBits, pageMask := e.pageBits, e.pageMask
@@ -324,18 +323,6 @@ blockLoop:
 				regs[u.rd&regMask] = b2u(math.Float64frombits(regs[u.rs&regMask]) == math.Float64frombits(regs[u.rt&regMask]))
 			case isa.Lb, isa.Lbu, isa.Lh, isa.Lhu, isa.Lw, isa.Ld, isa.LdF:
 				addr, newBase, upd := effAddr(u, regs)
-				if hook != nil {
-					// The hook observes the machine (the differential
-					// battery stamps refs with InstCount), so flush the
-					// hoisted counters first.
-					ic = icb + uint64(j)
-					m.InstCount = ic
-					m.LoadCount, m.StoreCount = lc, sc
-					m.BranchCount, m.TakenCount = bc, tc
-					m.AS.WalkCount += wcd
-					wcd = 0
-					hook(addr, false)
-				}
 				// Inline translation-cache fast path; e.load is the
 				// uncommon rest (cache miss, unframed page, frame-tail
 				// access) and keeps the exact same observable effects.
@@ -378,15 +365,6 @@ blockLoop:
 				lc++
 			case isa.Sb, isa.Sh, isa.Sw, isa.Sd, isa.StF:
 				addr, newBase, upd := effAddr(u, regs)
-				if hook != nil {
-					ic = icb + uint64(j)
-					m.InstCount = ic
-					m.LoadCount, m.StoreCount = lc, sc
-					m.BranchCount, m.TakenCount = bc, tc
-					m.AS.WalkCount += wcd
-					wcd = 0
-					hook(addr, true)
-				}
 				v := regs[u.rd&regMask]
 				var pa uint64
 				vpn := addr >> pageBits

@@ -12,12 +12,13 @@ import (
 // FuzzSuperblockExec feeds generated programs through the translated
 // engine and the interpreter and requires bit-identical outcomes:
 // final registers and PC, retirement counts, page-table contents and
-// allocation order, memory frames, walk counts, and error text. The
-// generator's flavors steer the search toward the engine's risk areas
-// (dense branching for block-boundary bugs, dense memory traffic for
-// translation-cache bugs); the flags byte toggles register pressure,
-// page size, and a mid-run budget stop so partial-block execution is
-// fuzzed too.
+// allocation order, memory frames, walk counts, and error text. A third
+// machine runs under Warm, whose reference stream must be the
+// interpreter's OnMemRef stream. The generator's flavors steer the
+// search toward the engine's risk areas (dense branching for
+// block-boundary bugs, dense memory traffic for translation-cache
+// bugs); the flags byte toggles register pressure, page size, and a
+// mid-run budget stop so partial-block execution is fuzzed too.
 func FuzzSuperblockExec(f *testing.F) {
 	// seed, length, flavor, flags (1=Budget8, 2=8K pages, 4=partial budget)
 	f.Add(uint64(17), uint16(150), progen.FlavorMixed, uint8(0))
@@ -53,11 +54,14 @@ func FuzzSuperblockExec(f *testing.F) {
 		if flags&4 != 0 {
 			maxInsts = uint64(seed%997) + 1
 		}
+		interp := recordRefs(ref)
 		rerr := ref.Run(maxInsts)
 		gerr := eng.Run(maxInsts)
 		if errString(rerr) != errString(gerr) {
 			t.Fatalf("error mismatch: interpreted %q, translated %q", errString(rerr), errString(gerr))
 		}
 		compareState(t, ref, tr)
+
+		checkWarm(t, p, pageSize, maxInsts, ref, rerr, *interp)
 	})
 }

@@ -17,12 +17,14 @@
 // differential battery in this package and internal/ckpt enforces
 // this). The only permitted difference is wall time.
 //
-// Run is the plain entry point. Warm is the checkpoint builder's: the
+// Run is the plain entry point. Warm is the observed one, through which
+// the checkpoint builder, Figure 6 and trace capture see a run: the
 // same chained execution, reporting every block execution (fetch
 // address, instruction window, control outcome, a stable block ID) and
 // every data reference (with the physical address the engine's own
-// access translated) to a Warmer as it goes, so warming needs no second
-// pass over a recorded stream.
+// access translated) to a Warmer as it goes, so no consumer needs a
+// second pass over a recorded stream. The references arrive in the
+// interpreter's OnMemRef order, each after its access succeeded.
 //
 // The design follows the pre-decoded translation approach of "Fast TLB
 // Simulation for RISC-V Systems" (arXiv:1905.06825): fold translation

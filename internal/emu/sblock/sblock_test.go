@@ -131,50 +131,103 @@ func TestDifferentialGenerated(t *testing.T) {
 	}
 }
 
-// TestDifferentialHookOrder checks hook mode: OnMemRef must fire with
-// the same (vaddr, write) sequence, at the same instruction counts, as
-// the interpreter — the contract trace-based studies (Figure 6) rely
-// on.
-func TestDifferentialHookOrder(t *testing.T) {
-	type ev struct {
-		vaddr uint64
-		idx   uint64
-		write bool
+// memRef is one data reference: its address, the referencing
+// instruction's index and its direction.
+type memRef struct {
+	vaddr, idx uint64
+	write      bool
+}
+
+// refRecorder is a Warmer that records the data references it is handed.
+type refRecorder struct{ refs []memRef }
+
+func (r *refRecorder) Block(*sblock.BlockExec) {}
+
+func (r *refRecorder) Ref(vaddr, _ uint64, write bool, idx uint64) {
+	r.refs = append(r.refs, memRef{vaddr, idx, write})
+}
+
+// recordRefs makes m's OnMemRef hook record every reference the
+// interpreter makes, stamped with the instruction's index.
+func recordRefs(m *emu.Machine) *[]memRef {
+	var refs []memRef
+	m.OnMemRef = func(vaddr uint64, write bool) {
+		refs = append(refs, memRef{vaddr, m.InstCount, write})
 	}
+	return &refs
+}
+
+// compareRefs fails t at the first reference where a warm run's stream
+// departs from the interpreter's.
+func compareRefs(t *testing.T, interp, warm []memRef) {
+	t.Helper()
+	for i := 0; i < len(interp) && i < len(warm); i++ {
+		if interp[i] != warm[i] {
+			t.Fatalf("ref %d: interpreted %+v, warm %+v", i, interp[i], warm[i])
+		}
+	}
+	if len(interp) != len(warm) {
+		t.Fatalf("ref count: interpreted %d, warm %d", len(interp), len(warm))
+	}
+}
+
+// checkWarm runs p under Warm with limit maxInsts on a fresh machine and
+// checks it against the interpreter's run ref, which returned rerr and
+// made the references interp: where the interpreter halted or used its
+// budget the warm run ends without an error, otherwise with the same
+// one; it retires as many instructions; and its references are the
+// interpreter's, less a faulting access's, which the interpreter
+// reports before the access and a warm run only after it succeeds.
+func checkWarm(t *testing.T, p *prog.Program, pageSize, maxInsts uint64, ref *emu.Machine, rerr error, interp []memRef) {
+	t.Helper()
+	wm, err := emu.New(p, pageSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var warm refRecorder
+	werr := sblock.New(wm).Warm(maxInsts, &warm)
+	switch {
+	case ref.Halted || maxInsts > 0 && ref.InstCount == maxInsts:
+		if werr != nil {
+			t.Fatalf("warm run failed with %q where the interpreter stopped cleanly", werr)
+		}
+	case errString(werr) != errString(rerr):
+		t.Fatalf("error mismatch: interpreted %q, warm %q", errString(rerr), errString(werr))
+	case len(interp) > 0 && interp[len(interp)-1].idx == ref.InstCount:
+		interp = interp[:len(interp)-1]
+	}
+	compareRefs(t, interp, warm.refs)
+	if wm.InstCount != ref.InstCount {
+		t.Fatalf("warm run retired %d instructions, interpreter %d", wm.InstCount, ref.InstCount)
+	}
+}
+
+// TestWarmRefOrder: a warm run reports the same (vaddr, instruction
+// index, write) sequence the interpreter's OnMemRef hook sees — the
+// contract Figure 6 and trace capture rely on. The machine states are
+// not compared: Warm walks each block's text page on entry, so frames
+// are allocated in another order.
+func TestWarmRefOrder(t *testing.T) {
 	p, err := progen.Generate(4242, 200, prog.Budget32, progen.FlavorMem)
 	if err != nil {
 		t.Fatalf("gen: %v", err)
 	}
 	ref, tr, eng := newPair(t, p, 4096)
-	var refEv, trEv []ev
-	ref.OnMemRef = func(vaddr uint64, write bool) {
-		refEv = append(refEv, ev{vaddr, ref.InstCount, write})
-	}
-	tr.OnMemRef = func(vaddr uint64, write bool) {
-		trEv = append(trEv, ev{vaddr, tr.InstCount, write})
-	}
+	interp := recordRefs(ref)
 	if err := ref.Run(0); err != nil {
 		t.Fatalf("interpreted: %v", err)
 	}
-	if err := eng.Run(0); err != nil {
-		t.Fatalf("translated: %v", err)
+	var warm refRecorder
+	if err := eng.Warm(0, &warm); err != nil {
+		t.Fatalf("warm: %v", err)
 	}
-	if len(refEv) == 0 {
+	if len(*interp) == 0 {
 		t.Fatal("no memory references observed")
 	}
-	if !reflect.DeepEqual(refEv, trEv) {
-		n := len(refEv)
-		if len(trEv) < n {
-			n = len(trEv)
-		}
-		for i := 0; i < n; i++ {
-			if refEv[i] != trEv[i] {
-				t.Fatalf("ref %d: interpreted %+v, translated %+v", i, refEv[i], trEv[i])
-			}
-		}
-		t.Fatalf("ref count: interpreted %d, translated %d", len(refEv), len(trEv))
+	compareRefs(t, *interp, warm.refs)
+	if !tr.Halted || tr.InstCount != ref.InstCount {
+		t.Fatalf("warm run ended halted=%v after %d instructions, interpreter after %d", tr.Halted, tr.InstCount, ref.InstCount)
 	}
-	compareState(t, ref, tr)
 }
 
 // TestDifferentialFault checks that translation faults surface with the
@@ -214,6 +267,7 @@ func TestDifferentialFault(t *testing.T) {
 				t.Fatalf("finalize: %v", err)
 			}
 			ref, tr, eng := newPair(t, p, 4096)
+			interp := recordRefs(ref)
 			rerr := ref.Run(0)
 			gerr := eng.Run(0)
 			if rerr == nil {
@@ -223,6 +277,7 @@ func TestDifferentialFault(t *testing.T) {
 				t.Fatalf("interpreted err %q, translated err %q", errString(rerr), errString(gerr))
 			}
 			compareState(t, ref, tr)
+			checkWarm(t, p, 4096, 0, ref, rerr, *interp)
 		})
 	}
 }

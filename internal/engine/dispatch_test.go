@@ -202,6 +202,30 @@ func TestFastForwardRunsDoNotTeachFromResetCost(t *testing.T) {
 	}
 }
 
+// TestCostTableIsBounded: every run teaches the estimates, a worker's
+// included, whose runs come one at a time through Run and never use
+// them; one key per fast-forwarding workload, not one per depth, keeps
+// that table from growing with the depths clients ask for.
+func TestCostTableIsBounded(t *testing.T) {
+	eng := New()
+	spec := RunSpec{
+		Workload: "xlisp", Design: "T4", Budget: prog.Budget32,
+		Scale: workload.ScaleTest, PageSize: 4096, Seed: 1,
+	}
+	for depth := uint64(0); depth <= 3000; depth += 100 {
+		spec.FastForward = depth
+		if r := eng.Run(context.Background(), spec); r.Err != nil {
+			t.Fatal(r.Err)
+		}
+		eng.mu.Lock()
+		n := len(eng.ewma)
+		eng.mu.Unlock()
+		if want := min(int(depth/100)+1, 2); n != want {
+			t.Fatalf("after depth %d the cost table holds %d estimates, want %d", depth, n, want)
+		}
+	}
+}
+
 // TestConcurrentRestoresFromOneCheckpoint runs eight lockstep-checked
 // windows at once behind one in-memory checkpoint. Restores alias the
 // checkpoint's frames copy-on-write, so under -race this is the proof

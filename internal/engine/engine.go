@@ -231,22 +231,22 @@ func (s RunSpec) Hash() string {
 }
 
 // costKey groups specs whose wall times are comparable for scheduling
-// estimates. The fast-forward depth is part of it: a 1 % measurement
-// window behind a checkpoint and the same workload from reset differ by
-// orders of magnitude.
+// estimates. A 1 % window behind a checkpoint and the same workload from
+// reset differ by orders of magnitude, so fastForward tells them apart;
+// the depth is left out, which keeps the table bounded.
 type costKey struct {
 	workload    string
 	scale       workload.Scale
 	budget      prog.RegBudget
 	inOrder     bool
 	lockstep    bool
-	fastForward uint64
+	fastForward bool
 }
 
 func (s RunSpec) costKey() costKey {
 	return costKey{
 		workload: s.Workload, scale: s.Scale, budget: s.Budget,
-		inOrder: s.InOrder, lockstep: s.Lockstep, fastForward: s.FastForward,
+		inOrder: s.InOrder, lockstep: s.Lockstep, fastForward: s.FastForward > 0,
 	}
 }
 

@@ -68,7 +68,7 @@ type Config struct {
 
 	// ProbeEvery is the health-probe period (default 1s).
 	ProbeEvery time.Duration
-	// ProbeTimeout bounds one /ready or /v1/manifest probe (default
+	// ProbeTimeout bounds one /ready or /v1/ping probe (default
 	// 500ms).
 	ProbeTimeout time.Duration
 	// DownAfter is the consecutive-failure count that marks a worker
@@ -268,7 +268,7 @@ func (c *Coordinator) probeAll(ctx context.Context) {
 	wg.Wait()
 }
 
-// probeWorker runs one /ready (+ first-contact /v1/manifest) probe and
+// probeWorker runs one /ready (+ first-contact /v1/ping) probe and
 // advances the worker's state machine: 200 → up, 503 → draining
 // (finishing in-flight work, not accepting new), probe error → fails++
 // and down at DownAfter consecutive failures.
@@ -297,10 +297,10 @@ func (c *Coordinator) probeWorker(ctx context.Context, w *worker) {
 	w.mu.Unlock()
 
 	if needTool {
-		mctx, mcancel := context.WithTimeout(ctx, c.cfg.ProbeTimeout)
-		tool, merr := w.client.Manifest(mctx)
-		mcancel()
-		if merr == nil {
+		hctx, hcancel := context.WithTimeout(ctx, c.cfg.ProbeTimeout)
+		tool, perr := w.client.Ping(hctx)
+		hcancel()
+		if perr == nil {
 			w.mu.Lock()
 			w.tool = tool
 			w.mu.Unlock()

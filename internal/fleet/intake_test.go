@@ -3,6 +3,7 @@ package fleet_test
 import (
 	"context"
 	"errors"
+	"io"
 	"net/http"
 	"reflect"
 	"strings"
@@ -182,7 +183,7 @@ type requestLog struct {
 }
 
 func (l *requestLog) RoundTrip(r *http.Request) (*http.Response, error) {
-	if r.URL.Path != "/ready" && r.URL.Path != api.PathManifest {
+	if r.URL.Path != "/ready" && r.URL.Path != api.PathPing {
 		l.mu.Lock()
 		l.reqs = append(l.reqs, r.Method+" "+r.URL.Path)
 		l.mu.Unlock()
@@ -194,6 +195,65 @@ func (l *requestLog) requests() []string {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return append([]string(nil), l.reqs...)
+}
+
+// probeLog is an http.RoundTripper that counts the requests per path it
+// passes on and answers GET /v1/manifest with a 500 itself.
+type probeLog struct {
+	next http.RoundTripper
+	mu   sync.Mutex
+	hits map[string]int
+}
+
+func (l *probeLog) RoundTrip(r *http.Request) (*http.Response, error) {
+	l.mu.Lock()
+	l.hits[r.Method+" "+r.URL.Host+r.URL.Path]++
+	l.mu.Unlock()
+	if r.URL.Path == api.PathManifest {
+		return &http.Response{StatusCode: http.StatusInternalServerError, Status: "500 Internal Server Error",
+			Body: io.NopCloser(strings.NewReader("{}")), Request: r}, nil
+	}
+	return l.next.RoundTrip(r)
+}
+
+// TestFirstContactIsOnePing: the coordinator learns each worker's tool
+// name from one GET /v1/ping at first contact and never asks for
+// /v1/manifest, which here would fail.
+func TestFirstContactIsOnePing(t *testing.T) {
+	rig := fleettest.New(t, 2)
+	tr := &http.Transport{}
+	t.Cleanup(tr.CloseIdleConnections)
+	log := &probeLog{next: tr, hits: map[string]int{}}
+	_, cl, _ := newCoord(t, rig, func(c *fleet.Config) {
+		c.Client = func(addr string) *api.Client {
+			wc := api.NewClient(addr)
+			wc.HTTP = &http.Client{Transport: log}
+			return wc
+		}
+	})
+	pollWorkers(t, cl, 5*time.Second, func(ws []api.Worker) bool {
+		for _, w := range ws {
+			if w.State != api.WorkerUp || w.Tool != "hbatd" {
+				return false
+			}
+		}
+		return len(ws) == 2
+	})
+	time.Sleep(100 * time.Millisecond) // four more probe periods
+	log.mu.Lock()
+	defer log.mu.Unlock()
+	for _, w := range rig.Workers {
+		host := strings.TrimPrefix(w.Addr, "http://")
+		if n := log.hits["GET "+host+api.PathPing]; n != 1 {
+			t.Errorf("worker %s was pinged %d times, want once", w.Addr, n)
+		}
+		if n := log.hits["GET "+host+api.PathManifest]; n != 0 {
+			t.Errorf("worker %s was asked for its manifest %d times", w.Addr, n)
+		}
+		if log.hits["GET "+host+"/ready"] < 2 {
+			t.Errorf("worker %s was probed %d times, want the periodic /ready", w.Addr, log.hits["GET "+host+"/ready"])
+		}
+	}
 }
 
 // TestWorkerStoredBatchIsOneRequest: a spec the worker's store holds

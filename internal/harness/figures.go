@@ -229,14 +229,29 @@ func (f *Figure6Result) RTWAvg(size int) float64 {
 	return num / den
 }
 
+// fig6Warmer feeds every data reference of a run to Figure 6's TLB
+// models, one per size.
+type fig6Warmer struct {
+	pageBits uint
+	sims     []*tlb.MissRateSim
+}
+
+func (fw *fig6Warmer) Block(*sblock.BlockExec) {}
+
+func (fw *fig6Warmer) Ref(vaddr, _ uint64, _ bool, _ uint64) {
+	for _, s := range fw.sims {
+		s.Ref(vaddr >> fw.pageBits)
+	}
+}
+
 // Figure6 reproduces the paper's Figure 6: data-reference miss rates of
 // fully-associative TLBs from 4 to 128 entries (LRU replacement up to
 // 16 entries, random above — the policies the corresponding timing
 // structures use). Each workload's reference stream is generated once
-// by the translated engine in hook mode (sblock; every data reference
-// in program order) and fed to all six sizes. weights gives the
-// run-time weighting (e.g. T4 cycles from Figure 5); if nil, committed
-// instruction counts are used.
+// by a warm run of the translated engine (sblock.Engine.Warm; every
+// data reference in program order) and fed to all six sizes. weights
+// gives the run-time weighting (e.g. T4 cycles from Figure 5); if nil,
+// committed instruction counts are used.
 func Figure6(ctx context.Context, opts Options, weights map[string]float64) (*Figure6Result, error) {
 	wls := opts.workloads()
 	eng := opts.engine()
@@ -261,25 +276,18 @@ func Figure6(ctx context.Context, opts Options, weights map[string]float64) (*Fi
 		if err != nil {
 			return nil, err
 		}
-		sims := make([]*tlb.MissRateSim, len(Figure6Sizes))
-		for j, size := range Figure6Sizes {
-			sims[j] = tlb.NewMissRateSim(size, tlb.ReplacementFor(size), opts.seed())
-		}
-		pageBits := m.AS.PageBits()
-		m.OnMemRef = func(vaddr uint64, write bool) {
-			vpn := vaddr >> pageBits
-			for _, s := range sims {
-				s.Ref(vpn)
-			}
+		fw := fig6Warmer{pageBits: m.AS.PageBits()}
+		for _, size := range Figure6Sizes {
+			fw.sims = append(fw.sims, tlb.NewMissRateSim(size, tlb.ReplacementFor(size), opts.seed()))
 		}
 		se := sblock.New(m)
 		se.SetCancel(ctx)
-		if err := se.Run(0); err != nil {
+		if err := se.Warm(0, &fw); err != nil {
 			return nil, fmt.Errorf("figure6 %s: %w", name, err)
 		}
 		mr := make(map[int]float64, len(Figure6Sizes))
 		for j, size := range Figure6Sizes {
-			mr[size] = sims[j].MissRate()
+			mr[size] = fw.sims[j].MissRate()
 		}
 		f.MissRate[name] = mr
 		f.Weights[name] = float64(m.InstCount)

@@ -264,6 +264,35 @@ func TestModelStudy(t *testing.T) {
 	}
 }
 
+// TestModelStudyFitsFigure5Runs: the model study fits the runs Figure 5
+// made, fast-forward depth included, so after Figure 5 it simulates
+// nothing new.
+func TestModelStudyFitsFigure5Runs(t *testing.T) {
+	eng := engine.New()
+	opts := Options{
+		Scale: workload.ScaleTest, Seed: 1, FastForward: 1000, Engine: eng,
+		Workloads: []string{"xlisp", "espresso"}, Designs: []string{"T4", "M8"},
+	}
+	ctx := context.Background()
+	if _, err := Figure5(ctx, opts); err != nil {
+		t.Fatal(err)
+	}
+	fig5 := eng.CacheStats().SpecMisses
+	if fig5 != 4 {
+		t.Fatalf("Figure 5 simulated %d specs, want 4", fig5)
+	}
+	rows, err := ModelStudy(ctx, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 2 {
+		t.Fatalf("model study fitted %d designs, want 2", len(rows))
+	}
+	if n := eng.CacheStats().SpecMisses; n != fig5 {
+		t.Errorf("the model study simulated %d specs after Figure 5, want none", n-fig5)
+	}
+}
+
 // TestPaperHeadlineOrderings runs the complete Table 2 design set and
 // asserts the orderings the paper's conclusions rest on (Section 5).
 func TestPaperHeadlineOrderings(t *testing.T) {

@@ -6,9 +6,7 @@ import (
 	"io"
 
 	"hbat/internal/cpu"
-	"hbat/internal/engine"
 	"hbat/internal/model"
-	"hbat/internal/prog"
 )
 
 // ModelRow is the Section 2 model fitted to one design, run-time
@@ -27,46 +25,22 @@ type ModelRow struct {
 }
 
 // ModelStudy fits the paper's Section 2 address-translation performance
-// model to every design over the workload set: each design's runs are
-// compared to the T4 baseline, and the fitted quantities are run-time
-// weighted the same way the figures are.
+// model to every design over the workload set, from Figure 5's runs
+// (the engine's memo serves them when Figure 5 already ran): each
+// design's runs are compared to the T4 baseline, and the fitted
+// quantities are run-time weighted the same way the figures are.
 func ModelStudy(ctx context.Context, opts Options) ([]ModelRow, error) {
-	designs := opts.designs()
-	wls := opts.workloads()
-
-	var specs []engine.RunSpec
-	for _, d := range designs {
-		for _, w := range wls {
-			specs = append(specs, engine.RunSpec{
-				Workload: w, Design: d, Budget: prog.Budget32,
-				Scale: opts.Scale, PageSize: 4096, Seed: opts.seed(),
-			})
-		}
-	}
-	results, err := opts.engine().RunAll(ctx, specs, opts.Parallelism, opts.Progress)
+	f, err := Figure5(ctx, opts)
 	if err != nil {
 		return nil, err
 	}
-	byKey := map[string]*engine.RunResult{}
-	for i := range results {
-		r := &results[i]
-		if r.Err != nil {
-			return nil, r.Err
-		}
-		byKey[r.Spec.Design+"/"+r.Spec.Workload] = r
-	}
-
 	walk := float64(cpu.DefaultConfig().TLBMissLatency)
-	rows := make([]ModelRow, 0, len(designs))
-	for _, d := range designs {
+	rows := make([]ModelRow, 0, len(f.Designs))
+	for _, d := range f.Designs {
 		row := ModelRow{Design: d}
 		var totalWeight float64
-		for _, w := range wls {
-			base := byKey["T4/"+w]
-			dev := byKey[d+"/"+w]
-			if base == nil || dev == nil {
-				return nil, fmt.Errorf("harness: model study missing %s/%s", d, w)
-			}
+		for _, w := range f.Workloads {
+			base, dev := f.Runs["T4"][w], f.Runs[d][w]
 			rep := model.Analyze(d, w,
 				model.RunStats{CPU: base.Stats, TLB: base.TLB},
 				model.RunStats{CPU: dev.Stats, TLB: dev.TLB}, walk)

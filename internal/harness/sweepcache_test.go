@@ -63,8 +63,8 @@ func TestSweepSimulatesEachUniqueSpecOnce(t *testing.T) {
 
 // TestReportCheckpointsStayResident counts the distinct checkpoint keys
 // the full report's timing runs use at one fast-forward depth (Table 3
-// and Figures 5, 7, 8 and 9; Figure 6 and the model study do not
-// fast-forward), and checks that one engine keeps every one of them: a
+// and Figures 5, 7, 8 and 9; Figure 6 does not fast-forward, and the
+// model study fits Figure 5's runs), and checks that one engine keeps every one of them: a
 // second pass under another seed, where every spec is a memo miss and
 // every checkpoint (seed- and design-independent) is requested again,
 // builds none. The engine retires the oldest checkpoint first, so that

@@ -203,7 +203,6 @@ var testOnlyAllowed = map[string]string{
 	"hbat/internal/fleet/fleettest":               "test-helper package: the fault battery's rig, shared by the fleet and transport tests",
 	"hbat/internal/progen":                        "test-helper package: every workload, their images, and random programs for the differential and fuzz tests",
 	"hbat/internal/promtext":                      "test-helper package: the Prometheus text parser the obs and transport tests read /metrics with",
-	"hbat/api.Client.Ping":                        "a v1 route (GET /v1/ping) the client covers for callers outside the module",
 	"hbat/api.Client.Job":                         "a v1 route (GET /v1/jobs/{id}) the client covers for callers outside the module",
 	"hbat/api.Client.Workers":                     "a v1 route (GET /v1/workers) the client covers for callers outside the module",
 	"hbat/api.Client.RegisterWorker":              "a v1 route (POST /v1/workers) the client covers for callers outside the module",

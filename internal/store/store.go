@@ -479,17 +479,24 @@ func (s *Store) Stats() Stats {
 	return st
 }
 
-// Keys returns every artifact key (no blob's), most recently used first.
-func (s *Store) Keys() []string {
+// Artifact is one stored artifact as the index describes it.
+type Artifact struct {
+	Key, SHA256 string
+	Size        int64
+}
+
+// Keys lists every artifact (no blob) from the index, most recently used
+// first, reading no file and moving no entry.
+func (s *Store) Keys() []Artifact {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	keys := make([]string, 0, len(s.entries))
+	out := make([]Artifact, 0, len(s.entries))
 	for el := s.lru.Front(); el != nil; el = el.Next() {
 		if e := el.Value.(*entry); e.tenant != "" {
-			keys = append(keys, e.key)
+			out = append(out, Artifact{Key: e.key, SHA256: e.sha, Size: e.size})
 		}
 	}
-	return keys
+	return out
 }
 
 func hash(data []byte) string {

@@ -251,15 +251,32 @@ func TestTenantGrammarAcrossRestart(t *testing.T) {
 	}
 }
 
+// TestKeysOrder: Keys lists artifacts most recently used first, each
+// with its content hash and size, and listing touches nothing: a second
+// listing is the same and the counters do not move.
 func TestKeysOrder(t *testing.T) {
 	s, _ := New(Config{})
 	for _, k := range []string{"aa", "bb", "cc"} {
-		s.Put("t", k, []byte(k))
+		s.Put("t", k, []byte(k+"-bytes"))
 	}
 	s.Get("aa") // touch: aa becomes most recent
+	before := s.Stats()
 	keys := s.Keys()
-	if len(keys) != 3 || keys[0] != "aa" {
-		t.Fatalf("Keys() = %v, want aa first", keys)
+	var order []string
+	for _, a := range keys {
+		order = append(order, a.Key)
+		if want := (Artifact{a.Key, hash([]byte(a.Key + "-bytes")), 8}); a != want {
+			t.Errorf("listed %+v, want %+v", a, want)
+		}
+	}
+	if want := []string{"aa", "cc", "bb"}; !reflect.DeepEqual(order, want) {
+		t.Fatalf("Keys() order = %v, want %v", order, want)
+	}
+	if again := s.Keys(); !reflect.DeepEqual(again, keys) {
+		t.Fatalf("a second Keys() = %v, want %v: listing moved entries", again, keys)
+	}
+	if st := s.Stats(); st != before {
+		t.Fatalf("listing moved the counters: %+v, was %+v", st, before)
 	}
 }
 
@@ -346,7 +363,7 @@ func TestBlobKeysAreNotArtifacts(t *testing.T) {
 	if got, ok := s2.GetBlob("bb"); !ok || string(got) != "blob" {
 		t.Fatalf("restart lost the blob: %q/%v", got, ok)
 	}
-	if keys := s2.Keys(); len(keys) != 1 || keys[0] != "aa" {
+	if keys := s2.Keys(); len(keys) != 1 || keys[0].Key != "aa" {
 		t.Fatalf("Keys after restart = %v, want only the artifact", keys)
 	}
 	if st := s2.Stats(); st.Entries != 2 || st.DiskBytes != 7 {

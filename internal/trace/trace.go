@@ -21,6 +21,7 @@ import (
 	"io"
 
 	"hbat/internal/emu"
+	"hbat/internal/emu/sblock"
 	"hbat/internal/prog"
 )
 
@@ -181,34 +182,41 @@ func (r *Reader) ForEach(f func(Record) error) error {
 	}
 }
 
-// CaptureContext functionally executes p and writes its data-reference
-// trace. maxRefs caps the trace length (0 = the whole run). A cancelled
-// ctx stops the functional run promptly (checked every few thousand
-// steps) and returns ctx.Err().
+// CaptureContext functionally executes p on the translated engine and
+// writes its data-reference trace. maxRefs caps the trace length (0 =
+// the whole run); a capped capture still runs to Halt and drops the
+// references past the cap. A cancelled ctx stops the functional run
+// promptly (checked every few thousand instructions) and returns
+// ctx.Err().
 func CaptureContext(ctx context.Context, p *prog.Program, pageSize uint64, w io.Writer, maxRefs uint64) (uint64, error) {
 	m, err := emu.New(p, pageSize)
 	if err != nil {
 		return 0, err
 	}
-	tw := NewWriter(w, Header{Workload: p.Name, PageSize: pageSize})
-	var captureErr error
-	m.OnMemRef = func(vaddr uint64, write bool) {
-		if captureErr == nil && (maxRefs == 0 || tw.Count() < maxRefs) {
-			captureErr = tw.Add(Record{Addr: vaddr, Write: write})
-		}
+	c := capture{w: NewWriter(w, Header{Workload: p.Name, PageSize: pageSize}), max: maxRefs}
+	e := sblock.New(m)
+	e.SetCancel(ctx)
+	if err := e.Warm(0, &c); err != nil {
+		return c.w.Count(), err
 	}
-	for steps := 0; !m.Halted && (maxRefs == 0 || tw.Count() < maxRefs); steps++ {
-		if steps&4095 == 0 {
-			if err := ctx.Err(); err != nil {
-				return tw.Count(), err
-			}
-		}
-		if err := m.Step(); err != nil {
-			return tw.Count(), err
-		}
-		if captureErr != nil {
-			return tw.Count(), captureErr
-		}
+	if c.err != nil {
+		return c.w.Count(), c.err
 	}
-	return tw.Count(), tw.Close()
+	return c.w.Count(), c.w.Close()
+}
+
+// capture is the Warmer that writes a run's data references, up to max
+// (0 = all) and until the first write error.
+type capture struct {
+	w   *Writer
+	max uint64
+	err error
+}
+
+func (c *capture) Block(*sblock.BlockExec) {}
+
+func (c *capture) Ref(vaddr, _ uint64, write bool, _ uint64) {
+	if c.err == nil && (c.max == 0 || c.w.Count() < c.max) {
+		c.err = c.w.Add(Record{Addr: vaddr, Write: write})
+	}
 }

@@ -418,17 +418,17 @@ func (f *Front) handleResult(w http.ResponseWriter, r *http.Request) {
 
 // handleManifest serves the daemon's provenance manifest: every run
 // this process performed (none on a daemon without an engine) plus the
-// store's current keys — enough for a client to audit what was
-// simulated versus served from cache.
+// store's artifacts as its index lists them — enough for a client to
+// audit what was simulated versus served from cache.
 func (f *Front) handleManifest(w http.ResponseWriter, r *http.Request) {
 	man := engine.NewManifest(tool, time.Now())
 	if f.cfg.Engine != nil {
 		man.RecordRuns(f.cfg.Engine)
 	}
-	for _, key := range f.cfg.Store.Keys() {
-		if data, _, ok := f.cfg.Store.Get(key); ok {
-			man.AddArtifactBytes(key+".json", api.PathResults+key, data)
-		}
+	for _, a := range f.cfg.Store.Keys() {
+		man.Artifacts = append(man.Artifacts, engine.ManifestArtifact{
+			Name: a.Key + ".json", Path: api.PathResults + a.Key, SHA256: a.SHA256, Bytes: a.Size,
+		})
 	}
 	w.Header().Set("Content-Type", "application/json")
 	if err := man.WriteJSON(w); err != nil {

@@ -50,7 +50,7 @@ func TestREDMetrics(t *testing.T) {
 
 	c := api.NewClient(ts.URL)
 	c.Tenant = "acme"
-	if err := c.Ping(ctx); err != nil {
+	if _, err := c.Ping(ctx); err != nil {
 		t.Fatal(err)
 	}
 	acc, err := c.Submit(ctx, api.JobRequest{Specs: []api.SimOptions{testSpec("compress", "T4")}})
@@ -227,7 +227,7 @@ func TestAccessLogHonorsLevelAndFormat(t *testing.T) {
 	svc2, ts2, _ := newService(t, transport.Config{Workers: 1, Logger: warnLogger})
 	defer ts2.Close()
 	defer svc2.Shutdown(context.Background())
-	if err := api.NewClient(ts2.URL).Ping(ctx); err != nil {
+	if _, err := api.NewClient(ts2.URL).Ping(ctx); err != nil {
 		t.Fatal(err)
 	}
 	if strings.Contains(quiet.String(), "http request") {

@@ -8,7 +8,9 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -60,8 +62,8 @@ func TestPingAndErrors(t *testing.T) {
 	defer svc.Shutdown(context.Background())
 	ctx := context.Background()
 	c := api.NewClient(ts.URL)
-	if err := c.Ping(ctx); err != nil {
-		t.Fatal(err)
+	if tool, err := c.Ping(ctx); err != nil || tool != "hbatd" {
+		t.Fatalf("ping: tool %q, err %v; want hbatd", tool, err)
 	}
 	// Unknown job: structured 404.
 	if _, err := c.Job(ctx, "jdeadbeef"); err == nil {
@@ -373,6 +375,83 @@ func TestManifestListsRuns(t *testing.T) {
 	}
 	if len(man.Artifacts) != 1 || !strings.HasPrefix(man.Artifacts[0].Name, acc.SpecKeys[0]) {
 		t.Errorf("manifest artifacts = %+v", man.Artifacts)
+	}
+}
+
+// TestManifestListsTheIndex: on a disk-backed store holding more than
+// its memory layer — a restarted store's disk-only entries plus newer
+// ones that spilled — GET /v1/manifest lists every artifact, most
+// recently used first, with the hash and size of its stored bytes, and
+// the listing reads nothing back: the store's counters and its LRU
+// order are what they were.
+func TestManifestListsTheIndex(t *testing.T) {
+	dir := t.TempDir()
+	data := func(i int) []byte { return []byte(fmt.Sprintf("{\"artifact\": %d, \"pad\": \"%040d\"}", i, i)) }
+	var keys []string
+	for i := 0; i < 10; i++ {
+		keys = append(keys, fmt.Sprintf("%012x", 0xa0+i))
+	}
+	first, err := store.New(store.Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4; i++ {
+		if _, err := first.Put("t", keys[i], data(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st, err := store.New(store.Config{Dir: dir, MemBytes: 120})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 4; i < 10; i++ {
+		if _, err := st.Put("t", keys[i], data(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if s := st.Stats(); s.MemEvictions == 0 || s.MemBytes >= int64(10*len(data(0))) {
+		t.Fatalf("store %+v holds every artifact in memory; the test needs some on disk only", s)
+	}
+	svc, ts, _ := newService(t, transport.Config{Workers: 1, Store: st})
+	defer ts.Close()
+	defer svc.Shutdown(context.Background())
+
+	order := st.Keys()
+	var want []engine.ManifestArtifact
+	for _, a := range order {
+		i := slices.IndexFunc(keys, func(k string) bool { return k == a.Key })
+		if i < 0 {
+			t.Fatalf("the store lists unknown key %s", a.Key)
+		}
+		want = append(want, engine.ManifestArtifact{
+			Name: a.Key + ".json", Path: api.PathResults + a.Key,
+			SHA256: engine.ArtifactSHA256(data(i)), Bytes: int64(len(data(i))),
+		})
+	}
+	if len(want) != len(keys) {
+		t.Fatalf("the store lists %d artifacts, want %d", len(want), len(keys))
+	}
+	before := st.Stats()
+	for pass := 0; pass < 2; pass++ {
+		resp, err := http.Get(ts.URL + api.PathManifest)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var man engine.Manifest
+		err = json.NewDecoder(resp.Body).Decode(&man)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(man.Artifacts, want) {
+			t.Errorf("pass %d: manifest artifacts\n%+v\nwant\n%+v", pass, man.Artifacts, want)
+		}
+	}
+	if after := st.Stats(); after != before {
+		t.Errorf("the manifest moved the store's counters: %+v, was %+v", after, before)
+	}
+	if after := st.Keys(); !reflect.DeepEqual(after, order) {
+		t.Errorf("the manifest reordered the store: %v, was %v", after, order)
 	}
 }
 
